@@ -29,6 +29,7 @@ from .dimension import (
 from .domains import (
     AffineMap,
     Box,
+    BudgetError,
     Domain,
     DomainError,
     DomainGeometry,
@@ -52,6 +53,7 @@ from .engine import (
     evaluate_at,
     evaluate_on_vk,
     graph_sample,
+    graph_samples,
     solve_q,
     validate_join_up,
 )

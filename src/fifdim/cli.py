@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig, load_config
-from .dimension import empirical_dimension, reconcile
+from .dimension import DEFAULT_WINDOWS, empirical_dimension, reconcile
+from .domains import BudgetError
 from .engine import (
     FifModel,
     ModelError,
@@ -156,8 +157,7 @@ def cmd_report(cfg: RunConfig, args) -> int:
 
 
 def _window(cfg: RunConfig, args, model: FifModel):
-    defaults = {"interval": (4, 10), "cube": (3, 7), "gasket": (4, 8)}
-    dk_min, dk_max = defaults[model.domain.kind]
+    dk_min, dk_max = DEFAULT_WINDOWS[model.domain.kind]
     k_min = args.kmin if args.kmin is not None else int(
         cfg.analysis.get("k_min", dk_min)
     )
@@ -205,11 +205,11 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         return COMMANDS[args.command](cfg, args)
+    except BudgetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
     except ModelError as exc:
-        text = str(exc)
-        print(f"error: {text}", file=sys.stderr)
-        if "budget" in text:
-            return EXIT_BUDGET
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domains import cell_budget
+from .domains import BudgetError, cell_budget
 from .engine import (
     FifModel,
     GraphSample,
@@ -22,7 +22,7 @@ from .engine import (
     _level0,
     _level_at,
     _push,
-    graph_sample,
+    graph_samples,
 )
 
 __all__ = [
@@ -43,7 +43,11 @@ __all__ = [
     "empirical_dimension",
     "reconcile",
     "dim_domain",
+    "DEFAULT_WINDOWS",
 ]
+
+# default box-count window (k_min, k_max) per domain kind
+DEFAULT_WINDOWS = {"interval": (4, 10), "cube": (3, 7), "gasket": (4, 8)}
 
 
 def dim_domain(model: FifModel) -> float:
@@ -521,10 +525,9 @@ def lower_bound_interval_variable_s(model: FifModel) -> BoundEntry | None:
     # route (b): empirical divergence probe of N(r) / (N^(2-eta))^r
     if gamma0_lo <= n ** (1 - eta) + 1e-12:
         return None
-    window = range(2, 7)
     ratios = []
-    for r in window:
-        sample = graph_sample(model, r, extra=2)
+    for sample in graph_samples(model, {r: 2 for r in range(2, 7)}):
+        r = sample.level
         delta = model.geom.diameter / model.geom.lam**r
         ratios.append(box_count(sample, delta) / (n ** (2 - eta)) ** r)
     growing = ratios[-1] >= 2 * ratios[0] and all(
@@ -639,7 +642,7 @@ def empirical_dimension(
     while depth > k_max and model.N**depth * p > budget:
         depth -= 1
     if model.N**depth * p > budget:
-        raise ModelError("empirical estimation exceeds the cell budget")
+        raise BudgetError("empirical estimation exceeds the cell budget")
 
     n = model.N
     diam = model.geom.diameter
@@ -786,8 +789,7 @@ def reconcile(
     empirical = None
     inconsistent = False
     if with_empirical:
-        defaults = {"interval": (4, 10), "cube": (3, 7), "gasket": (4, 8)}
-        dk_min, dk_max = defaults[model.domain.kind]
+        dk_min, dk_max = DEFAULT_WINDOWS[model.domain.kind]
         empirical = empirical_dimension(
             model, k_min if k_min is not None else dk_min,
             k_max if k_max is not None else dk_max,

@@ -38,15 +38,30 @@ __all__ = [
     "dedup_points",
     "point_keys",
     "cell_budget",
+    "BudgetError",
 ]
 
 DEFAULT_CELL_BUDGET = 10_000_000
 
 
+class BudgetError(ValueError):
+    """A computation would materialise more cells than the cell budget."""
+
+
 def cell_budget() -> int:
     """Cell-count guard; override with the FIF_CELL_BUDGET env var."""
     raw = os.environ.get("FIF_CELL_BUDGET")
-    return int(raw) if raw else DEFAULT_CELL_BUDGET
+    if not raw:
+        return DEFAULT_CELL_BUDGET
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = 0
+    if budget <= 0:
+        raise BudgetError(
+            f"FIF_CELL_BUDGET must be a positive integer, got {raw!r}"
+        )
+    return budget
 
 
 class DomainError(ValueError):
@@ -164,14 +179,14 @@ class Triangle:
         return float(min(d))
 
     def sample_points(self, depth: int) -> np.ndarray:
+        # barycentric grid (i, j, n - i - j), i outer and j inner
         n = min(2**depth, 512)
         v = np.asarray(self.verts, float)
-        pts = []
-        for i in range(n + 1):
-            for j in range(n + 1 - i):
-                k = n - i - j
-                pts.append((i * v[0] + j * v[1] + k * v[2]) / n)
-        return np.asarray(pts)
+        counts = n + 1 - np.arange(n + 1)
+        i = np.repeat(np.arange(n + 1), counts)
+        j = np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts, counts)
+        k = n - i - j
+        return (i[:, None] * v[0] + j[:, None] * v[1] + k[:, None] * v[2]) / n
 
     def mesh_diameter(self, depth: int) -> float:
         n = min(2**depth, 512)
@@ -329,7 +344,7 @@ def cells(d: Domain, k: int):
     if k < 1:
         raise DomainError("cell level must be >= 1")
     if d.N**k > cell_budget():
-        raise DomainError(
+        raise BudgetError(
             f"cell enumeration N^k = {d.N}**{k} exceeds the cell budget"
         )
     for word in itertools.product(range(d.N), repeat=k):

@@ -8,13 +8,15 @@ point of the read-off operator T and satisfies
     f*(l_i(x)) = s_i(x) * f*(x) + q_i(x).
 
 Evaluation on vertex sets V_k is done by exact forward recursion (no
-iteration error); arbitrary points go through address decoding plus an
-unwound recursion with an a-priori contraction error bound.
+iteration error), one pass serving the graph samples of several levels;
+arbitrary points go through address decoding plus an unwound recursion
+with an a-priori contraction error bound.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +24,7 @@ import numpy as np
 from .domains import (
     AffineMap,
     Box,
+    BudgetError,
     Domain,
     DomainGeometry,
     Triangle,
@@ -55,6 +58,7 @@ __all__ = [
     "evaluate_at",
     "apply_T",
     "graph_sample",
+    "graph_samples",
 ]
 
 JOINUP_TOL = 1e-9
@@ -446,7 +450,7 @@ def _push(model: FifModel, lev: _Level) -> _Level:
 
 def _level_at(model: FifModel, k: int) -> _Level:
     if model.N**k * len(model.domain.v0) > cell_budget():
-        raise ModelError(f"level {k} exceeds the cell budget")
+        raise BudgetError(f"level {k} exceeds the cell budget")
     lev = _level0(model)
     for _ in range(k):
         lev = _push(model, lev)
@@ -682,33 +686,47 @@ def graph_sample(model: FifModel, k: int, extra: int = 4) -> GraphSample:
     the a-priori slack 2 M ||s||**extra widens them into guaranteed
     enclosures per the contraction bound.
     """
-    if k < 1:
-        raise ModelError("k must be >= 1")
-    d = model.domain
-    if model.N ** (k + extra) * len(d.v0) > cell_budget():
-        raise ModelError(
-            f"graph sample at level {k}+{extra} exceeds the cell budget"
+    return next(graph_samples(model, {k: extra}))
+
+
+def graph_samples(
+    model: FifModel, extras: dict[int, int]
+) -> Iterator[GraphSample]:
+    """``graph_sample(model, k, e)`` for every ``k: e`` in ``extras``, from
+    one forward pass down to the deepest level max(k + e).
+
+    Level-k cell tables are kept until level k + e is reached, where the
+    sample is completed and yielded; samples come out in order of k + e,
+    then k.  Every level is pushed exactly as in a single-level sample,
+    so the results are bitwise the same.
+    """
+    if any(k < 1 or e < 0 for k, e in extras.items()):
+        raise ModelError("k must be >= 1 and extra >= 0")
+    depth = max((k + e for k, e in extras.items()), default=0)
+    if model.N**depth * len(model.domain.v0) > cell_budget():
+        raise BudgetError(
+            f"graph sample depth {depth} exceeds the cell budget"
         )
-    lev = _level_at(model, k)
-    at_k = lev
-    deep = lev
-    for _ in range(extra):
-        deep = _push(model, deep)
-    C = model.N**k
-    block = deep.vals.reshape(C, -1)
-    vmin = block.min(axis=1)
-    vmax = block.max(axis=1)
-    slack = 2 * model.M[1] * model.s_norm[1] ** extra
-    return GraphSample(
-        level=k,
-        extra=extra,
-        N=model.N,
-        vert_pts=at_k.pts,
-        vert_vals=at_k.vals,
-        cell_lo=at_k.lo,
-        cell_hi=at_k.hi,
-        cell_diam=at_k.diam,
-        vmin=vmin,
-        vmax=vmax,
-        slack=float(slack),
-    )
+    held: dict[int, _Level] = {}
+    lev = _level0(model)
+    for level in range(1, depth + 1):
+        lev = _push(model, lev)
+        if level in extras:
+            held[level] = lev
+        for k in sorted(k for k, e in extras.items() if k + e == level):
+            at_k = held.pop(k)
+            block = lev.vals.reshape(model.N**k, -1)
+            slack = 2 * model.M[1] * model.s_norm[1] ** extras[k]
+            yield GraphSample(
+                level=k,
+                extra=extras[k],
+                N=model.N,
+                vert_pts=at_k.pts,
+                vert_vals=at_k.vals,
+                cell_lo=at_k.lo,
+                cell_hi=at_k.hi,
+                cell_diam=at_k.diam,
+                vmin=block.min(axis=1),
+                vmax=block.max(axis=1),
+                slack=float(slack),
+            )

@@ -1,7 +1,9 @@
 """Per-cell and total oscillations, and the oscillation-space seminorm.
 
 Everything carries [lo, hi] brackets derived from graph-sample value
-brackets so the inequality checks downstream stay one-sided safe.
+brackets so the inequality checks downstream stay one-sided safe.  The
+level-k samples of a seminorm or ceiling check all come from one forward
+pass of the recursion (``engine.graph_samples``), not one pass per k.
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import FifModel, GraphSample, graph_sample
+from .domains import cell_budget
+from .engine import FifModel, GraphSample, graph_samples
 
 __all__ = [
     "OscTable",
@@ -61,16 +64,16 @@ def osc_table(sample: GraphSample) -> OscTable:
 
 
 def _samples_up_to(model: FifModel, kmax: int, extra: int = 4):
-    from .domains import cell_budget
-
     budget = cell_budget()
     p = len(model.domain.v0)
+    extras = {}
     for k in range(1, kmax + 1):
         # shrink the refinement depth near the budget; lo-ends stay valid
         e = extra
         while e > 0 and model.N ** (k + e) * p > budget:
             e -= 1
-        yield k, graph_sample(model, k, extra=e)
+        extras[k] = e
+    return graph_samples(model, extras)
 
 
 def seminorm(model: FifModel, eta: float, kmax: int | None = None) -> float:
@@ -88,7 +91,8 @@ def seminorm(model: FifModel, eta: float, kmax: int | None = None) -> float:
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     best = 0.0
-    for k, sample in _samples_up_to(model, kmax):
+    for sample in _samples_up_to(model, kmax):
+        k = sample.level
         denom = n**k * lam ** (-k * eta)
         best = max(best, total_osc(sample)[0] / denom)
     return best
@@ -104,7 +108,8 @@ def holder_to_osc_check(
     if kmax is None:
         kmax = DEFAULT_KMAX[model.domain.kind]
     out = {}
-    for k, sample in _samples_up_to(model, kmax):
+    for sample in _samples_up_to(model, kmax):
+        k = sample.level
         ceiling = holder_const * diam**eta * n**k * lam ** (-k * eta)
         out[k] = total_osc(sample)[0] <= ceiling * (1 + 1e-12) + 1e-12
     return out

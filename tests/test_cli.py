@@ -40,6 +40,18 @@ def test_budget_exceeded_exit_3(config_dir, tmp_path, monkeypatch, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("raw", ["abc", "0"])
+def test_malformed_budget_exit_3(
+    config_dir, tmp_path, monkeypatch, capsys, raw
+):
+    monkeypatch.setenv("FIF_CELL_BUDGET", raw)
+    code = main(
+        ["report", _cfg(config_dir, "example5_case2"), "--out", str(tmp_path)]
+    )
+    assert code == 3
+    assert "FIF_CELL_BUDGET" in capsys.readouterr().err
+
+
 def test_sample_depth0_equals_data(config_dir, tmp_path, capsys):
     code = main(
         ["sample", _cfg(config_dir, "example5_case2"), "--depth", "0",

@@ -24,7 +24,7 @@ from fifdim.dimension import (
     upper_bound,
     witness_height_check,
 )
-from fifdim.domains import interval_domain
+from fifdim.domains import BudgetError, interval_domain
 from fifdim.engine import (
     FifSpec,
     ModelError,
@@ -310,7 +310,7 @@ def test_empirical_guards():
 def test_empirical_budget(monkeypatch):
     model = get_model("example5_case2")
     monkeypatch.setenv("FIF_CELL_BUDGET", "50")
-    with pytest.raises(ModelError, match="budget"):
+    with pytest.raises(BudgetError, match="budget"):
         empirical_dimension(model, 2, 4)
 
 

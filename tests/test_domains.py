@@ -131,8 +131,36 @@ def test_cell_budget_env_override(monkeypatch):
     monkeypatch.setenv("FIF_CELL_BUDGET", "10")
     assert dm.cell_budget() == 10
     d = interval_domain((0.0, 0.5, 1.0), (0, 0))
-    with pytest.raises(DomainError):
+    with pytest.raises(dm.BudgetError):
         list(cells(d, 5))
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-5", "1.5"])
+def test_cell_budget_rejects_malformed_env(monkeypatch, raw):
+    monkeypatch.setenv("FIF_CELL_BUDGET", raw)
+    with pytest.raises(dm.BudgetError, match="FIF_CELL_BUDGET"):
+        dm.cell_budget()
+
+
+def _triangle_grid_reference(tri, depth):
+    # the barycentric double loop the vectorised grid must reproduce
+    n = min(2**depth, 512)
+    v = np.asarray(tri.verts, float)
+    pts = []
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            k = n - i - j
+            pts.append((i * v[0] + j * v[1] + k * v[2]) / n)
+    return np.asarray(pts)
+
+
+@pytest.mark.parametrize("depth", range(1, 10))
+def test_triangle_grid_bitwise_equals_double_loop(depth):
+    tri = gasket_domain([[0, 0], [1, 0], [0.5, math.sqrt(3) / 2]], 1).base
+    got = tri.sample_points(depth)
+    ref = _triangle_grid_reference(tri, depth)
+    assert got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
 
 
 def test_triangle_sampling_stays_inside():

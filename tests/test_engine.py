@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from conftest import get_config, get_model
-from fifdim.domains import cube_domain, interval_domain, vertex_set
+from fifdim.domains import (
+    BudgetError,
+    cube_domain,
+    interval_domain,
+    vertex_set,
+)
 from fifdim.engine import (
     FifSpec,
     ModelError,
@@ -217,7 +222,7 @@ def test_graph_sample_brackets_enclose_descendants():
 def test_graph_sample_budget_guard(monkeypatch):
     model = get_model("example5_case2")
     monkeypatch.setenv("FIF_CELL_BUDGET", "100")
-    with pytest.raises(ModelError, match="budget"):
+    with pytest.raises(BudgetError, match="budget"):
         graph_sample(model, 4)
 
 

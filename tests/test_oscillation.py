@@ -4,10 +4,20 @@ import numpy as np
 import pytest
 
 from conftest import get_model
-from fifdim.domains import interval_domain
-from fifdim.engine import FifSpec, build_model, graph_sample
+from fifdim.domains import cell_budget, interval_domain
+from fifdim.engine import (
+    FifSpec,
+    ModelError,
+    _level0,
+    _push,
+    build_model,
+    graph_sample,
+    graph_samples,
+)
 from fifdim.exprs import parse_expr
 from fifdim.oscillation import (
+    DEFAULT_KMAX,
+    _samples_up_to,
     cell_osc,
     holder_to_osc_check,
     osc_table,
@@ -112,3 +122,61 @@ def test_holder_ceiling_fails_for_tiny_constant():
     model = get_model("example5_case2")
     out = holder_to_osc_check(model, 0.8, 1e-6, kmax=4)
     assert not all(out.values())
+
+
+def _replayed_sample(model, k, extra):
+    # reference: push from level 0 to k, then on to k + extra, per sample
+    at_k = _level0(model)
+    for _ in range(k):
+        at_k = _push(model, at_k)
+    deep = at_k
+    for _ in range(extra):
+        deep = _push(model, deep)
+    block = deep.vals.reshape(model.N**k, -1)
+    return (at_k.pts, at_k.vals, at_k.lo, at_k.hi, at_k.diam,
+            block.min(axis=1), block.max(axis=1),
+            2 * model.M[1] * model.s_norm[1] ** extra)
+
+
+@pytest.mark.parametrize(
+    "name", ["example5_case2", "example5_case1_sin", "degenerate_cube"]
+)
+def test_one_pass_samples_equal_level0_replay(name):
+    model = get_model(name)
+    kmax = DEFAULT_KMAX[model.domain.kind]
+    got = list(_samples_up_to(model, kmax))
+    assert [s.level for s in got] == list(range(1, kmax + 1))
+    # the budget shrinks the refinement depth of the deepest levels
+    assert got[0].extra == 4 and got[-1].extra < 4
+    assert model.N ** (kmax + 4) * len(model.domain.v0) > cell_budget()
+    for sample in got:
+        ref = _replayed_sample(model, sample.level, sample.extra)
+        fields = (sample.vert_pts, sample.vert_vals, sample.cell_lo,
+                  sample.cell_hi, sample.cell_diam, sample.vmin, sample.vmax)
+        for a, b in zip(fields, ref[:7]):
+            assert np.array_equal(a, b)
+        assert sample.slack == ref[7]
+
+
+def test_graph_samples_order_and_single_entry():
+    model = _identity_model()
+    samples = graph_samples(model, {3: 0, 1: 2, 2: 1})
+    got = [(s.level, s.extra) for s in samples]
+    assert got == [(1, 2), (2, 1), (3, 0)]
+    one = graph_sample(model, 4, extra=1)
+    assert (one.level, one.extra, one.cells) == (4, 1, 3**4)
+    assert list(graph_samples(model, {})) == []
+    for bad in ({0: 1}, {2: -1}):
+        with pytest.raises(ModelError):
+            next(graph_samples(model, bad))
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [("example5_case2", "13.37110843608938"),
+     ("example5_case1_sin", "1.649602513456378"),
+     ("degenerate_cube", "1.0")],
+)
+def test_seminorm_pinned_values(name, expected):
+    model = get_model(name)
+    assert repr(seminorm(model, min(1, model.eta))) == expected
