@@ -43,6 +43,7 @@ from .domains import (
     vertex_set,
 )
 from .engine import (
+    CellTable,
     FifModel,
     FifSpec,
     GraphSample,

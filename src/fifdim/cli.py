@@ -16,8 +16,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .config import ConfigError, RunConfig, load_config
 from .dimension import DEFAULT_WINDOWS, empirical_dimension, reconcile
 from .domains import BudgetError
@@ -25,9 +23,7 @@ from .engine import (
     FifModel,
     ModelError,
     build_model,
-    check_well_defined,
     evaluate_on_vk,
-    validate_join_up,
 )
 from .svgplot import loglog_chart, polyline_chart, scatter_chart
 

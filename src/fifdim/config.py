@@ -8,6 +8,7 @@ formulas without decimal truncation.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -188,6 +189,8 @@ def load_config(path: str) -> RunConfig:
         q_entries = []
 
     eta = parse_number(raw.get("eta", 1.0), "eta")
+    if not (math.isfinite(eta) and eta > 0):
+        errors.append(("eta", f"must be a finite number > 0, got {eta}"))
 
     if domain is not None:
         if len(scales) != domain.N:

@@ -10,20 +10,12 @@ ends), so numerical sup/inf estimation cannot flip a verdict.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .domains import BudgetError, cell_budget
-from .engine import (
-    FifModel,
-    GraphSample,
-    ModelError,
-    _level0,
-    _level_at,
-    _push,
-    graph_samples,
-)
+from .engine import CellTable, FifModel, ModelError, _sweep, graph_samples
 
 __all__ = [
     "GammaReport",
@@ -555,7 +547,7 @@ def lower_bound_interval_variable_s(model: FifModel) -> BoundEntry | None:
 # Box counting
 
 
-def box_count(sample: GraphSample, delta: float) -> int:
+def box_count(sample: CellTable, delta: float) -> int:
     """Count delta-boxes covering the sampled graph.
 
     m = 1 uses the column method over the x-axis with observed per-cell
@@ -644,57 +636,25 @@ def empirical_dimension(
     if model.N**depth * p > budget:
         raise BudgetError("empirical estimation exceeds the cell budget")
 
-    n = model.N
-    diam = model.geom.diameter
-    lam = model.geom.lam
-    entries = []
+    n, diam = model.N, model.geom.diameter
+    # plan: k -> (level of the cell table counted, delta)
     if _equal_ratio(model) or model.domain.m > 1:
-        # one forward pass; every level k is read off with the same
-        # refinement depth e, keeping the osc truncation bias uniform
-        # across the regression window (a sliding extra would tilt it)
+        # every level k is read off with the same refinement depth e,
+        # keeping the osc truncation bias uniform across the regression
+        # window (a sliding extra would tilt it)
         e = depth - k_max
-        lev = _level0(model)
-        for level in range(1, depth + 1):
-            lev = _push(model, lev)
-            k = level - e
-            if not k_min <= k <= k_max:
-                continue
-            c = n**k
-            shape = (c, -1)
-            sub = GraphSample(
-                level=k,
-                extra=e,
-                N=n,
-                vert_pts=np.empty((c, 0, model.domain.m)),
-                vert_vals=np.empty((c, 0)),
-                cell_lo=lev.lo.reshape(c, -1, model.domain.m).min(axis=1),
-                cell_hi=lev.hi.reshape(c, -1, model.domain.m).max(axis=1),
-                cell_diam=lev.diam.reshape(shape).max(axis=1),
-                vmin=lev.vals.reshape(shape).min(axis=1),
-                vmax=lev.vals.reshape(shape).max(axis=1),
-                slack=0.0,
-            )
-            delta = diam / lam**k
-            entries.append((k, delta, box_count(sub, delta)))
+        plan = {k: (k, diam / model.geom.lam**k)
+                for k in range(k_min, k_max + 1)}
     else:
         # unequal knots: dyadic deltas against the deepest table
-        deep = _level_at(model, depth)
-        flat = GraphSample(
-            level=depth,
-            extra=0,
-            N=n,
-            vert_pts=np.empty((n**depth, 0, model.domain.m)),
-            vert_vals=np.empty((n**depth, 0)),
-            cell_lo=deep.lo,
-            cell_hi=deep.hi,
-            cell_diam=deep.diam,
-            vmin=deep.vals.min(axis=1),
-            vmax=deep.vals.max(axis=1),
-            slack=0.0,
-        )
-        for k in range(k_min, k_max + 1):
-            delta = diam / 2.0**k
-            entries.append((k, delta, box_count(flat, delta)))
+        e = 0
+        plan = {k: (depth, diam / 2.0**k) for k in range(k_min, k_max + 1)}
+    tables = {t: CellTable.empty(n**t, model.domain.m) for t, _ in plan.values()}
+    for level, offset, block in _sweep(model, depth):
+        if level - e in tables:
+            tables[level - e].fold(block, offset, n**e)
+    entries = [(k, delta, box_count(tables[t], delta))
+               for k, (t, delta) in plan.items()]
 
     logs = np.log([1.0 / d for _, d, _ in entries])
     logn = np.log([c for _, _, c in entries])

@@ -37,6 +37,7 @@ __all__ = [
     "geometry_constants",
     "dedup_points",
     "point_keys",
+    "unique_rows",
     "cell_budget",
     "BudgetError",
 ]
@@ -242,8 +243,10 @@ def build_interval_maps(
 ) -> list[AffineMap]:
     """One affine piece per knot interval, oriented per the signature bit."""
     knots = tuple(float(k) for k in knots)
-    if any(b <= a for a, b in zip(knots, knots[1:])):
-        raise DomainError("knots must be strictly increasing")
+    if not all(map(math.isfinite, knots)) or any(
+        not b > a for a, b in zip(knots, knots[1:])
+    ):
+        raise DomainError("knots must be finite and strictly increasing")
     n = len(knots) - 1
     if len(signature) != n:
         raise DomainError(f"signature must have length {n}")
@@ -356,10 +359,26 @@ def point_keys(pts: np.ndarray, resolution: float) -> np.ndarray:
     return np.round(np.asarray(pts, float) / resolution).astype(np.int64)
 
 
+def unique_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inverse) of ``np.unique(keys, axis=0, ...)`` for (n, m)
+    integer keys, from 1-D uniques: each column joins as its rank, packed
+    as row rank so far * distinct count + rank.  That stays below n^2 (the
+    raw keys need ~68 bits for two axes at 1e-10 resolution) and keeps the
+    rows in lexicographic order, so both arrays are unchanged."""
+    _, first, inverse = np.unique(
+        keys[:, 0], return_index=True, return_inverse=True
+    )
+    for col in keys[:, 1:].T:
+        values, rank = np.unique(col, return_inverse=True)
+        _, first, inverse = np.unique(
+            inverse * len(values) + rank, return_index=True, return_inverse=True
+        )
+    return first, inverse
+
+
 def dedup_points(pts: np.ndarray, resolution: float) -> np.ndarray:
-    keys = point_keys(pts, resolution)
-    _, idx = np.unique(keys, axis=0, return_index=True)
-    return pts[np.sort(idx)]
+    first, _ = unique_rows(point_keys(pts, resolution))
+    return pts[np.sort(first)]
 
 
 def vertex_set(d: Domain, k: int) -> np.ndarray:

@@ -8,21 +8,25 @@ point of the read-off operator T and satisfies
     f*(l_i(x)) = s_i(x) * f*(x) + q_i(x).
 
 Evaluation on vertex sets V_k is done by exact forward recursion (no
-iteration error), one pass serving the graph samples of several levels;
-arbitrary points go through address decoding plus an unwound recursion
-with an a-priori contraction error bound.
+iteration error); arbitrary points go through address decoding plus an
+unwound recursion with an a-priori contraction error bound.  Graph
+samples and box-count tables of all levels come from one sweep that goes
+depth-first in blocks of BLOCK_SLOTS vertex slots and folds each block
+into the level-k tables, so memory is O(block + N^k_max) and
+FIF_CELL_BUDGET (N^depth x |V_0| slots) bounds the work.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .domains import (
-    AffineMap,
     Box,
     BudgetError,
     Domain,
@@ -31,14 +35,13 @@ from .domains import (
     cell_budget,
     geometry_constants,
     point_keys,
+    unique_rows,
     vertex_set,
 )
 from .exprs import (
     Expr,
     ShapeFacts,
-    affine_expr,
     audit_shape,
-    eval_expr,
     inf_abs,
     multilinear_expr,
     normalize_facts,
@@ -48,6 +51,7 @@ from .exprs import (
 __all__ = [
     "FifSpec",
     "FifModel",
+    "CellTable",
     "GraphSample",
     "ModelError",
     "validate_join_up",
@@ -267,17 +271,15 @@ def check_well_defined(spec: FifSpec) -> list[str]:
         raise ModelError("well-definedness check needs concrete q expressions")
 
     m = d.m
-    s_facts = [normalize_facts(e, f, m) for e, f in spec.s]
-    q_facts = [normalize_facts(e, f, m) for e, f in spec.q]
+    s_pairs = [(e, normalize_facts(e, f, m)) for e, f in spec.s]
+    q_pairs = [(e, normalize_facts(e, f, m)) for e, f in spec.q]
 
     # numerical face matching between adjacent maps
-    big_m = _m_bracket(spec, s_facts, q_facts)[1]
+    big_m = _brackets(d, s_pairs, q_pairs)[3][1]
     zs = np.linspace(-big_m, big_m, 7)
     counts = [len(ax.knots) - 1 for ax in d.axes]
-    import itertools as _it
-
     index_of = {combo: i for i, combo in enumerate(
-        _it.product(*[range(1, c + 1) for c in counts])
+        itertools.product(*[range(1, c + 1) for c in counts])
     )}
     lo, hi = d.base.bounding_box()
     for combo, i in index_of.items():
@@ -310,29 +312,26 @@ def check_well_defined(spec: FifSpec) -> list[str]:
     return violations
 
 
-def _m_bracket(spec: FifSpec, s_facts, q_facts):
-    d = spec.domain
-    s_sup = [
-        sup_norm(e, d.base, SUP_DEPTH, f)
-        for (e, _), f in zip(spec.s, s_facts)
-    ]
-    q_sup = [
-        sup_norm(e, d.base, SUP_DEPTH, f)
-        for (e, _), f in zip(spec.q, q_facts)
-    ]
+def _brackets(d: Domain, s_pairs, q_pairs):
+    """sup|s_i| and sup|q_i| brackets, then those of ||s||_inf and of
+    M = max_i ||q_i||_inf / (1 - ||s||_inf)."""
+    s_sup = [sup_norm(e, d.base, SUP_DEPTH, f) for e, f in s_pairs]
+    q_sup = [sup_norm(e, d.base, SUP_DEPTH, f) for e, f in q_pairs]
     s_lo = max(b[0] for b in s_sup)
     s_hi = max(b[1] for b in s_sup)
     if s_hi >= 1:
         raise ModelError(f"||s||_inf bracket hi = {s_hi} must be < 1")
     m_lo = max(b[0] for b in q_sup) / (1 - s_lo)
     m_hi = max(b[1] for b in q_sup) / (1 - s_hi)
-    return m_lo, m_hi
+    return s_sup, q_sup, (s_lo, s_hi), (m_lo, m_hi)
 
 
 def build_model(spec: FifSpec) -> FifModel:
     """Audit, solve (if requested), validate and derive constants."""
     d = spec.domain
     m = d.m
+    if not (math.isfinite(spec.eta) and spec.eta > 0):
+        raise ModelError(f"eta must be a finite number > 0, got {spec.eta}")
     if len(spec.s) != d.N:
         raise ModelError(f"expected {d.N} scale entries, got {len(spec.s)}")
 
@@ -369,17 +368,8 @@ def build_model(spec: FifSpec) -> FifModel:
     if wd:
         raise ModelError("ill-posed operator: " + "; ".join(wd))
 
-    s_facts = [f for _, f in s_pairs]
-    q_facts = [f for _, f in q_pairs]
-    s_sup = [sup_norm(e, d.base, SUP_DEPTH, f) for (e, f) in s_pairs]
+    s_sup, q_sup, s_norm, big_m = _brackets(d, s_pairs, q_pairs)
     s_infb = [inf_abs(e, d.base, SUP_DEPTH, f) for (e, f) in s_pairs]
-    q_sup = [sup_norm(e, d.base, SUP_DEPTH, f) for (e, f) in q_pairs]
-    s_lo = max(b[0] for b in s_sup)
-    s_hi = max(b[1] for b in s_sup)
-    if s_hi >= 1:
-        raise ModelError(f"||s||_inf bracket hi = {s_hi} must be < 1")
-    m_lo = max(b[0] for b in q_sup) / (1 - s_lo) if s_lo < 1 else math.inf
-    m_hi = max(b[1] for b in q_sup) / (1 - s_hi)
 
     return FifModel(
         domain=d,
@@ -391,8 +381,8 @@ def build_model(spec: FifSpec) -> FifModel:
         s_sup=s_sup,
         s_inf=s_infb,
         q_sup=q_sup,
-        s_norm=(s_lo, s_hi),
-        M=(m_lo, m_hi),
+        s_norm=s_norm,
+        M=big_m,
         joinup_residual=residual,
     )
 
@@ -400,10 +390,13 @@ def build_model(spec: FifSpec) -> FifModel:
 # --------------------------------------------------------------------------
 # Level push (vectorized exact recursion)
 
+# vertex slots pushed at once: whole levels while they fit, then blocks of
+# the last level that did
+BLOCK_SLOTS = 2**18
 
-@dataclass
-class _Level:
-    pts: np.ndarray  # (C, P, m) vertex points l_w(V_0)
+
+class _Level(NamedTuple):
+    pts: np.ndarray | None  # (C, P, m) vertex points l_w(V_0)
     vals: np.ndarray  # (C, P) exact f* values
     lo: np.ndarray  # (C, m) cell image box, lower corner
     hi: np.ndarray  # (C, m)
@@ -412,40 +405,28 @@ class _Level:
 
 def _level0(model: FifModel) -> _Level:
     d = model.domain
-    v0 = d.v0_array
-    vals = model.p_at(v0)
     lo, hi = d.base.bounding_box()
-    return _Level(
-        pts=v0[None, :, :].copy(),
-        vals=vals[None, :].copy(),
-        lo=lo[None, :].copy(),
-        hi=hi[None, :].copy(),
-        diam=np.array([d.base.diameter]),
-    )
+    return _Level(d.v0_array[None], model.p_at(d.v0_array)[None], lo[None],
+                  hi[None], np.array([d.base.diameter]))
 
 
-def _push(model: FifModel, lev: _Level) -> _Level:
-    d = model.domain
+def _child(model: FifModel, lev: _Level, i: int, pts: bool = True) -> _Level:
+    """The cells l_i o l_w for every cell w of ``lev``, in the order of w."""
+    mp = model.domain.maps[i]
     C, P, m = lev.pts.shape
     flat = lev.pts.reshape(C * P, m)
-    pts_out, vals_out, lo_out, hi_out, diam_out = [], [], [], [], []
-    for i, mp in enumerate(d.maps):
-        s_v = model.s[i][0].ev(flat).reshape(C, P)
-        q_v = model.q[i][0].ev(flat).reshape(C, P)
-        pts_out.append(mp(lev.pts))
-        vals_out.append(s_v * lev.vals + q_v)
-        a = mp(lev.lo)
-        b = mp(lev.hi)
-        lo_out.append(np.minimum(a, b))
-        hi_out.append(np.maximum(a, b))
-        diam_out.append(lev.diam * mp.ratio)
-    return _Level(
-        pts=np.concatenate(pts_out),
-        vals=np.concatenate(vals_out),
-        lo=np.concatenate(lo_out),
-        hi=np.concatenate(hi_out),
-        diam=np.concatenate(diam_out),
-    )
+    s_v = model.s[i][0].ev(flat).reshape(C, P)
+    q_v = model.q[i][0].ev(flat).reshape(C, P)
+    a, b = mp(lev.lo), mp(lev.hi)
+    return _Level(mp(lev.pts) if pts else None, s_v * lev.vals + q_v,
+                  np.minimum(a, b), np.maximum(a, b), lev.diam * mp.ratio)
+
+
+def _push(model: FifModel, lev: _Level, pts: bool = True) -> _Level:
+    """The next level, map-major: cell i * C + w is l_i o l_w."""
+    kids = [_child(model, lev, i, pts) for i in range(model.N)]
+    return _Level(*(None if p[0] is None else np.concatenate(p)
+                    for p in zip(*kids)))
 
 
 def _level_at(model: FifModel, k: int) -> _Level:
@@ -455,6 +436,44 @@ def _level_at(model: FifModel, k: int) -> _Level:
     for _ in range(k):
         lev = _push(model, lev)
     return lev
+
+
+def _sweep(model: FifModel, depth: int, pts_at_depth: bool = False,
+           lev: _Level | None = None, level: int = 0, offset: int = 0
+           ) -> Iterator[tuple[int, int, _Level]]:
+    """Every cell of levels level + 1..depth under ``lev`` (level 0 by
+    default) as (level, offset, block) triples, depth-first.
+
+    While the next level fits BLOCK_SLOTS vertex slots it is pushed whole
+    (offset 0).  Below the last such level L, the level-(L + t) cells with
+    leading symbols (b_t..b_1) are the block l_{b_t} o .. o l_{b_1} of the
+    level-L table, at offset idx(b_t..b_1) * N^L.  Blocks get the per-map
+    arithmetic of whole levels, so their values are bitwise the same.  The
+    deepest level has no vertex points unless ``pts_at_depth``.
+    """
+    lev = _level0(model) if lev is None else lev
+    if level == depth:
+        return
+    n, pts = model.N, level + 1 < depth or pts_at_depth
+    if len(lev.vals) == n**level and lev.vals.size * n <= BLOCK_SLOTS:
+        kids = [(0, _push(model, lev, pts))]
+    else:
+        kids = ((offset + i * n**level, _child(model, lev, i, pts))
+                for i in range(n))
+    for at, child in kids:
+        yield level + 1, at, child
+        yield from _sweep(model, depth, pts_at_depth, child, level + 1, at)
+
+
+def _fold(table, block, offset: int, group: int, op) -> None:
+    """Fold ``block`` (cells from ``offset`` on) into ``table``, whose row
+    j covers cells j * group .. (j + 1) * group - 1, by the exact
+    reduction ``op`` (np.minimum or np.maximum).  A block holds whole
+    groups or lies in one, so the block order cannot change the table."""
+    rows = max(1, len(block) // group)
+    at = slice(offset // group, offset // group + rows)
+    op(table[at], op.reduce(block.reshape(rows, -1, *table.shape[1:]), axis=1),
+       out=table[at])
 
 
 def evaluate_on_vk(model: FifModel, k: int):
@@ -469,12 +488,9 @@ def evaluate_on_vk(model: FifModel, k: int):
     d = model.domain
     pts = lev.pts.reshape(-1, d.m)
     vals = lev.vals.reshape(-1)
-    keys = point_keys(pts, _key_resolution(d))
-    uniq, first, inverse = np.unique(
-        keys, axis=0, return_index=True, return_inverse=True
-    )
-    spread_max = np.full(len(uniq), -np.inf)
-    spread_min = np.full(len(uniq), np.inf)
+    first, inverse = unique_rows(point_keys(pts, _key_resolution(d)))
+    spread_max = np.full(len(first), -np.inf)
+    spread_min = np.full(len(first), np.inf)
     np.maximum.at(spread_max, inverse, vals)
     np.minimum.at(spread_min, inverse, vals)
     worst = float(np.max(spread_max - spread_min))
@@ -489,24 +505,18 @@ def evaluate_on_vk(model: FifModel, k: int):
 def apply_T(model: FifModel, pts: np.ndarray, vals: np.ndarray):
     """One application of the read-off operator to samples on V_k.
 
-    Returns samples on V_{k+1}; duplicates collapse by last write (any
-    interleaving gives the same pass/fail downstream).
+    Returns samples on V_{k+1}; duplicates keep their first occurrence
+    (any interleaving gives the same pass/fail downstream).
     """
     d = model.domain
     pts = np.atleast_2d(np.asarray(pts, float))
     vals = np.asarray(vals, float)
     if pts.shape[0] != vals.shape[0]:
         raise ModelError("points/values length mismatch")
-    out_pts, out_vals = [], []
-    for i, mp in enumerate(d.maps):
-        s_v = model.s[i][0].ev(pts)
-        q_v = model.q[i][0].ev(pts)
-        out_pts.append(mp(pts))
-        out_vals.append(s_v * vals + q_v)
-    allp = np.concatenate(out_pts)
-    allv = np.concatenate(out_vals)
-    keys = point_keys(allp, _key_resolution(d))
-    _, first = np.unique(keys, axis=0, return_index=True)
+    # one push of the level whose cells are the points (boxes unused)
+    nxt = _push(model, _Level(pts[:, None], vals[:, None], pts, pts, vals))
+    allp, allv = nxt.pts[:, 0], nxt.vals[:, 0]
+    first, _ = unique_rows(point_keys(allp, _key_resolution(d)))
     order = np.sort(first)
     return allp[order], allv[order]
 
@@ -628,12 +638,36 @@ def _base_interpolant(model: FifModel, x: np.ndarray) -> float:
 
 
 @dataclass
-class GraphSample:
+class CellTable:
+    """Level-k cells: a box and an observed value range per cell."""
+
+    cell_lo: np.ndarray  # (C, m)
+    cell_hi: np.ndarray  # (C, m)
+    vmin: np.ndarray  # (C,)
+    vmax: np.ndarray  # (C,)
+
+    @staticmethod
+    def empty(cells: int, m: int) -> "CellTable":
+        """The identity of ``fold``: inf lower ends, -inf upper ends."""
+        return CellTable(np.full((cells, m), np.inf),
+                         np.full((cells, m), -np.inf),
+                         np.full(cells, np.inf), np.full(cells, -np.inf))
+
+    def fold(self, block: _Level, offset: int, group: int) -> None:
+        """Fold in the box and vertex values of the cells of ``block``."""
+        _fold(self.cell_lo, block.lo, offset, group, np.minimum)
+        _fold(self.cell_hi, block.hi, offset, group, np.maximum)
+        _fold(self.vmin, block.vals, offset, group, np.minimum)
+        _fold(self.vmax, block.vals, offset, group, np.maximum)
+
+
+@dataclass
+class GraphSample(CellTable):
     """Level-k cell table of f* with outer value brackets.
 
-    Per cell: exact vertex values at l_w(V_0), the observed value range
-    over descendants ``extra`` levels deeper, and a uniform contraction
-    slack so [vmin - slack, vmax + slack] encloses f* over the cell.
+    Per cell: its image box, exact vertex values at l_w(V_0), the observed
+    value range over descendants ``extra`` levels deeper, and a uniform
+    contraction slack so [vmin - slack, vmax + slack] encloses f* there.
     """
 
     level: int
@@ -641,11 +675,7 @@ class GraphSample:
     N: int
     vert_pts: np.ndarray  # (C, P, m)
     vert_vals: np.ndarray  # (C, P)
-    cell_lo: np.ndarray  # (C, m)
-    cell_hi: np.ndarray  # (C, m)
     cell_diam: np.ndarray  # (C,)
-    vmin: np.ndarray  # (C,) observed min over descendants
-    vmax: np.ndarray  # (C,)
     slack: float
 
     @property
@@ -693,40 +723,42 @@ def graph_samples(
     model: FifModel, extras: dict[int, int]
 ) -> Iterator[GraphSample]:
     """``graph_sample(model, k, e)`` for every ``k: e`` in ``extras``, from
-    one forward pass down to the deepest level max(k + e).
+    one sweep down to the deepest level max(k + e).
 
-    Level-k cell tables are kept until level k + e is reached, where the
-    sample is completed and yielded; samples come out in order of k + e,
-    then k.  Every level is pushed exactly as in a single-level sample,
-    so the results are bitwise the same.
+    The sweep's blocks are copied into the level-k tables and folded into
+    the value ranges of level k + e.  Samples come out in order of k + e,
+    then k, bitwise the same as single-level samples.
     """
     if any(k < 1 or e < 0 for k, e in extras.items()):
         raise ModelError("k must be >= 1 and extra >= 0")
     depth = max((k + e for k, e in extras.items()), default=0)
     if model.N**depth * len(model.domain.v0) > cell_budget():
-        raise BudgetError(
-            f"graph sample depth {depth} exceeds the cell budget"
+        raise BudgetError(f"graph sample depth {depth} exceeds the cell budget")
+    n, lev0 = model.N, _level0(model)
+    held = {k: _Level(*(np.empty((n**k, *a.shape[1:])) for a in lev0))
+            for k in extras}
+    vmin = {k: np.full(n**k, np.inf) for k in extras}
+    vmax = {k: np.full(n**k, -np.inf) for k in extras}
+    for level, offset, block in _sweep(model, depth, depth in extras):
+        if level in held:
+            for table, part in zip(held[level], block):
+                table[offset:offset + len(part)] = part
+        for k, e in extras.items():
+            if k + e == level:
+                _fold(vmin[k], block.vals, offset, n**e, np.minimum)
+                _fold(vmax[k], block.vals, offset, n**e, np.maximum)
+    for k in sorted(extras, key=lambda k: (k + extras[k], k)):
+        at_k = held[k]
+        yield GraphSample(
+            level=k,
+            extra=extras[k],
+            N=n,
+            vert_pts=at_k.pts,
+            vert_vals=at_k.vals,
+            cell_lo=at_k.lo,
+            cell_hi=at_k.hi,
+            cell_diam=at_k.diam,
+            vmin=vmin[k],
+            vmax=vmax[k],
+            slack=float(2 * model.M[1] * model.s_norm[1] ** extras[k]),
         )
-    held: dict[int, _Level] = {}
-    lev = _level0(model)
-    for level in range(1, depth + 1):
-        lev = _push(model, lev)
-        if level in extras:
-            held[level] = lev
-        for k in sorted(k for k, e in extras.items() if k + e == level):
-            at_k = held.pop(k)
-            block = lev.vals.reshape(model.N**k, -1)
-            slack = 2 * model.M[1] * model.s_norm[1] ** extras[k]
-            yield GraphSample(
-                level=k,
-                extra=extras[k],
-                N=model.N,
-                vert_pts=at_k.pts,
-                vert_vals=at_k.vals,
-                cell_lo=at_k.lo,
-                cell_hi=at_k.hi,
-                cell_diam=at_k.diam,
-                vmin=block.min(axis=1),
-                vmax=block.max(axis=1),
-                slack=float(slack),
-            )

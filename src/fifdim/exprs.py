@@ -22,8 +22,7 @@ get audited numerically, not proven symbolically.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -437,17 +436,6 @@ class ShapeFacts:
         )
         if self.holder_exponent is not None and not (0 < self.holder_exponent <= 1):
             raise ExprError("holder exponent must lie in (0, 1]")
-
-    @staticmethod
-    def for_constant(value: float) -> "ShapeFacts":
-        axes = frozenset()
-        return ShapeFacts(
-            is_constant=True,
-            constant_value=float(value),
-            affine_in=axes,
-            holder_exponent=1.0,
-            holder_constant=0.0,
-        )
 
     def widen_axes(self, m: int) -> "ShapeFacts":
         """Constant expressions are affine in every axis of an m-dim domain."""

@@ -137,3 +137,14 @@ def test_deterministic_outputs(config_dir, tmp_path, capsys):
 def test_cli_rejects_unknown_command(config_dir):
     with pytest.raises(SystemExit):
         main(["frobnicate", _cfg(config_dir, "example5_case2")])
+
+
+def test_one_version_source(config_dir):
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    import fifdim
+
+    meta = tomllib.loads((config_dir.parent / "pyproject.toml").read_text())
+    assert "version" not in meta["project"]
+    assert meta["project"]["dynamic"] == ["version"]
+    attr = meta["tool"]["setuptools"]["dynamic"]["version"]["attr"]
+    assert attr == "fifdim.__version__" and fifdim.__version__

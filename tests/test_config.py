@@ -126,3 +126,20 @@ def test_unknown_fact_field_rejected(tmp_path):
     with pytest.raises(ConfigError) as ei:
         load_config(_write(tmp_path, payload))
     assert any("monotone" in path for path, _ in ei.value.errors)
+
+
+@pytest.mark.parametrize("eta", [-3, 0, "-1/2"])
+def test_eta_must_be_positive(tmp_path, eta):
+    with pytest.raises(ConfigError) as ei:
+        load_config(_write(tmp_path, dict(BASE, eta=eta)))
+    assert [path for path, _ in ei.value.errors] == ["eta"]
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+def test_eta_must_be_finite(tmp_path, literal):
+    # json reads the non-standard literals NaN and Infinity as floats
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(BASE).replace('"eta": 1', f'"eta": {literal}'))
+    with pytest.raises(ConfigError) as ei:
+        load_config(str(p))
+    assert [path for path, _ in ei.value.errors] == ["eta"]

@@ -53,6 +53,15 @@ def test_knots_must_increase():
         interval_domain((0.0, 0.6, 0.5, 1.0), (0, 0, 0))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_knots_rejected(bad):
+    # a NaN compares false both ways, so it passed the order check alone
+    with pytest.raises(DomainError, match="finite"):
+        interval_domain([0.0, bad, 1.0], [0, 0])
+    with pytest.raises(DomainError, match="finite"):
+        interval_domain([bad, 0.5, 1.0], [0, 0])
+
+
 def test_signature_validation():
     with pytest.raises(DomainError):
         interval_domain((0.0, 1.0), (2,))
@@ -168,3 +177,42 @@ def test_triangle_sampling_stays_inside():
     pts = d.base.sample_points(4)
     assert np.all(pts[:, 1] >= -1e-12)
     assert np.all(pts[:, 1] <= math.sqrt(3) / 2 + 1e-12)
+
+
+def _axis0_unique(keys):
+    _, first, inverse = np.unique(
+        keys, axis=0, return_index=True, return_inverse=True
+    )
+    return first, inverse.reshape(-1)
+
+
+@pytest.mark.parametrize(
+    "domain, k",
+    [(interval_domain(KNOTS_CASE1, (0, 1, 0)), 6),
+     (cube_domain([((0.0, 0.5, 1.0), (0, 1)), ((0.0, 1 / 3, 2 / 3, 1.0), (0, 1, 0))]), 4),
+     (cube_domain([((0.0, 0.5, 1.0), (0, 1))] * 3), 3),
+     (gasket_domain([[0, 0], [1, 0], [0.5, math.sqrt(3) / 2]], 1), 7),
+     (gasket_domain([[0, 0], [1, 0], [0.5, math.sqrt(3) / 2]], 2), 3)],
+)
+def test_unique_rows_equals_axis0_unique_on_vk(domain, k):
+    # every vertex slot of level k, duplicates included
+    pts = domain.v0_array
+    for _ in range(k):
+        pts = np.concatenate([mp(pts) for mp in domain.maps])
+    keys = dm.point_keys(pts, 1e-10 * max(domain.base.diameter, 1.0))
+    first, inverse = dm.unique_rows(keys)
+    ref_first, ref_inverse = _axis0_unique(keys)
+    assert np.array_equal(first, ref_first)
+    assert np.array_equal(inverse, ref_inverse)
+    assert len(vertex_set(domain, k)) == len(ref_first) < len(keys)
+
+
+def test_unique_rows_wide_keys_do_not_overflow():
+    # raw keys near the int64 range: packing them directly would overflow
+    rng = np.random.default_rng(5)
+    rows = rng.integers(-2**62, 2**62, size=(300, 3))
+    keys = rows[rng.integers(0, len(rows), size=2000)]
+    first, inverse = dm.unique_rows(keys)
+    ref_first, ref_inverse = _axis0_unique(keys)
+    assert np.array_equal(first, ref_first)
+    assert np.array_equal(inverse, ref_inverse)

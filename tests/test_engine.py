@@ -76,6 +76,14 @@ def test_solve_q_reproduces_data_on_v1(each_model):
     assert np.max(np.abs(vals - expected)) <= 1e-12
 
 
+@pytest.mark.parametrize("eta", [-3.0, 0.0, math.nan, math.inf])
+def test_build_model_rejects_bad_eta(eta):
+    spec = get_config("example5_case2").spec
+    bad = FifSpec(spec.domain, spec.data, spec.s, spec.q, eta)
+    with pytest.raises(ModelError, match="eta"):
+        build_model(bad)
+
+
 def test_scale_norm_too_large_rejected():
     d = interval_domain((0.0, 0.5, 1.0), (0, 0))
     data = [((0.0,), 0.0), ((0.5,), 1.0), ((1.0,), 0.0)]

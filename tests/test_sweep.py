@@ -1,0 +1,147 @@
+"""The depth-first sweep against a breadth-first replay, seed pins of the
+box-count estimate, and its memory bound."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from conftest import get_model
+from fifdim import engine
+from fifdim.dimension import _equal_ratio, box_count, empirical_dimension
+from fifdim.engine import CellTable, graph_samples
+
+SWEEP_CONFIGS = ["example5_case2", "example5_case1_sin", "example5_case1_one",
+                 "degenerate_cube", "sg_exact"]
+
+
+def _replay(model, depth):
+    """Levels 0..depth as (pts, vals, lo, hi, diam), each pushed whole from
+    level 0 with the per-map arithmetic of the recursion."""
+    d = model.domain
+    v0 = d.v0_array
+    lo, hi = d.base.bounding_box()
+    lev = (v0[None], model.p_at(v0)[None], lo[None], hi[None],
+           np.array([d.base.diameter]))
+    levels = [lev]
+    for _ in range(depth):
+        pts, vals, lo, hi, diam = lev
+        C, P, m = pts.shape
+        flat = pts.reshape(C * P, m)
+        out = [[], [], [], [], []]
+        for i, mp in enumerate(d.maps):
+            s_v = model.s[i][0].ev(flat).reshape(C, P)
+            q_v = model.q[i][0].ev(flat).reshape(C, P)
+            a, b = mp(lo), mp(hi)
+            for j, part in enumerate((mp(pts), s_v * vals + q_v,
+                                      np.minimum(a, b), np.maximum(a, b),
+                                      diam * mp.ratio)):
+                out[j].append(part)
+        lev = tuple(np.concatenate(parts) for parts in out)
+        levels.append(lev)
+    return levels
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    # blocks of 2-4 cells: every level past the first is swept depth-first
+    # in many blocks, and a level-k range spans several blocks (extra > 1)
+    monkeypatch.setattr(engine, "BLOCK_SLOTS", 16)
+
+
+@pytest.mark.parametrize("name", SWEEP_CONFIGS)
+def test_graph_samples_sweep_equals_replay(name, small_blocks):
+    model = get_model(name)
+    extras = {1: 4, 2: 3, 3: 1, 4: 0, 5: 0} if model.N == 4 else \
+        {1: 5, 2: 3, 3: 1, 4: 2, 6: 0}
+    depth = max(k + e for k, e in extras.items())
+    levels = _replay(model, depth)
+    got = list(graph_samples(model, extras))
+    assert [(s.level, s.extra) for s in got] == sorted(
+        extras.items(), key=lambda ke: (sum(ke), ke[0]))
+    for sample in got:
+        k, e = sample.level, sample.extra
+        pts, vals, lo, hi, diam = levels[k]
+        block = levels[k + e][1].reshape(model.N**k, -1)
+        for a, b in ((sample.vert_pts, pts), (sample.vert_vals, vals),
+                     (sample.cell_lo, lo), (sample.cell_hi, hi),
+                     (sample.cell_diam, diam),
+                     (sample.vmin, block.min(axis=1)),
+                     (sample.vmax, block.max(axis=1))):
+            assert _same_bits(a, b)
+
+
+def _replayed_estimate(model, k_min, k_max, depth):
+    """empirical_dimension's entries from whole replayed levels."""
+    levels = _replay(model, depth)
+    m, n = model.domain.m, model.N
+    diam = model.geom.diameter
+
+    def table(k, level):
+        _, vals, lo, hi, _ = levels[level]
+        c = n**k
+        return CellTable(lo.reshape(c, -1, m).min(axis=1),
+                         hi.reshape(c, -1, m).max(axis=1),
+                         vals.reshape(c, -1).min(axis=1),
+                         vals.reshape(c, -1).max(axis=1))
+
+    if _equal_ratio(model) or m > 1:
+        e = depth - k_max
+        return [(k, diam / model.geom.lam**k,
+                 box_count(table(k, k + e), diam / model.geom.lam**k))
+                for k in range(k_min, k_max + 1)]
+    deep = table(depth, depth)
+    return [(k, diam / 2.0**k, box_count(deep, diam / 2.0**k))
+            for k in range(k_min, k_max + 1)]
+
+
+@pytest.mark.parametrize("name", SWEEP_CONFIGS)
+def test_empirical_sweep_equals_replay(name, small_blocks):
+    model = get_model(name)
+    k_min, k_max = (2, 4) if model.N == 4 else (3, 5)
+    est = empirical_dimension(model, k_min, k_max, extra=2)
+    ref = _replayed_estimate(model, k_min, k_max, k_max + 2)
+    assert [(k, repr(d), c) for k, d, c in est.entries] == [
+        (k, repr(d), c) for k, d, c in ref]
+
+
+# empirical_dimension at the default budget, captured before the sweep:
+# (k_min, k_max) -> box counts for k_min..k_max and repr(slope)
+SEED_ESTIMATES = {
+    "example5_case2": ((6, 12), [12252, 54758, 245032, 1098337, 4929351,
+                                 22141239, 99511926], "1.365786390358037"),
+    "example5_case1_sin": ((4, 10), [76, 190, 466, 1181, 2916, 7218, 18138],
+                           "1.3156087589828946"),
+    "example5_case1_one": ((4, 10), [76, 199, 513, 1341, 3406, 8784, 22948],
+                           "1.370485107450704"),
+    "degenerate_cube": ((3, 7), [128, 516, 2060, 8252, 32988],
+                        "2.0018608234931463"),
+    "sg_exact": ((5, 9), [3407, 15915, 75248, 357405, 1705064],
+                 "2.2423317214169747"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEED_ESTIMATES))
+def test_empirical_matches_seed(name):
+    (k_min, k_max), counts, slope = SEED_ESTIMATES[name]
+    est = empirical_dimension(get_model(name), k_min, k_max)
+    assert [k for k, _, _ in est.entries] == list(range(k_min, k_max + 1))
+    assert [c for _, _, c in est.entries] == counts
+    assert repr(est.slope) == slope
+
+
+def test_empirical_memory_bounded():
+    # the whole level 14 (9.6M vertex slots) took about 680 MB here
+    model = get_model("example5_case2")
+    tracemalloc.start()
+    try:
+        empirical_dimension(model, 6, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * 2**20
