@@ -15,7 +15,6 @@ from .dimension import (
     GammaReport,
     box_count,
     bounds_gasket,
-    dim_domain,
     empirical_dimension,
     exact_dim_cube,
     find_witness,
@@ -35,7 +34,6 @@ from .domains import (
     DomainGeometry,
     Triangle,
     cell_budget,
-    cells,
     cube_domain,
     gasket_domain,
     geometry_constants,
@@ -72,7 +70,6 @@ from .exprs import (
     sup_norm,
 )
 from .oscillation import (
-    DEFAULT_KMAX,
     OscTable,
     cell_osc,
     holder_to_osc_check,

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, RunConfig, load_config
-from .dimension import DEFAULT_WINDOWS, empirical_dimension, reconcile
+from .dimension import empirical_dimension, reconcile
 from .domains import BudgetError
 from .engine import (
     FifModel,
@@ -51,13 +51,9 @@ def _dump_json(payload: dict, path: Path | None) -> str:
     return text
 
 
-def _build(cfg: RunConfig) -> FifModel:
-    return build_model(cfg.spec)
-
-
 def cmd_validate(cfg: RunConfig, args) -> int:
     try:
-        model = _build(cfg)
+        model = build_model(cfg.spec)
     except ModelError as exc:
         print(f"FAIL: {exc}")
         return EXIT_VALIDATION
@@ -79,7 +75,7 @@ def _sample_table(model: FifModel, depth: int):
 
 
 def cmd_sample(cfg: RunConfig, args) -> int:
-    model = _build(cfg)
+    model = build_model(cfg.spec)
     depth = args.depth if args.depth is not None else int(
         cfg.analysis.get("sample_depth", 6)
     )
@@ -95,7 +91,7 @@ def cmd_sample(cfg: RunConfig, args) -> int:
 
 
 def cmd_bounds(cfg: RunConfig, args) -> int:
-    model = _build(cfg)
+    model = build_model(cfg.spec)
     report = reconcile(
         model,
         gamma_pin=cfg.analysis.get("gamma_pin"),
@@ -107,7 +103,7 @@ def cmd_bounds(cfg: RunConfig, args) -> int:
 
 
 def cmd_boxdim(cfg: RunConfig, args) -> int:
-    model = _build(cfg)
+    model = build_model(cfg.spec)
     k_min, k_max = _window(cfg, args, model)
     est = empirical_dimension(model, k_min, k_max)
     text = _dump_json(est.to_dict(), _outdir(args) / "boxdim.json")
@@ -116,7 +112,7 @@ def cmd_boxdim(cfg: RunConfig, args) -> int:
 
 
 def cmd_report(cfg: RunConfig, args) -> int:
-    model = _build(cfg)
+    model = build_model(cfg.spec)
     k_min, k_max = _window(cfg, args, model)
     report = reconcile(
         model,
@@ -153,7 +149,7 @@ def cmd_report(cfg: RunConfig, args) -> int:
 
 
 def _window(cfg: RunConfig, args, model: FifModel):
-    dk_min, dk_max = DEFAULT_WINDOWS[model.domain.kind]
+    dk_min, dk_max = model.domain.default_window
     k_min = args.kmin if args.kmin is not None else int(
         cfg.analysis.get("k_min", dk_min)
     )

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .domains import Domain, cube_domain, gasket_domain, interval_domain
+from .domains import Domain, cube_domain, gasket_domain, interval_domain, vertex_set
 from .engine import FifSpec
 from .exprs import ExprError, ShapeFacts, parse_expr
 
@@ -83,19 +83,16 @@ def _domain_from(raw, errors) -> Domain | None:
         return None
     kind = raw.get("kind")
     try:
-        if kind == "interval":
-            knots = [parse_number(x, "domain.knots") for x in raw["knots"]]
-            sig = raw.get("signature", [0] * (len(knots) - 1))
-            return interval_domain(knots, sig)
-        if kind == "cube":
+        if kind in ("interval", "cube"):
+            # an interval is the one axis written at the top of "domain"
+            single = kind == "interval"
             axes = []
-            for j, ax in enumerate(raw["axes"]):
-                knots = [
-                    parse_number(x, f"domain.axes[{j}].knots") for x in ax["knots"]
-                ]
+            for j, ax in enumerate([raw] if single else raw["axes"]):
+                at = "domain" if single else f"domain.axes[{j}]"
+                knots = [parse_number(x, f"{at}.knots") for x in ax["knots"]]
                 sig = ax.get("signature", [0] * (len(knots) - 1))
                 axes.append((tuple(knots), tuple(sig)))
-            return cube_domain(axes)
+            return interval_domain(*axes[0]) if single else cube_domain(axes)
         if kind == "gasket":
             verts = [
                 [parse_number(c, "domain.vertices") for c in v]
@@ -151,8 +148,6 @@ def load_config(path: str) -> RunConfig:
     raw_data = raw.get("data")
     if isinstance(raw_data, dict) and "constant" in raw_data:
         if domain is not None:
-            from .domains import vertex_set
-
             c = parse_number(raw_data["constant"], "data.constant")
             for pt in vertex_set(domain, 1):
                 data.append((tuple(float(x) for x in pt), c))

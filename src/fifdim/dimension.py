@@ -34,22 +34,7 @@ __all__ = [
     "box_count",
     "empirical_dimension",
     "reconcile",
-    "dim_domain",
-    "DEFAULT_WINDOWS",
 ]
-
-# default box-count window (k_min, k_max) per domain kind
-DEFAULT_WINDOWS = {"interval": (4, 10), "cube": (3, 7), "gasket": (4, 8)}
-
-
-def dim_domain(model: FifModel) -> float:
-    """Box (= Hausdorff) dimension of the domain K itself."""
-    kind = model.domain.kind
-    if kind == "interval":
-        return 1.0
-    if kind == "cube":
-        return float(model.domain.m)
-    return math.log(3) / math.log(2)
 
 
 # --------------------------------------------------------------------------
@@ -299,18 +284,17 @@ def upper_bound(model: FifModel, gamma_override: float | None = None) -> BoundEn
 
 
 def lower_bound_cube(model: FifModel) -> list[BoundEntry]:
-    """Non-collinearity lower bounds on interval/cube domains.
+    """Non-collinearity lower bounds on product (interval/cube) domains.
 
-    One candidate entry per axis r and flavor; entries whose value does
-    not exceed dim K are kept but flagged vacuous.
+    One candidate entry per axis r and flavor (none on the gasket, which
+    has no axes); entries whose value does not exceed dim K are kept but
+    flagged vacuous.
     """
-    if model.domain.kind not in ("interval", "cube"):
-        return []
     g = gammas(model)
     lam0 = model.geom.lam0
-    base_dim = dim_domain(model)
+    base_dim = model.domain.dim
     out = []
-    for r in range(1, model.domain.m + 1):
+    for r in range(1, len(model.domain.axes) + 1):
         for flavor, sign, need in ((1, 0, "L != 0"), (2, 1, "L > 0"), (3, -1, "L < 0")):
             gv = g.flavored[(flavor, r)]
             if gv <= 0:
@@ -347,10 +331,8 @@ def exact_dim_cube(model: FifModel) -> BoundEntry | None:
     corollary inequalities on gamma.
     """
     d = model.domain
-    if d.kind not in ("interval", "cube"):
-        return None
     counts = {len(ax.knots) - 1 for ax in d.axes}
-    if len(counts) != 1:
+    if len(counts) != 1:  # also the gasket, which has no axes
         return None
     n = counts.pop()
     if not all(_equally_spaced(ax.knots) for ax in d.axes):
@@ -405,14 +387,15 @@ def exact_dim_cube(model: FifModel) -> BoundEntry | None:
 
 
 def bounds_gasket(model: FifModel) -> list[BoundEntry]:
-    """Lower bounds and the exact-dimension case on the gasket."""
+    """Lower bounds and the exact-dimension case on the gasket (the domain
+    without axes; product domains get the per-axis bounds instead)."""
     d = model.domain
-    if d.kind != "gasket":
+    if d.axes:
         return []
     g = gammas(model)
     n = d.level
     lam = 2.0**n
-    base_dim = dim_domain(model)
+    base_dim = d.dim
     out = []
     exact_route = None
     for flavor, sign, need in ((1, 0, "L != 0"), (2, 1, "L > 0"), (3, -1, "L < 0")):
@@ -482,7 +465,7 @@ def lower_bound_interval_variable_s(model: FifModel) -> BoundEntry | None:
     with a heuristic flag.
     """
     d = model.domain
-    if d.kind != "interval" or not _equally_spaced(d.axes[0].knots):
+    if d.m != 1 or not _equally_spaced(d.axes[0].knots):
         return None
     g = gammas(model)
     n = model.geom.N
@@ -704,21 +687,16 @@ class BoundsReport:
 def theoretical_entries(
     model: FifModel, gamma_pin: float | None = None
 ) -> list[BoundEntry]:
+    """Every bound entry for the model's domain; each bound function
+    returns [] or None off the domains it covers."""
     entries = [upper_bound(model)]
     if gamma_pin is not None:
         entries.append(upper_bound(model, gamma_override=gamma_pin))
-    kind = model.domain.kind
-    if kind in ("interval", "cube"):
-        entries.extend(lower_bound_cube(model))
-        ex = exact_dim_cube(model)
-        if ex is not None:
-            entries.append(ex)
-        if kind == "interval":
-            var = lower_bound_interval_variable_s(model)
-            if var is not None:
-                entries.append(var)
-    else:
-        entries.extend(bounds_gasket(model))
+    entries.extend(lower_bound_cube(model))
+    for entry in (exact_dim_cube(model), lower_bound_interval_variable_s(model)):
+        if entry is not None:
+            entries.append(entry)
+    entries.extend(bounds_gasket(model))
     return entries
 
 
@@ -749,7 +727,7 @@ def reconcile(
     empirical = None
     inconsistent = False
     if with_empirical:
-        dk_min, dk_max = DEFAULT_WINDOWS[model.domain.kind]
+        dk_min, dk_max = model.domain.default_window
         empirical = empirical_dimension(
             model, k_min if k_min is not None else dk_min,
             k_max if k_max is not None else dk_max,

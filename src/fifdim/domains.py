@@ -1,19 +1,26 @@
 """Attractor domains and their similarity maps.
 
-Three built-in domain variants:
+Two domain types, and every per-domain decision of the library:
 
-- interval with arbitrary knots and a signature bit per piece
-  (orientation-reversing pieces allowed),
-- m-dimensional cube as a tensor product of interval axes,
-- Sierpinski gasket over an equilateral triangle, refined to level n.
+- ``ProductDomain``: m >= 1 interval axes, each with arbitrary knots and a
+  signature bit per piece (orientation-reversing pieces allowed); the
+  interval is the 1-axis product, an m-cube the m-axis one;
+- ``GasketDomain``: the Sierpinski gasket over an equilateral triangle,
+  its IFS refined to level n.
 
-All maps are diagonal affine contractions ``x -> scale * x + offset``;
-compositions stay in that family, which keeps cell enumeration and
-address decoding cheap.
+Both provide the same operations: address decoding (``decode``), the flat
+interpolant of V_0 data (``interpolant``), dim K (``dim``), whether cells
+meet only in points (``pcf``), the default box-count window and seminorm
+kmax, the default displacement family, and the sampling region ``base``
+whose samples are points of K.  ``kind`` is a read-only label.
+
+All maps are diagonal affine contractions ``x -> scale * x + offset``,
+which keeps address decoding cheap.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -26,13 +33,15 @@ __all__ = [
     "Box",
     "Triangle",
     "Domain",
+    "ProductDomain",
+    "GasketDomain",
     "DomainGeometry",
     "DomainError",
     "interval_domain",
     "cube_domain",
     "gasket_domain",
+    "product_domain",
     "build_interval_maps",
-    "cells",
     "vertex_set",
     "geometry_constants",
     "dedup_points",
@@ -106,7 +115,7 @@ class AffineMap:
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned box; regions of interval and cube cells."""
+    """Axis-aligned box; the region of a product domain."""
 
     lo: tuple[float, ...]
     hi: tuple[float, ...]
@@ -122,11 +131,6 @@ class Box:
     def diameter(self) -> float:
         lo, hi = self.bounding_box()
         return float(np.linalg.norm(hi - lo))
-
-    @property
-    def min_side(self) -> float:
-        lo, hi = self.bounding_box()
-        return float(np.min(hi - lo))
 
     def _axis_counts(self, depth: int) -> int:
         n = 2**depth + 1
@@ -147,15 +151,12 @@ class Box:
         n = self._axis_counts(depth)
         return float(np.linalg.norm((hi - lo) / (n - 1)))
 
-    def image(self, f: AffineMap) -> "Box":
-        a = f(np.asarray(self.lo, float))
-        b = f(np.asarray(self.hi, float))
-        return Box(tuple(np.minimum(a, b)), tuple(np.maximum(a, b)))
-
 
 @dataclass(frozen=True)
 class Triangle:
-    """Triangular region; cells of the gasket domain."""
+    """Triangle spanned by the gasket; its samples are points of the gasket
+    K over it, not of the filled triangle, so a sup over them never
+    exceeds the sup over K."""
 
     verts: tuple[tuple[float, float], ...]  # 3 vertices
 
@@ -173,28 +174,18 @@ class Triangle:
         d = [np.linalg.norm(v[i] - v[j]) for i, j in ((0, 1), (0, 2), (1, 2))]
         return float(max(d))
 
-    @property
-    def min_side(self) -> float:
-        v = np.asarray(self.verts, float)
-        d = [np.linalg.norm(v[i] - v[j]) for i, j in ((0, 1), (0, 2), (1, 2))]
-        return float(min(d))
-
+    @functools.lru_cache(maxsize=8)  # a build samples one triangle 12 times
     def sample_points(self, depth: int) -> np.ndarray:
-        # barycentric grid (i, j, n - i - j), i outer and j inner
-        n = min(2**depth, 512)
+        """V_min(depth, 9) of the gasket (read-only): V_0 halved to each vertex."""
         v = np.asarray(self.verts, float)
-        counts = n + 1 - np.arange(n + 1)
-        i = np.repeat(np.arange(n + 1), counts)
-        j = np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts, counts)
-        k = n - i - j
-        return (i[:, None] * v[0] + j[:, None] * v[1] + k[:, None] * v[2]) / n
+        halves = [AffineMap((0.5, 0.5), tuple(p / 2)) for p in v]
+        pts = _refine(v, halves, min(depth, 9), 1e-10 * max(self.diameter, 1.0))
+        pts.flags.writeable = False
+        return pts
 
     def mesh_diameter(self, depth: int) -> float:
-        n = min(2**depth, 512)
-        return self.diameter / n
-
-    def image(self, f: AffineMap) -> "Triangle":
-        return Triangle(tuple(tuple(f(np.asarray(p, float))) for p in self.verts))
+        # every point of K lies in a level-k cell, within its side of V_k
+        return self.diameter / 2 ** min(depth, 9)
 
 
 # --------------------------------------------------------------------------
@@ -209,12 +200,12 @@ class Axis:
 
 @dataclass(frozen=True)
 class Domain:
-    kind: str  # "interval" | "cube" | "gasket"
+    """What both domain types share: the IFS maps, V_0 and the region."""
+
     maps: tuple[AffineMap, ...]
     v0: tuple[tuple[float, ...], ...]  # boundary vertex set V_0
-    base: Box | Triangle  # the attractor K (its region)
+    base: Box | Triangle  # sampling region; its samples are points of K
     axes: tuple[Axis, ...] = ()
-    level: int = 0  # gasket refinement level n
 
     @property
     def m(self) -> int:
@@ -230,12 +221,104 @@ class Domain:
 
 
 @dataclass(frozen=True)
+class ProductDomain(Domain):
+    """Tensor product of m >= 1 interval axes; maps in row-major order of
+    the per-axis pieces."""
+
+    default_family = "multilinear"  # every J; on an interval [{}, {1}]
+
+    @property
+    def kind(self) -> str:
+        return "interval" if self.m == 1 else "cube"
+
+    @property
+    def dim(self) -> float:
+        return float(self.m)
+
+    @property
+    def pcf(self) -> bool:
+        # interval cells meet in knots; cube cells share faces
+        return self.m == 1
+
+    # desk-scale defaults: N^k stays around 5e5 cells
+    @property
+    def default_window(self) -> tuple[int, int]:
+        return (4, 10) if self.m == 1 else (3, 7)
+
+    @property
+    def default_kmax(self) -> int:
+        return 12 if self.m == 1 else 8
+
+    def decode(self, x: np.ndarray, step: int = 0) -> tuple[int, np.ndarray]:
+        """Index of the map whose cell contains x, and the pre-image of x
+        (``step``, the decodes x has been through, is the gasket's)."""
+        flat = 0
+        for u, axis in enumerate(self.axes):
+            n = len(axis.knots) - 1
+            j = int(np.searchsorted(axis.knots, x[u], side="right")) - 1
+            flat = flat * n + min(max(j, 0), n - 1)
+        return flat, self.maps[flat].inverse(x)
+
+    def interpolant(self, x: np.ndarray, p0: np.ndarray) -> float:
+        """Multilinear interpolant of the corner values p0 (on V_0) at x."""
+        lo, hi = self.base.bounding_box()
+        t = (x - lo) / (hi - lo)
+        val = 0.0
+        for corner, pv in zip(self.v0_array, p0):
+            w = 1.0
+            for u in range(self.m):
+                w *= t[u] if corner[u] == hi[u] else (1 - t[u])
+            val += w * pv
+        return float(val)
+
+
+@dataclass(frozen=True)
+class GasketDomain(Domain):
+    """Sierpinski gasket; the maps are the level-n words l_w, w in {1,2,3}^n."""
+
+    level: int = 1
+    kind = "gasket"
+    dim = math.log(3) / math.log(2)
+    pcf = True
+    default_window = (4, 8)
+    default_kmax = 12
+    default_family = "affine"
+
+    def decode(self, x: np.ndarray, step: int = 0) -> tuple[int, np.ndarray]:
+        """``level`` barycentric halvings of x toward its nearest vertex.
+
+        ``step`` counts the decodes x has been through; a point of K has
+        every barycentric coordinate >= 0 and the largest >= 1/2, up to the
+        round-off that 2^(halvings so far) has amplified.
+        """
+        v = np.asarray(self.base.verts, float)
+        A = (v[1:] - v[0]).T  # columns v1 - v0, v2 - v0
+        flat = 0
+        y = np.asarray(x, float)
+        for t in range(self.level):
+            ab = np.linalg.solve(A, y - v[0])
+            bary = np.array([1 - ab[0] - ab[1], ab[0], ab[1]])
+            j = int(np.argmax(bary))
+            slack = 1e-12 * 2.0 ** (step * self.level + t)
+            if bary[j] < 0.5 - slack or bary.min() < -slack:
+                raise DomainError("off the gasket")
+            flat = flat * 3 + j
+            y = 2 * y - v[j]
+        return flat, y
+
+    def interpolant(self, x: np.ndarray, p0: np.ndarray) -> float:
+        """Planar interpolant through the three corner values p0 at x."""
+        A = np.column_stack([np.ones(3), self.v0_array])  # rows (1, v_j)
+        abc = np.linalg.solve(A, p0)
+        return float(abc[0] + abc[1] * x[0] + abc[2] * x[1])
+
+
+@dataclass(frozen=True)
 class DomainGeometry:
     lam: float  # 1/lam = max contraction ratio
     lam0: float  # 1/lam0 = min per-axis contraction ratio
     N: int
     diameter: float  # |K|
-    min_side: float  # |K|_0
 
 
 def build_interval_maps(
@@ -263,26 +346,11 @@ def build_interval_maps(
     return maps
 
 
-def interval_domain(knots, signature) -> Domain:
-    maps = build_interval_maps(tuple(knots), tuple(signature))
-    knots = tuple(float(k) for k in knots)
-    base = Box((knots[0],), (knots[-1],))
-    v0 = ((knots[0],), (knots[-1],))
-    return Domain(
-        kind="interval",
-        maps=tuple(maps),
-        v0=v0,
-        base=base,
-        axes=(Axis(knots, tuple(signature)),),
-    )
-
-
-def cube_domain(axes: list[tuple[tuple[float, ...], tuple[int, ...]]]) -> Domain:
+def product_domain(
+    axes: list[tuple[tuple[float, ...], tuple[int, ...]]]
+) -> ProductDomain:
     """Tensor-product domain; ``axes`` is a list of (knots, signature)."""
-    if len(axes) < 2:
-        raise DomainError("cube domain needs m >= 2 axes")
     per_axis_maps = [build_interval_maps(tuple(k), tuple(s)) for k, s in axes]
-    m = len(axes)
     lo = tuple(float(k[0]) for k, _ in axes)
     hi = tuple(float(k[-1]) for k, _ in axes)
     maps = []
@@ -291,8 +359,7 @@ def cube_domain(axes: list[tuple[tuple[float, ...], tuple[int, ...]]]) -> Domain
         offset = tuple(mp.offset[0] for mp in combo)
         maps.append(AffineMap(scale, offset))
     v0 = tuple(itertools.product(*[(a, b) for a, b in zip(lo, hi)]))
-    return Domain(
-        kind="cube",
+    return ProductDomain(
         maps=tuple(maps),
         v0=v0,
         base=Box(lo, hi),
@@ -300,7 +367,18 @@ def cube_domain(axes: list[tuple[tuple[float, ...], tuple[int, ...]]]) -> Domain
     )
 
 
-def gasket_domain(vertices, n: int = 1) -> Domain:
+def interval_domain(knots, signature) -> ProductDomain:
+    """The interval [knots[0], knots[-1]] as the 1-axis product domain."""
+    return product_domain([(knots, signature)])
+
+
+def cube_domain(axes: list[tuple[tuple[float, ...], tuple[int, ...]]]) -> ProductDomain:
+    if len(axes) < 2:
+        raise DomainError("cube domain needs m >= 2 axes")
+    return product_domain(axes)
+
+
+def gasket_domain(vertices, n: int = 1) -> GasketDomain:
     """Sierpinski gasket over an equilateral triangle, IFS refined to level n.
 
     The level-n IFS is {l_w : w in {1,2,3}^n} with all ratios 2^-n; the
@@ -321,8 +399,7 @@ def gasket_domain(vertices, n: int = 1) -> Domain:
         for w in word[1:]:
             f = f.compose(basic[w])
         maps.append(f)
-    return Domain(
-        kind="gasket",
+    return GasketDomain(
         maps=tuple(maps),
         v0=tuple(tuple(p) for p in v),
         base=Triangle(tuple(tuple(p) for p in v)),
@@ -331,27 +408,7 @@ def gasket_domain(vertices, n: int = 1) -> Domain:
 
 
 # --------------------------------------------------------------------------
-# Enumeration
-
-
-def compose_word(d: Domain, word: tuple[int, ...]) -> AffineMap:
-    """l_word = l_{w1} o l_{w2} o ... o l_{wk} (0-based indices)."""
-    f = d.maps[word[0]]
-    for w in word[1:]:
-        f = f.compose(d.maps[w])
-    return f
-
-
-def cells(d: Domain, k: int):
-    """Yield (word, region) for every level-k cell, lexicographic order."""
-    if k < 1:
-        raise DomainError("cell level must be >= 1")
-    if d.N**k > cell_budget():
-        raise BudgetError(
-            f"cell enumeration N^k = {d.N}**{k} exceeds the cell budget"
-        )
-    for word in itertools.product(range(d.N), repeat=k):
-        yield word, d.base.image(compose_word(d, word))
+# Point sets
 
 
 def point_keys(pts: np.ndarray, resolution: float) -> np.ndarray:
@@ -381,16 +438,18 @@ def dedup_points(pts: np.ndarray, resolution: float) -> np.ndarray:
     return pts[np.sort(first)]
 
 
+def _refine(pts: np.ndarray, maps, k: int, resolution: float) -> np.ndarray:
+    """k rounds of: every map's image of ``pts``, deduplicated."""
+    for _ in range(k):
+        pts = dedup_points(np.concatenate([mp(pts) for mp in maps]), resolution)
+    return pts
+
+
 def vertex_set(d: Domain, k: int) -> np.ndarray:
     """Level-k vertex set V_k as a deduplicated (n, m) array; V_0 for k=0."""
     if k < 0:
         raise DomainError("vertex level must be >= 0")
-    res = 1e-10 * max(d.base.diameter, 1.0)
-    pts = d.v0_array
-    for _ in range(k):
-        imgs = [mp(pts) for mp in d.maps]
-        pts = dedup_points(np.concatenate(imgs, axis=0), res)
-    return pts
+    return _refine(d.v0_array, d.maps, k, 1e-10 * max(d.base.diameter, 1.0))
 
 
 def geometry_constants(d: Domain) -> DomainGeometry:
@@ -401,5 +460,4 @@ def geometry_constants(d: Domain) -> DomainGeometry:
         lam0=1.0 / rmin,
         N=d.N,
         diameter=d.base.diameter,
-        min_side=d.base.min_side,
     )

@@ -1,19 +1,22 @@
 """Construction, validation and evaluation of fractal interpolation functions.
 
-A model couples a domain (interval / cube / gasket), data values on the
-interpolation nodes V, scale expressions s_i and displacement
-expressions q_i.  The interpolant f* is the unique continuous fixed
-point of the read-off operator T and satisfies
+A model couples a domain (a product domain or the gasket, see
+``domains``), data values on the interpolation nodes V, scale
+expressions s_i and displacement expressions q_i.  The interpolant f* is
+the unique continuous fixed point of the read-off operator T and
+satisfies
 
     f*(l_i(x)) = s_i(x) * f*(x) + q_i(x).
 
 Evaluation on vertex sets V_k is done by exact forward recursion (no
-iteration error); arbitrary points go through address decoding plus an
-unwound recursion with an a-priori contraction error bound.  Graph
-samples and box-count tables of all levels come from one sweep that goes
-depth-first in blocks of BLOCK_SLOTS vertex slots and folds each block
-into the level-k tables, so memory is O(block + N^k_max) and
-FIF_CELL_BUDGET (N^depth x |V_0| slots) bounds the work.
+iteration error); arbitrary points go through the domain's address
+decoding plus an unwound recursion with an a-priori contraction error
+bound.  No code here depends on the domain type: every decision that
+does is a method or property of the domain.  Graph samples and box-count
+tables of all levels come from one sweep that goes depth-first in blocks
+of BLOCK_SLOTS vertex slots and folds each block into the level-k
+tables, so memory is O(block + N^k_max) and FIF_CELL_BUDGET (N^depth x
+|V_0| slots) bounds the work.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .domains import (
     Box,
     BudgetError,
     Domain,
+    DomainError,
     DomainGeometry,
     Triangle,
     cell_budget,
@@ -161,26 +165,17 @@ def validate_join_up(spec: FifSpec) -> float:
 
 
 def _family_basis(d: Domain, family: str):
-    """Constraint points (V_0) and basis callables for the q solve."""
+    """Constraint points (V_0), monomials J and the V_0 design matrix.
+
+    "affine" is every J with |J| <= 1, "multilinear" every J, each in
+    order of (|J|, J); "sg_affine" is "affine" by its gasket name.
+    """
     v0 = d.v0_array
-    if family == "affine":
-        if d.kind != "interval":
-            raise ModelError("family 'affine' requires an interval domain")
-        basis = [frozenset(), frozenset({1})]
-    elif family == "multilinear":
-        if d.kind != "cube":
-            raise ModelError("family 'multilinear' requires a cube domain")
-        m = d.m
-        basis = []
-        for mask in range(2**m):
-            basis.append(frozenset(u + 1 for u in range(m) if mask >> u & 1))
-        basis.sort(key=lambda J: (len(J), sorted(J)))
-    elif family == "sg_affine":
-        if d.kind != "gasket":
-            raise ModelError("family 'sg_affine' requires a gasket domain")
-        basis = [frozenset(), frozenset({1}), frozenset({2})]
-    else:
+    sizes = {"affine": 1, "sg_affine": 1, "multilinear": d.m}
+    if family not in sizes:
         raise ModelError(f"unknown displacement family {family!r}")
+    basis = [frozenset(J) for r in range(sizes[family] + 1)
+             for J in itertools.combinations(range(1, d.m + 1), r)]
     cols = []
     for J in basis:
         col = np.ones(len(v0))
@@ -213,8 +208,9 @@ def _multilinear_holder_constant(
 def solve_q(spec: FifSpec, family: str) -> list[tuple[Expr, ShapeFacts]]:
     """Solve the join-up conditions for q_i in the given polynomial family.
 
-    families: "affine" (interval, 2 unknowns), "multilinear" (cube, 2^m
-    unknowns), "sg_affine" (gasket, planar 3 unknowns).
+    families: "affine" (m + 1 unknowns), "multilinear" (2^m unknowns) and
+    "sg_affine" (= "affine"); one that does not fit V_0 of the domain has
+    more or fewer unknowns than boundary constraints.
     """
     d = spec.domain
     table = _data_dict(d, spec.data)
@@ -247,16 +243,16 @@ def solve_q(spec: FifSpec, family: str) -> list[tuple[Expr, ShapeFacts]]:
 def check_well_defined(spec: FifSpec) -> list[str]:
     """Well-definedness of the read-off operator T; empty list means ok.
 
-    Interval and gasket domains take the p.c.f. route and are always
-    fine.  Cube domains need alternating signatures per axis, and the
-    read-off values must agree across every shared face; the latter is
-    certified by numerical face matching (structural conditions such as
-    equal constant scales with multilinear displacements guarantee it
-    only when the displacements were solved against continuous data, so
-    they are not trusted on their own).
+    Domains whose cells meet only in points (intervals, the gasket) take
+    the p.c.f. route and are always fine.  Cube domains need alternating
+    signatures per axis, and the read-off values must agree across every
+    shared face; the latter is certified by numerical face matching
+    (structural conditions such as equal constant scales with multilinear
+    displacements guarantee it only when the displacements were solved
+    against continuous data, so they are not trusted on their own).
     """
     d = spec.domain
-    if d.kind in ("interval", "gasket"):
+    if d.pcf:
         return []
     violations = []
     for u, axis in enumerate(d.axes):
@@ -339,8 +335,7 @@ def build_model(spec: FifSpec) -> FifModel:
     if isinstance(spec.q, str):
         family = spec.q.split(":", 1)[1] if ":" in spec.q else spec.q
         if family == "solve":
-            family = {"interval": "affine", "cube": "multilinear",
-                      "gasket": "sg_affine"}[d.kind]
+            family = d.default_family
         q_pairs = solve_q(
             FifSpec(d, spec.data, s_pairs, "solve", spec.eta), family
         )
@@ -525,50 +520,20 @@ def apply_T(model: FifModel, pts: np.ndarray, vals: np.ndarray):
 # Arbitrary-point evaluation
 
 
-def _decode_step(model: FifModel, x: np.ndarray) -> tuple[int, np.ndarray]:
-    """Map index whose cell contains x, plus the pre-image point."""
-    d = model.domain
-    if d.kind == "interval":
-        knots = d.axes[0].knots
-        i = int(np.searchsorted(knots, x[0], side="right")) - 1
-        i = min(max(i, 0), len(knots) - 2)
-        return i, d.maps[i].inverse(x)
-    if d.kind == "cube":
-        idx = []
-        for u, axis in enumerate(d.axes):
-            j = int(np.searchsorted(axis.knots, x[u], side="right")) - 1
-            idx.append(min(max(j, 0), len(axis.knots) - 2))
-        counts = [len(ax.knots) - 1 for ax in d.axes]
-        flat = 0
-        for j, c in zip(idx, counts):
-            flat = flat * c + j
-        return flat, d.maps[flat].inverse(x)
-    # gasket: n barycentric steps against the base triangle
-    v = np.asarray(d.base.verts, float)
-    A = np.stack([v[1] - v[0], v[2] - v[0]], axis=-1)
-    flat = 0
-    y = np.asarray(x, float)
-    for _ in range(d.level):
-        ab = np.linalg.solve(A, y - v[0])
-        bary = np.array([1 - ab[0] - ab[1], ab[0], ab[1]])
-        j = int(np.argmax(bary))
-        flat = flat * 3 + j
-        y = 2 * y - v[j]
-    return flat, y
-
-
 def evaluate_at(model: FifModel, x, tol: float = 1e-9) -> float:
     """f*(x) via address decoding + unwound recursion.
 
-    The truncation error of the recursion is kept below tol.  There is
-    also an intrinsic floor: a float64 input only determines the cell
-    address down to machine-precision scale, and f* may oscillate by as
-    much as prod |s| over those reliable digits within that cell.  Along
-    addresses whose maps have |s| near 1 this floor can dominate tol
-    (e.g. ~1e-5 for a map with sup|s| = 3/4 on a 3-piece interval), so
-    values returned for points specified as floats are exact for *some*
-    point within machine precision of x, not necessarily for the real
-    number the caller had in mind.
+    A point off the attractor K (outside the domain's box, or in a hole of
+    the gasket) is rejected with a ModelError.  The truncation error of
+    the recursion is kept below tol.  There is also an intrinsic floor: a
+    float64 input only determines the cell address down to
+    machine-precision scale, and f* may oscillate by as much as prod |s|
+    over those reliable digits within that cell.  Along addresses whose
+    maps have |s| near 1 this floor can dominate tol (e.g. ~1e-5 for a map
+    with sup|s| = 3/4 on a 3-piece interval), so values returned for
+    points specified as floats are exact for *some* point within machine
+    precision of x, not necessarily for the real number the caller had in
+    mind.
     """
     d = model.domain
     x = np.asarray(x, float).reshape(d.m)
@@ -586,8 +551,11 @@ def evaluate_at(model: FifModel, x, tol: float = 1e-9) -> float:
     path = []
     y = x
     prod = 2.0 * m_hi
-    for _ in range(depth):
-        i, y = _decode_step(model, y)
+    for step in range(depth):
+        try:
+            i, y = d.decode(y, step)
+        except DomainError as exc:
+            raise ModelError(f"point {tuple(x.tolist())}: {exc}") from None
         path.append(i)
         prod *= model.s_sup[i][1]
         if prod <= tol:  # remaining digits cannot move the value by tol
@@ -598,39 +566,13 @@ def evaluate_at(model: FifModel, x, tol: float = 1e-9) -> float:
     # still a valid address of a point within that precision of x, and
     # forward composition of the contractions recovers its orbit stably.
     y = np.clip(y, lo, hi)
-    val = _base_interpolant(model, y)
+    val = d.interpolant(y, model.p_at(d.v0_array))
     for i in reversed(path):
         s_v = float(model.s[i][0].ev(y[None, :])[0])
         q_v = float(model.q[i][0].ev(y[None, :])[0])
         val = s_v * val + q_v
         y = d.maps[i](y)
     return float(val)
-
-
-def _base_interpolant(model: FifModel, x: np.ndarray) -> float:
-    """Seed value: the flat interpolant of the data on V_0."""
-    d = model.domain
-    v0 = d.v0_array
-    p0 = model.p_at(v0)
-    if d.kind == "interval":
-        a, b = v0[0, 0], v0[1, 0]
-        t = (x[0] - a) / (b - a)
-        return float((1 - t) * p0[0] + t * p0[1])
-    if d.kind == "cube":
-        lo, hi = d.base.bounding_box()
-        t = (x - lo) / (hi - lo)
-        val = 0.0
-        for corner, pv in zip(v0, p0):
-            w = 1.0
-            for u in range(d.m):
-                w *= t[u] if corner[u] == hi[u] else (1 - t[u])
-            val += w * pv
-        return float(val)
-    # gasket: planar interpolant through the three corner values
-    v = v0
-    A = np.array([[1.0, v[j, 0], v[j, 1]] for j in range(3)])
-    abc = np.linalg.solve(A, p0)
-    return float(abc[0] + abc[1] * x[0] + abc[2] * x[1])
 
 
 # --------------------------------------------------------------------------

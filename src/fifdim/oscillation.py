@@ -23,11 +23,7 @@ __all__ = [
     "osc_table",
     "seminorm",
     "holder_to_osc_check",
-    "DEFAULT_KMAX",
 ]
-
-# desk-scale defaults: N^k stays around 5e5 cells for intervals/SG
-DEFAULT_KMAX = {"interval": 12, "gasket": 12, "cube": 8}
 
 
 def cell_osc(sample: GraphSample, word: tuple[int, ...]) -> tuple[float, float]:
@@ -87,7 +83,7 @@ def seminorm(model: FifModel, eta: float, kmax: int | None = None) -> float:
     if not (0 <= eta <= math.log(n) / math.log(lam) + 1e-12):
         raise ValueError(f"eta must lie in [0, log_Lambda N], got {eta}")
     if kmax is None:
-        kmax = DEFAULT_KMAX[model.domain.kind]
+        kmax = model.domain.default_kmax
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     best = 0.0
@@ -106,7 +102,7 @@ def holder_to_osc_check(
     n = model.geom.N
     diam = model.geom.diameter
     if kmax is None:
-        kmax = DEFAULT_KMAX[model.domain.kind]
+        kmax = model.domain.default_kmax
     out = {}
     for sample in _samples_up_to(model, kmax):
         k = sample.level

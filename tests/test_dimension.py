@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import get_config, get_model
 from fifdim.dimension import (
@@ -12,7 +14,6 @@ from fifdim.dimension import (
     _witness_L,
     bounds_gasket,
     box_count,
-    dim_domain,
     empirical_dimension,
     exact_dim_cube,
     find_witness,
@@ -24,7 +25,13 @@ from fifdim.dimension import (
     upper_bound,
     witness_height_check,
 )
-from fifdim.domains import BudgetError, interval_domain
+from fifdim.domains import (
+    BudgetError,
+    cube_domain,
+    gasket_domain,
+    interval_domain,
+    vertex_set,
+)
 from fifdim.engine import (
     FifSpec,
     ModelError,
@@ -32,16 +39,16 @@ from fifdim.engine import (
     build_model,
     graph_sample,
 )
-from fifdim.exprs import ShapeFacts, parse_expr
+from fifdim.exprs import Const, ShapeFacts, parse_expr
 
 LAM0_CASE1 = 15 / 4
 LAM_CASE1 = 5 / 2
 
 
 def test_dim_domain():
-    assert dim_domain(get_model("example5_case1_one")) == 1.0
-    assert dim_domain(get_model("degenerate_cube")) == 2.0
-    assert dim_domain(get_model("sg_exact")) == pytest.approx(
+    assert get_model("example5_case1_one").domain.dim == 1.0
+    assert get_model("degenerate_cube").domain.dim == 2.0
+    assert get_model("sg_exact").domain.dim == pytest.approx(
         math.log(3) / math.log(2)
     )
 
@@ -375,3 +382,41 @@ def test_reconcile_flags_inconsistency_under_bad_pin():
     report = reconcile(model, k_min=4, k_max=7, gamma_pin=0.2)
     assert report.best_upper == pytest.approx(1.2, abs=1e-9)
     assert report.inconsistent
+
+
+scales = st.floats(-0.95, 0.95, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def solved_models(draw):
+    """Equally spaced intervals, 2-axis cubes (n x n pieces, alternating
+    signatures and one scale, so faces match) and level-1 gaskets, with random data on V_1,
+    constant scales and solved displacements."""
+    kind = draw(st.sampled_from(["interval", "cube", "gasket"]))
+    if kind == "interval":
+        n = draw(st.integers(2, 4))
+        sig = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        d = interval_domain([i / n for i in range(n + 1)], sig)
+        s = draw(st.lists(scales, min_size=n, max_size=n))
+    elif kind == "cube":
+        n = draw(st.integers(2, 3))
+        d = cube_domain([([i / n for i in range(n + 1)], [j % 2 for j in range(n)])] * 2)
+        s = [draw(scales)] * d.N
+    else:
+        d = gasket_domain([[0, 0], [1, 0], [0.5, math.sqrt(3) / 2]], 1)
+        s = draw(st.lists(scales, min_size=3, max_size=3))
+    nodes = vertex_set(d, 1)
+    values = draw(st.lists(st.floats(-1, 1), min_size=len(nodes),
+                           max_size=len(nodes)))
+    data = [(tuple(p), v) for p, v in zip(nodes, values)]
+    return build_model(FifSpec(d, data, [(Const(c), None) for c in s], "solve"))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(solved_models())
+def test_bounds_bracket_the_dimension_property(model):
+    report = reconcile(model, with_empirical=False)
+    lo, hi = report.best_lower, report.best_upper
+    if lo is not None and hi is not None:
+        assert model.domain.dim <= lo <= hi + 1e-12
+        assert hi <= model.domain.m + 1

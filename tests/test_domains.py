@@ -7,18 +7,22 @@ import numpy as np
 import pytest
 
 import fifdim.domains as dm
+from conftest import get_model
 from fifdim.domains import (
     AffineMap,
+    Axis,
+    Box,
     DomainError,
+    ProductDomain,
     build_interval_maps,
-    cells,
-    compose_word,
     cube_domain,
     gasket_domain,
     geometry_constants,
     interval_domain,
+    product_domain,
     vertex_set,
 )
+from fifdim.engine import graph_sample
 
 KNOTS_CASE1 = (0.0, 4 / 15, 3 / 5, 1.0)
 
@@ -79,17 +83,35 @@ def test_geometry_constants_case1():
     assert g.diameter == pytest.approx(1.0)
 
 
-def test_compose_word_ratio_multiplies():
-    d = interval_domain(KNOTS_CASE1, (0, 0, 0))
-    f = compose_word(d, (0, 2))
-    assert f.ratio == pytest.approx((4 / 15) * (2 / 5), rel=1e-12)
-
-
 def test_affine_map_compose_order():
     a = AffineMap((2.0,), (1.0,))
     b = AffineMap((3.0,), (-1.0,))
     x = np.array([0.7])
     assert a.compose(b)(x)[0] == pytest.approx(a(b(x))[0])
+
+
+@pytest.mark.parametrize("sig", [(0, 0, 0), (0, 1, 0), (1, 1, 0)])
+def test_interval_is_the_one_axis_product_domain(sig):
+    d = interval_domain(KNOTS_CASE1, sig)
+    assert isinstance(d, ProductDomain)
+    assert d == product_domain([(KNOTS_CASE1, sig)])
+    assert d.maps == tuple(build_interval_maps(KNOTS_CASE1, sig))
+    assert d.v0 == ((0.0,), (1.0,))
+    assert d.base == Box((0.0,), (1.0,))
+    assert d.axes == (Axis(KNOTS_CASE1, sig),)
+    assert (d.kind, d.m, d.dim, d.pcf) == ("interval", 1, 1.0, True)
+
+
+def test_domain_defaults():
+    square = cube_domain([((0.0, 0.5, 1.0), (0, 1))] * 2)
+    gasket = gasket_domain([[0, 0], [1, 0], [0.5, math.sqrt(3) / 2]], 1)
+    interval = interval_domain(KNOTS_CASE1, (0, 0, 0))
+    assert (square.kind, square.pcf, square.dim) == ("cube", False, 2.0)
+    assert (gasket.kind, gasket.pcf, gasket.axes) == ("gasket", True, ())
+    assert [(d.default_window, d.default_kmax, d.default_family)
+            for d in (interval, square, gasket)] == [
+        ((4, 10), 12, "multilinear"), ((3, 7), 8, "multilinear"),
+        ((4, 8), 12, "affine")]
 
 
 def test_cube_domain_maps_and_v0():
@@ -128,20 +150,12 @@ def test_gasket_rejects_non_equilateral():
         gasket_domain([[0, 0], [1, 0], [0, 1]], 1)
 
 
-def test_cells_enumeration_count():
-    d = interval_domain((0.0, 0.5, 1.0), (0, 0))
-    got = list(cells(d, 3))
-    assert len(got) == 8
-    words = [w for w, _ in got]
-    assert words == sorted(words)  # lexicographic
-
-
 def test_cell_budget_env_override(monkeypatch):
+    model = get_model("degenerate_interval")
     monkeypatch.setenv("FIF_CELL_BUDGET", "10")
     assert dm.cell_budget() == 10
-    d = interval_domain((0.0, 0.5, 1.0), (0, 0))
     with pytest.raises(dm.BudgetError):
-        list(cells(d, 5))
+        graph_sample(model, 2, extra=1)  # 3^3 x 2 vertex slots
 
 
 @pytest.mark.parametrize("raw", ["abc", "0", "-5", "1.5"])
@@ -151,25 +165,54 @@ def test_cell_budget_rejects_malformed_env(monkeypatch, raw):
         dm.cell_budget()
 
 
-def _triangle_grid_reference(tri, depth):
-    # the barycentric double loop the vectorised grid must reproduce
-    n = min(2**depth, 512)
-    v = np.asarray(tri.verts, float)
-    pts = []
-    for i in range(n + 1):
-        for j in range(n + 1 - i):
-            k = n - i - j
-            pts.append((i * v[0] + j * v[1] + k * v[2]) / n)
-    return np.asarray(pts)
+def _lattice(pts, k):
+    """Integer barycentric coordinates (i, j, l), summing to 2^k, of the
+    nearest points of the 2^-k lattice of the unit triangle."""
+    n = 2**k
+    l = np.round(pts[:, 1] * n * 2 / math.sqrt(3)).astype(np.int64)
+    j = np.round(pts[:, 0] * n - l / 2).astype(np.int64)
+    return np.stack([n - j - l, j, l], axis=1)
+
+
+def _lands_in_a_hole(b):
+    """Exact test on lattice points b: halving toward the vertex of the
+    largest coordinate k times must never leave the triangle or enter a
+    hole of the gasket."""
+    n = int(b[0].sum())
+    rows = np.arange(len(b))
+    bad = np.zeros(len(b), bool)
+    for _ in range(n.bit_length() - 1):
+        top = b.argmax(axis=1)
+        bad |= (2 * b[rows, top] < n) | (b.min(axis=1) < 0)
+        b = 2 * b
+        b[rows, top] -= n
+    return bad
 
 
 @pytest.mark.parametrize("depth", range(1, 10))
-def test_triangle_grid_bitwise_equals_double_loop(depth):
+def test_triangle_samples_are_points_of_K(depth):
+    # the samples are V_depth of the gasket, not a grid of the filled
+    # triangle, and V_depth is a diameter / 2^depth mesh of K
     tri = gasket_domain([[0, 0], [1, 0], [0.5, math.sqrt(3) / 2]], 1).base
     got = tri.sample_points(depth)
-    ref = _triangle_grid_reference(tri, depth)
-    assert got.shape == ref.shape
-    assert got.tobytes() == ref.tobytes()
+    assert len(got) == 3 * (3**depth + 1) // 2
+    b = _lattice(got, depth)
+    on_lattice = b[:, 1:] @ [[1, 0], [0.5, math.sqrt(3) / 2]] / 2**depth
+    assert np.allclose(on_lattice, got, rtol=0, atol=1e-12)
+    assert not _lands_in_a_hole(b).any()
+    hole = np.array([[0.5, 0.3], [0.5, math.sqrt(3) / 6], [0.05, 0.5]])
+    assert _lands_in_a_hole(_lattice(hole, 12)).all()  # the check sees holes
+    assert tri.mesh_diameter(depth) == 1 / 2**depth
+    if depth <= 5:
+        finer = tri.sample_points(depth + 2)
+        gap = np.linalg.norm(finer[:, None] - got[None], axis=-1).min(axis=1)
+        assert gap.max() <= tri.mesh_diameter(depth)
+
+
+def test_triangle_samples_stop_at_level_9():
+    tri = gasket_domain([[0, 0], [1, 0], [0.5, math.sqrt(3) / 2]], 1).base
+    assert tri.sample_points(12).tobytes() == tri.sample_points(9).tobytes()
+    assert tri.mesh_diameter(12) == tri.mesh_diameter(9) == 2.0**-9
 
 
 def test_triangle_sampling_stays_inside():

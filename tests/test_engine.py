@@ -69,6 +69,34 @@ def test_solve_q_affine_oracle():
     assert np.allclose(q1.ev(xs), xs[:, 0] / 2, atol=1e-12)
 
 
+def _solved(name, family):
+    spec = get_config(name).spec
+    return solve_q(FifSpec(spec.domain, spec.data, spec.s, "solve", 1.0), family)
+
+
+@pytest.mark.parametrize("name, same", [
+    ("degenerate_interval", ("affine", "multilinear")),
+    ("example5_case2", ("affine", "multilinear")),
+    ("sg_exact", ("affine", "sg_affine")),
+])
+def test_solve_families_that_name_one_basis_agree(name, same):
+    # on an interval every J is |J| <= 1; "sg_affine" is "affine"
+    a, b = (_solved(name, family) for family in same)
+    pts = vertex_set(get_config(name).spec.domain, 3)
+    for (ea, fa), (eb, fb) in zip(a, b):
+        assert str(ea) == str(eb) and fa == fb
+        assert ea.ev(pts).tobytes() == eb.ev(pts).tobytes()
+
+
+@pytest.mark.parametrize("name, family", [
+    ("degenerate_cube", "affine"),
+    ("sg_exact", "multilinear"),
+])
+def test_solve_family_that_does_not_fit_the_domain(name, family):
+    with pytest.raises(ModelError, match="unknowns but .* boundary constraints"):
+        _solved(name, family)
+
+
 def test_solve_q_reproduces_data_on_v1(each_model):
     name, model = each_model
     pts, vals = evaluate_on_vk(model, 1)
@@ -158,6 +186,43 @@ def test_evaluate_at_outside_domain_rejected():
     model = get_model("example5_case2")
     with pytest.raises(ModelError):
         evaluate_at(model, [1.5])
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("example5_case1_one", ["0.4432121181470601", "0.45415113485805997",
+                            "0.6820429180544556", "0.25169775382322296"]),
+    ("example5_case1_sin", ["0.3051840130299691", "0.3516660219325146",
+                            "0.661364252443452", "0.22952502129839747"]),
+    ("example5_case2", ["0.33792747299995696", "0.39276413140562905",
+                        "0.5534456047499265", "0.3548470914769758"]),
+    ("degenerate_interval", ["0.15000000000000002", "0.18518400000000002",
+                             "0.45", "0.015000000000000013"]),
+])
+def test_evaluate_at_pinned_interval_values(name, expected):
+    # seed values: the interval decodes and interpolates as a 1-axis product
+    model = get_model(name)
+    got = [repr(evaluate_at(model, [x])) for x in (0.1, 0.123456, 0.7, 0.99)]
+    assert got == expected
+
+
+@pytest.mark.parametrize("x", [(0.5, 0.3), (0.5, math.sqrt(3) / 6), (0.05, 0.5)])
+def test_evaluate_at_rejects_points_off_the_gasket(x):
+    # the central hole (twice) and a point of the bounding box off the triangle
+    with pytest.raises(ModelError, match="off the gasket"):
+        evaluate_at(get_model("sg_exact"), x)
+
+
+def test_gasket_decode_keeps_every_v8_point():
+    # V_8 points reach V_0 after 8 decodes; their round-off stays inside the
+    # rejection slack on the way and at the vertex after
+    model = get_model("sg_exact")
+    pts, vals = evaluate_on_vk(model, 8)
+    for x in pts:
+        for step in range(9):
+            _, x = model.domain.decode(x, step)
+    rng = np.random.default_rng(8)
+    for j in rng.choice(len(pts), size=30, replace=False):
+        assert evaluate_at(model, pts[j]) == pytest.approx(vals[j], abs=1e-4)
 
 
 def test_apply_T_fixed_point(each_model):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fifdim.domains import Box
+from fifdim.domains import Box, Triangle, gasket_domain, vertex_set
 from fifdim.exprs import (
     Add,
     Const,
@@ -140,6 +140,22 @@ def test_inf_abs_bracket():
     lo, hi = inf_abs(parse_expr("sin(x1)/4"), UNIT, 10, facts)
     assert lo == 0.0  # sin(0)/4 = 0 attained at the boundary
     assert hi <= 1e-6
+
+
+def test_gasket_brackets_sample_K_not_its_holes():
+    # d peaks at the centroid, inside the central hole; on K (and V_12) its
+    # sup is 11/12 and the inf of 1 - d is 1/12, at the hole's edge midpoints
+    c = math.sqrt(3) / 6
+    tri = Triangle(((0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3) / 2)))
+    d = parse_expr(f"1 - 4*((x1 - 1/2)^2 + (x2 - {c!r})^2)")
+    facts = ShapeFacts(holder_exponent=1.0, holder_constant=5.0)
+    v12 = vertex_set(gasket_domain(tri.verts, 1), 12)
+    top = float(np.max(np.abs(d.ev(v12))))
+    assert top == pytest.approx(11 / 12, abs=1e-12)
+    lo, hi = sup_norm(d, tri, 12, facts)
+    assert lo <= top <= hi
+    lo, hi = inf_abs(parse_expr(f"1 - ({d})"), tri, 12, facts)
+    assert lo <= 1 - top <= hi
 
 
 def test_sup_norm_requires_holder_facts_for_nonconstant():

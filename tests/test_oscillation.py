@@ -16,7 +16,6 @@ from fifdim.engine import (
 )
 from fifdim.exprs import parse_expr
 from fifdim.oscillation import (
-    DEFAULT_KMAX,
     _samples_up_to,
     cell_osc,
     holder_to_osc_check,
@@ -143,7 +142,7 @@ def _replayed_sample(model, k, extra):
 )
 def test_one_pass_samples_equal_level0_replay(name):
     model = get_model(name)
-    kmax = DEFAULT_KMAX[model.domain.kind]
+    kmax = model.domain.default_kmax
     got = list(_samples_up_to(model, kmax))
     assert [s.level for s in got] == list(range(1, kmax + 1))
     # the budget shrinks the refinement depth of the deepest levels
