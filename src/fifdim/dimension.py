@@ -257,7 +257,8 @@ def _holder_declared(model: FifModel) -> bool:
 
 
 def upper_bound(model: FifModel, gamma_override: float | None = None) -> BoundEntry:
-    """Oscillation-space upper bound with its two-case split on gamma."""
+    """Oscillation-space upper bound with its two-case split on gamma; a
+    value above m + 1 (cubes with unequal pieces per axis) is vacuous."""
     g = gammas(model)
     gamma_hi = gamma_override if gamma_override is not None else g.gamma[1]
     lam = model.geom.lam
@@ -279,6 +280,7 @@ def upper_bound(model: FifModel, gamma_override: float | None = None) -> BoundEn
         kind="upper",
         value=value,
         hypotheses=[("s_i, q_i Hoelder-declared (C^eta)", holder_ok)],
+        vacuous=value > model.domain.m + 1,
         note=note,
     )
 
@@ -545,26 +547,33 @@ def box_count(sample: CellTable, delta: float) -> int:
         x1 = float(np.max(sample.cell_hi[:, 0]))
         ncols = max(1, int(math.ceil((x1 - x0) / delta - 1e-9)))
         # tie tolerance grows with the column index so accumulated float
-        # error in deep-level cell corners cannot spill across boundaries
-        t = (sample.cell_lo[:, 0] - x0) / delta
-        u = (sample.cell_hi[:, 0] - x0) / delta
-        ia = np.clip(
-            np.floor(t + 1e-9 + 1e-12 * np.abs(t)).astype(int), 0, ncols - 1
-        )
-        ib = np.clip(
-            np.floor(u - 1e-9 - 1e-12 * np.abs(u)).astype(int), 0, ncols - 1
-        )
-        ib = np.maximum(ia, ib)
-        span = int(np.max(ib - ia))
+        # error in deep-level cell corners cannot spill across boundaries;
+        # columns floor(t + 1e-9 + 1e-12 |t|) .. floor(u - 1e-9 - 1e-12 |u|)
+        ends = []
+        for corner, sign in ((sample.cell_lo, 1.0), (sample.cell_hi, -1.0)):
+            t = corner[:, 0] - x0
+            t /= delta
+            tie = np.abs(t)
+            tie *= sign * 1e-12
+            t += sign * 1e-9
+            t += tie
+            col = np.floor(t, out=t).astype(int)
+            ends.append(np.clip(col, 0, ncols - 1, out=col))
+        ia, width = ends
+        np.maximum(width, ia, out=width)
+        width -= ia  # extra columns each cell spans
+        span = int(np.max(width))
         if span > 64:
             raise ValueError("cells too coarse for this delta; refine the sample")
         colmin = np.full(ncols, np.inf)
         colmax = np.full(ncols, -np.inf)
-        for o in range(span + 1):
-            mask = ia + o <= ib
-            idx = ia[mask] + o
-            np.minimum.at(colmin, idx, sample.vmin[mask])
-            np.maximum.at(colmax, idx, sample.vmax[mask])
+        np.minimum.at(colmin, ia, sample.vmin)
+        np.maximum.at(colmax, ia, sample.vmax)
+        for o in range(1, span + 1):
+            sel = np.flatnonzero(width >= o)
+            idx = ia[sel] + o
+            np.minimum.at(colmin, idx, sample.vmin[sel])
+            np.maximum.at(colmax, idx, sample.vmax[sel])
         filled = colmax >= colmin
         ranges = colmax[filled] - colmin[filled]
         counts = np.maximum(1, np.ceil(ranges / delta - 1e-9))
@@ -633,7 +642,7 @@ def empirical_dimension(
         e = 0
         plan = {k: (depth, diam / 2.0**k) for k in range(k_min, k_max + 1)}
     tables = {t: CellTable.empty(n**t, model.domain.m) for t, _ in plan.values()}
-    for level, offset, block in _sweep(model, depth):
+    for level, offset, block in _sweep(model, depth, {"box": depth}):
         if level - e in tables:
             tables[level - e].fold(block, offset, n**e)
     entries = [(k, delta, box_count(tables[t], delta))
@@ -709,17 +718,10 @@ def reconcile(
 ) -> BoundsReport:
     """All theorem entries plus the empirical estimate, cross-validated."""
     entries = theoretical_entries(model, gamma_pin=gamma_pin)
-    lowers = [
-        e.value
-        for e in entries
-        if e.kind in ("lower", "exact")
-        and e.applies
-        and not e.vacuous
-        and not e.heuristic
-    ]
-    uppers = [
-        e.value for e in entries if e.kind in ("upper", "exact") and e.applies
-    ]
+    lowers = [e.value for e in entries if e.kind in ("lower", "exact")
+              and e.applies and not e.vacuous and not e.heuristic]
+    uppers = [e.value for e in entries if e.kind in ("upper", "exact")
+              and e.applies and not e.vacuous]
     best_lower = max(lowers) if lowers else None
     best_upper = min(uppers) if uppers else None
     exact = any(e.kind == "exact" and e.applies for e in entries)

@@ -16,7 +16,14 @@ does is a method or property of the domain.  Graph samples and box-count
 tables of all levels come from one sweep that goes depth-first in blocks
 of BLOCK_SLOTS vertex slots and folds each block into the level-k
 tables, so memory is O(block + N^k_max) and FIF_CELL_BUDGET (N^depth x
-|V_0| slots) bounds the work.
+|V_0| slots) bounds the work.  A block of 2^16 slots holds 512 KB of
+values and as much of points per axis, about the 2 MB of a per-core L2
+cache; 2^18 spills it, and at 2^12 per-block overhead dominates.  Beside
+values, a level carries only the fields some consumer reads there or
+below: points, boxes and diameters down to the level-k tables of
+``graph_samples`` (levels k + e only give value ranges); boxes at every
+level for ``empirical_dimension``; points alone for ``evaluate_on_vk``
+and ``apply_T``.
 """
 
 from __future__ import annotations
@@ -386,16 +393,20 @@ def build_model(spec: FifSpec) -> FifModel:
 # Level push (vectorized exact recursion)
 
 # vertex slots pushed at once: whole levels while they fit, then blocks of
-# the last level that did
-BLOCK_SLOTS = 2**18
+# the last level that did (sized to the L2 cache, see the module docstring)
+BLOCK_SLOTS = 2**16
+
+# what a level may carry beside its values: vertex points, cell boxes
+# (lo, hi) and cell diameters
+FIELDS = ("pts", "box", "diam")
 
 
 class _Level(NamedTuple):
     pts: np.ndarray | None  # (C, P, m) vertex points l_w(V_0)
     vals: np.ndarray  # (C, P) exact f* values
-    lo: np.ndarray  # (C, m) cell image box, lower corner
-    hi: np.ndarray  # (C, m)
-    diam: np.ndarray  # (C,) cell diameter
+    lo: np.ndarray | None  # (C, m) cell image box, lower corner
+    hi: np.ndarray | None  # (C, m)
+    diam: np.ndarray | None  # (C,) cell diameter
 
 
 def _level0(model: FifModel) -> _Level:
@@ -405,35 +416,39 @@ def _level0(model: FifModel) -> _Level:
                   hi[None], np.array([d.base.diameter]))
 
 
-def _child(model: FifModel, lev: _Level, i: int, pts: bool = True) -> _Level:
-    """The cells l_i o l_w for every cell w of ``lev``, in the order of w."""
+def _child(model: FifModel, lev: _Level, i: int, keep=FIELDS) -> _Level:
+    """The cells l_i o l_w for every cell w of ``lev``, in the order of w,
+    with values and the fields in ``keep`` (the others None)."""
     mp = model.domain.maps[i]
     C, P, m = lev.pts.shape
     flat = lev.pts.reshape(C * P, m)
-    s_v = model.s[i][0].ev(flat).reshape(C, P)
-    q_v = model.q[i][0].ev(flat).reshape(C, P)
-    a, b = mp(lev.lo), mp(lev.hi)
-    return _Level(mp(lev.pts) if pts else None, s_v * lev.vals + q_v,
-                  np.minimum(a, b), np.maximum(a, b), lev.diam * mp.ratio)
+    vals = model.s[i][0].ev(flat).reshape(C, P) * lev.vals
+    vals += model.q[i][0].ev(flat).reshape(C, P)
+    lo = hi = None
+    if "box" in keep:
+        a, b = mp(lev.lo), mp(lev.hi)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+    return _Level(mp(lev.pts) if "pts" in keep else None, vals, lo, hi,
+                  lev.diam * mp.ratio if "diam" in keep else None)
 
 
-def _push(model: FifModel, lev: _Level, pts: bool = True) -> _Level:
+def _push(model: FifModel, lev: _Level, keep=FIELDS) -> _Level:
     """The next level, map-major: cell i * C + w is l_i o l_w."""
-    kids = [_child(model, lev, i, pts) for i in range(model.N)]
+    kids = [_child(model, lev, i, keep) for i in range(model.N)]
     return _Level(*(None if p[0] is None else np.concatenate(p)
                     for p in zip(*kids)))
 
 
-def _level_at(model: FifModel, k: int) -> _Level:
+def _level_at(model: FifModel, k: int, keep=FIELDS) -> _Level:
     if model.N**k * len(model.domain.v0) > cell_budget():
         raise BudgetError(f"level {k} exceeds the cell budget")
     lev = _level0(model)
     for _ in range(k):
-        lev = _push(model, lev)
+        lev = _push(model, lev, keep)
     return lev
 
 
-def _sweep(model: FifModel, depth: int, pts_at_depth: bool = False,
+def _sweep(model: FifModel, depth: int, reads: dict[str, int],
            lev: _Level | None = None, level: int = 0, offset: int = 0
            ) -> Iterator[tuple[int, int, _Level]]:
     """Every cell of levels level + 1..depth under ``lev`` (level 0 by
@@ -443,21 +458,26 @@ def _sweep(model: FifModel, depth: int, pts_at_depth: bool = False,
     (offset 0).  Below the last such level L, the level-(L + t) cells with
     leading symbols (b_t..b_1) are the block l_{b_t} o .. o l_{b_1} of the
     level-L table, at offset idx(b_t..b_1) * N^L.  Blocks get the per-map
-    arithmetic of whole levels, so their values are bitwise the same.  The
-    deepest level has no vertex points unless ``pts_at_depth``.
+    arithmetic of whole levels, so their values are bitwise the same.
+    ``reads`` maps a field of FIELDS to the deepest level whose blocks
+    carry it; blocks above ``depth`` carry vertex points regardless, since
+    the next push needs them.
     """
     lev = _level0(model) if lev is None else lev
     if level == depth:
         return
-    n, pts = model.N, level + 1 < depth or pts_at_depth
+    n = model.N
+    keep = {f for f, last in reads.items() if level < last}
+    if level + 1 < depth:
+        keep.add("pts")
     if len(lev.vals) == n**level and lev.vals.size * n <= BLOCK_SLOTS:
-        kids = [(0, _push(model, lev, pts))]
+        kids = [(0, _push(model, lev, keep))]
     else:
-        kids = ((offset + i * n**level, _child(model, lev, i, pts))
+        kids = ((offset + i * n**level, _child(model, lev, i, keep))
                 for i in range(n))
     for at, child in kids:
         yield level + 1, at, child
-        yield from _sweep(model, depth, pts_at_depth, child, level + 1, at)
+        yield from _sweep(model, depth, reads, child, level + 1, at)
 
 
 def _fold(table, block, offset: int, group: int, op) -> None:
@@ -466,9 +486,13 @@ def _fold(table, block, offset: int, group: int, op) -> None:
     reduction ``op`` (np.minimum or np.maximum).  A block holds whole
     groups or lies in one, so the block order cannot change the table."""
     rows = max(1, len(block) // group)
-    at = slice(offset // group, offset // group + rows)
-    op(table[at], op.reduce(block.reshape(rows, -1, *table.shape[1:]), axis=1),
-       out=table[at])
+    part = block.reshape(rows, -1, *table.shape[1:])
+    out = table[offset // group:offset // group + rows]
+    if part.shape[1] < 24:  # op.reduce is slow over short rows
+        for j in range(part.shape[1]):
+            op(out, part[:, j], out=out)
+    else:
+        op(out, op.reduce(part, axis=1), out=out)
 
 
 def evaluate_on_vk(model: FifModel, k: int):
@@ -479,7 +503,7 @@ def evaluate_on_vk(model: FifModel, k: int):
     """
     if k < 1:
         raise ModelError("k must be >= 1")
-    lev = _level_at(model, k)
+    lev = _level_at(model, k, keep=("pts",))
     d = model.domain
     pts = lev.pts.reshape(-1, d.m)
     vals = lev.vals.reshape(-1)
@@ -508,8 +532,9 @@ def apply_T(model: FifModel, pts: np.ndarray, vals: np.ndarray):
     vals = np.asarray(vals, float)
     if pts.shape[0] != vals.shape[0]:
         raise ModelError("points/values length mismatch")
-    # one push of the level whose cells are the points (boxes unused)
-    nxt = _push(model, _Level(pts[:, None], vals[:, None], pts, pts, vals))
+    # one push of the level whose cells are the points
+    nxt = _push(model, _Level(pts[:, None], vals[:, None], None, None, None),
+                keep=("pts",))
     allp, allv = nxt.pts[:, 0], nxt.vals[:, 0]
     first, _ = unique_rows(point_keys(allp, _key_resolution(d)))
     order = np.sort(first)
@@ -667,9 +692,12 @@ def graph_samples(
     """``graph_sample(model, k, e)`` for every ``k: e`` in ``extras``, from
     one sweep down to the deepest level max(k + e).
 
-    The sweep's blocks are copied into the level-k tables and folded into
-    the value ranges of level k + e.  Samples come out in order of k + e,
-    then k, bitwise the same as single-level samples.
+    The sweep's blocks are copied into the level-k tables; only those
+    levels and the ones above them carry points, boxes and diameters.
+    Each level k + e is folded once, into the value ranges of its finest
+    k, and a coarser k with the same k + e reduces that table.  Samples
+    come out in order of k + e, then k, bitwise the same as single-level
+    samples (min and max are exact, so the grouping cannot change them).
     """
     if any(k < 1 or e < 0 for k, e in extras.items()):
         raise ModelError("k must be >= 1 and extra >= 0")
@@ -679,16 +707,24 @@ def graph_samples(
     n, lev0 = model.N, _level0(model)
     held = {k: _Level(*(np.empty((n**k, *a.shape[1:])) for a in lev0))
             for k in extras}
+    # level k + e -> its finest k
+    finest = {k + e: k for k, e in sorted(extras.items())}
     vmin = {k: np.full(n**k, np.inf) for k in extras}
     vmax = {k: np.full(n**k, -np.inf) for k in extras}
-    for level, offset, block in _sweep(model, depth, depth in extras):
+    reads = dict.fromkeys(FIELDS, max(extras, default=0))
+    for level, offset, block in _sweep(model, depth, reads):
         if level in held:
             for table, part in zip(held[level], block):
                 table[offset:offset + len(part)] = part
-        for k, e in extras.items():
-            if k + e == level:
-                _fold(vmin[k], block.vals, offset, n**e, np.minimum)
-                _fold(vmax[k], block.vals, offset, n**e, np.maximum)
+        if level in finest:
+            k = finest[level]
+            _fold(vmin[k], block.vals, offset, n**(level - k), np.minimum)
+            _fold(vmax[k], block.vals, offset, n**(level - k), np.maximum)
+    for k, e in extras.items():
+        if finest[k + e] != k:
+            group = n**(finest[k + e] - k)
+            _fold(vmin[k], vmin[finest[k + e]], 0, group, np.minimum)
+            _fold(vmax[k], vmax[finest[k + e]], 0, group, np.maximum)
     for k in sorted(extras, key=lambda k: (k + extras[k], k)):
         at_k = held[k]
         yield GraphSample(

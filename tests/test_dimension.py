@@ -127,6 +127,19 @@ def test_upper_bound_sin_audited_and_pinned():
     assert "(pinned)" in pinned.note
 
 
+def test_upper_bound_above_m_plus_1_is_vacuous():
+    # 2 x 3 pieces with scale 3/4: Lambda = 2 comes from the coarser axis
+    # while N = 6, so 1 + log(4.5) / log 2 = 3.17 exceeds m + 1 = 3
+    d = cube_domain([([0, 0.5, 1], [0, 1]), ([0, 1 / 3, 2 / 3, 1], [0, 1, 0])])
+    data = [(tuple(p), float(np.sin(3 * p[0] + 5 * p[1])))
+            for p in vertex_set(d, 1)]
+    model = build_model(FifSpec(d, data, [(Const(0.75), None)] * 6, "solve"))
+    e = upper_bound(model)
+    assert e.value == pytest.approx(1 + math.log(4.5) / math.log(2), abs=1e-12)
+    assert e.applies and e.vacuous
+    assert reconcile(model, with_empirical=False).best_upper is None
+
+
 def test_upper_bound_small_gamma_case():
     # gamma below N/Lambda^eta' gives 1 - eta' + log N / log Lambda
     e = upper_bound(get_model("degenerate_interval"))
@@ -389,7 +402,7 @@ scales = st.floats(-0.95, 0.95, exclude_min=True, exclude_max=True)
 
 @st.composite
 def solved_models(draw):
-    """Equally spaced intervals, 2-axis cubes (n x n pieces, alternating
+    """Equally spaced intervals, 2-axis cubes (n1 x n2 pieces, alternating
     signatures and one scale, so faces match) and level-1 gaskets, with random data on V_1,
     constant scales and solved displacements."""
     kind = draw(st.sampled_from(["interval", "cube", "gasket"]))
@@ -399,8 +412,9 @@ def solved_models(draw):
         d = interval_domain([i / n for i in range(n + 1)], sig)
         s = draw(st.lists(scales, min_size=n, max_size=n))
     elif kind == "cube":
-        n = draw(st.integers(2, 3))
-        d = cube_domain([([i / n for i in range(n + 1)], [j % 2 for j in range(n)])] * 2)
+        d = cube_domain([([i / n for i in range(n + 1)], [j % 2 for j in range(n)])
+                         for n in draw(st.lists(st.integers(2, 3), min_size=2,
+                                                max_size=2))])
         s = [draw(scales)] * d.N
     else:
         d = gasket_domain([[0, 0], [1, 0], [0.5, math.sqrt(3) / 2]], 1)

@@ -1,5 +1,5 @@
-"""The depth-first sweep against a breadth-first replay, seed pins of the
-box-count estimate, and its memory bound."""
+"""The depth-first sweep and the level pushes against a breadth-first
+replay, seed pins of the box-count estimate, and memory bounds."""
 
 import tracemalloc
 
@@ -9,7 +9,9 @@ import pytest
 from conftest import get_model
 from fifdim import engine
 from fifdim.dimension import _equal_ratio, box_count, empirical_dimension
-from fifdim.engine import CellTable, graph_samples
+from fifdim.domains import point_keys, unique_rows
+from fifdim.engine import CellTable, apply_T, evaluate_on_vk, graph_samples
+from fifdim.oscillation import seminorm
 
 SWEEP_CONFIGS = ["example5_case2", "example5_case1_sin", "example5_case1_one",
                  "degenerate_cube", "sg_exact"]
@@ -54,11 +56,7 @@ def small_blocks(monkeypatch):
     monkeypatch.setattr(engine, "BLOCK_SLOTS", 16)
 
 
-@pytest.mark.parametrize("name", SWEEP_CONFIGS)
-def test_graph_samples_sweep_equals_replay(name, small_blocks):
-    model = get_model(name)
-    extras = {1: 4, 2: 3, 3: 1, 4: 0, 5: 0} if model.N == 4 else \
-        {1: 5, 2: 3, 3: 1, 4: 2, 6: 0}
+def _assert_samples_equal_replay(model, extras):
     depth = max(k + e for k, e in extras.items())
     levels = _replay(model, depth)
     got = list(graph_samples(model, extras))
@@ -74,6 +72,48 @@ def test_graph_samples_sweep_equals_replay(name, small_blocks):
                      (sample.vmin, block.min(axis=1)),
                      (sample.vmax, block.max(axis=1))):
             assert _same_bits(a, b)
+
+
+@pytest.mark.parametrize("name", SWEEP_CONFIGS)
+def test_graph_samples_sweep_equals_replay(name, small_blocks):
+    model = get_model(name)
+    extras = {1: 4, 2: 3, 3: 1, 4: 0, 5: 0} if model.N == 4 else \
+        {1: 5, 2: 3, 3: 1, 4: 2, 6: 0}
+    _assert_samples_equal_replay(model, extras)
+
+
+@pytest.mark.parametrize("name", SWEEP_CONFIGS)
+def test_graph_samples_shared_level_folded_once(name, small_blocks):
+    # k = 2, 3 and 4 all read level 5, as k = 10, 11 and 12 read level 14
+    # in seminorm: it is folded into k = 4 alone, and k = 2, 3 reduce that
+    # table; level 3 is both held (k = 3) and read (k = 1)
+    _assert_samples_equal_replay(get_model(name), {2: 3, 3: 2, 4: 1, 1: 2})
+
+
+def _dedup(pts, vals, model):
+    """First occurrences of the points of (pts, vals), in order."""
+    res = engine._key_resolution(model.domain)
+    order = np.sort(unique_rows(point_keys(pts, res))[0])
+    return pts[order], vals[order]
+
+
+@pytest.mark.parametrize("name", ["sg_exact", "degenerate_cube"])
+def test_vk_and_apply_T_equal_replay(name, small_blocks):
+    model = get_model(name)
+    m = model.domain.m
+    levels = _replay(model, 4)
+    for k in (1, 3):
+        pts, vals = evaluate_on_vk(model, k)
+        ref = _dedup(levels[k][0].reshape(-1, m), levels[k][1].reshape(-1),
+                     model)
+        assert _same_bits(pts, ref[0]) and _same_bits(vals, ref[1])
+        # one read-off step: every map applied to every sample, map-major
+        nxt = [(mp(pts), model.s[i][0].ev(pts) * vals + model.q[i][0].ev(pts))
+               for i, mp in enumerate(model.domain.maps)]
+        ref = _dedup(np.concatenate([p for p, _ in nxt]),
+                     np.concatenate([v for _, v in nxt]), model)
+        got = apply_T(model, pts, vals)
+        assert _same_bits(got[0], ref[0]) and _same_bits(got[1], ref[1])
 
 
 def _replayed_estimate(model, k_min, k_max, depth):
@@ -145,3 +185,16 @@ def test_empirical_memory_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 200 * 2**20
+
+
+def test_seminorm_memory_bounded():
+    # about 77 MB when every swept level carried boxes and diameters in
+    # blocks of 2^18 slots; the twelve samples themselves take 55 MB
+    model = get_model("example5_case2")
+    tracemalloc.start()
+    try:
+        seminorm(model, 0.8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 65 * 2**20
