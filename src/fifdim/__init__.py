@@ -41,7 +41,6 @@ from .domains import (
     vertex_set,
 )
 from .engine import (
-    CellTable,
     FifModel,
     FifSpec,
     GraphSample,
@@ -70,10 +69,8 @@ from .exprs import (
     sup_norm,
 )
 from .oscillation import (
-    OscTable,
     cell_osc,
     holder_to_osc_check,
-    osc_table,
     seminorm,
     total_osc,
 )

@@ -15,7 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import BudgetError, cell_budget
-from .engine import CellTable, FifModel, ModelError, _sweep, graph_samples
+from .engine import (
+    FifModel,
+    GraphSample,
+    ModelError,
+    graph_sample,
+    graph_samples,
+)
 
 __all__ = [
     "GammaReport",
@@ -532,7 +538,7 @@ def lower_bound_interval_variable_s(model: FifModel) -> BoundEntry | None:
 # Box counting
 
 
-def box_count(sample: CellTable, delta: float) -> int:
+def box_count(sample: GraphSample, delta: float) -> int:
     """Count delta-boxes covering the sampled graph.
 
     m = 1 uses the column method over the x-axis with observed per-cell
@@ -541,8 +547,7 @@ def box_count(sample: CellTable, delta: float) -> int:
     """
     if delta <= 0:
         raise ValueError("delta must be > 0")
-    m = sample.cell_lo.shape[1]
-    if m == 1:
+    if sample.domain.m == 1:
         x0 = float(np.min(sample.cell_lo[:, 0]))
         x1 = float(np.max(sample.cell_hi[:, 0]))
         ncols = max(1, int(math.ceil((x1 - x0) / delta - 1e-9)))
@@ -613,13 +618,15 @@ def empirical_dimension(
     """Log-log slope of box counts over the level-tied delta sequence.
 
     Equal-ratio domains use delta_k = |K| / Lambda^k with level-k cells;
-    unequal knots fall back to dyadic delta counted on the deepest cell
-    table (column method, m = 1 only).
+    unequal knots fall back to dyadic delta counted on the cells of the
+    deepest level (column method, m = 1 only).
     """
     if k_min < 2:
         raise ModelError("k_min must be >= 2")
     if k_max < k_min:
         raise ModelError("k_max must be >= k_min")
+    if extra < 0:
+        raise ModelError("extra must be >= 0")
     budget = cell_budget()
     p = len(model.domain.v0)
     depth = k_max + extra
@@ -628,25 +635,21 @@ def empirical_dimension(
     if model.N**depth * p > budget:
         raise BudgetError("empirical estimation exceeds the cell budget")
 
-    n, diam = model.N, model.geom.diameter
-    # plan: k -> (level of the cell table counted, delta)
+    diam = model.geom.diameter
     if _equal_ratio(model) or model.domain.m > 1:
         # every level k is read off with the same refinement depth e,
         # keeping the osc truncation bias uniform across the regression
         # window (a sliding extra would tilt it)
-        e = depth - k_max
-        plan = {k: (k, diam / model.geom.lam**k)
-                for k in range(k_min, k_max + 1)}
+        levels = dict.fromkeys(range(k_min, k_max + 1), depth - k_max)
+        entries = []
+        for sample in graph_samples(model, levels):
+            delta = diam / model.geom.lam**sample.level
+            entries.append((sample.level, delta, box_count(sample, delta)))
     else:
-        # unequal knots: dyadic deltas against the deepest table
-        e = 0
-        plan = {k: (depth, diam / 2.0**k) for k in range(k_min, k_max + 1)}
-    tables = {t: CellTable.empty(n**t, model.domain.m) for t, _ in plan.values()}
-    for level, offset, block in _sweep(model, depth, {"box": depth}):
-        if level - e in tables:
-            tables[level - e].fold(block, offset, n**e)
-    entries = [(k, delta, box_count(tables[t], delta))
-               for k, (t, delta) in plan.items()]
+        # unequal knots: dyadic deltas against the deepest level
+        sample = graph_sample(model, depth, 0)
+        entries = [(k, diam / 2.0**k, box_count(sample, diam / 2.0**k))
+                   for k in range(k_min, k_max + 1)]
 
     logs = np.log([1.0 / d for _, d, _ in entries])
     logn = np.log([c for _, _, c in entries])

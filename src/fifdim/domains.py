@@ -219,6 +219,25 @@ class Domain:
     def v0_array(self) -> np.ndarray:
         return np.asarray(self.v0, float)
 
+    def cell_boxes(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Image boxes (lo, hi), each (N^k, m), of the level-k cells l_w of
+        the region, map-major as the recursion pushes them: cell i * C + w
+        is l_i o l_w."""
+        lo, hi = (a[None] for a in self.base.bounding_box())
+        for _ in range(k):
+            ends = [(mp(lo), mp(hi)) for mp in self.maps]
+            lo = np.concatenate([np.minimum(a, b) for a, b in ends])
+            hi = np.concatenate([np.maximum(a, b) for a, b in ends])
+        return lo, hi
+
+    def cell_diams(self, k: int) -> np.ndarray:
+        """Diameters (N^k,) of the level-k cells, in the order of
+        ``cell_boxes``."""
+        diam = np.array([self.base.diameter])
+        for _ in range(k):
+            diam = np.concatenate([diam * mp.ratio for mp in self.maps])
+        return diam
+
 
 @dataclass(frozen=True)
 class ProductDomain(Domain):

@@ -12,22 +12,20 @@ Evaluation on vertex sets V_k is done by exact forward recursion (no
 iteration error); arbitrary points go through the domain's address
 decoding plus an unwound recursion with an a-priori contraction error
 bound.  No code here depends on the domain type: every decision that
-does is a method or property of the domain.  Graph samples and box-count
-tables of all levels come from one sweep that goes depth-first in blocks
-of BLOCK_SLOTS vertex slots and folds each block into the level-k
-tables, so memory is O(block + N^k_max) and FIF_CELL_BUDGET (N^depth x
-|V_0| slots) bounds the work.  A block of 2^16 slots holds 512 KB of
-values and as much of points per axis, about the 2 MB of a per-core L2
-cache; 2^18 spills it, and at 2^12 per-block overhead dominates.  Beside
-values, a level carries only the fields some consumer reads there or
-below: points, boxes and diameters down to the level-k tables of
-``graph_samples`` (levels k + e only give value ranges); boxes at every
-level for ``empirical_dimension``; points alone for ``evaluate_on_vk``
-and ``apply_T``.
+does is a method or property of the domain.  Graph samples of all levels
+come from one sweep that goes depth-first in blocks of BLOCK_SLOTS vertex
+slots and folds each block into the level-k value ranges, so memory is
+O(block + N^k_max) and FIF_CELL_BUDGET (N^depth x |V_0| slots) bounds the
+work.  A block of 2^16 slots holds 512 KB of values and as much of points
+per axis, about the 2 MB of a per-core L2 cache; 2^18 spills it, and at
+2^12 per-block overhead dominates.  The sweep carries values, and vertex
+points only where the next push needs them; cell boxes and diameters are
+geometry of the domain (``Domain.cell_boxes``, ``Domain.cell_diams``).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Iterator
@@ -62,7 +60,6 @@ from .exprs import (
 __all__ = [
     "FifSpec",
     "FifModel",
-    "CellTable",
     "GraphSample",
     "ModelError",
     "validate_join_up",
@@ -396,60 +393,45 @@ def build_model(spec: FifSpec) -> FifModel:
 # the last level that did (sized to the L2 cache, see the module docstring)
 BLOCK_SLOTS = 2**16
 
-# what a level may carry beside its values: vertex points, cell boxes
-# (lo, hi) and cell diameters
-FIELDS = ("pts", "box", "diam")
-
 
 class _Level(NamedTuple):
     pts: np.ndarray | None  # (C, P, m) vertex points l_w(V_0)
     vals: np.ndarray  # (C, P) exact f* values
-    lo: np.ndarray | None  # (C, m) cell image box, lower corner
-    hi: np.ndarray | None  # (C, m)
-    diam: np.ndarray | None  # (C,) cell diameter
 
 
 def _level0(model: FifModel) -> _Level:
-    d = model.domain
-    lo, hi = d.base.bounding_box()
-    return _Level(d.v0_array[None], model.p_at(d.v0_array)[None], lo[None],
-                  hi[None], np.array([d.base.diameter]))
+    v0 = model.domain.v0_array
+    return _Level(v0[None], model.p_at(v0)[None])
 
 
-def _child(model: FifModel, lev: _Level, i: int, keep=FIELDS) -> _Level:
+def _child(model: FifModel, lev: _Level, i: int, pts: bool = True) -> _Level:
     """The cells l_i o l_w for every cell w of ``lev``, in the order of w,
-    with values and the fields in ``keep`` (the others None)."""
-    mp = model.domain.maps[i]
+    with values, and vertex points if ``pts``."""
     C, P, m = lev.pts.shape
     flat = lev.pts.reshape(C * P, m)
     vals = model.s[i][0].ev(flat).reshape(C, P) * lev.vals
     vals += model.q[i][0].ev(flat).reshape(C, P)
-    lo = hi = None
-    if "box" in keep:
-        a, b = mp(lev.lo), mp(lev.hi)
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-    return _Level(mp(lev.pts) if "pts" in keep else None, vals, lo, hi,
-                  lev.diam * mp.ratio if "diam" in keep else None)
+    return _Level(model.domain.maps[i](lev.pts) if pts else None, vals)
 
 
-def _push(model: FifModel, lev: _Level, keep=FIELDS) -> _Level:
+def _push(model: FifModel, lev: _Level, pts: bool = True) -> _Level:
     """The next level, map-major: cell i * C + w is l_i o l_w."""
-    kids = [_child(model, lev, i, keep) for i in range(model.N)]
+    kids = [_child(model, lev, i, pts) for i in range(model.N)]
     return _Level(*(None if p[0] is None else np.concatenate(p)
                     for p in zip(*kids)))
 
 
-def _level_at(model: FifModel, k: int, keep=FIELDS) -> _Level:
+def _level_at(model: FifModel, k: int) -> _Level:
     if model.N**k * len(model.domain.v0) > cell_budget():
         raise BudgetError(f"level {k} exceeds the cell budget")
     lev = _level0(model)
     for _ in range(k):
-        lev = _push(model, lev, keep)
+        lev = _push(model, lev)
     return lev
 
 
-def _sweep(model: FifModel, depth: int, reads: dict[str, int],
-           lev: _Level | None = None, level: int = 0, offset: int = 0
+def _sweep(model: FifModel, depth: int, lev: _Level | None = None,
+           level: int = 0, offset: int = 0
            ) -> Iterator[tuple[int, int, _Level]]:
     """Every cell of levels level + 1..depth under ``lev`` (level 0 by
     default) as (level, offset, block) triples, depth-first.
@@ -459,25 +441,21 @@ def _sweep(model: FifModel, depth: int, reads: dict[str, int],
     leading symbols (b_t..b_1) are the block l_{b_t} o .. o l_{b_1} of the
     level-L table, at offset idx(b_t..b_1) * N^L.  Blocks get the per-map
     arithmetic of whole levels, so their values are bitwise the same.
-    ``reads`` maps a field of FIELDS to the deepest level whose blocks
-    carry it; blocks above ``depth`` carry vertex points regardless, since
-    the next push needs them.
+    Blocks above ``depth`` carry vertex points, since the next push needs
+    them; those at ``depth`` carry values only.
     """
     lev = _level0(model) if lev is None else lev
     if level == depth:
         return
-    n = model.N
-    keep = {f for f, last in reads.items() if level < last}
-    if level + 1 < depth:
-        keep.add("pts")
+    n, pts = model.N, level + 1 < depth
     if len(lev.vals) == n**level and lev.vals.size * n <= BLOCK_SLOTS:
-        kids = [(0, _push(model, lev, keep))]
+        kids = [(0, _push(model, lev, pts))]
     else:
-        kids = ((offset + i * n**level, _child(model, lev, i, keep))
+        kids = ((offset + i * n**level, _child(model, lev, i, pts))
                 for i in range(n))
     for at, child in kids:
         yield level + 1, at, child
-        yield from _sweep(model, depth, reads, child, level + 1, at)
+        yield from _sweep(model, depth, child, level + 1, at)
 
 
 def _fold(table, block, offset: int, group: int, op) -> None:
@@ -503,7 +481,7 @@ def evaluate_on_vk(model: FifModel, k: int):
     """
     if k < 1:
         raise ModelError("k must be >= 1")
-    lev = _level_at(model, k, keep=("pts",))
+    lev = _level_at(model, k)
     d = model.domain
     pts = lev.pts.reshape(-1, d.m)
     vals = lev.vals.reshape(-1)
@@ -533,8 +511,7 @@ def apply_T(model: FifModel, pts: np.ndarray, vals: np.ndarray):
     if pts.shape[0] != vals.shape[0]:
         raise ModelError("points/values length mismatch")
     # one push of the level whose cells are the points
-    nxt = _push(model, _Level(pts[:, None], vals[:, None], None, None, None),
-                keep=("pts",))
+    nxt = _push(model, _Level(pts[:, None], vals[:, None]))
     allp, allv = nxt.pts[:, 0], nxt.vals[:, 0]
     first, _ = unique_rows(point_keys(allp, _key_resolution(d)))
     order = np.sort(first)
@@ -605,70 +582,51 @@ def evaluate_at(model: FifModel, x, tol: float = 1e-9) -> float:
 
 
 @dataclass
-class CellTable:
-    """Level-k cells: a box and an observed value range per cell."""
+class GraphSample:
+    """Level-k value ranges of f* with outer value brackets.
 
-    cell_lo: np.ndarray  # (C, m)
-    cell_hi: np.ndarray  # (C, m)
-    vmin: np.ndarray  # (C,)
-    vmax: np.ndarray  # (C,)
-
-    @staticmethod
-    def empty(cells: int, m: int) -> "CellTable":
-        """The identity of ``fold``: inf lower ends, -inf upper ends."""
-        return CellTable(np.full((cells, m), np.inf),
-                         np.full((cells, m), -np.inf),
-                         np.full(cells, np.inf), np.full(cells, -np.inf))
-
-    def fold(self, block: _Level, offset: int, group: int) -> None:
-        """Fold in the box and vertex values of the cells of ``block``."""
-        _fold(self.cell_lo, block.lo, offset, group, np.minimum)
-        _fold(self.cell_hi, block.hi, offset, group, np.maximum)
-        _fold(self.vmin, block.vals, offset, group, np.minimum)
-        _fold(self.vmax, block.vals, offset, group, np.maximum)
-
-
-@dataclass
-class GraphSample(CellTable):
-    """Level-k cell table of f* with outer value brackets.
-
-    Per cell: its image box, exact vertex values at l_w(V_0), the observed
-    value range over descendants ``extra`` levels deeper, and a uniform
-    contraction slack so [vmin - slack, vmax + slack] encloses f* there.
+    Per cell: the observed value range over the vertices of its
+    descendants ``extra`` levels deeper, and a uniform contraction slack
+    so [vmin - slack, vmax + slack] encloses f* there.  Cell boxes and
+    diameters are the domain's, made on first use.
     """
 
+    domain: Domain
     level: int
     extra: int
-    N: int
-    vert_pts: np.ndarray  # (C, P, m)
-    vert_vals: np.ndarray  # (C, P)
-    cell_diam: np.ndarray  # (C,)
+    vmin: np.ndarray  # (C,)
+    vmax: np.ndarray  # (C,)
     slack: float
 
     @property
     def cells(self) -> int:
-        return self.vert_vals.shape[0]
+        return len(self.vmin)
+
+    @functools.cached_property
+    def cell_boxes(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.domain.cell_boxes(self.level)
+
+    @property
+    def cell_lo(self) -> np.ndarray:  # (C, m)
+        return self.cell_boxes[0]
+
+    @property
+    def cell_hi(self) -> np.ndarray:  # (C, m)
+        return self.cell_boxes[1]
+
+    @property
+    def cell_diam(self) -> np.ndarray:  # (C,)
+        return self.domain.cell_diams(self.level)
 
     def index_of(self, word: tuple[int, ...]) -> int:
         if len(word) != self.level:
             raise ModelError(f"address {word} is not at level {self.level}")
-        idx = 0
+        n, idx = self.domain.N, 0
         for w in word:
-            if not 0 <= w < self.N:
+            if not 0 <= w < n:
                 raise ModelError(f"symbol {w} out of range in address {word}")
-            idx = idx * self.N + w
+            idx = idx * n + w
         return idx
-
-    def word_of(self, index: int) -> tuple[int, ...]:
-        word = []
-        for _ in range(self.level):
-            word.append(index % self.N)
-            index //= self.N
-        return tuple(reversed(word))
-
-    def value_bracket(self, word: tuple[int, ...]) -> tuple[float, float]:
-        i = self.index_of(word)
-        return float(self.vmin[i] - self.slack), float(self.vmax[i] + self.slack)
 
     def osc_bracket(self, word: tuple[int, ...]) -> tuple[float, float]:
         i = self.index_of(word)
@@ -692,8 +650,6 @@ def graph_samples(
     """``graph_sample(model, k, e)`` for every ``k: e`` in ``extras``, from
     one sweep down to the deepest level max(k + e).
 
-    The sweep's blocks are copied into the level-k tables; only those
-    levels and the ones above them carry points, boxes and diameters.
     Each level k + e is folded once, into the value ranges of its finest
     k, and a coarser k with the same k + e reduces that table.  Samples
     come out in order of k + e, then k, bitwise the same as single-level
@@ -704,18 +660,12 @@ def graph_samples(
     depth = max((k + e for k, e in extras.items()), default=0)
     if model.N**depth * len(model.domain.v0) > cell_budget():
         raise BudgetError(f"graph sample depth {depth} exceeds the cell budget")
-    n, lev0 = model.N, _level0(model)
-    held = {k: _Level(*(np.empty((n**k, *a.shape[1:])) for a in lev0))
-            for k in extras}
+    n = model.N
     # level k + e -> its finest k
     finest = {k + e: k for k, e in sorted(extras.items())}
     vmin = {k: np.full(n**k, np.inf) for k in extras}
     vmax = {k: np.full(n**k, -np.inf) for k in extras}
-    reads = dict.fromkeys(FIELDS, max(extras, default=0))
-    for level, offset, block in _sweep(model, depth, reads):
-        if level in held:
-            for table, part in zip(held[level], block):
-                table[offset:offset + len(part)] = part
+    for level, offset, block in _sweep(model, depth):
         if level in finest:
             k = finest[level]
             _fold(vmin[k], block.vals, offset, n**(level - k), np.minimum)
@@ -726,16 +676,10 @@ def graph_samples(
             _fold(vmin[k], vmin[finest[k + e]], 0, group, np.minimum)
             _fold(vmax[k], vmax[finest[k + e]], 0, group, np.maximum)
     for k in sorted(extras, key=lambda k: (k + extras[k], k)):
-        at_k = held[k]
         yield GraphSample(
+            domain=model.domain,
             level=k,
             extra=extras[k],
-            N=n,
-            vert_pts=at_k.pts,
-            vert_vals=at_k.vals,
-            cell_lo=at_k.lo,
-            cell_hi=at_k.hi,
-            cell_diam=at_k.diam,
             vmin=vmin[k],
             vmax=vmax[k],
             slack=float(2 * model.M[1] * model.s_norm[1] ** extras[k]),

@@ -9,7 +9,6 @@ pass of the recursion (``engine.graph_samples``), not one pass per k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,10 +16,8 @@ from .domains import cell_budget
 from .engine import FifModel, GraphSample, graph_samples
 
 __all__ = [
-    "OscTable",
     "cell_osc",
     "total_osc",
-    "osc_table",
     "seminorm",
     "holder_to_osc_check",
 ]
@@ -41,24 +38,6 @@ def total_osc(sample: GraphSample, k: int | None = None) -> tuple[float, float]:
     return lo, hi
 
 
-@dataclass
-class OscTable:
-    level: int
-    cell_osc_lo: np.ndarray
-    cell_osc_hi: np.ndarray
-    total: tuple[float, float]
-
-
-def osc_table(sample: GraphSample) -> OscTable:
-    spread = sample.vmax - sample.vmin
-    return OscTable(
-        level=sample.level,
-        cell_osc_lo=spread,
-        cell_osc_hi=spread + 2 * sample.slack,
-        total=total_osc(sample),
-    )
-
-
 def _samples_up_to(model: FifModel, kmax: int, extra: int = 4):
     budget = cell_budget()
     p = len(model.domain.v0)
@@ -72,20 +51,27 @@ def _samples_up_to(model: FifModel, kmax: int, extra: int = 4):
     return graph_samples(model, extras)
 
 
+def _check_args(model: FifModel, eta: float, kmax: int | None) -> int:
+    """kmax (the domain's default for None) once eta and kmax are valid."""
+    top = math.log(model.geom.N) / math.log(model.geom.lam)
+    if not 0 <= eta <= top + 1e-12:
+        raise ValueError(f"eta must lie in [0, log_Lambda N], got {eta}")
+    if kmax is None:
+        kmax = model.domain.default_kmax
+    if kmax < 1:
+        raise ValueError("kmax must be >= 1")
+    return kmax
+
+
 def seminorm(model: FifModel, eta: float, kmax: int | None = None) -> float:
     """Lower estimate of the oscillation seminorm [f]_eta.
 
     Maximizes Osc(k, f)_lo / Lambda^(k (log_Lambda N - eta)) over
     k <= kmax; nondecreasing in kmax.
     """
+    kmax = _check_args(model, eta, kmax)
     lam = model.geom.lam
     n = model.geom.N
-    if not (0 <= eta <= math.log(n) / math.log(lam) + 1e-12):
-        raise ValueError(f"eta must lie in [0, log_Lambda N], got {eta}")
-    if kmax is None:
-        kmax = model.domain.default_kmax
-    if kmax < 1:
-        raise ValueError("kmax must be >= 1")
     best = 0.0
     for sample in _samples_up_to(model, kmax):
         k = sample.level
@@ -98,11 +84,10 @@ def holder_to_osc_check(
     model: FifModel, eta: float, holder_const: float, kmax: int | None = None
 ) -> dict[int, bool]:
     """Verify Osc(k, f)_lo <= H |K|^eta Lambda^(k (log_Lambda N - eta))."""
+    kmax = _check_args(model, eta, kmax)
     lam = model.geom.lam
     n = model.geom.N
     diam = model.geom.diameter
-    if kmax is None:
-        kmax = model.domain.default_kmax
     out = {}
     for sample in _samples_up_to(model, kmax):
         k = sample.level

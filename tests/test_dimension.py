@@ -325,6 +325,8 @@ def test_empirical_guards():
         empirical_dimension(model, 1, 5)
     with pytest.raises(ModelError):
         empirical_dimension(model, 5, 4)
+    with pytest.raises(ModelError):
+        empirical_dimension(model, 4, 6, extra=-1)
 
 
 def test_empirical_budget(monkeypatch):

@@ -282,9 +282,9 @@ def test_graph_sample_brackets_enclose_descendants():
     sample = graph_sample(model, 3, extra=3)
     deep_pts, deep_vals = evaluate_on_vk(model, 8)
     for idx in (0, 5, 13, 26):
-        word = sample.word_of(idx)
+        word = tuple(idx // model.N**j % model.N for j in (2, 1, 0))
         assert sample.index_of(word) == idx
-        lo, hi = sample.value_bracket(word)
+        lo, hi = sample.vmin[idx] - sample.slack, sample.vmax[idx] + sample.slack
         inside = (deep_pts[:, 0] >= sample.cell_lo[idx, 0] - 1e-12) & (
             deep_pts[:, 0] <= sample.cell_hi[idx, 0] + 1e-12
         )

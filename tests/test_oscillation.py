@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import get_model
+from test_sweep import _replay_levels
 from fifdim.domains import cell_budget, interval_domain
 from fifdim.engine import (
     FifSpec,
     ModelError,
-    _level0,
-    _push,
     build_model,
     graph_sample,
     graph_samples,
@@ -19,7 +18,6 @@ from fifdim.oscillation import (
     _samples_up_to,
     cell_osc,
     holder_to_osc_check,
-    osc_table,
     seminorm,
     total_osc,
 )
@@ -75,17 +73,24 @@ def test_seminorm_rejects_eta_out_of_range():
         seminorm(model, 1.5)
 
 
+@pytest.mark.parametrize("eta, kmax", [(1.5, 4), (-0.1, 4), (1.0, 0)])
+def test_holder_check_rejects_bad_arguments(eta, kmax):
+    # kmax = 0 used to give {} and so a vacuous pass of all(out.values())
+    with pytest.raises(ValueError):
+        holder_to_osc_check(_identity_model(), eta, 1.0, kmax=kmax)
+
+
 def test_cell_osc_and_table_consistency():
     model = get_model("example5_case1_one")
     sample = graph_sample(model, 3)
-    table = osc_table(sample)
-    lo_sum = float(np.sum(table.cell_osc_lo))
-    assert table.total[0] == pytest.approx(lo_sum, rel=1e-12)
+    spread = sample.vmax - sample.vmin
+    assert total_osc(sample)[0] == pytest.approx(float(np.sum(spread)),
+                                                 rel=1e-12)
     word = (0, 1, 2)
     lo, hi = cell_osc(sample, word)
     idx = sample.index_of(word)
-    assert lo == pytest.approx(table.cell_osc_lo[idx])
-    assert hi >= lo
+    assert lo == spread[idx]
+    assert hi == lo + 2 * sample.slack >= lo
 
 
 def test_total_osc_level_mismatch_rejected():
@@ -123,20 +128,6 @@ def test_holder_ceiling_fails_for_tiny_constant():
     assert not all(out.values())
 
 
-def _replayed_sample(model, k, extra):
-    # reference: push from level 0 to k, then on to k + extra, per sample
-    at_k = _level0(model)
-    for _ in range(k):
-        at_k = _push(model, at_k)
-    deep = at_k
-    for _ in range(extra):
-        deep = _push(model, deep)
-    block = deep.vals.reshape(model.N**k, -1)
-    return (at_k.pts, at_k.vals, at_k.lo, at_k.hi, at_k.diam,
-            block.min(axis=1), block.max(axis=1),
-            2 * model.M[1] * model.s_norm[1] ** extra)
-
-
 @pytest.mark.parametrize(
     "name", ["example5_case2", "example5_case1_sin", "degenerate_cube"]
 )
@@ -148,13 +139,21 @@ def test_one_pass_samples_equal_level0_replay(name):
     # the budget shrinks the refinement depth of the deepest levels
     assert got[0].extra == 4 and got[-1].extra < 4
     assert model.N ** (kmax + 4) * len(model.domain.v0) > cell_budget()
-    for sample in got:
-        ref = _replayed_sample(model, sample.level, sample.extra)
-        fields = (sample.vert_pts, sample.vert_vals, sample.cell_lo,
-                  sample.cell_hi, sample.cell_diam, sample.vmin, sample.vmax)
-        for a, b in zip(fields, ref[:7]):
-            assert np.array_equal(a, b)
-        assert sample.slack == ref[7]
+    # one replay level at a time: the deepest ones take hundreds of MB
+    depth = max(s.level + s.extra for s in got)
+    for level, (_, vals, lo, hi, diam) in enumerate(
+            _replay_levels(model, depth)):
+        for sample in got:
+            k, e = sample.level, sample.extra
+            if k == level:
+                for a, b in ((sample.cell_lo, lo), (sample.cell_hi, hi),
+                             (sample.cell_diam, diam)):
+                    assert np.array_equal(a, b)
+            if k + e == level:
+                block = vals.reshape(model.N**k, -1)
+                assert np.array_equal(sample.vmin, block.min(axis=1))
+                assert np.array_equal(sample.vmax, block.max(axis=1))
+                assert sample.slack == 2 * model.M[1] * model.s_norm[1] ** e
 
 
 def test_graph_samples_order_and_single_entry():

@@ -7,25 +7,26 @@ import numpy as np
 import pytest
 
 from conftest import get_model
-from fifdim import engine
+from fifdim import engine, oscillation
 from fifdim.dimension import _equal_ratio, box_count, empirical_dimension
 from fifdim.domains import point_keys, unique_rows
-from fifdim.engine import CellTable, apply_T, evaluate_on_vk, graph_samples
+from fifdim.engine import GraphSample, apply_T, evaluate_on_vk, graph_samples
 from fifdim.oscillation import seminorm
 
 SWEEP_CONFIGS = ["example5_case2", "example5_case1_sin", "example5_case1_one",
                  "degenerate_cube", "sg_exact"]
 
 
-def _replay(model, depth):
-    """Levels 0..depth as (pts, vals, lo, hi, diam), each pushed whole from
-    level 0 with the per-map arithmetic of the recursion."""
+def _replay_levels(model, depth):
+    """Levels 0..depth as (pts, vals, lo, hi, diam), one at a time, each
+    pushed whole from level 0 with the per-map arithmetic of the
+    recursion."""
     d = model.domain
     v0 = d.v0_array
     lo, hi = d.base.bounding_box()
     lev = (v0[None], model.p_at(v0)[None], lo[None], hi[None],
            np.array([d.base.diameter]))
-    levels = [lev]
+    yield lev
     for _ in range(depth):
         pts, vals, lo, hi, diam = lev
         C, P, m = pts.shape
@@ -40,8 +41,11 @@ def _replay(model, depth):
                                       diam * mp.ratio)):
                 out[j].append(part)
         lev = tuple(np.concatenate(parts) for parts in out)
-        levels.append(lev)
-    return levels
+        yield lev
+
+
+def _replay(model, depth):
+    return list(_replay_levels(model, depth))
 
 
 def _same_bits(a, b):
@@ -64,10 +68,9 @@ def _assert_samples_equal_replay(model, extras):
         extras.items(), key=lambda ke: (sum(ke), ke[0]))
     for sample in got:
         k, e = sample.level, sample.extra
-        pts, vals, lo, hi, diam = levels[k]
+        _, _, lo, hi, diam = levels[k]
         block = levels[k + e][1].reshape(model.N**k, -1)
-        for a, b in ((sample.vert_pts, pts), (sample.vert_vals, vals),
-                     (sample.cell_lo, lo), (sample.cell_hi, hi),
+        for a, b in ((sample.cell_lo, lo), (sample.cell_hi, hi),
                      (sample.cell_diam, diam),
                      (sample.vmin, block.min(axis=1)),
                      (sample.vmax, block.max(axis=1))):
@@ -119,18 +122,14 @@ def test_vk_and_apply_T_equal_replay(name, small_blocks):
 def _replayed_estimate(model, k_min, k_max, depth):
     """empirical_dimension's entries from whole replayed levels."""
     levels = _replay(model, depth)
-    m, n = model.domain.m, model.N
     diam = model.geom.diameter
 
     def table(k, level):
-        _, vals, lo, hi, _ = levels[level]
-        c = n**k
-        return CellTable(lo.reshape(c, -1, m).min(axis=1),
-                         hi.reshape(c, -1, m).max(axis=1),
-                         vals.reshape(c, -1).min(axis=1),
-                         vals.reshape(c, -1).max(axis=1))
+        vals = levels[level][1].reshape(model.N**k, -1)
+        return GraphSample(model.domain, k, level - k, vals.min(axis=1),
+                           vals.max(axis=1), 0.0)
 
-    if _equal_ratio(model) or m > 1:
+    if _equal_ratio(model) or model.domain.m > 1:
         e = depth - k_max
         return [(k, diam / model.geom.lam**k,
                  box_count(table(k, k + e), diam / model.geom.lam**k))
@@ -188,8 +187,9 @@ def test_empirical_memory_bounded():
 
 
 def test_seminorm_memory_bounded():
-    # about 77 MB when every swept level carried boxes and diameters in
-    # blocks of 2^18 slots; the twelve samples themselves take 55 MB
+    # 17 MB here, 12 MB of it the value ranges of the twelve samples; it
+    # was 62 MB when the samples also held vertex points, boxes and
+    # diameters
     model = get_model("example5_case2")
     tracemalloc.start()
     try:
@@ -197,4 +197,32 @@ def test_seminorm_memory_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 65 * 2**20
+    assert peak < 20 * 2**20
+
+
+@pytest.mark.parametrize("name", ["example5_case1_one", "degenerate_cube",
+                                  "sg_exact"])
+def test_domain_cell_geometry_equals_replay(name):
+    d = get_model(name).domain
+    for k, (_, _, lo, hi, diam) in enumerate(
+            _replay_levels(get_model(name), 5)):
+        got_lo, got_hi = d.cell_boxes(k)
+        assert _same_bits(got_lo, lo) and _same_bits(got_hi, hi)
+        assert _same_bits(d.cell_diams(k), diam)
+
+
+def test_seminorm_samples_make_no_geometry(monkeypatch):
+    # the seminorm reads value ranges only: no sample makes cell boxes
+    # (cached on the sample once made) or diameters
+    model = get_model("sg_exact")
+    seen, total_osc = [], oscillation.total_osc
+    monkeypatch.setattr(oscillation, "total_osc",
+                        lambda sample: seen.append(sample) or total_osc(sample))
+
+    def fail(self, k):
+        raise AssertionError("cell diameters made")
+
+    monkeypatch.setattr(type(model.domain), "cell_diams", fail)
+    seminorm(model, 1.0, kmax=5)
+    assert [s.level for s in seen] == [1, 2, 3, 4, 5]
+    assert all("cell_boxes" not in s.__dict__ for s in seen)
