@@ -11,13 +11,13 @@ import math
 from pathlib import Path
 
 from fifdim import (
-    bounds_gasket,
     build_model,
     empirical_dimension,
     evaluate_on_vk,
     load_config,
     scatter_chart,
 )
+from fifdim.dimension import theoretical_entries
 
 HERE = Path(__file__).resolve().parent
 OUT = HERE / "out"
@@ -26,7 +26,7 @@ OUT.mkdir(exist_ok=True)
 cfg = load_config(str(HERE.parent / "configs" / "sg_exact.json"))
 model = build_model(cfg.spec)
 
-for e in bounds_gasket(model):
+for e in theoretical_entries(model):
     if e.applies:
         print(f"{e.kind:5s} {e.value:.5f}  [{e.theorem}]")
 target = 1 + math.log2(3 * 0.8)

@@ -19,8 +19,8 @@ from .dimension import (
     exact_dim_cube,
     find_witness,
     gammas,
-    lower_bound_cube,
     lower_bound_interval_variable_s,
+    lower_bound_noncollinear,
     reconcile,
     upper_bound,
     witness_height_check,

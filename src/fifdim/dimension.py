@@ -14,16 +14,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import BudgetError, cell_budget
 from .engine import (
     FifModel,
     GraphSample,
     ModelError,
+    _fit_extra,
+    _unwind,
     graph_sample,
     graph_samples,
 )
+from .exprs import SHAPES
 
 __all__ = [
+    "FLAVORS",
     "GammaReport",
     "CollinearWitness",
     "BoundEntry",
@@ -33,7 +36,7 @@ __all__ = [
     "find_witness",
     "witness_height_check",
     "upper_bound",
-    "lower_bound_cube",
+    "lower_bound_noncollinear",
     "exact_dim_cube",
     "bounds_gasket",
     "lower_bound_interval_variable_s",
@@ -45,6 +48,13 @@ __all__ = [
 
 # --------------------------------------------------------------------------
 # Gamma family
+
+# Flavor j of the non-collinearity theorem: the shape q must have, the sign
+# a witness's L must have (a signed flavor also needs s_i >= 0), its text.
+FLAVORS = {
+    j: (shape, sign, {0: "L != 0", 1: "L > 0", -1: "L < 0"}[sign])
+    for j, (shape, sign) in enumerate(SHAPES, start=1)
+}
 
 
 @dataclass
@@ -63,16 +73,12 @@ def _class_value(model: FifModel, i: int, flavor: int, r: int) -> float:
     if not s_f.is_constant:
         return 0.0
     c = float(s_f.constant_value)
-    allax = frozenset(range(1, model.domain.m + 1))
-    if flavor == 1:
-        axes = q_f.affine_in
-        ok = axes >= allax if r == 0 else r in axes
-        return abs(c) if ok else 0.0
-    if c < 0:
+    shape, sign, _ = FLAVORS[flavor]
+    axes = getattr(q_f, f"{shape}_in")
+    ok = r in axes if r else axes >= frozenset(range(1, model.domain.m + 1))
+    if not ok or (sign and c < 0):  # a signed flavor needs s_i >= 0
         return 0.0
-    axes = q_f.concave_in if flavor == 2 else q_f.convex_in
-    ok = axes >= allax if r == 0 else r in axes
-    return c if ok else 0.0
+    return abs(c)
 
 
 def gammas(model: FifModel) -> GammaReport:
@@ -82,7 +88,7 @@ def gammas(model: FifModel) -> GammaReport:
     g0_hi = sum(b[1] for b in model.s_inf)
     flavored: dict[tuple[int, int], float] = {}
     prov: dict[tuple[int, int], list[int]] = {}
-    for flavor in (1, 2, 3):
+    for flavor in FLAVORS:
         for r in range(model.domain.m + 1):
             vals = [_class_value(model, i, flavor, r) for i in range(model.N)]
             flavored[(flavor, r)] = float(sum(vals))
@@ -171,11 +177,7 @@ def find_witness(
     best: CollinearWitness | None = None
     for y1, y2, y3, lam in _iter_triples(model, r):
         L = _witness_L(model, y1, y2, y3, lam)
-        if abs(L) <= 1e-12:
-            continue
-        if sign > 0 and L <= 0:
-            continue
-        if sign < 0 and L >= 0:
+        if abs(L) <= 1e-12 or sign * L < 0:
             continue
         if best is None or abs(L) > abs(best.L):
             best = CollinearWitness(r, y1, y2, y3, lam, L)
@@ -193,25 +195,14 @@ def witness_height_check(
     Checks |f*(l_w(y3)) - ((1-lam) f*(l_w(y1)) + lam f*(l_w(y2)))|
     >= prod_j s_{w_j,flavor,r} |L| - 1e-9 using exact vertex recursion.
     """
-    if flavor == 2 and w.L <= 0:
-        raise ModelError("flavor 2 needs a witness with L > 0")
-    if flavor == 3 and w.L >= 0:
-        raise ModelError("flavor 3 needs a witness with L < 0")
-    if flavor not in (1, 2, 3):
+    if flavor not in FLAVORS:
         raise ModelError(f"unknown flavor {flavor}")
+    _, sign, need = FLAVORS[flavor]
+    if sign and sign * w.L <= 0:
+        raise ModelError(f"flavor {flavor} needs a witness with {need}")
 
-    def push_value(y):
-        x = np.asarray(y, float)
-        v = float(model.p_at(x)[0])
-        for j in range(len(word) - 1, -1, -1):
-            i = word[j]
-            v = float(model.s[i][0].ev(x[None, :])[0]) * v + float(
-                model.q[i][0].ev(x[None, :])[0]
-            )
-            x = np.asarray(model.domain.maps[i](x))
-        return v
-
-    v1, v2, v3 = push_value(w.y1), push_value(w.y2), push_value(w.y3)
+    v1, v2, v3 = (_unwind(model, word, np.asarray(y, float),
+                          float(model.p_at(y)[0])) for y in (w.y1, w.y2, w.y3))
     lhs = abs(v3 - ((1 - w.lam) * v1 + w.lam * v2))
     rhs = abs(w.L)
     for i in word:
@@ -291,34 +282,34 @@ def upper_bound(model: FifModel, gamma_override: float | None = None) -> BoundEn
     )
 
 
-def lower_bound_cube(model: FifModel) -> list[BoundEntry]:
-    """Non-collinearity lower bounds on product (interval/cube) domains.
+def lower_bound_noncollinear(model: FifModel) -> list[BoundEntry]:
+    """Non-collinearity lower bounds 1 + log gamma_{j,r} / log Lambda_0.
 
-    One candidate entry per axis r and flavor (none on the gasket, which
-    has no axes); entries whose value does not exceed dim K are kept but
-    flagged vacuous.
+    One candidate entry per flavor j and witness direction r: each axis
+    r = 1..m of a product domain, or r = 0 (triples in general position)
+    on the gasket.  Entries not above dim K are kept but flagged vacuous.
     """
     g = gammas(model)
-    lam0 = model.geom.lam0
-    base_dim = model.domain.dim
     out = []
-    for r in range(1, len(model.domain.axes) + 1):
-        for flavor, sign, need in ((1, 0, "L != 0"), (2, 1, "L > 0"), (3, -1, "L < 0")):
+    for r in range(1, len(model.domain.axes) + 1) or (0,):
+        for flavor, (_, sign, need) in FLAVORS.items():
             gv = g.flavored[(flavor, r)]
             if gv <= 0:
                 continue
             w = find_witness(model, r, sign=sign)
-            value = 1 + math.log(gv) / math.log(lam0)
+            value = 1 + math.log(gv) / math.log(model.geom.lam0)
             out.append(
                 BoundEntry(
-                    theorem=f"noncollinear_lower_flavor{flavor}_axis{r}",
+                    theorem=f"noncollinear_lower_flavor{flavor}_axis{r}" if r
+                    else f"gasket_lower_flavor{flavor}",
                     kind="lower",
                     value=value,
                     hypotheses=[
-                        (f"witness with {need} on axis {r}", w is not None),
+                        (f"witness with {need}" + (f" on axis {r}" if r else ""),
+                         w is not None),
                         (f"gamma_{flavor},{r} > 0", True),
                     ],
-                    vacuous=value <= base_dim + 1e-12,
+                    vacuous=value <= model.domain.dim + 1e-12,
                     note=f"gamma_{flavor},{r} = {gv:.10g}"
                     + (f"; witness |L| = {abs(w.L):.10g}" if w else ""),
                 )
@@ -352,22 +343,17 @@ def exact_dim_cube(model: FifModel) -> BoundEntry | None:
     gamma = sum(abs(f.constant_value) for _, f in model.s)
     holder_ok = _holder_declared(model)
 
-    # witness + matching shape route, per axis
-    route = None
-    for r in range(1, m + 1):
-        if all(r in f.affine_in for _, f in model.q):
-            if find_witness(model, r, sign=0) is not None:
-                route = (r, "affine")
-                break
-        nonneg = all(f.constant_value >= 0 for _, f in model.s)
-        if nonneg and all(r in f.concave_in for _, f in model.q):
-            if find_witness(model, r, sign=+1) is not None:
-                route = (r, "concave, L > 0")
-                break
-        if nonneg and all(r in f.convex_in for _, f in model.q):
-            if find_witness(model, r, sign=-1) is not None:
-                route = (r, "convex, L < 0")
-                break
+    # witness + matching shape route, per axis, in flavor order
+    nonneg = all(f.constant_value >= 0 for _, f in model.s)
+    route = next(
+        ((r, f"{shape}, {need}" if sign else shape)
+         for r in range(1, m + 1)
+         for shape, sign, need in FLAVORS.values()
+         if (nonneg or not sign)
+         and all(r in getattr(f, f"{shape}_in") for _, f in model.q)
+         and find_witness(model, r, sign=sign) is not None),
+        None,
+    )
     if route is None:
         return None
 
@@ -395,73 +381,40 @@ def exact_dim_cube(model: FifModel) -> BoundEntry | None:
 
 
 def bounds_gasket(model: FifModel) -> list[BoundEntry]:
-    """Lower bounds and the exact-dimension case on the gasket (the domain
-    without axes; product domains get the per-axis bounds instead)."""
-    d = model.domain
-    if d.axes:
+    """The exact-dimension case on the gasket (the domain without axes;
+    its lower bounds come from ``lower_bound_noncollinear``)."""
+    if model.domain.axes:
         return []
     g = gammas(model)
-    n = d.level
-    lam = 2.0**n
-    base_dim = d.dim
-    out = []
-    exact_route = None
-    for flavor, sign, need in ((1, 0, "L != 0"), (2, 1, "L > 0"), (3, -1, "L < 0")):
-        gv = g.flavored[(flavor, 0)]
-        if gv <= 0:
-            continue
-        w = find_witness(model, 0, sign=sign)
-        value = 1 + math.log(gv) / math.log(lam)
-        out.append(
-            BoundEntry(
-                theorem=f"gasket_lower_flavor{flavor}",
-                kind="lower",
-                value=value,
-                hypotheses=[
-                    (f"witness with {need}", w is not None),
-                    (f"gamma_{flavor},0 > 0", True),
-                ],
-                vacuous=value <= base_dim + 1e-12,
-                note=f"gamma_{flavor},0 = {gv:.10g}"
-                + (f"; witness |L| = {abs(w.L):.10g}" if w else ""),
-            )
+    # the first flavor whose classification saturates gamma, with a witness
+    route = next((flavor for flavor, (_, sign, _) in FLAVORS.items()
+                  if 0 < g.flavored[(flavor, 0)] >= g.gamma[0] - 1e-9
+                  and find_witness(model, 0, sign=sign) is not None), None)
+    if route is None or not _holder_declared(model):
+        return []
+    n = model.domain.level
+    gamma = g.gamma[1]
+    etap = min(1.0, model.eta)
+    if gamma > (3 / 2**etap) ** n + 1e-12:
+        value = 1 + math.log(gamma) / math.log(2**n)
+        note = f"gamma = {gamma:.10g} > (3/2^eta')^n"
+    elif gamma <= 1.5**n + 1e-12 and abs(etap - 1.0) <= 1e-12:
+        value = math.log(3) / math.log(2)
+        note = f"gamma = {gamma:.10g} <= (3/2)^n, eta' = 1"
+    else:
+        return []
+    return [
+        BoundEntry(
+            theorem="gasket_exact",
+            kind="exact",
+            value=value,
+            hypotheses=[
+                ("s_i, q_i Hoelder-declared (C^eta)", True),
+                (f"flavor-{route} classification saturates gamma", True),
+            ],
+            note=note,
         )
-        if (
-            exact_route is None
-            and w is not None
-            and gv >= g.gamma[0] - 1e-9
-        ):
-            exact_route = flavor
-    if exact_route is not None and _holder_declared(model):
-        gamma = g.gamma[1]
-        etap = min(1.0, model.eta)
-        if gamma > (3 / 2**etap) ** n + 1e-12:
-            out.append(
-                BoundEntry(
-                    theorem="gasket_exact",
-                    kind="exact",
-                    value=1 + math.log(gamma) / math.log(2**n),
-                    hypotheses=[
-                        ("s_i, q_i Hoelder-declared (C^eta)", True),
-                        (f"flavor-{exact_route} classification saturates gamma", True),
-                    ],
-                    note=f"gamma = {gamma:.10g} > (3/2^eta')^n",
-                )
-            )
-        elif gamma <= 1.5**n + 1e-12 and abs(etap - 1.0) <= 1e-12:
-            out.append(
-                BoundEntry(
-                    theorem="gasket_exact",
-                    kind="exact",
-                    value=math.log(3) / math.log(2),
-                    hypotheses=[
-                        ("s_i, q_i Hoelder-declared (C^eta)", True),
-                        (f"flavor-{exact_route} classification saturates gamma", True),
-                    ],
-                    note=f"gamma = {gamma:.10g} <= (3/2)^n, eta' = 1",
-                )
-            )
-    return out
+    ]
 
 
 def lower_bound_interval_variable_s(model: FifModel) -> BoundEntry | None:
@@ -486,7 +439,7 @@ def lower_bound_interval_variable_s(model: FifModel) -> BoundEntry | None:
     )
     corollary = None
     if bv_facts:
-        for flavor, sign in ((1, 0), (2, 1), (3, -1)):
+        for flavor, (_, sign, _) in FLAVORS.items():
             if g.flavored[(flavor, 0)] > 1 and find_witness(model, 1, sign=sign):
                 corollary = flavor
                 break
@@ -627,13 +580,7 @@ def empirical_dimension(
         raise ModelError("k_max must be >= k_min")
     if extra < 0:
         raise ModelError("extra must be >= 0")
-    budget = cell_budget()
-    p = len(model.domain.v0)
-    depth = k_max + extra
-    while depth > k_max and model.N**depth * p > budget:
-        depth -= 1
-    if model.N**depth * p > budget:
-        raise BudgetError("empirical estimation exceeds the cell budget")
+    depth = k_max + _fit_extra(model, k_max, extra)
 
     diam = model.geom.diameter
     if _equal_ratio(model) or model.domain.m > 1:
@@ -704,7 +651,7 @@ def theoretical_entries(
     entries = [upper_bound(model)]
     if gamma_pin is not None:
         entries.append(upper_bound(model, gamma_override=gamma_pin))
-    entries.extend(lower_bound_cube(model))
+    entries.extend(lower_bound_noncollinear(model))
     for entry in (exact_dim_cube(model), lower_bound_interval_variable_s(model)):
         if entry is not None:
             entries.append(entry)

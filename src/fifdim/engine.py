@@ -421,9 +421,25 @@ def _push(model: FifModel, lev: _Level, pts: bool = True) -> _Level:
                     for p in zip(*kids)))
 
 
+def _fits(model: FifModel, depth: int) -> bool:
+    """Whether level ``depth`` (N^depth x |V_0| vertex slots) fits the budget."""
+    return model.N**depth * len(model.domain.v0) <= cell_budget()
+
+
+def _check_budget(model: FifModel, depth: int, what: str) -> None:
+    if not _fits(model, depth):
+        raise BudgetError(f"{what} exceeds the cell budget")
+
+
+def _fit_extra(model: FifModel, k: int, extra: int) -> int:
+    """The largest e <= extra whose level k + e fits the budget, else 0."""
+    while extra > 0 and not _fits(model, k + extra):
+        extra -= 1
+    return extra
+
+
 def _level_at(model: FifModel, k: int) -> _Level:
-    if model.N**k * len(model.domain.v0) > cell_budget():
-        raise BudgetError(f"level {k} exceeds the cell budget")
+    _check_budget(model, k, f"level {k}")
     lev = _level0(model)
     for _ in range(k):
         lev = _push(model, lev)
@@ -568,12 +584,16 @@ def evaluate_at(model: FifModel, x, tol: float = 1e-9) -> float:
     # still a valid address of a point within that precision of x, and
     # forward composition of the contractions recovers its orbit stably.
     y = np.clip(y, lo, hi)
-    val = d.interpolant(y, model.p_at(d.v0_array))
-    for i in reversed(path):
+    return _unwind(model, path, y, d.interpolant(y, model.p_at(d.v0_array)))
+
+
+def _unwind(model: FifModel, word, y: np.ndarray, val: float) -> float:
+    """f*(l_word(y)) from val = f*(y), innermost symbol of ``word`` first."""
+    for i in reversed(word):
         s_v = float(model.s[i][0].ev(y[None, :])[0])
         q_v = float(model.q[i][0].ev(y[None, :])[0])
         val = s_v * val + q_v
-        y = d.maps[i](y)
+        y = model.domain.maps[i](y)
     return float(val)
 
 
@@ -658,8 +678,7 @@ def graph_samples(
     if any(k < 1 or e < 0 for k, e in extras.items()):
         raise ModelError("k must be >= 1 and extra >= 0")
     depth = max((k + e for k, e in extras.items()), default=0)
-    if model.N**depth * len(model.domain.v0) > cell_budget():
-        raise BudgetError(f"graph sample depth {depth} exceeds the cell budget")
+    _check_budget(model, depth, f"graph sample depth {depth}")
     n = model.N
     # level k + e -> its finest k
     finest = {k + e: k for k, e in sorted(extras.items())}

@@ -37,6 +37,7 @@ __all__ = [
     "Pow",
     "Sin",
     "Cos",
+    "SHAPES",
     "ShapeFacts",
     "ExprError",
     "ExprSyntaxError",
@@ -407,6 +408,12 @@ def eval_expr(e: Expr, x) -> np.ndarray | float:
 # Shape facts
 
 
+# Each declarable shape with the sign its midpoint gap
+# e((a + b) / 2) - (e(a) + e(b)) / 2 must have (0: the gap vanishes); the
+# non-collinearity flavors of ``dimension.FLAVORS`` follow this table.
+SHAPES = (("affine", 0), ("concave", 1), ("convex", -1))
+
+
 @dataclass(frozen=True)
 class ShapeFacts:
     """User-declared structural facts about an expression.
@@ -567,20 +574,11 @@ def audit_shape(
         mid = 0.5 * (a + b)
         return a, b, mid
 
-    for fact, axes, sign in (
-        ("affine", facts.affine_in, 0),
-        ("concave", facts.concave_in, +1),
-        ("convex", facts.convex_in, -1),
-    ):
-        for r in sorted(axes):
+    for fact, sign in SHAPES:
+        for r in sorted(getattr(facts, f"{fact}_in")):
             a, b, mid = axis_triples(r)
             gap = e.ev(mid) - 0.5 * (e.ev(a) + e.ev(b))
-            if fact == "affine":
-                bad = np.abs(gap) > tol
-            elif fact == "concave":
-                bad = gap < -tol
-            else:
-                bad = gap > tol
+            bad = sign * gap < -tol if sign else np.abs(gap) > tol
             if np.any(bad):
                 j = int(np.argmax(np.abs(gap) * bad))
                 out.append(ShapeViolation(fact, r, tuple(mid[j]), float(abs(gap[j]))))

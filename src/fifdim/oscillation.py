@@ -12,8 +12,7 @@ import math
 
 import numpy as np
 
-from .domains import cell_budget
-from .engine import FifModel, GraphSample, graph_samples
+from .engine import FifModel, GraphSample, _fit_extra, graph_samples
 
 __all__ = [
     "cell_osc",
@@ -39,16 +38,9 @@ def total_osc(sample: GraphSample, k: int | None = None) -> tuple[float, float]:
 
 
 def _samples_up_to(model: FifModel, kmax: int, extra: int = 4):
-    budget = cell_budget()
-    p = len(model.domain.v0)
-    extras = {}
-    for k in range(1, kmax + 1):
-        # shrink the refinement depth near the budget; lo-ends stay valid
-        e = extra
-        while e > 0 and model.N ** (k + e) * p > budget:
-            e -= 1
-        extras[k] = e
-    return graph_samples(model, extras)
+    # shrink the refinement depth near the budget; lo-ends stay valid
+    return graph_samples(model, {k: _fit_extra(model, k, extra)
+                                 for k in range(1, kmax + 1)})
 
 
 def _check_args(model: FifModel, eta: float, kmax: int | None) -> int:

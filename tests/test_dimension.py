@@ -18,8 +18,8 @@ from fifdim.dimension import (
     exact_dim_cube,
     find_witness,
     gammas,
-    lower_bound_cube,
     lower_bound_interval_variable_s,
+    lower_bound_noncollinear,
     reconcile,
     theoretical_entries,
     upper_bound,
@@ -149,7 +149,7 @@ def test_upper_bound_small_gamma_case():
 
 def test_lower_bound_case1_values():
     # [PAPER] 1 + log_{15/4}(3/2) = 1.30676 for f = 1
-    entries = lower_bound_cube(get_model("example5_case1_one"))
+    entries = lower_bound_noncollinear(get_model("example5_case1_one"))
     by_name = {e.theorem: e for e in entries}
     e = by_name["noncollinear_lower_flavor2_axis1"]
     assert e.value == pytest.approx(
@@ -162,7 +162,7 @@ def test_lower_bound_case1_values():
 
 def test_lower_bound_sin_value():
     # [PAPER] 1 + log_{15/4}(5/4) = 1.16882
-    entries = lower_bound_cube(get_model("example5_case1_sin"))
+    entries = lower_bound_noncollinear(get_model("example5_case1_sin"))
     e = {x.theorem: x for x in entries}["noncollinear_lower_flavor2_axis1"]
     assert e.value == pytest.approx(1.16882, abs=1e-5)
     assert e.applies
@@ -189,12 +189,12 @@ def test_exact_dim_cube_degenerate_returns_m():
 
 def test_bounds_gasket_exact():
     # [DERIVED] n=1, s = 0.8: 1 + log2(2.4) = 2.26303
-    entries = bounds_gasket(get_model("sg_exact"))
-    exact = [e for e in entries if e.kind == "exact"]
-    assert len(exact) == 1
+    model = get_model("sg_exact")
+    exact = bounds_gasket(model)
+    assert [e.kind for e in exact] == ["exact"]
     assert exact[0].value == pytest.approx(1 + math.log2(2.4), abs=1e-9)
     assert exact[0].value == pytest.approx(2.26303, abs=1e-5)
-    lowers = [e for e in entries if e.kind == "lower" and e.applies]
+    lowers = [e for e in lower_bound_noncollinear(model) if e.applies]
     assert lowers and all(
         e.value == pytest.approx(1 + math.log2(2.4)) for e in lowers
     )
@@ -258,6 +258,201 @@ def test_witness_height_check_level3_exhaustive():
     w = CollinearWitness(1, (0.0,), (2 / 3,), (1 / 3,), 0.5, 1 / 3)
     for word in itertools.product(range(3), repeat=3):
         assert witness_height_check(model, word, w, 2)
+
+
+# --------------------------------------------------------------------------
+# Bound entries the bundled configs do not reach, pinned to the values of
+# the per-domain builders that the flavor-table builder replaced
+
+
+TRIANGLE = [[0, 0], [1, 0], [0.5, math.sqrt(3) / 2]]
+
+
+def _on_nodes(d, step, mod, shift, scale):
+    """Dyadic data ((step * j) % mod - shift) / scale on node j of V_1."""
+    return [(tuple(p), ((step * j) % mod - shift) / scale)
+            for j, p in enumerate(vertex_set(d, 1))]
+
+
+def _pinned_models():
+    third = (0.0, 1 / 3, 2 / 3, 1.0)
+    gasket2 = gasket_domain(TRIANGLE, 2)  # N = 9, Lambda_0 = 4
+    cube3 = cube_domain([((0, 0.5, 1), (0, 1))] * 3)
+    gasket1 = gasket_domain(TRIANGLE, 1)
+    interval = interval_domain(third, (0, 1, 0))
+    wavy = interval_domain(third, (0, 0, 0))
+    return {
+        "gasket_level2": build_model(FifSpec(
+            gasket2, _on_nodes(gasket2, 3, 7, 3, 4),
+            [(Const(0.5), None)] * 9, "solve")),
+        "cube_2x2x2": build_model(FifSpec(
+            cube3, _on_nodes(cube3, 5, 11, 5, 8),
+            [(Const(0.6), None)] * 8, "solve")),
+        "interval_negative_scale": build_model(FifSpec(
+            interval, [((x,), v) for x, v in zip(third, (0, 0.5, -0.25, 0))],
+            [(Const(c), None) for c in (-0.5, 0.75, 0.5)], "solve")),
+        "interval_variable_scale": build_model(FifSpec(
+            wavy, [((x,), v) for x, v in zip(third, (0, 0.5, 1 / 3, 0))],
+            [(parse_expr("sin(x1)/4"), ShapeFacts(
+                concave_in={1}, holder_exponent=1.0, holder_constant=0.25)),
+             (parse_expr("1/2"), None), (parse_expr("3/4"), None)],
+            "solve", 1.0)),
+        "gasket_small_gamma": build_model(FifSpec(  # 3 s <= 2
+            gasket1, _on_nodes(gasket1, 2, 5, 2, 2),
+            [(Const(0.4), None)] * 3, "solve")),
+    }
+
+
+def _entry(theorem, kind, value, hypotheses, note, vacuous=False,
+           heuristic=False):
+    return {"theorem": theorem, "kind": kind, "value": value,
+            "hypotheses": [{"name": n, "pass": ok} for n, ok in hypotheses],
+            "vacuous": vacuous, "heuristic": heuristic, "note": note}
+
+
+PINNED_ENTRIES = {
+    "gasket_level2": [
+        _entry("oscillation_upper", "upper", 2.084962500721156,
+               [("s_i, q_i Hoelder-declared (C^eta)", True)],
+               "case fired: gamma > N / Lambda^eta'; gamma = 4.5"),
+        _entry("gasket_lower_flavor1", "lower", 2.084962500721156,
+               [("witness with L != 0", True), ("gamma_1,0 > 0", True)],
+               "gamma_1,0 = 4.5; witness |L| = 1.5"),
+        _entry("gasket_lower_flavor2", "lower", 2.084962500721156,
+               [("witness with L > 0", True), ("gamma_2,0 > 0", True)],
+               "gamma_2,0 = 4.5; witness |L| = 1.5"),
+        _entry("gasket_lower_flavor3", "lower", 2.084962500721156,
+               [("witness with L < 0", True), ("gamma_3,0 > 0", True)],
+               "gamma_3,0 = 4.5; witness |L| = 1.5"),
+        _entry("gasket_exact", "exact", 2.084962500721156,
+               [("s_i, q_i Hoelder-declared (C^eta)", True),
+                ("flavor-1 classification saturates gamma", True)],
+               "gamma = 4.5 > (3/2^eta')^n"),
+    ],
+    "cube_2x2x2": [
+        _entry("oscillation_upper", "upper", 3.263034405833794,
+               [("s_i, q_i Hoelder-declared (C^eta)", True)],
+               "case fired: gamma > N / Lambda^eta'; gamma = 4.8"),
+        _entry("noncollinear_lower_flavor1_axis1", "lower", 3.263034405833794,
+               [("witness with L != 0 on axis 1", True),
+                ("gamma_1,1 > 0", True)],
+               "gamma_1,1 = 4.8; witness |L| = 1"),
+        _entry("noncollinear_lower_flavor2_axis1", "lower", 3.263034405833794,
+               [("witness with L > 0 on axis 1", True),
+                ("gamma_2,1 > 0", True)],
+               "gamma_2,1 = 4.8; witness |L| = 1"),
+        _entry("noncollinear_lower_flavor3_axis1", "lower", 3.263034405833794,
+               [("witness with L < 0 on axis 1", True),
+                ("gamma_3,1 > 0", True)],
+               "gamma_3,1 = 4.8; witness |L| = 0.4375"),
+        _entry("noncollinear_lower_flavor1_axis2", "lower", 3.263034405833794,
+               [("witness with L != 0 on axis 2", True),
+                ("gamma_1,2 > 0", True)],
+               "gamma_1,2 = 4.8; witness |L| = 0.9375"),
+        _entry("noncollinear_lower_flavor2_axis2", "lower", 3.263034405833794,
+               [("witness with L > 0 on axis 2", True),
+                ("gamma_2,2 > 0", True)],
+               "gamma_2,2 = 4.8; witness |L| = 0.9375"),
+        _entry("noncollinear_lower_flavor3_axis2", "lower", 3.263034405833794,
+               [("witness with L < 0 on axis 2", True),
+                ("gamma_3,2 > 0", True)],
+               "gamma_3,2 = 4.8; witness |L| = 0.875"),
+        _entry("noncollinear_lower_flavor1_axis3", "lower", 3.263034405833794,
+               [("witness with L != 0 on axis 3", True),
+                ("gamma_1,3 > 0", True)],
+               "gamma_1,3 = 4.8; witness |L| = 0.75"),
+        _entry("noncollinear_lower_flavor2_axis3", "lower", 3.263034405833794,
+               [("witness with L > 0 on axis 3", True),
+                ("gamma_2,3 > 0", True)],
+               "gamma_2,3 = 4.8; witness |L| = 0.75"),
+        _entry("noncollinear_lower_flavor3_axis3", "lower", 3.263034405833794,
+               [("witness with L < 0 on axis 3", True),
+                ("gamma_3,3 > 0", True)],
+               "gamma_3,3 = 4.8; witness |L| = 0.6875"),
+        _entry("exact_dim_equally_spaced", "exact", 3.263034405833794,
+               [("equally spaced, equal n per axis", True),
+                ("all s_i constant", True),
+                ("q_i Hoelder-declared (C^eta)", True),
+                ("witness with q affine on axis 1", True)],
+               "gamma = 4.8 > n^(m - eta')"),
+    ],
+    "interval_negative_scale": [
+        _entry("oscillation_upper", "upper", 1.5093842420185073,
+               [("s_i, q_i Hoelder-declared (C^eta)", True)],
+               "case fired: gamma > N / Lambda^eta'; gamma = 1.75"),
+        _entry("noncollinear_lower_flavor1_axis1", "lower", 1.5093842420185073,
+               [("witness with L != 0 on axis 1", True),
+                ("gamma_1,1 > 0", True)],
+               "gamma_1,1 = 1.75; witness |L| = 0.625"),
+        _entry("noncollinear_lower_flavor2_axis1", "lower", 1.2031140135750122,
+               [("witness with L > 0 on axis 1", True),
+                ("gamma_2,1 > 0", True)],
+               "gamma_2,1 = 1.25; witness |L| = 0.625"),
+        _entry("noncollinear_lower_flavor3_axis1", "lower", 1.2031140135750122,
+               [("witness with L < 0 on axis 1", True),
+                ("gamma_3,1 > 0", True)],
+               "gamma_3,1 = 1.25; witness |L| = 0.5"),
+        _entry("exact_dim_equally_spaced", "exact", 1.5093842420185073,
+               [("equally spaced, equal n per axis", True),
+                ("all s_i constant", True),
+                ("q_i Hoelder-declared (C^eta)", True),
+                ("witness with q affine on axis 1", True)],
+               "gamma = 1.75 > n^(m - eta')"),
+        _entry("variable_scale_lower", "lower", 1.5093842420185073,
+               [("equally spaced interval", True),
+                ("bounded-variation shape facts (eta = 1)", True),
+                ("flavor-1 witness with flavored gamma > 1", True)],
+               "gamma_0 = 1.75 (corollary route)"),
+    ],
+    "interval_variable_scale": [
+        _entry("oscillation_upper", "upper", 1.3447349737221133,
+               [("s_i, q_i Hoelder-declared (C^eta)", True)],
+               "case fired: gamma > N / Lambda^eta'; gamma = 1.460428781"),
+        _entry("noncollinear_lower_flavor1_axis1", "lower", 1.2031140135750122,
+               [("witness with L != 0 on axis 1", True),
+                ("gamma_1,1 > 0", True)],
+               "gamma_1,1 = 1.25; witness |L| = 0.5"),
+        _entry("noncollinear_lower_flavor2_axis1", "lower", 1.2031140135750122,
+               [("witness with L > 0 on axis 1", True),
+                ("gamma_2,1 > 0", True)],
+               "gamma_2,1 = 1.25; witness |L| = 0.5"),
+        _entry("noncollinear_lower_flavor3_axis1", "lower", 1.2031140135750122,
+               [("witness with L < 0 on axis 1", False),
+                ("gamma_3,1 > 0", True)],
+               "gamma_3,1 = 1.25"),
+        _entry("variable_scale_lower", "lower", 1.2031140135750122,
+               [("equally spaced interval", True),
+                ("bounded-variation shape facts (eta = 1)", True),
+                ("flavor-1 witness with flavored gamma > 1", True)],
+               "gamma_0 = 1.25 (corollary route)"),
+    ],
+    "gasket_small_gamma": [
+        _entry("oscillation_upper", "upper", 1.5849625007211563,
+               [("s_i, q_i Hoelder-declared (C^eta)", True)],
+               "case fired: gamma <= N / Lambda^eta'; gamma = 1.2"),
+        _entry("gasket_lower_flavor1", "lower", 1.2630344058337941,
+               [("witness with L != 0", True), ("gamma_1,0 > 0", True)],
+               "gamma_1,0 = 1.2; witness |L| = 2", vacuous=True),
+        _entry("gasket_lower_flavor2", "lower", 1.2630344058337941,
+               [("witness with L > 0", True), ("gamma_2,0 > 0", True)],
+               "gamma_2,0 = 1.2; witness |L| = 2", vacuous=True),
+        _entry("gasket_lower_flavor3", "lower", 1.2630344058337941,
+               [("witness with L < 0", False), ("gamma_3,0 > 0", True)],
+               "gamma_3,0 = 1.2", vacuous=True),
+        _entry("gasket_exact", "exact", 1.5849625007211563,
+               [("s_i, q_i Hoelder-declared (C^eta)", True),
+                ("flavor-1 classification saturates gamma", True)],
+               "gamma = 1.2 <= (3/2)^n, eta' = 1"),
+    ],
+}
+
+
+def test_theoretical_entries_pinned():
+    models = _pinned_models()
+    assert list(models) == list(PINNED_ENTRIES)
+    for name, model in models.items():
+        got = [e.to_dict() for e in theoretical_entries(model)]
+        assert got == PINNED_ENTRIES[name], name
 
 
 # --------------------------------------------------------------------------

@@ -139,10 +139,11 @@ def test_one_pass_samples_equal_level0_replay(name):
     # the budget shrinks the refinement depth of the deepest levels
     assert got[0].extra == 4 and got[-1].extra < 4
     assert model.N ** (kmax + 4) * len(model.domain.v0) > cell_budget()
-    # one replay level at a time: the deepest ones take hundreds of MB
+    # one replay level at a time, with geometry only down to kmax: the
+    # deepest levels take hundreds of MB
     depth = max(s.level + s.extra for s in got)
     for level, (_, vals, lo, hi, diam) in enumerate(
-            _replay_levels(model, depth)):
+            _replay_levels(model, depth, geometry_to=kmax)):
         for sample in got:
             k, e = sample.level, sample.extra
             if k == level:

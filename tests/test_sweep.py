@@ -17,17 +17,20 @@ SWEEP_CONFIGS = ["example5_case2", "example5_case1_sin", "example5_case1_one",
                  "degenerate_cube", "sg_exact"]
 
 
-def _replay_levels(model, depth):
+def _replay_levels(model, depth, geometry_to=None):
     """Levels 0..depth as (pts, vals, lo, hi, diam), one at a time, each
     pushed whole from level 0 with the per-map arithmetic of the
-    recursion."""
+    recursion.  Boxes and diameters are carried down to level
+    ``geometry_to`` (all levels by default) and are None below it; the
+    last level has no points, since nothing pushes it."""
+    geometry_to = depth if geometry_to is None else geometry_to
     d = model.domain
     v0 = d.v0_array
     lo, hi = d.base.bounding_box()
     lev = (v0[None], model.p_at(v0)[None], lo[None], hi[None],
            np.array([d.base.diameter]))
     yield lev
-    for _ in range(depth):
+    for level in range(1, depth + 1):
         pts, vals, lo, hi, diam = lev
         C, P, m = pts.shape
         flat = pts.reshape(C * P, m)
@@ -35,12 +38,15 @@ def _replay_levels(model, depth):
         for i, mp in enumerate(d.maps):
             s_v = model.s[i][0].ev(flat).reshape(C, P)
             q_v = model.q[i][0].ev(flat).reshape(C, P)
-            a, b = mp(lo), mp(hi)
-            for j, part in enumerate((mp(pts), s_v * vals + q_v,
-                                      np.minimum(a, b), np.maximum(a, b),
-                                      diam * mp.ratio)):
-                out[j].append(part)
-        lev = tuple(np.concatenate(parts) for parts in out)
+            out[1].append(s_v * vals + q_v)
+            if level < depth:
+                out[0].append(mp(pts))
+            if level <= geometry_to:
+                a, b = mp(lo), mp(hi)
+                out[2].append(np.minimum(a, b))
+                out[3].append(np.maximum(a, b))
+                out[4].append(diam * mp.ratio)
+        lev = tuple(np.concatenate(parts) if parts else None for parts in out)
         yield lev
 
 
