@@ -16,8 +16,8 @@ from fifdim import (
     evaluate_on_vk,
     load_config,
     scatter_chart,
+    theoretical_entries,
 )
-from fifdim.dimension import theoretical_entries
 
 HERE = Path(__file__).resolve().parent
 OUT = HERE / "out"

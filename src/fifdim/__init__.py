@@ -22,6 +22,7 @@ from .dimension import (
     lower_bound_interval_variable_s,
     lower_bound_noncollinear,
     reconcile,
+    theoretical_entries,
     upper_bound,
     witness_height_check,
 )

@@ -9,12 +9,15 @@ ends), so numerical sup/inf estimation cannot flip a verdict.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .domains import geometry_constants
 from .engine import (
+    BLOCK_SLOTS,
     FifModel,
     GraphSample,
     ModelError,
@@ -42,6 +45,7 @@ __all__ = [
     "lower_bound_interval_variable_s",
     "box_count",
     "empirical_dimension",
+    "theoretical_entries",
     "reconcile",
 ]
 
@@ -82,10 +86,6 @@ def _class_value(model: FifModel, i: int, flavor: int, r: int) -> float:
 
 
 def gammas(model: FifModel) -> GammaReport:
-    g_lo = sum(b[0] for b in model.s_sup)
-    g_hi = sum(b[1] for b in model.s_sup)
-    g0_lo = sum(b[0] for b in model.s_inf)
-    g0_hi = sum(b[1] for b in model.s_inf)
     flavored: dict[tuple[int, int], float] = {}
     prov: dict[tuple[int, int], list[int]] = {}
     for flavor in FLAVORS:
@@ -94,8 +94,8 @@ def gammas(model: FifModel) -> GammaReport:
             flavored[(flavor, r)] = float(sum(vals))
             prov[(flavor, r)] = [i for i, v in enumerate(vals) if v > 0]
     return GammaReport(
-        gamma=(g_lo, g_hi),
-        gamma0=(g0_lo, g0_hi),
+        gamma=tuple(map(sum, zip(*model.s_sup))),
+        gamma0=tuple(map(sum, zip(*model.s_inf))),
         flavored=flavored,
         provenance=prov,
         eta_prime=min(1.0, model.eta),
@@ -128,43 +128,39 @@ def _iter_triples(model: FifModel, r: int):
     tol = 1e-10 * max(model.geom.diameter, 1.0)
     if r >= 1:
         other = [u for u in range(model.domain.m) if u != r - 1]
-        for a in range(n):
-            for b in range(n):
-                if a == b:
+        for a, b in itertools.permutations(range(n), 2):
+            y1, y2 = nodes[a], nodes[b]
+            if any(abs(y1[u] - y2[u]) > tol for u in other):
+                continue
+            if abs(y2[r - 1] - y1[r - 1]) <= tol:
+                continue
+            for c in range(n):
+                if c in (a, b):
                     continue
-                y1, y2 = nodes[a], nodes[b]
-                if any(abs(y1[u] - y2[u]) > tol for u in other):
+                y3 = nodes[c]
+                if any(abs(y3[u] - y1[u]) > tol for u in other):
                     continue
-                if abs(y2[r - 1] - y1[r - 1]) <= tol:
+                lam = (y3[r - 1] - y1[r - 1]) / (y2[r - 1] - y1[r - 1])
+                if not (1e-12 < lam < 1 - 1e-12):
                     continue
-                for c in range(n):
-                    if c in (a, b):
-                        continue
-                    y3 = nodes[c]
-                    if any(abs(y3[u] - y1[u]) > tol for u in other):
-                        continue
-                    lam = (y3[r - 1] - y1[r - 1]) / (y2[r - 1] - y1[r - 1])
-                    if not (1e-12 < lam < 1 - 1e-12):
-                        continue
-                    yield tuple(y1), tuple(y2), tuple(y3), float(lam)
+                yield tuple(y1), tuple(y2), tuple(y3), float(lam)
     else:
-        for a in range(n):
-            for b in range(a + 1, n):
-                y1, y2 = nodes[a], nodes[b]
-                seg = y2 - y1
-                seglen2 = float(seg @ seg)
-                if seglen2 <= tol * tol:
+        for a, b in itertools.combinations(range(n), 2):
+            y1, y2 = nodes[a], nodes[b]
+            seg = y2 - y1
+            seglen2 = float(seg @ seg)
+            if seglen2 <= tol * tol:
+                continue
+            for c in range(n):
+                if c in (a, b):
                     continue
-                for c in range(n):
-                    if c in (a, b):
-                        continue
-                    y3 = nodes[c]
-                    lam = float((y3 - y1) @ seg / seglen2)
-                    if not (1e-12 < lam < 1 - 1e-12):
-                        continue
-                    if np.linalg.norm(y3 - (y1 + lam * seg)) > tol:
-                        continue
-                    yield tuple(y1), tuple(y2), tuple(y3), lam
+                y3 = nodes[c]
+                lam = float((y3 - y1) @ seg / seglen2)
+                if not (1e-12 < lam < 1 - 1e-12):
+                    continue
+                if np.linalg.norm(y3 - (y1 + lam * seg)) > tol:
+                    continue
+                yield tuple(y1), tuple(y2), tuple(y3), lam
 
 
 def find_witness(
@@ -258,12 +254,9 @@ def upper_bound(model: FifModel, gamma_override: float | None = None) -> BoundEn
     value above m + 1 (cubes with unequal pieces per axis) is vacuous."""
     g = gammas(model)
     gamma_hi = gamma_override if gamma_override is not None else g.gamma[1]
-    lam = model.geom.lam
-    n = model.geom.N
-    etap = g.eta_prime
+    lam, n, etap = model.geom.lam, model.geom.N, g.eta_prime
     holder_ok = _holder_declared(model)
-    threshold = n / lam**etap
-    if gamma_hi <= threshold:
+    if gamma_hi <= n / lam**etap:
         value = 1 - etap + math.log(n) / math.log(lam)
         case = "gamma <= N / Lambda^eta'"
     else:
@@ -437,12 +430,9 @@ def lower_bound_interval_variable_s(model: FifModel) -> BoundEntry | None:
         f.is_constant or (f.holder_exponent is not None and f.holder_exponent >= 1.0)
         for _, f in list(model.s) + list(model.q)
     )
-    corollary = None
-    if bv_facts:
-        for flavor, (_, sign, _) in FLAVORS.items():
-            if g.flavored[(flavor, 0)] > 1 and find_witness(model, 1, sign=sign):
-                corollary = flavor
-                break
+    corollary = next((flavor for flavor, (_, sign, _) in FLAVORS.items()
+                      if bv_facts and g.flavored[(flavor, 0)] > 1
+                      and find_witness(model, 1, sign=sign)), None)
     if corollary is not None:
         value = 1 + math.log(max(gamma0_lo, 1e-300)) / math.log(n)
         return BoundEntry(
@@ -461,11 +451,9 @@ def lower_bound_interval_variable_s(model: FifModel) -> BoundEntry | None:
     # route (b): empirical divergence probe of N(r) / (N^(2-eta))^r
     if gamma0_lo <= n ** (1 - eta) + 1e-12:
         return None
-    ratios = []
-    for sample in graph_samples(model, {r: 2 for r in range(2, 7)}):
-        r = sample.level
-        delta = model.geom.diameter / model.geom.lam**r
-        ratios.append(box_count(sample, delta) / (n ** (2 - eta)) ** r)
+    ratios = [box_count(s, model.geom.diameter / model.geom.lam**s.level)
+              / (n ** (2 - eta)) ** s.level
+              for s in graph_samples(model, {r: 2 for r in range(2, 7)})]
     growing = ratios[-1] >= 2 * ratios[0] and all(
         b >= a * 0.99 for a, b in zip(ratios, ratios[1:])
     )
@@ -495,49 +483,94 @@ def box_count(sample: GraphSample, delta: float) -> int:
     """Count delta-boxes covering the sampled graph.
 
     m = 1 uses the column method over the x-axis with observed per-cell
-    value ranges; cubes and the gasket use the per-cell prism device
-    ceil(osc / delta) + 1 with delta aligned to cell sizes.
+    value ranges.  With equal map ratios and the level-tied delta_k =
+    |K| / Lambda^k, computed as ``geometry_constants(domain).diameter /
+    lam**level``, each level-k cell is one column, so the count is a sum
+    over cells that makes no cell geometry; any other delta reduces each
+    column's run of cells in x order (``_column_runs``).  Cubes and the
+    gasket use the per-cell prism device ceil(osc / delta) + 1.
     """
     if delta <= 0:
         raise ValueError("delta must be > 0")
-    if sample.domain.m == 1:
-        x0 = float(np.min(sample.cell_lo[:, 0]))
-        x1 = float(np.max(sample.cell_hi[:, 0]))
-        ncols = max(1, int(math.ceil((x1 - x0) / delta - 1e-9)))
-        # tie tolerance grows with the column index so accumulated float
-        # error in deep-level cell corners cannot spill across boundaries;
-        # columns floor(t + 1e-9 + 1e-12 |t|) .. floor(u - 1e-9 - 1e-12 |u|)
-        ends = []
-        for corner, sign in ((sample.cell_lo, 1.0), (sample.cell_hi, -1.0)):
-            t = corner[:, 0] - x0
-            t /= delta
-            tie = np.abs(t)
-            tie *= sign * 1e-12
-            t += sign * 1e-9
-            t += tie
-            col = np.floor(t, out=t).astype(int)
-            ends.append(np.clip(col, 0, ncols - 1, out=col))
-        ia, width = ends
-        np.maximum(width, ia, out=width)
-        width -= ia  # extra columns each cell spans
-        span = int(np.max(width))
-        if span > 64:
-            raise ValueError("cells too coarse for this delta; refine the sample")
-        colmin = np.full(ncols, np.inf)
-        colmax = np.full(ncols, -np.inf)
-        np.minimum.at(colmin, ia, sample.vmin)
-        np.maximum.at(colmax, ia, sample.vmax)
-        for o in range(1, span + 1):
-            sel = np.flatnonzero(width >= o)
-            idx = ia[sel] + o
-            np.minimum.at(colmin, idx, sample.vmin[sel])
-            np.maximum.at(colmax, idx, sample.vmax[sel])
-        filled = colmax >= colmin
-        ranges = colmax[filled] - colmin[filled]
-        counts = np.maximum(1, np.ceil(ranges / delta - 1e-9))
-        return int(np.sum(counts))
-    osc = sample.vmax - sample.vmin
-    return int(np.sum(np.ceil(osc / delta - 1e-9) + 1))
+    if sample.domain.m > 1:
+        osc = sample.vmax - sample.vmin
+        return int(np.sum(np.ceil(osc / delta - 1e-9) + 1))
+    geom = geometry_constants(sample.domain)
+    if not _equal_ratio(sample) or delta != geom.diameter / geom.lam**sample.level:
+        return _column_runs(sample, delta)
+    total, buf = 0, np.empty(min(sample.cells, BLOCK_SLOTS))  # stays in cache
+    for a in range(0, sample.cells, BLOCK_SLOTS):
+        top, bot = sample.vmax[a:a + BLOCK_SLOTS], sample.vmin[a:a + BLOCK_SLOTS]
+        r = np.subtract(top, bot, out=buf[:len(top)])
+        r /= delta
+        r -= 1e-9
+        total += int(np.sum(np.maximum(np.ceil(r, out=r), 1, out=r)))
+    return total
+
+
+def _first_at_least(col, x: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Per target c, the first j with col(x[j]) >= c, or len(x), where
+    col(x[j]) rises with j: a vectorised bisection, or, with no more x
+    than targets, a search in col of every x."""
+    if len(x) <= len(targets):
+        return np.searchsorted(col(x), targets)
+    pos = np.zeros(len(targets), dtype=np.intp)
+    step = 1 << (len(x).bit_length() - 1)
+    while step:
+        cand = pos + step
+        probe = col(x[np.minimum(cand, len(x)) - 1])
+        pos = np.where((cand <= len(x)) & (probe < targets), cand, pos)
+        step >>= 1
+    return pos
+
+
+def _column_runs(sample: GraphSample, delta: float) -> int:
+    """The column method on O(ncols log C) cell corners instead of 2C.
+
+    A cell spans columns first .. last = max(first, its hi corner's).
+    Level cells tile the interval, so in x order both corners increase.
+    first is monotone float ops of t = (x - x0) / delta >= 0.  The hi
+    column adds -1e-12 t, falling in t, but hi corners are a cell width
+    apart: t - 1e-9 - 1e-12 t grows by 1 - 1e-12 of that step, and each
+    op's rounding takes back an ulp of t (2^-52 t), far less while the
+    cells number well below 2^52.  So the cells meeting column c are one
+    run in x order, from the first whose last column >= c to the first
+    whose first column > c; a widest cell starts the run of its last.
+    """
+    order, lo, hi = sample.x_order
+    x0 = float(lo[0])
+    ncols = max(1, int(math.ceil((float(hi[-1]) - x0) / delta - 1e-9)))
+
+    def col(x, sign=1.0):
+        # floor(t + sign (1e-9 + 1e-12 |t|)), sign -1 for a hi corner: the
+        # tie grows with the column so float error in deep-level cell
+        # corners cannot spill across column boundaries
+        t = (x - x0) / delta
+        c = np.floor(t + sign * 1e-9 + np.abs(t) * (sign * 1e-12)).astype(int)
+        return np.clip(c, 0, ncols - 1)
+
+    cols = np.arange(ncols + 1)
+    ends = _first_at_least(col, lo, cols[1:])
+    # last >= c where first >= c (from the end of run c - 1) or hi's >= c
+    starts = np.minimum(np.concatenate(([0], ends[:-1])), _first_at_least(
+        lambda x: col(x, -1.0), hi, cols[:-1]))
+    met = starts < ends
+    ia = col(lo[starts[met]])
+    if np.max(np.maximum(col(hi[starts[met]], -1.0), ia) - ia) > 64:
+        raise ValueError("cells too coarse for this delta; refine the sample")
+    # odd segments are dropped; a run that ends at C stops one cell short
+    runs = np.empty(2 * ncols, dtype=np.intp)
+    runs[0::2], runs[1::2] = starts, np.minimum(ends, len(lo) - 1)
+    ext, tail = [], ends == len(lo)
+    for v, op in ((sample.vmin, np.minimum), (sample.vmax, np.maximum)):
+        v = v[order]
+        ext.append(op.reduceat(v, runs)[0::2])
+        ext[-1][tail] = op(ext[-1][tail], v[-1])
+    colmin, colmax = ext
+    filled = met & (colmax >= colmin)
+    ranges = colmax[filled] - colmin[filled]
+    counts = np.maximum(1, np.ceil(ranges / delta - 1e-9))
+    return int(np.sum(counts))
 
 
 @dataclass
@@ -560,7 +593,7 @@ class EmpiricalEstimate:
         }
 
 
-def _equal_ratio(model: FifModel) -> bool:
+def _equal_ratio(model: FifModel | GraphSample) -> bool:
     ratios = [mp.ratio for mp in model.domain.maps]
     return max(ratios) - min(ratios) <= 1e-12
 
@@ -588,10 +621,9 @@ def empirical_dimension(
         # keeping the osc truncation bias uniform across the regression
         # window (a sliding extra would tilt it)
         levels = dict.fromkeys(range(k_min, k_max + 1), depth - k_max)
-        entries = []
-        for sample in graph_samples(model, levels):
-            delta = diam / model.geom.lam**sample.level
-            entries.append((sample.level, delta, box_count(sample, delta)))
+        deltas = {k: diam / model.geom.lam**k for k in levels}
+        entries = [(s.level, deltas[s.level], box_count(s, deltas[s.level]))
+                   for s in graph_samples(model, levels)]
     else:
         # unequal knots: dyadic deltas against the deepest level
         sample = graph_sample(model, depth, 0)
@@ -652,9 +684,8 @@ def theoretical_entries(
     if gamma_pin is not None:
         entries.append(upper_bound(model, gamma_override=gamma_pin))
     entries.extend(lower_bound_noncollinear(model))
-    for entry in (exact_dim_cube(model), lower_bound_interval_variable_s(model)):
-        if entry is not None:
-            entries.append(entry)
+    entries.extend(e for e in (exact_dim_cube(model),
+                               lower_bound_interval_variable_s(model)) if e)
     entries.extend(bounds_gasket(model))
     return entries
 

@@ -626,6 +626,14 @@ class GraphSample:
     def cell_boxes(self) -> tuple[np.ndarray, np.ndarray]:
         return self.domain.cell_boxes(self.level)
 
+    @functools.cached_property
+    def x_order(self) -> tuple[slice | np.ndarray, np.ndarray, np.ndarray]:
+        """Interval cells (m = 1) in x order: an index of the cells (all of
+        them if pushed in x order) and their lo and hi x in that order."""
+        lo, hi = (a[:, 0] for a in self.domain.cell_boxes(self.level))
+        order = slice(None) if np.all(lo[:-1] <= lo[1:]) else np.argsort(lo)
+        return order, lo[order], hi[order]
+
     @property
     def cell_lo(self) -> np.ndarray:  # (C, m)
         return self.cell_boxes[0]

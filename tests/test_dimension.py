@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import get_config, get_model
+from fifdim import dimension
 from fifdim.dimension import (
     CollinearWitness,
     _witness_L,
@@ -34,6 +35,7 @@ from fifdim.domains import (
 )
 from fifdim.engine import (
     FifSpec,
+    GraphSample,
     ModelError,
     _level_at,
     build_model,
@@ -494,6 +496,175 @@ def test_box_count_rejects_bad_delta():
     model = get_model("example5_case2")
     with pytest.raises(ValueError):
         box_count(graph_sample(model, 2), 0.0)
+
+
+def _column_count_reference(sample, delta):
+    """The m = 1 column method on every cell corner, scattered with
+    ufunc.at: what box_count must equal, bit for bit."""
+    x0 = float(np.min(sample.cell_lo[:, 0]))
+    x1 = float(np.max(sample.cell_hi[:, 0]))
+    ncols = max(1, int(math.ceil((x1 - x0) / delta - 1e-9)))
+    ends = []
+    for corner, sign in ((sample.cell_lo, 1.0), (sample.cell_hi, -1.0)):
+        t = corner[:, 0] - x0
+        t /= delta
+        tie = np.abs(t)
+        tie *= sign * 1e-12
+        t += sign * 1e-9
+        t += tie
+        col = np.floor(t, out=t).astype(int)
+        ends.append(np.clip(col, 0, ncols - 1, out=col))
+    ia, width = ends
+    np.maximum(width, ia, out=width)
+    width -= ia
+    span = int(np.max(width))
+    if span > 64:
+        raise ValueError("cells too coarse for this delta; refine the sample")
+    colmin = np.full(ncols, np.inf)
+    colmax = np.full(ncols, -np.inf)
+    np.minimum.at(colmin, ia, sample.vmin)
+    np.maximum.at(colmax, ia, sample.vmax)
+    for o in range(1, span + 1):
+        sel = np.flatnonzero(width >= o)
+        idx = ia[sel] + o
+        np.minimum.at(colmin, idx, sample.vmin[sel])
+        np.maximum.at(colmax, idx, sample.vmax[sel])
+    filled = colmax >= colmin
+    ranges = colmax[filled] - colmin[filled]
+    counts = np.maximum(1, np.ceil(ranges / delta - 1e-9))
+    return int(np.sum(counts))
+
+
+def _deltas(model, k, rng):
+    """The level-tied delta_k (the widest level-k cell), two deltas on
+    either side of the limit of 64 extra columns per cell, dyadic deltas
+    down to a quarter cell, and random ones from about 60 columns per
+    cell to 2..64 cells per column and coarser."""
+    diam = model.geom.diameter
+    tied = diam / model.geom.lam**k
+    return ([tied, tied / 63.5, tied / 64.5]
+            + [diam / 2.0**j for j in range(1, 30) if diam / 2.0**j > tied / 4]
+            + list(tied * np.exp(rng.uniform(np.log(1 / 60), np.log(200), 12))))
+
+
+def _count_or_error(count, sample, delta):
+    try:
+        return count(sample, delta)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _assert_counts_equal_reference(model, k, extra, rng):
+    sample = graph_sample(model, k, extra)
+    for delta in _deltas(model, k, rng):
+        assert _count_or_error(box_count, sample, delta) == _count_or_error(
+            _column_count_reference, sample, delta), (k, delta)
+
+
+@pytest.mark.parametrize("name", ["example5_case1_one", "example5_case1_sin",
+                                  "example5_case2", "degenerate_interval"])
+def test_box_count_equals_column_reference(name):
+    model = get_model(name)
+    rng = np.random.default_rng(8)
+    for k in range(1, 9):
+        _assert_counts_equal_reference(model, k, 8 - k if k < 8 else 0, rng)
+
+
+@st.composite
+def interval_models(draw):
+    """Random intervals of 2-4 pieces, unequal knots or equal ones, with
+    flipped signature bits, random data, constant scales and solved
+    displacements."""
+    n = draw(st.integers(2, 4))
+    x0 = draw(st.floats(-3, 3))
+    if draw(st.booleans()):
+        widths = [draw(st.floats(0.05, 2))] * n
+    else:
+        widths = draw(st.lists(st.floats(0.05, 2), min_size=n, max_size=n))
+    knots = [x0 + sum(widths[:i]) for i in range(n + 1)]
+    d = interval_domain(knots, draw(st.lists(st.integers(0, 1), min_size=n,
+                                             max_size=n)))
+    nodes = vertex_set(d, 1)
+    values = draw(st.lists(st.floats(-1, 1), min_size=len(nodes),
+                           max_size=len(nodes)))
+    s = draw(st.lists(scales, min_size=n, max_size=n))
+    data = [(tuple(p), v) for p, v in zip(nodes, values)]
+    return build_model(FifSpec(d, data, [(Const(c), None) for c in s], "solve"))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(interval_models(), st.integers(1, 5), st.integers(0, 2),
+       st.integers(0, 2**32 - 1))
+def test_box_count_equals_column_reference_property(model, k, extra, seed):
+    _assert_counts_equal_reference(model, k, extra, np.random.default_rng(seed))
+
+
+def test_box_count_cell_inside_the_tie():
+    # the middle cell lies within 1e-9 of the column edge at x = 0.5: its
+    # lo corner is in column 1, its hi corner in column 0, so it counts
+    # in column 1 alone
+    d = interval_domain((0.0, 0.5 - 2.5e-10, 0.5 + 2e-10, 1.0), (0, 0, 0))
+    data = [((x,), v) for x, v in zip((0.0, 0.5 - 2.5e-10, 0.5 + 2e-10, 1.0),
+                                      (0.0, 5.0, -5.0, 0.0))]
+    model = build_model(FifSpec(d, data, [(Const(0.1), None)] * 3, "solve"))
+    sample = graph_sample(model, 1, 2)
+    count = _column_count_reference(sample, 0.5)
+    assert box_count(sample, 0.5) == count
+    # the middle cell widens column 1: with the last cell's values it adds
+    # nothing there
+    lo, hi = sample.vmin.copy(), sample.vmax.copy()
+    lo[1], hi[1] = lo[2], hi[2]
+    assert count > _column_count_reference(GraphSample(d, 1, 2, lo, hi, 0.0), 0.5)
+
+
+def test_level_tied_count_is_translation_invariant():
+    # the per-cell sum does not depend on where the interval lies; the
+    # column method's absolute 1e-9 tie does: on [1000, 1001] at k = 8,
+    # corner rounding of about 4e-9 columns spreads cells over two
+    # columns, and the reference counts 260930 instead of 155429
+    counts = []
+    for x0 in (0.0, 1000.0):
+        knots = [x0 + i / 3 for i in range(4)]
+        d = interval_domain(knots, (0, 1, 0))
+        data = [(tuple(p), v) for p, v in zip(vertex_set(d, 1),
+                                              (0.0, 0.5, 1 / 3, 0.0))]
+        model = build_model(FifSpec(
+            d, data, [(Const(c), None) for c in (0.25, 0.5, 0.75)], "solve"))
+        sample = graph_sample(model, 8, 0)
+        counts.append(box_count(sample, model.geom.diameter / model.geom.lam**8))
+    assert counts == [155429, 155429]
+
+
+@pytest.mark.parametrize("name", ["example5_case2", "example5_case1_one"])
+def test_box_count_rejects_cells_too_coarse(name):
+    # the widest cell spans about 100 columns
+    model = get_model(name)
+    sample = graph_sample(model, 3, 0)
+    delta = model.geom.diameter / model.geom.lam**3 / 100
+    for count in (box_count, _column_count_reference):
+        with pytest.raises(ValueError, match="too coarse"):
+            count(sample, delta)
+
+
+def test_level_tied_counts_make_no_geometry(monkeypatch):
+    # on an equal-ratio interval the level-tied counts of the empirical
+    # estimate and of the route-(b) probe are sums over cells: no sample
+    # makes cell boxes, so none makes an x order either
+    model = get_model("example5_case2")
+    seen = []
+
+    def counted(sample, delta):
+        seen.append(sample)
+        return box_count(sample, delta)
+
+    def fail(self, k):
+        raise AssertionError("cell boxes made")
+
+    monkeypatch.setattr(dimension, "box_count", counted)
+    monkeypatch.setattr(type(model.domain), "cell_boxes", fail)
+    empirical_dimension(model, 3, 6)
+    assert lower_bound_interval_variable_s(model).heuristic
+    assert [s.level for s in seen] == [3, 4, 5, 6, 2, 3, 4, 5, 6]
 
 
 def test_sg_prism_voxel_sandwich():
