@@ -45,7 +45,6 @@ def parse_number(raw, path: str = "") -> float:
 @dataclass
 class RunConfig:
     spec: FifSpec
-    q_solve_family: str | None
     analysis: dict = field(default_factory=dict)
 
 
@@ -168,11 +167,9 @@ def load_config(path: str) -> RunConfig:
 
     scales = _expr_entries(raw.get("scales", []), "scales", errors)
 
-    q_family = None
     raw_q = raw.get("displacements")
     if isinstance(raw_q, dict) and "solve" in raw_q:
-        q_entries = "solve"
-        q_family = raw_q["solve"] if isinstance(raw_q["solve"], str) else "solve"
+        q_entries = raw_q["solve"] if isinstance(raw_q["solve"], str) else "solve"
     elif isinstance(raw_q, dict) and "exprs" in raw_q:
         q_entries = _expr_entries(raw_q["exprs"], "displacements.exprs", errors)
     elif isinstance(raw_q, list):
@@ -216,15 +213,5 @@ def load_config(path: str) -> RunConfig:
     if errors or domain is None:
         raise ConfigError(errors or [("domain", "missing")])
 
-    spec = FifSpec(
-        domain=domain,
-        data=data,
-        s=scales,
-        q=(
-            ("solve" if q_family in (None, "solve") else f"solve:{q_family}")
-            if isinstance(q_entries, str)
-            else q_entries
-        ),
-        eta=eta,
-    )
-    return RunConfig(spec=spec, q_solve_family=q_family, analysis=analysis)
+    spec = FifSpec(domain=domain, data=data, s=scales, q=q_entries, eta=eta)
+    return RunConfig(spec=spec, analysis=analysis)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import geometry_constants
+from .domains import DomainGeometry, geometry_constants, point_resolution
 from .engine import (
     BLOCK_SLOTS,
     FifModel,
@@ -125,7 +125,7 @@ def _iter_triples(model: FifModel, r: int):
     """Yield (y1, y2, y3, lam) candidate collinear triples in V."""
     nodes = model.interpolation_nodes()
     n = len(nodes)
-    tol = 1e-10 * max(model.geom.diameter, 1.0)
+    tol = point_resolution(model.geom.diameter)
     if r >= 1:
         other = [u for u in range(model.domain.m) if u != r - 1]
         for a, b in itertools.permutations(range(n), 2):
@@ -451,7 +451,7 @@ def lower_bound_interval_variable_s(model: FifModel) -> BoundEntry | None:
     # route (b): empirical divergence probe of N(r) / (N^(2-eta))^r
     if gamma0_lo <= n ** (1 - eta) + 1e-12:
         return None
-    ratios = [box_count(s, model.geom.diameter / model.geom.lam**s.level)
+    ratios = [box_count(s, _level_delta(model.geom, s.level))
               / (n ** (2 - eta)) ** s.level
               for s in graph_samples(model, {r: 2 for r in range(2, 7)})]
     growing = ratios[-1] >= 2 * ratios[0] and all(
@@ -479,24 +479,30 @@ def lower_bound_interval_variable_s(model: FifModel) -> BoundEntry | None:
 # Box counting
 
 
+def _level_delta(geom: DomainGeometry, k: int) -> float:
+    """The level-tied delta_k = |K| / Lambda^k; ``box_count`` takes its
+    per-cell path only at exactly this float."""
+    return geom.diameter / geom.lam**k
+
+
 def box_count(sample: GraphSample, delta: float) -> int:
     """Count delta-boxes covering the sampled graph.
 
     m = 1 uses the column method over the x-axis with observed per-cell
     value ranges.  With equal map ratios and the level-tied delta_k =
-    |K| / Lambda^k, computed as ``geometry_constants(domain).diameter /
-    lam**level``, each level-k cell is one column, so the count is a sum
-    over cells that makes no cell geometry; any other delta reduces each
-    column's run of cells in x order (``_column_runs``).  Cubes and the
-    gasket use the per-cell prism device ceil(osc / delta) + 1.
+    |K| / Lambda^k, exactly the float of ``_level_delta``, each level-k
+    cell is one column, so the count is a sum over cells that makes no
+    cell geometry; any other delta reduces each column's run of cells in
+    x order (``_column_runs``).  Cubes and the gasket use the per-cell
+    prism device ceil(osc / delta) + 1.
     """
     if delta <= 0:
         raise ValueError("delta must be > 0")
     if sample.domain.m > 1:
         osc = sample.vmax - sample.vmin
         return int(np.sum(np.ceil(osc / delta - 1e-9) + 1))
-    geom = geometry_constants(sample.domain)
-    if not _equal_ratio(sample) or delta != geom.diameter / geom.lam**sample.level:
+    tied = _level_delta(geometry_constants(sample.domain), sample.level)
+    if not _equal_ratio(sample) or delta != tied:
         return _column_runs(sample, delta)
     total, buf = 0, np.empty(min(sample.cells, BLOCK_SLOTS))  # stays in cache
     for a in range(0, sample.cells, BLOCK_SLOTS):
@@ -621,7 +627,7 @@ def empirical_dimension(
         # keeping the osc truncation bias uniform across the regression
         # window (a sliding extra would tilt it)
         levels = dict.fromkeys(range(k_min, k_max + 1), depth - k_max)
-        deltas = {k: diam / model.geom.lam**k for k in levels}
+        deltas = {k: _level_delta(model.geom, k) for k in levels}
         entries = [(s.level, deltas[s.level], box_count(s, deltas[s.level]))
                    for s in graph_samples(model, levels)]
     else:

@@ -46,6 +46,7 @@ __all__ = [
     "geometry_constants",
     "dedup_points",
     "point_keys",
+    "point_resolution",
     "unique_rows",
     "cell_budget",
     "BudgetError",
@@ -179,7 +180,7 @@ class Triangle:
         """V_min(depth, 9) of the gasket (read-only): V_0 halved to each vertex."""
         v = np.asarray(self.verts, float)
         halves = [AffineMap((0.5, 0.5), tuple(p / 2)) for p in v]
-        pts = _refine(v, halves, min(depth, 9), 1e-10 * max(self.diameter, 1.0))
+        pts = _refine(v, halves, min(depth, 9), point_resolution(self.diameter))
         pts.flags.writeable = False
         return pts
 
@@ -430,6 +431,11 @@ def gasket_domain(vertices, n: int = 1) -> GasketDomain:
 # Point sets
 
 
+def point_resolution(diameter: float) -> float:
+    """Grid step of float-robust point identity on a region of this diameter."""
+    return 1e-10 * max(diameter, 1.0)
+
+
 def point_keys(pts: np.ndarray, resolution: float) -> np.ndarray:
     """Integer grid keys used for float-robust point identity."""
     return np.round(np.asarray(pts, float) / resolution).astype(np.int64)
@@ -468,7 +474,7 @@ def vertex_set(d: Domain, k: int) -> np.ndarray:
     """Level-k vertex set V_k as a deduplicated (n, m) array; V_0 for k=0."""
     if k < 0:
         raise DomainError("vertex level must be >= 0")
-    return _refine(d.v0_array, d.maps, k, 1e-10 * max(d.base.diameter, 1.0))
+    return _refine(d.v0_array, d.maps, k, point_resolution(d.base.diameter))
 
 
 def geometry_constants(d: Domain) -> DomainGeometry:

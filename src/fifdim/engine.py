@@ -44,6 +44,7 @@ from .domains import (
     cell_budget,
     geometry_constants,
     point_keys,
+    point_resolution,
     unique_rows,
     vertex_set,
 )
@@ -90,16 +91,14 @@ class FifSpec:
     domain: Domain
     data: list[tuple[tuple[float, ...], float]]  # (point, value) on V
     s: list[tuple[Expr, ShapeFacts | None]]
-    q: list[tuple[Expr, ShapeFacts | None]] | str  # or "solve:<family>"
+    # (expr, facts) per map, or the family solve_q fits: "affine",
+    # "multilinear", "sg_affine" or "solve" (the domain's default)
+    q: list[tuple[Expr, ShapeFacts | None]] | str
     eta: float = 1.0  # declared common oscillation/Hoelder exponent
 
 
-def _key_resolution(d: Domain) -> float:
-    return 1e-10 * max(d.base.diameter, 1.0)
-
-
 def _data_dict(d: Domain, data) -> dict[tuple[int, ...], float]:
-    res = _key_resolution(d)
+    res = point_resolution(d.base.diameter)
     out = {}
     for pt, val in data:
         key = tuple(point_keys(np.asarray(pt, float), res).tolist())
@@ -108,8 +107,7 @@ def _data_dict(d: Domain, data) -> dict[tuple[int, ...], float]:
 
 
 def _lookup(d: Domain, table, pts: np.ndarray) -> np.ndarray:
-    res = _key_resolution(d)
-    keys = point_keys(pts, res)
+    keys = point_keys(pts, point_resolution(d.base.diameter))
     vals = np.empty(len(keys))
     for j, key in enumerate(map(tuple, keys.tolist())):
         if key not in table:
@@ -337,9 +335,7 @@ def build_model(spec: FifSpec) -> FifModel:
 
     s_pairs = [(e, normalize_facts(e, f, m)) for e, f in spec.s]
     if isinstance(spec.q, str):
-        family = spec.q.split(":", 1)[1] if ":" in spec.q else spec.q
-        if family == "solve":
-            family = d.default_family
+        family = d.default_family if spec.q == "solve" else spec.q
         q_pairs = solve_q(
             FifSpec(d, spec.data, s_pairs, "solve", spec.eta), family
         )
@@ -501,7 +497,7 @@ def evaluate_on_vk(model: FifModel, k: int):
     d = model.domain
     pts = lev.pts.reshape(-1, d.m)
     vals = lev.vals.reshape(-1)
-    first, inverse = unique_rows(point_keys(pts, _key_resolution(d)))
+    first, inverse = unique_rows(point_keys(pts, point_resolution(d.base.diameter)))
     spread_max = np.full(len(first), -np.inf)
     spread_min = np.full(len(first), np.inf)
     np.maximum.at(spread_max, inverse, vals)
@@ -529,7 +525,7 @@ def apply_T(model: FifModel, pts: np.ndarray, vals: np.ndarray):
     # one push of the level whose cells are the points
     nxt = _push(model, _Level(pts[:, None], vals[:, None]))
     allp, allv = nxt.pts[:, 0], nxt.vals[:, 0]
-    first, _ = unique_rows(point_keys(allp, _key_resolution(d)))
+    first, _ = unique_rows(point_keys(allp, point_resolution(d.base.diameter)))
     order = np.sort(first)
     return allp[order], allv[order]
 
@@ -655,11 +651,6 @@ class GraphSample:
                 raise ModelError(f"symbol {w} out of range in address {word}")
             idx = idx * n + w
         return idx
-
-    def osc_bracket(self, word: tuple[int, ...]) -> tuple[float, float]:
-        i = self.index_of(word)
-        spread = float(self.vmax[i] - self.vmin[i])
-        return spread, spread + 2 * self.slack
 
 
 def graph_sample(model: FifModel, k: int, extra: int = 4) -> GraphSample:

@@ -7,22 +7,26 @@ Expressions are written in a tiny grammar over the domain coordinates
     term    := factor (("*" | "/") factor)*
     factor  := "-" factor | power
     power   := atom ("^" number)?
-    atom    := number | var | "sin" "(" expr ")" | "cos" "(" expr ")"
-             | "(" expr ")"
+    atom    := number | var | func "(" expr ")" | "(" expr ")"
+    func    := "sin" | "cos"  (the "name({})" entries of OPS)
     var     := "x" digits
     number  := digits ("." digits)? | "." digits
 
-Powers use a strictly positive literal exponent and evaluate as
-``|base|**a`` so every expression is continuous on the domain.  Division
-is only allowed by a constant sub-expression and is folded into a
-multiplication at parse time.  Shape facts (constancy, per-axis
-affinity/concavity/convexity, Hoelder data) are user declarations that
-get audited numerically, not proven symbolically.
+The tree has four node types, ``Const``, ``Var``, ``Pow`` and ``Op``;
+``OPS`` is the one list of operators (``+ - * neg sin cos``), and ``Op``
+evaluates and prints by it.  Powers use a strictly positive literal
+exponent and evaluate as ``|base|**a`` so every expression is continuous
+on the domain.  Division is only allowed by a constant sub-expression and
+is folded into a multiplication at parse time.  Shape facts (constancy,
+per-axis affinity/concavity/convexity, Hoelder data) are user
+declarations that get audited numerically, not proven symbolically.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,13 +34,9 @@ __all__ = [
     "Expr",
     "Const",
     "Var",
-    "Neg",
-    "Add",
-    "Sub",
-    "Mul",
     "Pow",
-    "Sin",
-    "Cos",
+    "Op",
+    "OPS",
     "SHAPES",
     "ShapeFacts",
     "ExprError",
@@ -70,7 +70,8 @@ class ExprSyntaxError(ExprError):
 
 @dataclass(frozen=True)
 class Expr:
-    """Base class for AST nodes.  Nodes are immutable and hashable."""
+    """Base class for AST nodes.  Nodes are immutable and hashable; ``args``
+    holds a node's operand nodes."""
 
     def ev(self, x: np.ndarray) -> np.ndarray:
         """Evaluate at points ``x`` of shape (..., m); returns shape (...)."""
@@ -81,7 +82,7 @@ class Expr:
         raise NotImplementedError
 
     def max_axis(self) -> int:
-        raise NotImplementedError
+        return max((a.max_axis() for a in self.args), default=0)
 
     def __str__(self) -> str:
         return self._str()[0]
@@ -92,9 +93,31 @@ def _paren(child: Expr, min_prec: int) -> str:
     return f"({text})" if prec < min_prec else text
 
 
+class OpSpec(NamedTuple):
+    apply: Callable[..., np.ndarray]  # the operands' values -> the node's
+    template: str  # one "{}" per operand; an operator takes one or two
+    prec: int
+    operand_prec: tuple[int, ...]  # an operand below this is parenthesised
+
+
+# The one list of operators; its "name({})" templates are the parser's
+# functions.  Arithmetic uses Python's operators, not the ufuncs, so numpy
+# can write the result into a temporary operand instead of a new array.
+OPS = {
+    "+": OpSpec(operator.add, "{} + {}", 0, (0, 1)),
+    "-": OpSpec(operator.sub, "{} - {}", 0, (0, 1)),
+    "*": OpSpec(operator.mul, "{}*{}", 1, (1, 2)),
+    "neg": OpSpec(operator.neg, "-{}", 1, (2,)),
+    "sin": OpSpec(np.sin, "sin({})", 2, (0,)),
+    "cos": OpSpec(np.cos, "cos({})", 2, (0,)),
+}
+_FUNCTIONS = {op for op, spec in OPS.items() if spec.template == op + "({})"}
+
+
 @dataclass(frozen=True)
 class Const(Expr):
     value: float
+    args = ()
 
     def ev(self, x):
         return np.full(x.shape[:-1], float(self.value))
@@ -105,13 +128,11 @@ class Const(Expr):
             return f"-{abs(v)!r}", 1
         return repr(v), 2
 
-    def max_axis(self):
-        return 0
-
 
 @dataclass(frozen=True)
 class Var(Expr):
     axis: int  # 1-based
+    args = ()
 
     def ev(self, x):
         return np.asarray(x)[..., self.axis - 1]
@@ -124,67 +145,33 @@ class Var(Expr):
 
 
 @dataclass(frozen=True)
-class Neg(Expr):
-    arg: Expr
+class Op(Expr):
+    """An operator of ``OPS`` applied to its operand nodes."""
+
+    op: str
+    args: tuple[Expr, ...]
+
+    def __post_init__(self):
+        if self.op not in OPS or len(self.args) != len(OPS[self.op].operand_prec):
+            raise ExprError(f"no operator {self.op!r} of {len(self.args)} operands")
 
     def ev(self, x):
-        return -self.arg.ev(x)
+        # by arity: a list of the operand values would cost a frame per node
+        apply, args = OPS[self.op].apply, self.args
+        if len(args) == 1:
+            return apply(args[0].ev(x))
+        return apply(args[0].ev(x), args[1].ev(x))
 
     def _str(self):
-        return f"-{_paren(self.arg, 2)}", 1
-
-    def max_axis(self):
-        return self.arg.max_axis()
-
-
-@dataclass(frozen=True)
-class Add(Expr):
-    left: Expr
-    right: Expr
-
-    def ev(self, x):
-        return self.left.ev(x) + self.right.ev(x)
-
-    def _str(self):
-        return f"{_paren(self.left, 0)} + {_paren(self.right, 1)}", 0
-
-    def max_axis(self):
-        return max(self.left.max_axis(), self.right.max_axis())
-
-
-@dataclass(frozen=True)
-class Sub(Expr):
-    left: Expr
-    right: Expr
-
-    def ev(self, x):
-        return self.left.ev(x) - self.right.ev(x)
-
-    def _str(self):
-        return f"{_paren(self.left, 0)} - {_paren(self.right, 1)}", 0
-
-    def max_axis(self):
-        return max(self.left.max_axis(), self.right.max_axis())
-
-
-@dataclass(frozen=True)
-class Mul(Expr):
-    left: Expr
-    right: Expr
-
-    def ev(self, x):
-        return self.left.ev(x) * self.right.ev(x)
-
-    def _str(self):
-        return f"{_paren(self.left, 1)}*{_paren(self.right, 2)}", 1
-
-    def max_axis(self):
-        return max(self.left.max_axis(), self.right.max_axis())
+        spec = OPS[self.op]
+        text = spec.template.format(*map(_paren, self.args, spec.operand_prec))
+        return text, spec.prec
 
 
 @dataclass(frozen=True)
 class Pow(Expr):
-    """|base|^exponent with a strictly positive literal exponent."""
+    """|base|^exponent with a strictly positive literal exponent; the
+    exponent is a float, not a node, and stays a scalar in ``ev``."""
 
     base: Expr
     exponent: float
@@ -192,6 +179,10 @@ class Pow(Expr):
     def __post_init__(self):
         if not self.exponent > 0:
             raise ExprError(f"power exponent must be > 0, got {self.exponent}")
+
+    @property
+    def args(self):
+        return (self.base,)
 
     def ev(self, x):
         return np.abs(self.base.ev(x)) ** self.exponent
@@ -202,37 +193,6 @@ class Pow(Expr):
         if prec < 2 or isinstance(self.base, Pow):
             text = f"({text})"
         return f"{text}^{self.exponent!r}", 2
-
-    def max_axis(self):
-        return self.base.max_axis()
-
-
-@dataclass(frozen=True)
-class Sin(Expr):
-    arg: Expr
-
-    def ev(self, x):
-        return np.sin(self.arg.ev(x))
-
-    def _str(self):
-        return f"sin({self.arg})", 2
-
-    def max_axis(self):
-        return self.arg.max_axis()
-
-
-@dataclass(frozen=True)
-class Cos(Expr):
-    arg: Expr
-
-    def ev(self, x):
-        return np.cos(self.arg.ev(x))
-
-    def _str(self):
-        return f"cos({self.arg})", 2
-
-    def max_axis(self):
-        return self.arg.max_axis()
 
 
 # --------------------------------------------------------------------------
@@ -286,7 +246,6 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 
@@ -317,7 +276,7 @@ class _Parser:
             if kind == "op" and val in "+-":
                 self.next()
                 rhs = self.term()
-                e = Add(e, rhs) if val == "+" else Sub(e, rhs)
+                e = Op(val, (e, rhs))
             else:
                 return e
 
@@ -329,14 +288,14 @@ class _Parser:
                 self.next()
                 rhs = self.factor()
                 if val == "*":
-                    e = Mul(e, rhs)
+                    e = Op("*", (e, rhs))
                 else:
                     c = _const_value(rhs)
                     if c is None:
                         raise ExprSyntaxError("division only by a constant", off)
                     if c == 0:
                         raise ExprSyntaxError("division by zero", off)
-                    e = Mul(e, Const(1.0 / c))
+                    e = Op("*", (e, Const(1.0 / c)))
             else:
                 return e
 
@@ -344,7 +303,7 @@ class _Parser:
         kind, val, _ = self.peek()
         if kind == "op" and val == "-":
             self.next()
-            return Neg(self.factor())
+            return Op("neg", (self.factor(),))
         return self.power()
 
     def power(self) -> Expr:
@@ -366,11 +325,11 @@ class _Parser:
         if kind == "num":
             return Const(float(val))
         if kind == "name":
-            if val in ("sin", "cos"):
+            if val in _FUNCTIONS:
                 self.expect_op("(")
                 arg = self.expr()
                 self.expect_op(")")
-                return Sin(arg) if val == "sin" else Cos(arg)
+                return Op(val, (arg,))
             if val.startswith("x") and val[1:].isdigit():
                 axis = int(val[1:])
                 if axis < 1:
@@ -444,29 +403,24 @@ class ShapeFacts:
         if self.holder_exponent is not None and not (0 < self.holder_exponent <= 1):
             raise ExprError("holder exponent must lie in (0, 1]")
 
-    def widen_axes(self, m: int) -> "ShapeFacts":
-        """Constant expressions are affine in every axis of an m-dim domain."""
-        if not self.is_constant:
-            return self
-        allax = frozenset(range(1, m + 1))
-        return replace(self, affine_in=allax, concave_in=allax, convex_in=allax)
 
 
 def normalize_facts(e: Expr, facts: ShapeFacts | None, m: int) -> ShapeFacts:
-    """Fill in auto-detectable facts (variable-free constancy) and widen."""
+    """Fill in auto-detectable facts (variable-free constancy); a constant
+    expression is affine in every axis of the m-dim domain."""
+    facts = facts or ShapeFacts()
     c = _const_value(e)
     if c is not None:
-        base = facts or ShapeFacts()
-        h = base.holder_exponent or 1.0
-        return ShapeFacts(
+        facts = ShapeFacts(
             is_constant=True,
             constant_value=c,
-            holder_exponent=h,
+            holder_exponent=facts.holder_exponent or 1.0,
             holder_constant=0.0,
-        ).widen_axes(m)
-    if facts is None:
-        facts = ShapeFacts()
-    return facts.widen_axes(m)
+        )
+    if not facts.is_constant:
+        return facts
+    allax = frozenset(range(1, m + 1))
+    return replace(facts, affine_in=allax, concave_in=allax, convex_in=allax)
 
 
 # --------------------------------------------------------------------------
@@ -477,15 +431,21 @@ def normalize_facts(e: Expr, facts: ShapeFacts | None, m: int) -> ShapeFacts:
 
 
 def _slack(e: Expr, facts: ShapeFacts | None, mesh_diam: float) -> float:
-    if _const_value(e) is not None:
-        return 0.0
-    if facts is not None and facts.is_constant:
+    if _const_value(e) is not None or (facts is not None and facts.is_constant):
         return 0.0
     if facts is None or facts.holder_exponent is None or facts.holder_constant is None:
         raise ExprError(
             "holder facts (eta, H) required to bracket a non-constant expression"
         )
     return facts.holder_constant * mesh_diam ** facts.holder_exponent
+
+
+def _grid_abs(e: Expr, region, grid_depth: int, facts: ShapeFacts | None):
+    """|e| on the sample grid of ``region`` and the grid's bracket slack."""
+    if grid_depth < 1:
+        raise ExprError("grid_depth must be >= 1")
+    vals = np.abs(e.ev(region.sample_points(grid_depth)))
+    return vals, _slack(e, facts, region.mesh_diameter(grid_depth))
 
 
 def sup_norm(
@@ -496,25 +456,18 @@ def sup_norm(
     lo is the sampled grid maximum of |e|; hi adds the declared
     modulus-of-continuity slack H * mesh_diameter**eta.
     """
-    if grid_depth < 1:
-        raise ExprError("grid_depth must be >= 1")
-    pts = region.sample_points(grid_depth)
-    vals = np.abs(e.ev(pts))
+    vals, slack = _grid_abs(e, region, grid_depth, facts)
     lo = float(np.max(vals))
-    return lo, lo + _slack(e, facts, region.mesh_diameter(grid_depth))
+    return lo, lo + slack
 
 
 def inf_abs(
     e: Expr, region, grid_depth: int, facts: ShapeFacts | None = None
 ) -> tuple[float, float]:
     """Bracket [lo, hi] of inf |e| over ``region`` (hi = grid minimum)."""
-    if grid_depth < 1:
-        raise ExprError("grid_depth must be >= 1")
-    pts = region.sample_points(grid_depth)
-    vals = np.abs(e.ev(pts))
+    vals, slack = _grid_abs(e, region, grid_depth, facts)
     hi = float(np.min(vals))
-    lo = max(0.0, hi - _slack(e, facts, region.mesh_diameter(grid_depth)))
-    return lo, hi
+    return max(0.0, hi - slack), hi
 
 
 @dataclass(frozen=True)
@@ -607,8 +560,7 @@ def holder_seminorm_estimate(
     ys.append(np.clip(base + step, lo, hi))
     # corner anchored
     grid = region.sample_points(6)
-    corners = np.concatenate([lo[None, :], hi[None, :]], axis=0)
-    for c in corners:
+    for c in (lo, hi):
         xs.append(np.broadcast_to(c, grid.shape).copy())
         ys.append(grid)
     x = np.concatenate(xs)
@@ -624,20 +576,15 @@ def holder_seminorm_estimate(
 # Constructors used by the displacement solver
 
 
-def _term(coef: float, axes: tuple[int, ...]) -> Expr:
-    e: Expr = Const(float(coef))
-    for a in axes:
-        e = Mul(e, Var(a))
-    return e
-
-
 def multilinear_expr(coeffs: dict[frozenset, float]) -> Expr:
     """Build sum_J e_J * prod_{j in J} x_j as an AST."""
     items = sorted(coeffs.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
     e: Expr | None = None
     for axes, c in items:
-        t = _term(c, tuple(sorted(axes)))
-        e = t if e is None else Add(e, t)
+        t: Expr = Const(float(c))
+        for a in sorted(axes):
+            t = Op("*", (t, Var(a)))
+        e = t if e is None else Op("+", (e, t))
     return e if e is not None else Const(0.0)
 
 

@@ -24,7 +24,9 @@ __all__ = [
 
 def cell_osc(sample: GraphSample, word: tuple[int, ...]) -> tuple[float, float]:
     """Oscillation bracket of f* over the cell addressed by ``word``."""
-    return sample.osc_bracket(word)
+    i = sample.index_of(word)
+    spread = float(sample.vmax[i] - sample.vmin[i])
+    return spread, spread + 2 * sample.slack
 
 
 def total_osc(sample: GraphSample, k: int | None = None) -> tuple[float, float]:

@@ -73,7 +73,7 @@ BASE = {
 def test_minimal_config_roundtrip(tmp_path):
     cfg = load_config(_write(tmp_path, BASE))
     assert cfg.spec.domain.N == 2
-    assert cfg.q_solve_family == "affine"
+    assert cfg.spec.q == "affine"
 
 
 def test_missing_q_entry_names_map_index(tmp_path):

@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 
 from fifdim.domains import Box, Triangle, gasket_domain, vertex_set
 from fifdim.exprs import (
-    Add,
+    OPS,
     Const,
     ExprError,
     ExprSyntaxError,
-    Mul,
+    Op,
     Pow,
     ShapeFacts,
-    Sin,
     Var,
     affine_expr,
     audit_shape,
@@ -103,13 +102,28 @@ def exprs(draw, depth=0):
         return Const(draw(st.floats(-4, 4, allow_nan=False, width=32)))
     if choice == 1:
         return Var(draw(st.integers(1, 2)))
-    if choice == 2:
-        return Add(draw(exprs(depth=depth + 1)), draw(exprs(depth=depth + 1)))
-    if choice == 3:
-        return Mul(draw(exprs(depth=depth + 1)), draw(exprs(depth=depth + 1)))
-    if choice == 4:
-        return Sin(draw(exprs(depth=depth + 1)))
+    if choice in (2, 3, 4):
+        op = draw(st.sampled_from(sorted(OPS)))
+        arity = len(OPS[op].operand_prec)
+        return Op(op, tuple(draw(exprs(depth=depth + 1)) for _ in range(arity)))
     return Pow(draw(exprs(depth=depth + 1)), draw(st.sampled_from([0.5, 1.0, 2.0])))
+
+
+@pytest.mark.parametrize("op", sorted(OPS))
+def test_every_operator_prints_parses_and_evaluates_as_its_table_entry(op):
+    spec = OPS[op]
+    e = Op(op, tuple(Var(r) for r in range(1, len(spec.operand_prec) + 1)))
+    again = parse_expr(str(e))
+    assert again == e
+    pts = np.random.default_rng(2).uniform(-3, 3, size=(64, 2))
+    want = spec.apply(*pts.T[: len(e.args)])
+    assert again.ev(pts).tobytes() == want.tobytes()
+
+
+def test_op_rejects_unknown_operator_and_wrong_arity():
+    for op, args in (("tan", (Var(1),)), ("+", (Var(1),)), ("neg", ())):
+        with pytest.raises(ExprError):
+            Op(op, args)
 
 
 @settings(max_examples=60, deadline=None)

@@ -9,7 +9,7 @@ import pytest
 from conftest import get_model
 from fifdim import engine, oscillation
 from fifdim.dimension import _equal_ratio, box_count, empirical_dimension
-from fifdim.domains import point_keys, unique_rows
+from fifdim.domains import point_keys, point_resolution, unique_rows
 from fifdim.engine import GraphSample, apply_T, evaluate_on_vk, graph_samples
 from fifdim.oscillation import seminorm
 
@@ -101,7 +101,7 @@ def test_graph_samples_shared_level_folded_once(name, small_blocks):
 
 def _dedup(pts, vals, model):
     """First occurrences of the points of (pts, vals), in order."""
-    res = engine._key_resolution(model.domain)
+    res = point_resolution(model.domain.base.diameter)
     order = np.sort(unique_rows(point_keys(pts, res))[0])
     return pts[order], vals[order]
 
