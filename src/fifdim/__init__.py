@@ -32,12 +32,10 @@ from .domains import (
     BudgetError,
     Domain,
     DomainError,
-    DomainGeometry,
     Triangle,
     cell_budget,
     cube_domain,
     gasket_domain,
-    geometry_constants,
     interval_domain,
     vertex_set,
 )

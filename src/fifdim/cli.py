@@ -66,7 +66,10 @@ def cmd_validate(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _sample_table(model: FifModel, depth: int):
+def _sample_table(model: FifModel, cfg: RunConfig, args):
+    """Exact graph values on V_depth (``--depth``, else the config's)."""
+    depth = args.depth if args.depth is not None else cfg.analysis.get(
+        "sample_depth", 6)
     if depth == 0:
         pts = model.interpolation_nodes()
         vals = model.p_at(pts)
@@ -76,10 +79,7 @@ def _sample_table(model: FifModel, depth: int):
 
 def cmd_sample(cfg: RunConfig, args) -> int:
     model = build_model(cfg.spec)
-    depth = args.depth if args.depth is not None else int(
-        cfg.analysis.get("sample_depth", 6)
-    )
-    pts, vals = _sample_table(model, depth)
+    pts, vals = _sample_table(model, cfg, args)
     out = _outdir(args) / "sample.csv"
     m = model.domain.m
     with open(out, "w") as fh:
@@ -124,10 +124,7 @@ def cmd_report(cfg: RunConfig, args) -> int:
     out = _outdir(args)
     _dump_json(report.to_dict(), out / "report.json")
 
-    depth = args.depth if args.depth is not None else int(
-        cfg.analysis.get("sample_depth", 6)
-    )
-    pts, vals = _sample_table(model, depth)
+    pts, vals = _sample_table(model, cfg, args)
     if model.domain.m == 1:
         svg = polyline_chart(pts[:, 0], vals)
     else:
@@ -150,12 +147,10 @@ def cmd_report(cfg: RunConfig, args) -> int:
 
 def _window(cfg: RunConfig, args, model: FifModel):
     dk_min, dk_max = model.domain.default_window
-    k_min = args.kmin if args.kmin is not None else int(
-        cfg.analysis.get("k_min", dk_min)
-    )
-    k_max = args.kmax if args.kmax is not None else int(
-        cfg.analysis.get("k_max", dk_max)
-    )
+    k_min = args.kmin if args.kmin is not None else cfg.analysis.get(
+        "k_min", dk_min)
+    k_max = args.kmax if args.kmax is not None else cfg.analysis.get(
+        "k_max", dk_max)
     return k_min, k_max
 
 

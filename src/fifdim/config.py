@@ -13,10 +13,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .domains import Domain, cube_domain, gasket_domain, interval_domain, vertex_set
-from .engine import FifSpec
+from .engine import FAMILIES, FifSpec
 from .exprs import ExprError, ShapeFacts, parse_expr
 
 __all__ = ["RunConfig", "ConfigError", "load_config", "parse_number"]
+
+# the "analysis" fields; gamma_pin is a number, the others JSON integers
+ANALYSIS_INTS = ("k_min", "k_max", "sample_depth")
 
 
 class ConfigError(ValueError):
@@ -169,7 +172,11 @@ def load_config(path: str) -> RunConfig:
 
     raw_q = raw.get("displacements")
     if isinstance(raw_q, dict) and "solve" in raw_q:
-        q_entries = raw_q["solve"] if isinstance(raw_q["solve"], str) else "solve"
+        solve = raw_q["solve"]
+        if solve is not True and solve not in FAMILIES:
+            errors.append(("displacements.solve", "must be true or one of "
+                           f"{', '.join(FAMILIES)}, got {json.dumps(solve)}"))
+        q_entries = solve if solve in FAMILIES else "solve"
     elif isinstance(raw_q, dict) and "exprs" in raw_q:
         q_entries = _expr_entries(raw_q["exprs"], "displacements.exprs", errors)
     elif isinstance(raw_q, list):
@@ -204,11 +211,18 @@ def load_config(path: str) -> RunConfig:
     if not isinstance(analysis, dict):
         errors.append(("analysis", "must be an object"))
         analysis = {}
-    if "gamma_pin" in analysis:
-        analysis = dict(analysis)
-        analysis["gamma_pin"] = parse_number(
-            analysis["gamma_pin"], "analysis.gamma_pin"
-        )
+    analysis = dict(analysis)
+    for key, value in analysis.items():
+        at = f"analysis.{key}"
+        if key == "gamma_pin":
+            try:
+                analysis[key] = parse_number(value, at)
+            except ConfigError as exc:
+                errors.extend(exc.errors)
+        elif key not in ANALYSIS_INTS:
+            errors.append((at, "unknown analysis field"))
+        elif isinstance(value, bool) or not isinstance(value, int):
+            errors.append((at, f"must be an integer, got {json.dumps(value)}"))
 
     if errors or domain is None:
         raise ConfigError(errors or [("domain", "missing")])

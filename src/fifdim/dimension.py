@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import DomainGeometry, geometry_constants, point_resolution
 from .engine import (
     BLOCK_SLOTS,
     FifModel,
@@ -98,7 +97,7 @@ def gammas(model: FifModel) -> GammaReport:
         gamma0=tuple(map(sum, zip(*model.s_inf))),
         flavored=flavored,
         provenance=prov,
-        eta_prime=min(1.0, model.eta),
+        eta_prime=model.eta_prime,
     )
 
 
@@ -125,7 +124,7 @@ def _iter_triples(model: FifModel, r: int):
     """Yield (y1, y2, y3, lam) candidate collinear triples in V."""
     nodes = model.interpolation_nodes()
     n = len(nodes)
-    tol = point_resolution(model.geom.diameter)
+    tol = model.domain.resolution
     if r >= 1:
         other = [u for u in range(model.domain.m) if u != r - 1]
         for a, b in itertools.permutations(range(n), 2):
@@ -238,13 +237,12 @@ class BoundEntry:
 
 def _holder_declared(model: FifModel) -> bool:
     """All s_i, q_i carry Hoelder facts compatible with the model eta."""
-    eta = min(1.0, model.eta)
     for e, f in list(model.s) + list(model.q):
         if f.is_constant:
             continue
         if f.holder_exponent is None or f.holder_constant is None:
             return False
-        if f.holder_exponent < eta - 1e-12:
+        if f.holder_exponent < model.eta_prime - 1e-12:
             return False
     return True
 
@@ -254,7 +252,7 @@ def upper_bound(model: FifModel, gamma_override: float | None = None) -> BoundEn
     value above m + 1 (cubes with unequal pieces per axis) is vacuous."""
     g = gammas(model)
     gamma_hi = gamma_override if gamma_override is not None else g.gamma[1]
-    lam, n, etap = model.geom.lam, model.geom.N, g.eta_prime
+    lam, n, etap = model.domain.lam, model.N, g.eta_prime
     holder_ok = _holder_declared(model)
     if gamma_hi <= n / lam**etap:
         value = 1 - etap + math.log(n) / math.log(lam)
@@ -290,7 +288,7 @@ def lower_bound_noncollinear(model: FifModel) -> list[BoundEntry]:
             if gv <= 0:
                 continue
             w = find_witness(model, r, sign=sign)
-            value = 1 + math.log(gv) / math.log(model.geom.lam0)
+            value = 1 + math.log(gv) / math.log(model.domain.lam0)
             out.append(
                 BoundEntry(
                     theorem=f"noncollinear_lower_flavor{flavor}_axis{r}" if r
@@ -310,11 +308,6 @@ def lower_bound_noncollinear(model: FifModel) -> list[BoundEntry]:
     return out
 
 
-def _equally_spaced(knots, tol=1e-9) -> bool:
-    diffs = np.diff(np.asarray(knots, float))
-    return bool(np.max(diffs) - np.min(diffs) <= tol * np.max(diffs))
-
-
 def exact_dim_cube(model: FifModel) -> BoundEntry | None:
     """Exact box dimension on equally spaced interval/cube domains.
 
@@ -327,12 +320,12 @@ def exact_dim_cube(model: FifModel) -> BoundEntry | None:
     if len(counts) != 1:  # also the gasket, which has no axes
         return None
     n = counts.pop()
-    if not all(_equally_spaced(ax.knots) for ax in d.axes):
+    if not all(ax.equally_spaced for ax in d.axes):
         return None
     if not all(f.is_constant for _, f in model.s):
         return None
     m = d.m
-    etap = min(1.0, model.eta)
+    etap = model.eta_prime
     gamma = sum(abs(f.constant_value) for _, f in model.s)
     holder_ok = _holder_declared(model)
 
@@ -387,7 +380,7 @@ def bounds_gasket(model: FifModel) -> list[BoundEntry]:
         return []
     n = model.domain.level
     gamma = g.gamma[1]
-    etap = min(1.0, model.eta)
+    etap = model.eta_prime
     if gamma > (3 / 2**etap) ** n + 1e-12:
         value = 1 + math.log(gamma) / math.log(2**n)
         note = f"gamma = {gamma:.10g} > (3/2^eta')^n"
@@ -419,12 +412,12 @@ def lower_bound_interval_variable_s(model: FifModel) -> BoundEntry | None:
     with a heuristic flag.
     """
     d = model.domain
-    if d.m != 1 or not _equally_spaced(d.axes[0].knots):
+    if d.m != 1 or not d.axes[0].equally_spaced:
         return None
     g = gammas(model)
-    n = model.geom.N
+    n = model.N
     gamma0_lo = g.gamma0[0]
-    eta = min(1.0, model.eta)
+    eta = model.eta_prime
 
     bv_facts = all(
         f.is_constant or (f.holder_exponent is not None and f.holder_exponent >= 1.0)
@@ -451,7 +444,7 @@ def lower_bound_interval_variable_s(model: FifModel) -> BoundEntry | None:
     # route (b): empirical divergence probe of N(r) / (N^(2-eta))^r
     if gamma0_lo <= n ** (1 - eta) + 1e-12:
         return None
-    ratios = [box_count(s, _level_delta(model.geom, s.level))
+    ratios = [box_count(s, d.delta(s.level))
               / (n ** (2 - eta)) ** s.level
               for s in graph_samples(model, {r: 2 for r in range(2, 7)})]
     growing = ratios[-1] >= 2 * ratios[0] and all(
@@ -479,18 +472,12 @@ def lower_bound_interval_variable_s(model: FifModel) -> BoundEntry | None:
 # Box counting
 
 
-def _level_delta(geom: DomainGeometry, k: int) -> float:
-    """The level-tied delta_k = |K| / Lambda^k; ``box_count`` takes its
-    per-cell path only at exactly this float."""
-    return geom.diameter / geom.lam**k
-
-
 def box_count(sample: GraphSample, delta: float) -> int:
     """Count delta-boxes covering the sampled graph.
 
     m = 1 uses the column method over the x-axis with observed per-cell
     value ranges.  With equal map ratios and the level-tied delta_k =
-    |K| / Lambda^k, exactly the float of ``_level_delta``, each level-k
+    |K| / Lambda^k, exactly the float of ``Domain.delta``, each level-k
     cell is one column, so the count is a sum over cells that makes no
     cell geometry; any other delta reduces each column's run of cells in
     x order (``_column_runs``).  Cubes and the gasket use the per-cell
@@ -498,11 +485,11 @@ def box_count(sample: GraphSample, delta: float) -> int:
     """
     if delta <= 0:
         raise ValueError("delta must be > 0")
-    if sample.domain.m > 1:
+    d = sample.domain
+    if d.m > 1:
         osc = sample.vmax - sample.vmin
         return int(np.sum(np.ceil(osc / delta - 1e-9) + 1))
-    tied = _level_delta(geometry_constants(sample.domain), sample.level)
-    if not _equal_ratio(sample) or delta != tied:
+    if not d.equal_ratio or delta != d.delta(sample.level):
         return _column_runs(sample, delta)
     total, buf = 0, np.empty(min(sample.cells, BLOCK_SLOTS))  # stays in cache
     for a in range(0, sample.cells, BLOCK_SLOTS):
@@ -599,11 +586,6 @@ class EmpiricalEstimate:
         }
 
 
-def _equal_ratio(model: FifModel | GraphSample) -> bool:
-    ratios = [mp.ratio for mp in model.domain.maps]
-    return max(ratios) - min(ratios) <= 1e-12
-
-
 def empirical_dimension(
     model: FifModel, k_min: int, k_max: int, extra: int = 2
 ) -> EmpiricalEstimate:
@@ -621,13 +603,13 @@ def empirical_dimension(
         raise ModelError("extra must be >= 0")
     depth = k_max + _fit_extra(model, k_max, extra)
 
-    diam = model.geom.diameter
-    if _equal_ratio(model) or model.domain.m > 1:
+    diam = model.domain.diameter
+    if model.domain.equal_ratio or model.domain.m > 1:
         # every level k is read off with the same refinement depth e,
         # keeping the osc truncation bias uniform across the regression
         # window (a sliding extra would tilt it)
         levels = dict.fromkeys(range(k_min, k_max + 1), depth - k_max)
-        deltas = {k: _level_delta(model.geom, k) for k in levels}
+        deltas = {k: model.domain.delta(k) for k in levels}
         entries = [(s.level, deltas[s.level], box_count(s, deltas[s.level]))
                    for s in graph_samples(model, levels)]
     else:

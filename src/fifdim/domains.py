@@ -11,8 +11,9 @@ Two domain types, and every per-domain decision of the library:
 Both provide the same operations: address decoding (``decode``), the flat
 interpolant of V_0 data (``interpolant``), dim K (``dim``), whether cells
 meet only in points (``pcf``), the default box-count window and seminorm
-kmax, the default displacement family, and the sampling region ``base``
-whose samples are points of K.  ``kind`` is a read-only label.
+kmax, the default displacement family, the sampling region ``base``
+whose samples are points of K, and the IFS constants Lambda, Lambda_0, |K|
+and delta_k that every bound is stated in.  ``kind`` is a read-only label.
 
 All maps are diagonal affine contractions ``x -> scale * x + offset``,
 which keeps address decoding cheap.
@@ -35,7 +36,6 @@ __all__ = [
     "Domain",
     "ProductDomain",
     "GasketDomain",
-    "DomainGeometry",
     "DomainError",
     "interval_domain",
     "cube_domain",
@@ -43,7 +43,6 @@ __all__ = [
     "product_domain",
     "build_interval_maps",
     "vertex_set",
-    "geometry_constants",
     "dedup_points",
     "point_keys",
     "point_resolution",
@@ -104,10 +103,6 @@ class AffineMap:
     def ratio(self) -> float:
         """Euclidean contraction ratio (max per-axis |scale|)."""
         return max(abs(a) for a in self.scale)
-
-    @property
-    def min_axis_ratio(self) -> float:
-        return min(abs(a) for a in self.scale)
 
 
 # --------------------------------------------------------------------------
@@ -198,6 +193,11 @@ class Axis:
     knots: tuple[float, ...]
     signature: tuple[int, ...]
 
+    @property
+    def equally_spaced(self) -> bool:
+        diffs = np.diff(np.asarray(self.knots, float))
+        return bool(np.max(diffs) - np.min(diffs) <= 1e-9 * np.max(diffs))
+
 
 @dataclass(frozen=True)
 class Domain:
@@ -219,6 +219,30 @@ class Domain:
     @property
     def v0_array(self) -> np.ndarray:
         return np.asarray(self.v0, float)
+
+    @property
+    def lam(self) -> float:  # Lambda: 1 / the largest contraction ratio
+        return 1.0 / max(mp.ratio for mp in self.maps)
+
+    @property
+    def lam0(self) -> float:  # Lambda_0: 1 / the smallest per-axis |scale|
+        return 1.0 / min(abs(a) for mp in self.maps for a in mp.scale)
+
+    @property
+    def diameter(self) -> float:  # |K|
+        return self.base.diameter
+
+    @property
+    def resolution(self) -> float:  # grid step of point identity on K
+        return point_resolution(self.base.diameter)
+
+    @property
+    def equal_ratio(self) -> bool:
+        ratios = [mp.ratio for mp in self.maps]
+        return max(ratios) - min(ratios) <= 1e-12
+
+    def delta(self, k: int) -> float:  # level-tied box size |K| / Lambda^k
+        return self.diameter / self.lam**k
 
     def cell_boxes(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Image boxes (lo, hi), each (N^k, m), of the level-k cells l_w of
@@ -331,14 +355,6 @@ class GasketDomain(Domain):
         A = np.column_stack([np.ones(3), self.v0_array])  # rows (1, v_j)
         abc = np.linalg.solve(A, p0)
         return float(abc[0] + abc[1] * x[0] + abc[2] * x[1])
-
-
-@dataclass(frozen=True)
-class DomainGeometry:
-    lam: float  # 1/lam = max contraction ratio
-    lam0: float  # 1/lam0 = min per-axis contraction ratio
-    N: int
-    diameter: float  # |K|
 
 
 def build_interval_maps(
@@ -474,15 +490,4 @@ def vertex_set(d: Domain, k: int) -> np.ndarray:
     """Level-k vertex set V_k as a deduplicated (n, m) array; V_0 for k=0."""
     if k < 0:
         raise DomainError("vertex level must be >= 0")
-    return _refine(d.v0_array, d.maps, k, point_resolution(d.base.diameter))
-
-
-def geometry_constants(d: Domain) -> DomainGeometry:
-    rmax = max(mp.ratio for mp in d.maps)
-    rmin = min(mp.min_axis_ratio for mp in d.maps)
-    return DomainGeometry(
-        lam=1.0 / rmax,
-        lam0=1.0 / rmin,
-        N=d.N,
-        diameter=d.base.diameter,
-    )
+    return _refine(d.v0_array, d.maps, k, d.resolution)

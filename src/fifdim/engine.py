@@ -39,12 +39,9 @@ from .domains import (
     BudgetError,
     Domain,
     DomainError,
-    DomainGeometry,
     Triangle,
     cell_budget,
-    geometry_constants,
     point_keys,
-    point_resolution,
     unique_rows,
     vertex_set,
 )
@@ -59,6 +56,7 @@ from .exprs import (
 )
 
 __all__ = [
+    "FAMILIES",
     "FifSpec",
     "FifModel",
     "GraphSample",
@@ -79,6 +77,9 @@ CONSISTENCY_TOL = 1e-9
 AUDIT_TOL = 1e-7
 SUP_DEPTH = 12
 
+# displacement families solve_q fits; "sg_affine" is "affine" by its gasket name
+FAMILIES = ("affine", "multilinear", "sg_affine")
+
 
 class ModelError(ValueError):
     pass
@@ -91,14 +92,14 @@ class FifSpec:
     domain: Domain
     data: list[tuple[tuple[float, ...], float]]  # (point, value) on V
     s: list[tuple[Expr, ShapeFacts | None]]
-    # (expr, facts) per map, or the family solve_q fits: "affine",
-    # "multilinear", "sg_affine" or "solve" (the domain's default)
+    # (expr, facts) per map, or one of FAMILIES for solve_q to fit, or
+    # "solve" (the domain's default)
     q: list[tuple[Expr, ShapeFacts | None]] | str
     eta: float = 1.0  # declared common oscillation/Hoelder exponent
 
 
 def _data_dict(d: Domain, data) -> dict[tuple[int, ...], float]:
-    res = point_resolution(d.base.diameter)
+    res = d.resolution
     out = {}
     for pt, val in data:
         key = tuple(point_keys(np.asarray(pt, float), res).tolist())
@@ -107,7 +108,7 @@ def _data_dict(d: Domain, data) -> dict[tuple[int, ...], float]:
 
 
 def _lookup(d: Domain, table, pts: np.ndarray) -> np.ndarray:
-    keys = point_keys(pts, point_resolution(d.base.diameter))
+    keys = point_keys(pts, d.resolution)
     vals = np.empty(len(keys))
     for j, key in enumerate(map(tuple, keys.tolist())):
         if key not in table:
@@ -125,7 +126,6 @@ class FifModel:
     s: list[tuple[Expr, ShapeFacts]]
     q: list[tuple[Expr, ShapeFacts]]
     eta: float
-    geom: DomainGeometry
     s_sup: list[tuple[float, float]]  # per-map sup|s_i| brackets
     s_inf: list[tuple[float, float]]
     q_sup: list[tuple[float, float]]
@@ -136,6 +136,10 @@ class FifModel:
     @property
     def N(self) -> int:
         return self.domain.N
+
+    @property
+    def eta_prime(self) -> float:  # min(1, eta), the exponent of the bounds
+        return min(1.0, self.eta)
 
     def p_at(self, pts: np.ndarray) -> np.ndarray:
         return _lookup(self.domain, self.data, np.atleast_2d(pts))
@@ -170,13 +174,13 @@ def _family_basis(d: Domain, family: str):
     """Constraint points (V_0), monomials J and the V_0 design matrix.
 
     "affine" is every J with |J| <= 1, "multilinear" every J, each in
-    order of (|J|, J); "sg_affine" is "affine" by its gasket name.
+    order of (|J|, J).
     """
     v0 = d.v0_array
-    sizes = {"affine": 1, "sg_affine": 1, "multilinear": d.m}
-    if family not in sizes:
+    if family not in FAMILIES:
         raise ModelError(f"unknown displacement family {family!r}")
-    basis = [frozenset(J) for r in range(sizes[family] + 1)
+    top = d.m if family == "multilinear" else 1
+    basis = [frozenset(J) for r in range(top + 1)
              for J in itertools.combinations(range(1, d.m + 1), r)]
     cols = []
     for J in basis:
@@ -372,7 +376,6 @@ def build_model(spec: FifSpec) -> FifModel:
         s=s_pairs,
         q=q_pairs,
         eta=spec.eta,
-        geom=geometry_constants(d),
         s_sup=s_sup,
         s_inf=s_infb,
         q_sup=q_sup,
@@ -497,7 +500,7 @@ def evaluate_on_vk(model: FifModel, k: int):
     d = model.domain
     pts = lev.pts.reshape(-1, d.m)
     vals = lev.vals.reshape(-1)
-    first, inverse = unique_rows(point_keys(pts, point_resolution(d.base.diameter)))
+    first, inverse = unique_rows(point_keys(pts, d.resolution))
     spread_max = np.full(len(first), -np.inf)
     spread_min = np.full(len(first), np.inf)
     np.maximum.at(spread_max, inverse, vals)
@@ -525,7 +528,7 @@ def apply_T(model: FifModel, pts: np.ndarray, vals: np.ndarray):
     # one push of the level whose cells are the points
     nxt = _push(model, _Level(pts[:, None], vals[:, None]))
     allp, allv = nxt.pts[:, 0], nxt.vals[:, 0]
-    first, _ = unique_rows(point_keys(allp, point_resolution(d.base.diameter)))
+    first, _ = unique_rows(point_keys(allp, d.resolution))
     order = np.sort(first)
     return allp[order], allv[order]
 
@@ -660,19 +663,19 @@ def graph_sample(model: FifModel, k: int, extra: int = 4) -> GraphSample:
     the a-priori slack 2 M ||s||**extra widens them into guaranteed
     enclosures per the contraction bound.
     """
-    return next(graph_samples(model, {k: extra}))
+    return graph_samples(model, {k: extra})[0]
 
 
 def graph_samples(
     model: FifModel, extras: dict[int, int]
-) -> Iterator[GraphSample]:
-    """``graph_sample(model, k, e)`` for every ``k: e`` in ``extras``, from
-    one sweep down to the deepest level max(k + e).
+) -> list[GraphSample]:
+    """``graph_sample(model, k, e)`` for every ``k: e`` in ``extras``, in
+    order of k, from one sweep down to the deepest level max(k + e).
 
     Each level k + e is folded once, into the value ranges of its finest
-    k, and a coarser k with the same k + e reduces that table.  Samples
-    come out in order of k + e, then k, bitwise the same as single-level
-    samples (min and max are exact, so the grouping cannot change them).
+    k, and a coarser k with the same k + e reduces that table, bitwise the
+    same as single-level samples (min and max are exact, so the grouping
+    cannot change them).
     """
     if any(k < 1 or e < 0 for k, e in extras.items()):
         raise ModelError("k must be >= 1 and extra >= 0")
@@ -693,12 +696,11 @@ def graph_samples(
             group = n**(finest[k + e] - k)
             _fold(vmin[k], vmin[finest[k + e]], 0, group, np.minimum)
             _fold(vmax[k], vmax[finest[k + e]], 0, group, np.maximum)
-    for k in sorted(extras, key=lambda k: (k + extras[k], k)):
-        yield GraphSample(
-            domain=model.domain,
-            level=k,
-            extra=extras[k],
-            vmin=vmin[k],
-            vmax=vmax[k],
-            slack=float(2 * model.M[1] * model.s_norm[1] ** extras[k]),
-        )
+    return [GraphSample(
+        domain=model.domain,
+        level=k,
+        extra=extras[k],
+        vmin=vmin[k],
+        vmax=vmax[k],
+        slack=float(2 * model.M[1] * model.s_norm[1] ** extras[k]),
+    ) for k in sorted(extras)]

@@ -47,7 +47,7 @@ def _samples_up_to(model: FifModel, kmax: int, extra: int = 4):
 
 def _check_args(model: FifModel, eta: float, kmax: int | None) -> int:
     """kmax (the domain's default for None) once eta and kmax are valid."""
-    top = math.log(model.geom.N) / math.log(model.geom.lam)
+    top = math.log(model.N) / math.log(model.domain.lam)
     if not 0 <= eta <= top + 1e-12:
         raise ValueError(f"eta must lie in [0, log_Lambda N], got {eta}")
     if kmax is None:
@@ -64,8 +64,8 @@ def seminorm(model: FifModel, eta: float, kmax: int | None = None) -> float:
     k <= kmax; nondecreasing in kmax.
     """
     kmax = _check_args(model, eta, kmax)
-    lam = model.geom.lam
-    n = model.geom.N
+    lam = model.domain.lam
+    n = model.N
     best = 0.0
     for sample in _samples_up_to(model, kmax):
         k = sample.level
@@ -79,9 +79,9 @@ def holder_to_osc_check(
 ) -> dict[int, bool]:
     """Verify Osc(k, f)_lo <= H |K|^eta Lambda^(k (log_Lambda N - eta))."""
     kmax = _check_args(model, eta, kmax)
-    lam = model.geom.lam
-    n = model.geom.N
-    diam = model.geom.diameter
+    lam = model.domain.lam
+    n = model.N
+    diam = model.domain.diameter
     out = {}
     for sample in _samples_up_to(model, kmax):
         k = sample.level

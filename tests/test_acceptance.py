@@ -148,7 +148,7 @@ def test_criterion_5_fixed_point_suite():
         # set (exact values), plus a spot check through evaluate_at
         depth = {"interval": 8, "gasket": 7, "cube": 6}[model.domain.kind]
         deep_pts, deep_vals = evaluate_on_vk(model, depth)
-        res = 1e-9 * max(model.geom.diameter, 1.0)
+        res = 1e-9 * max(model.domain.diameter, 1.0)
         table = {
             tuple(np.round(q / res).astype(np.int64).tolist()): v
             for q, v in zip(*evaluate_on_vk(model, depth + 1))

@@ -148,3 +148,58 @@ def test_one_version_source(config_dir):
     assert meta["project"]["dynamic"] == ["version"]
     attr = meta["tool"]["setuptools"]["dynamic"]["version"]["attr"]
     assert attr == "fifdim.__version__" and fifdim.__version__
+
+
+@pytest.mark.parametrize("command, field, value, path", [
+    pytest.param("validate", "displacements", {"solve": "quadratic"},
+                 "displacements.solve", id="solve-unknown-family"),
+    pytest.param("validate", "displacements", {"solve": "solve"},
+                 "displacements.solve", id="solve-string-solve"),
+    pytest.param("validate", "displacements", {"solve": False},
+                 "displacements.solve", id="solve-false"),
+    pytest.param("validate", "displacements", {"solve": 1},
+                 "displacements.solve", id="solve-number"),
+    pytest.param("report", "analysis", {"k_min": "abc"}, "analysis.k_min",
+                 id="k_min-string"),
+    pytest.param("report", "analysis", {"k_max": 7.0}, "analysis.k_max",
+                 id="k_max-float"),
+    pytest.param("report", "analysis", {"k_min": True}, "analysis.k_min",
+                 id="k_min-boolean"),
+    pytest.param("report", "analysis", {"sample_depth": [1]},
+                 "analysis.sample_depth", id="sample_depth-list"),
+    pytest.param("sample", "analysis", {"sample_depth": "8"},
+                 "analysis.sample_depth", id="sample_depth-string"),
+    pytest.param("report", "analysis", {"kmin": 4}, "analysis.kmin",
+                 id="unknown-analysis-field"),
+    pytest.param("bounds", "analysis", {"gamma_pin": "3//2"},
+                 "analysis.gamma_pin", id="gamma_pin-garbage"),
+])
+def test_config_field_errors_exit_1(config_dir, tmp_path, capsys, command,
+                                    field, value, path):
+    # each fails at config time with its field path, before any model work
+    raw = json.loads((config_dir / "degenerate_interval.json").read_text())
+    raw[field] = value
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(raw))
+    assert main([command, str(p), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error at {path}: ")
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
+def test_config_error_has_no_traceback(config_dir, tmp_path):
+    import subprocess
+    import sys
+
+    raw = json.loads((config_dir / "degenerate_interval.json").read_text())
+    raw["analysis"] = {"k_min": "abc"}
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(raw))
+    run = subprocess.run(
+        [sys.executable, "-m", "fifdim.cli", "report", str(p),
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, cwd=config_dir.parent,
+        env={"PYTHONPATH": str(config_dir.parent / "src")},
+    )
+    assert run.returncode == 1
+    assert run.stderr == 'config error at analysis.k_min: must be an integer, got "abc"\n'

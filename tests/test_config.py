@@ -6,6 +6,7 @@ import pytest
 
 from conftest import get_config
 from fifdim.config import ConfigError, load_config, parse_number
+from fifdim.engine import FAMILIES
 
 
 def test_parse_number_fractions():
@@ -143,3 +144,23 @@ def test_eta_must_be_finite(tmp_path, literal):
     with pytest.raises(ConfigError) as ei:
         load_config(str(p))
     assert [path for path, _ in ei.value.errors] == ["eta"]
+
+
+def test_solve_takes_true_or_a_family(tmp_path):
+    cfg = load_config(_write(tmp_path, dict(BASE, displacements={"solve": True})))
+    assert cfg.spec.q == "solve"  # the domain's default family
+    for family in FAMILIES:
+        payload = dict(BASE, displacements={"solve": family})
+        assert load_config(_write(tmp_path, payload)).spec.q == family
+
+
+def test_analysis_fields(tmp_path):
+    analysis = {"k_min": 3, "k_max": 5, "sample_depth": 0, "gamma_pin": "1/2"}
+    cfg = load_config(_write(tmp_path, dict(BASE, analysis=analysis)))
+    assert cfg.analysis == dict(analysis, gamma_pin=0.5)
+    bad = {"k_min": 3.0, "k_max": False, "sample_depth": None, "window": [3, 5]}
+    with pytest.raises(ConfigError) as ei:
+        load_config(_write(tmp_path, dict(BASE, analysis=bad)))
+    assert [path for path, _ in ei.value.errors] == [
+        "analysis.k_min", "analysis.k_max", "analysis.sample_depth",
+        "analysis.window"]

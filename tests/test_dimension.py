@@ -540,8 +540,8 @@ def _deltas(model, k, rng):
     either side of the limit of 64 extra columns per cell, dyadic deltas
     down to a quarter cell, and random ones from about 60 columns per
     cell to 2..64 cells per column and coarser."""
-    diam = model.geom.diameter
-    tied = diam / model.geom.lam**k
+    diam = model.domain.diameter
+    tied = diam / model.domain.lam**k
     return ([tied, tied / 63.5, tied / 64.5]
             + [diam / 2.0**j for j in range(1, 30) if diam / 2.0**j > tied / 4]
             + list(tied * np.exp(rng.uniform(np.log(1 / 60), np.log(200), 12))))
@@ -631,7 +631,7 @@ def test_level_tied_count_is_translation_invariant():
         model = build_model(FifSpec(
             d, data, [(Const(c), None) for c in (0.25, 0.5, 0.75)], "solve"))
         sample = graph_sample(model, 8, 0)
-        counts.append(box_count(sample, model.geom.diameter / model.geom.lam**8))
+        counts.append(box_count(sample, model.domain.diameter / model.domain.lam**8))
     assert counts == [155429, 155429]
 
 
@@ -640,7 +640,7 @@ def test_box_count_rejects_cells_too_coarse(name):
     # the widest cell spans about 100 columns
     model = get_model(name)
     sample = graph_sample(model, 3, 0)
-    delta = model.geom.diameter / model.geom.lam**3 / 100
+    delta = model.domain.diameter / model.domain.lam**3 / 100
     for count in (box_count, _column_count_reference):
         with pytest.raises(ValueError, match="too coarse"):
             count(sample, delta)
@@ -673,7 +673,7 @@ def test_sg_prism_voxel_sandwich():
     model = get_model("sg_exact")
     for k in (3, 4, 5):
         sample = graph_sample(model, k, extra=4)
-        delta = model.geom.diameter / model.geom.lam**k
+        delta = model.domain.diameter / model.domain.lam**k
         prism = box_count(sample, delta)
         deep = _level_at(model, k + 5)
         pts = deep.pts.reshape(-1, 2)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import fifdim.domains as dm
-from conftest import get_model
+from conftest import CONFIG_NAMES, get_config, get_model
 from fifdim.domains import (
     AffineMap,
     Axis,
@@ -17,7 +17,6 @@ from fifdim.domains import (
     build_interval_maps,
     cube_domain,
     gasket_domain,
-    geometry_constants,
     interval_domain,
     product_domain,
     vertex_set,
@@ -76,11 +75,10 @@ def test_signature_validation():
 def test_geometry_constants_case1():
     # [PAPER] Lambda_0 = 15/4 (smallest piece 4/15), Lambda = 5/2 (largest 2/5)
     d = interval_domain(KNOTS_CASE1, (0, 0, 0))
-    g = geometry_constants(d)
-    assert g.lam0 == pytest.approx(15 / 4, rel=1e-12)
-    assert g.lam == pytest.approx(5 / 2, rel=1e-12)
-    assert g.N == 3
-    assert g.diameter == pytest.approx(1.0)
+    assert d.lam0 == pytest.approx(15 / 4, rel=1e-12)
+    assert d.lam == pytest.approx(5 / 2, rel=1e-12)
+    assert d.N == 3
+    assert d.diameter == pytest.approx(1.0)
 
 
 def test_affine_map_compose_order():
@@ -141,8 +139,7 @@ def test_gasket_level2_has_nine_maps():
     assert d.N == 9
     for mp in d.maps:
         assert mp.ratio == pytest.approx(0.25)
-    g = geometry_constants(d)
-    assert g.lam == pytest.approx(4.0)
+    assert d.lam == pytest.approx(4.0)
 
 
 def test_gasket_rejects_non_equilateral():
@@ -259,3 +256,86 @@ def test_unique_rows_wide_keys_do_not_overflow():
     ref_first, ref_inverse = _axis0_unique(keys)
     assert np.array_equal(first, ref_first)
     assert np.array_equal(inverse, ref_inverse)
+
+
+# (Lambda, Lambda_0, |K|, [delta_k for k = 0..12]) of each domain, captured
+# from the DomainGeometry these properties replaced
+SCALING_CONSTANTS = {
+    "example5_case1_one": (2.5, 3.75, 1.0, [
+        1.0, 0.4, 0.16,
+        0.064, 0.0256, 0.01024,
+        0.004096, 0.0016384, 0.00065536,
+        0.000262144, 0.0001048576, 4.194304e-05,
+        1.6777216e-05,
+    ]),
+    "example5_case1_sin": (2.5, 3.75, 1.0, [
+        1.0, 0.4, 0.16,
+        0.064, 0.0256, 0.01024,
+        0.004096, 0.0016384, 0.00065536,
+        0.000262144, 0.0001048576, 4.194304e-05,
+        1.6777216e-05,
+    ]),
+    "example5_case2": (2.9999999999999996, 3.0, 1.0, [
+        1.0, 0.33333333333333337, 0.11111111111111113,
+        0.03703703703703705, 0.012345679012345685, 0.004115226337448563,
+        0.0013717421124828544, 0.0004572473708276182, 0.00015241579027587277,
+        5.0805263425290925e-05, 1.6935087808430313e-05, 5.6450292694767715e-06,
+        1.881676423158924e-06,
+    ]),
+    "sg_exact": (2.0, 2.0, 1.0, [
+        1.0, 0.5, 0.25,
+        0.125, 0.0625, 0.03125,
+        0.015625, 0.0078125, 0.00390625,
+        0.001953125, 0.0009765625, 0.00048828125,
+        0.000244140625,
+    ]),
+    "degenerate_interval": (2.9999999999999996, 3.0, 1.0, [
+        1.0, 0.33333333333333337, 0.11111111111111113,
+        0.03703703703703705, 0.012345679012345685, 0.004115226337448563,
+        0.0013717421124828544, 0.0004572473708276182, 0.00015241579027587277,
+        5.0805263425290925e-05, 1.6935087808430313e-05, 5.6450292694767715e-06,
+        1.881676423158924e-06,
+    ]),
+    "degenerate_cube": (2.0, 2.0, 1.4142135623730951, [
+        1.4142135623730951, 0.7071067811865476, 0.3535533905932738,
+        0.1767766952966369, 0.08838834764831845, 0.04419417382415922,
+        0.02209708691207961, 0.011048543456039806, 0.005524271728019903,
+        0.0027621358640099515, 0.0013810679320049757, 0.0006905339660024879,
+        0.00034526698300124393,
+    ]),
+    "gasket_level2": (4.0, 4.0, 1.0, [
+        1.0, 0.25, 0.0625,
+        0.015625, 0.00390625, 0.0009765625,
+        0.000244140625, 6.103515625e-05, 1.52587890625e-05,
+        3.814697265625e-06, 9.5367431640625e-07, 2.384185791015625e-07,
+        5.960464477539063e-08,
+    ]),
+    "cube_2x2x2": (2.0, 2.0, 1.7320508075688772, [
+        1.7320508075688772, 0.8660254037844386, 0.4330127018922193,
+        0.21650635094610965, 0.10825317547305482, 0.05412658773652741,
+        0.027063293868263706, 0.013531646934131853, 0.0067658234670659265,
+        0.0033829117335329633, 0.0016914558667664816, 0.0008457279333832408,
+        0.0004228639666916204,
+    ]),
+    # Lambda_0 (the finest axis piece, 1/3) is not 1 / the smallest ratio
+    "cube_unequal_axes": (1.4999999999999998, 3.0, 1.4142135623730951, [
+        1.4142135623730951, 0.9428090415820636, 0.6285393610547091,
+        0.4190262407031395, 0.27935082713542636, 0.18623388475695093,
+        0.12415592317130066, 0.08277061544753378, 0.05518041029835586,
+        0.03678694019890391, 0.024524626799269277, 0.016349751199512853,
+        0.01089983413300857,
+    ]),
+}
+
+
+def test_scaling_constants_pinned():
+    triangle = [[0, 0], [1, 0], [0.5, math.sqrt(3) / 2]]
+    domains = {name: get_config(name).spec.domain for name in CONFIG_NAMES}
+    domains["gasket_level2"] = gasket_domain(triangle, 2)
+    domains["cube_2x2x2"] = cube_domain([((0, 0.5, 1), (0, 1))] * 3)
+    domains["cube_unequal_axes"] = cube_domain(
+        [((0, 1 / 3, 1), (0, 1)), ((0, 0.5, 1), (0, 1))])
+    assert list(domains) == list(SCALING_CONSTANTS)
+    for name, d in domains.items():
+        got = (d.lam, d.lam0, d.diameter, [d.delta(k) for k in range(13)])
+        assert got == SCALING_CONSTANTS[name], name

@@ -257,7 +257,7 @@ def test_graph_self_similarity(each_model):
     name, model = each_model
     pts, vals = evaluate_on_vk(model, 2)
     deep_pts, deep_vals = evaluate_on_vk(model, 3)
-    res = 1e-9 * max(model.geom.diameter, 1.0)
+    res = 1e-9 * max(model.domain.diameter, 1.0)
     table = {
         tuple(np.round(p / res).astype(np.int64).tolist()): v
         for p, v in zip(deep_pts, deep_vals)

@@ -162,12 +162,16 @@ def test_graph_samples_order_and_single_entry():
     samples = graph_samples(model, {3: 0, 1: 2, 2: 1})
     got = [(s.level, s.extra) for s in samples]
     assert got == [(1, 2), (2, 1), (3, 0)]
+    # in order of k, also where a coarser k reads a deeper level
+    samples = graph_samples(model, {2: 0, 1: 3})
+    assert isinstance(samples, list)
+    assert [(s.level, s.extra) for s in samples] == [(1, 3), (2, 0)]
     one = graph_sample(model, 4, extra=1)
     assert (one.level, one.extra, one.cells) == (4, 1, 3**4)
     assert list(graph_samples(model, {})) == []
     for bad in ({0: 1}, {2: -1}):
-        with pytest.raises(ModelError):
-            next(graph_samples(model, bad))
+        with pytest.raises(ModelError):  # in the call, not on first use
+            graph_samples(model, bad)
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,9 @@
 """CLI outputs of every bundled config against reference fingerprints:
 `fif report`'s exit code and report.json text (the benchmark's
-references), and the sha256 of its graph.svg and loglog.svg and of
-`fif bounds`'s bounds.json (tests/output_sha256.json), byte for byte."""
+references), and the sha256 of its graph.svg and loglog.svg, of
+`fif bounds`'s bounds.json and of `fif sample`'s sample.csv
+(tests/output_sha256.json), byte for byte.  sample.csv guards the point
+identity resolution and the order of V_k."""
 
 import hashlib
 import json
@@ -55,3 +57,13 @@ def test_bounds_json_matches_reference(name, output_hashes, config_dir,
     assert code == 0
     assert (_sha256(tmp_path / "bounds.json")
             == output_hashes[name]["bounds.json"])
+
+
+@pytest.mark.parametrize("name", CONFIG_NAMES)
+def test_sample_csv_matches_reference(name, output_hashes, config_dir,
+                                      tmp_path, capsys):
+    code = main(["sample", str(config_dir / f"{name}.json"),
+                 "--out", str(tmp_path)])
+    assert code == 0
+    assert (_sha256(tmp_path / "sample.csv")
+            == output_hashes[name]["sample.csv"])

@@ -8,8 +8,8 @@ import pytest
 
 from conftest import get_model
 from fifdim import engine, oscillation
-from fifdim.dimension import _equal_ratio, box_count, empirical_dimension
-from fifdim.domains import point_keys, point_resolution, unique_rows
+from fifdim.dimension import box_count, empirical_dimension
+from fifdim.domains import point_keys, unique_rows
 from fifdim.engine import GraphSample, apply_T, evaluate_on_vk, graph_samples
 from fifdim.oscillation import seminorm
 
@@ -70,8 +70,7 @@ def _assert_samples_equal_replay(model, extras):
     depth = max(k + e for k, e in extras.items())
     levels = _replay(model, depth)
     got = list(graph_samples(model, extras))
-    assert [(s.level, s.extra) for s in got] == sorted(
-        extras.items(), key=lambda ke: (sum(ke), ke[0]))
+    assert [(s.level, s.extra) for s in got] == sorted(extras.items())
     for sample in got:
         k, e = sample.level, sample.extra
         _, _, lo, hi, diam = levels[k]
@@ -101,8 +100,7 @@ def test_graph_samples_shared_level_folded_once(name, small_blocks):
 
 def _dedup(pts, vals, model):
     """First occurrences of the points of (pts, vals), in order."""
-    res = point_resolution(model.domain.base.diameter)
-    order = np.sort(unique_rows(point_keys(pts, res))[0])
+    order = np.sort(unique_rows(point_keys(pts, model.domain.resolution))[0])
     return pts[order], vals[order]
 
 
@@ -128,17 +126,17 @@ def test_vk_and_apply_T_equal_replay(name, small_blocks):
 def _replayed_estimate(model, k_min, k_max, depth):
     """empirical_dimension's entries from whole replayed levels."""
     levels = _replay(model, depth)
-    diam = model.geom.diameter
+    diam = model.domain.diameter
 
     def table(k, level):
         vals = levels[level][1].reshape(model.N**k, -1)
         return GraphSample(model.domain, k, level - k, vals.min(axis=1),
                            vals.max(axis=1), 0.0)
 
-    if _equal_ratio(model) or model.domain.m > 1:
+    if model.domain.equal_ratio or model.domain.m > 1:
         e = depth - k_max
-        return [(k, diam / model.geom.lam**k,
-                 box_count(table(k, k + e), diam / model.geom.lam**k))
+        return [(k, diam / model.domain.lam**k,
+                 box_count(table(k, k + e), diam / model.domain.lam**k))
                 for k in range(k_min, k_max + 1)]
     deep = table(depth, depth)
     return [(k, diam / 2.0**k, box_count(deep, diam / 2.0**k))
