@@ -18,8 +18,10 @@ from .exprs import ExprError, ShapeFacts, parse_expr
 
 __all__ = ["RunConfig", "ConfigError", "load_config", "parse_number"]
 
-# the "analysis" fields; gamma_pin is a number, the others JSON integers
-ANALYSIS_INTS = ("k_min", "k_max", "sample_depth")
+# the "analysis" fields: gamma_pin is a number, the others JSON integers
+# with these least values (a box-count window starts at level 2; a sample
+# at depth 0 is the interpolation nodes)
+ANALYSIS_INTS = {"k_min": 2, "k_max": 2, "sample_depth": 0}
 
 
 class ConfigError(ValueError):
@@ -223,6 +225,12 @@ def load_config(path: str) -> RunConfig:
             errors.append((at, "unknown analysis field"))
         elif isinstance(value, bool) or not isinstance(value, int):
             errors.append((at, f"must be an integer, got {json.dumps(value)}"))
+        elif value < ANALYSIS_INTS[key]:
+            errors.append((at, f"must be >= {ANALYSIS_INTS[key]}, got {value}"))
+    k_min, k_max = (analysis.get(key) for key in ("k_min", "k_max"))
+    if type(k_min) is int and type(k_max) is int and k_max < k_min:
+        errors.append(("analysis.k_max", f"must be >= k_min = {k_min}, "
+                       f"got {k_max}"))
 
     if errors or domain is None:
         raise ConfigError(errors or [("domain", "missing")])

@@ -389,11 +389,9 @@ def product_domain(
     per_axis_maps = [build_interval_maps(tuple(k), tuple(s)) for k, s in axes]
     lo = tuple(float(k[0]) for k, _ in axes)
     hi = tuple(float(k[-1]) for k, _ in axes)
-    maps = []
-    for combo in itertools.product(*per_axis_maps):
-        scale = tuple(mp.scale[0] for mp in combo)
-        offset = tuple(mp.offset[0] for mp in combo)
-        maps.append(AffineMap(scale, offset))
+    maps = [AffineMap(tuple(mp.scale[0] for mp in combo),
+                      tuple(mp.offset[0] for mp in combo))
+            for combo in itertools.product(*per_axis_maps)]
     v0 = tuple(itertools.product(*[(a, b) for a, b in zip(lo, hi)]))
     return ProductDomain(
         maps=tuple(maps),
@@ -429,12 +427,9 @@ def gasket_domain(vertices, n: int = 1) -> GasketDomain:
     if n < 1:
         raise DomainError("gasket level must be >= 1")
     basic = [AffineMap((0.5, 0.5), (v[i, 0] / 2, v[i, 1] / 2)) for i in range(3)]
-    maps = []
-    for word in itertools.product(range(3), repeat=n):
-        f = basic[word[0]]
-        for w in word[1:]:
-            f = f.compose(basic[w])
-        maps.append(f)
+    # l_w = l_{w_1} o .. o l_{w_n}, composed from the left
+    maps = [functools.reduce(AffineMap.compose, (basic[w] for w in word))
+            for word in itertools.product(range(3), repeat=n)]
     return GasketDomain(
         maps=tuple(maps),
         v0=tuple(tuple(p) for p in v),
@@ -459,17 +454,24 @@ def point_keys(pts: np.ndarray, resolution: float) -> np.ndarray:
 
 def unique_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(first, inverse) of ``np.unique(keys, axis=0, ...)`` for (n, m)
-    integer keys, from 1-D uniques: each column joins as its rank, packed
-    as row rank so far * distinct count + rank.  That stays below n^2 (the
-    raw keys need ~68 bits for two axes at 1e-10 resolution) and keeps the
-    rows in lexicographic order, so both arrays are unchanged."""
+    integer keys, from 1-D uniques.  Each column joins the row rank so far
+    as rank * span + (col - min) while that stays below 2^62, else through
+    its own rank, as rank * distinct count + rank (below n^2; the raw keys
+    need ~68 bits for two axes at 1e-10 resolution).  Both keep the rows
+    in lexicographic order, so both arrays are unchanged."""
     _, first, inverse = np.unique(
         keys[:, 0], return_index=True, return_inverse=True
     )
-    for col in keys[:, 1:].T:
-        values, rank = np.unique(col, return_inverse=True)
+    for col in keys[:, 1:].T if len(keys) else ():
+        low = int(col.min())
+        span = int(col.max()) - low + 1
+        if (len(first) - 1) * span < 2**62:
+            packed = inverse * span + (col - low)
+        else:
+            values, rank = np.unique(col, return_inverse=True)
+            packed = inverse * len(values) + rank
         _, first, inverse = np.unique(
-            inverse * len(values) + rank, return_index=True, return_inverse=True
+            packed, return_index=True, return_inverse=True
         )
     return first, inverse
 

@@ -9,18 +9,19 @@ satisfies
     f*(l_i(x)) = s_i(x) * f*(x) + q_i(x).
 
 Evaluation on vertex sets V_k is done by exact forward recursion (no
-iteration error); arbitrary points go through the domain's address
-decoding plus an unwound recursion with an a-priori contraction error
-bound.  No code here depends on the domain type: every decision that
-does is a method or property of the domain.  Graph samples of all levels
-come from one sweep that goes depth-first in blocks of BLOCK_SLOTS vertex
-slots and folds each block into the level-k value ranges, so memory is
-O(block + N^k_max) and FIF_CELL_BUDGET (N^depth x |V_0| slots) bounds the
-work.  A block of 2^16 slots holds 512 KB of values and as much of points
-per axis, about the 2 MB of a per-core L2 cache; 2^18 spills it, and at
-2^12 per-block overhead dominates.  The sweep carries values, and vertex
-points only where the next push needs them; cell boxes and diameters are
-geometry of the domain (``Domain.cell_boxes``, ``Domain.cell_diams``).
+iteration error), one deduplicated level at a time; arbitrary points go
+through the domain's address decoding plus an unwound recursion with an
+a-priori contraction error bound.  No code here depends on the domain
+type: every decision that does is a method or property of the domain.
+Graph samples of all levels come from one sweep that goes depth-first in
+blocks of BLOCK_SLOTS vertex slots and folds each block into the level-k
+value ranges, so memory is O(block + N^k_max) and FIF_CELL_BUDGET
+(N^depth x |V_0| slots) bounds the work.  A block of 2^16 slots holds
+512 KB of values and as much of points per axis, about the 2 MB of a
+per-core L2 cache; 2^18 spills it, and at 2^12 per-block overhead
+dominates.  The sweep carries values, and vertex points only where the
+next push needs them; cell boxes and diameters are geometry of the
+domain (``Domain.cell_boxes``, ``Domain.cell_diams``).
 """
 
 from __future__ import annotations
@@ -100,11 +101,8 @@ class FifSpec:
 
 def _data_dict(d: Domain, data) -> dict[tuple[int, ...], float]:
     res = d.resolution
-    out = {}
-    for pt, val in data:
-        key = tuple(point_keys(np.asarray(pt, float), res).tolist())
-        out[key] = float(val)
-    return out
+    return {tuple(point_keys(np.asarray(pt, float), res).tolist()): float(val)
+            for pt, val in data}
 
 
 def _lookup(d: Domain, table, pts: np.ndarray) -> np.ndarray:
@@ -196,17 +194,12 @@ def _multilinear_holder_constant(
 ) -> float:
     lo, hi = base.bounding_box()
     bound = np.maximum(np.abs(lo), np.abs(hi))
-    m = lo.shape[0]
     l2 = 0.0
-    for u in range(1, m + 1):
+    for u in range(1, lo.shape[0] + 1):
         lu = 0.0
         for J, c in coeffs.items():
             if u in J:
-                prod = 1.0
-                for j in J:
-                    if j != u:
-                        prod *= bound[j - 1]
-                lu += abs(c) * prod
+                lu += abs(c) * math.prod(bound[j - 1] for j in J if j != u)
         l2 += lu * lu
     return math.sqrt(l2)
 
@@ -261,10 +254,8 @@ def check_well_defined(spec: FifSpec) -> list[str]:
     if d.pcf:
         return []
     violations = []
-    for u, axis in enumerate(d.axes):
-        sig = axis.signature
-        ok = all(b == sig[0] ^ (j & 1) for j, b in enumerate(sig))
-        if not ok:
+    for u, sig in enumerate(axis.signature for axis in d.axes):
+        if any(b != sig[0] ^ (j & 1) for j, b in enumerate(sig)):
             violations.append(f"signature not alternating on axis {u + 1}")
     if violations:
         return violations
@@ -301,16 +292,12 @@ def check_well_defined(spec: FifSpec) -> list[str]:
             ]
             grid = np.meshgrid(*axes_pts, indexing="ij")
             face = np.stack([g.ravel() for g in grid], axis=-1)
-            s1, q1 = spec.s[i][0], spec.q[i][0]
-            s2, q2 = spec.s[i2][0], spec.q[i2][0]
-            ds = s1.ev(face) - s2.ev(face)
-            dq = q1.ev(face) - q2.ev(face)
-            gap = np.abs(ds[None, :] * zs[:, None] + dq[None, :])
-            if float(np.max(gap)) > 1e-9:
-                violations.append(
-                    f"face mismatch between maps {combo} and {combo2} "
-                    f"(max gap {float(np.max(gap)):.3e})"
-                )
+            ds = spec.s[i][0].ev(face) - spec.s[i2][0].ev(face)
+            dq = spec.q[i][0].ev(face) - spec.q[i2][0].ev(face)
+            gap = float(np.max(np.abs(ds[None, :] * zs[:, None] + dq[None, :])))
+            if gap > 1e-9:
+                violations.append(f"face mismatch between maps {combo} and "
+                                  f"{combo2} (max gap {gap:.3e})")
     return violations
 
 
@@ -398,19 +385,16 @@ class _Level(NamedTuple):
     vals: np.ndarray  # (C, P) exact f* values
 
 
-def _level0(model: FifModel) -> _Level:
-    v0 = model.domain.v0_array
-    return _Level(v0[None], model.p_at(v0)[None])
-
-
 def _child(model: FifModel, lev: _Level, i: int, pts: bool = True) -> _Level:
     """The cells l_i o l_w for every cell w of ``lev``, in the order of w,
-    with values, and vertex points if ``pts``."""
+    with values, and vertex points if ``pts``; a constant s_i or q_i
+    enters the values as a float (see ``Expr._ev``)."""
     C, P, m = lev.pts.shape
     flat = lev.pts.reshape(C * P, m)
-    vals = model.s[i][0].ev(flat).reshape(C, P) * lev.vals
-    vals += model.q[i][0].ev(flat).reshape(C, P)
-    return _Level(model.domain.maps[i](lev.pts) if pts else None, vals)
+    vals = model.s[i][0]._ev(flat) * lev.vals.reshape(C * P)
+    vals += model.q[i][0]._ev(flat)
+    return _Level(model.domain.maps[i](lev.pts) if pts else None,
+                  vals.reshape(C, P))
 
 
 def _push(model: FifModel, lev: _Level, pts: bool = True) -> _Level:
@@ -437,14 +421,6 @@ def _fit_extra(model: FifModel, k: int, extra: int) -> int:
     return extra
 
 
-def _level_at(model: FifModel, k: int) -> _Level:
-    _check_budget(model, k, f"level {k}")
-    lev = _level0(model)
-    for _ in range(k):
-        lev = _push(model, lev)
-    return lev
-
-
 def _sweep(model: FifModel, depth: int, lev: _Level | None = None,
            level: int = 0, offset: int = 0
            ) -> Iterator[tuple[int, int, _Level]]:
@@ -459,7 +435,9 @@ def _sweep(model: FifModel, depth: int, lev: _Level | None = None,
     Blocks above ``depth`` carry vertex points, since the next push needs
     them; those at ``depth`` carry values only.
     """
-    lev = _level0(model) if lev is None else lev
+    if lev is None:
+        v0 = model.domain.v0_array
+        lev = _Level(v0[None], model.p_at(v0)[None])
     if level == depth:
         return
     n, pts = model.N, level + 1 < depth
@@ -488,49 +466,61 @@ def _fold(table, block, offset: int, group: int, op) -> None:
         op(out, op.reduce(part, axis=1), out=out)
 
 
-def evaluate_on_vk(model: FifModel, k: int):
-    """Exact f* values on V_k: deduplicated (points, values) arrays.
+def _push_points(model: FifModel, pts, vals, level: int | None = None):
+    """One push of the points ``pts`` (n, m) with values ``vals`` (n,):
+    each map's images, map-major, deduplicated to first occurrences in
+    order.  Given the ``level`` pushed to, points reached twice must agree
+    to CONSISTENCY_TOL."""
+    nxt = _push(model, _Level(pts[:, None], vals[:, None]))
+    pts, vals = nxt.pts[:, 0], nxt.vals[:, 0]
+    first, inverse = unique_rows(point_keys(pts, model.domain.resolution))
+    if level is not None:
+        spread_max = np.full(len(first), -np.inf)
+        spread_min = np.full(len(first), np.inf)
+        np.maximum.at(spread_max, inverse, vals)
+        np.minimum.at(spread_min, inverse, vals)
+        worst = float(np.max(spread_max - spread_min))
+        if worst > CONSISTENCY_TOL:
+            raise ModelError(
+                f"duplicate-vertex inconsistency {worst:.3e} at level {level}")
+    order = np.sort(first)
+    return pts[order], vals[order]
 
-    Points reached through several addresses are asserted consistent to
-    CONSISTENCY_TOL; a violation means the spec slipped validation.
+
+def evaluate_on_vk(model: FifModel, k: int):
+    """Exact f* values on V_k: deduplicated (points, values) arrays, in
+    order of first occurrence among the N^k |V_0| vertex slots.
+
+    Each level is one push of the deduplicated level before, which keeps
+    that order and those values (the first slot of l_i(Q) is l_i of Q's
+    first slot), and its points reached twice must agree to
+    CONSISTENCY_TOL; a violation means the spec slipped validation.  Two
+    addresses first disagree at the level where they meet and each later
+    map scales that by some |s_i| < 1, so checking every level is at least
+    as strict as checking level k alone.
     """
     if k < 1:
         raise ModelError("k must be >= 1")
-    lev = _level_at(model, k)
-    d = model.domain
-    pts = lev.pts.reshape(-1, d.m)
-    vals = lev.vals.reshape(-1)
-    first, inverse = unique_rows(point_keys(pts, d.resolution))
-    spread_max = np.full(len(first), -np.inf)
-    spread_min = np.full(len(first), np.inf)
-    np.maximum.at(spread_max, inverse, vals)
-    np.minimum.at(spread_min, inverse, vals)
-    worst = float(np.max(spread_max - spread_min))
-    if worst > CONSISTENCY_TOL:
-        raise ModelError(
-            f"duplicate-vertex inconsistency {worst:.3e} at level {k}"
-        )
-    order = np.sort(first)
-    return pts[order], vals[order]
+    _check_budget(model, k, f"level {k}")
+    pts = model.domain.v0_array
+    vals = model.p_at(pts)
+    for level in range(1, k + 1):
+        pts, vals = _push_points(model, pts, vals, level)
+    return pts, vals
 
 
 def apply_T(model: FifModel, pts: np.ndarray, vals: np.ndarray):
     """One application of the read-off operator to samples on V_k.
 
     Returns samples on V_{k+1}; duplicates keep their first occurrence
-    (any interleaving gives the same pass/fail downstream).
+    (any interleaving gives the same pass/fail downstream) and are not
+    checked, since arbitrary samples need not agree on them.
     """
-    d = model.domain
     pts = np.atleast_2d(np.asarray(pts, float))
     vals = np.asarray(vals, float)
     if pts.shape[0] != vals.shape[0]:
         raise ModelError("points/values length mismatch")
-    # one push of the level whose cells are the points
-    nxt = _push(model, _Level(pts[:, None], vals[:, None]))
-    allp, allv = nxt.pts[:, 0], nxt.vals[:, 0]
-    first, _ = unique_rows(point_keys(allp, d.resolution))
-    order = np.sort(first)
-    return allp[order], allv[order]
+    return _push_points(model, pts, vals)
 
 
 # --------------------------------------------------------------------------

@@ -74,7 +74,13 @@ class Expr:
     holds a node's operand nodes."""
 
     def ev(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate at points ``x`` of shape (..., m); returns shape (...)."""
+        """Evaluate at points ``x`` of shape (..., m); returns a fresh array
+        of shape (...)."""
+        return _full(self._ev(x), x)
+
+    def _ev(self, x: np.ndarray) -> np.ndarray | float:
+        """``ev``, but constants joined by ``+ - * neg`` stay a Python
+        float, which broadcasts exactly as its array would."""
         raise NotImplementedError
 
     def _str(self) -> tuple[str, int]:
@@ -86,6 +92,12 @@ class Expr:
 
     def __str__(self) -> str:
         return self._str()[0]
+
+
+def _full(value: np.ndarray | float, x: np.ndarray) -> np.ndarray:
+    """A node's value as an array of shape x.shape[:-1]; ``sin``, ``cos``
+    and ``^`` use it, as numpy's scalar and SIMD paths round differently."""
+    return np.full(x.shape[:-1], value) if isinstance(value, float) else value
 
 
 def _paren(child: Expr, min_prec: int) -> str:
@@ -119,8 +131,8 @@ class Const(Expr):
     value: float
     args = ()
 
-    def ev(self, x):
-        return np.full(x.shape[:-1], float(self.value))
+    def _ev(self, x):
+        return float(self.value)
 
     def _str(self):
         v = float(self.value)
@@ -135,7 +147,10 @@ class Var(Expr):
     args = ()
 
     def ev(self, x):
-        return np.asarray(x)[..., self.axis - 1]
+        return self._ev(x).copy()
+
+    def _ev(self, x):
+        return x[..., self.axis - 1]  # a view of x
 
     def _str(self):
         return f"x{self.axis}", 2
@@ -155,12 +170,13 @@ class Op(Expr):
         if self.op not in OPS or len(self.args) != len(OPS[self.op].operand_prec):
             raise ExprError(f"no operator {self.op!r} of {len(self.args)} operands")
 
-    def ev(self, x):
+    def _ev(self, x):
         # by arity: a list of the operand values would cost a frame per node
         apply, args = OPS[self.op].apply, self.args
-        if len(args) == 1:
-            return apply(args[0].ev(x))
-        return apply(args[0].ev(x), args[1].ev(x))
+        if len(args) == 2:
+            return apply(args[0]._ev(x), args[1]._ev(x))
+        a = args[0]._ev(x)
+        return apply(_full(a, x) if self.op in _FUNCTIONS else a)
 
     def _str(self):
         spec = OPS[self.op]
@@ -184,8 +200,9 @@ class Pow(Expr):
     def args(self):
         return (self.base,)
 
-    def ev(self, x):
-        return np.abs(self.base.ev(x)) ** self.exponent
+    def _ev(self, x):
+        # builtin abs, not np.abs: numpy writes into a temporary operand
+        return abs(_full(self.base._ev(x), x)) ** self.exponent
 
     def _str(self):
         text, prec = self.base._str()
@@ -358,9 +375,8 @@ def parse_expr(text: str) -> Expr:
 def eval_expr(e: Expr, x) -> np.ndarray | float:
     """Evaluate ``e`` at point(s) ``x`` of shape (..., m)."""
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 1
     out = e.ev(x)
-    return float(out) if scalar else out
+    return float(out) if x.ndim == 1 else out
 
 
 # --------------------------------------------------------------------------
@@ -393,16 +409,11 @@ class ShapeFacts:
 
     def __post_init__(self):
         object.__setattr__(self, "affine_in", frozenset(self.affine_in))
-        # affine_in subset of concave_in & convex_in
-        object.__setattr__(
-            self, "concave_in", frozenset(self.concave_in) | self.affine_in
-        )
-        object.__setattr__(
-            self, "convex_in", frozenset(self.convex_in) | self.affine_in
-        )
+        for name in ("concave_in", "convex_in"):  # both hold affine_in
+            object.__setattr__(
+                self, name, frozenset(getattr(self, name)) | self.affine_in)
         if self.holder_exponent is not None and not (0 < self.holder_exponent <= 1):
             raise ExprError("holder exponent must lie in (0, 1]")
-
 
 
 def normalize_facts(e: Expr, facts: ShapeFacts | None, m: int) -> ShapeFacts:
@@ -515,8 +526,7 @@ def audit_shape(
     def axis_triples(r):
         # endpoints varying only in axis r, other coordinates shared
         base = rng.uniform(lo, hi, size=(samples, m))
-        a = base.copy()
-        b = base.copy()
+        a, b = base.copy(), base.copy()
         ta = rng.uniform(lo[r - 1], hi[r - 1], size=samples)
         tb = rng.uniform(lo[r - 1], hi[r - 1], size=samples)
         a[:, r - 1] = np.minimum(ta, tb)
@@ -590,7 +600,5 @@ def multilinear_expr(coeffs: dict[frozenset, float]) -> Expr:
 
 def affine_expr(intercept: float, slopes: dict[int, float]) -> Expr:
     """Build intercept + sum_r slopes[r] * x_r as an AST."""
-    coeffs = {frozenset(): float(intercept)}
-    for r, c in slopes.items():
-        coeffs[frozenset({r})] = float(c)
-    return multilinear_expr(coeffs)
+    coeffs = {frozenset({r}): float(c) for r, c in slopes.items()}
+    return multilinear_expr({frozenset(): float(intercept), **coeffs})

@@ -203,3 +203,38 @@ def test_config_error_has_no_traceback(config_dir, tmp_path):
     )
     assert run.returncode == 1
     assert run.stderr == 'config error at analysis.k_min: must be an integer, got "abc"\n'
+
+
+@pytest.mark.parametrize("analysis, path", [
+    pytest.param({"k_min": 1}, "analysis.k_min", id="k_min-1"),
+    pytest.param({"k_max": 1}, "analysis.k_max", id="k_max-1"),
+    pytest.param({"sample_depth": -1}, "analysis.sample_depth",
+                 id="sample_depth-negative"),
+    pytest.param({"k_min": 6, "k_max": 5}, "analysis.k_max",
+                 id="k_max-below-k_min"),
+])
+def test_analysis_out_of_range_exit_1_before_any_file(config_dir, tmp_path,
+                                                     capsys, analysis, path):
+    # these used to end `fif report` with exit 2 and no field path, the
+    # sample depth only after report.json was written
+    raw = json.loads((config_dir / "degenerate_interval.json").read_text())
+    raw["analysis"] = analysis
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["report", str(p), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error at {path}: must be >= ")
+    assert err.count("\n") == 1
+    assert not (out / "report.json").exists()
+
+
+def test_analysis_least_values_accepted(config_dir, tmp_path, capsys):
+    # sample_depth 0 writes the interpolation nodes
+    raw = json.loads((config_dir / "example5_case2.json").read_text())
+    raw["analysis"] = {"k_min": 2, "k_max": 2, "sample_depth": 0}
+    p = tmp_path / "edge.json"
+    p.write_text(json.dumps(raw))
+    assert main(["sample", str(p), "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "sample.csv").read_text().strip().splitlines()[1:]
+    assert len(rows) == 4

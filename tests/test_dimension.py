@@ -37,7 +37,6 @@ from fifdim.engine import (
     FifSpec,
     GraphSample,
     ModelError,
-    _level_at,
     build_model,
     graph_sample,
 )
@@ -667,6 +666,18 @@ def test_level_tied_counts_make_no_geometry(monkeypatch):
     assert [s.level for s in seen] == [3, 4, 5, 6, 2, 3, 4, 5, 6]
 
 
+def _level_slots(model, depth):
+    """Points and values of every vertex slot of level ``depth``,
+    duplicates included, pushed whole from level 0."""
+    pts = model.domain.v0_array
+    vals = model.p_at(pts)
+    for _ in range(depth):
+        kids = [(mp(pts), model.s[i][0].ev(pts) * vals + model.q[i][0].ev(pts))
+                for i, mp in enumerate(model.domain.maps)]
+        pts, vals = (np.concatenate(part) for part in zip(*kids))
+    return pts, vals
+
+
 def test_sg_prism_voxel_sandwich():
     # N_delta <= N_S(k) <= 3 N_delta; the voxel proxy for N_delta is
     # grid-aligned, so allow the standard 2^3 grid-shift factor on the left
@@ -675,9 +686,7 @@ def test_sg_prism_voxel_sandwich():
         sample = graph_sample(model, k, extra=4)
         delta = model.domain.diameter / model.domain.lam**k
         prism = box_count(sample, delta)
-        deep = _level_at(model, k + 5)
-        pts = deep.pts.reshape(-1, 2)
-        vals = deep.vals.reshape(-1)
+        pts, vals = _level_slots(model, k + 5)
         keys = np.floor(
             np.column_stack([pts / delta, vals[:, None] / delta]) + 1e-9
         ).astype(np.int64)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fifdim.domains as dm
 from conftest import CONFIG_NAMES, get_config, get_model
@@ -252,6 +254,24 @@ def test_unique_rows_wide_keys_do_not_overflow():
     rng = np.random.default_rng(5)
     rows = rng.integers(-2**62, 2**62, size=(300, 3))
     keys = rows[rng.integers(0, len(rows), size=2000)]
+    first, inverse = dm.unique_rows(keys)
+    ref_first, ref_inverse = _axis0_unique(keys)
+    assert np.array_equal(first, ref_first)
+    assert np.array_equal(inverse, ref_inverse)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from([1, 40, 2**33, 2**61, 2**62]), min_size=1,
+                max_size=3),
+       st.integers(1, 400), st.integers(0, 2**32 - 1))
+def test_unique_rows_equals_axis0_unique_property(spans, n, seed):
+    # keys of each column in [-span, span); a span of 2^61 or more leaves
+    # no room to pack the row rank beside the column, which then joins
+    # through its own rank
+    rng = np.random.default_rng(seed)
+    rows = np.column_stack([rng.integers(-s, s, size=max(1, n // 3))
+                            for s in spans])
+    keys = rows[rng.integers(0, len(rows), size=n)]
     first, inverse = dm.unique_rows(keys)
     ref_first, ref_inverse = _axis0_unique(keys)
     assert np.array_equal(first, ref_first)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fifdim.domains import Box, Triangle, gasket_domain, vertex_set
@@ -134,6 +134,54 @@ def test_print_parse_round_trip_property(e):
     pts = np.random.default_rng(1).uniform(-1, 1, size=(16, 2))
     va, vb = e.ev(pts), again.ev(pts)
     assert np.allclose(va, vb, rtol=1e-12, atol=1e-12, equal_nan=True)
+
+
+@st.composite
+def constant_heavy_exprs(draw, depth=0):
+    """Trees whose leaves are mostly constants, so all-constant subtrees
+    are common, also under sin, cos and ^."""
+    choice = draw(st.integers(0, 2 if depth > 3 else 5))
+    if choice in (0, 1):
+        return Const(draw(st.floats(-4, 4, allow_nan=False, width=32)))
+    if choice == 2:
+        return Var(draw(st.integers(1, 2)))
+    if choice in (3, 4):
+        op = draw(st.sampled_from(sorted(OPS)))
+        arity = len(OPS[op].operand_prec)
+        return Op(op, tuple(draw(constant_heavy_exprs(depth=depth + 1))
+                            for _ in range(arity)))
+    return Pow(draw(constant_heavy_exprs(depth=depth + 1)),
+               draw(st.sampled_from([0.8, 1.0, 2.0])))
+
+
+def _filled_ev(e, x):
+    """Reference evaluation in which every Const is an np.full array."""
+    if isinstance(e, Const):
+        return np.full(x.shape[:-1], float(e.value))
+    if isinstance(e, Var):
+        return x[..., e.axis - 1].copy()
+    if isinstance(e, Pow):
+        return np.abs(_filled_ev(e.base, x)) ** e.exponent
+    return OPS[e.op].apply(*(_filled_ev(a, x) for a in e.args))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(constant_heavy_exprs(), st.sampled_from([(33, 2), (3, 5, 2)]))
+@example(Const(0.7), (33, 2))
+@example(Var(2), (33, 2))
+@example(Op("sin", (Op("*", (Const(0.3), Const(2.5))),)), (33, 2))
+@example(Op("cos", (Op("neg", (Const(1.1),)),)), (3, 5, 2))
+# |0.5 - 1.2|^0.8 and |-1.1|^0.8 round differently as Python floats
+@example(Pow(Op("-", (Const(0.5), Const(1.2))), 0.8), (33, 2))
+@example(Op("*", (Var(1), Pow(Op("neg", (Const(1.1),)), 0.8))), (3, 5, 2))
+@example(Op("+", (Op("*", (Const(0.25), Var(1))), Const(1 / 3))), (33, 2))
+def test_ev_is_a_fresh_array_bitwise_equal_to_filled_constants(e, shape):
+    x = np.random.default_rng(3).uniform(-2, 2, size=shape)
+    got = e.ev(x)
+    assert isinstance(got, np.ndarray) and got.dtype == np.float64
+    assert got.shape == shape[:-1]
+    assert got.base is None and not np.shares_memory(got, x)
+    assert got.tobytes() == _filled_ev(e, x).tobytes()
 
 
 def test_sup_norm_constant_exact():

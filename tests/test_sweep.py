@@ -1,17 +1,26 @@
 """The depth-first sweep and the level pushes against a breadth-first
-replay, seed pins of the box-count estimate, and memory bounds."""
+replay, seed pins of the box-count estimate and of V_k, and memory
+bounds."""
 
+import dataclasses
+import hashlib
+import json
+import pathlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import get_model
+from conftest import CONFIG_NAMES, get_model
 from fifdim import engine, oscillation
 from fifdim.dimension import box_count, empirical_dimension
 from fifdim.domains import point_keys, unique_rows
-from fifdim.engine import GraphSample, apply_T, evaluate_on_vk, graph_samples
+from fifdim.engine import (GraphSample, ModelError, apply_T, evaluate_on_vk,
+                           graph_samples)
+from fifdim.exprs import Const, Op
 from fifdim.oscillation import seminorm
+
+HASHES = pathlib.Path(__file__).resolve().parent / "output_sha256.json"
 
 SWEEP_CONFIGS = ["example5_case2", "example5_case1_sin", "example5_case1_one",
                  "degenerate_cube", "sg_exact"]
@@ -121,6 +130,47 @@ def test_vk_and_apply_T_equal_replay(name, small_blocks):
                      np.concatenate([v for _, v in nxt]), model)
         got = apply_T(model, pts, vals)
         assert _same_bits(got[0], ref[0]) and _same_bits(got[1], ref[1])
+
+
+@pytest.mark.parametrize("name", CONFIG_NAMES)
+def test_vk_matches_pinned_digest(name, monkeypatch):
+    # at the largest k with N^k |V_0| <= 2e6 vertex slots; pinned when V_k
+    # was one push of all those slots and one dedup
+    monkeypatch.delenv("FIF_CELL_BUDGET", raising=False)
+    model = get_model(name)
+    slots = len(model.domain.v0)
+    k = max(k for k in range(1, 40) if model.N**k * slots <= 2_000_000)
+    pts, vals = evaluate_on_vk(model, k)
+    digest = hashlib.sha256(np.ascontiguousarray(pts).tobytes())
+    digest.update(np.ascontiguousarray(vals).tobytes())
+    pinned = json.loads(HASHES.read_text())[name][f"evaluate_on_vk:{k}"]
+    assert digest.hexdigest() == pinned
+
+
+def test_vk_rejects_inconsistent_shared_vertices():
+    # q_1 shifted by 1e-6: the knot that l_1 and l_2 share gets two values
+    model = get_model("example5_case2")
+    (q1, facts), *rest = model.q
+    bad = dataclasses.replace(
+        model, q=[(Op("+", (q1, Const(1e-6))), facts), *rest])
+    with pytest.raises(ModelError, match="duplicate-vertex inconsistency"):
+        evaluate_on_vk(bad, 3)
+    # apply_T takes arbitrary samples and does not check them
+    pts, vals = evaluate_on_vk(model, 2)
+    assert len(apply_T(bad, pts, vals)[0]) == len(evaluate_on_vk(model, 3)[0])
+
+
+def test_vk_memory_bounded():
+    # 11 MB here; pushing all 177,147 vertex slots of level 10 before one
+    # dedup peaked at 19 MB
+    model = get_model("sg_exact")
+    tracemalloc.start()
+    try:
+        evaluate_on_vk(model, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 15 * 2**20
 
 
 def _replayed_estimate(model, k_min, k_max, depth):
