@@ -16,7 +16,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, load_config, resolve_analysis
 from .dimension import empirical_dimension, reconcile
 from .domains import BudgetError
 from .engine import (
@@ -66,20 +66,18 @@ def cmd_validate(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _sample_table(model: FifModel, cfg: RunConfig, args):
-    """Exact graph values on V_depth (``--depth``, else the config's)."""
-    depth = args.depth if args.depth is not None else cfg.analysis.get(
-        "sample_depth", 6)
+def _sample_table(model: FifModel, cfg: RunConfig):
+    """Exact graph values on V_sample_depth."""
+    depth = cfg.analysis["sample_depth"]
     if depth == 0:
         pts = model.interpolation_nodes()
-        vals = model.p_at(pts)
-        return pts, vals
+        return pts, model.p_at(pts)
     return evaluate_on_vk(model, depth)
 
 
 def cmd_sample(cfg: RunConfig, args) -> int:
     model = build_model(cfg.spec)
-    pts, vals = _sample_table(model, cfg, args)
+    pts, vals = _sample_table(model, cfg)
     out = _outdir(args) / "sample.csv"
     m = model.domain.m
     with open(out, "w") as fh:
@@ -104,8 +102,7 @@ def cmd_bounds(cfg: RunConfig, args) -> int:
 
 def cmd_boxdim(cfg: RunConfig, args) -> int:
     model = build_model(cfg.spec)
-    k_min, k_max = _window(cfg, args, model)
-    est = empirical_dimension(model, k_min, k_max)
+    est = empirical_dimension(model, cfg.analysis["k_min"], cfg.analysis["k_max"])
     text = _dump_json(est.to_dict(), _outdir(args) / "boxdim.json")
     print(text, end="")
     return EXIT_OK
@@ -113,18 +110,17 @@ def cmd_boxdim(cfg: RunConfig, args) -> int:
 
 def cmd_report(cfg: RunConfig, args) -> int:
     model = build_model(cfg.spec)
-    k_min, k_max = _window(cfg, args, model)
     report = reconcile(
         model,
-        k_min=k_min,
-        k_max=k_max,
+        k_min=cfg.analysis["k_min"],
+        k_max=cfg.analysis["k_max"],
         gamma_pin=cfg.analysis.get("gamma_pin"),
         with_empirical=True,
     )
     out = _outdir(args)
     _dump_json(report.to_dict(), out / "report.json")
 
-    pts, vals = _sample_table(model, cfg, args)
+    pts, vals = _sample_table(model, cfg)
     if model.domain.m == 1:
         svg = polyline_chart(pts[:, 0], vals)
     else:
@@ -145,20 +141,14 @@ def cmd_report(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _window(cfg: RunConfig, args, model: FifModel):
-    dk_min, dk_max = model.domain.default_window
-    k_min = args.kmin if args.kmin is not None else cfg.analysis.get(
-        "k_min", dk_min)
-    k_max = args.kmax if args.kmax is not None else cfg.analysis.get(
-        "k_max", dk_max)
-    return k_min, k_max
-
-
 def _outdir(args) -> Path:
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     return out
 
+
+# the analysis field each flag sets, by its argparse name
+FLAGS = {"k_min": "kmin", "k_max": "kmax", "sample_depth": "depth"}
 
 COMMANDS = {
     "validate": cmd_validate,
@@ -183,8 +173,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", default=None, help="output directory")
     args = parser.parse_args(argv)
 
+    flags = {key: (f"--{dest}", getattr(args, dest))
+             for key, dest in FLAGS.items() if getattr(args, dest) is not None}
     try:
         cfg = load_config(args.config)
+        cfg.analysis.update(resolve_analysis(cfg.analysis, cfg.spec.domain, flags))
     except ConfigError as exc:
         for path, msg in exc.errors:
             print(f"config error at {path or '<root>'}: {msg}", file=sys.stderr)

@@ -16,7 +16,8 @@ from .domains import Domain, cube_domain, gasket_domain, interval_domain, vertex
 from .engine import FAMILIES, FifSpec
 from .exprs import ExprError, ShapeFacts, parse_expr
 
-__all__ = ["RunConfig", "ConfigError", "load_config", "parse_number"]
+__all__ = ["RunConfig", "ConfigError", "load_config", "parse_number",
+           "resolve_analysis"]
 
 # the "analysis" fields: gamma_pin is a number, the others JSON integers
 # with these least values (a box-count window starts at level 2; a sample
@@ -213,7 +214,7 @@ def load_config(path: str) -> RunConfig:
     if not isinstance(analysis, dict):
         errors.append(("analysis", "must be an object"))
         analysis = {}
-    analysis = dict(analysis)
+    analysis, n_errors = dict(analysis), len(errors)
     for key, value in analysis.items():
         at = f"analysis.{key}"
         if key == "gamma_pin":
@@ -225,15 +226,44 @@ def load_config(path: str) -> RunConfig:
             errors.append((at, "unknown analysis field"))
         elif isinstance(value, bool) or not isinstance(value, int):
             errors.append((at, f"must be an integer, got {json.dumps(value)}"))
-        elif value < ANALYSIS_INTS[key]:
-            errors.append((at, f"must be >= {ANALYSIS_INTS[key]}, got {value}"))
-    k_min, k_max = (analysis.get(key) for key in ("k_min", "k_max"))
-    if type(k_min) is int and type(k_max) is int and k_max < k_min:
-        errors.append(("analysis.k_max", f"must be >= k_min = {k_min}, "
-                       f"got {k_max}"))
+    if domain is not None and len(errors) == n_errors:  # all integers
+        try:
+            resolve_analysis(analysis, domain)
+        except ConfigError as exc:
+            errors.extend(exc.errors)
 
     if errors or domain is None:
         raise ConfigError(errors or [("domain", "missing")])
 
     spec = FifSpec(domain=domain, data=data, s=scales, q=q_entries, eta=eta)
     return RunConfig(spec=spec, analysis=analysis)
+
+
+def resolve_analysis(analysis: dict, domain: Domain,
+                     given: dict[str, tuple[str, int]] | None = None
+                     ) -> dict[str, int]:
+    """The effective k_min, k_max and sample_depth of a run.
+
+    Each comes from ``given`` ({field: (where it was given, value)}, the
+    CLI flags), else from ``analysis``, else from the domain's default
+    window or depth 6.  Each must reach its ANALYSIS_INTS least
+    value, and k_max must be >= k_min; the ConfigError names where the
+    offending value came from.
+    """
+    defaults = dict(zip(("k_min", "k_max"), domain.default_window),
+                    sample_depth=6)
+    source = {key: (given or {}).get(key) or (
+        (f"analysis.{key}", analysis[key]) if key in analysis
+        else (f"the default {key}", default))
+        for key, default in defaults.items()}
+    value = {key: v for key, (_, v) in source.items()}
+    errors = [(source[key][0], f"must be >= {least}, got {value[key]}")
+              for key, least in ANALYSIS_INTS.items() if value[key] < least]
+    (lo_at, lo), (hi_at, hi) = source["k_min"], source["k_max"]
+    if not errors and hi < lo:  # blame a given value, not a default
+        errors.append((lo_at, f"must be <= {hi_at} = {hi}, got {lo}")
+                      if hi_at.startswith("the default")
+                      else (hi_at, f"must be >= {lo_at} = {lo}, got {hi}"))
+    if errors:
+        raise ConfigError(errors)
+    return value

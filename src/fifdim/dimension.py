@@ -224,27 +224,16 @@ class BoundEntry:
         return all(ok for _, ok in self.hypotheses)
 
     def to_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "kind": self.kind,
-            "value": self.value,
-            "hypotheses": [{"name": n, "pass": ok} for n, ok in self.hypotheses],
-            "vacuous": self.vacuous,
-            "heuristic": self.heuristic,
-            "note": self.note,
-        }
+        return dict(vars(self), hypotheses=[
+            {"name": n, "pass": ok} for n, ok in self.hypotheses])
 
 
 def _holder_declared(model: FifModel) -> bool:
     """All s_i, q_i carry Hoelder facts compatible with the model eta."""
-    for e, f in list(model.s) + list(model.q):
-        if f.is_constant:
-            continue
-        if f.holder_exponent is None or f.holder_constant is None:
-            return False
-        if f.holder_exponent < model.eta_prime - 1e-12:
-            return False
-    return True
+    return all(f.is_constant or (
+        f.holder_exponent is not None and f.holder_constant is not None
+        and f.holder_exponent >= model.eta_prime - 1e-12)
+        for _, f in list(model.s) + list(model.q))
 
 
 def upper_bound(model: FifModel, gamma_override: float | None = None) -> BoundEntry:
@@ -522,24 +511,26 @@ def _column_runs(sample: GraphSample, delta: float) -> int:
 
     A cell spans columns first .. last = max(first, its hi corner's).
     Level cells tile the interval, so in x order both corners increase.
-    first is monotone float ops of t = (x - x0) / delta >= 0.  The hi
-    column adds -1e-12 t, falling in t, but hi corners are a cell width
-    apart: t - 1e-9 - 1e-12 t grows by 1 - 1e-12 of that step, and each
-    op's rounding takes back an ulp of t (2^-52 t), far less while the
-    cells number well below 2^52.  So the cells meeting column c are one
-    run in x order, from the first whose last column >= c to the first
-    whose first column > c; a widest cell starts the run of its last.
+    A column is t = (x - x0) / delta plus a tie of 1e-9 + 1e-12 |x| /
+    delta (minus it for a hi corner).  Between corners a cell width apart
+    the tie moves by at most 1e-12 of the step in t, so the sum grows by
+    at least 1 - 1e-12 of it, and each op's rounding takes back an ulp of
+    |x| / delta, far less while the cells number well below 2^52.  So the
+    cells meeting column c are one run in x order, from the first whose
+    last column >= c to the first whose first column > c; a widest cell
+    starts the run of its last.
     """
     order, lo, hi = sample.x_order
     x0 = float(lo[0])
     ncols = max(1, int(math.ceil((float(hi[-1]) - x0) / delta - 1e-9)))
 
     def col(x, sign=1.0):
-        # floor(t + sign (1e-9 + 1e-12 |t|)), sign -1 for a hi corner: the
-        # tie grows with the column so float error in deep-level cell
-        # corners cannot spill across column boundaries
+        # floor(t + sign (1e-9 + 1e-12 |x| / delta)), sign -1 for a hi
+        # corner: the tie grows with the corner's magnitude, as its
+        # rounding does, so float error in deep-level cell corners cannot
+        # spill across column boundaries wherever the interval lies
         t = (x - x0) / delta
-        c = np.floor(t + sign * 1e-9 + np.abs(t) * (sign * 1e-12)).astype(int)
+        c = np.floor(t + sign * 1e-9 + np.abs(x) / delta * (sign * 1e-12)).astype(int)
         return np.clip(c, 0, ncols - 1)
 
     cols = np.arange(ncols + 1)
@@ -575,15 +566,8 @@ class EmpiricalEstimate:
     k_max: int
 
     def to_dict(self) -> dict:
-        return {
-            "entries": [
-                {"k": k, "delta": d, "count": c} for k, d, c in self.entries
-            ],
-            "slope": self.slope,
-            "residual": self.residual,
-            "k_min": self.k_min,
-            "k_max": self.k_max,
-        }
+        return dict(vars(self), entries=[
+            {"k": k, "delta": d, "count": c} for k, d, c in self.entries])
 
 
 def empirical_dimension(
@@ -703,10 +687,9 @@ def reconcile(
             model, k_min if k_min is not None else dk_min,
             k_max if k_max is not None else dk_max,
         )
-        if best_lower is not None and empirical.slope < best_lower - 0.1:
-            inconsistent = True
-        if best_upper is not None and empirical.slope > best_upper + 0.1:
-            inconsistent = True
+        inconsistent = (
+            best_lower is not None and empirical.slope < best_lower - 0.1
+            or best_upper is not None and empirical.slope > best_upper + 0.1)
     return BoundsReport(
         gamma_report=gammas(model),
         entries=entries,

@@ -170,7 +170,7 @@ class Triangle:
         d = [np.linalg.norm(v[i] - v[j]) for i, j in ((0, 1), (0, 2), (1, 2))]
         return float(max(d))
 
-    @functools.lru_cache(maxsize=8)  # a build samples one triangle 12 times
+    @functools.lru_cache(maxsize=8)  # each constant's audit samples V_6
     def sample_points(self, depth: int) -> np.ndarray:
         """V_min(depth, 9) of the gasket (read-only): V_0 halved to each vertex."""
         v = np.asarray(self.verts, float)
@@ -371,14 +371,13 @@ def build_interval_maps(
         raise DomainError(f"signature must have length {n}")
     if any(b not in (0, 1) for b in signature):
         raise DomainError("signature bits must be 0 or 1")
-    x0, xn = knots[0], knots[-1]
-    span = xn - x0
+    x0, span = knots[0], knots[-1] - knots[0]
     maps = []
     for i in range(1, n + 1):
         eps = signature[i - 1]
         a = (knots[i - eps] - knots[i - 1 + eps]) / span
-        b = (knots[i - 1 + eps] * xn - knots[i - eps] * x0) / span
-        maps.append(AffineMap((a,), (b,)))
+        # x0 goes to knots[i - 1 + eps]; b from that end does not cancel
+        maps.append(AffineMap((a,), (knots[i - 1 + eps] - a * x0,)))
     return maps
 
 

@@ -8,6 +8,8 @@ satisfies
 
     f*(l_i(x)) = s_i(x) * f*(x) + q_i(x).
 
+A build samples each s_i and q_i once, on one grid of the region, for all
+its brackets (``_brackets``: sup/inf |s_i|, sup |q_i|, ||s||_inf and M).
 Evaluation on vertex sets V_k is done by exact forward recursion (no
 iteration error), one deduplicated level at a time; arbitrary points go
 through the domain's address decoding plus an unwound recursion with an
@@ -49,11 +51,10 @@ from .domains import (
 from .exprs import (
     Expr,
     ShapeFacts,
+    abs_brackets,
     audit_shape,
-    inf_abs,
     multilinear_expr,
     normalize_facts,
-    sup_norm,
 )
 
 __all__ = [
@@ -158,14 +159,9 @@ def validate_join_up(spec: FifSpec) -> float:
     table = _data_dict(d, spec.data)
     v0 = d.v0_array
     p0 = _lookup(d, table, v0)
-    worst = 0.0
-    for i, mp in enumerate(d.maps):
-        s_e = spec.s[i][0]
-        q_e = spec.q[i][0]
-        target = _lookup(d, table, mp(v0))
-        res = q_e.ev(v0) - target + s_e.ev(v0) * p0
-        worst = max(worst, float(np.max(np.abs(res))))
-    return worst
+    return max(float(np.max(np.abs(
+        q_e.ev(v0) - _lookup(d, table, mp(v0)) + s_e.ev(v0) * p0)))
+        for mp, (s_e, _), (q_e, _) in zip(d.maps, spec.s, spec.q, strict=True))
 
 
 def _family_basis(d: Domain, family: str):
@@ -194,14 +190,10 @@ def _multilinear_holder_constant(
 ) -> float:
     lo, hi = base.bounding_box()
     bound = np.maximum(np.abs(lo), np.abs(hi))
-    l2 = 0.0
-    for u in range(1, lo.shape[0] + 1):
-        lu = 0.0
-        for J, c in coeffs.items():
-            if u in J:
-                lu += abs(c) * math.prod(bound[j - 1] for j in J if j != u)
-        l2 += lu * lu
-    return math.sqrt(l2)
+    lus = (sum(abs(c) * math.prod(bound[j - 1] for j in J if j != u)
+               for J, c in coeffs.items() if u in J)
+           for u in range(1, lo.shape[0] + 1))
+    return math.sqrt(sum(lu * lu for lu in lus))
 
 
 def solve_q(spec: FifSpec, family: str) -> list[tuple[Expr, ShapeFacts]]:
@@ -250,26 +242,28 @@ def check_well_defined(spec: FifSpec) -> list[str]:
     displacements guarantee it only when the displacements were solved
     against continuous data, so they are not trusted on their own).
     """
-    d = spec.domain
-    if d.pcf:
-        return []
-    violations = []
-    for u, sig in enumerate(axis.signature for axis in d.axes):
-        if any(b != sig[0] ^ (j & 1) for j, b in enumerate(sig)):
-            violations.append(f"signature not alternating on axis {u + 1}")
-    if violations:
-        return violations
+    return [] if spec.domain.pcf else _well_posed(spec)[0]
 
+
+def _well_posed(spec: FifSpec) -> tuple[list[str], dict | None]:
+    """``check_well_defined``'s violations, and the brackets of the spec,
+    made between the signature check and the face match (None after a
+    signature violation); ModelError unless ||s||_inf < 1."""
+    d, m = spec.domain, spec.domain.m
+    violations = [] if d.pcf else [
+        f"signature not alternating on axis {u + 1}"
+        for u, sig in enumerate(axis.signature for axis in d.axes)
+        if any(b != sig[0] ^ (j & 1) for j, b in enumerate(sig))]
+    if violations:
+        return violations, None
     if isinstance(spec.q, str):
         raise ModelError("well-definedness check needs concrete q expressions")
+    brackets = _brackets(d, spec.s, spec.q)
+    if d.pcf:
+        return violations, brackets
 
-    m = d.m
-    s_pairs = [(e, normalize_facts(e, f, m)) for e, f in spec.s]
-    q_pairs = [(e, normalize_facts(e, f, m)) for e, f in spec.q]
-
-    # numerical face matching between adjacent maps
-    big_m = _brackets(d, s_pairs, q_pairs)[3][1]
-    zs = np.linspace(-big_m, big_m, 7)
+    # numerical face matching between adjacent maps, for f* values in M
+    zs = np.linspace(-brackets["M"][1], brackets["M"][1], 7)
     counts = [len(ax.knots) - 1 for ax in d.axes]
     index_of = {combo: i for i, combo in enumerate(
         itertools.product(*[range(1, c + 1) for c in counts])
@@ -280,43 +274,43 @@ def check_well_defined(spec: FifSpec) -> list[str]:
             if combo[j] >= counts[j]:
                 continue
             combo2 = combo[:j] + (combo[j] + 1,) + combo[j + 1:]
-            i2 = index_of[combo2]
-            shared_knot = d.axes[j].knots[combo[j]]
-            xstar = float(d.maps[i].inverse(
-                np.full(m, shared_knot))[j])
-            # grid on the pre-image face x_j = xstar
-            npts = 9
-            axes_pts = [
-                np.linspace(lo[u], hi[u], npts) if u != j else np.array([xstar])
-                for u in range(m)
-            ]
-            grid = np.meshgrid(*axes_pts, indexing="ij")
-            face = np.stack([g.ravel() for g in grid], axis=-1)
+            i2, knot = index_of[combo2], d.axes[j].knots[combo[j]]
+            xstar = float(d.maps[i].inverse(np.full(m, knot))[j])
+            # a 9-point grid per axis on the pre-image face x_j = xstar
+            face = np.array(list(itertools.product(*[
+                [xstar] if u == j else np.linspace(lo[u], hi[u], 9)
+                for u in range(m)])))
             ds = spec.s[i][0].ev(face) - spec.s[i2][0].ev(face)
             dq = spec.q[i][0].ev(face) - spec.q[i2][0].ev(face)
             gap = float(np.max(np.abs(ds[None, :] * zs[:, None] + dq[None, :])))
             if gap > 1e-9:
                 violations.append(f"face mismatch between maps {combo} and "
                                   f"{combo2} (max gap {gap:.3e})")
-    return violations
+    return violations, brackets
 
 
-def _brackets(d: Domain, s_pairs, q_pairs):
-    """sup|s_i| and sup|q_i| brackets, then those of ||s||_inf and of
-    M = max_i ||q_i||_inf / (1 - ||s||_inf)."""
-    s_sup = [sup_norm(e, d.base, SUP_DEPTH, f) for e, f in s_pairs]
-    q_sup = [sup_norm(e, d.base, SUP_DEPTH, f) for e, f in q_pairs]
+def _brackets(d: Domain, s_pairs, q_pairs) -> dict:
+    """A model's s_sup and s_inf of each |s_i|, q_sup of each |q_i|, s_norm
+    of ||s||_inf < 1 and M of max_i ||q_i||_inf / (1 - ||s||_inf), from
+    one evaluation of each s_i and q_i on one grid, reduced in turn."""
+    grid = d.base.sample_points(SUP_DEPTH)
+    mesh = d.base.mesh_diameter(SUP_DEPTH)
+    s_both = [abs_brackets(e, grid, mesh, f) for e, f in s_pairs]
+    q_sup = [abs_brackets(e, grid, mesh, f)[0] for e, f in q_pairs]
+    s_sup = [b[0] for b in s_both]
     s_lo = max(b[0] for b in s_sup)
     s_hi = max(b[1] for b in s_sup)
     if s_hi >= 1:
         raise ModelError(f"||s||_inf bracket hi = {s_hi} must be < 1")
     m_lo = max(b[0] for b in q_sup) / (1 - s_lo)
     m_hi = max(b[1] for b in q_sup) / (1 - s_hi)
-    return s_sup, q_sup, (s_lo, s_hi), (m_lo, m_hi)
+    return dict(s_sup=s_sup, s_inf=[b[1] for b in s_both], q_sup=q_sup,
+                s_norm=(s_lo, s_hi), M=(m_lo, m_hi))
 
 
 def build_model(spec: FifSpec) -> FifModel:
-    """Audit, solve (if requested), validate and derive constants."""
+    """Audit, solve (if requested), validate and derive constants; errors
+    come in the order audit, join-up, signatures, ||s||_inf, face match."""
     d = spec.domain
     m = d.m
     if not (math.isfinite(spec.eta) and spec.eta > 0):
@@ -350,12 +344,9 @@ def build_model(spec: FifSpec) -> FifModel:
     residual = validate_join_up(concrete)
     if residual > JOINUP_TOL:
         raise ModelError(f"join-up residual {residual:.3e} exceeds {JOINUP_TOL}")
-    wd = check_well_defined(concrete)
-    if wd:
-        raise ModelError("ill-posed operator: " + "; ".join(wd))
-
-    s_sup, q_sup, s_norm, big_m = _brackets(d, s_pairs, q_pairs)
-    s_infb = [inf_abs(e, d.base, SUP_DEPTH, f) for (e, f) in s_pairs]
+    ill_posed, brackets = _well_posed(concrete)
+    if ill_posed:
+        raise ModelError("ill-posed operator: " + "; ".join(ill_posed))
 
     return FifModel(
         domain=d,
@@ -363,12 +354,8 @@ def build_model(spec: FifSpec) -> FifModel:
         s=s_pairs,
         q=q_pairs,
         eta=spec.eta,
-        s_sup=s_sup,
-        s_inf=s_infb,
-        q_sup=q_sup,
-        s_norm=s_norm,
-        M=big_m,
         joinup_residual=residual,
+        **brackets,
     )
 
 
@@ -551,10 +538,8 @@ def evaluate_at(model: FifModel, x, tol: float = 1e-9) -> float:
         raise ModelError("tol must be > 0")
     s_hi = model.s_norm[1]
     m_hi = max(model.M[1], tol)
-    if s_hi <= 0:
-        depth = 1
-    else:
-        depth = max(1, math.ceil(math.log(2 * m_hi / tol) / math.log(1 / s_hi)))
+    depth = 1 if s_hi <= 0 else max(
+        1, math.ceil(math.log(2 * m_hi / tol) / math.log(1 / s_hi)))
     path = []
     y = x
     prod = 2.0 * m_hi

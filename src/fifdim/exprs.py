@@ -45,6 +45,7 @@ __all__ = [
     "eval_expr",
     "sup_norm",
     "inf_abs",
+    "abs_brackets",
     "audit_shape",
     "holder_seminorm_estimate",
     "affine_expr",
@@ -437,8 +438,9 @@ def normalize_facts(e: Expr, facts: ShapeFacts | None, m: int) -> ShapeFacts:
 # --------------------------------------------------------------------------
 # Brackets and audits
 #
-# Regions are duck-typed: anything with ``sample_points(depth) -> (n, m)``
-# and ``mesh_diameter(depth) -> float`` works (see fifdim.domains).
+# ``abs_brackets`` takes sample points; ``sup_norm`` and ``inf_abs`` take a
+# region, duck-typed: anything with ``sample_points(depth) -> (n, m)`` and
+# ``mesh_diameter(depth) -> float`` works (see fifdim.domains).
 
 
 def _slack(e: Expr, facts: ShapeFacts | None, mesh_diam: float) -> float:
@@ -451,34 +453,38 @@ def _slack(e: Expr, facts: ShapeFacts | None, mesh_diam: float) -> float:
     return facts.holder_constant * mesh_diam ** facts.holder_exponent
 
 
-def _grid_abs(e: Expr, region, grid_depth: int, facts: ShapeFacts | None):
-    """|e| on the sample grid of ``region`` and the grid's bracket slack."""
+def abs_brackets(e: Expr, pts: np.ndarray, mesh_diam: float,
+                 facts: ShapeFacts | None = None):
+    """Brackets [lo, hi] of sup |e| and of inf |e| over a region, from one
+    evaluation of |e| on its sample points ``pts`` (mesh ``mesh_diam``):
+    the grid max is the sup's lo, the grid min the inf's hi, and the
+    other ends add the declared slack H * mesh_diam**eta."""
+    vals = e.ev(pts)
+    vals = np.abs(vals, out=vals)
+    slack = _slack(e, facts, mesh_diam)
+    top, bot = float(np.max(vals)), float(np.min(vals))
+    return (top, top + slack), (max(0.0, bot - slack), bot)
+
+
+def _region_brackets(e: Expr, region, grid_depth: int, facts):
     if grid_depth < 1:
         raise ExprError("grid_depth must be >= 1")
-    vals = np.abs(e.ev(region.sample_points(grid_depth)))
-    return vals, _slack(e, facts, region.mesh_diameter(grid_depth))
+    return abs_brackets(e, region.sample_points(grid_depth),
+                        region.mesh_diameter(grid_depth), facts)
 
 
 def sup_norm(
     e: Expr, region, grid_depth: int, facts: ShapeFacts | None = None
 ) -> tuple[float, float]:
-    """Bracket [lo, hi] of sup |e| over ``region``.
-
-    lo is the sampled grid maximum of |e|; hi adds the declared
-    modulus-of-continuity slack H * mesh_diameter**eta.
-    """
-    vals, slack = _grid_abs(e, region, grid_depth, facts)
-    lo = float(np.max(vals))
-    return lo, lo + slack
+    """Bracket [lo, hi] of sup |e| over ``region`` (see ``abs_brackets``)."""
+    return _region_brackets(e, region, grid_depth, facts)[0]
 
 
 def inf_abs(
     e: Expr, region, grid_depth: int, facts: ShapeFacts | None = None
 ) -> tuple[float, float]:
-    """Bracket [lo, hi] of inf |e| over ``region`` (hi = grid minimum)."""
-    vals, slack = _grid_abs(e, region, grid_depth, facts)
-    hi = float(np.min(vals))
-    return max(0.0, hi - slack), hi
+    """Bracket [lo, hi] of inf |e| over ``region`` (see ``abs_brackets``)."""
+    return _region_brackets(e, region, grid_depth, facts)[1]
 
 
 @dataclass(frozen=True)

@@ -229,6 +229,32 @@ def test_analysis_out_of_range_exit_1_before_any_file(config_dir, tmp_path,
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("analysis, flags, error", [
+    pytest.param({}, ["--depth", "-1"], "--depth: must be >= 0, got -1",
+                 id="depth-negative"),
+    pytest.param({}, ["--kmin", "1"], "--kmin: must be >= 2, got 1",
+                 id="kmin-1"),
+    pytest.param({}, ["--kmin", "6", "--kmax", "5"],
+                 "--kmax: must be >= --kmin = 6, got 5", id="kmax-below-kmin"),
+    pytest.param({"k_min": 12}, [],
+                 "analysis.k_min: must be <= the default k_max = 10, got 12",
+                 id="k_min-above-default-k_max"),
+])
+def test_effective_window_checked_before_any_file(config_dir, tmp_path, capsys,
+                                                  analysis, flags, error):
+    # the flag, else the config, else the domain default; each of these
+    # used to pass the config checks and end `fif report` with exit 2 and
+    # no path, the negative depth only after report.json was written
+    raw = json.loads((config_dir / "degenerate_interval.json").read_text())
+    raw["analysis"] = analysis
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["report", str(p), "--out", str(out), *flags]) == 1
+    assert capsys.readouterr().err == f"config error at {error}\n"
+    assert not out.exists()
+
+
 def test_analysis_least_values_accepted(config_dir, tmp_path, capsys):
     # sample_depth 0 writes the interpolation nodes
     raw = json.loads((config_dir / "example5_case2.json").read_text())

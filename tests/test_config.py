@@ -5,7 +5,7 @@ import json
 import pytest
 
 from conftest import get_config
-from fifdim.config import ConfigError, load_config, parse_number
+from fifdim.config import ConfigError, load_config, parse_number, resolve_analysis
 from fifdim.engine import FAMILIES
 
 
@@ -164,3 +164,21 @@ def test_analysis_fields(tmp_path):
     assert [path for path, _ in ei.value.errors] == [
         "analysis.k_min", "analysis.k_max", "analysis.sample_depth",
         "analysis.window"]
+
+
+def test_effective_window_resolved_flag_config_default(tmp_path):
+    # the flag, else the config, else the domain default (interval: 4..10)
+    cfg = load_config(_write(tmp_path, dict(BASE, analysis={"k_max": 7})))
+    d = cfg.spec.domain
+    assert resolve_analysis(cfg.analysis, d) == {
+        "k_min": 4, "k_max": 7, "sample_depth": 6}
+    assert resolve_analysis(cfg.analysis, d, {"k_min": ("--kmin", 5)}) == {
+        "k_min": 5, "k_max": 7, "sample_depth": 6}
+    with pytest.raises(ConfigError) as ei:
+        resolve_analysis(cfg.analysis, d, {"k_min": ("--kmin", 8)})
+    assert ei.value.errors == [("analysis.k_max", "must be >= --kmin = 8, got 7")]
+    # the config alone is checked against the defaults at load time
+    with pytest.raises(ConfigError) as ei:
+        load_config(_write(tmp_path, dict(BASE, analysis={"k_min": 12})))
+    assert ei.value.errors == [
+        ("analysis.k_min", "must be <= the default k_max = 10, got 12")]

@@ -1,5 +1,6 @@
 """Gamma constants, witnesses, theorem bounds and box counting."""
 
+import dataclasses
 import itertools
 import math
 
@@ -507,7 +508,7 @@ def _column_count_reference(sample, delta):
     for corner, sign in ((sample.cell_lo, 1.0), (sample.cell_hi, -1.0)):
         t = corner[:, 0] - x0
         t /= delta
-        tie = np.abs(t)
+        tie = np.abs(corner[:, 0]) / delta
         tie *= sign * 1e-12
         t += sign * 1e-9
         t += tie
@@ -616,22 +617,37 @@ def test_box_count_cell_inside_the_tie():
     assert count > _column_count_reference(GraphSample(d, 1, 2, lo, hi, 0.0), 0.5)
 
 
+def _equal_pieces_model(x0):
+    """Three equal pieces on [x0, x0 + 1], signature (0, 1, 0)."""
+    knots = [x0 + i / 3 for i in range(4)]
+    d = interval_domain(knots, (0, 1, 0))
+    data = [(tuple(p), v) for p, v in zip(vertex_set(d, 1),
+                                          (0.0, 0.5, 1 / 3, 0.0))]
+    return build_model(FifSpec(
+        d, data, [(Const(c), None) for c in (0.25, 0.5, 0.75)], "solve"))
+
+
 def test_level_tied_count_is_translation_invariant():
-    # the per-cell sum does not depend on where the interval lies; the
-    # column method's absolute 1e-9 tie does: on [1000, 1001] at k = 8,
-    # corner rounding of about 4e-9 columns spreads cells over two
-    # columns, and the reference counts 260930 instead of 155429
+    # the per-cell sum does not depend on where the interval lies
     counts = []
     for x0 in (0.0, 1000.0):
-        knots = [x0 + i / 3 for i in range(4)]
-        d = interval_domain(knots, (0, 1, 0))
-        data = [(tuple(p), v) for p, v in zip(vertex_set(d, 1),
-                                              (0.0, 0.5, 1 / 3, 0.0))]
-        model = build_model(FifSpec(
-            d, data, [(Const(c), None) for c in (0.25, 0.5, 0.75)], "solve"))
+        model = _equal_pieces_model(x0)
         sample = graph_sample(model, 8, 0)
         counts.append(box_count(sample, model.domain.diameter / model.domain.lam**8))
     assert counts == [155429, 155429]
+
+
+def test_column_count_is_translation_invariant():
+    # the column tie grows with the corner's magnitude, as the corner's
+    # rounding does; a tie that grew with t = (x - x0) / delta let cells
+    # on [1000, 1001] spill into the next column (826240 boxes against
+    # 615116 on [0, 1] for the same value ranges)
+    base, far = (graph_sample(_equal_pieces_model(x0), 8, 0)
+                 for x0 in (0.0, 1000.0))
+    far = dataclasses.replace(far, vmin=base.vmin, vmax=base.vmax)
+    delta = base.domain.delta(8) / 2
+    for count in (box_count, _column_count_reference):
+        assert count(base, delta) == count(far, delta) == 615116
 
 
 @pytest.mark.parametrize("name", ["example5_case2", "example5_case1_one"])

@@ -1,18 +1,23 @@
 """Model construction, join-up validation, evaluation and graph samples."""
 
+import collections
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
-from conftest import get_config, get_model
+from conftest import CONFIG_NAMES, get_config, get_model
 from fifdim.domains import (
+    Box,
     BudgetError,
     cube_domain,
     interval_domain,
     vertex_set,
 )
 from fifdim.engine import (
+    SUP_DEPTH,
     FifSpec,
     ModelError,
     apply_T,
@@ -24,7 +29,10 @@ from fifdim.engine import (
     solve_q,
     validate_join_up,
 )
-from fifdim.exprs import ShapeFacts, parse_expr
+from fifdim.exprs import Const, Expr, ShapeFacts, parse_expr
+from test_dimension import _pinned_models
+
+HASHES = pathlib.Path(__file__).resolve().parent / "output_sha256.json"
 
 # [DERIVED] on the equally spaced Case (ii) model:
 # f*(1/9) = s_1 f*(1/3) + q_1(1/3) = (1/4)(1/2) + (1/3)^0.8 / 2
@@ -156,6 +164,59 @@ def test_well_defined_cube_face_mismatch_detected():
     spec = FifSpec(d, [], s, q, 1.0)
     bad = check_well_defined(spec)
     assert bad and "face mismatch" in bad[0]
+
+
+def test_brackets_pinned():
+    # repr of every bracket, captured before the brackets were made in one
+    # pass: the six configs, a level-2 gasket and a 2x2x2 cube
+    pins = json.loads(HASHES.read_text())
+    extra = _pinned_models()
+    models = {name: get_model(name) for name in CONFIG_NAMES}
+    models.update((name, extra[name]) for name in ("gasket_level2", "cube_2x2x2"))
+    for name, model in models.items():
+        for field in ("s_sup", "s_inf", "q_sup", "s_norm", "M"):
+            assert (repr(getattr(model, field))
+                    == pins[name][f"brackets:{field}"]), (name, field)
+
+
+def test_build_samples_the_bracket_grid_once(monkeypatch):
+    # one grid at SUP_DEPTH per build, and each s_i and q_i evaluated on
+    # it once for all of its brackets (the face match of a cube included)
+    grids, evals = [], collections.Counter()
+    sample_points, ev = Box.sample_points, Expr.ev
+
+    def counted_points(self, depth):
+        pts = sample_points(self, depth)
+        if depth == SUP_DEPTH:
+            grids.append(pts)
+        return pts
+
+    def counted_ev(self, x):
+        evals[id(self)] += any(x is grid for grid in grids)
+        return ev(self, x)
+
+    monkeypatch.setattr(Box, "sample_points", counted_points)
+    monkeypatch.setattr(Expr, "ev", counted_ev)
+    model = build_model(get_config("degenerate_cube").spec)
+    assert len(grids) == 1
+    assert [evals[id(e)] for e, _ in model.s + model.q] == [1] * 8
+
+
+@pytest.mark.parametrize("x0", [10.0, 1000.0])
+def test_interval_away_from_zero_builds(x0):
+    # the knots of example5_case1_one shifted by x0, data at the exact
+    # knots: every map must send the interval's ends onto knots exactly
+    # enough to find their data
+    def model(x0):
+        knots = [x0 + k for k in (0.0, 4 / 15, 3 / 5, 1.0)]
+        data = [((k,), v) for k, v in zip(knots, (0.0, 0.5, 1 / 3, 0.0))]
+        return build_model(FifSpec(
+            interval_domain(knots, (0, 0, 0)), data,
+            [(Const(c), None) for c in (0.25, 0.5, 0.75)], "solve"))
+
+    (pts, vals), (pts0, vals0) = (evaluate_on_vk(model(x), 7) for x in (x0, 0.0))
+    assert np.max(np.abs(pts - x0 - pts0)) < 1e-9
+    assert np.max(np.abs(vals - vals0)) < 1e-9
 
 
 def test_evaluate_on_vk_oracle_value():
