@@ -35,6 +35,11 @@ class ConfigError(ValueError):
         )
 
 
+def _json_int(value) -> bool:
+    """Whether a JSON value is an integer: 6.0, "6" and true are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_number(raw, path: str = "") -> float:
     if isinstance(raw, bool):
         raise ConfigError([(path, "expected a number, got a boolean")])
@@ -96,6 +101,11 @@ def _domain_from(raw, errors) -> Domain | None:
                 at = "domain" if single else f"domain.axes[{j}]"
                 knots = [parse_number(x, f"{at}.knots") for x in ax["knots"]]
                 sig = ax.get("signature", [0] * (len(knots) - 1))
+                if not isinstance(sig, list) or not all(
+                        _json_int(b) and b in (0, 1) for b in sig):
+                    errors.append((f"{at}.signature", "must be a list of "
+                                   f"integers 0 or 1, got {json.dumps(sig)}"))
+                    return None
                 axes.append((tuple(knots), tuple(sig)))
             return interval_domain(*axes[0]) if single else cube_domain(axes)
         if kind == "gasket":
@@ -103,7 +113,12 @@ def _domain_from(raw, errors) -> Domain | None:
                 [parse_number(c, "domain.vertices") for c in v]
                 for v in raw["vertices"]
             ]
-            return gasket_domain(verts, int(raw.get("level", 1)))
+            level = raw.get("level", 1)
+            if not _json_int(level) or level < 1:
+                errors.append(("domain.level", "must be an integer >= 1, "
+                               f"got {json.dumps(level)}"))
+                return None
+            return gasket_domain(verts, level)
         errors.append(("domain.kind", f"unknown kind {kind!r}"))
     except (KeyError, TypeError) as exc:
         errors.append(("domain", f"malformed: {exc}"))
@@ -224,7 +239,7 @@ def load_config(path: str) -> RunConfig:
                 errors.extend(exc.errors)
         elif key not in ANALYSIS_INTS:
             errors.append((at, "unknown analysis field"))
-        elif isinstance(value, bool) or not isinstance(value, int):
+        elif not _json_int(value):
             errors.append((at, f"must be an integer, got {json.dumps(value)}"))
     if domain is not None and len(errors) == n_errors:  # all integers
         try:

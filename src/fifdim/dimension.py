@@ -65,7 +65,6 @@ class GammaReport:
     gamma: tuple[float, float]  # sum of sup|s_i| brackets
     gamma0: tuple[float, float]  # sum of inf|s_i| brackets
     flavored: dict[tuple[int, int], float]  # (flavor, r) -> gamma_{flavor,r}
-    provenance: dict[tuple[int, int], list[int]]  # admitted map indices
     eta_prime: float
 
 
@@ -85,18 +84,13 @@ def _class_value(model: FifModel, i: int, flavor: int, r: int) -> float:
 
 
 def gammas(model: FifModel) -> GammaReport:
-    flavored: dict[tuple[int, int], float] = {}
-    prov: dict[tuple[int, int], list[int]] = {}
-    for flavor in FLAVORS:
-        for r in range(model.domain.m + 1):
-            vals = [_class_value(model, i, flavor, r) for i in range(model.N)]
-            flavored[(flavor, r)] = float(sum(vals))
-            prov[(flavor, r)] = [i for i, v in enumerate(vals) if v > 0]
+    flavored = {(flavor, r): float(sum(
+        _class_value(model, i, flavor, r) for i in range(model.N)))
+        for flavor in FLAVORS for r in range(model.domain.m + 1)}
     return GammaReport(
         gamma=tuple(map(sum, zip(*model.s_sup))),
         gamma0=tuple(map(sum, zip(*model.s_inf))),
         flavored=flavored,
-        provenance=prov,
         eta_prime=model.eta_prime,
     )
 
@@ -467,18 +461,15 @@ def box_count(sample: GraphSample, delta: float) -> int:
     m = 1 uses the column method over the x-axis with observed per-cell
     value ranges.  With equal map ratios and the level-tied delta_k =
     |K| / Lambda^k, exactly the float of ``Domain.delta``, each level-k
-    cell is one column, so the count is a sum over cells that makes no
-    cell geometry; any other delta reduces each column's run of cells in
-    x order (``_column_runs``).  Cubes and the gasket use the per-cell
-    prism device ceil(osc / delta) + 1.
+    cell is one column, so the count sums max(ceil(osc / delta), 1) over
+    cells; any other delta reduces each column's run of cells in x order
+    (``_column_runs``).  Cubes and the gasket sum the per-cell prism
+    device ceil(osc / delta) + 1 in the same loop over blocks of cells.
     """
     if delta <= 0:
         raise ValueError("delta must be > 0")
     d = sample.domain
-    if d.m > 1:
-        osc = sample.vmax - sample.vmin
-        return int(np.sum(np.ceil(osc / delta - 1e-9) + 1))
-    if not d.equal_ratio or delta != d.delta(sample.level):
+    if d.m == 1 and (not d.equal_ratio or delta != d.delta(sample.level)):
         return _column_runs(sample, delta)
     total, buf = 0, np.empty(min(sample.cells, BLOCK_SLOTS))  # stays in cache
     for a in range(0, sample.cells, BLOCK_SLOTS):
@@ -486,7 +477,9 @@ def box_count(sample: GraphSample, delta: float) -> int:
         r = np.subtract(top, bot, out=buf[:len(top)])
         r /= delta
         r -= 1e-9
-        total += int(np.sum(np.maximum(np.ceil(r, out=r), 1, out=r)))
+        np.ceil(r, out=r)
+        total += int(np.sum(np.add(r, 1, out=r) if d.m > 1
+                            else np.maximum(r, 1, out=r)))
     return total
 
 

@@ -244,25 +244,6 @@ class Domain:
     def delta(self, k: int) -> float:  # level-tied box size |K| / Lambda^k
         return self.diameter / self.lam**k
 
-    def cell_boxes(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Image boxes (lo, hi), each (N^k, m), of the level-k cells l_w of
-        the region, map-major as the recursion pushes them: cell i * C + w
-        is l_i o l_w."""
-        lo, hi = (a[None] for a in self.base.bounding_box())
-        for _ in range(k):
-            ends = [(mp(lo), mp(hi)) for mp in self.maps]
-            lo = np.concatenate([np.minimum(a, b) for a, b in ends])
-            hi = np.concatenate([np.maximum(a, b) for a, b in ends])
-        return lo, hi
-
-    def cell_diams(self, k: int) -> np.ndarray:
-        """Diameters (N^k,) of the level-k cells, in the order of
-        ``cell_boxes``."""
-        diam = np.array([self.base.diameter])
-        for _ in range(k):
-            diam = np.concatenate([diam * mp.ratio for mp in self.maps])
-        return diam
-
 
 @dataclass(frozen=True)
 class ProductDomain(Domain):
@@ -314,6 +295,25 @@ class ProductDomain(Domain):
                 w *= t[u] if corner[u] == hi[u] else (1 - t[u])
             val += w * pv
         return float(val)
+
+    def x_order(self, k: int) -> tuple[slice | np.ndarray, np.ndarray, np.ndarray]:
+        """The level-k cells of an interval (m = 1) in x order: their push
+        order index (a slice when no map flips) and their lo and hi x.
+        Piece i holds l_i of the level-(k - 1) cells, reversed if l_i flips."""
+        flips = [mp.scale[0] < 0 for mp in self.maps]
+        lo, hi = self.base.bounding_box()
+        order = np.zeros(int(any(flips)), dtype=np.intp)  # empty if no flips
+        for _ in range(k):
+            ends = np.empty((2, self.N, len(lo)))
+            idx = np.empty((self.N, len(order)), dtype=np.intp)
+            for i, (mp, flip) in enumerate(zip(self.maps, flips)):
+                step = -1 if flip else 1
+                for end, x in zip(ends[:, i], (lo, hi)[::step]):
+                    np.multiply(x[::step], mp.scale[0], out=end)
+                    end += mp.offset[0]  # x * a + b, as the push maps x
+                np.add(order[::step], i * len(lo), out=idx[i])
+            (lo, hi), order = ends.reshape(2, -1), idx.ravel()
+        return order if any(flips) else slice(None), lo, hi
 
 
 @dataclass(frozen=True)

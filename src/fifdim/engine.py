@@ -22,8 +22,8 @@ value ranges, so memory is O(block + N^k_max) and FIF_CELL_BUDGET
 512 KB of values and as much of points per axis, about the 2 MB of a
 per-core L2 cache; 2^18 spills it, and at 2^12 per-block overhead
 dominates.  The sweep carries values, and vertex points only where the
-next push needs them; cell boxes and diameters are geometry of the
-domain (``Domain.cell_boxes``, ``Domain.cell_diams``).
+next push needs them; the one cell geometry read, interval cells in x
+order with their ends, is the domain's (``ProductDomain.x_order``).
 """
 
 from __future__ import annotations
@@ -581,8 +581,9 @@ class GraphSample:
 
     Per cell: the observed value range over the vertices of its
     descendants ``extra`` levels deeper, and a uniform contraction slack
-    so [vmin - slack, vmax + slack] encloses f* there.  Cell boxes and
-    diameters are the domain's, made on first use.
+    so [vmin - slack, vmax + slack] encloses f* there.  The cells are in
+    push order (cell i * C + w is l_i o l_w); on an interval, ``x_order``
+    gives them in x order with their ends.
     """
 
     domain: Domain
@@ -597,28 +598,9 @@ class GraphSample:
         return len(self.vmin)
 
     @functools.cached_property
-    def cell_boxes(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.domain.cell_boxes(self.level)
-
-    @functools.cached_property
     def x_order(self) -> tuple[slice | np.ndarray, np.ndarray, np.ndarray]:
-        """Interval cells (m = 1) in x order: an index of the cells (all of
-        them if pushed in x order) and their lo and hi x in that order."""
-        lo, hi = (a[:, 0] for a in self.domain.cell_boxes(self.level))
-        order = slice(None) if np.all(lo[:-1] <= lo[1:]) else np.argsort(lo)
-        return order, lo[order], hi[order]
-
-    @property
-    def cell_lo(self) -> np.ndarray:  # (C, m)
-        return self.cell_boxes[0]
-
-    @property
-    def cell_hi(self) -> np.ndarray:  # (C, m)
-        return self.cell_boxes[1]
-
-    @property
-    def cell_diam(self) -> np.ndarray:  # (C,)
-        return self.domain.cell_diams(self.level)
+        """The domain's ``x_order`` of this level (intervals only)."""
+        return self.domain.x_order(self.level)
 
     def index_of(self, word: tuple[int, ...]) -> int:
         if len(word) != self.level:

@@ -1,5 +1,6 @@
 import pathlib
 
+import numpy as np
 import pytest
 
 from fifdim.config import load_config
@@ -30,6 +31,47 @@ def get_model(name):
     if key not in _cache:
         _cache[key] = build_model(get_config(name).spec)
     return _cache[key]
+
+
+def replay_levels(model, depth, geometry_to=None):
+    """Levels 0..depth as (pts, vals, lo, hi, diam), one at a time, each
+    pushed whole from level 0 with the per-map arithmetic of the
+    recursion.  Boxes and diameters are carried down to level
+    ``geometry_to`` (all levels by default) and are None below it; the
+    last level has no points, since nothing pushes it."""
+    geometry_to = depth if geometry_to is None else geometry_to
+    d = model.domain
+    v0 = d.v0_array
+    lo, hi = d.base.bounding_box()
+    lev = (v0[None], model.p_at(v0)[None], lo[None], hi[None],
+           np.array([d.base.diameter]))
+    yield lev
+    for level in range(1, depth + 1):
+        pts, vals, lo, hi, diam = lev
+        C, P, m = pts.shape
+        flat = pts.reshape(C * P, m)
+        out = [[], [], [], [], []]
+        for i, mp in enumerate(d.maps):
+            s_v = model.s[i][0].ev(flat).reshape(C, P)
+            q_v = model.q[i][0].ev(flat).reshape(C, P)
+            out[1].append(s_v * vals + q_v)
+            if level < depth:
+                out[0].append(mp(pts))
+            if level <= geometry_to:
+                a, b = mp(lo), mp(hi)
+                out[2].append(np.minimum(a, b))
+                out[3].append(np.maximum(a, b))
+                out[4].append(diam * mp.ratio)
+        lev = tuple(np.concatenate(parts) if parts else None for parts in out)
+        yield lev
+
+
+def replay_geometry(model, k):
+    """(lo, hi, diam) of the level-k cells from ``replay_levels``, in push
+    order: boxes (C, m) and diameters (C,)."""
+    for _, _, lo, hi, diam in replay_levels(model, k):
+        pass
+    return lo, hi, diam
 
 
 @pytest.fixture(scope="session")

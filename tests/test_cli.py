@@ -255,6 +255,44 @@ def test_effective_window_checked_before_any_file(config_dir, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, name, domain, error", [
+    pytest.param("validate", "sg_exact", {"level": 1.5},
+                 "domain.level: must be an integer >= 1, got 1.5",
+                 id="level-float"),
+    pytest.param("validate", "sg_exact", {"level": True},
+                 "domain.level: must be an integer >= 1, got true",
+                 id="level-boolean"),
+    pytest.param("report", "sg_exact", {"level": 0},
+                 "domain.level: must be an integer >= 1, got 0", id="level-0"),
+    pytest.param("report", "example5_case1_one", {"signature": [0, True, 0]},
+                 "domain.signature: must be a list of integers 0 or 1, "
+                 "got [0, true, 0]", id="bit-boolean"),
+    pytest.param("report", "example5_case1_one", {"signature": [0, 1.0, 0]},
+                 "domain.signature: must be a list of integers 0 or 1, "
+                 "got [0, 1.0, 0]", id="bit-float"),
+    pytest.param("report", "degenerate_interval", {"signature": [0, 2, 0]},
+                 "domain.signature: must be a list of integers 0 or 1, "
+                 "got [0, 2, 0]", id="bit-2"),
+    pytest.param("report", "degenerate_cube", {"axes": [
+        {"knots": ["0", "1/2", "1"], "signature": [0, 1]},
+        {"knots": ["0", "1/2", "1"], "signature": [0, True]}]},
+        "domain.axes[1].signature: must be a list of integers 0 or 1, "
+        "got [0, true]", id="cube-bit-boolean"),
+])
+def test_domain_integers_checked_before_any_file(config_dir, tmp_path, capsys,
+                                                 command, name, domain, error):
+    # a JSON integer that is not a boolean, as the analysis integers; these
+    # used to build a level-1 gasket, read true as 1, or fail at "domain"
+    raw = json.loads((config_dir / f"{name}.json").read_text())
+    raw["domain"].update(domain)
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main([command, str(p), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error at {error}\n"
+    assert not out.exists()
+
+
 def test_analysis_least_values_accepted(config_dir, tmp_path, capsys):
     # sample_depth 0 writes the interpolation nodes
     raw = json.loads((config_dir / "example5_case2.json").read_text())

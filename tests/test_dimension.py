@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import get_config, get_model
+from conftest import get_config, get_model, replay_geometry
 from fifdim import dimension
 from fifdim.dimension import (
     CollinearWitness,
+    _class_value,
     _witness_L,
     bounds_gasket,
     box_count,
@@ -62,7 +63,8 @@ def test_gammas_case1_one():
     assert g.gamma0[0] == pytest.approx(1.5, abs=1e-12)
     # all three q are concave in x1, all s constant
     assert g.flavored[(2, 1)] == pytest.approx(1.5)
-    assert g.provenance[(2, 1)] == [0, 1, 2]
+    model = get_model("example5_case1_one")
+    assert [_class_value(model, i, 2, 1) for i in range(3)] == [0.25, 0.5, 0.75]
     # only q_3 is affine/convex
     assert g.flavored[(1, 1)] == pytest.approx(0.75)
     assert g.flavored[(3, 1)] == pytest.approx(0.75)
@@ -77,7 +79,8 @@ def test_gammas_case1_sin():
     assert g.gamma[1] == pytest.approx(audited, abs=1e-3)
     # the non-constant map is excluded from every flavored gamma
     assert g.flavored[(2, 1)] == pytest.approx(1.25)
-    assert g.provenance[(2, 1)] == [1, 2]
+    model = get_model("example5_case1_sin")
+    assert [_class_value(model, i, 2, 1) for i in range(3)] == [0.0, 0.5, 0.75]
     # inf |sin(x)/4| = 0 at x = 0
     assert g.gamma0[1] == pytest.approx(1.25, abs=1e-6)
 
@@ -498,14 +501,15 @@ def test_box_count_rejects_bad_delta():
         box_count(graph_sample(model, 2), 0.0)
 
 
-def _column_count_reference(sample, delta):
-    """The m = 1 column method on every cell corner, scattered with
-    ufunc.at: what box_count must equal, bit for bit."""
-    x0 = float(np.min(sample.cell_lo[:, 0]))
-    x1 = float(np.max(sample.cell_hi[:, 0]))
+def _column_count_reference(sample, delta, cell_lo, cell_hi):
+    """The m = 1 column method on every cell corner (the boxes (C, 1) of
+    the cells in push order), scattered with ufunc.at: what box_count
+    must equal, bit for bit."""
+    x0 = float(np.min(cell_lo[:, 0]))
+    x1 = float(np.max(cell_hi[:, 0]))
     ncols = max(1, int(math.ceil((x1 - x0) / delta - 1e-9)))
     ends = []
-    for corner, sign in ((sample.cell_lo, 1.0), (sample.cell_hi, -1.0)):
+    for corner, sign in ((cell_lo, 1.0), (cell_hi, -1.0)):
         t = corner[:, 0] - x0
         t /= delta
         tie = np.abs(corner[:, 0]) / delta
@@ -535,6 +539,12 @@ def _column_count_reference(sample, delta):
     return int(np.sum(counts))
 
 
+def _column_reference(model, k):
+    """``_column_count_reference`` on the replayed level-k cell boxes."""
+    lo, hi, _ = replay_geometry(model, k)
+    return lambda sample, delta: _column_count_reference(sample, delta, lo, hi)
+
+
 def _deltas(model, k, rng):
     """The level-tied delta_k (the widest level-k cell), two deltas on
     either side of the limit of 64 extra columns per cell, dyadic deltas
@@ -556,9 +566,10 @@ def _count_or_error(count, sample, delta):
 
 def _assert_counts_equal_reference(model, k, extra, rng):
     sample = graph_sample(model, k, extra)
+    reference = _column_reference(model, k)
     for delta in _deltas(model, k, rng):
         assert _count_or_error(box_count, sample, delta) == _count_or_error(
-            _column_count_reference, sample, delta), (k, delta)
+            reference, sample, delta), (k, delta)
 
 
 @pytest.mark.parametrize("name", ["example5_case1_one", "example5_case1_sin",
@@ -608,13 +619,14 @@ def test_box_count_cell_inside_the_tie():
                                       (0.0, 5.0, -5.0, 0.0))]
     model = build_model(FifSpec(d, data, [(Const(0.1), None)] * 3, "solve"))
     sample = graph_sample(model, 1, 2)
-    count = _column_count_reference(sample, 0.5)
+    reference = _column_reference(model, 1)
+    count = reference(sample, 0.5)
     assert box_count(sample, 0.5) == count
     # the middle cell widens column 1: with the last cell's values it adds
     # nothing there
     lo, hi = sample.vmin.copy(), sample.vmax.copy()
     lo[1], hi[1] = lo[2], hi[2]
-    assert count > _column_count_reference(GraphSample(d, 1, 2, lo, hi, 0.0), 0.5)
+    assert count > reference(GraphSample(d, 1, 2, lo, hi, 0.0), 0.5)
 
 
 def _equal_pieces_model(x0):
@@ -642,12 +654,13 @@ def test_column_count_is_translation_invariant():
     # rounding does; a tie that grew with t = (x - x0) / delta let cells
     # on [1000, 1001] spill into the next column (826240 boxes against
     # 615116 on [0, 1] for the same value ranges)
-    base, far = (graph_sample(_equal_pieces_model(x0), 8, 0)
-                 for x0 in (0.0, 1000.0))
+    models = [_equal_pieces_model(x0) for x0 in (0.0, 1000.0)]
+    base, far = (graph_sample(model, 8, 0) for model in models)
     far = dataclasses.replace(far, vmin=base.vmin, vmax=base.vmax)
     delta = base.domain.delta(8) / 2
-    for count in (box_count, _column_count_reference):
-        assert count(base, delta) == count(far, delta) == 615116
+    assert box_count(base, delta) == box_count(far, delta) == 615116
+    assert [_column_reference(model, 8)(sample, delta) for model, sample
+            in zip(models, (base, far))] == [615116, 615116]
 
 
 @pytest.mark.parametrize("name", ["example5_case2", "example5_case1_one"])
@@ -656,7 +669,7 @@ def test_box_count_rejects_cells_too_coarse(name):
     model = get_model(name)
     sample = graph_sample(model, 3, 0)
     delta = model.domain.diameter / model.domain.lam**3 / 100
-    for count in (box_count, _column_count_reference):
+    for count in (box_count, _column_reference(model, 3)):
         with pytest.raises(ValueError, match="too coarse"):
             count(sample, delta)
 
@@ -664,7 +677,7 @@ def test_box_count_rejects_cells_too_coarse(name):
 def test_level_tied_counts_make_no_geometry(monkeypatch):
     # on an equal-ratio interval the level-tied counts of the empirical
     # estimate and of the route-(b) probe are sums over cells: no sample
-    # makes cell boxes, so none makes an x order either
+    # builds an x order
     model = get_model("example5_case2")
     seen = []
 
@@ -673,13 +686,14 @@ def test_level_tied_counts_make_no_geometry(monkeypatch):
         return box_count(sample, delta)
 
     def fail(self, k):
-        raise AssertionError("cell boxes made")
+        raise AssertionError("x order made")
 
     monkeypatch.setattr(dimension, "box_count", counted)
-    monkeypatch.setattr(type(model.domain), "cell_boxes", fail)
+    monkeypatch.setattr(type(model.domain), "x_order", fail)
     empirical_dimension(model, 3, 6)
     assert lower_bound_interval_variable_s(model).heuristic
     assert [s.level for s in seen] == [3, 4, 5, 6, 2, 3, 4, 5, 6]
+    assert all("x_order" not in s.__dict__ for s in seen)
 
 
 def _level_slots(model, depth):

@@ -8,7 +8,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from conftest import CONFIG_NAMES, get_config, get_model
+from conftest import CONFIG_NAMES, get_config, get_model, replay_geometry
 from fifdim.domains import (
     Box,
     BudgetError,
@@ -341,13 +341,14 @@ def test_sup_norm_of_f_star_bounded_by_M(each_model):
 def test_graph_sample_brackets_enclose_descendants():
     model = get_model("example5_case1_one")
     sample = graph_sample(model, 3, extra=3)
+    cell_lo, cell_hi, _ = replay_geometry(model, 3)
     deep_pts, deep_vals = evaluate_on_vk(model, 8)
     for idx in (0, 5, 13, 26):
         word = tuple(idx // model.N**j % model.N for j in (2, 1, 0))
         assert sample.index_of(word) == idx
         lo, hi = sample.vmin[idx] - sample.slack, sample.vmax[idx] + sample.slack
-        inside = (deep_pts[:, 0] >= sample.cell_lo[idx, 0] - 1e-12) & (
-            deep_pts[:, 0] <= sample.cell_hi[idx, 0] + 1e-12
+        inside = (deep_pts[:, 0] >= cell_lo[idx, 0] - 1e-12) & (
+            deep_pts[:, 0] <= cell_hi[idx, 0] + 1e-12
         )
         assert np.all(deep_vals[inside] >= lo - 1e-12)
         assert np.all(deep_vals[inside] <= hi + 1e-12)

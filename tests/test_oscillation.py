@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import get_model
-from test_sweep import _replay_levels
+from conftest import get_model, replay_geometry, replay_levels
 from fifdim.domains import cell_budget, interval_domain
 from fifdim.engine import (
     FifSpec,
@@ -102,7 +101,7 @@ def test_total_osc_level_mismatch_rejected():
 
 def _observed_holder_constant(model, eta, k=10):
     sample = graph_sample(model, k, extra=2)
-    diam = np.maximum(sample.cell_diam, 1e-300)
+    diam = np.maximum(replay_geometry(model, k)[2], 1e-300)
     return float(np.max((sample.vmax - sample.vmin) / diam**eta))
 
 
@@ -139,17 +138,13 @@ def test_one_pass_samples_equal_level0_replay(name):
     # the budget shrinks the refinement depth of the deepest levels
     assert got[0].extra == 4 and got[-1].extra < 4
     assert model.N ** (kmax + 4) * len(model.domain.v0) > cell_budget()
-    # one replay level at a time, with geometry only down to kmax: the
-    # deepest levels take hundreds of MB
+    # one replay level at a time, with no geometry: the deepest levels
+    # take hundreds of MB
     depth = max(s.level + s.extra for s in got)
-    for level, (_, vals, lo, hi, diam) in enumerate(
-            _replay_levels(model, depth, geometry_to=kmax)):
+    for level, (_, vals, _, _, _) in enumerate(
+            replay_levels(model, depth, geometry_to=0)):
         for sample in got:
             k, e = sample.level, sample.extra
-            if k == level:
-                for a, b in ((sample.cell_lo, lo), (sample.cell_hi, hi),
-                             (sample.cell_diam, diam)):
-                    assert np.array_equal(a, b)
             if k + e == level:
                 block = vals.reshape(model.N**k, -1)
                 assert np.array_equal(sample.vmin, block.min(axis=1))

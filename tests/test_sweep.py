@@ -1,6 +1,6 @@
-"""The depth-first sweep and the level pushes against a breadth-first
-replay, seed pins of the box-count estimate and of V_k, and memory
-bounds."""
+"""The depth-first sweep, the level pushes and the interval x order
+against the breadth-first replay (``conftest.replay_levels``), seed pins
+of the box-count estimate and of V_k, and memory bounds."""
 
 import dataclasses
 import hashlib
@@ -10,13 +10,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import CONFIG_NAMES, get_model
-from fifdim import engine, oscillation
+from conftest import CONFIG_NAMES, get_model, replay_levels
+from fifdim import domains, engine, oscillation
 from fifdim.dimension import box_count, empirical_dimension
-from fifdim.domains import point_keys, unique_rows
-from fifdim.engine import (GraphSample, ModelError, apply_T, evaluate_on_vk,
-                           graph_samples)
+from fifdim.domains import interval_domain, point_keys, unique_rows, vertex_set
+from fifdim.engine import (FifSpec, GraphSample, ModelError, apply_T,
+                           build_model, evaluate_on_vk, graph_samples)
 from fifdim.exprs import Const, Op
 from fifdim.oscillation import seminorm
 
@@ -26,41 +28,8 @@ SWEEP_CONFIGS = ["example5_case2", "example5_case1_sin", "example5_case1_one",
                  "degenerate_cube", "sg_exact"]
 
 
-def _replay_levels(model, depth, geometry_to=None):
-    """Levels 0..depth as (pts, vals, lo, hi, diam), one at a time, each
-    pushed whole from level 0 with the per-map arithmetic of the
-    recursion.  Boxes and diameters are carried down to level
-    ``geometry_to`` (all levels by default) and are None below it; the
-    last level has no points, since nothing pushes it."""
-    geometry_to = depth if geometry_to is None else geometry_to
-    d = model.domain
-    v0 = d.v0_array
-    lo, hi = d.base.bounding_box()
-    lev = (v0[None], model.p_at(v0)[None], lo[None], hi[None],
-           np.array([d.base.diameter]))
-    yield lev
-    for level in range(1, depth + 1):
-        pts, vals, lo, hi, diam = lev
-        C, P, m = pts.shape
-        flat = pts.reshape(C * P, m)
-        out = [[], [], [], [], []]
-        for i, mp in enumerate(d.maps):
-            s_v = model.s[i][0].ev(flat).reshape(C, P)
-            q_v = model.q[i][0].ev(flat).reshape(C, P)
-            out[1].append(s_v * vals + q_v)
-            if level < depth:
-                out[0].append(mp(pts))
-            if level <= geometry_to:
-                a, b = mp(lo), mp(hi)
-                out[2].append(np.minimum(a, b))
-                out[3].append(np.maximum(a, b))
-                out[4].append(diam * mp.ratio)
-        lev = tuple(np.concatenate(parts) if parts else None for parts in out)
-        yield lev
-
-
-def _replay(model, depth):
-    return list(_replay_levels(model, depth))
+def _replay(model, depth, geometry_to=None):
+    return list(replay_levels(model, depth, geometry_to))
 
 
 def _same_bits(a, b):
@@ -77,18 +46,14 @@ def small_blocks(monkeypatch):
 
 def _assert_samples_equal_replay(model, extras):
     depth = max(k + e for k, e in extras.items())
-    levels = _replay(model, depth)
+    levels = _replay(model, depth, geometry_to=0)
     got = list(graph_samples(model, extras))
     assert [(s.level, s.extra) for s in got] == sorted(extras.items())
     for sample in got:
         k, e = sample.level, sample.extra
-        _, _, lo, hi, diam = levels[k]
         block = levels[k + e][1].reshape(model.N**k, -1)
-        for a, b in ((sample.cell_lo, lo), (sample.cell_hi, hi),
-                     (sample.cell_diam, diam),
-                     (sample.vmin, block.min(axis=1)),
-                     (sample.vmax, block.max(axis=1))):
-            assert _same_bits(a, b)
+        assert _same_bits(sample.vmin, block.min(axis=1))
+        assert _same_bits(sample.vmax, block.max(axis=1))
 
 
 @pytest.mark.parametrize("name", SWEEP_CONFIGS)
@@ -254,29 +219,54 @@ def test_seminorm_memory_bounded():
     assert peak < 20 * 2**20
 
 
-@pytest.mark.parametrize("name", ["example5_case1_one", "degenerate_cube",
-                                  "sg_exact"])
-def test_domain_cell_geometry_equals_replay(name):
-    d = get_model(name).domain
-    for k, (_, _, lo, hi, diam) in enumerate(
-            _replay_levels(get_model(name), 5)):
-        got_lo, got_hi = d.cell_boxes(k)
-        assert _same_bits(got_lo, lo) and _same_bits(got_hi, hi)
-        assert _same_bits(d.cell_diams(k), diam)
+@st.composite
+def interval_models(draw):
+    """Intervals of 2-4 pieces with unequal knots from x0 = 0 or 1000,
+    random signature bits and data, constant scales and solved
+    displacements.  Widths within a factor of 4 keep every level-8 cell
+    wider than 1e-9, far above the float spacing at 1000, so no two cells
+    share a lo end."""
+    n = draw(st.integers(2, 4))
+    widths = draw(st.lists(st.floats(0.25, 1), min_size=n, max_size=n,
+                           unique=True))
+    x0 = draw(st.sampled_from([0.0, 1000.0]))
+    knots = [x0 + sum(widths[:i]) for i in range(n + 1)]
+    flips = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    d = interval_domain(knots, flips)
+    nodes = vertex_set(d, 1)
+    values = draw(st.lists(st.floats(-1, 1), min_size=len(nodes),
+                           max_size=len(nodes)))
+    data = [(tuple(p), v) for p, v in zip(nodes, values)]
+    return build_model(FifSpec(d, data, [(Const(0.5), None)] * n, "solve"))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(interval_models(), st.integers(0, 8))
+def test_x_order_equals_sorted_replay(model, k):
+    # the one recursion in knot order against the breadth-first replay of
+    # the level-k boxes, sorted by their lo ends
+    *_, (_, _, lo, hi, _) = _replay(model, k)
+    lo, hi = lo[:, 0], hi[:, 0]
+    by_x = np.argsort(lo, kind="stable")
+    order, got_lo, got_hi = model.domain.x_order(k)
+    assert _same_bits(np.arange(model.N**k)[order], by_x)
+    assert _same_bits(got_lo, lo[by_x]) and _same_bits(got_hi, hi[by_x])
+    flips = any(mp.scale[0] < 0 for mp in model.domain.maps)
+    assert isinstance(order, slice) == (not flips)
 
 
 def test_seminorm_samples_make_no_geometry(monkeypatch):
-    # the seminorm reads value ranges only: no sample makes cell boxes
-    # (cached on the sample once made) or diameters
-    model = get_model("sg_exact")
+    # the seminorm reads value ranges only: no sample builds an x order
+    # (cached on the sample once made), on unequal knots either
+    model = get_model("example5_case1_one")
     seen, total_osc = [], oscillation.total_osc
     monkeypatch.setattr(oscillation, "total_osc",
                         lambda sample: seen.append(sample) or total_osc(sample))
 
     def fail(self, k):
-        raise AssertionError("cell diameters made")
+        raise AssertionError("x order made")
 
-    monkeypatch.setattr(type(model.domain), "cell_diams", fail)
+    monkeypatch.setattr(domains.ProductDomain, "x_order", fail)
     seminorm(model, 1.0, kmax=5)
     assert [s.level for s in seen] == [1, 2, 3, 4, 5]
-    assert all("cell_boxes" not in s.__dict__ for s in seen)
+    assert all("x_order" not in s.__dict__ for s in seen)
