@@ -62,10 +62,8 @@ from .exprs import (
     audit_shape,
     eval_expr,
     holder_seminorm_estimate,
-    inf_abs,
     multilinear_expr,
     parse_expr,
-    sup_norm,
 )
 from .oscillation import (
     cell_osc,

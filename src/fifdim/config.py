@@ -12,9 +12,10 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .domains import Domain, cube_domain, gasket_domain, interval_domain, vertex_set
+from .domains import (Domain, DomainError, build_interval_maps, cube_domain,
+                      gasket_domain, interval_domain, point_keys, vertex_set)
 from .engine import FAMILIES, FifSpec
-from .exprs import ExprError, ShapeFacts, parse_expr
+from .exprs import SHAPES, ExprError, ShapeFacts, parse_expr
 
 __all__ = ["RunConfig", "ConfigError", "load_config", "parse_number",
            "resolve_analysis"]
@@ -48,9 +49,23 @@ def parse_number(raw, path: str = "") -> float:
     if isinstance(raw, str):
         try:
             return float(Fraction(raw))
-        except (ValueError, ZeroDivisionError):
+        except (ValueError, ZeroDivisionError, OverflowError):
             raise ConfigError([(path, f"cannot parse number {raw!r}")])
     raise ConfigError([(path, f"expected a number, got {type(raw).__name__}")])
+
+
+def _number(raw, path: str, errors, ok=math.isfinite, need="finite"):
+    """``parse_number`` whose failure, or a value that fails ``ok`` (which
+    ``need`` states), is recorded in ``errors``; None then."""
+    try:
+        value = parse_number(raw, path)
+    except ConfigError as exc:
+        errors.extend(exc.errors)
+        return None
+    if not ok(value):
+        errors.append((path, f"must be {need}, got {value}"))
+        return None
+    return value
 
 
 @dataclass
@@ -59,32 +74,37 @@ class RunConfig:
     analysis: dict = field(default_factory=dict)
 
 
-def _facts_from(raw: dict | None, path: str, errors) -> ShapeFacts | None:
-    if raw is None:
-        return None
+def _facts_from(raw, path: str, errors, m: int | None,
+                variable: bool) -> ShapeFacts | None:
+    """The declared facts of an expression; one with variables needs eta
+    and H for its bracket slack, unless it is declared constant."""
+    raw = {} if raw is None else raw
     if not isinstance(raw, dict):
         errors.append((path, "facts must be an object"))
         return None
-    known = {"constant", "affine", "concave", "convex", "eta", "H"}
-    for k in raw:
-        if k not in known:
-            errors.append((f"{path}.{k}", "unknown fact field"))
-    try:
-        return ShapeFacts(
-            is_constant=bool(raw.get("constant", False)),
-            affine_in=frozenset(raw.get("affine", ())),
-            concave_in=frozenset(raw.get("concave", ())),
-            convex_in=frozenset(raw.get("convex", ())),
-            holder_exponent=(
-                parse_number(raw["eta"], f"{path}.eta") if "eta" in raw else None
-            ),
-            holder_constant=(
-                parse_number(raw["H"], f"{path}.H") if "H" in raw else None
-            ),
-        )
-    except (ExprError, ConfigError) as exc:
-        errors.append((path, str(exc)))
+    n_errors = len(errors)
+    known = {"constant", "eta", "H", *(shape for shape, _ in SHAPES)}
+    errors.extend((f"{path}.{k}", "unknown fact field") for k in raw if k not in known)
+    constant = raw.get("constant", False)
+    if not isinstance(constant, bool):
+        errors.append((f"{path}.constant",
+                       f"must be true or false, got {json.dumps(constant)}"))
+    for shape, _ in SHAPES:  # 1-based axes of the domain
+        axes = raw.get(shape, [])
+        if not isinstance(axes, list) or not all(
+                _json_int(u) and 1 <= u and (m is None or u <= m) for u in axes):
+            errors.append((f"{path}.{shape}", f"must be a list of integers "
+                           f"in 1..{m}, got {json.dumps(axes)}"))
+    eta, H = (_number(raw[k], f"{path}.{k}", errors, ok, need) if k in raw else None
+              for k, ok, need in (("eta", lambda v: 0 < v <= 1, "in (0, 1]"),
+                                  ("H", lambda v: 0 <= v < math.inf, "finite, >= 0")))
+    if variable and constant is not True:
+        errors.extend((f"{path}.{k}", "required for a non-constant expression")
+                      for k in ("eta", "H") if k not in raw)
+    if len(errors) > n_errors:
         return None
+    return ShapeFacts(is_constant=constant, holder_exponent=eta, holder_constant=H,
+                      **{f"{shape}_in": raw.get(shape, ()) for shape, _ in SHAPES})
 
 
 def _domain_from(raw, errors) -> Domain | None:
@@ -106,13 +126,16 @@ def _domain_from(raw, errors) -> Domain | None:
                     errors.append((f"{at}.signature", "must be a list of "
                                    f"integers 0 or 1, got {json.dumps(sig)}"))
                     return None
+                try:
+                    build_interval_maps(knots, sig)
+                except DomainError as exc:  # "knots ..." or "signature ..."
+                    errors.append((f"{at}.{str(exc).split()[0]}", str(exc)))
+                    return None
                 axes.append((tuple(knots), tuple(sig)))
             return interval_domain(*axes[0]) if single else cube_domain(axes)
         if kind == "gasket":
-            verts = [
-                [parse_number(c, "domain.vertices") for c in v]
-                for v in raw["vertices"]
-            ]
+            verts = [[parse_number(c, "domain.vertices") for c in v]
+                     for v in raw["vertices"]]
             level = raw.get("level", 1)
             if not _json_int(level) or level < 1:
                 errors.append(("domain.level", "must be an integer >= 1, "
@@ -122,12 +145,56 @@ def _domain_from(raw, errors) -> Domain | None:
         errors.append(("domain.kind", f"unknown kind {kind!r}"))
     except (KeyError, TypeError) as exc:
         errors.append(("domain", f"malformed: {exc}"))
-    except (ConfigError, ValueError) as exc:
-        errors.append(("domain", str(exc)))
+    except ConfigError as exc:
+        errors.extend(exc.errors)
+    except ValueError as exc:  # the gasket's vertices or too few cube axes
+        errors.append((f"domain.{'vertices' if kind == 'gasket' else 'axes'}", str(exc)))
     return None
 
 
-def _expr_entries(raw, path: str, errors):
+def _data_from(raw, domain: Domain | None, errors) -> list:
+    """One finite value per interpolation node of V = V_1, each given
+    once; a point is matched to its node by point key."""
+    if domain is None:
+        return []
+    nodes, res = vertex_set(domain, 1).tolist(), domain.resolution
+    if isinstance(raw, dict) and "constant" in raw:
+        c = _number(raw["constant"], "data.constant", errors)
+        return [(tuple(p), c) for p in nodes]
+    if not isinstance(raw, list):
+        errors.append(("data", "must be a list or a {'constant': c} preset"))
+        return []
+    node_of = {tuple(key): i for i, key in enumerate(point_keys(nodes, res).tolist())}
+    data, given, n_errors = [], {}, len(errors)  # given: node -> its entry
+    for j, entry in enumerate(raw):
+        here = f"data[{j}]"
+        try:
+            point = entry["point"]
+            if not isinstance(point, list) or len(point) != domain.m:
+                raise ConfigError([(f"{here}.point", f"must be a list of "
+                                    f"{domain.m} numbers, got {json.dumps(point)}")])
+            pt = tuple(parse_number(c, f"{here}.point") for c in point)
+            finite = all(map(math.isfinite, pt))
+            node = node_of.get(tuple(point_keys(pt, res).tolist())) if finite else None
+            if node is None or node in given:
+                raise ConfigError([(f"{here}.point", "not a node of V" if node is None
+                                    else f"repeats the point of data[{given[node]}]")])
+            value = _number(entry["value"], f"{here}.value", errors)
+        except (KeyError, TypeError) as exc:
+            errors.append((here, f"malformed: {exc}"))
+        except ConfigError as exc:
+            errors.extend(exc.errors)
+        else:
+            given[node] = j
+            data.append((pt, value))
+    missing = [tuple(p) for i, p in enumerate(nodes) if i not in given]
+    if missing and len(errors) == n_errors:
+        errors.append(("data", "no value at " + ", ".join(map(str, missing))))
+    return data
+
+
+def _expr_entries(raw, path: str, errors, m: int | None):
+    """(expr, facts) per entry; ``m`` is the domain's, None if it failed."""
     out = []
     if not isinstance(raw, list):
         errors.append((path, "must be a list"))
@@ -140,12 +207,17 @@ def _expr_entries(raw, path: str, errors):
             errors.append((here, "expected an object with an 'expr' field"))
             continue
         try:
+            if not isinstance(entry["expr"], str):
+                raise ExprError(f"must be a string, got {json.dumps(entry['expr'])}")
             expr = parse_expr(entry["expr"])
+            top = expr.max_axis()
+            if m is not None and top > m:
+                raise ExprError(f"x{top} is beyond the domain's m = {m}")
         except ExprError as exc:
             errors.append((f"{here}.expr", str(exc)))
             continue
-        facts = _facts_from(entry.get("facts"), f"{here}.facts", errors)
-        out.append((expr, facts))
+        out.append((expr, _facts_from(entry.get("facts"), f"{here}.facts", errors,
+                                      m, top > 0)))
     return out
 
 
@@ -163,30 +235,9 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError([("", "top level must be an object")])
 
     domain = _domain_from(raw.get("domain"), errors)
-
-    data = []
-    raw_data = raw.get("data")
-    if isinstance(raw_data, dict) and "constant" in raw_data:
-        if domain is not None:
-            c = parse_number(raw_data["constant"], "data.constant")
-            for pt in vertex_set(domain, 1):
-                data.append((tuple(float(x) for x in pt), c))
-    elif isinstance(raw_data, list):
-        for j, entry in enumerate(raw_data):
-            here = f"data[{j}]"
-            try:
-                pt = tuple(
-                    parse_number(c, f"{here}.point") for c in entry["point"]
-                )
-                data.append((pt, parse_number(entry["value"], f"{here}.value")))
-            except (KeyError, TypeError) as exc:
-                errors.append((here, f"malformed: {exc}"))
-            except ConfigError as exc:
-                errors.extend(exc.errors)
-    else:
-        errors.append(("data", "must be a list or a {'constant': c} preset"))
-
-    scales = _expr_entries(raw.get("scales", []), "scales", errors)
+    data = _data_from(raw.get("data"), domain, errors)
+    m = domain.m if domain is not None else None
+    scales = _expr_entries(raw.get("scales", []), "scales", errors, m)
 
     raw_q = raw.get("displacements")
     if isinstance(raw_q, dict) and "solve" in raw_q:
@@ -196,34 +247,25 @@ def load_config(path: str) -> RunConfig:
                            f"{', '.join(FAMILIES)}, got {json.dumps(solve)}"))
         q_entries = solve if solve in FAMILIES else "solve"
     elif isinstance(raw_q, dict) and "exprs" in raw_q:
-        q_entries = _expr_entries(raw_q["exprs"], "displacements.exprs", errors)
+        q_entries = _expr_entries(raw_q["exprs"], "displacements.exprs", errors, m)
     elif isinstance(raw_q, list):
-        q_entries = _expr_entries(raw_q, "displacements", errors)
+        q_entries = _expr_entries(raw_q, "displacements", errors, m)
     else:
-        errors.append(
-            ("displacements", "must be a list, {'exprs': []} or {'solve': family}")
-        )
+        errors.append(("displacements",
+                       "must be a list, {'exprs': []} or {'solve': family}"))
         q_entries = []
 
-    eta = parse_number(raw.get("eta", 1.0), "eta")
-    if not (math.isfinite(eta) and eta > 0):
-        errors.append(("eta", f"must be a finite number > 0, got {eta}"))
+    eta = _number(raw.get("eta", 1.0), "eta", errors,
+                  lambda v: 0 < v < math.inf, "a finite number > 0")
 
     if domain is not None:
-        if len(scales) != domain.N:
-            errors.append(
-                ("scales", f"expected {domain.N} entries, got {len(scales)}")
-            )
-        if not isinstance(q_entries, str) and q_entries and len(q_entries) != domain.N:
-            errors.append(
-                (
-                    "displacements",
-                    f"expected {domain.N} entries (one per map index 1..{domain.N}), "
-                    f"got {len(q_entries)}: map index {len(q_entries) + 1} has no entry"
-                    if len(q_entries) < domain.N
-                    else f"expected {domain.N} entries, got {len(q_entries)}",
-                )
-            )
+        n, got = domain.N, len(q_entries)
+        if len(scales) != n:
+            errors.append(("scales", f"expected {n} entries, got {len(scales)}"))
+        if isinstance(q_entries, list) and got != n:
+            errors.append(("displacements", f"expected {n} entries, got {got}"
+                           if got > n else f"expected {n} entries (one per map index"
+                           f" 1..{n}), got {got}: map index {got + 1} has no entry"))
 
     analysis = raw.get("analysis", {})
     if not isinstance(analysis, dict):
@@ -233,10 +275,8 @@ def load_config(path: str) -> RunConfig:
     for key, value in analysis.items():
         at = f"analysis.{key}"
         if key == "gamma_pin":
-            try:
-                analysis[key] = parse_number(value, at)
-            except ConfigError as exc:
-                errors.extend(exc.errors)
+            analysis[key] = _number(value, at, errors, lambda v: 0 <= v < math.inf,
+                                    "finite, >= 0")
         elif key not in ANALYSIS_INTS:
             errors.append((at, "unknown analysis field"))
         elif not _json_int(value):

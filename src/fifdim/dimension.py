@@ -9,12 +9,12 @@ ends), so numerical sup/inf estimation cannot flip a verdict.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .domains import BudgetError, cell_budget
 from .engine import (
     BLOCK_SLOTS,
     FifModel,
@@ -109,68 +109,41 @@ class CollinearWitness:
     L: float
 
 
-def _witness_L(model: FifModel, y1, y2, y3, lam) -> float:
-    p = model.p_at(np.array([y1, y2, y3]))
-    return float(p[2] - ((1 - lam) * p[0] + lam * p[1]))
-
-
-def _iter_triples(model: FifModel, r: int):
-    """Yield (y1, y2, y3, lam) candidate collinear triples in V."""
-    nodes = model.interpolation_nodes()
-    n = len(nodes)
-    tol = model.domain.resolution
-    if r >= 1:
-        other = [u for u in range(model.domain.m) if u != r - 1]
-        for a, b in itertools.permutations(range(n), 2):
-            y1, y2 = nodes[a], nodes[b]
-            if any(abs(y1[u] - y2[u]) > tol for u in other):
-                continue
-            if abs(y2[r - 1] - y1[r - 1]) <= tol:
-                continue
-            for c in range(n):
-                if c in (a, b):
-                    continue
-                y3 = nodes[c]
-                if any(abs(y3[u] - y1[u]) > tol for u in other):
-                    continue
-                lam = (y3[r - 1] - y1[r - 1]) / (y2[r - 1] - y1[r - 1])
-                if not (1e-12 < lam < 1 - 1e-12):
-                    continue
-                yield tuple(y1), tuple(y2), tuple(y3), float(lam)
-    else:
-        for a, b in itertools.combinations(range(n), 2):
-            y1, y2 = nodes[a], nodes[b]
-            seg = y2 - y1
-            seglen2 = float(seg @ seg)
-            if seglen2 <= tol * tol:
-                continue
-            for c in range(n):
-                if c in (a, b):
-                    continue
-                y3 = nodes[c]
-                lam = float((y3 - y1) @ seg / seglen2)
-                if not (1e-12 < lam < 1 - 1e-12):
-                    continue
-                if np.linalg.norm(y3 - (y1 + lam * seg)) > tol:
-                    continue
-                yield tuple(y1), tuple(y2), tuple(y3), lam
-
-
 def find_witness(
     model: FifModel, r: int, sign: int = 0
 ) -> CollinearWitness | None:
     """Best (max |L|) non-collinearity witness for axis r; None if flat.
 
-    sign > 0 restricts to L > 0 triples, sign < 0 to L < 0.
+    One search over the interpolation nodes V for every domain: each
+    unordered node pair y1, y2 (in node order) against each node y3
+    strictly inside their segment and within ``domain.resolution`` of its
+    line, lam the projection of y3 onto it, L = p(y3) - ((1 - lam) p(y1)
+    + lam p(y2)).  For r >= 1 the segment moves along axis r only; r = 0
+    (the gasket) takes every direction.  sign > 0 keeps L > 0, sign < 0
+    L < 0; the first of equal |L| wins.  The pairs x |V| triples must fit
+    the cell budget.
     """
-    best: CollinearWitness | None = None
-    for y1, y2, y3, lam in _iter_triples(model, r):
-        L = _witness_L(model, y1, y2, y3, lam)
-        if abs(L) <= 1e-12 or sign * L < 0:
-            continue
-        if best is None or abs(L) > abs(best.L):
-            best = CollinearWitness(r, y1, y2, y3, lam, L)
-    return best
+    nodes = model.interpolation_nodes()
+    p, tol = model.p_at(nodes), model.domain.resolution
+    a, b = np.triu_indices(len(nodes), 1)
+    if len(a) * len(nodes) > cell_budget():
+        raise BudgetError("witness search exceeds the cell budget")
+    moving = np.abs(nodes[b] - nodes[a]) > tol
+    keep = moving.any(1) if r == 0 else (
+        moving == (np.arange(model.domain.m) == r - 1)).all(1)
+    a, b = a[keep], b[keep]
+    seg = (nodes[b] - nodes[a])[:, None]  # (pairs, 1, m)
+    rel = nodes[None] - nodes[a][:, None]  # (pairs, |V|, m)
+    lam = np.sum(rel * seg, axis=-1) / np.sum(seg * seg, axis=-1)
+    off = np.linalg.norm(rel - lam[..., None] * seg, axis=-1)
+    L = p - ((1 - lam) * p[a][:, None] + lam * p[b][:, None])
+    ok = ((1e-12 < lam) & (lam < 1 - 1e-12) & (off <= tol)
+          & (np.abs(L) > 1e-12) & (sign * L >= 0))
+    if not ok.any():
+        return None
+    j, c = np.unravel_index(np.argmax(np.where(ok, np.abs(L), -1.0)), L.shape)
+    y1, y2, y3 = (tuple(nodes[i].tolist()) for i in (a[j], b[j], c))
+    return CollinearWitness(r, y1, y2, y3, float(lam[j, c]), float(L[j, c]))
 
 
 def witness_height_check(
@@ -485,10 +458,8 @@ def box_count(sample: GraphSample, delta: float) -> int:
 
 def _first_at_least(col, x: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Per target c, the first j with col(x[j]) >= c, or len(x), where
-    col(x[j]) rises with j: a vectorised bisection, or, with no more x
-    than targets, a search in col of every x."""
-    if len(x) <= len(targets):
-        return np.searchsorted(col(x), targets)
+    col(x[j]) is nondecreasing in j: one vectorised bisection for all
+    targets, evaluating col at O(len(targets) log len(x)) points."""
     pos = np.zeros(len(targets), dtype=np.intp)
     step = 1 << (len(x).bit_length() - 1)
     while step:

@@ -362,10 +362,10 @@ def build_interval_maps(
 ) -> list[AffineMap]:
     """One affine piece per knot interval, oriented per the signature bit."""
     knots = tuple(float(k) for k in knots)
-    if not all(map(math.isfinite, knots)) or any(
+    if len(knots) < 2 or not all(map(math.isfinite, knots)) or any(
         not b > a for a, b in zip(knots, knots[1:])
     ):
-        raise DomainError("knots must be finite and strictly increasing")
+        raise DomainError("knots must be two or more, finite and strictly increasing")
     n = len(knots) - 1
     if len(signature) != n:
         raise DomainError(f"signature must have length {n}")

@@ -43,8 +43,6 @@ __all__ = [
     "ExprSyntaxError",
     "parse_expr",
     "eval_expr",
-    "sup_norm",
-    "inf_abs",
     "abs_brackets",
     "audit_shape",
     "holder_seminorm_estimate",
@@ -245,8 +243,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
                         k += 1
                     j = k
             num = text[i:j]
-            if num.count(".") > 1:
-                raise ExprSyntaxError(f"malformed number {num!r}", i)
+            if num.count(".") > 1 or num == "." or float(num) == float("inf"):
+                raise ExprSyntaxError(f"malformed or overflowing number {num!r}", i)
             tokens.append(("num", num, i))
             i = j
             continue
@@ -437,10 +435,6 @@ def normalize_facts(e: Expr, facts: ShapeFacts | None, m: int) -> ShapeFacts:
 
 # --------------------------------------------------------------------------
 # Brackets and audits
-#
-# ``abs_brackets`` takes sample points; ``sup_norm`` and ``inf_abs`` take a
-# region, duck-typed: anything with ``sample_points(depth) -> (n, m)`` and
-# ``mesh_diameter(depth) -> float`` works (see fifdim.domains).
 
 
 def _slack(e: Expr, facts: ShapeFacts | None, mesh_diam: float) -> float:
@@ -464,27 +458,6 @@ def abs_brackets(e: Expr, pts: np.ndarray, mesh_diam: float,
     slack = _slack(e, facts, mesh_diam)
     top, bot = float(np.max(vals)), float(np.min(vals))
     return (top, top + slack), (max(0.0, bot - slack), bot)
-
-
-def _region_brackets(e: Expr, region, grid_depth: int, facts):
-    if grid_depth < 1:
-        raise ExprError("grid_depth must be >= 1")
-    return abs_brackets(e, region.sample_points(grid_depth),
-                        region.mesh_diameter(grid_depth), facts)
-
-
-def sup_norm(
-    e: Expr, region, grid_depth: int, facts: ShapeFacts | None = None
-) -> tuple[float, float]:
-    """Bracket [lo, hi] of sup |e| over ``region`` (see ``abs_brackets``)."""
-    return _region_brackets(e, region, grid_depth, facts)[0]
-
-
-def inf_abs(
-    e: Expr, region, grid_depth: int, facts: ShapeFacts | None = None
-) -> tuple[float, float]:
-    """Bracket [lo, hi] of inf |e| over ``region`` (see ``abs_brackets``)."""
-    return _region_brackets(e, region, grid_depth, facts)[1]
 
 
 @dataclass(frozen=True)

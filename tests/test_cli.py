@@ -1,5 +1,8 @@
 """CLI: exit codes, artifact files, deterministic output."""
 
+import contextlib
+import copy
+import io
 import json
 
 import pytest
@@ -173,6 +176,8 @@ def test_one_version_source(config_dir):
                  id="unknown-analysis-field"),
     pytest.param("bounds", "analysis", {"gamma_pin": "3//2"},
                  "analysis.gamma_pin", id="gamma_pin-garbage"),
+    pytest.param("bounds", "analysis", {"gamma_pin": -1},
+                 "analysis.gamma_pin", id="gamma_pin-negative"),
 ])
 def test_config_field_errors_exit_1(config_dir, tmp_path, capsys, command,
                                     field, value, path):
@@ -302,3 +307,163 @@ def test_analysis_least_values_accepted(config_dir, tmp_path, capsys):
     assert main(["sample", str(p), "--out", str(tmp_path)]) == 0
     rows = (tmp_path / "sample.csv").read_text().strip().splitlines()[1:]
     assert len(rows) == 4
+
+
+def _edited(config_dir, tmp_path, name, edit):
+    """A bundled config with ``edit`` applied to its JSON, as a file."""
+    raw = json.loads((config_dir / f"{name}.json").read_text())
+    edit(raw)
+    p = tmp_path / "edited.json"
+    p.write_text(json.dumps(raw))
+    return str(p)
+
+
+def _assert_config_error_at(path, args, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([*args, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error at {path}: "), err
+    assert "Traceback" not in err and not out.exists()
+
+
+def _set(*keys_value):
+    """An edit that sets raw[k1][k2]... to the last argument."""
+    *keys, value = keys_value
+
+    def edit(raw):
+        for k in keys[:-1]:
+            raw = raw[k]
+        raw[keys[-1]] = value
+    return edit
+
+
+def _drop(*keys):
+    """An edit that deletes raw[k1][k2]..."""
+    def edit(raw):
+        for k in keys[:-1]:
+            raw = raw[k]
+        del raw[keys[-1]]
+    return edit
+
+
+Q0 = ("displacements", 0)  # {"expr": "x1^0.8/2", "facts": {...}} in example5_case2
+
+
+@pytest.mark.parametrize("edit, path", [
+    pytest.param(_set("scales", 0, "x1/4"), "scales[0].facts.eta", id="no-facts"),
+    pytest.param(_drop(*Q0, "facts", "H"), "displacements[0].facts.H", id="no-H"),
+    pytest.param(_drop(*Q0, "facts", "eta"), "displacements[0].facts.eta",
+                 id="no-eta"),
+    pytest.param(_set(*Q0, "expr", 0), "displacements[0].expr", id="expr-0"),
+    pytest.param(_set(*Q0, "expr", [1]), "displacements[0].expr", id="expr-list"),
+    pytest.param(_set(*Q0, "expr", {"a": 1}), "displacements[0].expr",
+                 id="expr-object"),
+    pytest.param(_set(*Q0, "expr", "x2/2"), "displacements[0].expr",
+                 id="variable-beyond-m"),
+    pytest.param(_set("scales", 0, "1e400"), "scales[0].expr",
+                 id="literal-overflow"),
+    pytest.param(_set(*Q0, "expr", "x1^."), "displacements[0].expr",
+                 id="literal-dot"),
+    pytest.param(_set(*Q0, "facts", "concave", [5]),
+                 "displacements[0].facts.concave", id="axis-beyond-m"),
+    pytest.param(_set(*Q0, "facts", "concave", [1.0]),
+                 "displacements[0].facts.concave", id="axis-float"),
+    pytest.param(_set(*Q0, "facts", "concave", "1"),
+                 "displacements[0].facts.concave", id="axes-string"),
+    pytest.param(_set(*Q0, "facts", "concave", [0]),
+                 "displacements[0].facts.concave", id="axis-0"),
+    pytest.param(_set(*Q0, "facts", "concave", [True]),
+                 "displacements[0].facts.concave", id="axis-boolean"),
+    pytest.param(_set(*Q0, "facts", "constant", "no"),
+                 "displacements[0].facts.constant", id="constant-string"),
+    pytest.param(_set(*Q0, "facts", "H", "-1/2"), "displacements[0].facts.H",
+                 id="H-negative"),
+])
+def test_expression_and_fact_errors_exit_1(config_dir, tmp_path, capsys, edit,
+                                           path):
+    # each of these ended in a traceback or passed silently
+    p = _edited(config_dir, tmp_path, "example5_case2", edit)
+    _assert_config_error_at(path, ["report", p], tmp_path, capsys)
+
+
+def test_declared_constant_needs_no_holder_facts(config_dir, tmp_path):
+    p = _edited(config_dir, tmp_path, "example5_case2", _set(
+        "scales", 0, {"expr": "x1 - x1 + 1/4", "facts": {"constant": True}}))
+    assert main(["validate", p]) == 0
+
+
+@pytest.mark.parametrize("edit, path", [
+    pytest.param(_set("data", 1, "point", ["1/2"]), "data[1].point",
+                 id="point-off-V"),
+    pytest.param(_set("data", 2, "point", ["1/3"]), "data[2].point",
+                 id="point-twice"),
+    pytest.param(_set("data", 1, "point", ["1/3", "0"]), "data[1].point",
+                 id="point-wrong-length"),
+    pytest.param(_drop("data", 1), "data", id="node-without-value"),
+    pytest.param(_set("data", 1, "value", float("nan")), "data[1].value",
+                 id="value-NaN"),
+    pytest.param(_set("data", 1, "value", "1e400"), "data[1].value",
+                 id="value-overflow"),
+    pytest.param(_set("eta", "1e400"), "eta", id="eta-overflow"),
+])
+def test_data_errors_exit_1(config_dir, tmp_path, capsys, edit, path):
+    # data off V was ignored and a repeated point's last value won; a
+    # missing node ended in exit 2 with no path, "1e400" in a traceback
+    p = _edited(config_dir, tmp_path, "example5_case2", edit)
+    _assert_config_error_at(path, ["report", p], tmp_path, capsys)
+
+
+@pytest.mark.parametrize("name, edit, path", [
+    pytest.param("degenerate_interval", _set("domain", "signature", [0, 0]),
+                 "domain.signature", id="signature-length"),
+    pytest.param("degenerate_interval",
+                 _set("domain", "knots", ["0", "2/3", "1/3", "1"]),
+                 "domain.knots", id="knots-not-increasing"),
+    pytest.param("degenerate_interval", _set("domain", "knots", ["0"]),
+                 "domain.knots", id="one-knot"),
+    pytest.param("degenerate_cube",
+                 _set("domain", "axes", 1, "knots", ["0", "1", "1/2"]),
+                 "domain.axes[1].knots", id="cube-knots"),
+    pytest.param("degenerate_cube",
+                 _set("domain", "axes", 0, "signature", [0, 1, 0]),
+                 "domain.axes[0].signature", id="cube-signature-length"),
+    pytest.param("sg_exact", _set("domain", "vertices", 2, [0.5, 0.5]),
+                 "domain.vertices", id="not-equilateral"),
+    pytest.param("sg_exact", _drop("domain", "vertices", 2),
+                 "domain.vertices", id="two-vertices"),
+])
+def test_domain_errors_at_their_field(config_dir, tmp_path, capsys, name, edit,
+                                      path):
+    # these were all reported at the bare path "domain"
+    p = _edited(config_dir, tmp_path, name, edit)
+    _assert_config_error_at(path, ["report", p], tmp_path, capsys)
+
+
+JUNK = [None, True, 1.5, -1, 0, "abc", "1/0", "1e400", [], {}, [1], ["x"],
+        {"a": 1}]
+
+
+def _field_paths(obj, prefix=()):
+    """Every key and index path of a JSON value, containers included."""
+    items = obj.items() if isinstance(obj, dict) else (
+        enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _field_paths(value, prefix + (key,))
+
+
+@pytest.mark.parametrize("name", ["example5_case1_sin", "sg_exact",
+                                  "degenerate_cube"])
+def test_validate_survives_every_junk_field(config_dir, tmp_path, name):
+    # one field of a bundled config (one per domain kind) set to junk: the
+    # parent of this test reached 9 distinct uncaught exceptions this way
+    raw = json.loads((config_dir / f"{name}.json").read_text())
+    p = tmp_path / "junk.json"
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        for keys in list(_field_paths(raw)):
+            for junk in JUNK:
+                edited = copy.deepcopy(raw)
+                _set(*keys, junk)(edited)
+                p.write_text(json.dumps(edited))
+                assert main(["validate", str(p)]) in (0, 1, 2), (keys, junk)

@@ -182,3 +182,24 @@ def test_effective_window_resolved_flag_config_default(tmp_path):
         load_config(_write(tmp_path, dict(BASE, analysis={"k_min": 12})))
     assert ei.value.errors == [
         ("analysis.k_min", "must be <= the default k_max = 10, got 12")]
+
+
+def test_parse_number_overflow_is_a_config_error():
+    with pytest.raises(ConfigError) as ei:
+        parse_number("1e400", "data[0].value")
+    assert ei.value.errors == [("data[0].value", "cannot parse number '1e400'")]
+
+
+@pytest.mark.parametrize("constant", ["1e400", float("inf")])
+def test_constant_data_preset_must_be_finite(tmp_path, constant):
+    with pytest.raises(ConfigError) as ei:
+        load_config(_write(tmp_path, dict(BASE, data={"constant": constant})))
+    assert [path for path, _ in ei.value.errors] == ["data.constant"]
+
+
+def test_data_matched_to_the_nodes(tmp_path):
+    # in any order, with a point written another way ("0.5" for "1/2")
+    data = [{"point": ["1"], "value": 0}, {"point": [0.5], "value": 1},
+            {"point": ["0"], "value": 0}]
+    cfg = load_config(_write(tmp_path, dict(BASE, data=data)))
+    assert sorted(cfg.spec.data) == [((0.0,), 0.0), ((0.5,), 1.0), ((1.0,), 0.0)]

@@ -14,7 +14,6 @@ from fifdim import dimension
 from fifdim.dimension import (
     CollinearWitness,
     _class_value,
-    _witness_L,
     bounds_gasket,
     box_count,
     empirical_dimension,
@@ -88,8 +87,10 @@ def test_gammas_case1_sin():
 def test_paper_witness_triple_case1():
     # [PAPER] y1=0, y2=3/5, y3=4/15, lambda=4/9 -> L = 19/54
     model = get_model("example5_case1_one")
-    L = _witness_L(model, (0.0,), (3 / 5,), (4 / 15,), 4 / 9)
-    assert L == pytest.approx(19 / 54, abs=1e-12)
+    lam = 4 / 9
+    p1, p2, p3 = model.p_at(np.array([[0.0], [3 / 5], [4 / 15]]))
+    assert (4 / 15) / (3 / 5) == pytest.approx(lam, abs=1e-15)  # y1 = 0
+    assert p3 - ((1 - lam) * p1 + lam * p2) == pytest.approx(19 / 54, abs=1e-12)
 
 
 def test_find_witness_maximizes_L():
@@ -113,6 +114,101 @@ def test_find_witness_none_for_collinear_data():
     s = [(parse_expr("1/3"), None)] * 3
     model = build_model(FifSpec(d, data, s, "solve", 1.0))
     assert find_witness(model, 1) is None
+
+
+def _reference_witness(model, r, sign=0):
+    """The two-branch search ``find_witness`` replaced: ordered axis pairs
+    for r >= 1, unordered general-position pairs for r = 0, and one
+    ``p_at`` lookup per candidate triple; (y1, y2, y3, lam, L) or None."""
+    nodes = model.interpolation_nodes()
+    n, tol = len(nodes), model.domain.resolution
+    triples = []
+    if r >= 1:
+        other = [u for u in range(model.domain.m) if u != r - 1]
+        for a, b in itertools.permutations(range(n), 2):
+            y1, y2 = nodes[a], nodes[b]
+            if any(abs(y1[u] - y2[u]) > tol for u in other):
+                continue
+            if abs(y2[r - 1] - y1[r - 1]) <= tol:
+                continue
+            for c in range(n):
+                y3 = nodes[c]
+                if c in (a, b) or any(abs(y3[u] - y1[u]) > tol for u in other):
+                    continue
+                lam = (y3[r - 1] - y1[r - 1]) / (y2[r - 1] - y1[r - 1])
+                if 1e-12 < lam < 1 - 1e-12:
+                    triples.append((y1, y2, y3, float(lam)))
+    else:
+        for a, b in itertools.combinations(range(n), 2):
+            y1, y2 = nodes[a], nodes[b]
+            seg = y2 - y1
+            seglen2 = float(seg @ seg)
+            if seglen2 <= tol * tol:
+                continue
+            for c in range(n):
+                y3 = nodes[c]
+                if c in (a, b):
+                    continue
+                lam = float((y3 - y1) @ seg / seglen2)
+                if (1e-12 < lam < 1 - 1e-12
+                        and np.linalg.norm(y3 - (y1 + lam * seg)) <= tol):
+                    triples.append((y1, y2, y3, lam))
+    best = None
+    for y1, y2, y3, lam in triples:
+        p = model.p_at(np.array([y1, y2, y3]))
+        L = float(p[2] - ((1 - lam) * p[0] + lam * p[1]))
+        if abs(L) > 1e-12 and sign * L >= 0 and (
+                best is None or abs(L) > abs(best[4])):
+            best = (y1, y2, y3, lam, L)
+    return best
+
+
+@st.composite
+def witness_models(draw):
+    """Intervals with equal or unequal knots and flipped pieces, 2- and
+    3-cubes and gaskets of level 1 and 2, with dyadic data on V_1."""
+    kind = draw(st.sampled_from(["equal", "unequal", "cube", "gasket"]))
+    if kind in ("equal", "unequal"):
+        n = draw(st.integers(2, 4))
+        widths = [1] * n if kind == "equal" else draw(
+            st.lists(st.integers(1, 5), min_size=n, max_size=n))
+        d = interval_domain([sum(widths[:i]) / sum(widths) for i in range(n + 1)],
+                            draw(st.lists(st.integers(0, 1), min_size=n,
+                                          max_size=n)))
+    elif kind == "cube":
+        d = cube_domain([([i / n for i in range(n + 1)], [j % 2 for j in range(n)])
+                         for n in draw(st.lists(st.integers(2, 3), min_size=2,
+                                                max_size=3))])
+    else:
+        d = gasket_domain(TRIANGLE, draw(st.integers(1, 2)))
+    nodes = vertex_set(d, 1)
+    values = draw(st.lists(st.integers(-8, 8), min_size=len(nodes),
+                           max_size=len(nodes)))
+    data = [(tuple(p), v / 4) for p, v in zip(nodes, values)]
+    return build_model(FifSpec(d, data, [(Const(0.5), None)] * d.N, "solve"))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(witness_models())
+def test_find_witness_equals_two_branch_reference(model):
+    for r in range(1, model.domain.m + 1) if model.domain.axes else (0,):
+        for sign in (0, 1, -1):
+            w, ref = find_witness(model, r, sign), _reference_witness(model, r, sign)
+            assert (w is None) == (ref is None)
+            if w is not None:
+                assert np.sign(w.L) == np.sign(ref[4])
+                assert abs(abs(w.L) - abs(ref[4])) <= 1e-12
+                assert w.r == r and 0 < w.lam < 1
+
+
+def test_find_witness_budget(monkeypatch):
+    # 351 node pairs x 27 nodes of the 3-cube's V_1
+    model = _pinned_models()["cube_2x2x2"]
+    monkeypatch.setenv("FIF_CELL_BUDGET", str(351 * 27 - 1))
+    with pytest.raises(BudgetError):
+        find_witness(model, 1)
+    monkeypatch.setenv("FIF_CELL_BUDGET", str(351 * 27))
+    assert find_witness(model, 1) is not None
 
 
 def test_upper_bound_case1_one():

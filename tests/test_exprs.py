@@ -17,15 +17,14 @@ from fifdim.exprs import (
     Pow,
     ShapeFacts,
     Var,
+    abs_brackets,
     affine_expr,
     audit_shape,
     eval_expr,
     holder_seminorm_estimate,
-    inf_abs,
     multilinear_expr,
     normalize_facts,
     parse_expr,
-    sup_norm,
 )
 
 UNIT = Box((0.0,), (1.0,))
@@ -184,14 +183,20 @@ def test_ev_is_a_fresh_array_bitwise_equal_to_filled_constants(e, shape):
     assert got.tobytes() == _filled_ev(e, x).tobytes()
 
 
+def _brackets(e, region, depth, facts=None):
+    """The (sup |e|, inf |e|) brackets of a build, on the region's grid."""
+    return abs_brackets(e, region.sample_points(depth),
+                        region.mesh_diameter(depth), facts)
+
+
 def test_sup_norm_constant_exact():
-    lo, hi = sup_norm(parse_expr("3/4"), UNIT, 8)
+    lo, hi = _brackets(parse_expr("3/4"), UNIT, 8)[0]
     assert lo == hi == pytest.approx(0.75)
 
 
 def test_sup_norm_bracket_contains_true_sup():
     facts = ShapeFacts(holder_exponent=1.0, holder_constant=0.25)
-    lo, hi = sup_norm(parse_expr("sin(x1)/4"), UNIT, 10, facts)
+    lo, hi = _brackets(parse_expr("sin(x1)/4"), UNIT, 10, facts)[0]
     true = math.sin(1.0) / 4
     assert lo <= true <= hi
     assert hi - lo < 1e-3
@@ -199,7 +204,7 @@ def test_sup_norm_bracket_contains_true_sup():
 
 def test_inf_abs_bracket():
     facts = ShapeFacts(holder_exponent=1.0, holder_constant=0.25)
-    lo, hi = inf_abs(parse_expr("sin(x1)/4"), UNIT, 10, facts)
+    lo, hi = _brackets(parse_expr("sin(x1)/4"), UNIT, 10, facts)[1]
     assert lo == 0.0  # sin(0)/4 = 0 attained at the boundary
     assert hi <= 1e-6
 
@@ -214,15 +219,15 @@ def test_gasket_brackets_sample_K_not_its_holes():
     v12 = vertex_set(gasket_domain(tri.verts, 1), 12)
     top = float(np.max(np.abs(d.ev(v12))))
     assert top == pytest.approx(11 / 12, abs=1e-12)
-    lo, hi = sup_norm(d, tri, 12, facts)
+    lo, hi = _brackets(d, tri, 12, facts)[0]
     assert lo <= top <= hi
-    lo, hi = inf_abs(parse_expr(f"1 - ({d})"), tri, 12, facts)
+    lo, hi = _brackets(parse_expr(f"1 - ({d})"), tri, 12, facts)[1]
     assert lo <= 1 - top <= hi
 
 
 def test_sup_norm_requires_holder_facts_for_nonconstant():
     with pytest.raises(ExprError):
-        sup_norm(parse_expr("x1"), UNIT, 8, None)
+        _brackets(parse_expr("x1"), UNIT, 8, None)
 
 
 def test_audit_accepts_true_facts():
