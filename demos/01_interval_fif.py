@@ -17,7 +17,6 @@ from fifdim import (
     evaluate_on_vk,
     load_config,
     polyline_chart,
-    validate_join_up,
 )
 
 HERE = Path(__file__).resolve().parent
@@ -29,7 +28,7 @@ model = build_model(cfg.spec)
 
 print("maps:                ", model.N)
 print("sup-norm of scales:  ", model.s_norm)
-print("join-up residual:    ", validate_join_up(cfg.spec))
+print("join-up residual:    ", model.joinup_residual)
 print("uniform bound M:     ", model.M)
 
 # exact values of f* on the level-8 vertex set (3^8 + 1 points)

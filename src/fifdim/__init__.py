@@ -46,13 +46,10 @@ from .engine import (
     ModelError,
     apply_T,
     build_model,
-    check_well_defined,
     evaluate_at,
     evaluate_on_vk,
     graph_sample,
     graph_samples,
-    solve_q,
-    validate_join_up,
 )
 from .exprs import (
     ExprError,

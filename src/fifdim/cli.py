@@ -70,8 +70,7 @@ def _sample_table(model: FifModel, cfg: RunConfig):
     """Exact graph values on V_sample_depth."""
     depth = cfg.analysis["sample_depth"]
     if depth == 0:
-        pts = model.interpolation_nodes()
-        return pts, model.p_at(pts)
+        return model.nodes, model.values
     return evaluate_on_vk(model, depth)
 
 

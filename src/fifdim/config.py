@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .domains import (Domain, DomainError, build_interval_maps, cube_domain,
-                      gasket_domain, interval_domain, point_keys, vertex_set)
+                      gasket_domain, interval_domain, node_indices, vertex_set)
 from .engine import FAMILIES, FifSpec
 from .exprs import SHAPES, ExprError, ShapeFacts, parse_expr
 
@@ -154,18 +154,17 @@ def _domain_from(raw, errors) -> Domain | None:
 
 def _data_from(raw, domain: Domain | None, errors) -> list:
     """One finite value per interpolation node of V = V_1, each given
-    once; a point is matched to its node by point key."""
+    once; a point is matched to its node by ``node_indices``."""
     if domain is None:
         return []
-    nodes, res = vertex_set(domain, 1).tolist(), domain.resolution
+    nodes = vertex_set(domain, 1)
     if isinstance(raw, dict) and "constant" in raw:
         c = _number(raw["constant"], "data.constant", errors)
-        return [(tuple(p), c) for p in nodes]
+        return [(tuple(p), c) for p in nodes.tolist()]
     if not isinstance(raw, list):
         errors.append(("data", "must be a list or a {'constant': c} preset"))
         return []
-    node_of = {tuple(key): i for i, key in enumerate(point_keys(nodes, res).tolist())}
-    data, given, n_errors = [], {}, len(errors)  # given: node -> its entry
+    entries, n_errors = [], len(errors)  # (j, point, value) of each entry read
     for j, entry in enumerate(raw):
         here = f"data[{j}]"
         try:
@@ -174,20 +173,21 @@ def _data_from(raw, domain: Domain | None, errors) -> list:
                 raise ConfigError([(f"{here}.point", f"must be a list of "
                                     f"{domain.m} numbers, got {json.dumps(point)}")])
             pt = tuple(parse_number(c, f"{here}.point") for c in point)
-            finite = all(map(math.isfinite, pt))
-            node = node_of.get(tuple(point_keys(pt, res).tolist())) if finite else None
-            if node is None or node in given:
-                raise ConfigError([(f"{here}.point", "not a node of V" if node is None
-                                    else f"repeats the point of data[{given[node]}]")])
-            value = _number(entry["value"], f"{here}.value", errors)
+            entries.append((j, pt, _number(entry["value"], f"{here}.value", errors)))
         except (KeyError, TypeError) as exc:
             errors.append((here, f"malformed: {exc}"))
         except ConfigError as exc:
             errors.extend(exc.errors)
+    data, given = [], {}  # given: node -> its entry
+    matched = node_indices(nodes, [pt for _, pt, _ in entries], domain.resolution)
+    for (j, pt, value), node in zip(entries, matched):
+        if node is None or node in given:
+            errors.append((f"data[{j}].point", "not a node of V" if node is None
+                           else f"repeats the point of data[{given[node]}]"))
         else:
             given[node] = j
             data.append((pt, value))
-    missing = [tuple(p) for i, p in enumerate(nodes) if i not in given]
+    missing = [tuple(p) for i, p in enumerate(nodes.tolist()) if i not in given]
     if missing and len(errors) == n_errors:
         errors.append(("data", "no value at " + ", ".join(map(str, missing))))
     return data

@@ -123,8 +123,7 @@ def find_witness(
     L < 0; the first of equal |L| wins.  The pairs x |V| triples must fit
     the cell budget.
     """
-    nodes = model.interpolation_nodes()
-    p, tol = model.p_at(nodes), model.domain.resolution
+    nodes, p, tol = model.nodes, model.values, model.domain.resolution
     a, b = np.triu_indices(len(nodes), 1)
     if len(a) * len(nodes) > cell_budget():
         raise BudgetError("witness search exceeds the cell budget")
@@ -505,7 +504,7 @@ def _column_runs(sample: GraphSample, delta: float) -> int:
     met = starts < ends
     ia = col(lo[starts[met]])
     if np.max(np.maximum(col(hi[starts[met]], -1.0), ia) - ia) > 64:
-        raise ValueError("cells too coarse for this delta; refine the sample")
+        raise ModelError("cells too coarse for this delta; refine the sample")
     # odd segments are dropped; a run that ends at C stops one cell short
     runs = np.empty(2 * ncols, dtype=np.intp)
     runs[0::2], runs[1::2] = starts, np.minimum(ends, len(lo) - 1)

@@ -45,6 +45,7 @@ __all__ = [
     "vertex_set",
     "dedup_points",
     "point_keys",
+    "node_indices",
     "point_resolution",
     "unique_rows",
     "cell_budget",
@@ -449,6 +450,19 @@ def point_resolution(diameter: float) -> float:
 def point_keys(pts: np.ndarray, resolution: float) -> np.ndarray:
     """Integer grid keys used for float-robust point identity."""
     return np.round(np.asarray(pts, float) / resolution).astype(np.int64)
+
+
+def node_indices(nodes: np.ndarray, pts, resolution: float) -> list[int | None]:
+    """The row of ``nodes`` that each point of ``pts`` is, matched by point
+    key; None for a point that is none of them, not finite or not of
+    their dimension."""
+    index = {key: i for i, key in enumerate(
+        map(tuple, point_keys(nodes, resolution).tolist()))}
+    m = nodes.shape[1]
+    on = [np.shape(pt) == (m,) and all(map(math.isfinite, pt)) for pt in pts]
+    x = np.array([pt for pt, ok in zip(pts, on) if ok], float).reshape(-1, m)
+    keys = map(tuple, point_keys(x, resolution).tolist())
+    return [index.get(next(keys)) if ok else None for ok in on]
 
 
 def unique_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -8,8 +8,11 @@ satisfies
 
     f*(l_i(x)) = s_i(x) * f*(x) + q_i(x).
 
-A build samples each s_i and q_i once, on one grid of the region, for all
-its brackets (``_brackets``: sup/inf |s_i|, sup |q_i|, ||s||_inf and M).
+``build_model`` is the one validator: it matches the data to V once and
+samples each s_i and q_i once, on one grid of the region, for all its
+brackets (``_map_brackets``: sup/inf |s_i| and sup |q_i|, which give
+||s||_inf and M).
+
 Evaluation on vertex sets V_k is done by exact forward recursion (no
 iteration error), one deduplicated level at a time; arbitrary points go
 through the domain's address decoding plus an unwound recursion with an
@@ -44,12 +47,14 @@ from .domains import (
     DomainError,
     Triangle,
     cell_budget,
+    node_indices,
     point_keys,
     unique_rows,
     vertex_set,
 )
 from .exprs import (
     Expr,
+    ExprError,
     ShapeFacts,
     abs_brackets,
     audit_shape,
@@ -63,9 +68,6 @@ __all__ = [
     "FifModel",
     "GraphSample",
     "ModelError",
-    "validate_join_up",
-    "solve_q",
-    "check_well_defined",
     "build_model",
     "evaluate_on_vk",
     "evaluate_at",
@@ -79,7 +81,7 @@ CONSISTENCY_TOL = 1e-9
 AUDIT_TOL = 1e-7
 SUP_DEPTH = 12
 
-# displacement families solve_q fits; "sg_affine" is "affine" by its gasket name
+# displacement families build_model fits; "sg_affine" is "affine" by its gasket name
 FAMILIES = ("affine", "multilinear", "sg_affine")
 
 
@@ -94,26 +96,10 @@ class FifSpec:
     domain: Domain
     data: list[tuple[tuple[float, ...], float]]  # (point, value) on V
     s: list[tuple[Expr, ShapeFacts | None]]
-    # (expr, facts) per map, or one of FAMILIES for solve_q to fit, or
+    # (expr, facts) per map, or one of FAMILIES for build_model to fit, or
     # "solve" (the domain's default)
     q: list[tuple[Expr, ShapeFacts | None]] | str
     eta: float = 1.0  # declared common oscillation/Hoelder exponent
-
-
-def _data_dict(d: Domain, data) -> dict[tuple[int, ...], float]:
-    res = d.resolution
-    return {tuple(point_keys(np.asarray(pt, float), res).tolist()): float(val)
-            for pt, val in data}
-
-
-def _lookup(d: Domain, table, pts: np.ndarray) -> np.ndarray:
-    keys = point_keys(pts, d.resolution)
-    vals = np.empty(len(keys))
-    for j, key in enumerate(map(tuple, keys.tolist())):
-        if key not in table:
-            raise ModelError(f"data missing at point {tuple(pts[j])}")
-        vals[j] = table[key]
-    return vals
 
 
 @dataclass
@@ -121,7 +107,8 @@ class FifModel:
     """Validated model with derived constants."""
 
     domain: Domain
-    data: dict[tuple[int, ...], float]
+    nodes: np.ndarray  # V = vertex_set(domain, 1), the interpolation nodes
+    values: np.ndarray  # the data value on each node of V
     s: list[tuple[Expr, ShapeFacts]]
     q: list[tuple[Expr, ShapeFacts]]
     eta: float
@@ -141,48 +128,41 @@ class FifModel:
         return min(1.0, self.eta)
 
     def p_at(self, pts: np.ndarray) -> np.ndarray:
-        return _lookup(self.domain, self.data, np.atleast_2d(pts))
+        """The data values at ``pts``, each a node of V."""
+        pts = np.atleast_2d(pts)
+        idx = node_indices(self.nodes, pts, self.domain.resolution)
+        if None in idx:
+            raise ModelError(f"point {tuple(pts[idx.index(None)].tolist())} "
+                             "is not a node of V")
+        return self.values[idx]
 
     def interpolation_nodes(self) -> np.ndarray:
-        return vertex_set(self.domain, 1)
+        return self.nodes
 
 
 # --------------------------------------------------------------------------
-# Validation pieces
+# The steps of build_model
 
 
-def validate_join_up(spec: FifSpec) -> float:
-    """Max residual of q_i(k_j) = p(l_i(k_j)) - s_i(k_j) p(k_j) over i, j."""
-    if isinstance(spec.q, str):
-        raise ModelError("join-up validation needs concrete q expressions")
-    d = spec.domain
-    table = _data_dict(d, spec.data)
-    v0 = d.v0_array
-    p0 = _lookup(d, table, v0)
-    return max(float(np.max(np.abs(
-        q_e.ev(v0) - _lookup(d, table, mp(v0)) + s_e.ev(v0) * p0)))
-        for mp, (s_e, _), (q_e, _) in zip(d.maps, spec.s, spec.q, strict=True))
-
-
-def _family_basis(d: Domain, family: str):
-    """Constraint points (V_0), monomials J and the V_0 design matrix.
-
-    "affine" is every J with |J| <= 1, "multilinear" every J, each in
-    order of (|J|, J).
-    """
-    v0 = d.v0_array
-    if family not in FAMILIES:
-        raise ModelError(f"unknown displacement family {family!r}")
-    top = d.m if family == "multilinear" else 1
-    basis = [frozenset(J) for r in range(top + 1)
-             for J in itertools.combinations(range(1, d.m + 1), r)]
-    cols = []
-    for J in basis:
-        col = np.ones(len(v0))
-        for j in J:
-            col = col * v0[:, j - 1]
-        cols.append(col)
-    return v0, basis, np.stack(cols, axis=-1)
+def _data_on_nodes(d: Domain, data) -> tuple[np.ndarray, np.ndarray]:
+    """V and the value given on each node: exactly one finite value per
+    node, the rule ``load_config`` applies to a config's data."""
+    nodes = vertex_set(d, 1)
+    values, given = np.empty(len(nodes)), set()
+    for (pt, val), i in zip(data, node_indices(
+            nodes, [pt for pt, _ in data], d.resolution)):
+        at = tuple(np.asarray(pt, float).tolist())
+        if i is None or i in given:
+            raise ModelError(f"data point {at} " + (
+                "is not a node of V" if i is None else "is given twice"))
+        if not math.isfinite(val):
+            raise ModelError(f"data value at {at} is not finite: {val}")
+        values[i] = val
+        given.add(i)
+    if len(given) < len(nodes):
+        raise ModelError("no data value at " + ", ".join(
+            str(tuple(p)) for i, p in enumerate(nodes.tolist()) if i not in given))
+    return nodes, values
 
 
 def _multilinear_holder_constant(
@@ -196,17 +176,29 @@ def _multilinear_holder_constant(
     return math.sqrt(sum(lu * lu for lu in lus))
 
 
-def solve_q(spec: FifSpec, family: str) -> list[tuple[Expr, ShapeFacts]]:
-    """Solve the join-up conditions for q_i in the given polynomial family.
+def _solve_q(d: Domain, family: str, s_pairs, p0, p_img
+             ) -> list[tuple[Expr, ShapeFacts]]:
+    """The q_i of the polynomial ``family`` that meet the join-up
+    conditions, given the data p0 on V_0 and p_img on each l_i(V_0).
 
-    families: "affine" (m + 1 unknowns), "multilinear" (2^m unknowns) and
-    "sg_affine" (= "affine"); one that does not fit V_0 of the domain has
-    more or fewer unknowns than boundary constraints.
+    "affine" is every monomial x_J with |J| <= 1 (m + 1 unknowns),
+    "multilinear" every J (2^m), each in order of (|J|, J); "sg_affine" is
+    "affine".  A family that does not fit V_0 of the domain has more or
+    fewer unknowns than boundary constraints.
     """
-    d = spec.domain
-    table = _data_dict(d, spec.data)
-    v0, basis, A = _family_basis(d, family)
-    p0 = _lookup(d, table, v0)
+    if family not in FAMILIES:
+        raise ModelError(f"unknown displacement family {family!r}")
+    v0, m = d.v0_array, d.m
+    top = m if family == "multilinear" else 1
+    basis = [frozenset(J) for r in range(top + 1)
+             for J in itertools.combinations(range(1, m + 1), r)]
+    cols = []
+    for J in basis:
+        col = np.ones(len(v0))
+        for j in J:
+            col = col * v0[:, j - 1]
+        cols.append(col)
+    A = np.stack(cols, axis=-1)
     if A.shape[0] != A.shape[1]:
         raise ModelError(
             f"family {family!r} has {A.shape[1]} unknowns but "
@@ -216,59 +208,52 @@ def solve_q(spec: FifSpec, family: str) -> list[tuple[Expr, ShapeFacts]]:
     # here means a broken domain, not bad data.
     assert abs(np.linalg.det(A)) > 1e-12, "singular join-up system"
     out = []
-    allax = frozenset(range(1, d.m + 1))
-    for mp, (s_e, _) in zip(d.maps, spec.s):
-        rhs = _lookup(d, table, mp(v0)) - s_e.ev(v0) * p0
-        coef = np.linalg.solve(A, rhs)
+    for (s_e, _), p_i in zip(s_pairs, p_img):
+        coef = np.linalg.solve(A, p_i - s_e.ev(v0) * p0)
         coeffs = {J: float(c) for J, c in zip(basis, coef)}
-        expr = multilinear_expr(coeffs)
-        facts = ShapeFacts(
-            affine_in=allax,
+        out.append((multilinear_expr(coeffs), ShapeFacts(
+            affine_in=frozenset(range(1, m + 1)),
             holder_exponent=1.0,
             holder_constant=_multilinear_holder_constant(coeffs, d.base),
-        )
-        out.append((expr, facts))
+        )))
     return out
 
 
-def check_well_defined(spec: FifSpec) -> list[str]:
-    """Well-definedness of the read-off operator T; empty list means ok.
+def _map_brackets(d: Domain, s_pairs, q_pairs) -> list[list]:
+    """The (sup, inf) brackets of each |s_i| and of each |q_i|, from one
+    evaluation of each on one grid of the region; ModelError naming a map
+    that is not finite there or lacks the Hoelder facts of its slack."""
+    grid = d.base.sample_points(SUP_DEPTH)
+    mesh = d.base.mesh_diameter(SUP_DEPTH)
+    out = []
+    for label, pairs in (("s", s_pairs), ("q", q_pairs)):
+        out.append([])
+        for i, (e, f) in enumerate(pairs):
+            try:
+                sup, inf = abs_brackets(e, grid, mesh, f)
+            except ExprError as exc:
+                raise ModelError(f"{label}_{i + 1}: {exc}") from None
+            if not math.isfinite(sup[1]):
+                raise ModelError(
+                    f"{label}_{i + 1} is not finite on its bracket grid")
+            out[-1].append((sup, inf))
+    return out
 
-    Domains whose cells meet only in points (intervals, the gasket) take
-    the p.c.f. route and are always fine.  Cube domains need alternating
-    signatures per axis, and the read-off values must agree across every
-    shared face; the latter is certified by numerical face matching
-    (structural conditions such as equal constant scales with multilinear
-    displacements guarantee it only when the displacements were solved
-    against continuous data, so they are not trusted on their own).
-    """
-    return [] if spec.domain.pcf else _well_posed(spec)[0]
 
-
-def _well_posed(spec: FifSpec) -> tuple[list[str], dict | None]:
-    """``check_well_defined``'s violations, and the brackets of the spec,
-    made between the signature check and the face match (None after a
-    signature violation); ModelError unless ||s||_inf < 1."""
-    d, m = spec.domain, spec.domain.m
-    violations = [] if d.pcf else [
-        f"signature not alternating on axis {u + 1}"
-        for u, sig in enumerate(axis.signature for axis in d.axes)
-        if any(b != sig[0] ^ (j & 1) for j, b in enumerate(sig))]
-    if violations:
-        return violations, None
-    if isinstance(spec.q, str):
-        raise ModelError("well-definedness check needs concrete q expressions")
-    brackets = _brackets(d, spec.s, spec.q)
-    if d.pcf:
-        return violations, brackets
-
-    # numerical face matching between adjacent maps, for f* values in M
-    zs = np.linspace(-brackets["M"][1], brackets["M"][1], 7)
+def _face_mismatches(d: Domain, s_pairs, q_pairs, m_hi: float) -> list[str]:
+    """Numerical face matching between adjacent maps of a cube, for f*
+    values in [-m_hi, m_hi]: the read-off values must agree across every
+    shared face.  Structural conditions such as equal constant scales
+    with multilinear displacements guarantee it only when the
+    displacements were solved against continuous data, so they are not
+    trusted on their own."""
+    m, zs = d.m, np.linspace(-m_hi, m_hi, 7)
     counts = [len(ax.knots) - 1 for ax in d.axes]
     index_of = {combo: i for i, combo in enumerate(
         itertools.product(*[range(1, c + 1) for c in counts])
     )}
     lo, hi = d.base.bounding_box()
+    out = []
     for combo, i in index_of.items():
         for j in range(m):
             if combo[j] >= counts[j]:
@@ -280,55 +265,44 @@ def _well_posed(spec: FifSpec) -> tuple[list[str], dict | None]:
             face = np.array(list(itertools.product(*[
                 [xstar] if u == j else np.linspace(lo[u], hi[u], 9)
                 for u in range(m)])))
-            ds = spec.s[i][0].ev(face) - spec.s[i2][0].ev(face)
-            dq = spec.q[i][0].ev(face) - spec.q[i2][0].ev(face)
+            ds = s_pairs[i][0].ev(face) - s_pairs[i2][0].ev(face)
+            dq = q_pairs[i][0].ev(face) - q_pairs[i2][0].ev(face)
             gap = float(np.max(np.abs(ds[None, :] * zs[:, None] + dq[None, :])))
-            if gap > 1e-9:
-                violations.append(f"face mismatch between maps {combo} and "
-                                  f"{combo2} (max gap {gap:.3e})")
-    return violations, brackets
-
-
-def _brackets(d: Domain, s_pairs, q_pairs) -> dict:
-    """A model's s_sup and s_inf of each |s_i|, q_sup of each |q_i|, s_norm
-    of ||s||_inf < 1 and M of max_i ||q_i||_inf / (1 - ||s||_inf), from
-    one evaluation of each s_i and q_i on one grid, reduced in turn."""
-    grid = d.base.sample_points(SUP_DEPTH)
-    mesh = d.base.mesh_diameter(SUP_DEPTH)
-    s_both = [abs_brackets(e, grid, mesh, f) for e, f in s_pairs]
-    q_sup = [abs_brackets(e, grid, mesh, f)[0] for e, f in q_pairs]
-    s_sup = [b[0] for b in s_both]
-    s_lo = max(b[0] for b in s_sup)
-    s_hi = max(b[1] for b in s_sup)
-    if s_hi >= 1:
-        raise ModelError(f"||s||_inf bracket hi = {s_hi} must be < 1")
-    m_lo = max(b[0] for b in q_sup) / (1 - s_lo)
-    m_hi = max(b[1] for b in q_sup) / (1 - s_hi)
-    return dict(s_sup=s_sup, s_inf=[b[1] for b in s_both], q_sup=q_sup,
-                s_norm=(s_lo, s_hi), M=(m_lo, m_hi))
+            if not gap <= 1e-9:
+                out.append(f"face mismatch between maps {combo} and "
+                           f"{combo2} (max gap {gap:.3e})")
+    return out
 
 
 def build_model(spec: FifSpec) -> FifModel:
-    """Audit, solve (if requested), validate and derive constants; errors
-    come in the order audit, join-up, signatures, ||s||_inf, face match."""
-    d = spec.domain
-    m = d.m
+    """Match the data to V, resolve q, audit, validate and derive constants.
+
+    q is a list of (expr, facts), a family of FAMILIES to solve for, or
+    "solve" for the domain's default family.  Errors come in the order
+    data, q, audit, maps not finite on the bracket grid (or without the
+    Hoelder facts of a non-constant one), join-up, signatures, ||s||_inf,
+    face match.  The read-off operator T is well defined on domains whose
+    cells meet only in points (intervals, the gasket); a cube needs
+    alternating signatures per axis and matching faces.
+    """
+    d, m = spec.domain, spec.domain.m
+    nodes, values = _data_on_nodes(d, spec.data)
     if not (math.isfinite(spec.eta) and spec.eta > 0):
         raise ModelError(f"eta must be a finite number > 0, got {spec.eta}")
     if len(spec.s) != d.N:
         raise ModelError(f"expected {d.N} scale entries, got {len(spec.s)}")
 
+    v0 = d.v0_array  # p0 on V_0 and p_img on each l_i(V_0), all nodes of V
+    images = np.concatenate([v0] + [mp(v0) for mp in d.maps])
+    p0, *p_img = values[node_indices(nodes, images, d.resolution)].reshape(
+        d.N + 1, len(v0))
     s_pairs = [(e, normalize_facts(e, f, m)) for e, f in spec.s]
     if isinstance(spec.q, str):
         family = d.default_family if spec.q == "solve" else spec.q
-        q_pairs = solve_q(
-            FifSpec(d, spec.data, s_pairs, "solve", spec.eta), family
-        )
+        q_pairs = _solve_q(d, family, s_pairs, p0, p_img)
+    elif len(spec.q) != d.N:
+        raise ModelError(f"expected {d.N} displacement entries, got {len(spec.q)}")
     else:
-        if len(spec.q) != d.N:
-            raise ModelError(
-                f"expected {d.N} displacement entries, got {len(spec.q)}"
-            )
         q_pairs = [(e, normalize_facts(e, f, m)) for e, f in spec.q]
 
     for label, pairs in (("s", s_pairs), ("q", q_pairs)):
@@ -339,24 +313,34 @@ def build_model(spec: FifSpec) -> FifModel:
                     f"shape audit failed for {label}_{i + 1}: "
                     + "; ".join(str(v) for v in bad)
                 )
+    s_both, q_both = _map_brackets(d, s_pairs, q_pairs)
 
-    concrete = FifSpec(d, spec.data, s_pairs, q_pairs, spec.eta)
-    residual = validate_join_up(concrete)
-    if residual > JOINUP_TOL:
+    # q_i(k_j) = p(l_i(k_j)) - s_i(k_j) p(k_j) for every map i and k_j in V_0
+    residual = float(np.max(np.abs([
+        q_e.ev(v0) - p_i + s_e.ev(v0) * p0
+        for (s_e, _), (q_e, _), p_i in zip(s_pairs, q_pairs, p_img)])))
+    if not residual <= JOINUP_TOL:
         raise ModelError(f"join-up residual {residual:.3e} exceeds {JOINUP_TOL}")
-    ill_posed, brackets = _well_posed(concrete)
-    if ill_posed:
-        raise ModelError("ill-posed operator: " + "; ".join(ill_posed))
+    signatures = [] if d.pcf else [
+        f"signature not alternating on axis {u + 1}"
+        for u, sig in enumerate(axis.signature for axis in d.axes)
+        if any(b != sig[0] ^ (j & 1) for j, b in enumerate(sig))]
+    if signatures:
+        raise ModelError("ill-posed operator: " + "; ".join(signatures))
+    s_sup, q_sup = [b[0] for b in s_both], [b[0] for b in q_both]
+    s_lo, s_hi = (max(b[j] for b in s_sup) for j in (0, 1))
+    if not s_hi < 1:
+        raise ModelError(f"||s||_inf bracket hi = {s_hi} must be < 1")
+    M = (max(b[0] for b in q_sup) / (1 - s_lo),
+         max(b[1] for b in q_sup) / (1 - s_hi))
+    faces = [] if d.pcf else _face_mismatches(d, s_pairs, q_pairs, M[1])
+    if faces:
+        raise ModelError("ill-posed operator: " + "; ".join(faces))
 
     return FifModel(
-        domain=d,
-        data=_data_dict(d, spec.data),
-        s=s_pairs,
-        q=q_pairs,
-        eta=spec.eta,
-        joinup_residual=residual,
-        **brackets,
-    )
+        domain=d, nodes=nodes, values=values, s=s_pairs, q=q_pairs,
+        eta=spec.eta, s_sup=s_sup, s_inf=[b[1] for b in s_both], q_sup=q_sup,
+        s_norm=(s_lo, s_hi), M=M, joinup_residual=residual)
 
 
 # --------------------------------------------------------------------------
@@ -532,8 +516,8 @@ def evaluate_at(model: FifModel, x, tol: float = 1e-9) -> float:
     d = model.domain
     x = np.asarray(x, float).reshape(d.m)
     lo, hi = d.base.bounding_box()
-    if np.any(x < lo - 1e-12) or np.any(x > hi + 1e-12):
-        raise ModelError(f"point {tuple(x)} outside the domain")
+    if not np.all((x >= lo - 1e-12) & (x <= hi + 1e-12)):  # nan is outside
+        raise ModelError(f"point {tuple(x.tolist())} outside the domain")
     if tol <= 0:
         raise ModelError("tol must be > 0")
     s_hi = model.s_norm[1]

@@ -467,3 +467,44 @@ def test_validate_survives_every_junk_field(config_dir, tmp_path, name):
                 _set(*keys, junk)(edited)
                 p.write_text(json.dumps(edited))
                 assert main(["validate", str(p)]) in (0, 1, 2), (keys, junk)
+
+
+# a valid 2-piece interval whose level-k cells are too coarse for the
+# box count at its default window: the long piece has ratio 9/10
+COARSE = {"domain": {"kind": "interval", "knots": ["0", "9/10", "1"]},
+          "data": [{"point": ["0"], "value": "0"},
+                   {"point": ["9/10"], "value": "1/2"},
+                   {"point": ["1"], "value": "0"}],
+          "scales": ["1/2", "1/2"], "displacements": {"solve": True}, "eta": 1}
+
+
+@pytest.mark.parametrize("command", ["boxdim", "report"])
+def test_cells_too_coarse_exit_2(tmp_path, capsys, command):
+    # it ended in a ValueError traceback, with the config-error exit code
+    p = tmp_path / "coarse.json"
+    p.write_text(json.dumps(COARSE))
+    assert main(["validate", str(p)]) == 0
+    capsys.readouterr()
+    assert main([command, str(p), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "error: cells too coarse for this delta; refine the sample\n")
+
+
+NAN = " + 0*(1e200*1e200)"  # 1e200 * 1e200 overflows to inf, 0 * inf is nan
+
+
+@pytest.mark.parametrize("edit, where", [
+    (_set("scales", 0, "1/4" + NAN), "s_1"),
+    (_set("displacements", 2, "expr", "1/3 - x1/3" + NAN), "q_3")],
+    ids=["s_1", "q_3"])
+@pytest.mark.parametrize("command", ["validate", "bounds", "report"])
+def test_non_finite_map_exit_2(config_dir, tmp_path, capsys, edit, where,
+                               command):
+    # validate passed with a nan residual or bracket, or dropped the nan
+    # map from both; bounds and report ended in a traceback from box_count
+    p = _edited(config_dir, tmp_path, "example5_case2", edit)
+    assert main([command, p, "--out", str(tmp_path / "out")]) == 2
+    out = capsys.readouterr()
+    message = f"{where} is not finite on its bracket grid\n"
+    assert (out.out if command == "validate" else out.err).endswith(message)
+    assert "Traceback" not in out.err

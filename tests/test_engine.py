@@ -1,14 +1,20 @@
 """Model construction, join-up validation, evaluation and graph samples."""
 
 import collections
+import importlib
+import inspect
 import json
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
 
-from conftest import CONFIG_NAMES, get_config, get_model, replay_geometry
+import fifdim
+from conftest import (CONFIG_DIR, CONFIG_NAMES, get_config, get_model,
+                      replay_geometry)
+from fifdim.config import ConfigError, load_config
 from fifdim.domains import (
     Box,
     BudgetError,
@@ -22,14 +28,11 @@ from fifdim.engine import (
     ModelError,
     apply_T,
     build_model,
-    check_well_defined,
     evaluate_at,
     evaluate_on_vk,
     graph_sample,
-    solve_q,
-    validate_join_up,
 )
-from fifdim.exprs import Const, Expr, ShapeFacts, parse_expr
+from fifdim.exprs import Const, Expr, Op, ShapeFacts, parse_expr
 from test_dimension import _pinned_models
 
 HASHES = pathlib.Path(__file__).resolve().parent / "output_sha256.json"
@@ -64,22 +67,19 @@ def test_validate_join_up_residual_zero_on_case2():
         model.q,
         model.eta,
     )
-    assert validate_join_up(spec) <= 1e-12
+    assert build_model(spec).joinup_residual <= 1e-12
 
 
 def test_solve_q_affine_oracle():
     # s = (1/4, 1/2, 3/4), data (0, 1/2, 1/3, 0): q_1 must be x/2
-    cfg = get_config("example5_case2")
-    spec = cfg.spec
-    solved = solve_q(FifSpec(spec.domain, spec.data, spec.s, "solve", 1.0), "affine")
-    q1 = solved[0][0]
+    q1 = _solved("example5_case2", "affine")[0][0]
     xs = np.linspace(0, 1, 11)[:, None]
     assert np.allclose(q1.ev(xs), xs[:, 0] / 2, atol=1e-12)
 
 
 def _solved(name, family):
     spec = get_config(name).spec
-    return solve_q(FifSpec(spec.domain, spec.data, spec.s, "solve", 1.0), family)
+    return build_model(FifSpec(spec.domain, spec.data, spec.s, family, 1.0)).q
 
 
 @pytest.mark.parametrize("name, same", [
@@ -143,27 +143,99 @@ def test_shape_audit_rejects_misdeclared_facts():
 
 
 def test_well_defined_interval_always_ok():
-    model = get_model("example5_case1_one")
-    spec = FifSpec(model.domain, [], model.s, model.q, model.eta)
-    assert check_well_defined(spec) == []
+    # interval cells meet in knots: no signature needs to alternate
+    d = interval_domain((0.0, 0.5, 1.0), (0, 0))
+    data = [((0.0,), 0.0), ((0.5,), 1.0), ((1.0,), 0.0)]
+    model = build_model(FifSpec(d, data, [(Const(0.5), None)] * 2, "solve"))
+    assert model.joinup_residual <= 1e-12
 
 
 def test_well_defined_cube_requires_alternating_signature():
     d = cube_domain([((0.0, 0.5, 1.0), (0, 0)), ((0.0, 0.5, 1.0), (0, 1))])
-    model = get_model("degenerate_cube")
-    spec = FifSpec(d, [], model.s, model.q, 1.0)
-    bad = check_well_defined(spec)
-    assert bad and "alternating" in bad[0]
+    data = get_config("degenerate_cube").spec.data  # its V is this cube's
+    spec = FifSpec(d, data, [(Const(0.0), None)] * 4, "multilinear", 1.0)
+    with pytest.raises(ModelError, match=re.escape(
+            "ill-posed operator: signature not alternating on axis 1")):
+        build_model(spec)
 
 
 def test_well_defined_cube_face_mismatch_detected():
-    d = cube_domain([((0.0, 0.5, 1.0), (0, 1)), ((0.0, 0.5, 1.0), (0, 1))])
-    # constant q with different values per map cannot agree on shared faces
-    s = [(parse_expr("0"), None)] * 4
-    q = [(parse_expr(str(v)), None) for v in (0.0, 1.0, 2.0, 3.0)]
-    spec = FifSpec(d, [], s, q, 1.0)
-    bad = check_well_defined(spec)
-    assert bad and "face mismatch" in bad[0]
+    # x1 x2 (1 - x2) is 0 on V_0, so the join-up conditions still hold, but
+    # on the face x1 = 1 of map (1, 1) it reaches 1/4 at x2 = 1/2, where map
+    # (2, 1), flipped along axis 1, adds nothing
+    spec, model = get_config("degenerate_cube").spec, get_model("degenerate_cube")
+    q = list(model.q)
+    q[0] = (Op("+", (q[0][0], parse_expr("x1*x2 - x1*x2^2"))),
+            ShapeFacts(holder_exponent=1.0, holder_constant=4.0))
+    with pytest.raises(ModelError, match=re.escape(
+            "ill-posed operator: face mismatch between maps (1, 1) and "
+            "(2, 1) (max gap 2.500e-01)")):
+        build_model(FifSpec(spec.domain, spec.data, model.s, q, 1.0))
+
+
+# example5_case2's data; each case below is a defect that load_config
+# rejects at a data path, so build_model must reject it too (the last one
+# adds a point off V and a repeated point, whose value used to win)
+CASE2 = [((0.0,), 0.0), ((1 / 3,), 0.5), ((2 / 3,), 1 / 3), ((1.0,), 0.0)]
+
+
+@pytest.mark.parametrize("data, error", [
+    pytest.param([CASE2[0], ((0.5,), 0.5), *CASE2[2:]],
+                 "data point (0.5,) is not a node of V", id="point-off-V"),
+    pytest.param([*CASE2[:2], ((1 / 3,), 1 / 3), CASE2[3]],
+                 "data point (0.3333333333333333,) is given twice",
+                 id="point-twice"),
+    pytest.param([CASE2[0], ((1 / 3, 0.0), 0.5), *CASE2[2:]],
+                 "data point (0.3333333333333333, 0.0) is not a node of V",
+                 id="point-wrong-length"),
+    pytest.param([CASE2[0], *CASE2[2:]],
+                 "no data value at (0.3333333333333333,)", id="node-without-value"),
+    pytest.param([CASE2[0], ((1 / 3,), math.nan), *CASE2[2:]],
+                 "data value at (0.3333333333333333,) is not finite: nan",
+                 id="value-NaN"),
+    pytest.param([CASE2[0], ((1 / 3,), math.inf), *CASE2[2:]],
+                 "data value at (0.3333333333333333,) is not finite: inf",
+                 id="value-inf"),
+    pytest.param([*CASE2, ((0.5,), 9.0), ((1 / 3,), 0.5)],
+                 "data point (0.5,) is not a node of V", id="off-V-and-repeat"),
+])
+def test_build_model_keeps_the_config_data_rule(tmp_path, data, error):
+    raw = json.loads((CONFIG_DIR / "example5_case2.json").read_text())
+    raw["data"] = [{"point": list(p), "value": v} for p, v in data]
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ConfigError) as config_error:
+        load_config(str(path))
+    assert all(at.startswith("data") for at, _ in config_error.value.errors)
+    spec = get_config("example5_case2").spec
+    with pytest.raises(ModelError, match=re.escape(error)):
+        build_model(FifSpec(spec.domain, data, spec.s, spec.q, spec.eta))
+
+
+@pytest.mark.parametrize("where", ["s", "q"])
+def test_holder_facts_missing_is_a_model_error(where):
+    # a non-constant map without (eta, H) has no bracket slack
+    spec = get_config("example5_case2").spec
+    pairs = {"s": list(spec.s), "q": list(spec.q)}
+    pairs[where][1] = (parse_expr("x1/4"), None)
+    with pytest.raises(ModelError, match=f"^{where}_2: holder facts"):
+        build_model(FifSpec(spec.domain, spec.data, pairs["s"], pairs["q"],
+                            spec.eta))
+
+
+def test_every_export_resolves():
+    # each module's __all__ names what it holds, and the package re-exports
+    # only names of some module's __all__
+    exported = {}
+    for name in ("config", "dimension", "domains", "engine", "exprs",
+                 "oscillation", "svgplot"):
+        mod = importlib.import_module(f"fifdim.{name}")
+        for attr in mod.__all__:
+            assert hasattr(mod, attr), (name, attr)
+        exported[mod.__name__] = set(mod.__all__)
+    for attr, value in vars(fifdim).items():
+        if not attr.startswith("_") and not inspect.ismodule(value):
+            assert attr in exported[value.__module__], attr
 
 
 def test_brackets_pinned():
@@ -245,8 +317,21 @@ def test_evaluate_at_matches_vertex_recursion():
 
 def test_evaluate_at_outside_domain_rejected():
     model = get_model("example5_case2")
-    with pytest.raises(ModelError):
-        evaluate_at(model, [1.5])
+    with pytest.raises(ModelError, match=re.escape(
+            "point (2.0,) outside the domain")):
+        evaluate_at(model, [2.0])
+
+
+def test_evaluate_at_rejects_nan():
+    # a nan coordinate passed both bound checks and came back as nan
+    with pytest.raises(ModelError, match=re.escape("point (nan,) outside")):
+        evaluate_at(get_model("example5_case2"), [math.nan])
+
+
+def test_p_at_rejects_points_off_v():
+    with pytest.raises(ModelError, match=re.escape(
+            "point (0.5,) is not a node of V")):
+        get_model("example5_case2").p_at([[0.0], [0.5]])
 
 
 @pytest.mark.parametrize("name, expected", [
