@@ -20,8 +20,10 @@ from .engine import (
     FifModel,
     GraphSample,
     ModelError,
+    _child,
     _fit_extra,
-    _unwind,
+    _Level,
+    _word_index,
     graph_sample,
     graph_samples,
 )
@@ -162,8 +164,12 @@ def witness_height_check(
     if sign and sign * w.L <= 0:
         raise ModelError(f"flavor {flavor} needs a witness with {need}")
 
-    v1, v2, v3 = (_unwind(model, word, np.asarray(y, float),
-                          float(model.p_at(y)[0])) for y in (w.y1, w.y2, w.y3))
+    _word_index(word, model.N)  # a ModelError for a bad symbol
+    ys = np.array([w.y1, w.y2, w.y3], float)
+    lev = _Level(ys[None], model.p_at(ys)[None])
+    for i in reversed(word):
+        lev = _child(model, lev, i)
+    v1, v2, v3 = lev.vals[0].tolist()
     lhs = abs(v3 - ((1 - w.lam) * v1 + w.lam * v2))
     rhs = abs(w.L)
     for i in word:

@@ -8,12 +8,12 @@ Two domain types, and every per-domain decision of the library:
 - ``GasketDomain``: the Sierpinski gasket over an equilateral triangle,
   its IFS refined to level n.
 
-Both provide the same operations: address decoding (``decode``), the flat
-interpolant of V_0 data (``interpolant``), dim K (``dim``), whether cells
-meet only in points (``pcf``), the default box-count window and seminorm
-kmax, the default displacement family, the sampling region ``base``
-whose samples are points of K, and the IFS constants Lambda, Lambda_0, |K|
-and delta_k that every bound is stated in.  ``kind`` is a read-only label.
+Both provide the same operations: address decoding (``Domain.decode``,
+by the region's ``outside``), dim K (``dim``), whether cells meet only in
+points (``pcf``), the default box-count window and seminorm kmax, the
+default displacement family, the sampling region ``base`` whose samples
+are points of K, and the IFS constants Lambda, Lambda_0, |K| and delta_k
+that every bound is stated in.  ``kind`` is a read-only label.
 
 All maps are diagonal affine contractions ``x -> scale * x + offset``,
 which keeps address decoding cheap.
@@ -89,9 +89,6 @@ class AffineMap:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x) * np.asarray(self.scale) + np.asarray(self.offset)
 
-    def inverse(self, y: np.ndarray) -> np.ndarray:
-        return (np.asarray(y) - np.asarray(self.offset)) / np.asarray(self.scale)
-
     def compose(self, other: "AffineMap") -> "AffineMap":
         """self after other (self o other)."""
         s = tuple(a * b for a, b in zip(self.scale, other.scale))
@@ -124,6 +121,8 @@ class Box:
     def bounding_box(self):
         return np.asarray(self.lo, float), np.asarray(self.hi, float)
 
+    _bounds = functools.cached_property(bounding_box)  # read at every decode
+
     @property
     def diameter(self) -> float:
         lo, hi = self.bounding_box()
@@ -147,6 +146,12 @@ class Box:
         lo, hi = self.bounding_box()
         n = self._axis_counts(depth)
         return float(np.linalg.norm((hi - lo) / (n - 1)))
+
+    def outside(self, y: np.ndarray) -> np.ndarray:
+        """How far each point of ``y`` (..., m) lies past the box's sides
+        (negative inside: minus the distance to the nearest side)."""
+        lo, hi = self._bounds
+        return np.maximum(lo - y, y - hi).max(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -183,6 +188,17 @@ class Triangle:
     def mesh_diameter(self, depth: int) -> float:
         # every point of K lies in a level-k cell, within its side of V_k
         return self.diameter / 2 ** min(depth, 9)
+
+    @functools.cached_property
+    def _sides(self) -> np.ndarray:
+        """[y, 1] @ this: y's barycentric coordinates times the height."""
+        v = np.column_stack([np.asarray(self.verts, float), np.ones(3)])
+        return np.linalg.inv(v) * (self.diameter * 3**0.5 / 2)
+
+    def outside(self, y: np.ndarray) -> np.ndarray:
+        """How far each point of ``y`` (..., 2) lies past the nearest side
+        line of the triangle (negative inside)."""
+        return -(y @ self._sides[:2] + self._sides[2]).min(axis=-1)
 
 
 # --------------------------------------------------------------------------
@@ -245,6 +261,22 @@ class Domain:
     def delta(self, k: int) -> float:  # level-tied box size |K| / Lambda^k
         return self.diameter / self.lam**k
 
+    @functools.cached_property
+    def map_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The scales and the offsets of the maps, as (N, m) arrays."""
+        return (np.array([mp.scale for mp in self.maps]),
+                np.array([mp.offset for mp in self.maps]))
+
+    def decode(self, x: np.ndarray) -> tuple[int, np.ndarray, float]:
+        """(i, y, outside): the map i whose pre-image y = l_i^-1(x) lies
+        deepest in the region, and ``base.outside(y)``, which is <= 0 up to
+        round-off for a point x of K."""
+        scale, offset = self.map_arrays
+        ys = (x - offset) / scale
+        out = self.base.outside(ys)
+        i = int(out.argmin())
+        return i, ys[i], float(out[i])
+
 
 @dataclass(frozen=True)
 class ProductDomain(Domain):
@@ -274,28 +306,6 @@ class ProductDomain(Domain):
     @property
     def default_kmax(self) -> int:
         return 12 if self.m == 1 else 8
-
-    def decode(self, x: np.ndarray, step: int = 0) -> tuple[int, np.ndarray]:
-        """Index of the map whose cell contains x, and the pre-image of x
-        (``step``, the decodes x has been through, is the gasket's)."""
-        flat = 0
-        for u, axis in enumerate(self.axes):
-            n = len(axis.knots) - 1
-            j = int(np.searchsorted(axis.knots, x[u], side="right")) - 1
-            flat = flat * n + min(max(j, 0), n - 1)
-        return flat, self.maps[flat].inverse(x)
-
-    def interpolant(self, x: np.ndarray, p0: np.ndarray) -> float:
-        """Multilinear interpolant of the corner values p0 (on V_0) at x."""
-        lo, hi = self.base.bounding_box()
-        t = (x - lo) / (hi - lo)
-        val = 0.0
-        for corner, pv in zip(self.v0_array, p0):
-            w = 1.0
-            for u in range(self.m):
-                w *= t[u] if corner[u] == hi[u] else (1 - t[u])
-            val += w * pv
-        return float(val)
 
     def x_order(self, k: int) -> tuple[slice | np.ndarray, np.ndarray, np.ndarray]:
         """The level-k cells of an interval (m = 1) in x order: their push
@@ -328,34 +338,6 @@ class GasketDomain(Domain):
     default_window = (4, 8)
     default_kmax = 12
     default_family = "affine"
-
-    def decode(self, x: np.ndarray, step: int = 0) -> tuple[int, np.ndarray]:
-        """``level`` barycentric halvings of x toward its nearest vertex.
-
-        ``step`` counts the decodes x has been through; a point of K has
-        every barycentric coordinate >= 0 and the largest >= 1/2, up to the
-        round-off that 2^(halvings so far) has amplified.
-        """
-        v = np.asarray(self.base.verts, float)
-        A = (v[1:] - v[0]).T  # columns v1 - v0, v2 - v0
-        flat = 0
-        y = np.asarray(x, float)
-        for t in range(self.level):
-            ab = np.linalg.solve(A, y - v[0])
-            bary = np.array([1 - ab[0] - ab[1], ab[0], ab[1]])
-            j = int(np.argmax(bary))
-            slack = 1e-12 * 2.0 ** (step * self.level + t)
-            if bary[j] < 0.5 - slack or bary.min() < -slack:
-                raise DomainError("off the gasket")
-            flat = flat * 3 + j
-            y = 2 * y - v[j]
-        return flat, y
-
-    def interpolant(self, x: np.ndarray, p0: np.ndarray) -> float:
-        """Planar interpolant through the three corner values p0 at x."""
-        A = np.column_stack([np.ones(3), self.v0_array])  # rows (1, v_j)
-        abc = np.linalg.solve(A, p0)
-        return float(abc[0] + abc[1] * x[0] + abc[2] * x[1])
 
 
 def build_interval_maps(

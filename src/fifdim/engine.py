@@ -14,10 +14,10 @@ brackets (``_map_brackets``: sup/inf |s_i| and sup |q_i|, which give
 ||s||_inf and M).
 
 Evaluation on vertex sets V_k is done by exact forward recursion (no
-iteration error), one deduplicated level at a time; arbitrary points go
-through the domain's address decoding plus an unwound recursion with an
-a-priori contraction error bound.  No code here depends on the domain
-type: every decision that does is a method or property of the domain.
+iteration error), one deduplicated level at a time; ``evaluate_at``
+replays a decoded address with the same step, ``_child``.  No code here
+depends on the domain type: every decision that does is a method or
+property of the domain.
 Graph samples of all levels come from one sweep that goes depth-first in
 blocks of BLOCK_SLOTS vertex slots and folds each block into the level-k
 value ranges, so memory is O(block + N^k_max) and FIF_CELL_BUDGET
@@ -44,7 +44,6 @@ from .domains import (
     Box,
     BudgetError,
     Domain,
-    DomainError,
     Triangle,
     cell_budget,
     node_indices,
@@ -139,6 +138,12 @@ class FifModel:
     def interpolation_nodes(self) -> np.ndarray:
         return self.nodes
 
+    @functools.cached_property
+    def _flat(self) -> tuple[np.ndarray, Expr]:
+        """The data on V_0 and its interpolant in the default family."""
+        p0 = self.p_at(self.domain.v0_array)
+        return p0, multilinear_expr(_fit(self.domain, self.domain.default_family, p0))
+
 
 # --------------------------------------------------------------------------
 # The steps of build_model
@@ -176,10 +181,9 @@ def _multilinear_holder_constant(
     return math.sqrt(sum(lu * lu for lu in lus))
 
 
-def _solve_q(d: Domain, family: str, s_pairs, p0, p_img
-             ) -> list[tuple[Expr, ShapeFacts]]:
-    """The q_i of the polynomial ``family`` that meet the join-up
-    conditions, given the data p0 on V_0 and p_img on each l_i(V_0).
+def _fit(d: Domain, family: str, values: np.ndarray) -> dict[frozenset, float]:
+    """The coefficients, by monomial x_J, of the polynomial of ``family``
+    that takes ``values`` on V_0.
 
     "affine" is every monomial x_J with |J| <= 1 (m + 1 unknowns),
     "multilinear" every J (2^m), each in order of (|J|, J); "sg_affine" is
@@ -207,10 +211,17 @@ def _solve_q(d: Domain, family: str, s_pairs, p0, p_img
     # V_0 in general position is guaranteed per domain; a singular system
     # here means a broken domain, not bad data.
     assert abs(np.linalg.det(A)) > 1e-12, "singular join-up system"
+    return {J: float(c) for J, c in zip(basis, np.linalg.solve(A, values))}
+
+
+def _solve_q(d: Domain, family: str, s_pairs, p0, p_img
+             ) -> list[tuple[Expr, ShapeFacts]]:
+    """The q_i of the polynomial ``family`` that meet the join-up
+    conditions, given the data p0 on V_0 and p_img on each l_i(V_0)."""
+    v0, m = d.v0_array, d.m
     out = []
     for (s_e, _), p_i in zip(s_pairs, p_img):
-        coef = np.linalg.solve(A, p_i - s_e.ev(v0) * p0)
-        coeffs = {J: float(c) for J, c in zip(basis, coef)}
+        coeffs = _fit(d, family, p_i - s_e.ev(v0) * p0)
         out.append((multilinear_expr(coeffs), ShapeFacts(
             affine_in=frozenset(range(1, m + 1)),
             holder_exponent=1.0,
@@ -260,7 +271,7 @@ def _face_mismatches(d: Domain, s_pairs, q_pairs, m_hi: float) -> list[str]:
                 continue
             combo2 = combo[:j] + (combo[j] + 1,) + combo[j + 1:]
             i2, knot = index_of[combo2], d.axes[j].knots[combo[j]]
-            xstar = float(d.maps[i].inverse(np.full(m, knot))[j])
+            xstar = (knot - d.maps[i].offset[j]) / d.maps[i].scale[j]
             # a 9-point grid per axis on the pre-image face x_j = xstar
             face = np.array(list(itertools.product(*[
                 [xstar] if u == j else np.linspace(lo[u], hi[u], 9)
@@ -360,12 +371,10 @@ def _child(model: FifModel, lev: _Level, i: int, pts: bool = True) -> _Level:
     """The cells l_i o l_w for every cell w of ``lev``, in the order of w,
     with values, and vertex points if ``pts``; a constant s_i or q_i
     enters the values as a float (see ``Expr._ev``)."""
-    C, P, m = lev.pts.shape
-    flat = lev.pts.reshape(C * P, m)
-    vals = model.s[i][0]._ev(flat) * lev.vals.reshape(C * P)
-    vals += model.q[i][0]._ev(flat)
-    return _Level(model.domain.maps[i](lev.pts) if pts else None,
-                  vals.reshape(C, P))
+    vals = model.s[i][0]._ev(lev.pts) * lev.vals
+    vals += model.q[i][0]._ev(lev.pts)
+    scale, offset = model.domain.map_arrays
+    return _Level(lev.pts * scale[i] + offset[i] if pts else None, vals)
 
 
 def _push(model: FifModel, lev: _Level, pts: bool = True) -> _Level:
@@ -498,65 +507,73 @@ def apply_T(model: FifModel, pts: np.ndarray, vals: np.ndarray):
 # Arbitrary-point evaluation
 
 
-def evaluate_at(model: FifModel, x, tol: float = 1e-9) -> float:
-    """f*(x) via address decoding + unwound recursion.
+# evaluate_at's decode slacks, in units of its round-off: 4500 is 1e-12 on
+# a unit gasket; a snap wider than SNAP_CAP |K| moves values off the nodes
+OFF_K_ULPS, SNAP_ULPS, SNAP_CAP = 4500, 64, 1e-9
 
-    A point off the attractor K (outside the domain's box, or in a hole of
-    the gasket) is rejected with a ModelError.  The truncation error of
-    the recursion is kept below tol.  There is also an intrinsic floor: a
-    float64 input only determines the cell address down to
-    machine-precision scale, and f* may oscillate by as much as prod |s|
-    over those reliable digits within that cell.  Along addresses whose
-    maps have |s| near 1 this floor can dominate tol (e.g. ~1e-5 for a map
-    with sup|s| = 3/4 on a 3-piece interval), so values returned for
-    points specified as floats are exact for *some* point within machine
-    precision of x, not necessarily for the real number the caller had in
-    mind.
+
+def evaluate_at(model: FifModel, x, tol: float = 1e-9) -> float:
+    """f*(x): decode an address of x, then replay it with ``_child``.
+
+    The decode's round-off is one ulp of the region's largest coordinate or
+    of |K|, grown by 1 / min|scale| of each map it inverts.  A pre-image
+    OFF_K_ULPS of it outside the region is off K (outside the box, or in a
+    hole of the gasket): a ModelError.  One within SNAP_ULPS of it (at most
+    SNAP_CAP |K|) of a vertex of V_0 ends the address at the data value, so
+    the nodes of every V_k get their exact value.  Otherwise the address
+    ends once the remaining digits cannot move the value by tol, at the
+    flat interpolant of the V_0 data; a float64 x only fixes its digits to
+    machine precision, though, and f* may oscillate by prod |s| over them
+    (~1e-5 for sup|s| = 3/4 on a 3-piece interval).
     """
     d = model.domain
-    x = np.asarray(x, float).reshape(d.m)
-    lo, hi = d.base.bounding_box()
-    if not np.all((x >= lo - 1e-12) & (x <= hi + 1e-12)):  # nan is outside
-        raise ModelError(f"point {tuple(x.tolist())} outside the domain")
-    if tol <= 0:
-        raise ModelError("tol must be > 0")
-    s_hi = model.s_norm[1]
-    m_hi = max(model.M[1], tol)
-    depth = 1 if s_hi <= 0 else max(
-        1, math.ceil(math.log(2 * m_hi / tol) / math.log(1 / s_hi)))
-    path = []
-    y = x
-    prod = 2.0 * m_hi
-    for step in range(depth):
-        try:
-            i, y = d.decode(y, step)
-        except DomainError as exc:
-            raise ModelError(f"point {tuple(x.tolist())}: {exc}") from None
+    try:
+        x = np.asarray(x, float).reshape(d.m)
+    except (TypeError, ValueError):
+        raise ModelError(f"point {x!r} does not have {d.m} coordinates") from None
+    if not 0 < tol < math.inf:
+        raise ModelError(f"tol must be a finite number > 0, got {tol}")
+    v0, size = d.v0_array, d.diameter
+    p0, flat = model._flat
+    ulp = float(np.spacing(max(np.abs(d.base.bounding_box()).max(), size)))
+    growth = [1 / min(map(abs, mp.scale)) for mp in d.maps]
+    path, y, prod = [], x, 2.0 * max(model.M[1], tol)
+    while prod > tol:  # until the remaining digits cannot move the value by tol
+        i, y, out = d.decode(y)
+        ulp *= growth[i]
+        if not out <= OFF_K_ULPS * ulp:  # nan is outside
+            raise ModelError(f"point {tuple(x.tolist())} outside the domain "
+                             f"(off the {d.kind})")
         path.append(i)
+        # a point within the snap radius of a vertex is as near the boundary
+        if out >= -SNAP_CAP * size:
+            gap = np.linalg.norm(v0 - y, axis=1)
+            if gap.min() <= min(SNAP_ULPS * ulp, SNAP_CAP * size):
+                y, val = v0[gap.argmin()], p0[gap.argmin()]
+                break
         prod *= model.s_sup[i][1]
-        if prod <= tol:  # remaining digits cannot move the value by tol
-            break
-    # Replay the address forward.  Inverse iteration expands round-off by
-    # the reciprocal contraction ratio per step, so the decoded trajectory
-    # itself is unreliable past ~eps-precision depth; the digit string is
-    # still a valid address of a point within that precision of x, and
-    # forward composition of the contractions recovers its orbit stably.
-    y = np.clip(y, lo, hi)
-    return _unwind(model, path, y, d.interpolant(y, model.p_at(d.v0_array)))
-
-
-def _unwind(model: FifModel, word, y: np.ndarray, val: float) -> float:
-    """f*(l_word(y)) from val = f*(y), innermost symbol of ``word`` first."""
-    for i in reversed(word):
-        s_v = float(model.s[i][0].ev(y[None, :])[0])
-        q_v = float(model.q[i][0].ev(y[None, :])[0])
-        val = s_v * val + q_v
-        y = model.domain.maps[i](y)
-    return float(val)
+    else:
+        val = flat.ev(y[None])[0]
+    # forward composition of the contractions recovers the orbit stably
+    lev = _Level(y[None, None], np.array([[val]]))
+    for i in reversed(path):
+        lev = _child(model, lev, i)
+    return float(lev.vals[0, 0])
 
 
 # --------------------------------------------------------------------------
 # Graph samples
+
+
+def _word_index(word: tuple[int, ...], n: int) -> int:
+    """The push-order index of the cell l_word; ModelError for a symbol
+    that is not a map index 0..n-1."""
+    idx = 0
+    for w in word:
+        if not (isinstance(w, (int, np.integer)) and 0 <= w < n):
+            raise ModelError(f"symbol {w} out of range in address {word}")
+        idx = idx * n + w
+    return idx
 
 
 @dataclass
@@ -589,12 +606,7 @@ class GraphSample:
     def index_of(self, word: tuple[int, ...]) -> int:
         if len(word) != self.level:
             raise ModelError(f"address {word} is not at level {self.level}")
-        n, idx = self.domain.N, 0
-        for w in word:
-            if not 0 <= w < n:
-                raise ModelError(f"symbol {w} out of range in address {word}")
-            idx = idx * n + w
-        return idx
+        return _word_index(word, self.domain.N)
 
 
 def graph_sample(model: FifModel, k: int, extra: int = 4) -> GraphSample:

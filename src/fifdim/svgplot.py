@@ -86,9 +86,8 @@ class _Canvas:
             )
 
     def polyline(self, xs, ys, color="steelblue", width=1.2):
-        pts = " ".join(
-            f"{self.tx(x):.2f},{self.ty(y):.2f}" for x, y in zip(xs, ys)
-        )
+        pts = " ".join(map("{:.2f},{:.2f}".format, self.tx(xs).tolist(),
+                           self.ty(ys).tolist()))
         self.parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="{width}"/>'
@@ -103,12 +102,9 @@ class _Canvas:
         )
 
     def dots(self, xs, ys, colors=None, radius=2.0, color="crimson"):
-        for j, (x, y) in enumerate(zip(xs, ys)):
-            c = colors[j] if colors is not None else color
-            self.parts.append(
-                f'<circle cx="{self.tx(x):.2f}" cy="{self.ty(y):.2f}" '
-                f'r="{radius}" fill="{c}"/>'
-            )
+        circle = f'<circle cx="{{:.2f}}" cy="{{:.2f}}" r="{radius}" fill="{{}}"/>'
+        self.parts += map(circle.format, self.tx(xs).tolist(),
+                          self.ty(ys).tolist(), colors or [color] * len(xs))
 
     def legend(self, label, color, dash=None):
         y = self._legend_y
@@ -145,12 +141,11 @@ def polyline_chart(xs, ys, title="interpolant graph") -> str:
     return cv.render()
 
 
-def _heat_color(t: float) -> str:
-    t = min(max(t, 0.0), 1.0)
-    r = int(255 * t)
-    b = int(255 * (1 - t))
-    g = int(80 * (1 - abs(2 * t - 1)))
-    return f"rgb({r},{g},{b})"
+def _heat_colors(t) -> list[str]:
+    """Blue-to-red rgb() colours of the values t, clipped to [0, 1]."""
+    t = np.clip(np.asarray(t, float), 0.0, 1.0)
+    rgb = [255 * t, 80 * (1 - np.abs(2 * t - 1)), 255 * (1 - t)]
+    return list(map("rgb({},{},{})".format, *np.array(rgb, int).tolist()))
 
 
 def scatter_chart(pts, vals, title="interpolant on the gasket") -> str:
@@ -158,7 +153,7 @@ def scatter_chart(pts, vals, title="interpolant on the gasket") -> str:
     vals = np.asarray(vals, float)
     lo, hi = float(vals.min()), float(vals.max())
     span = hi - lo if hi > lo else 1.0
-    colors = [_heat_color((v - lo) / span) for v in vals]
+    colors = _heat_colors((vals - lo) / span)
     cv = _Canvas(
         _pad(pts[:, 0].min(), pts[:, 0].max()),
         _pad(pts[:, 1].min(), pts[:, 1].max()),
@@ -166,8 +161,9 @@ def scatter_chart(pts, vals, title="interpolant on the gasket") -> str:
     )
     cv.axes("x", "y")
     cv.dots(pts[:, 0], pts[:, 1], colors=colors, radius=1.6)
-    cv.legend(f"low = {_fmt(lo)}", _heat_color(0.0))
-    cv.legend(f"high = {_fmt(hi)}", _heat_color(1.0))
+    low, high = _heat_colors([0.0, 1.0])
+    cv.legend(f"low = {_fmt(lo)}", low)
+    cv.legend(f"high = {_fmt(hi)}", high)
     return cv.render()
 
 

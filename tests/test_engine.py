@@ -10,29 +10,36 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fifdim
 from conftest import (CONFIG_DIR, CONFIG_NAMES, get_config, get_model,
                       replay_geometry)
 from fifdim.config import ConfigError, load_config
+from fifdim.dimension import CollinearWitness, witness_height_check
 from fifdim.domains import (
     Box,
     BudgetError,
     cube_domain,
+    gasket_domain,
     interval_domain,
     vertex_set,
 )
 from fifdim.engine import (
+    OFF_K_ULPS,
     SUP_DEPTH,
     FifSpec,
     ModelError,
+    _fit,
     apply_T,
     build_model,
     evaluate_at,
     evaluate_on_vk,
     graph_sample,
 )
-from fifdim.exprs import Const, Expr, Op, ShapeFacts, parse_expr
+from fifdim.exprs import (Const, Expr, Op, ShapeFacts, multilinear_expr,
+                          parse_expr)
 from test_dimension import _pinned_models
 
 HASHES = pathlib.Path(__file__).resolve().parent / "output_sha256.json"
@@ -365,10 +372,172 @@ def test_gasket_decode_keeps_every_v8_point():
     pts, vals = evaluate_on_vk(model, 8)
     for x in pts:
         for step in range(9):
-            _, x = model.domain.decode(x, step)
+            _, x, out = model.domain.decode(x)
+            assert out <= OFF_K_ULPS * np.spacing(1.0) * 2.0 ** (step + 1)
     rng = np.random.default_rng(8)
     for j in rng.choice(len(pts), size=30, replace=False):
         assert evaluate_at(model, pts[j]) == pytest.approx(vals[j], abs=1e-4)
+
+
+# --------------------------------------------------------------------------
+# The per-domain decoders and flat interpolants that Domain.decode and the
+# default family solved on V_0 replaced, kept as references
+
+
+def _reference_product_decode(d, x):
+    """The map whose cell holds x (by knot search), and its pre-image."""
+    flat = 0
+    for u, axis in enumerate(d.axes):
+        n = len(axis.knots) - 1
+        j = int(np.searchsorted(axis.knots, x[u], side="right")) - 1
+        flat = flat * n + min(max(j, 0), n - 1)
+    mp = d.maps[flat]
+    return flat, (np.asarray(x) - np.asarray(mp.offset)) / np.asarray(mp.scale)
+
+
+def _reference_gasket_decode(d, x):
+    """``level`` barycentric halvings of x toward its nearest vertex."""
+    v = np.asarray(d.base.verts, float)
+    A = (v[1:] - v[0]).T  # columns v1 - v0, v2 - v0
+    flat, y = 0, np.asarray(x, float)
+    for _ in range(d.level):
+        ab = np.linalg.solve(A, y - v[0])
+        j = int(np.argmax([1 - ab[0] - ab[1], ab[0], ab[1]]))
+        flat, y = flat * 3 + j, 2 * y - v[j]
+    return flat, y
+
+
+def _reference_interpolant(d, x, p0):
+    """Multilinear in the box coordinates, or planar on the triangle."""
+    if d.kind == "gasket":
+        abc = np.linalg.solve(np.column_stack([np.ones(3), d.v0_array]), p0)
+        return float(abc[0] + abc[1] * x[0] + abc[2] * x[1])
+    lo, hi = d.base.bounding_box()
+    t = (x - lo) / (hi - lo)
+    val = 0.0
+    for corner, pv in zip(d.v0_array, p0):
+        w = 1.0
+        for u in range(d.m):
+            w *= t[u] if corner[u] == hi[u] else (1 - t[u])
+        val += w * pv
+    return float(val)
+
+
+@st.composite
+def _domains_and_points(draw):
+    """A product domain (unequal knots, flipped pieces) of 1 to 3 axes or a
+    gasket of level 1 or 2, and a point of its K."""
+    kind = draw(st.sampled_from(["interval", "cube2", "cube3", "gasket1",
+                                 "gasket2"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if kind.startswith("gasket"):
+        d = gasket_domain([[0, 0], [1, 0], [0.5, math.sqrt(3) / 2]],
+                          int(kind[-1]))
+        x = d.v0_array[rng.integers(3)]
+        for i in rng.integers(d.N, size=40):  # an address 40 maps deep
+            x = d.maps[i](x)
+        return d, x, rng
+    axes = []
+    for _ in range(1 if kind == "interval" else int(kind[-1])):
+        inner = np.sort(rng.uniform(0.05, 0.95, size=rng.integers(1, 4)))
+        knots = (0.0, *inner.tolist(), 1.0)
+        axes.append((knots, tuple(rng.integers(0, 2, len(knots) - 1).tolist())))
+    d = interval_domain(*axes[0]) if kind == "interval" else cube_domain(axes)
+    return d, rng.uniform(*d.base.bounding_box()), rng
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_domains_and_points())
+def test_decode_equals_per_domain_reference(case):
+    # the same map and the same pre-image at every step, until the decode's
+    # round-off passes 1e-6 |K|; the level-n gasket composes its offsets,
+    # which round once where n halvings round n times, so there the
+    # pre-images agree to within that round-off
+    d, x, rng = case
+    reference = (_reference_gasket_decode if d.kind == "gasket"
+                 else _reference_product_decode)
+    y, ulp = x, np.spacing(1.0)
+    while ulp < 1e-6 * d.diameter:
+        i, got, _ = d.decode(y)
+        ref_i, y = reference(d, y)
+        ulp /= min(map(abs, d.maps[i].scale))
+        assert i == ref_i
+        if d.kind == "gasket" and d.level > 1:
+            assert np.max(np.abs(got - y)) <= ulp
+        else:
+            assert np.array_equal(got, y)
+    # the flat interpolant is the default family solved on V_0
+    p0 = rng.uniform(-1, 1, len(d.v0))
+    flat = multilinear_expr(_fit(d, d.default_family, p0))
+    lo, hi = d.base.bounding_box()
+    pts = d.v0_array.mean(axis=0) + rng.uniform(-0.5, 0.5, (20, d.m)) * (hi - lo)
+    for y in pts:
+        assert abs(flat.ev(y[None])[0] - _reference_interpolant(d, y, p0)) <= 1e-15
+
+
+def test_evaluate_at_is_exact_on_the_nodes():
+    # a node decodes to a vertex of V_0 within the decode's round-off; the
+    # address is then replayed from its data value (were 1.6e-5 off on
+    # sg_exact and 4.6e-5 on example5_case2)
+    for name in CONFIG_NAMES:
+        model = get_model(name)
+        pts, vals = evaluate_on_vk(model, 6)
+        rng = np.random.default_rng(6)
+        for j in rng.choice(len(pts), size=min(200, len(pts)), replace=False):
+            assert abs(evaluate_at(model, pts[j]) - vals[j]) <= 1e-12, (name, j)
+
+
+def _offset_model(d):
+    """A FIF on ``d`` with data sin(3 (x - corner) / |K|) summed over axes."""
+    nodes = vertex_set(d, 1)
+    rel = (nodes - nodes.min(axis=0)) / d.diameter
+    data = [(tuple(p), math.sin(3 * r.sum())) for p, r in zip(nodes.tolist(), rel)]
+    s = [0.5, -0.4, 0.3] if d.m == 1 else [0.4, -0.3, 0.35]
+    return build_model(FifSpec(d, data, [(Const(c), None) for c in s], "solve"))
+
+
+def test_evaluate_at_keeps_the_nodes_of_offset_domains():
+    # the decode's slack is in ulps of the region's coordinates: a fixed
+    # 1e-12 rejected 51 of 100 V_5 nodes of the gasket at -4e4 as off K
+    domains = [interval_domain(tuple(o + span * k for k in (0, 1 / 3, 2 / 3, 1)),
+                               (0, 1, 0))
+               for o, span in ((1e4, 1), (-5e4, 1), (1e3, 1e-3), (-2e5, 1),
+                               (3e4, 1))]
+    domains += [gasket_domain([[o, o], [o + 1, o], [o + 0.5, o + math.sqrt(3) / 2]])
+                for o in (1e3, -4e4)]
+    for d in domains:
+        model = _offset_model(d)
+        pts, vals = evaluate_on_vk(model, 5)
+        rng = np.random.default_rng(5)
+        for j in rng.choice(len(pts), size=100, replace=False):
+            # the float-input floor: a node rounded at 5e4 is 7e-12 off it
+            assert evaluate_at(model, pts[j]) == pytest.approx(vals[j], abs=1e-4)
+
+
+@pytest.mark.parametrize("x, tol, match", [
+    ([0.3], math.nan, "tol must be a finite number > 0"),
+    ([0.3], math.inf, "tol must be a finite number > 0"),
+    ([0.3, 0.2], 1e-9, "does not have 1 coordinates"),
+], ids=["tol-nan", "tol-inf", "two-coordinates"])
+def test_evaluate_at_bad_input_is_a_model_error(x, tol, match):
+    with pytest.raises(ModelError, match=match):
+        evaluate_at(get_model("example5_case2"), x, tol)
+
+
+@pytest.mark.parametrize("word", [(-1,), (3,), (0.5,), (0, 2, 7)])
+def test_witness_height_check_rejects_bad_symbols(word):
+    # (-1,) read map N - 1 and passed, (3,) and (0.5,) were an IndexError
+    # and a TypeError
+    w = CollinearWitness(1, (0.0,), (2 / 3,), (1 / 3,), 0.5, 1 / 3)
+    with pytest.raises(ModelError, match="out of range in address"):
+        witness_height_check(get_model("example5_case2"), word, w, 2)
+
+
+def test_index_of_rejects_a_fractional_symbol():
+    sample = graph_sample(get_model("example5_case2"), 1, 0)
+    with pytest.raises(ModelError, match="out of range in address"):
+        sample.index_of((0.5,))
 
 
 def test_apply_T_fixed_point(each_model):
