@@ -43,10 +43,9 @@ __all__ = [
     "product_domain",
     "build_interval_maps",
     "vertex_set",
-    "dedup_points",
+    "first_slots",
     "point_keys",
     "node_indices",
-    "point_resolution",
     "unique_rows",
     "cell_budget",
     "BudgetError",
@@ -179,9 +178,7 @@ class Triangle:
     @functools.lru_cache(maxsize=8)  # each constant's audit samples V_6
     def sample_points(self, depth: int) -> np.ndarray:
         """V_min(depth, 9) of the gasket (read-only): V_0 halved to each vertex."""
-        v = np.asarray(self.verts, float)
-        halves = [AffineMap((0.5, 0.5), tuple(p / 2)) for p in v]
-        pts = _refine(v, halves, min(depth, 9), point_resolution(self.diameter))
+        pts = vertex_set(gasket_domain(self.verts), min(depth, 9))
         pts.flags.writeable = False
         return pts
 
@@ -198,7 +195,9 @@ class Triangle:
     def outside(self, y: np.ndarray) -> np.ndarray:
         """How far each point of ``y`` (..., 2) lies past the nearest side
         line of the triangle (negative inside)."""
-        return -(y @ self._sides[:2] + self._sides[2]).min(axis=-1)
+        b = y @ self._sides[:2]
+        b += self._sides[2]  # in place, and three columns: min(axis=-1) is slow
+        return -np.minimum(np.minimum(b[..., 0], b[..., 1]), b[..., 2])
 
 
 # --------------------------------------------------------------------------
@@ -249,9 +248,9 @@ class Domain:
     def diameter(self) -> float:  # |K|
         return self.base.diameter
 
-    @property
+    @functools.cached_property
     def resolution(self) -> float:  # grid step of point identity on K
-        return point_resolution(self.base.diameter)
+        return 1e-10 * max(self.base.diameter, 1.0)
 
     @property
     def equal_ratio(self) -> bool:
@@ -260,6 +259,22 @@ class Domain:
 
     def delta(self, k: int) -> float:  # level-tied box size |K| / Lambda^k
         return self.diameter / self.lam**k
+
+    @functools.cached_property
+    def roundoff(self) -> float:
+        """How far two float copies of a vertex can lie apart on an axis: a
+        push adds 4 eps |x|_max to each copy's error, 1 / Lambda of the rest."""
+        far = np.abs(self.base.bounding_box()).max()
+        return 8 * np.finfo(float).eps * far / (1 - 1 / self.lam)
+
+    def too_fine(self, level: int) -> str:
+        """Why vertices of V_level may share a point key, or "": their least
+        axis spacing, V_0's / Lambda_0^level, is <= resolution + roundoff."""
+        gaps = abs(self.v0_array[:, None] - self.v0_array).max(axis=-1)
+        bound = gaps[gaps > 0].min() / self.lam0**level
+        return "" if bound > self.resolution + self.roundoff else (
+            f"level {level}: vertex spacing bound {bound:.3e} is not above "
+            f"the point resolution {self.resolution:.3e}")
 
     @functools.cached_property
     def map_arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -424,11 +439,6 @@ def gasket_domain(vertices, n: int = 1) -> GasketDomain:
 # Point sets
 
 
-def point_resolution(diameter: float) -> float:
-    """Grid step of float-robust point identity on a region of this diameter."""
-    return 1e-10 * max(diameter, 1.0)
-
-
 def point_keys(pts: np.ndarray, resolution: float) -> np.ndarray:
     """Integer grid keys used for float-robust point identity."""
     return np.round(np.asarray(pts, float) / resolution).astype(np.int64)
@@ -471,20 +481,31 @@ def unique_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, inverse
 
 
-def dedup_points(pts: np.ndarray, resolution: float) -> np.ndarray:
-    first, _ = unique_rows(point_keys(pts, resolution))
-    return pts[np.sort(first)]
-
-
-def _refine(pts: np.ndarray, maps, k: int, resolution: float) -> np.ndarray:
-    """k rounds of: every map's image of ``pts``, deduplicated."""
-    for _ in range(k):
-        pts = dedup_points(np.concatenate([mp(pts) for mp in maps]), resolution)
-    return pts
+def first_slots(d: Domain, pts: np.ndarray, img: np.ndarray, split=True):
+    """The dedup of ``img``, the l_i(pts) map-major: (keep, cand, inverse,
+    split).  It sorts only ``cand``, the images of ``split`` points (True:
+    all) and of points within 2 resolution Lambda_0 of the region's edge;
+    ``keep`` drops every slot but the first of its key, ``inverse`` groups
+    ``cand`` by key and ``split`` marks kept ones 2 roundoff near a key edge."""
+    band = d.base.outside(pts) > -2 * d.resolution * d.lam0
+    cand = np.flatnonzero(np.tile(split | band, d.N))
+    keys = point_keys(img[cand], d.resolution)
+    first, inverse = unique_rows(keys)
+    keep, split = np.ones(len(img), bool), np.zeros(len(img), bool)
+    keep[np.delete(cand, first)] = False
+    edge = 0.5 - abs(img[cand[first]] / d.resolution - keys[first])
+    split[cand[first]] = (edge <= 2 * d.roundoff / d.resolution).any(axis=1)
+    return keep, cand, inverse, split[keep]
 
 
 def vertex_set(d: Domain, k: int) -> np.ndarray:
-    """Level-k vertex set V_k as a deduplicated (n, m) array; V_0 for k=0."""
+    """Level-k vertex set V_k as a deduplicated (n, m) array; V_0 for k=0.
+    Exact unless ``d.too_fine(k)`` (which ``evaluate_on_vk`` checks)."""
     if k < 0:
         raise DomainError("vertex level must be >= 0")
-    return _refine(d.v0_array, d.maps, k, d.resolution)
+    pts, split = d.v0_array, False
+    for _ in range(k):
+        img = np.concatenate([mp(pts) for mp in d.maps])
+        keep, _, _, split = first_slots(d, pts, img, split)
+        pts = img.compress(keep, axis=0)
+    return pts

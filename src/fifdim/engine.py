@@ -46,9 +46,8 @@ from .domains import (
     Domain,
     Triangle,
     cell_budget,
+    first_slots,
     node_indices,
-    point_keys,
-    unique_rows,
     vertex_set,
 )
 from .exprs import (
@@ -446,25 +445,29 @@ def _fold(table, block, offset: int, group: int, op) -> None:
         op(out, op.reduce(part, axis=1), out=out)
 
 
-def _push_points(model: FifModel, pts, vals, level: int | None = None):
+def _push_points(model: FifModel, pts, vals, level: int | None = None, split=True):
     """One push of the points ``pts`` (n, m) with values ``vals`` (n,):
     each map's images, map-major, deduplicated to first occurrences in
-    order.  Given the ``level`` pushed to, points reached twice must agree
-    to CONSISTENCY_TOL."""
+    order.  Given the ``level`` pushed to, ``pts`` is V_{level - 1}, whose
+    images keep distinct keys (else a ModelError) and must agree to
+    CONSISTENCY_TOL where they meet: only images of points 2 resolution
+    Lambda_0 near R's edge (open set condition) or ``split`` can, and only
+    those slots are sorted."""
+    if level is not None and (why := model.domain.too_fine(level)):
+        raise ModelError(why)
     nxt = _push(model, _Level(pts[:, None], vals[:, None]))
-    pts, vals = nxt.pts[:, 0], nxt.vals[:, 0]
-    first, inverse = unique_rows(point_keys(pts, model.domain.resolution))
+    img, vals = nxt.pts[:, 0], nxt.vals[:, 0]
+    keep, cand, inverse, split = first_slots(model.domain, pts, img, split)
     if level is not None:
-        spread_max = np.full(len(first), -np.inf)
-        spread_min = np.full(len(first), np.inf)
-        np.maximum.at(spread_max, inverse, vals)
-        np.minimum.at(spread_min, inverse, vals)
+        spread_max = np.full(inverse.max() + 1, -np.inf)
+        spread_min = np.full(inverse.max() + 1, np.inf)
+        np.maximum.at(spread_max, inverse, vals[cand])
+        np.minimum.at(spread_min, inverse, vals[cand])
         worst = float(np.max(spread_max - spread_min))
         if worst > CONSISTENCY_TOL:
             raise ModelError(
                 f"duplicate-vertex inconsistency {worst:.3e} at level {level}")
-    order = np.sort(first)
-    return pts[order], vals[order]
+    return img.compress(keep, axis=0), vals[keep], split  # img[keep]: 6x slower
 
 
 def evaluate_on_vk(model: FifModel, k: int):
@@ -477,15 +480,16 @@ def evaluate_on_vk(model: FifModel, k: int):
     CONSISTENCY_TOL; a violation means the spec slipped validation.  Two
     addresses first disagree at the level where they meet and each later
     map scales that by some |s_i| < 1, so checking every level is at least
-    as strict as checking level k alone.
+    as strict as checking level k alone.  By the open set condition a push
+    sorts only the images of points 2 resolution Lambda_0 near R's edge.
     """
     if k < 1:
         raise ModelError("k must be >= 1")
     _check_budget(model, k, f"level {k}")
-    pts = model.domain.v0_array
+    pts, split = model.domain.v0_array, False
     vals = model.p_at(pts)
     for level in range(1, k + 1):
-        pts, vals = _push_points(model, pts, vals, level)
+        pts, vals, split = _push_points(model, pts, vals, level, split)
     return pts, vals
 
 
@@ -500,7 +504,7 @@ def apply_T(model: FifModel, pts: np.ndarray, vals: np.ndarray):
     vals = np.asarray(vals, float)
     if pts.shape[0] != vals.shape[0]:
         raise ModelError("points/values length mismatch")
-    return _push_points(model, pts, vals)
+    return _push_points(model, pts, vals)[:2]
 
 
 # --------------------------------------------------------------------------

@@ -28,6 +28,19 @@ def test_validate_failure_exit_2(tmp_path, config_dir, capsys):
     assert main(["validate", str(p)]) == 2
 
 
+def test_spacing_below_the_resolution_exit_2(tmp_path, config_dir, capsys):
+    # V_4 of these knots is 1e-12 apart, below the point resolution
+    raw = json.loads((config_dir / "degenerate_interval.json").read_text())
+    raw["domain"]["knots"] = ["0", "1/1000", "1/2", "1"]
+    for entry, x in zip(raw["data"], raw["domain"]["knots"]):
+        entry["point"] = [x]
+    raw["analysis"] = {"sample_depth": 5}
+    p = tmp_path / "fine.json"
+    p.write_text(json.dumps(raw))
+    assert main(["sample", str(p), "--out", str(tmp_path)]) == 2
+    assert "level 4: vertex spacing bound 1.000e-12" in capsys.readouterr().err
+
+
 def test_config_error_exit_1(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text("{}")

@@ -1,6 +1,7 @@
 """Model construction, join-up validation, evaluation and graph samples."""
 
 import collections
+import dataclasses
 import importlib
 import inspect
 import json
@@ -10,7 +11,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fifdim
@@ -24,9 +25,13 @@ from fifdim.domains import (
     cube_domain,
     gasket_domain,
     interval_domain,
+    node_indices,
+    point_keys,
+    unique_rows,
     vertex_set,
 )
 from fifdim.engine import (
+    CONSISTENCY_TOL,
     OFF_K_ULPS,
     SUP_DEPTH,
     FifSpec,
@@ -620,3 +625,132 @@ def test_vk_matches_vertex_set(each_model):
     pts, _ = evaluate_on_vk(model, 2)
     ref = vertex_set(model.domain, 2)
     assert len(pts) == len(ref)
+
+
+def _full_dedup_vk(model, k):
+    """V_k and f* on it by the dedup of every vertex slot: per level,
+    unique_rows over the point keys of all N |V_{k-1}| images, the spread
+    check on every key group and first occurrences in order."""
+    d = model.domain
+    pts = d.v0_array
+    vals = model.p_at(pts)
+    for level in range(1, k + 1):
+        img = np.concatenate([mp(pts) for mp in d.maps])
+        vals = np.concatenate([s.ev(pts) * vals + q.ev(pts)
+                               for (s, _), (q, _) in zip(model.s, model.q)])
+        first, inverse = unique_rows(point_keys(img, d.resolution))
+        hi, lo = np.full(len(first), -np.inf), np.full(len(first), np.inf)
+        np.maximum.at(hi, inverse, vals)
+        np.minimum.at(lo, inverse, vals)
+        worst = float(np.max(hi - lo))
+        if worst > CONSISTENCY_TOL:
+            raise ModelError(
+                f"duplicate-vertex inconsistency {worst:.3e} at level {level}")
+        order = np.sort(first)
+        pts, vals = img[order], vals[order]
+    return pts, vals
+
+
+def _outcome(evaluate, model, k):
+    """The bytes of (points, values), or the message of the ModelError."""
+    try:
+        pts, vals = evaluate(model, k)
+    except ModelError as exc:
+        return str(exc)
+    return pts.shape, pts.tobytes(), vals.tobytes()
+
+
+SCALES = st.floats(-0.95, 0.95, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def _dedup_cases(draw):
+    """A model and a level k of at most about 6000 vertex slots: intervals
+    (unequal knots, flipped pieces, offsets up to +-5e4), 2- and 3-cubes
+    and gaskets of level 1 and 2 (offsets up to +-5e4), with random data,
+    constant scales and solved displacements; in a third of the cases a
+    V_0 value is moved by 1e-3, so that the spread check fires."""
+    kind = draw(st.sampled_from(["interval", "cube2", "cube3", "gasket1",
+                                 "gasket2"]))
+    x0 = draw(st.floats(-5e4, 5e4))
+    if kind == "interval":
+        n = draw(st.integers(2, 4))
+        widths = draw(st.lists(st.floats(0.2, 1), min_size=n, max_size=n))
+        d = interval_domain([x0 + sum(widths[:i]) for i in range(n + 1)],
+                            draw(st.lists(st.integers(0, 1), min_size=n,
+                                          max_size=n)))
+    elif kind.startswith("cube"):
+        sizes = draw(st.lists(st.integers(2, 3), min_size=int(kind[-1]),
+                              max_size=int(kind[-1])))
+        d = cube_domain([([i / n for i in range(n + 1)],
+                          [j % 2 for j in range(n)]) for n in sizes])
+    else:
+        d = gasket_domain([[x0, x0], [x0 + 1, x0],
+                           [x0 + 0.5, x0 + math.sqrt(3) / 2]], int(kind[-1]))
+    # a cube's faces match under one common scale
+    s = ([draw(SCALES)] * d.N if kind.startswith("cube") else
+         draw(st.lists(SCALES, min_size=d.N, max_size=d.N)))
+    nodes = vertex_set(d, 1)
+    values = draw(st.lists(st.floats(-1, 1), min_size=len(nodes),
+                           max_size=len(nodes)))
+    data = [(tuple(p), v) for p, v in zip(nodes.tolist(), values)]
+    try:
+        model = build_model(FifSpec(d, data, [(Const(c), None) for c in s],
+                                    "solve"))
+    except IndexError:
+        # build_model's V_0 lookup misses a node whose key round-off moved
+        # (an offset interval now and then); no model, nothing to compare
+        assume(False)
+    if draw(st.integers(0, 2)) == 0:
+        v = model.values.copy()
+        v[node_indices(model.nodes, d.v0_array[:1], d.resolution)] += 1e-3
+        model = dataclasses.replace(model, values=v)
+    k_max = int(math.log(6000 / len(d.v0)) / math.log(d.N))
+    return model, draw(st.integers(1, k_max))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_dedup_cases())
+def test_band_dedup_equals_full_dedup(case):
+    # the push sorts only the images of the band near the region's
+    # boundary and of vertices rounded to two keys
+    model, k = case
+    assert _outcome(evaluate_on_vk, model, k) == _outcome(_full_dedup_vk,
+                                                          model, k)
+
+
+@pytest.mark.parametrize("x0", [-2e5, -5e4, 1e4])
+def test_band_dedup_equals_full_dedup_on_split_vertices(x0):
+    # at -2e5 the knot 1/3 of l_1(1) and l_2(1) rounds to two point keys
+    # (so V_1 has 6 points); their images share keys a level down, where
+    # the full dedup merges them
+    d = interval_domain(tuple(x0 + k for k in (0, 1 / 3, 2 / 3, 1)), (0, 1, 0))
+    model = _offset_model(d)
+    got = _outcome(evaluate_on_vk, model, 9)
+    assert got == _outcome(_full_dedup_vk, model, 9)
+    assert got[0][0] == (19687 if x0 == -2e5 else 3**9 + 1)
+
+
+def test_spacing_below_the_resolution_is_named():
+    # V_4 of these knots is 1e-12 apart, below the 1e-10 point resolution,
+    # so distinct vertices share keys; that read as the spec's fault
+    # ("duplicate-vertex inconsistency 3.581e-04 at level 4")
+    d = interval_domain((0, 1e-3, 0.5, 1), (0, 0, 0))
+    model = _offset_model(d)
+    assert len(evaluate_on_vk(model, 3)[0]) == 28
+    msg = re.escape("level 4: vertex spacing bound 1.000e-12 is not above "
+                    "the point resolution 1.000e-10")
+    with pytest.raises(ModelError, match=msg):
+        evaluate_on_vk(model, 5)
+    assert d.too_fine(3) == "" and re.match(msg, d.too_fine(4))
+
+
+@pytest.mark.parametrize("name, worst", [("example5_case2", "5.000e-04"),
+                                         ("sg_exact", "8.000e-04")])
+def test_duplicate_vertex_inconsistency_fires(name, worst):
+    model = get_model(name)
+    v = model.values.copy()
+    v[-1] += 1e-3
+    with pytest.raises(ModelError, match=re.escape(
+            f"duplicate-vertex inconsistency {worst} at level 1")):
+        evaluate_on_vk(dataclasses.replace(model, values=v), 3)
