@@ -132,8 +132,12 @@ def _domain_from(raw, errors) -> Domain | None:
                     errors.append((f"{at}.{str(exc).split()[0]}", str(exc)))
                     return None
                 axes.append((tuple(knots), tuple(sig)))
-            return interval_domain(*axes[0]) if single else cube_domain(axes)
-        if kind == "gasket":
+            domain = interval_domain(*axes[0]) if single else cube_domain(axes)
+            # nodes too close for V_1 are blamed on the narrowest piece's axis
+            gaps = [min(b - a for a, b in zip(k, k[1:])) for k, _ in axes]
+            at = ("domain.knots" if single
+                  else f"domain.axes[{gaps.index(min(gaps))}].knots")
+        elif kind == "gasket":
             verts = [[parse_number(c, "domain.vertices") for c in v]
                      for v in raw["vertices"]]
             level = raw.get("level", 1)
@@ -141,8 +145,14 @@ def _domain_from(raw, errors) -> Domain | None:
                 errors.append(("domain.level", "must be an integer >= 1, "
                                f"got {json.dumps(level)}"))
                 return None
-            return gasket_domain(verts, level)
-        errors.append(("domain.kind", f"unknown kind {kind!r}"))
+            domain, at = gasket_domain(verts, level), "domain.vertices"
+        else:
+            errors.append(("domain.kind", f"unknown kind {kind!r}"))
+            return None
+        if why := domain.too_fine(1):
+            errors.append((at, why))
+            return None
+        return domain
     except (KeyError, TypeError) as exc:
         errors.append(("domain", f"malformed: {exc}"))
     except ConfigError as exc:

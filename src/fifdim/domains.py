@@ -445,40 +445,28 @@ def point_keys(pts: np.ndarray, resolution: float) -> np.ndarray:
 
 
 def node_indices(nodes: np.ndarray, pts, resolution: float) -> list[int | None]:
-    """The row of ``nodes`` that each point of ``pts`` is, matched by point
-    key; None for a point that is none of them, not finite or not of
-    their dimension."""
-    index = {key: i for i, key in enumerate(
-        map(tuple, point_keys(nodes, resolution).tolist()))}
+    """The row of ``nodes`` nearest each point of ``pts`` in the max norm,
+    if within ``resolution``; None for a point that is none of them, not
+    finite or not of their dimension."""
     m = nodes.shape[1]
     on = [np.shape(pt) == (m,) and all(map(math.isfinite, pt)) for pt in pts]
     x = np.array([pt for pt, ok in zip(pts, on) if ok], float).reshape(-1, m)
-    keys = map(tuple, point_keys(x, resolution).tolist())
-    return [index.get(next(keys)) if ok else None for ok in on]
+    gap = np.abs(x[:, None] - nodes).max(axis=-1)
+    found = iter([i if row[i] <= resolution else None
+                  for row, i in zip(gap.tolist(), gap.argmin(axis=1).tolist())])
+    return [next(found) if ok else None for ok in on]
 
 
 def unique_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(first, inverse) of ``np.unique(keys, axis=0, ...)`` for (n, m)
-    integer keys, from 1-D uniques.  Each column joins the row rank so far
-    as rank * span + (col - min) while that stays below 2^62, else through
-    its own rank, as rank * distinct count + rank (below n^2; the raw keys
-    need ~68 bits for two axes at 1e-10 resolution).  Both keep the rows
-    in lexicographic order, so both arrays are unchanged."""
-    _, first, inverse = np.unique(
-        keys[:, 0], return_index=True, return_inverse=True
-    )
-    for col in keys[:, 1:].T if len(keys) else ():
-        low = int(col.min())
-        span = int(col.max()) - low + 1
-        if (len(first) - 1) * span < 2**62:
-            packed = inverse * span + (col - low)
-        else:
-            values, rank = np.unique(col, return_inverse=True)
-            packed = inverse * len(values) + rank
-        _, first, inverse = np.unique(
-            packed, return_index=True, return_inverse=True
-        )
-    return first, inverse
+    integer keys, from one stable sort of the rows in lexicographic order."""
+    order = np.lexsort(keys.T[::-1])
+    rows = keys[order]
+    new = np.ones(len(keys), bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    inverse = np.empty(len(keys), np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
 
 
 def first_slots(d: Domain, pts: np.ndarray, img: np.ndarray, split=True):

@@ -35,7 +35,7 @@ import functools
 import itertools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -213,6 +213,15 @@ def _fit(d: Domain, family: str, values: np.ndarray) -> dict[frozenset, float]:
     return {J: float(c) for J, c in zip(basis, np.linalg.solve(A, values))}
 
 
+def _normalized(label: str, entries, m: int) -> list[tuple[Expr, ShapeFacts]]:
+    """The (expr, facts) entries with their auto-detected facts filled in;
+    ModelError for a variable beyond the domain's m, as ``load_config``."""
+    for i, (e, _) in enumerate(entries):
+        if (top := e.max_axis()) > m:
+            raise ModelError(f"{label}_{i + 1}: x{top} is beyond the domain's m = {m}")
+    return [(e, normalize_facts(e, f, m)) for e, f in entries]
+
+
 def _solve_q(d: Domain, family: str, s_pairs, p0, p_img
              ) -> list[tuple[Expr, ShapeFacts]]:
     """The q_i of the polynomial ``family`` that meet the join-up
@@ -289,11 +298,13 @@ def build_model(spec: FifSpec) -> FifModel:
 
     q is a list of (expr, facts), a family of FAMILIES to solve for, or
     "solve" for the domain's default family.  Errors come in the order
-    data, q, audit, maps not finite on the bracket grid (or without the
-    Hoelder facts of a non-constant one), join-up, signatures, ||s||_inf,
-    face match.  The read-off operator T is well defined on domains whose
-    cells meet only in points (intervals, the gasket); a cube needs
-    alternating signatures per axis and matching faces.
+    data, variables beyond m, q, audit, maps not finite on the bracket
+    grid (or without the Hoelder facts of a non-constant one), join-up,
+    signatures, ||s||_inf, face match.  The read-off operator T is well
+    defined on domains whose cells meet only in points (intervals, the
+    gasket); a cube needs alternating signatures per axis and matching
+    faces.  A constant declared of an expression with variables takes its
+    value at a vertex of V_0 once the audit has passed.
     """
     d, m = spec.domain, spec.domain.m
     nodes, values = _data_on_nodes(d, spec.data)
@@ -306,14 +317,14 @@ def build_model(spec: FifSpec) -> FifModel:
     images = np.concatenate([v0] + [mp(v0) for mp in d.maps])
     p0, *p_img = values[node_indices(nodes, images, d.resolution)].reshape(
         d.N + 1, len(v0))
-    s_pairs = [(e, normalize_facts(e, f, m)) for e, f in spec.s]
+    s_pairs = _normalized("s", spec.s, m)
     if isinstance(spec.q, str):
         family = d.default_family if spec.q == "solve" else spec.q
         q_pairs = _solve_q(d, family, s_pairs, p0, p_img)
     elif len(spec.q) != d.N:
         raise ModelError(f"expected {d.N} displacement entries, got {len(spec.q)}")
     else:
-        q_pairs = [(e, normalize_facts(e, f, m)) for e, f in spec.q]
+        q_pairs = _normalized("q", spec.q, m)
 
     for label, pairs in (("s", s_pairs), ("q", q_pairs)):
         for i, (e, f) in enumerate(pairs):
@@ -323,6 +334,8 @@ def build_model(spec: FifSpec) -> FifModel:
                     f"shape audit failed for {label}_{i + 1}: "
                     + "; ".join(str(v) for v in bad)
                 )
+            if f.is_constant and f.constant_value is None:
+                pairs[i] = (e, replace(f, constant_value=float(e.ev(v0[0]))))
     s_both, q_both = _map_brackets(d, s_pairs, q_pairs)
 
     # q_i(k_j) = p(l_i(k_j)) - s_i(k_j) p(k_j) for every map i and k_j in V_0

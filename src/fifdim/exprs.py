@@ -3,18 +3,22 @@
 Expressions are written in a tiny grammar over the domain coordinates
 ``x1 .. xm``::
 
-    expr    := term (("+" | "-") term)*
-    term    := factor (("*" | "/") factor)*
+    expr    := factor (binop factor)*
+    binop   := "+" | "-" | "*" | "/"  (the two-operand entries of OPS, by
+               their precedence, "+ -" below "*"; "/" binds like "*")
     factor  := "-" factor | power
     power   := atom ("^" number)?
     atom    := number | var | func "(" expr ")" | "(" expr ")"
     func    := "sin" | "cos"  (the "name({})" entries of OPS)
     var     := "x" digits
-    number  := digits ("." digits)? | "." digits
+    number  := (digits ("." digits?)? | "." digits)
+               (("e" | "E") ("+" | "-")? digits)?
 
-The tree has four node types, ``Const``, ``Var``, ``Pow`` and ``Op``;
-``OPS`` is the one list of operators (``+ - * neg sin cos``), and ``Op``
-evaluates and prints by it.  Powers use a strictly positive literal
+Digits and the letters of names are ASCII; whitespace may stand between
+any two tokens.  The tree has four node types, ``Const``, ``Var``, ``Pow``
+and ``Op``; ``OPS`` is the one list of operators (``+ - * neg sin cos``):
+``Op`` evaluates and prints by it, and the parser takes its binary
+operators and functions from it.  Powers use a strictly positive literal
 exponent and evaluate as ``|base|**a`` so every expression is continuous
 on the domain.  Division is only allowed by a constant sub-expression and
 is folded into a multiplication at parse time.  Shape facts (constancy,
@@ -24,7 +28,9 @@ declarations that get audited numerically, not proven symbolically.
 
 from __future__ import annotations
 
+import math
 import operator
+import re
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
@@ -111,8 +117,8 @@ class OpSpec(NamedTuple):
     operand_prec: tuple[int, ...]  # an operand below this is parenthesised
 
 
-# The one list of operators; its "name({})" templates are the parser's
-# functions.  Arithmetic uses Python's operators, not the ufuncs, so numpy
+# The one list of operators; its two-operand entries are the parser's binary
+# operators, its "name({})" templates its functions.  Arithmetic uses Python's operators, not the ufuncs, so numpy
 # can write the result into a temporary operand instead of a new array.
 OPS = {
     "+": OpSpec(operator.add, "{} + {}", 0, (0, 1)),
@@ -215,48 +221,28 @@ class Pow(Expr):
 # Parser
 
 
-_TOKEN_CHARS = set("+-*/^()")
+# One token per match, whitespace between tokens skipped: a number (checked
+# against _NUMBER), a name, an operator or a bad character.  Digits and
+# letters are ASCII; whitespace is Unicode, as ``str.isspace``.
+_TOKEN = re.compile(r"(?P<num>[0-9.]+(?:[eE][+-]?[0-9]+)?)"
+                    r"|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*/^()])|(?P<bad>\S)")
+_NUMBER = re.compile(r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+# the two-operand entries of OPS by precedence; "/" binds like "*"
+_BINARY = {op: spec.prec for op, spec in OPS.items() if len(spec.operand_prec) == 2}
+_BINARY["/"] = _BINARY["*"]
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _TOKEN_CHARS:
-            tokens.append(("op", c, i))
-            i += 1
-            continue
-        if c.isdigit() or c == ".":
-            j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    while k < n and text[k].isdigit():
-                        k += 1
-                    j = k
-            num = text[i:j]
-            if num.count(".") > 1 or num == "." or float(num) == float("inf"):
-                raise ExprSyntaxError(f"malformed or overflowing number {num!r}", i)
-            tokens.append(("num", num, i))
-            i = j
-            continue
-        if c.isalpha():
-            j = i
-            while j < n and text[j].isalnum():
-                j += 1
-            tokens.append(("name", text[i:j], i))
-            i = j
-            continue
-        raise ExprSyntaxError(f"unexpected character {c!r}", i)
-    tokens.append(("end", "", n))
+    for match in _TOKEN.finditer(text):
+        kind, val, off = match.lastgroup, match.group(), match.start()
+        if kind == "bad":
+            raise ExprSyntaxError(f"unexpected character {val!r}", off)
+        if kind == "num" and not (_NUMBER.fullmatch(val)
+                                  and math.isfinite(float(val))):
+            raise ExprSyntaxError(f"malformed or overflowing number {val!r}", off)
+        tokens.append((kind, val, off))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
@@ -279,41 +265,28 @@ class _Parser:
             raise ExprSyntaxError(f"expected {op!r}, got {val!r}", off)
 
     def parse(self) -> Expr:
-        e = self.expr()
+        e = self.binary()
         kind, val, off = self.peek()
         if kind != "end":
             raise ExprSyntaxError(f"trailing input {val!r}", off)
         return e
 
-    def expr(self) -> Expr:
-        e = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                rhs = self.term()
-                e = Op(val, (e, rhs))
-            else:
-                return e
-
-    def term(self) -> Expr:
+    def binary(self, min_prec: int = 0) -> Expr:
+        """Factors joined by the operators of _BINARY that bind at least as
+        tightly as ``min_prec``, left to right; a divisor is folded."""
         e = self.factor()
-        while True:
-            kind, val, off = self.peek()
-            if kind == "op" and val in "*/":
-                self.next()
-                rhs = self.factor()
-                if val == "*":
-                    e = Op("*", (e, rhs))
-                else:
-                    c = _const_value(rhs)
-                    if c is None:
-                        raise ExprSyntaxError("division only by a constant", off)
-                    if c == 0:
-                        raise ExprSyntaxError("division by zero", off)
-                    e = Op("*", (e, Const(1.0 / c)))
-            else:
-                return e
+        while (prec := _BINARY.get(self.peek()[1], -1)) >= min_prec:
+            _, op, off = self.next()
+            rhs = self.binary(prec + 1)
+            if op == "/":
+                c = _const_value(rhs)
+                if c is None:
+                    raise ExprSyntaxError("division only by a constant", off)
+                if c == 0:
+                    raise ExprSyntaxError("division by zero", off)
+                op, rhs = "*", Const(1.0 / c)
+            e = Op(op, (e, rhs))
+        return e
 
     def factor(self) -> Expr:
         kind, val, _ = self.peek()
@@ -343,7 +316,7 @@ class _Parser:
         if kind == "name":
             if val in _FUNCTIONS:
                 self.expect_op("(")
-                arg = self.expr()
+                arg = self.binary()
                 self.expect_op(")")
                 return Op(val, (arg,))
             if val.startswith("x") and val[1:].isdigit():
@@ -353,7 +326,7 @@ class _Parser:
                 return Var(axis)
             raise ExprSyntaxError(f"unknown name {val!r}", off)
         if kind == "op" and val == "(":
-            e = self.expr()
+            e = self.binary()
             self.expect_op(")")
             return e
         raise ExprSyntaxError(f"unexpected token {val!r}", off)

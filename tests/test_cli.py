@@ -377,6 +377,10 @@ Q0 = ("displacements", 0)  # {"expr": "x1^0.8/2", "facts": {...}} in example5_ca
                  id="literal-overflow"),
     pytest.param(_set(*Q0, "expr", "x1^."), "displacements[0].expr",
                  id="literal-dot"),
+    pytest.param(_set("scales", 0, ".e3"), "scales[0].expr",
+                 id="literal-dot-exponent"),
+    pytest.param(_set("scales", 1, "x1\u00b2"), "scales[1].expr",
+                 id="superscript-digit"),
     pytest.param(_set(*Q0, "facts", "concave", [5]),
                  "displacements[0].facts.concave", id="axis-beyond-m"),
     pytest.param(_set(*Q0, "facts", "concave", [1.0]),
@@ -400,9 +404,57 @@ def test_expression_and_fact_errors_exit_1(config_dir, tmp_path, capsys, edit,
 
 
 def test_declared_constant_needs_no_holder_facts(config_dir, tmp_path):
+    # bounds and report read the constant's value, which a declared
+    # constant with variables did not have (a TypeError traceback)
     p = _edited(config_dir, tmp_path, "example5_case2", _set(
-        "scales", 0, {"expr": "x1 - x1 + 1/4", "facts": {"constant": True}}))
+        "scales", 0, {"expr": "x1/4 - x1/4 + 1/4", "facts": {"constant": True}}))
     assert main(["validate", p]) == 0
+    for command in ("bounds", "report"):
+        assert main([command, p, "--out", str(tmp_path / command)]) == 0
+    assert main(["bounds", _cfg(config_dir, "example5_case2"),
+                 "--out", str(tmp_path / "bundled")]) == 0
+    bounds = [json.loads((tmp_path / at / "bounds.json").read_text())
+              for at in ("bounds", "bundled")]
+    assert bounds[0] == bounds[1]  # as the bundled scale "1/4"
+
+
+def _close_knots(axis):
+    """An edit that makes the second knot of ``axis`` (None: the interval)
+    1e-11 and moves the data on the old knot there."""
+    def edit(raw):
+        at = raw["domain"] if axis is None else raw["domain"]["axes"][axis]
+        old, at["knots"][1] = at["knots"][1], "1/100000000000"
+        coord = axis or 0
+        for entry in raw["data"]:
+            if entry["point"][coord] == old:
+                entry["point"][coord] = at["knots"][1]
+    return edit
+
+
+@pytest.mark.parametrize("name, axis, path", [
+    ("degenerate_interval", None, "domain.knots"),
+    ("degenerate_cube", 1, "domain.axes[1].knots"),
+])
+def test_knots_closer_than_the_resolution_exit_1(config_dir, tmp_path, capsys,
+                                                 name, axis, path):
+    # V_1 merged the two close knots, and the error read "data[1].point:
+    # repeats the point of data[0]"
+    p = _edited(config_dir, tmp_path, name, _close_knots(axis))
+    _assert_config_error_at(path, ["report", p], tmp_path, capsys)
+
+
+def test_far_interval_validates(tmp_path, capsys):
+    # the last knot's copy in V_1 is 1 ulp off it, across a point key's
+    # edge: "config error at data[3].point: not a node of V"
+    knots = ["-43707.71713613646", "-43707.24349083011", "-43707.00294955704",
+             "-43706.04385109855"]
+    raw = {"domain": {"kind": "interval", "knots": knots, "signature": [1, 1, 1]},
+           "data": [{"point": [x], "value": v}
+                    for x, v in zip(knots, ["0", "1/2", "1/3", "0"])],
+           "scales": ["3/10"] * 3, "displacements": {"solve": True}, "eta": 1}
+    p = tmp_path / "far.json"
+    p.write_text(json.dumps(raw))
+    assert main(["validate", str(p)]) == 0
 
 
 @pytest.mark.parametrize("edit, path", [
@@ -452,8 +504,8 @@ def test_domain_errors_at_their_field(config_dir, tmp_path, capsys, name, edit,
     _assert_config_error_at(path, ["report", p], tmp_path, capsys)
 
 
-JUNK = [None, True, 1.5, -1, 0, "abc", "1/0", "1e400", [], {}, [1], ["x"],
-        {"a": 1}]
+JUNK = [None, True, 1.5, -1, 0, "abc", "1/0", "1e400", ".e3", "x1\u00b2", [], {},
+        [1], ["x"], {"a": 1}]
 
 
 def _field_paths(obj, prefix=()):

@@ -250,7 +250,7 @@ def test_unique_rows_equals_axis0_unique_on_vk(domain, k):
 
 
 def test_unique_rows_wide_keys_do_not_overflow():
-    # raw keys near the int64 range: packing them directly would overflow
+    # raw keys near the int64 range, where no two columns fit one int64
     rng = np.random.default_rng(5)
     rows = rng.integers(-2**62, 2**62, size=(300, 3))
     keys = rows[rng.integers(0, len(rows), size=2000)]
@@ -265,9 +265,7 @@ def test_unique_rows_wide_keys_do_not_overflow():
                 max_size=3),
        st.integers(1, 400), st.integers(0, 2**32 - 1))
 def test_unique_rows_equals_axis0_unique_property(spans, n, seed):
-    # keys of each column in [-span, span); a span of 2^61 or more leaves
-    # no room to pack the row rank beside the column, which then joins
-    # through its own rank
+    # keys of each column in [-span, span), up to near the int64 range
     rng = np.random.default_rng(seed)
     rows = np.column_stack([rng.integers(-s, s, size=max(1, n // 3))
                             for s in spans])

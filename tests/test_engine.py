@@ -11,7 +11,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fifdim
@@ -694,13 +694,7 @@ def _dedup_cases(draw):
     values = draw(st.lists(st.floats(-1, 1), min_size=len(nodes),
                            max_size=len(nodes)))
     data = [(tuple(p), v) for p, v in zip(nodes.tolist(), values)]
-    try:
-        model = build_model(FifSpec(d, data, [(Const(c), None) for c in s],
-                                    "solve"))
-    except IndexError:
-        # build_model's V_0 lookup misses a node whose key round-off moved
-        # (an offset interval now and then); no model, nothing to compare
-        assume(False)
+    model = build_model(FifSpec(d, data, [(Const(c), None) for c in s], "solve"))
     if draw(st.integers(0, 2)) == 0:
         v = model.values.copy()
         v[node_indices(model.nodes, d.v0_array[:1], d.resolution)] += 1e-3
@@ -717,6 +711,41 @@ def test_band_dedup_equals_full_dedup(case):
     model, k = case
     assert _outcome(evaluate_on_vk, model, k) == _outcome(_full_dedup_vk,
                                                           model, k)
+
+
+def test_node_indices_match_the_nearest_node_within_the_resolution():
+    # 0.6e-10 rounds to another point key than 0; a key match missed it
+    nodes = np.array([[0.0], [1.0], [1.0 + 3e-10]])
+    pts = [(0.6e-10,), (1.0 + 2.5e-10,), (0.5,), (math.nan,), (1.0, 2.0)]
+    assert node_indices(nodes, pts, 1e-10) == [0, 2, None, None, None]
+
+
+def test_far_interval_matches_its_knots():
+    # V_1's copy of the last knot lies 1 ulp off it, across a point key's
+    # edge: by key, data on the knots missed a node ("not a node of V") and
+    # data on V_1 made build_model's V_0 lookup raise a bare IndexError
+    knots = (-43707.71713613646, -43707.24349083011, -43707.00294955704,
+             -43706.04385109855)
+    d = interval_domain(knots, (1, 1, 1))
+    values = (0.0, 0.5, 1 / 3, 0.0)
+    for pts in (knots, sorted(vertex_set(d, 1)[:, 0])):
+        data = [((x,), v) for x, v in zip(pts, values)]
+        model = build_model(FifSpec(d, data, [(Const(0.3), None)] * 3, "solve"))
+        assert model.p_at(np.array(knots)[:, None]).tolist() == list(values)
+
+
+@pytest.mark.parametrize("s, q, message", [
+    ("x2/4", "solve", "s_1: x2 is beyond the domain's m = 1"),
+    ("1/4", [(parse_expr("x1/4"), None), (parse_expr("x3"), None)],
+     "q_2: x3 is beyond the domain's m = 1"),
+])
+def test_variable_beyond_m_is_a_model_error(s, q, message):
+    # s_1 = x2/4 raised a bare IndexError where the solve evaluated it
+    d = interval_domain((0.0, 0.5, 1.0), (0, 0))
+    data = [((0.0,), 0.0), ((0.5,), 1.0), ((1.0,), 0.0)]
+    spec = FifSpec(d, data, [(parse_expr(s), None), (Const(0.25), None)], q)
+    with pytest.raises(ModelError, match=re.escape(message)):
+        build_model(spec)
 
 
 @pytest.mark.parametrize("x0", [-2e5, -5e4, 1e4])

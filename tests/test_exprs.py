@@ -11,6 +11,7 @@ from fifdim.domains import Box, Triangle, gasket_domain, vertex_set
 from fifdim.exprs import (
     OPS,
     Const,
+    Expr,
     ExprError,
     ExprSyntaxError,
     Op,
@@ -53,6 +54,10 @@ def test_parse_power_is_abs_power():
 def test_parse_precedence_and_unary_minus():
     e = parse_expr("-x1 + 2*x1^2")
     assert eval_expr(e, np.array([3.0])) == pytest.approx(-3 + 18)
+    # the binary operators bind by their precedence, left to right
+    for text, value in (("1 - 2 - 3", -4.0), ("8/2/2", 2.0), ("-2^2 + 1", -3.0),
+                        ("1 + 2*3 - 4/2", 5.0), ("2*(1 + 2)*-1", -6.0)):
+        assert eval_expr(parse_expr(text), np.zeros(1)) == value
 
 
 def test_division_by_expression_rejected():
@@ -76,6 +81,49 @@ def test_syntax_error_offset():
     with pytest.raises(ExprSyntaxError) as ei:
         parse_expr("x1 + @")
     assert ei.value.offset == 5
+
+
+@pytest.mark.parametrize("text, offset, message", [
+    (".e3", 0, "malformed or overflowing number '.e3'"),
+    ("2*.e-5", 2, "malformed or overflowing number '.e-5'"),
+    ("x1\u00b2", 2, "unexpected character '\u00b2'"),
+    ("\u00b2", 0, "unexpected character '\u00b2'"),
+    ("\u0663", 0, "unexpected character '\u0663'"),
+    ("x\u0661", 1, "unexpected character '\u0661'"),
+], ids=["dot-exponent", "dot-exponent-operand", "superscript-after-x1",
+        "superscript", "arabic-indic-digit", "arabic-indic-axis"])
+def test_numbers_and_names_are_ascii(text, offset, message):
+    # the first four raised a bare ValueError; Arabic-Indic 3 read as 3.0
+    # and x with an Arabic-Indic 1 as x1
+    with pytest.raises(ExprSyntaxError) as ei:
+        parse_expr(text)
+    assert ei.value.offset == offset
+    assert str(ei.value) == f"{message} (at offset {offset})"
+
+
+def test_number_forms_of_the_grammar():
+    for text, value in (("1.", 1.0), ("1.5e2", 150.0), (".5E-1", 0.05),
+                        ("3e+0", 3.0), ("\u00a02\t", 2.0)):
+        assert parse_expr(text) == Const(value)
+
+
+_TEXT = st.lists(st.sampled_from(["x1", "x2", "sin", "cos", "(", ")", "+", "-",
+                                  "*", "/", "^", ".", "e", "1", "0.5", " "])
+                 | st.characters(max_codepoint=127)
+                 | st.sampled_from(["\u00b2", "\u0663", "\u00e9", "\u00a0"]),
+                 max_size=12).map("".join)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_TEXT)
+@example(".e3")
+@example("x1\u00b2")
+def test_parse_expr_returns_an_expr_or_raises_expr_error(text):
+    try:
+        e = parse_expr(text)
+    except ExprError:
+        return
+    assert isinstance(e, Expr)
 
 
 def test_unknown_name_rejected():
