@@ -14,9 +14,8 @@ from .dimension import (
     EmpiricalEstimate,
     GammaReport,
     box_count,
-    bounds_gasket,
     empirical_dimension,
-    exact_dim_cube,
+    exact_dim,
     find_witness,
     gammas,
     lower_bound_interval_variable_s,

@@ -41,8 +41,7 @@ __all__ = [
     "witness_height_check",
     "upper_bound",
     "lower_bound_noncollinear",
-    "exact_dim_cube",
-    "bounds_gasket",
+    "exact_dim",
     "lower_bound_interval_variable_s",
     "box_count",
     "empirical_dimension",
@@ -269,103 +268,55 @@ def lower_bound_noncollinear(model: FifModel) -> list[BoundEntry]:
     return out
 
 
-def exact_dim_cube(model: FifModel) -> BoundEntry | None:
-    """Exact box dimension on equally spaced interval/cube domains.
+def exact_dim(model: FifModel) -> BoundEntry | None:
+    """Exact box dimension where the upper and the lower bound meet.
 
-    Requires all scales constant, a non-collinearity witness whose flavor
-    matches the shared shape of the displacements, and one of the two
-    corollary inequalities on gamma.
+    All s_i constant on a homogeneous domain (an equally spaced interval
+    or cube with n pieces per axis, or the gasket), and a route: the first
+    witness direction r (as in ``lower_bound_noncollinear``) and flavor j
+    with gamma_{j,r} >= gamma = sum |s_i| and a witness.  Then dim =
+    1 + log gamma / log Lambda_0 if gamma > N / Lambda_0^eta', and dim K
+    if gamma <= N / Lambda_0 and eta' = 1; between the two, no entry.
     """
-    d = model.domain
-    counts = {len(ax.knots) - 1 for ax in d.axes}
-    if len(counts) != 1:  # also the gasket, which has no axes
+    d, etap = model.domain, model.eta_prime
+    if not d.homogeneous or not all(f.is_constant for _, f in model.s):
         return None
-    n = counts.pop()
-    if not all(ax.equally_spaced for ax in d.axes):
-        return None
-    if not all(f.is_constant for _, f in model.s):
-        return None
-    m = d.m
-    etap = model.eta_prime
     gamma = sum(abs(f.constant_value) for _, f in model.s)
-    holder_ok = _holder_declared(model)
-
-    # witness + matching shape route, per axis, in flavor order
-    nonneg = all(f.constant_value >= 0 for _, f in model.s)
-    route = next(
-        ((r, f"{shape}, {need}" if sign else shape)
-         for r in range(1, m + 1)
-         for shape, sign, need in FLAVORS.values()
-         if (nonneg or not sign)
-         and all(r in getattr(f, f"{shape}_in") for _, f in model.q)
-         and find_witness(model, r, sign=sign) is not None),
-        None,
-    )
+    if gamma > model.N / d.lam0**etap + 1e-12:
+        value, large = 1 + math.log(gamma) / math.log(d.lam0), True
+    elif gamma <= model.N / d.lam0 + 1e-12 and abs(etap - 1.0) <= 1e-12:
+        value, large = d.dim, False
+    else:
+        return None
+    g = gammas(model)
+    route = next(((r, flavor) for r in range(1, len(d.axes) + 1) or (0,)
+                  for flavor, (_, sign, _) in FLAVORS.items()
+                  if g.flavored[(flavor, r)] >= gamma - 1e-9
+                  and find_witness(model, r, sign=sign) is not None), None)
     if route is None:
         return None
-
-    hyps = [
-        ("equally spaced, equal n per axis", True),
-        ("all s_i constant", True),
-        ("q_i Hoelder-declared (C^eta)", holder_ok),
-        (f"witness with q {route[1]} on axis {route[0]}", True),
-    ]
-    if gamma > n ** (m - etap) + 1e-12:
-        value = 1 + math.log(gamma) / math.log(n)
-        note = f"gamma = {gamma:.10g} > n^(m - eta')"
-    elif gamma <= n ** (m - 1) + 1e-12 and abs(etap - 1.0) <= 1e-12:
-        value = float(m)
-        note = f"gamma = {gamma:.10g} <= n^(m-1), eta' = 1"
-    else:
-        return None
-    return BoundEntry(
-        theorem="exact_dim_equally_spaced",
-        kind="exact",
-        value=value,
-        hypotheses=hyps,
-        note=note,
-    )
-
-
-def bounds_gasket(model: FifModel) -> list[BoundEntry]:
-    """The exact-dimension case on the gasket (the domain without axes;
-    its lower bounds come from ``lower_bound_noncollinear``)."""
-    if model.domain.axes:
-        return []
-    g = gammas(model)
-    # the first flavor whose classification saturates gamma, with a witness
-    route = next((flavor for flavor, (_, sign, _) in FLAVORS.items()
-                  if 0 < g.flavored[(flavor, 0)] >= g.gamma[0] - 1e-9
-                  and find_witness(model, 0, sign=sign) is not None), None)
-    if route is None or not _holder_declared(model):
-        return []
-    n = model.domain.level
-    gamma = g.gamma[1]
-    etap = model.eta_prime
-    if gamma > (3 / 2**etap) ** n + 1e-12:
-        value = 1 + math.log(gamma) / math.log(2**n)
-        note = f"gamma = {gamma:.10g} > (3/2^eta')^n"
-    elif gamma <= 1.5**n + 1e-12 and abs(etap - 1.0) <= 1e-12:
-        value = math.log(3) / math.log(2)
-        note = f"gamma = {gamma:.10g} <= (3/2)^n, eta' = 1"
-    else:
-        return []
-    return [
-        BoundEntry(
-            theorem="gasket_exact",
-            kind="exact",
-            value=value,
-            hypotheses=[
-                ("s_i, q_i Hoelder-declared (C^eta)", True),
-                (f"flavor-{route} classification saturates gamma", True),
-            ],
-            note=note,
-        )
-    ]
+    r, flavor = route
+    holder_ok = _holder_declared(model)
+    if r:  # N = n^m and Lambda_0 = n on the product domain
+        shape, sign, need = FLAVORS[flavor]
+        theorem = "exact_dim_equally_spaced"
+        case = "> n^(m - eta')" if large else "<= n^(m-1), eta' = 1"
+        hyps = [("equally spaced, equal n per axis", True),
+                ("all s_i constant", True),
+                ("q_i Hoelder-declared (C^eta)", holder_ok),
+                (f"witness with q {shape}{f', {need}' if sign else ''} on axis {r}",
+                 True)]
+    else:  # N = 3^n and Lambda_0 = 2^n on the level-n gasket
+        theorem = "gasket_exact"
+        case = "> (3/2^eta')^n" if large else "<= (3/2)^n, eta' = 1"
+        hyps = [("s_i, q_i Hoelder-declared (C^eta)", holder_ok),
+                (f"flavor-{flavor} classification saturates gamma", True)]
+    return BoundEntry(theorem=theorem, kind="exact", value=value,
+                      hypotheses=hyps, note=f"gamma = {gamma:.10g} {case}")
 
 
 def lower_bound_interval_variable_s(model: FifModel) -> BoundEntry | None:
-    """Variable-scale lower bound on equally spaced intervals.
+    """Variable-scale lower bound on homogeneous (equally spaced) intervals.
 
     Route (a): bounded-variation shape facts (eta = 1 declared) plus a
     flavor-compatible witness with flavored gamma > 1.  Route (b): the
@@ -373,13 +324,10 @@ def lower_bound_interval_variable_s(model: FifModel) -> BoundEntry | None:
     with a heuristic flag.
     """
     d = model.domain
-    if d.m != 1 or not d.axes[0].equally_spaced:
+    if d.m != 1 or not d.homogeneous:
         return None
     g = gammas(model)
-    n = model.N
-    gamma0_lo = g.gamma0[0]
-    eta = model.eta_prime
-
+    n, eta, gamma0 = model.N, model.eta_prime, g.gamma0[0]
     bv_facts = all(
         f.is_constant or (f.holder_exponent is not None and f.holder_exponent >= 1.0)
         for _, f in list(model.s) + list(model.q)
@@ -387,45 +335,33 @@ def lower_bound_interval_variable_s(model: FifModel) -> BoundEntry | None:
     corollary = next((flavor for flavor, (_, sign, _) in FLAVORS.items()
                       if bv_facts and g.flavored[(flavor, 0)] > 1
                       and find_witness(model, 1, sign=sign)), None)
-    if corollary is not None:
-        value = 1 + math.log(max(gamma0_lo, 1e-300)) / math.log(n)
-        return BoundEntry(
-            theorem="variable_scale_lower",
-            kind="lower",
-            value=value,
-            hypotheses=[
-                ("equally spaced interval", True),
-                ("bounded-variation shape facts (eta = 1)", True),
-                (f"flavor-{corollary} witness with flavored gamma > 1", True),
-            ],
-            vacuous=value <= 1.0 + 1e-12,
-            note=f"gamma_0 = {gamma0_lo:.10g} (corollary route)",
-        )
-
-    # route (b): empirical divergence probe of N(r) / (N^(2-eta))^r
-    if gamma0_lo <= n ** (1 - eta) + 1e-12:
-        return None
-    ratios = [box_count(s, d.delta(s.level))
-              / (n ** (2 - eta)) ** s.level
-              for s in graph_samples(model, {r: 2 for r in range(2, 7)})]
-    growing = ratios[-1] >= 2 * ratios[0] and all(
-        b >= a * 0.99 for a, b in zip(ratios, ratios[1:])
-    )
-    if not growing:
-        return None
-    value = 1 + math.log(gamma0_lo) / math.log(n)
+    if corollary is not None:  # then gamma_0 >= gamma_{j,0} > 1
+        hyps = [("bounded-variation shape facts (eta = 1)", True),
+                (f"flavor-{corollary} witness with flavored gamma > 1", True)]
+        note = f"gamma_0 = {gamma0:.10g} (corollary route)"
+    else:
+        # route (b): empirical divergence probe of N(r) / (N^(2-eta))^r
+        if gamma0 <= n ** (1 - eta) + 1e-12:
+            return None
+        ratios = [c / (n ** (2 - eta)) ** k
+                  for k, _, c in empirical_dimension(model, 2, 6).entries]
+        growing = ratios[-1] >= 2 * ratios[0] and all(
+            b >= a * 0.99 for a, b in zip(ratios, ratios[1:]))
+        if not growing:
+            return None
+        hyps = [("gamma_0 > N^(1-eta)", True),
+                ("divergence probe (finite-level heuristic)", True)]
+        note = (f"gamma_0 = {gamma0:.10g}; probe ratios {ratios[0]:.3g} -> "
+                f"{ratios[-1]:.3g}")
+    value = 1 + math.log(gamma0) / math.log(n)
     return BoundEntry(
         theorem="variable_scale_lower",
         kind="lower",
         value=value,
-        hypotheses=[
-            ("equally spaced interval", True),
-            ("gamma_0 > N^(1-eta)", True),
-            ("divergence probe (finite-level heuristic)", True),
-        ],
+        hypotheses=[("equally spaced interval", True), *hyps],
         vacuous=value <= 1.0 + 1e-12,
-        heuristic=True,
-        note=f"gamma_0 = {gamma0_lo:.10g}; probe ratios {ratios[0]:.3g} -> {ratios[-1]:.3g}",
+        heuristic=corollary is None,
+        note=note,
     )
 
 
@@ -619,15 +555,14 @@ class BoundsReport:
 def theoretical_entries(
     model: FifModel, gamma_pin: float | None = None
 ) -> list[BoundEntry]:
-    """Every bound entry for the model's domain; each bound function
-    returns [] or None off the domains it covers."""
+    """Every bound entry for the model's domain; ``exact_dim`` and the
+    variable-scale bound give None off the models they cover."""
     entries = [upper_bound(model)]
     if gamma_pin is not None:
         entries.append(upper_bound(model, gamma_override=gamma_pin))
     entries.extend(lower_bound_noncollinear(model))
-    entries.extend(e for e in (exact_dim_cube(model),
+    entries.extend(e for e in (exact_dim(model),
                                lower_bound_interval_variable_s(model)) if e)
-    entries.extend(bounds_gasket(model))
     return entries
 
 

@@ -209,11 +209,6 @@ class Axis:
     knots: tuple[float, ...]
     signature: tuple[int, ...]
 
-    @property
-    def equally_spaced(self) -> bool:
-        diffs = np.diff(np.asarray(self.knots, float))
-        return bool(np.max(diffs) - np.min(diffs) <= 1e-9 * np.max(diffs))
-
 
 @dataclass(frozen=True)
 class Domain:
@@ -243,6 +238,10 @@ class Domain:
     @property
     def lam0(self) -> float:  # Lambda_0: 1 / the smallest per-axis |scale|
         return 1.0 / min(abs(a) for mp in self.maps for a in mp.scale)
+
+    @property
+    def homogeneous(self) -> bool:  # every map scales every axis by one ratio
+        return self.lam0 <= self.lam * (1 + 1e-9)
 
     @property
     def diameter(self) -> float:  # |K|

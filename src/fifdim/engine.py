@@ -134,9 +134,6 @@ class FifModel:
                              "is not a node of V")
         return self.values[idx]
 
-    def interpolation_nodes(self) -> np.ndarray:
-        return self.nodes
-
     @functools.cached_property
     def _flat(self) -> tuple[np.ndarray, Expr]:
         """The data on V_0 and its interpolant in the default family."""

@@ -20,10 +20,12 @@ and ``Op``; ``OPS`` is the one list of operators (``+ - * neg sin cos``):
 ``Op`` evaluates and prints by it, and the parser takes its binary
 operators and functions from it.  Powers use a strictly positive literal
 exponent and evaluate as ``|base|**a`` so every expression is continuous
-on the domain.  Division is only allowed by a constant sub-expression and
-is folded into a multiplication at parse time.  Shape facts (constancy,
-per-axis affinity/concavity/convexity, Hoelder data) are user
-declarations that get audited numerically, not proven symbolically.
+on the domain.  Division is only allowed by a constant sub-expression
+with a finite value and reciprocal, and is folded into a multiplication
+at parse time.  Brackets and trees nest at most ``MAX_DEPTH`` deep, well
+inside Python's recursion limit.  Shape facts (constancy, per-axis
+affinity/concavity/convexity, Hoelder data) are user declarations that
+get audited numerically, not proven symbolically.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ __all__ = [
     "Pow",
     "Op",
     "OPS",
+    "MAX_DEPTH",
     "SHAPES",
     "ShapeFacts",
     "ExprError",
@@ -76,7 +79,10 @@ class ExprSyntaxError(ExprError):
 @dataclass(frozen=True)
 class Expr:
     """Base class for AST nodes.  Nodes are immutable and hashable; ``args``
-    holds a node's operand nodes."""
+    holds a node's operand nodes, ``depth`` counts the nodes on the longest
+    path from the node to a leaf (set once, as each node is made)."""
+
+    depth = 1
 
     def ev(self, x: np.ndarray) -> np.ndarray:
         """Evaluate at points ``x`` of shape (..., m); returns a fresh array
@@ -174,6 +180,7 @@ class Op(Expr):
     def __post_init__(self):
         if self.op not in OPS or len(self.args) != len(OPS[self.op].operand_prec):
             raise ExprError(f"no operator {self.op!r} of {len(self.args)} operands")
+        object.__setattr__(self, "depth", 1 + max(a.depth for a in self.args))
 
     def _ev(self, x):
         # by arity: a list of the operand values would cost a frame per node
@@ -200,6 +207,7 @@ class Pow(Expr):
     def __post_init__(self):
         if not self.exponent > 0:
             raise ExprError(f"power exponent must be > 0, got {self.exponent}")
+        object.__setattr__(self, "depth", 1 + self.base.depth)
 
     @property
     def args(self):
@@ -230,6 +238,8 @@ _NUMBER = re.compile(r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 # the two-operand entries of OPS by precedence; "/" binds like "*"
 _BINARY = {op: spec.prec for op, spec in OPS.items() if len(spec.operand_prec) == 2}
 _BINARY["/"] = _BINARY["*"]
+# the most brackets open at once, and the most nodes on a path of a tree
+MAX_DEPTH = 100
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -250,6 +260,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.nest = 0  # brackets open
 
     def peek(self):
         return self.tokens[self.pos]
@@ -284,16 +295,26 @@ class _Parser:
                     raise ExprSyntaxError("division only by a constant", off)
                 if c == 0:
                     raise ExprSyntaxError("division by zero", off)
+                if not (math.isfinite(c) and math.isfinite(1.0 / c)):
+                    raise ExprSyntaxError(
+                        "divisor or its reciprocal is not finite", off)
                 op, rhs = "*", Const(1.0 / c)
             e = Op(op, (e, rhs))
+            _check_depth(e.depth, off)
         return e
 
     def factor(self) -> Expr:
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "-":
-            self.next()
-            return Op("neg", (self.factor(),))
-        return self.power()
+        """A power after minus signs, read in a loop, not by recursion."""
+        signs = []
+        while self.peek()[:2] == ("op", "-"):
+            signs.append(self.next()[2])
+        start = self.peek()[2]
+        e = self.power()
+        _check_depth(e.depth, start)
+        for off in reversed(signs):
+            e = Op("neg", (e,))
+            _check_depth(e.depth, off)
+        return e
 
     def power(self) -> Expr:
         base = self.atom()
@@ -316,9 +337,7 @@ class _Parser:
         if kind == "name":
             if val in _FUNCTIONS:
                 self.expect_op("(")
-                arg = self.binary()
-                self.expect_op(")")
-                return Op(val, (arg,))
+                return Op(val, (self.bracketed(off),))
             if val.startswith("x") and val[1:].isdigit():
                 axis = int(val[1:])
                 if axis < 1:
@@ -326,17 +345,33 @@ class _Parser:
                 return Var(axis)
             raise ExprSyntaxError(f"unknown name {val!r}", off)
         if kind == "op" and val == "(":
-            e = self.binary()
-            self.expect_op(")")
-            return e
+            return self.bracketed(off)
         raise ExprSyntaxError(f"unexpected token {val!r}", off)
+
+    def bracketed(self, off: int) -> Expr:
+        """What stands between a "(" (or its function's name) at ``off``
+        and its ")"."""
+        self.nest += 1
+        _check_depth(self.nest, off)
+        e = self.binary()
+        self.expect_op(")")
+        self.nest -= 1
+        return e
+
+
+def _check_depth(depth: int, off: int) -> None:
+    """Reject brackets or a tree nested deeper than ``MAX_DEPTH``."""
+    if depth > MAX_DEPTH:
+        raise ExprSyntaxError("expression nested too deeply", off)
 
 
 def _const_value(e: Expr) -> float | None:
-    """Value of a variable-free expression, else None."""
+    """Value of a variable-free expression, else None; an overflow gives
+    inf or nan without a warning, for the caller to judge."""
     if e.max_axis() > 0:
         return None
-    return float(e.ev(np.zeros((1,))))
+    with np.errstate(all="ignore"):
+        return float(e.ev(np.zeros((1,))))
 
 
 def parse_expr(text: str) -> Expr:

@@ -16,9 +16,8 @@ from conftest import CONFIG_DIR, get_model
 from fifdim.cli import main
 from fifdim.dimension import (
     CollinearWitness,
-    bounds_gasket,
     empirical_dimension,
-    exact_dim_cube,
+    exact_dim,
     witness_height_check,
 )
 from fifdim.engine import (
@@ -94,7 +93,7 @@ def test_criterion_2_case1_sin_bounds(tmp_path):
 def test_criterion_3_case2_exact_and_slope():
     t0 = time.time()
     model = get_model("example5_case2")
-    exact = exact_dim_cube(model)
+    exact = exact_dim(model)
     target = 1 + math.log(1.5) / math.log(3)
     est = empirical_dimension(model, 6, 12)
     elapsed = time.time() - t0
@@ -115,20 +114,20 @@ def test_criterion_3_case2_exact_and_slope():
 def test_criterion_4_gasket_exact_and_slope():
     t0 = time.time()
     model = get_model("sg_exact")
-    entries = [e for e in bounds_gasket(model) if e.kind == "exact"]
+    exact = exact_dim(model)
     est = empirical_dimension(model, 5, 9)
     elapsed = time.time() - t0
     target = 1 + math.log2(2.4)
     ok = (
-        len(entries) == 1
-        and abs(entries[0].value - target) <= 1e-6
+        exact is not None
+        and abs(exact.value - target) <= 1e-6
         and abs(est.slope - target) <= 0.1
         and elapsed < 60.0
     )
     _report(
         "criterion 4 (gasket exact dimension + box-count slope)",
         ok,
-        f"exact={entries[0].value:.6f} slope={est.slope:.4f} "
+        f"exact={exact.value:.6f} slope={est.slope:.4f} "
         f"target={target:.5f} in {elapsed:.1f}s",
     )
 

@@ -381,6 +381,14 @@ Q0 = ("displacements", 0)  # {"expr": "x1^0.8/2", "facts": {...}} in example5_ca
                  id="literal-dot-exponent"),
     pytest.param(_set("scales", 1, "x1\u00b2"), "scales[1].expr",
                  id="superscript-digit"),
+    pytest.param(_set("scales", 0, "(" * 250 + "1/4" + ")" * 250), "scales[0].expr",
+                 id="parentheses-too-deep"),
+    pytest.param(_set("scales", 0, "-" * 1000 + "1/4"), "scales[0].expr",
+                 id="minus-signs-too-deep"),
+    pytest.param(_set("scales", 0, " + ".join(["x1/10000"] * 1000)),
+                 "scales[0].expr", id="sum-too-deep"),
+    pytest.param(_set("scales", 0, "x1/1e200^2"), "scales[0].expr",
+                 id="divisor-overflow"),
     pytest.param(_set(*Q0, "facts", "concave", [5]),
                  "displacements[0].facts.concave", id="axis-beyond-m"),
     pytest.param(_set(*Q0, "facts", "concave", [1.0]),
@@ -505,7 +513,8 @@ def test_domain_errors_at_their_field(config_dir, tmp_path, capsys, name, edit,
 
 
 JUNK = [None, True, 1.5, -1, 0, "abc", "1/0", "1e400", ".e3", "x1\u00b2", [], {},
-        [1], ["x"], {"a": 1}]
+        [1], ["x"], {"a": 1}, "(" * 250 + "1" + ")" * 250, "-" * 1000 + "1",
+        " + ".join(["x1/10000"] * 1000), "x1/1e-310"]
 
 
 def _field_paths(obj, prefix=()):

@@ -14,10 +14,9 @@ from fifdim import dimension
 from fifdim.dimension import (
     CollinearWitness,
     _class_value,
-    bounds_gasket,
     box_count,
     empirical_dimension,
-    exact_dim_cube,
+    exact_dim,
     find_witness,
     gammas,
     lower_bound_interval_variable_s,
@@ -41,7 +40,7 @@ from fifdim.engine import (
     build_model,
     graph_sample,
 )
-from fifdim.exprs import Const, ShapeFacts, parse_expr
+from fifdim.exprs import Const, Op, ShapeFacts, parse_expr
 
 LAM0_CASE1 = 15 / 4
 LAM_CASE1 = 5 / 2
@@ -120,7 +119,7 @@ def _reference_witness(model, r, sign=0):
     """The two-branch search ``find_witness`` replaced: ordered axis pairs
     for r >= 1, unordered general-position pairs for r = 0, and one
     ``p_at`` lookup per candidate triple; (y1, y2, y3, lam, L) or None."""
-    nodes = model.interpolation_nodes()
+    nodes = model.nodes
     n, tol = len(nodes), model.domain.resolution
     triples = []
     if r >= 1:
@@ -271,19 +270,19 @@ def test_lower_bound_sin_value():
 
 def test_exact_dim_case2():
     # [PAPER] 1 + log 1.5 / log 3 = 1.36907
-    e = exact_dim_cube(get_model("example5_case2"))
+    e = exact_dim(get_model("example5_case2"))
     assert e is not None and e.applies
     assert e.value == pytest.approx(1 + math.log(1.5) / math.log(3), abs=1e-9)
     assert e.value == pytest.approx(1.36907, abs=1e-5)
 
 
 def test_exact_dim_none_for_unequal_knots():
-    assert exact_dim_cube(get_model("example5_case1_one")) is None
+    assert exact_dim(get_model("example5_case1_one")) is None
 
 
 def test_exact_dim_cube_degenerate_returns_m():
     # [DERIVED] gamma = 0 <= n^(m-1), eta' = 1 -> dim = m
-    e = exact_dim_cube(get_model("degenerate_cube"))
+    e = exact_dim(get_model("degenerate_cube"))
     assert e is not None and e.value == 2.0
     assert "n^(m-1)" in e.note
 
@@ -291,10 +290,10 @@ def test_exact_dim_cube_degenerate_returns_m():
 def test_bounds_gasket_exact():
     # [DERIVED] n=1, s = 0.8: 1 + log2(2.4) = 2.26303
     model = get_model("sg_exact")
-    exact = bounds_gasket(model)
-    assert [e.kind for e in exact] == ["exact"]
-    assert exact[0].value == pytest.approx(1 + math.log2(2.4), abs=1e-9)
-    assert exact[0].value == pytest.approx(2.26303, abs=1e-5)
+    exact = exact_dim(model)
+    assert exact.kind == "exact" and exact.applies
+    assert exact.value == pytest.approx(1 + math.log2(2.4), abs=1e-9)
+    assert exact.value == pytest.approx(2.26303, abs=1e-5)
     lowers = [e for e in lower_bound_noncollinear(model) if e.applies]
     assert lowers and all(
         e.value == pytest.approx(1 + math.log2(2.4)) for e in lowers
@@ -306,10 +305,94 @@ def test_bounds_gasket_small_gamma_branch():
     base = get_config("sg_exact").spec
     s = [(parse_expr("2/5"), None)] * 3
     model = build_model(FifSpec(base.domain, base.data, s, "solve", 1.0))
-    entries = bounds_gasket(model)
-    exact = [e for e in entries if e.kind == "exact"]
-    assert len(exact) == 1
-    assert exact[0].value == pytest.approx(math.log(3) / math.log(2), abs=1e-12)
+    exact = exact_dim(model)
+    assert exact is not None and exact.applies
+    assert exact.value == pytest.approx(math.log(3) / math.log(2), abs=1e-12)
+
+
+def test_exact_dim_reads_no_shape_of_q_where_s_i_is_zero():
+    # [DERIVED] s = (0, 1/2, 3/5): gamma_1,1 = 1.1 = gamma although q_1 is
+    # concave, not affine, so dim = 1 + log3(1.1); the bounds met but the
+    # old route asked every q_i for the shape and emitted no exact entry
+    d = interval_domain((0.0, 1 / 3, 2 / 3, 1.0), (0, 0, 0))
+    data = [((0.0,), 0.0), ((1 / 3,), -0.5), ((2 / 3,), -0.5), ((1.0,), 0.0)]
+    s = [(parse_expr(c), None) for c in ("0", "1/2", "3/5")]
+    (q1, f1), *rest = build_model(FifSpec(d, data, s, "solve", 1.0)).q
+    bumped = (Op("+", (q1, parse_expr("x1*(1 - x1)/4"))), ShapeFacts(
+        concave_in={1}, holder_exponent=1.0,
+        holder_constant=f1.holder_constant + 0.25))
+    model = build_model(FifSpec(d, data, s, [bumped, *rest], 1.0))
+    e = exact_dim(model)
+    assert e.theorem == "exact_dim_equally_spaced" and e.applies
+    assert e.value == 1.0867550643547534
+    report = reconcile(model, with_empirical=False)
+    assert report.exact and report.best_lower == e.value
+    assert report.best_upper == pytest.approx(e.value, rel=1e-12)
+
+
+def test_gasket_exact_at_gamma_zero():
+    # [DERIVED] s = 0: gamma = 0 <= (3/2)^n, eta' = 1 -> dim K = log 3 / log 2,
+    # as the degenerate interval and cube get dim K at gamma = 0
+    base = get_config("sg_exact").spec
+    s = [(parse_expr("0"), None)] * base.domain.N
+    e = exact_dim(build_model(FifSpec(base.domain, base.data, s, "solve", 1.0)))
+    assert e.theorem == "gasket_exact" and e.applies
+    assert e.value == math.log(3) / math.log(2)
+
+
+@st.composite
+def homogeneous_models(draw):
+    """Equally spaced intervals and squares with n pieces per axis and
+    gaskets of level 1 and 2, with constant scales in eighths (zeros
+    among them, or all zero; one for all maps of a square, whose faces
+    must match) and dyadic data on V_1."""
+    kind = draw(st.sampled_from(["interval", "square", "gasket"]))
+    if kind == "interval":
+        n = draw(st.integers(2, 4))
+        d = interval_domain([i / n for i in range(n + 1)],
+                            draw(st.lists(st.integers(0, 1), min_size=n,
+                                          max_size=n)))
+    elif kind == "square":
+        n = draw(st.integers(2, 3))
+        d = cube_domain([([i / n for i in range(n + 1)],
+                          [j % 2 for j in range(n)])] * 2)
+    else:
+        d = gasket_domain(TRIANGLE, draw(st.integers(1, 2)))
+    nodes = vertex_set(d, 1)
+    values = draw(st.lists(st.integers(-8, 8), min_size=len(nodes),
+                           max_size=len(nodes)))
+    scale = st.sampled_from([0, 0, 3, 5, 7, -5])
+    if kind == "square":
+        scales = [draw(scale)] * d.N
+    elif draw(st.integers(0, 4)) == 0:
+        scales = [0] * d.N
+    else:
+        scales = draw(st.lists(scale, min_size=d.N, max_size=d.N))
+    data = [(tuple(p), v / 4) for p, v in zip(nodes, values)]
+    return build_model(FifSpec(d, data, [(Const(c / 8), None) for c in scales],
+                               "solve"))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(homogeneous_models())
+def test_exact_dim_is_where_the_bounds_meet(model):
+    entries = theoretical_entries(model)
+    upper, dim = entries[0], model.domain.dim
+    lowers = [e.value for e in entries
+              if e.kind == "lower" and e.applies and not e.vacuous]
+    e = exact_dim(model)
+    if e is not None and e.applies:
+        assert upper.applies
+        assert e.value == pytest.approx(upper.value, rel=1e-12, abs=0)
+        assert e.value == dim or any(
+            v == pytest.approx(e.value, rel=1e-12, abs=0) for v in lowers)
+        return
+    # the bounds do not meet: no applying lower bound reaches the upper
+    # bound, and where that is dim K (small gamma) the data are collinear
+    assert all(abs(v - upper.value) > 1e-9 for v in lowers)
+    directions = range(1, len(model.domain.axes) + 1) or (0,)
+    assert upper.value != pytest.approx(dim, rel=1e-12, abs=0) or all(
+        find_witness(model, r) is None for r in directions)
 
 
 def test_variable_scale_lower_corollary_route():
@@ -344,6 +427,15 @@ def test_variable_scale_heuristic_route_flagged():
     # the divergence probe may or may not fire, but can only emit flagged
     if e is not None:
         assert e.heuristic
+
+
+def test_variable_scale_probe_shrinks_extra_to_the_cell_budget(monkeypatch):
+    # the probe counts through empirical_dimension, so below N^8 |V_0| cells
+    # it refines fewer extra levels, as every count does (a BudgetError before)
+    model = get_model("example5_case2")
+    monkeypatch.setenv("FIF_CELL_BUDGET", str(3**8 * 2 - 1))
+    e = lower_bound_interval_variable_s(model)
+    assert e is None or e.heuristic
 
 
 def test_witness_height_check_flavor_sign_guard():

@@ -1,6 +1,7 @@
 """Expression language: parsing, printing, brackets, shape audits."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from fifdim.domains import Box, Triangle, gasket_domain, vertex_set
 from fifdim.exprs import (
+    MAX_DEPTH,
     OPS,
     Const,
     Expr,
@@ -68,6 +70,48 @@ def test_division_by_expression_rejected():
 def test_division_by_zero_rejected():
     with pytest.raises(ExprSyntaxError):
         parse_expr("x1/0")
+
+
+@pytest.mark.parametrize("text", [
+    "x1/(1e200*1e200)", "x1/1e200^2", "x1/1e-310", "x1/(0*(1e200*1e200))"],
+    ids=["divisor-inf", "divisor-power-inf", "reciprocal-inf", "divisor-nan"])
+def test_divisor_and_its_reciprocal_must_be_finite(text):
+    # these folded to x1*0.0 (one with a RuntimeWarning), x1*inf, x1*nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ExprSyntaxError) as ei:
+            parse_expr(text)
+    assert str(ei.value) == "divisor or its reciprocal is not finite (at offset 2)"
+
+
+# (text, offset): where the bracket, sign or operator past MAX_DEPTH stands
+DEEP = [
+    ("(" * 250 + "x1" + ")" * 250, MAX_DEPTH),
+    ("-" * 1000 + "x1", 1000 - MAX_DEPTH),
+    (" + ".join(["x1/10000"] * 1000), 11 * (MAX_DEPTH - 1) - 2),
+    ("sin(" * 200 + "x1" + ")" * 200, 4 * MAX_DEPTH),
+]
+
+
+@pytest.mark.parametrize("text, offset", DEEP,
+                         ids=["parentheses", "minus-signs", "sum", "sin"])
+def test_deep_expressions_rejected_at_the_depth_limit(text, offset):
+    # the first three ended in a RecursionError (the sum only in max_axis)
+    with pytest.raises(ExprSyntaxError) as ei:
+        parse_expr(text)
+    assert str(ei.value) == f"expression nested too deeply (at offset {offset})"
+
+
+@pytest.mark.parametrize("text", [
+    "(" * MAX_DEPTH + "x1" + ")" * MAX_DEPTH,
+    "-" * (MAX_DEPTH - 1) + "x1",
+    " + ".join(["x1"] * MAX_DEPTH),
+    "sin(" * (MAX_DEPTH - 1) + "x1" + ")" * (MAX_DEPTH - 1),
+], ids=["parentheses", "minus-signs", "sum", "sin"])
+def test_expressions_at_the_depth_limit_parse_print_and_parse_again(text):
+    e = parse_expr(text)
+    assert e.depth <= MAX_DEPTH and parse_expr(str(e)) == e
+    assert e.ev(np.full((3, 1), 0.5)).shape == (3,)
 
 
 def test_nonpositive_exponent_rejected():
