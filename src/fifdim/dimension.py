@@ -20,6 +20,7 @@ from .engine import (
     FifModel,
     GraphSample,
     ModelError,
+    _check_int,
     _child,
     _fit_extra,
     _Level,
@@ -380,8 +381,8 @@ def box_count(sample: GraphSample, delta: float) -> int:
     (``_column_runs``).  Cubes and the gasket sum the per-cell prism
     device ceil(osc / delta) + 1 in the same loop over blocks of cells.
     """
-    if delta <= 0:
-        raise ValueError("delta must be > 0")
+    if not 0 < delta < math.inf:  # nan is not
+        raise ValueError(f"delta must be a finite number > 0, got {delta}")
     d = sample.domain
     if d.m == 1 and (not d.equal_ratio or delta != d.delta(sample.level)):
         return _column_runs(sample, delta)
@@ -484,12 +485,7 @@ def empirical_dimension(
     unequal knots fall back to dyadic delta counted on the cells of the
     deepest level (column method, m = 1 only).
     """
-    if k_min < 2:
-        raise ModelError("k_min must be >= 2")
-    if k_max < k_min:
-        raise ModelError("k_max must be >= k_min")
-    if extra < 0:
-        raise ModelError("extra must be >= 0")
+    _check_int(ModelError, k_min=(k_min, 2), k_max=(k_max, k_min), extra=(extra, 0))
     depth = k_max + _fit_extra(model, k_max, extra)
 
     diam = model.domain.diameter

@@ -85,8 +85,13 @@ class AffineMap:
     scale: tuple[float, ...]
     offset: tuple[float, ...]
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x) * np.asarray(self.scale) + np.asarray(self.offset)
+    def __call__(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """x * scale + offset, by axis: a broadcast of scale loops m at a time."""
+        x = np.asarray(x, float)
+        out = np.empty_like(x) if out is None else out
+        for a, (s, o) in enumerate(zip(self.scale, self.offset)):
+            np.add(np.multiply(x[..., a], s, out=out[..., a]), o, out=out[..., a])
+        return out
 
     def compose(self, other: "AffineMap") -> "AffineMap":
         """self after other (self o other)."""
@@ -150,7 +155,8 @@ class Box:
         """How far each point of ``y`` (..., m) lies past the box's sides
         (negative inside: minus the distance to the nearest side)."""
         lo, hi = self._bounds
-        return np.maximum(lo - y, y - hi).max(axis=-1)
+        return functools.reduce(np.maximum, (
+            np.maximum(lo[a] - y[..., a], y[..., a] - hi[a]) for a in range(self.m)))
 
 
 @dataclass(frozen=True)
@@ -195,9 +201,9 @@ class Triangle:
     def outside(self, y: np.ndarray) -> np.ndarray:
         """How far each point of ``y`` (..., 2) lies past the nearest side
         line of the triangle (negative inside)."""
-        b = y @ self._sides[:2]
-        b += self._sides[2]  # in place, and three columns: min(axis=-1) is slow
-        return -np.minimum(np.minimum(b[..., 0], b[..., 1]), b[..., 2])
+        x, z = y[..., 0], y[..., 1]
+        return -functools.reduce(np.minimum, (  # per side, as [y, 1] @ _sides
+            x * a + z * b + c for a, b, c in self._sides.T.tolist()))
 
 
 # --------------------------------------------------------------------------

@@ -21,12 +21,15 @@ property of the domain.
 Graph samples of all levels come from one sweep that goes depth-first in
 blocks of BLOCK_SLOTS vertex slots and folds each block into the level-k
 value ranges, so memory is O(block + N^k_max) and FIF_CELL_BUDGET
-(N^depth x |V_0| slots) bounds the work.  A block of 2^16 slots holds
-512 KB of values and as much of points per axis, about the 2 MB of a
-per-core L2 cache; 2^18 spills it, and at 2^12 per-block overhead
-dominates.  The sweep carries values, and vertex points only where the
-next push needs them; the one cell geometry read, interval cells in x
-order with their ends, is the domain's (``ProductDomain.x_order``).
+(N^depth x |V_0| slots) bounds the work.  A fold copies its block once,
+the values of each table row down the leading axis, for one min and one
+max over that axis, and points are mapped one axis at a time
+(``AffineMap``): no numpy call of the sweep or a push loops innermost
+over the m axes or the P slots of a cell.  2^16 slots (512 KB of values,
+as much of points per axis) fit a per-core L2 cache.  The sweep carries
+values, and vertex points only where the next push needs them; the one
+cell geometry read, interval cells in x order with their ends, is the
+domain's (``ProductDomain.x_order``).
 """
 
 from __future__ import annotations
@@ -85,6 +88,13 @@ FAMILIES = ("affine", "multilinear", "sg_affine")
 
 class ModelError(ValueError):
     pass
+
+
+def _check_int(error: type[ValueError], **values: tuple) -> None:
+    """``error`` for the first (value, least) not an int (nor a bool) >= least."""
+    for name, (v, least) in values.items():
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < least:
+            raise error(f"{name} must be an integer >= {least}, got {v!r}")
 
 
 @dataclass
@@ -376,21 +386,26 @@ class _Level(NamedTuple):
     vals: np.ndarray  # (C, P) exact f* values
 
 
-def _child(model: FifModel, lev: _Level, i: int, pts: bool = True) -> _Level:
+def _child(model: FifModel, lev: _Level, i: int, pts: bool = True,
+           out: _Level | None = None) -> _Level:
     """The cells l_i o l_w for every cell w of ``lev``, in the order of w,
-    with values, and vertex points if ``pts``; a constant s_i or q_i
-    enters the values as a float (see ``Expr._ev``)."""
-    vals = model.s[i][0]._ev(lev.pts) * lev.vals
+    with values, and vertex points if ``pts`` (or into ``out``, whose points
+    decide); a constant s_i or q_i enters as a float (see ``Expr._ev``)."""
+    out = out or _Level(np.empty_like(lev.pts) if pts else None, np.empty_like(lev.vals))
+    vals = np.multiply(model.s[i][0]._ev(lev.pts), lev.vals, out=out.vals)
     vals += model.q[i][0]._ev(lev.pts)
-    scale, offset = model.domain.map_arrays
-    return _Level(lev.pts * scale[i] + offset[i] if pts else None, vals)
+    if out.pts is not None:
+        model.domain.maps[i](lev.pts, out=out.pts)
+    return out
 
 
 def _push(model: FifModel, lev: _Level, pts: bool = True) -> _Level:
     """The next level, map-major: cell i * C + w is l_i o l_w."""
-    kids = [_child(model, lev, i, pts) for i in range(model.N)]
-    return _Level(*(None if p[0] is None else np.concatenate(p)
-                    for p in zip(*kids)))
+    nxt = _Level(np.empty((model.N, *lev.pts.shape)) if pts else None,
+                 np.empty((model.N, *lev.vals.shape)))
+    for i in range(model.N):
+        _child(model, lev, i, out=_Level(*(a if a is None else a[i] for a in nxt)))
+    return _Level(*(a if a is None else a.reshape(-1, *a.shape[2:]) for a in nxt))
 
 
 def _fits(model: FifModel, depth: int) -> bool:
@@ -440,19 +455,19 @@ def _sweep(model: FifModel, depth: int, lev: _Level | None = None,
         yield from _sweep(model, depth, child, level + 1, at)
 
 
-def _fold(table, block, offset: int, group: int, op) -> None:
-    """Fold ``block`` (cells from ``offset`` on) into ``table``, whose row
-    j covers cells j * group .. (j + 1) * group - 1, by the exact
-    reduction ``op`` (np.minimum or np.maximum).  A block holds whole
-    groups or lies in one, so the block order cannot change the table."""
-    rows = max(1, len(block) // group)
-    part = block.reshape(rows, -1, *table.shape[1:])
-    out = table[offset // group:offset // group + rows]
-    if part.shape[1] < 24:  # op.reduce is slow over short rows
-        for j in range(part.shape[1]):
-            op(out, part[:, j], out=out)
-    else:
-        op(out, op.reduce(part, axis=1), out=out)
+def _by_group(values: np.ndarray, group: int) -> np.ndarray:
+    """``values`` (cells first), each run of ``group`` cells down axis 0, contiguous."""
+    return np.ascontiguousarray(values.reshape(max(1, len(values) // group), -1).T)
+
+
+def _fold(lo, hi, block, offset: int, group: int) -> None:
+    """Fold the min and max of ``block`` (cells from ``offset`` on) into the
+    tables ``lo`` and ``hi``, row j of cells j * group .. (j + 1) * group - 1;
+    a block holds whole rows or lies in one, so block order cannot matter."""
+    part = _by_group(block, group)
+    at = slice(offset // group, offset // group + part.shape[1])
+    np.minimum(lo[at], np.minimum.reduce(part), out=lo[at])
+    np.maximum(hi[at], np.maximum.reduce(part), out=hi[at])
 
 
 def _push_points(model: FifModel, pts, vals, level: int | None = None, split=True):
@@ -493,8 +508,7 @@ def evaluate_on_vk(model: FifModel, k: int):
     as strict as checking level k alone.  By the open set condition a push
     sorts only the images of points 2 resolution Lambda_0 near R's edge.
     """
-    if k < 1:
-        raise ModelError("k must be >= 1")
+    _check_int(ModelError, k=(k, 1))
     _check_budget(model, k, f"level {k}")
     pts, split = model.domain.v0_array, False
     vals = model.p_at(pts)
@@ -644,8 +658,8 @@ def graph_samples(
     same as single-level samples (min and max are exact, so the grouping
     cannot change them).
     """
-    if any(k < 1 or e < 0 for k, e in extras.items()):
-        raise ModelError("k must be >= 1 and extra >= 0")
+    for k, e in extras.items():
+        _check_int(ModelError, k=(k, 1), extra=(e, 0))
     depth = max((k + e for k, e in extras.items()), default=0)
     _check_budget(model, depth, f"graph sample depth {depth}")
     n = model.N
@@ -656,13 +670,11 @@ def graph_samples(
     for level, offset, block in _sweep(model, depth):
         if level in finest:
             k = finest[level]
-            _fold(vmin[k], block.vals, offset, n**(level - k), np.minimum)
-            _fold(vmax[k], block.vals, offset, n**(level - k), np.maximum)
+            _fold(vmin[k], vmax[k], block.vals, offset, n**(level - k))
     for k, e in extras.items():
-        if finest[k + e] != k:
-            group = n**(finest[k + e] - k)
-            _fold(vmin[k], vmin[finest[k + e]], 0, group, np.minimum)
-            _fold(vmax[k], vmax[finest[k + e]], 0, group, np.maximum)
+        if (f := finest[k + e]) != k:
+            np.minimum.reduce(_by_group(vmin[f], n**(f - k)), out=vmin[k])
+            np.maximum.reduce(_by_group(vmax[f], n**(f - k)), out=vmax[k])
     return [GraphSample(
         domain=model.domain,
         level=k,

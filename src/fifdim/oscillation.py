@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .engine import FifModel, GraphSample, _fit_extra, graph_samples
+from .engine import FifModel, GraphSample, _check_int, _fit_extra, graph_samples
 
 __all__ = [
     "cell_osc",
@@ -52,8 +52,7 @@ def _check_args(model: FifModel, eta: float, kmax: int | None) -> int:
         raise ValueError(f"eta must lie in [0, log_Lambda N], got {eta}")
     if kmax is None:
         kmax = model.domain.default_kmax
-    if kmax < 1:
-        raise ValueError("kmax must be >= 1")
+    _check_int(ValueError, kmax=(kmax, 1))
     return kmax
 
 
@@ -79,6 +78,8 @@ def holder_to_osc_check(
 ) -> dict[int, bool]:
     """Verify Osc(k, f)_lo <= H |K|^eta Lambda^(k (log_Lambda N - eta))."""
     kmax = _check_args(model, eta, kmax)
+    if not 0 <= holder_const < math.inf:  # nan is not
+        raise ValueError(f"holder_const must be finite and >= 0, got {holder_const}")
     lam = model.domain.lam
     n = model.N
     diam = model.domain.diameter

@@ -684,9 +684,12 @@ def test_box_count_monotone_rise_bound():
 
 
 def test_box_count_rejects_bad_delta():
-    model = get_model("example5_case2")
-    with pytest.raises(ValueError):
-        box_count(graph_sample(model, 2), 0.0)
+    # nan raised from int(nan), and inf gave a plausible count
+    sample = graph_sample(get_model("example5_case2"), 2)
+    for delta in (0.0, -1.0, math.nan, math.inf):
+        message = f"^delta must be a finite number > 0, got {delta}$"
+        with pytest.raises(ValueError, match=message):
+            box_count(sample, delta)
 
 
 def _column_count_reference(sample, delta, cell_lo, cell_hi):
@@ -920,6 +923,11 @@ def test_empirical_guards():
         empirical_dimension(model, 5, 4)
     with pytest.raises(ModelError):
         empirical_dimension(model, 4, 6, extra=-1)
+    # a fractional level was a TypeError, a fractional extra one in the sweep
+    with pytest.raises(ModelError, match="^k_min must be an integer >= 2, got 4.5$"):
+        empirical_dimension(model, 4.5, 6)
+    with pytest.raises(ModelError, match="^extra must be an integer >= 0, got 1.5$"):
+        empirical_dimension(model, 4, 6, 1.5)
 
 
 def test_empirical_budget(monkeypatch):

@@ -357,3 +357,37 @@ def test_scaling_constants_pinned():
     for name, d in domains.items():
         got = (d.lam, d.lam0, d.diameter, [d.delta(k) for k in range(13)])
         assert got == SCALING_CONSTANTS[name], name
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 3).flatmap(lambda m: st.tuples(
+    st.lists(st.floats(-1, 1).filter(bool), min_size=m, max_size=m),
+    st.lists(st.floats(-5e4, 5e4), min_size=m, max_size=m),
+    st.sampled_from([(), (7,), (5, 3)]), st.integers(0, 2**32 - 1))))
+def test_affine_map_is_the_broadcast_formula(case):
+    # mapped one axis at a time, each element gets the multiply and then
+    # the add of x * scale + offset, so the bits are the same
+    scale, offset, lead, seed = case
+    x = np.random.default_rng(seed).uniform(-5e4, 5e4, (*lead, len(scale)))
+    ref = x * np.asarray(scale) + np.asarray(offset)
+    mp = AffineMap(tuple(scale), tuple(offset))
+    assert mp(x).tobytes() == ref.tobytes()
+    out = np.empty((2, *x.shape))[1]  # a slice of a larger array, as a push writes
+    assert mp(x, out=out) is out and out.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("name", CONFIG_NAMES)
+def test_outside_is_the_broadcast_formula(name):
+    # on V_6 and on its pre-images under every map, which decode compares:
+    # per column, the band, snap and off-K decisions cannot move
+    d = get_model(name).domain
+    pts = vertex_set(d, 6)
+    y = np.concatenate([pts] + [(pts - o) / s for s, o in zip(*d.map_arrays)])
+    if isinstance(d.base, Box):
+        lo, hi = d.base.bounding_box()
+        ref = np.maximum(lo - y, y - hi).max(axis=-1)
+    else:
+        b = y @ d.base._sides[:2]
+        b += d.base._sides[2]
+        ref = -np.minimum(np.minimum(b[..., 0], b[..., 1]), b[..., 2])
+    assert d.base.outside(y).tobytes() == ref.tobytes()

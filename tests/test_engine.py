@@ -42,6 +42,7 @@ from fifdim.engine import (
     evaluate_at,
     evaluate_on_vk,
     graph_sample,
+    graph_samples,
 )
 from fifdim.exprs import (Const, Expr, Op, ShapeFacts, multilinear_expr,
                           parse_expr)
@@ -537,6 +538,26 @@ def test_witness_height_check_rejects_bad_symbols(word):
     w = CollinearWitness(1, (0.0,), (2 / 3,), (1 / 3,), 0.5, 1 / 3)
     with pytest.raises(ModelError, match="out of range in address"):
         witness_height_check(get_model("example5_case2"), word, w, 2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda m: evaluate_on_vk(m, 2.0), "k must be an integer >= 1, got 2.0"),
+    (lambda m: evaluate_on_vk(m, True), "k must be an integer >= 1, got True"),
+    (lambda m: evaluate_on_vk(m, 0), "k must be an integer >= 1, got 0"),
+    (lambda m: graph_samples(m, {2: 1.5}), "extra must be an integer >= 0, got 1.5"),
+    (lambda m: graph_samples(m, {math.nan: 1}), "k must be an integer >= 1, got nan"),
+    (lambda m: graph_samples(m, {2: -1}), "extra must be an integer >= 0, got -1"),
+], ids=["vk-float", "vk-bool", "vk-0", "extra-float", "k-nan", "extra-negative"])
+def test_level_arguments_must_be_integers(call, message):
+    # a float level was a TypeError or, as a key, a BudgetError; True was 1
+    with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+        call(get_model("example5_case2"))
+
+
+def test_a_numpy_integer_level_is_a_level():
+    model = get_model("example5_case2")
+    got, ref = evaluate_on_vk(model, np.int64(2)), evaluate_on_vk(model, 2)
+    assert got[1].tobytes() == ref[1].tobytes()
 
 
 def test_index_of_rejects_a_fractional_symbol():

@@ -79,6 +79,23 @@ def test_holder_check_rejects_bad_arguments(eta, kmax):
         holder_to_osc_check(_identity_model(), eta, 1.0, kmax=kmax)
 
 
+@pytest.mark.parametrize("holder", [float("nan"), -1.0, float("inf")])
+def test_holder_check_rejects_a_bad_holder_constant(holder):
+    # nan and -1.0 gave {k: False}, which reads as a real failed check
+    with pytest.raises(ValueError, match="^holder_const must be finite and >= 0"):
+        holder_to_osc_check(_identity_model(), 1.0, holder, kmax=4)
+
+
+@pytest.mark.parametrize("kmax", [2.5, True, 0])
+def test_seminorm_and_holder_check_reject_a_kmax_that_is_no_level(kmax):
+    # 2.5 was a bare TypeError, and True ran as kmax = 1
+    message = f"^kmax must be an integer >= 1, got {kmax}$"
+    with pytest.raises(ValueError, match=message):
+        seminorm(_identity_model(), 0.5, kmax)
+    with pytest.raises(ValueError, match=message):
+        holder_to_osc_check(_identity_model(), 0.5, 1.0, kmax)
+
+
 def test_cell_osc_and_table_consistency():
     model = get_model("example5_case1_one")
     sample = graph_sample(model, 3)

@@ -270,3 +270,25 @@ def test_seminorm_samples_make_no_geometry(monkeypatch):
     seminorm(model, 1.0, kmax=5)
     assert [s.level for s in seen] == [1, 2, 3, 4, 5]
     assert all("x_order" not in s.__dict__ for s in seen)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(2, 5), st.integers(0, 3), st.integers(0, 4),
+       st.integers(1, 9), st.integers(0, 2**32 - 1))
+def test_fold_is_the_reshape_min_max(n, e, b, slots, seed):
+    # blocks of n^b cells at every offset of n^2 blocks into tables of
+    # groups of n^e cells: whole groups when b >= e, else inside one
+    rng = np.random.default_rng(seed)
+    group, cells = n**e, n**b
+    rows = max(1, n**2 * cells // group)
+    lo = rng.normal(size=rows)
+    hi = lo + rng.exponential(size=rows)
+    ref_lo, ref_hi = lo.copy(), hi.copy()
+    for j in rng.permutation(n**2):
+        block = rng.normal(size=(cells, slots))
+        engine._fold(lo, hi, block, j * cells, group)
+        part = block.reshape(max(1, cells // group), -1)
+        at = slice(j * cells // group, j * cells // group + len(part))
+        ref_lo[at] = np.minimum(ref_lo[at], part.min(axis=1))
+        ref_hi[at] = np.maximum(ref_hi[at], part.max(axis=1))
+    assert _same_bits(lo, ref_lo) and _same_bits(hi, ref_hi)
