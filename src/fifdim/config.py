@@ -149,7 +149,7 @@ def _domain_from(raw, errors) -> Domain | None:
         else:
             errors.append(("domain.kind", f"unknown kind {kind!r}"))
             return None
-        if why := domain.too_fine(1):
+        if why := domain.too_fine():
             errors.append((at, why))
             return None
         return domain

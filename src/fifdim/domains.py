@@ -9,14 +9,17 @@ Two domain types, and every per-domain decision of the library:
   its IFS refined to level n.
 
 Both provide the same operations: address decoding (``Domain.decode``,
-by the region's ``outside``), dim K (``dim``), whether cells meet only in
-points (``pcf``), the default box-count window and seminorm kmax, the
+by the region's ``outside``), the push plans that build V_k level by
+level (``plans``), dim K (``dim``), whether cells meet only in points
+(``pcf``), the default box-count window and seminorm kmax, the
 default displacement family, the sampling region ``base`` whose samples
 are points of K, and the IFS constants Lambda, Lambda_0, |K| and delta_k
 that every bound is stated in.  ``kind`` is a read-only label.
 
 All maps are diagonal affine contractions ``x -> scale * x + offset``,
 which keeps address decoding cheap.
+A vertex of V_k is known by its address, never by its float point: which
+images of V_(k-1) repeat a vertex follows from the IFS (``plans``).
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import functools
 import itertools
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,10 +47,7 @@ __all__ = [
     "product_domain",
     "build_interval_maps",
     "vertex_set",
-    "first_slots",
-    "point_keys",
     "node_indices",
-    "unique_rows",
     "cell_budget",
     "BudgetError",
 ]
@@ -254,7 +255,7 @@ class Domain:
         return self.base.diameter
 
     @functools.cached_property
-    def resolution(self) -> float:  # grid step of point identity on K
+    def resolution(self) -> float:  # tolerance of point identity on K
         return 1e-10 * max(self.base.diameter, 1.0)
 
     @property
@@ -265,20 +266,16 @@ class Domain:
     def delta(self, k: int) -> float:  # level-tied box size |K| / Lambda^k
         return self.diameter / self.lam**k
 
-    @functools.cached_property
-    def roundoff(self) -> float:
-        """How far two float copies of a vertex can lie apart on an axis: a
-        push adds 4 eps |x|_max to each copy's error, 1 / Lambda of the rest."""
-        far = np.abs(self.base.bounding_box()).max()
-        return 8 * np.finfo(float).eps * far / (1 - 1 / self.lam)
-
-    def too_fine(self, level: int) -> str:
-        """Why vertices of V_level may share a point key, or "": their least
-        axis spacing, V_0's / Lambda_0^level, is <= resolution + roundoff."""
+    def too_fine(self) -> str:
+        """Why two vertices of V_1 may lie within ``resolution``, or "":
+        their least axis spacing, V_0's / Lambda_0, is <= resolution plus
+        the round-off of one push, 8 eps |x|_max / (1 - 1 / Lambda)."""
         gaps = abs(self.v0_array[:, None] - self.v0_array).max(axis=-1)
-        bound = gaps[gaps > 0].min() / self.lam0**level
-        return "" if bound > self.resolution + self.roundoff else (
-            f"level {level}: vertex spacing bound {bound:.3e} is not above "
+        bound = gaps[gaps > 0].min() / self.lam0
+        far = np.abs(self.base.bounding_box()).max()
+        roundoff = 8 * np.finfo(float).eps * far / (1 - 1 / self.lam)
+        return "" if bound > self.resolution + roundoff else (
+            f"level 1: vertex spacing bound {bound:.3e} is not above "
             f"the point resolution {self.resolution:.3e}")
 
     @functools.cached_property
@@ -286,6 +283,28 @@ class Domain:
         """The scales and the offsets of the maps, as (N, m) arrays."""
         return (np.array([mp.scale for mp in self.maps]),
                 np.array([mp.offset for mp in self.maps]))
+
+    def plans(self) -> Iterator[tuple]:
+        """The push plan (keep, drop, partner) of each level k = 1, 2, ...:
+        of the N |V_(k-1)| slots, i |V_(k-1)| + r being l_i of row r, V_k is
+        those under ``keep``, in order; slot ``drop[j]`` repeats the first
+        slot of its vertex, ``partner[j]``.  On a p.c.f. domain cells meet
+        only in images of V_0, so the repeats of level k are the level-1
+        junctions l_i(v_a) = l_j(v_b), j < i, at V_0's rows in V_(k-1)."""
+        v0 = self.v0_array
+        img = np.concatenate([mp(v0) for mp in self.maps])
+        first, home = (  # the first slot within resolution of each point
+            (np.abs(x[:, None] - img).max(axis=-1) <= self.resolution).argmax(axis=1)
+            for x in (img, v0))
+        dup = np.flatnonzero(first < np.arange(len(img)))
+        pos, n = np.arange(len(v0)), len(v0)
+        while True:
+            slot = (np.arange(self.N)[:, None] * n + pos).ravel()
+            drop, at = slot[dup], slot[home]
+            keep = np.ones(self.N * n, bool)
+            keep[drop] = False
+            yield keep, drop, slot[first[dup]]
+            pos, n = at - (drop < at[:, None]).sum(axis=1), self.N * n - len(dup)
 
     def decode(self, x: np.ndarray) -> tuple[int, np.ndarray, float]:
         """(i, y, outside): the map i whose pre-image y = l_i^-1(x) lies
@@ -317,6 +336,31 @@ class ProductDomain(Domain):
     def pcf(self) -> bool:
         # interval cells meet in knots; cube cells share faces
         return self.m == 1
+
+    def plans(self) -> Iterator[tuple]:
+        """The push plans of levels 1, 2, ...; on a cube, by axis index.  On
+        axis u, V_(k-1) has indices 0..G_u = P_u^(k-1), and l_c maps index x
+        to c_u G_u + x, or c_u G_u + G_u - x if it flips axis u.  A slot
+        repeats one exactly when that is, on some axis, the start of a piece
+        c_u > 0; its partner is the one kept slot of its grid point."""
+        if self.pcf:
+            yield from super().plans()
+            return
+        m, P = self.m, np.array([len(ax.knots) - 1 for ax in self.axes])
+        pieces, flips = np.array(list(np.ndindex(*P))).T, self.map_arrays[0].T < 0
+        sign, later = np.where(flips, -1, 1)[..., None], (pieces > 0)[..., None]
+        idx = np.array(list(np.ndindex(*(2,) * m))).T  # axis-major (m, n)
+        size = np.ones(m, int)
+        while True:
+            dims, shift = P * size + 1, (pieces + flips) * size[:, None]
+            img = (sign * idx[:, None] + shift[..., None]).reshape(m, -1)
+            starts = (idx[:, None] == (flips * size[:, None])[..., None]) & later
+            keep = ~starts.any(axis=0).ravel()
+            grid, drop = np.ravel_multi_index(img, dims), np.flatnonzero(~keep)
+            first = np.empty(np.prod(dims), np.intp)
+            first[grid[keep]] = np.flatnonzero(keep)
+            yield keep, drop, first[grid[drop]]
+            idx, size = img.compress(keep, axis=1), dims - 1
 
     # desk-scale defaults: N^k stays around 5e5 cells
     @property
@@ -444,11 +488,6 @@ def gasket_domain(vertices, n: int = 1) -> GasketDomain:
 # Point sets
 
 
-def point_keys(pts: np.ndarray, resolution: float) -> np.ndarray:
-    """Integer grid keys used for float-robust point identity."""
-    return np.round(np.asarray(pts, float) / resolution).astype(np.int64)
-
-
 def node_indices(nodes: np.ndarray, pts, resolution: float) -> list[int | None]:
     """The row of ``nodes`` nearest each point of ``pts`` in the max norm,
     if within ``resolution``; None for a point that is none of them, not
@@ -462,43 +501,12 @@ def node_indices(nodes: np.ndarray, pts, resolution: float) -> list[int | None]:
     return [next(found) if ok else None for ok in on]
 
 
-def unique_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first, inverse) of ``np.unique(keys, axis=0, ...)`` for (n, m)
-    integer keys, from one stable sort of the rows in lexicographic order."""
-    order = np.lexsort(keys.T[::-1])
-    rows = keys[order]
-    new = np.ones(len(keys), bool)
-    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    inverse = np.empty(len(keys), np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    return order[new], inverse
-
-
-def first_slots(d: Domain, pts: np.ndarray, img: np.ndarray, split=True):
-    """The dedup of ``img``, the l_i(pts) map-major: (keep, cand, inverse,
-    split).  It sorts only ``cand``, the images of ``split`` points (True:
-    all) and of points within 2 resolution Lambda_0 of the region's edge;
-    ``keep`` drops every slot but the first of its key, ``inverse`` groups
-    ``cand`` by key and ``split`` marks kept ones 2 roundoff near a key edge."""
-    band = d.base.outside(pts) > -2 * d.resolution * d.lam0
-    cand = np.flatnonzero(np.tile(split | band, d.N))
-    keys = point_keys(img[cand], d.resolution)
-    first, inverse = unique_rows(keys)
-    keep, split = np.ones(len(img), bool), np.zeros(len(img), bool)
-    keep[np.delete(cand, first)] = False
-    edge = 0.5 - abs(img[cand[first]] / d.resolution - keys[first])
-    split[cand[first]] = (edge <= 2 * d.roundoff / d.resolution).any(axis=1)
-    return keep, cand, inverse, split[keep]
-
-
 def vertex_set(d: Domain, k: int) -> np.ndarray:
-    """Level-k vertex set V_k as a deduplicated (n, m) array; V_0 for k=0.
-    Exact unless ``d.too_fine(k)`` (which ``evaluate_on_vk`` checks)."""
+    """Level-k vertex set V_k as an (n, m) array, each vertex the first of
+    its slots in push order (``Domain.plans``); V_0 for k=0."""
     if k < 0:
         raise DomainError("vertex level must be >= 0")
-    pts, split = d.v0_array, False
-    for _ in range(k):
-        img = np.concatenate([mp(pts) for mp in d.maps])
-        keep, _, _, split = first_slots(d, pts, img, split)
-        pts = img.compress(keep, axis=0)
+    pts = d.v0_array
+    for _, (keep, _, _) in zip(range(k), d.plans()):
+        pts = np.concatenate([mp(pts) for mp in d.maps]).compress(keep, axis=0)
     return pts

@@ -14,10 +14,11 @@ brackets (``_map_brackets``: sup/inf |s_i| and sup |q_i|, which give
 ||s||_inf and M).
 
 Evaluation on vertex sets V_k is done by exact forward recursion (no
-iteration error), one deduplicated level at a time; ``evaluate_at``
-replays a decoded address with the same step, ``_child``.  No code here
-depends on the domain type: every decision that does is a method or
-property of the domain.
+iteration error), one level at a time, each pushed by the domain's plan
+(``Domain.plans``), which drops the slots that repeat a vertex by their
+addresses; ``evaluate_at`` replays a decoded address with the same step,
+``_child``.  No code here depends on the domain type: every decision that
+does is a method or property of the domain.
 Graph samples of all levels come from one sweep that goes depth-first in
 blocks of BLOCK_SLOTS vertex slots and folds each block into the level-k
 value ranges, so memory is O(block + N^k_max) and FIF_CELL_BUDGET
@@ -49,7 +50,6 @@ from .domains import (
     Domain,
     Triangle,
     cell_budget,
-    first_slots,
     node_indices,
     vertex_set,
 )
@@ -157,7 +157,9 @@ class FifModel:
 
 def _data_on_nodes(d: Domain, data) -> tuple[np.ndarray, np.ndarray]:
     """V and the value given on each node: exactly one finite value per
-    node, the rule ``load_config`` applies to a config's data."""
+    node on a V fine enough to tell apart, as ``load_config`` rules."""
+    if why := d.too_fine():
+        raise ModelError(why)
     nodes = vertex_set(d, 1)
     values, given = np.empty(len(nodes)), set()
     for (pt, val), i in zip(data, node_indices(
@@ -400,7 +402,7 @@ def _child(model: FifModel, lev: _Level, i: int, pts: bool = True,
 
 
 def _push(model: FifModel, lev: _Level, pts: bool = True) -> _Level:
-    """The next level, map-major: cell i * C + w is l_i o l_w."""
+    """The next level, map-major: cell (or point) i * C + w is l_i o l_w."""
     nxt = _Level(np.empty((model.N, *lev.pts.shape)) if pts else None,
                  np.empty((model.N, *lev.vals.shape)))
     for i in range(model.N):
@@ -470,65 +472,54 @@ def _fold(lo, hi, block, offset: int, group: int) -> None:
     np.maximum(hi[at], np.maximum.reduce(part), out=hi[at])
 
 
-def _push_points(model: FifModel, pts, vals, level: int | None = None, split=True):
-    """One push of the points ``pts`` (n, m) with values ``vals`` (n,):
-    each map's images, map-major, deduplicated to first occurrences in
-    order.  Given the ``level`` pushed to, ``pts`` is V_{level - 1}, whose
-    images keep distinct keys (else a ModelError) and must agree to
-    CONSISTENCY_TOL where they meet: only images of points 2 resolution
-    Lambda_0 near R's edge (open set condition) or ``split`` can, and only
-    those slots are sorted."""
-    if level is not None and (why := model.domain.too_fine(level)):
-        raise ModelError(why)
-    nxt = _push(model, _Level(pts[:, None], vals[:, None]))
-    img, vals = nxt.pts[:, 0], nxt.vals[:, 0]
-    keep, cand, inverse, split = first_slots(model.domain, pts, img, split)
-    if level is not None:
-        spread_max = np.full(inverse.max() + 1, -np.inf)
-        spread_min = np.full(inverse.max() + 1, np.inf)
-        np.maximum.at(spread_max, inverse, vals[cand])
-        np.minimum.at(spread_min, inverse, vals[cand])
-        worst = float(np.max(spread_max - spread_min))
-        if worst > CONSISTENCY_TOL:
-            raise ModelError(
-                f"duplicate-vertex inconsistency {worst:.3e} at level {level}")
-    return img.compress(keep, axis=0), vals[keep], split  # img[keep]: 6x slower
-
-
 def evaluate_on_vk(model: FifModel, k: int):
-    """Exact f* values on V_k: deduplicated (points, values) arrays, in
-    order of first occurrence among the N^k |V_0| vertex slots.
+    """Exact f* values on V_k: (points, values) arrays in the order of
+    ``vertex_set``, each point the first of its N^k |V_0| vertex slots.
 
-    Each level is one push of the deduplicated level before, which keeps
-    that order and those values (the first slot of l_i(Q) is l_i of Q's
-    first slot), and its points reached twice must agree to
-    CONSISTENCY_TOL; a violation means the spec slipped validation.  Two
-    addresses first disagree at the level where they meet and each later
-    map scales that by some |s_i| < 1, so checking every level is at least
-    as strict as checking level k alone.  By the open set condition a push
-    sorts only the images of points 2 resolution Lambda_0 near R's edge.
+    Each level is one push of the level before, kept by the domain's plan
+    (``Domain.plans``).  A point's slots must agree to CONSISTENCY_TOL, or
+    the spec slipped validation: each dropped slot is compared with its
+    partner.  Two addresses first disagree at the level where they meet and
+    each later map scales that by some |s_i| < 1, so checking every level is
+    as strict as checking k alone.
     """
     _check_int(ModelError, k=(k, 1))
     _check_budget(model, k, f"level {k}")
-    pts, split = model.domain.v0_array, False
+    pts = model.domain.v0_array
     vals = model.p_at(pts)
-    for level in range(1, k + 1):
-        pts, vals, split = _push_points(model, pts, vals, level, split)
+    for level, (keep, drop, partner) in zip(range(1, k + 1), model.domain.plans()):
+        pts, vals = _push(model, _Level(pts, vals))
+        if len(drop):
+            first, group = np.unique(partner, return_inverse=True)
+            hi, lo = vals[first], vals[first]
+            np.maximum.at(hi, group, vals[drop])
+            np.minimum.at(lo, group, vals[drop])
+            if (worst := float(np.max(hi - lo))) > CONSISTENCY_TOL:
+                raise ModelError(f"duplicate-vertex inconsistency {worst:.3e} "
+                                 f"at level {level}")
+        pts, vals = pts.compress(keep, axis=0), vals[keep]  # pts[keep]: 6x slower
     return pts, vals
 
 
 def apply_T(model: FifModel, pts: np.ndarray, vals: np.ndarray):
-    """One application of the read-off operator to samples on V_k.
-
-    Returns samples on V_{k+1}; duplicates keep their first occurrence
-    (any interleaving gives the same pass/fail downstream) and are not
-    checked, since arbitrary samples need not agree on them.
-    """
+    """One application of the read-off operator to samples on V_k, given as
+    ``evaluate_on_vk`` returns them (k >= 0, from the number of points):
+    samples on V_{k+1}, unchecked, since arbitrary samples need not agree
+    at a vertex.  ModelError if ``pts`` is not V_k."""
+    d = model.domain
     pts = np.atleast_2d(np.asarray(pts, float))
     vals = np.asarray(vals, float)
     if pts.shape[0] != vals.shape[0]:
         raise ModelError("points/values length mismatch")
-    return _push_points(model, pts, vals)[:2]
+    for k, (keep, _, _) in enumerate(d.plans()):
+        if len(keep) >= d.N * len(pts):
+            break
+    if pts.shape != (len(keep) // d.N, d.m) or not np.abs(
+            vertex_set(d, k) - pts).max() <= d.resolution:
+        raise ModelError(f"the {len(pts)} points are not a vertex set V_k "
+                         "in the order of evaluate_on_vk")
+    pts, vals = _push(model, _Level(pts, vals))
+    return pts.compress(keep, axis=0), vals[keep]
 
 
 # --------------------------------------------------------------------------

@@ -66,6 +66,16 @@ def replay_levels(model, depth, geometry_to=None):
         yield lev
 
 
+def key_dedup(pts, resolution):
+    """(first, inverse) of the points ``pts`` (n, m) by their integer grid
+    keys round(x / resolution): the first point of each key and each
+    point's key group.  The reference dedup of V_k by point identity."""
+    keys = np.round(np.asarray(pts, float) / resolution).astype(np.int64)
+    _, first, inverse = np.unique(keys, axis=0, return_index=True,
+                                  return_inverse=True)
+    return first, inverse.reshape(-1)
+
+
 def replay_geometry(model, k):
     """(lo, hi, diam) of the level-k cells from ``replay_levels``, in push
     order: boxes (C, m) and diameters (C,)."""

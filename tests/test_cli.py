@@ -29,7 +29,8 @@ def test_validate_failure_exit_2(tmp_path, config_dir, capsys):
 
 
 def test_spacing_below_the_resolution_exit_2(tmp_path, config_dir, capsys):
-    # V_4 of these knots is 1e-12 apart, below the point resolution
+    # V_4 of these knots is 1e-12 apart, below the point resolution; the
+    # key dedup refused it with exit 2, addresses give V_5 its 3^5 + 1 rows
     raw = json.loads((config_dir / "degenerate_interval.json").read_text())
     raw["domain"]["knots"] = ["0", "1/1000", "1/2", "1"]
     for entry, x in zip(raw["data"], raw["domain"]["knots"]):
@@ -37,8 +38,9 @@ def test_spacing_below_the_resolution_exit_2(tmp_path, config_dir, capsys):
     raw["analysis"] = {"sample_depth": 5}
     p = tmp_path / "fine.json"
     p.write_text(json.dumps(raw))
-    assert main(["sample", str(p), "--out", str(tmp_path)]) == 2
-    assert "level 4: vertex spacing bound 1.000e-12" in capsys.readouterr().err
+    assert main(["sample", str(p), "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "sample.csv").read_text().strip().splitlines()[1:]
+    assert len(rows) == 3**5 + 1
 
 
 def test_config_error_exit_1(tmp_path, capsys):
@@ -451,18 +453,31 @@ def test_knots_closer_than_the_resolution_exit_1(config_dir, tmp_path, capsys,
     _assert_config_error_at(path, ["report", p], tmp_path, capsys)
 
 
-def test_far_interval_validates(tmp_path, capsys):
-    # the last knot's copy in V_1 is 1 ulp off it, across a point key's
-    # edge: "config error at data[3].point: not a node of V"
-    knots = ["-43707.71713613646", "-43707.24349083011", "-43707.00294955704",
-             "-43706.04385109855"]
-    raw = {"domain": {"kind": "interval", "knots": knots, "signature": [1, 1, 1]},
+def _validates(tmp_path, knots, signature):
+    """Whether ``fif validate`` passes the interval with data on its knots."""
+    raw = {"domain": {"kind": "interval", "knots": knots, "signature": signature},
            "data": [{"point": [x], "value": v}
                     for x, v in zip(knots, ["0", "1/2", "1/3", "0"])],
            "scales": ["3/10"] * 3, "displacements": {"solve": True}, "eta": 1}
     p = tmp_path / "far.json"
     p.write_text(json.dumps(raw))
-    assert main(["validate", str(p)]) == 0
+    return main(["validate", str(p)]) == 0
+
+
+def test_far_interval_validates(tmp_path, capsys):
+    # the last knot's copy in V_1 is 1 ulp off it, across a point key's
+    # edge: "config error at data[3].point: not a node of V"
+    assert _validates(tmp_path, ["-43707.71713613646", "-43707.24349083011",
+                                 "-43707.00294955704", "-43706.04385109855"],
+                      [1, 1, 1])
+
+
+def test_far_interval_keeps_one_copy_of_each_knot(tmp_path, capsys):
+    # the key dedup kept a second copy of a knot, 1 ulp off it, in V_1:
+    # "config error at data: no value at (-121343.26965801668,)"
+    assert _validates(tmp_path, ["-121344.30409115051", "-121344.04183236376",
+                                 "-121343.26965801667", "-121342.49265694013"],
+                      [1, 0, 1])
 
 
 @pytest.mark.parametrize("edit, path", [

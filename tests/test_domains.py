@@ -221,61 +221,6 @@ def test_triangle_sampling_stays_inside():
     assert np.all(pts[:, 1] <= math.sqrt(3) / 2 + 1e-12)
 
 
-def _axis0_unique(keys):
-    _, first, inverse = np.unique(
-        keys, axis=0, return_index=True, return_inverse=True
-    )
-    return first, inverse.reshape(-1)
-
-
-@pytest.mark.parametrize(
-    "domain, k",
-    [(interval_domain(KNOTS_CASE1, (0, 1, 0)), 6),
-     (cube_domain([((0.0, 0.5, 1.0), (0, 1)), ((0.0, 1 / 3, 2 / 3, 1.0), (0, 1, 0))]), 4),
-     (cube_domain([((0.0, 0.5, 1.0), (0, 1))] * 3), 3),
-     (gasket_domain([[0, 0], [1, 0], [0.5, math.sqrt(3) / 2]], 1), 7),
-     (gasket_domain([[0, 0], [1, 0], [0.5, math.sqrt(3) / 2]], 2), 3)],
-)
-def test_unique_rows_equals_axis0_unique_on_vk(domain, k):
-    # every vertex slot of level k, duplicates included
-    pts = domain.v0_array
-    for _ in range(k):
-        pts = np.concatenate([mp(pts) for mp in domain.maps])
-    keys = dm.point_keys(pts, 1e-10 * max(domain.base.diameter, 1.0))
-    first, inverse = dm.unique_rows(keys)
-    ref_first, ref_inverse = _axis0_unique(keys)
-    assert np.array_equal(first, ref_first)
-    assert np.array_equal(inverse, ref_inverse)
-    assert len(vertex_set(domain, k)) == len(ref_first) < len(keys)
-
-
-def test_unique_rows_wide_keys_do_not_overflow():
-    # raw keys near the int64 range, where no two columns fit one int64
-    rng = np.random.default_rng(5)
-    rows = rng.integers(-2**62, 2**62, size=(300, 3))
-    keys = rows[rng.integers(0, len(rows), size=2000)]
-    first, inverse = dm.unique_rows(keys)
-    ref_first, ref_inverse = _axis0_unique(keys)
-    assert np.array_equal(first, ref_first)
-    assert np.array_equal(inverse, ref_inverse)
-
-
-@settings(max_examples=80, deadline=None, derandomize=True)
-@given(st.lists(st.sampled_from([1, 40, 2**33, 2**61, 2**62]), min_size=1,
-                max_size=3),
-       st.integers(1, 400), st.integers(0, 2**32 - 1))
-def test_unique_rows_equals_axis0_unique_property(spans, n, seed):
-    # keys of each column in [-span, span), up to near the int64 range
-    rng = np.random.default_rng(seed)
-    rows = np.column_stack([rng.integers(-s, s, size=max(1, n // 3))
-                            for s in spans])
-    keys = rows[rng.integers(0, len(rows), size=n)]
-    first, inverse = dm.unique_rows(keys)
-    ref_first, ref_inverse = _axis0_unique(keys)
-    assert np.array_equal(first, ref_first)
-    assert np.array_equal(inverse, ref_inverse)
-
-
 # (Lambda, Lambda_0, |K|, [delta_k for k = 0..12]) of each domain, captured
 # from the DomainGeometry these properties replaced
 SCALING_CONSTANTS = {

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import fifdim
 from conftest import (CONFIG_DIR, CONFIG_NAMES, get_config, get_model,
-                      replay_geometry)
+                      key_dedup, replay_geometry)
 from fifdim.config import ConfigError, load_config
 from fifdim.dimension import CollinearWitness, witness_height_check
 from fifdim.domains import (
@@ -26,8 +26,6 @@ from fifdim.domains import (
     gasket_domain,
     interval_domain,
     node_indices,
-    point_keys,
-    unique_rows,
     vertex_set,
 )
 from fifdim.engine import (
@@ -593,6 +591,18 @@ def test_apply_T_contraction_factor():
         ) * np.max(np.abs(g - h))
 
 
+@pytest.mark.parametrize("name", ["example5_case2", "sg_exact", "degenerate_cube"])
+def test_apply_T_rejects_points_that_are_not_vk(name):
+    # the push plan of V_k is read off the number of points
+    model = get_model(name)
+    pts, vals = evaluate_on_vk(model, 2)
+    for bad in (pts[1:], pts[::-1], pts + 1e-3):
+        with pytest.raises(ModelError, match="not a vertex set V_k"):
+            apply_T(model, bad, vals[:len(bad)])
+    v0 = model.domain.v0_array
+    assert len(apply_T(model, v0, model.p_at(v0))[0]) == len(model.nodes)
+
+
 def test_graph_self_similarity(each_model):
     # f*(l_i(x)) = s_i(x) f*(x) + q_i(x) read off exact level tables
     name, model = each_model
@@ -645,13 +655,13 @@ def test_vk_matches_vertex_set(each_model):
     name, model = each_model
     pts, _ = evaluate_on_vk(model, 2)
     ref = vertex_set(model.domain, 2)
-    assert len(pts) == len(ref)
+    assert pts.shape == ref.shape and pts.tobytes() == ref.tobytes()
 
 
 def _full_dedup_vk(model, k):
-    """V_k and f* on it by the dedup of every vertex slot: per level,
-    unique_rows over the point keys of all N |V_{k-1}| images, the spread
-    check on every key group and first occurrences in order."""
+    """V_k and f* on it by the dedup of every vertex slot: per level, a key
+    dedup of all N |V_{k-1}| images, the spread check on every key group
+    and first occurrences in order."""
     d = model.domain
     pts = d.v0_array
     vals = model.p_at(pts)
@@ -659,7 +669,7 @@ def _full_dedup_vk(model, k):
         img = np.concatenate([mp(pts) for mp in d.maps])
         vals = np.concatenate([s.ev(pts) * vals + q.ev(pts)
                                for (s, _), (q, _) in zip(model.s, model.q)])
-        first, inverse = unique_rows(point_keys(img, d.resolution))
+        first, inverse = key_dedup(img, d.resolution)
         hi, lo = np.full(len(first), -np.inf), np.full(len(first), np.inf)
         np.maximum.at(hi, inverse, vals)
         np.minimum.at(lo, inverse, vals)
@@ -734,6 +744,53 @@ def test_band_dedup_equals_full_dedup(case):
                                                           model, k)
 
 
+def _pieces(draw, x0, flips):
+    """An axis of 2-4 unequal pieces from ``x0``: knots and signature."""
+    n = draw(st.integers(2, 4))
+    widths = draw(st.lists(st.floats(0.2, 1), min_size=n, max_size=n))
+    bits = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    signature = bits if flips else [(j + bits[0]) % 2 for j in range(n)]
+    return [x0 + sum(widths[:i]) for i in range(n + 1)], signature
+
+
+@st.composite
+def _counted_domains(draw):
+    """A domain, a level k of at most about 20,000 vertex slots and |V_k|
+    in closed form: intervals (flips, offsets up to +-2e5) with P^k + 1,
+    2- and 3-cubes (alternating signatures) with prod (P_u^k + 1), and
+    gaskets of level n (offsets up to +-5e4) with 3 (3^(n k) + 1) / 2."""
+    kind = draw(st.sampled_from(["interval", "cube2", "cube3", "gasket1",
+                                 "gasket2"]))
+    if kind == "interval":
+        d = interval_domain(*_pieces(draw, draw(st.floats(-2e5, 2e5)), True))
+    elif kind.startswith("cube"):
+        d = cube_domain([_pieces(draw, 0.0, False) for _ in range(int(kind[-1]))])
+    else:
+        x0 = draw(st.floats(-5e4, 5e4))
+        d = gasket_domain([[x0, x0], [x0 + 1, x0],
+                           [x0 + 0.5, x0 + math.sqrt(3) / 2]], int(kind[-1]))
+    k = draw(st.integers(1, int(math.log(2e4 / len(d.v0)) / math.log(d.N))))
+    if kind.startswith("gasket"):
+        return d, k, 3 * (3**(int(kind[-1]) * k) + 1) // 2
+    return d, k, math.prod(len(ax.knots[1:])**k + 1 for ax in d.axes)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_counted_domains())
+def test_vk_has_its_closed_count(case):
+    # a key dedup kept a vertex twice where its copies straddled a key's
+    # edge (V_9 of -2e5 + (0, 1/3, 2/3, 1) had 19,687 points)
+    d, k, count = case
+    vk = vertex_set(d, k)
+    assert len(vk) == count
+    # f* = 0 on d, without the build's audit of up to 64 maps
+    nodes, zero = vertex_set(d, 1), [(Const(0.0), None)] * d.N
+    model = dataclasses.replace(get_model("example5_case2"), domain=d, nodes=nodes,
+                                values=np.zeros(len(nodes)), s=zero, q=zero)
+    pts, _ = evaluate_on_vk(model, k)
+    assert pts.shape == vk.shape and pts.tobytes() == vk.tobytes()
+
+
 def test_node_indices_match_the_nearest_node_within_the_resolution():
     # 0.6e-10 rounds to another point key than 0; a key match missed it
     nodes = np.array([[0.0], [1.0], [1.0 + 3e-10]])
@@ -771,28 +828,36 @@ def test_variable_beyond_m_is_a_model_error(s, q, message):
 
 @pytest.mark.parametrize("x0", [-2e5, -5e4, 1e4])
 def test_band_dedup_equals_full_dedup_on_split_vertices(x0):
-    # at -2e5 the knot 1/3 of l_1(1) and l_2(1) rounds to two point keys
-    # (so V_1 has 6 points); their images share keys a level down, where
-    # the full dedup merges them
+    # at -2e5 the knot 1/3 of l_1(1) and l_2(1) rounds to two point keys,
+    # so a key dedup kept V_1 of 6 points and V_9 of 19,687; by address
+    # every offset has 3^9 + 1, as the key dedup where no key splits
     d = interval_domain(tuple(x0 + k for k in (0, 1 / 3, 2 / 3, 1)), (0, 1, 0))
     model = _offset_model(d)
     got = _outcome(evaluate_on_vk, model, 9)
-    assert got == _outcome(_full_dedup_vk, model, 9)
-    assert got[0][0] == (19687 if x0 == -2e5 else 3**9 + 1)
+    assert len(vertex_set(d, 1)) == 4 and got[0][0] == 3**9 + 1
+    ref = _outcome(_full_dedup_vk, model, 9)
+    assert (ref[0][0] == 19687) if x0 == -2e5 else (got == ref)
 
 
 def test_spacing_below_the_resolution_is_named():
-    # V_4 of these knots is 1e-12 apart, below the 1e-10 point resolution,
-    # so distinct vertices share keys; that read as the spec's fault
-    # ("duplicate-vertex inconsistency 3.581e-04 at level 4")
+    # V_4 of these knots is 1e-12 apart, below the 1e-10 point resolution:
+    # the key dedup refused it by name from level 4; addresses tell the
+    # vertices apart at any spacing, so only a V_1 that the resolution
+    # cannot match to the data is refused
     d = interval_domain((0, 1e-3, 0.5, 1), (0, 0, 0))
     model = _offset_model(d)
-    assert len(evaluate_on_vk(model, 3)[0]) == 28
-    msg = re.escape("level 4: vertex spacing bound 1.000e-12 is not above "
-                    "the point resolution 1.000e-10")
-    with pytest.raises(ModelError, match=msg):
-        evaluate_on_vk(model, 5)
-    assert d.too_fine(3) == "" and re.match(msg, d.too_fine(4))
+    assert [len(evaluate_on_vk(model, k)[0]) for k in (3, 5, 7)] == [
+        3**k + 1 for k in (3, 5, 7)]
+    assert d.too_fine() == ""
+    d = interval_domain((0, 1e-11, 0.5, 1), (0, 0, 0))
+    msg = ("level 1: vertex spacing bound 1.000e-11 is not above the point "
+           "resolution 1.000e-10")
+    assert d.too_fine() == msg
+    # data on the knots: the build refused it as "data point (1e-11,) is
+    # given twice"
+    data = [((x,), 0.0) for x in (0, 1e-11, 0.5, 1)]
+    with pytest.raises(ModelError, match=re.escape(msg)):
+        build_model(FifSpec(d, data, [(Const(0.3), None)] * 3, "solve"))
 
 
 @pytest.mark.parametrize("name, worst", [("example5_case2", "5.000e-04"),

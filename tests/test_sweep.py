@@ -13,10 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CONFIG_NAMES, get_model, replay_levels
+from conftest import CONFIG_NAMES, get_model, key_dedup, replay_levels
 from fifdim import domains, engine, oscillation
 from fifdim.dimension import box_count, empirical_dimension
-from fifdim.domains import interval_domain, point_keys, unique_rows, vertex_set
+from fifdim.domains import interval_domain, vertex_set
 from fifdim.engine import (FifSpec, GraphSample, ModelError, apply_T,
                            build_model, evaluate_on_vk, graph_samples)
 from fifdim.exprs import Const, Op
@@ -74,7 +74,7 @@ def test_graph_samples_shared_level_folded_once(name, small_blocks):
 
 def _dedup(pts, vals, model):
     """First occurrences of the points of (pts, vals), in order."""
-    order = np.sort(unique_rows(point_keys(pts, model.domain.resolution))[0])
+    order = np.sort(key_dedup(pts, model.domain.resolution)[0])
     return pts[order], vals[order]
 
 
