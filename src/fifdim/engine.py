@@ -19,18 +19,18 @@ iteration error), one level at a time, each pushed by the domain's plan
 addresses; ``evaluate_at`` replays a decoded address with the same step,
 ``_child``.  No code here depends on the domain type: every decision that
 does is a method or property of the domain.
-Graph samples of all levels come from one sweep that goes depth-first in
-blocks of BLOCK_SLOTS vertex slots and folds each block into the level-k
-value ranges, so memory is O(block + N^k_max) and FIF_CELL_BUDGET
-(N^depth x |V_0| slots) bounds the work.  A fold copies its block once,
-the values of each table row down the leading axis, for one min and one
-max over that axis, and points are mapped one axis at a time
-(``AffineMap``): no numpy call of the sweep or a push loops innermost
-over the m axes or the P slots of a cell.  2^16 slots (512 KB of values,
-as much of points per axis) fit a per-core L2 cache.  The sweep carries
-values, and vertex points only where the next push needs them; the one
-cell geometry read, interval cells in x order with their ends, is the
-domain's (``ProductDomain.x_order``).
+Graph samples of all levels come from one sweep (``_sweep``) that goes
+depth-first in blocks of BLOCK_SLOTS vertex slots and folds each block
+into the level-k value ranges, so memory is O(block + N^k_max) and
+FIF_CELL_BUDGET (N^depth x |V_0| slots) bounds the work; box counts
+reduce the blocks themselves (``dimension.empirical_dimension``).  A fold
+copies its block once, the values of each table row down the leading
+axis, for one min and one max over that axis, and points are mapped one
+axis at a time (``AffineMap``): no numpy call of the sweep or a push
+loops innermost over the m axes or the P slots of a cell.  2^16 slots
+(512 KB of values, as much of points per axis) fit a per-core L2 cache.
+The sweep carries values, and vertex points only where the next push or
+its caller needs them.
 """
 
 from __future__ import annotations
@@ -428,7 +428,7 @@ def _fit_extra(model: FifModel, k: int, extra: int) -> int:
 
 
 def _sweep(model: FifModel, depth: int, lev: _Level | None = None,
-           level: int = 0, offset: int = 0
+           level: int = 0, offset: int = 0, points: bool = False
            ) -> Iterator[tuple[int, int, _Level]]:
     """Every cell of levels level + 1..depth under ``lev`` (level 0 by
     default) as (level, offset, block) triples, depth-first.
@@ -439,14 +439,14 @@ def _sweep(model: FifModel, depth: int, lev: _Level | None = None,
     level-L table, at offset idx(b_t..b_1) * N^L.  Blocks get the per-map
     arithmetic of whole levels, so their values are bitwise the same.
     Blocks above ``depth`` carry vertex points, since the next push needs
-    them; those at ``depth`` carry values only.
+    them; those at ``depth`` carry values only, unless ``points``.
     """
     if lev is None:
         v0 = model.domain.v0_array
         lev = _Level(v0[None], model.p_at(v0)[None])
     if level == depth:
         return
-    n, pts = model.N, level + 1 < depth
+    n, pts = model.N, points or level + 1 < depth
     if len(lev.vals) == n**level and lev.vals.size * n <= BLOCK_SLOTS:
         kids = [(0, _push(model, lev, pts))]
     else:
@@ -454,7 +454,7 @@ def _sweep(model: FifModel, depth: int, lev: _Level | None = None,
                 for i in range(n))
     for at, child in kids:
         yield level + 1, at, child
-        yield from _sweep(model, depth, child, level + 1, at)
+        yield from _sweep(model, depth, child, level + 1, at, points)
 
 
 def _by_group(values: np.ndarray, group: int) -> np.ndarray:
@@ -602,8 +602,8 @@ class GraphSample:
     Per cell: the observed value range over the vertices of its
     descendants ``extra`` levels deeper, and a uniform contraction slack
     so [vmin - slack, vmax + slack] encloses f* there.  The cells are in
-    push order (cell i * C + w is l_i o l_w); on an interval, ``x_order``
-    gives them in x order with their ends.
+    push order (cell i * C + w is l_i o l_w); on an interval, the
+    domain's ``x_order`` gives them in x order with their ends.
     """
 
     domain: Domain
@@ -616,11 +616,6 @@ class GraphSample:
     @property
     def cells(self) -> int:
         return len(self.vmin)
-
-    @functools.cached_property
-    def x_order(self) -> tuple[slice | np.ndarray, np.ndarray, np.ndarray]:
-        """The domain's ``x_order`` of this level (intervals only)."""
-        return self.domain.x_order(self.level)
 
     def index_of(self, word: tuple[int, ...]) -> int:
         if len(word) != self.level:

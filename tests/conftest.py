@@ -3,6 +3,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from fifdim import engine
 from fifdim.config import load_config
 from fifdim.engine import build_model
 
@@ -16,6 +17,9 @@ CONFIG_NAMES = [
     "degenerate_interval",
     "degenerate_cube",
 ]
+
+# BLOCK_SLOTS of the small_blocks fixture: blocks of 2-4 cells
+SMALL_BLOCK_SLOTS = 16
 
 _cache = {}
 
@@ -82,6 +86,13 @@ def replay_geometry(model, k):
     for _, _, lo, hi, diam in replay_levels(model, k):
         pass
     return lo, hi, diam
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    # blocks of 2-4 cells: every level past the first is swept depth-first
+    # in many blocks, and a level-k range spans several blocks (extra > 1)
+    monkeypatch.setattr(engine, "BLOCK_SLOTS", SMALL_BLOCK_SLOTS)
 
 
 @pytest.fixture(scope="session")

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import get_config, get_model, replay_geometry
-from fifdim import dimension
+from conftest import (CONFIG_NAMES, SMALL_BLOCK_SLOTS, get_config, get_model,
+                      replay_geometry)
+from fifdim import dimension, engine
 from fifdim.dimension import (
     CollinearWitness,
     _class_value,
@@ -39,6 +40,7 @@ from fifdim.engine import (
     ModelError,
     build_model,
     graph_sample,
+    graph_samples,
 )
 from fifdim.exprs import Const, Op, ShapeFacts, parse_expr
 
@@ -695,10 +697,9 @@ def test_box_count_rejects_bad_delta():
 def _column_count_reference(sample, delta, cell_lo, cell_hi):
     """The m = 1 column method on every cell corner (the boxes (C, 1) of
     the cells in push order), scattered with ufunc.at: what box_count
-    must equal, bit for bit."""
+    must equal, bit for bit.  The columns run up to the one the last hi
+    corner meets."""
     x0 = float(np.min(cell_lo[:, 0]))
-    x1 = float(np.max(cell_hi[:, 0]))
-    ncols = max(1, int(math.ceil((x1 - x0) / delta - 1e-9)))
     ends = []
     for corner, sign in ((cell_lo, 1.0), (cell_hi, -1.0)):
         t = corner[:, 0] - x0
@@ -707,9 +708,9 @@ def _column_count_reference(sample, delta, cell_lo, cell_hi):
         tie *= sign * 1e-12
         t += sign * 1e-9
         t += tie
-        col = np.floor(t, out=t).astype(int)
-        ends.append(np.clip(col, 0, ncols - 1, out=col))
-    ia, width = ends
+        ends.append(np.floor(t, out=t).astype(int))
+    ncols = max(1, int(np.max(ends[1])) + 1)
+    ia, width = (np.clip(col, 0, ncols - 1, out=col) for col in ends)
     np.maximum(width, ia, out=width)
     width -= ia
     span = int(np.max(width))
@@ -867,24 +868,157 @@ def test_box_count_rejects_cells_too_coarse(name):
 
 def test_level_tied_counts_make_no_geometry(monkeypatch):
     # on an equal-ratio interval the level-tied counts of the empirical
-    # estimate and of the route-(b) probe are sums over cells: no sample
-    # builds an x order
+    # estimate and of the route-(b) probe are sums over cells: no x order,
+    # and one sweep each whose depth level carries no vertex points
     model = get_model("example5_case2")
-    seen = []
-
-    def counted(sample, delta):
-        seen.append(sample)
-        return box_count(sample, delta)
+    sweeps, sweep = [], dimension._sweep
 
     def fail(self, k):
         raise AssertionError("x order made")
 
-    monkeypatch.setattr(dimension, "box_count", counted)
+    monkeypatch.setattr(dimension, "_sweep",
+                        lambda *a, **kw: sweeps.append((a[1], kw)) or sweep(*a, **kw))
     monkeypatch.setattr(type(model.domain), "x_order", fail)
-    empirical_dimension(model, 3, 6)
+    est = empirical_dimension(model, 3, 6)
     assert lower_bound_interval_variable_s(model).heuristic
-    assert [s.level for s in seen] == [3, 4, 5, 6, 2, 3, 4, 5, 6]
-    assert all("x_order" not in s.__dict__ for s in seen)
+    assert sweeps == [(8, {}), (8, {})]
+    assert [c for _, _, c in est.entries] == [
+        box_count(s, model.domain.delta(s.level))
+        for s in graph_samples(model, dict.fromkeys(range(3, 7), 2))]
+
+
+def _far_counts(knots, signature, s, values, depth, k_max):
+    """box_count of the level-depth table of an interval model at the
+    dyadic deltas of k = 2..k_max, asserted equal to the reference's and
+    to empirical_dimension's; values are the data on V_1, in its order."""
+    d = interval_domain(knots, signature)
+    data = [(tuple(p), v) for p, v in zip(vertex_set(d, 1), values)]
+    model = build_model(FifSpec(d, data, [(Const(c), None) for c in s], "solve"))
+    sample = graph_sample(model, depth, 0)
+    deltas = [d.diameter / 2.0**k for k in range(2, k_max + 1)]
+    counts = [box_count(sample, delta) for delta in deltas]
+    reference = _column_reference(model, depth)
+    assert [reference(sample, delta) for delta in deltas] == counts
+    est = empirical_dimension(model, 2, k_max, extra=depth - k_max)
+    assert est.entries == list(zip(range(2, k_max + 1), deltas, counts))
+    return counts
+
+
+def test_far_unequal_knots_count_every_column():
+    # x_order's ends lie ulps beyond the region's, so delta = |K| / 2^k
+    # gave 2^k + 1 columns for k >= 4, the last met by no cell, whose run
+    # started past the last cell: an IndexError of minimum.reduceat in
+    # box_count and in empirical_dimension
+    knots = [1000 + t for t in (0, 4e-4, 9e-4, 1e-3)]
+    assert _far_counts(knots, (1, 0, 1), (0.5, -0.4, 0.3), (0, 1, -1, 0.5),
+                       8, 8) == [18856, 47034, 110713, 280272, 650735,
+                                 1495871, 3416017]
+
+
+def test_far_unequal_knots_have_no_column_past_the_last_end():
+    # x0 is an ulp below 1000, so |K| / 2^k fits 2^k + 3e-8 times between
+    # the ends; the last level-10 cell is narrower than the tie, which put
+    # its lo corner in a column 2^k past the last end: one box more from
+    # k = 4 on (66, 164, 416, 1067, 2752)
+    knots = [1000.0, 1000.0002628912248, 1000.0006267551054,
+             1000.0007794884641, 1000.001]
+    values = [1e-3 * v for v in (0.25, -0.4, 0.49, 0.51, 0.21)]
+    assert _far_counts(knots, (1, 0, 0, 1), (-0.55, -0.48, 0.09, -0.52),
+                       values, 10, 8) == [11, 26, 65, 163, 415, 1066, 2751]
+
+
+def _dyadic_counts_or_error(model, k_min, k_max, extra):
+    """empirical_dimension's counts on unequal knots, or its error text."""
+    try:
+        est = empirical_dimension(model, k_min, k_max, extra)
+    except ModelError as exc:
+        return str(exc)
+    assert [(k, d) for k, d, _ in est.entries] == [
+        (k, model.domain.diameter / 2.0**k) for k in range(k_min, k_max + 1)]
+    return [c for _, _, c in est.entries]
+
+
+def _dyadic_table_counts(model, k_min, k_max, depth, reference=False):
+    """``box_count`` of the level-depth table at each dyadic delta (and
+    ``_column_count_reference``, if ``reference``), or the first error
+    text: what empirical_dimension returns or raises."""
+    sample = graph_sample(model, depth, 0)
+    count = _column_reference(model, depth) if reference else box_count
+    counts = [_count_or_error(count, sample, model.domain.diameter / 2.0**k)
+              for k in range(k_min, k_max + 1)]
+    return next((c for c in counts if isinstance(c, str)), counts)
+
+
+@st.composite
+def unequal_interval_models(draw):
+    """Intervals of 2-4 unequal pieces with random widths and flips at
+    offsets 0, -3, 1000 and -5e4, spans 1 and 1e-3, random data within
+    the span (which keeps the join-up residual of the solved
+    displacements below its bound) and random constant scales."""
+    n = draw(st.integers(2, 4))
+    widths = draw(st.lists(st.floats(0.2, 1), min_size=n, max_size=n,
+                           unique=True))
+    x0 = draw(st.sampled_from([0.0, -3.0, 1000.0, -5e4]))
+    span = draw(st.sampled_from([1.0, 1e-3]))
+    knots = [x0 + span * sum(widths[:i]) / sum(widths) for i in range(n + 1)]
+    d = interval_domain(knots, draw(st.lists(st.integers(0, 1), min_size=n,
+                                             max_size=n)))
+    nodes = vertex_set(d, 1)
+    values = draw(st.lists(st.floats(-1, 1), min_size=len(nodes),
+                           max_size=len(nodes)))
+    s = draw(st.lists(scales, min_size=n, max_size=n))
+    data = [(tuple(p), span * v) for p, v in zip(nodes, values)]
+    return build_model(FifSpec(d, data, [(Const(c), None) for c in s], "solve"))
+
+
+@pytest.mark.parametrize("slots", [engine.BLOCK_SLOTS, SMALL_BLOCK_SLOTS])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(unequal_interval_models(), st.integers(3, 6), st.integers(0, 2))
+def test_nested_dyadic_columns_equal_box_count(slots, model, k_max, extra):
+    # the columns of delta_(k_max) reduced pairwise give the count of each
+    # coarser dyadic delta, as box_count and the reference count it
+    if model.domain.equal_ratio:  # widths equal to 1e-12
+        return
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "BLOCK_SLOTS", slots)
+        got = _dyadic_counts_or_error(model, 2, k_max, extra)
+    depth = k_max + extra
+    assert got == _dyadic_table_counts(model, 2, k_max, depth)
+    assert got == _dyadic_table_counts(model, 2, k_max, depth, reference=True)
+
+
+def test_dyadic_counts_reject_cells_too_coarse():
+    # a piece of 0.95: its level-(k + 2) cells span more than 64 columns of
+    # delta_k from k = 7 on, so a window that reaches k = 7 fails there
+    d = interval_domain((0, 0.95, 1), (0, 0))
+    data = [(tuple(p), v) for p, v in zip(vertex_set(d, 1), (0.0, 1.0, -0.5))]
+    model = build_model(FifSpec(d, data, [(Const(0.3), None)] * 2, "solve"))
+    for k_max in (6, 7, 10):
+        got = _dyadic_counts_or_error(model, 4, k_max, 2)
+        assert got == _dyadic_table_counts(model, 4, k_max, k_max + 2)
+        assert (got == "cells too coarse for this delta; refine the sample"
+                ) == (k_max >= 7)
+
+
+@pytest.mark.parametrize("name", CONFIG_NAMES)
+@pytest.mark.parametrize("slots", [engine.BLOCK_SLOTS, SMALL_BLOCK_SLOTS])
+def test_empirical_counts_equal_box_count(name, slots, monkeypatch):
+    # the reducer against box_count on the tables of graph_samples: the
+    # level-tied path, and the dyadic one on unequal knots, in blocks of
+    # the default size past the last whole level, or of 2-4 cells
+    model = get_model(name)
+    small = slots == SMALL_BLOCK_SLOTS
+    k_min, k_max = (2, 4) if small else (5, 6) if model.N == 4 else (7, 9)
+    monkeypatch.setattr(engine, "BLOCK_SLOTS", slots)
+    est = empirical_dimension(model, k_min, k_max)
+    monkeypatch.undo()
+    d = model.domain
+    if d.equal_ratio or d.m > 1:
+        want = [box_count(s, d.delta(s.level)) for s in graph_samples(
+            model, dict.fromkeys(range(k_min, k_max + 1), 2))]
+    else:
+        want = _dyadic_table_counts(model, k_min, k_max, k_max + 2)
+    assert [c for _, _, c in est.entries] == want
 
 
 def _level_slots(model, depth):
