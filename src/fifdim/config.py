@@ -3,6 +3,11 @@
 Numbers may be given as JSON numbers or as strings; strings are parsed
 as exact fractions ("4/15", "1/3") so knot ratios survive into the log
 formulas without decimal truncation.
+
+Parsing owns the JSON types, numbers, expression syntax, facts fields,
+the domain (and the path that blames a V too fine) and "analysis".  The
+rules of a spec are ``engine._spec_errors``, as ``build_model`` runs
+them; their (path, message) pairs join the parse errors.
 """
 
 from __future__ import annotations
@@ -13,8 +18,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .domains import (Domain, DomainError, build_interval_maps, cube_domain,
-                      gasket_domain, interval_domain, node_indices, vertex_set)
-from .engine import FAMILIES, FifSpec
+                      gasket_domain, interval_domain, vertex_set)
+from .engine import FAMILIES, FifSpec, _spec_errors
 from .exprs import SHAPES, ExprError, ShapeFacts, parse_expr
 
 __all__ = ["RunConfig", "ConfigError", "load_config", "parse_number",
@@ -54,15 +59,15 @@ def parse_number(raw, path: str = "") -> float:
     raise ConfigError([(path, f"expected a number, got {type(raw).__name__}")])
 
 
-def _number(raw, path: str, errors, ok=math.isfinite, need="finite"):
+def _number(raw, path: str, errors, ok=None, need=""):
     """``parse_number`` whose failure, or a value that fails ``ok`` (which
-    ``need`` states), is recorded in ``errors``; None then."""
+    ``need`` states) if given, is recorded in ``errors``; None then."""
     try:
         value = parse_number(raw, path)
     except ConfigError as exc:
         errors.extend(exc.errors)
         return None
-    if not ok(value):
+    if ok is not None and not ok(value):
         errors.append((path, f"must be {need}, got {value}"))
         return None
     return value
@@ -162,55 +167,43 @@ def _domain_from(raw, errors) -> Domain | None:
     return None
 
 
-def _data_from(raw, domain: Domain | None, errors) -> list:
-    """One finite value per interpolation node of V = V_1, each given
-    once; a point is matched to its node by ``node_indices``."""
-    if domain is None:
-        return []
-    nodes = vertex_set(domain, 1)
+def _data_from(raw, domain: Domain, errors) -> list | None:
+    """The (point, value) entries of "data", or of the {'constant': c} preset
+    on V = V_1; None if one does not parse, which skips the data rule."""
     if isinstance(raw, dict) and "constant" in raw:
-        c = _number(raw["constant"], "data.constant", errors)
-        return [(tuple(p), c) for p in nodes.tolist()]
+        c = _number(raw["constant"], "data.constant", errors, math.isfinite, "finite")
+        return None if c is None else [
+            (tuple(p), c) for p in vertex_set(domain, 1).tolist()]
     if not isinstance(raw, list):
         errors.append(("data", "must be a list or a {'constant': c} preset"))
-        return []
-    entries, n_errors = [], len(errors)  # (j, point, value) of each entry read
+        return None
+    data, n_errors = [], len(errors)
     for j, entry in enumerate(raw):
         here = f"data[{j}]"
         try:
             point = entry["point"]
-            if not isinstance(point, list) or len(point) != domain.m:
-                raise ConfigError([(f"{here}.point", f"must be a list of "
-                                    f"{domain.m} numbers, got {json.dumps(point)}")])
-            pt = tuple(parse_number(c, f"{here}.point") for c in point)
-            entries.append((j, pt, _number(entry["value"], f"{here}.value", errors)))
+            if not isinstance(point, list):
+                raise ConfigError([(f"{here}.point", "must be a list of numbers, "
+                                    f"got {json.dumps(point)}")])
+            data.append((tuple(parse_number(c, f"{here}.point") for c in point),
+                         _number(entry["value"], f"{here}.value", errors)))
         except (KeyError, TypeError) as exc:
             errors.append((here, f"malformed: {exc}"))
         except ConfigError as exc:
             errors.extend(exc.errors)
-    data, given = [], {}  # given: node -> its entry
-    matched = node_indices(nodes, [pt for _, pt, _ in entries], domain.resolution)
-    for (j, pt, value), node in zip(entries, matched):
-        if node is None or node in given:
-            errors.append((f"data[{j}].point", "not a node of V" if node is None
-                           else f"repeats the point of data[{given[node]}]"))
-        else:
-            given[node] = j
-            data.append((pt, value))
-    missing = [tuple(p) for i, p in enumerate(nodes.tolist()) if i not in given]
-    if missing and len(errors) == n_errors:
-        errors.append(("data", "no value at " + ", ".join(map(str, missing))))
-    return data
+    return data if len(errors) == n_errors else None
 
 
 def _expr_entries(raw, path: str, errors, m: int | None):
-    """(expr, facts) per entry; ``m`` is the domain's, None if it failed."""
-    out = []
+    """(expr, facts) per entry, None for one that does not parse; None if
+    ``raw`` is not a list.  ``m`` is the domain's, None if it failed."""
     if not isinstance(raw, list):
         errors.append((path, "must be a list"))
-        return out
+        return None
+    out = []
     for j, entry in enumerate(raw):
         here = f"{path}[{j}]"
+        out.append(None)
         if isinstance(entry, str):
             entry = {"expr": entry}
         if not isinstance(entry, dict) or "expr" not in entry:
@@ -220,14 +213,11 @@ def _expr_entries(raw, path: str, errors, m: int | None):
             if not isinstance(entry["expr"], str):
                 raise ExprError(f"must be a string, got {json.dumps(entry['expr'])}")
             expr = parse_expr(entry["expr"])
-            top = expr.max_axis()
-            if m is not None and top > m:
-                raise ExprError(f"x{top} is beyond the domain's m = {m}")
         except ExprError as exc:
             errors.append((f"{here}.expr", str(exc)))
             continue
-        out.append((expr, _facts_from(entry.get("facts"), f"{here}.facts", errors,
-                                      m, top > 0)))
+        out[-1] = (expr, _facts_from(entry.get("facts"), f"{here}.facts", errors,
+                                     m, expr.max_axis() > 0))
     return out
 
 
@@ -245,7 +235,7 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError([("", "top level must be an object")])
 
     domain = _domain_from(raw.get("domain"), errors)
-    data = _data_from(raw.get("data"), domain, errors)
+    data = None if domain is None else _data_from(raw.get("data"), domain, errors)
     m = domain.m if domain is not None else None
     scales = _expr_entries(raw.get("scales", []), "scales", errors, m)
 
@@ -256,26 +246,16 @@ def load_config(path: str) -> RunConfig:
             errors.append(("displacements.solve", "must be true or one of "
                            f"{', '.join(FAMILIES)}, got {json.dumps(solve)}"))
         q_entries = solve if solve in FAMILIES else "solve"
-    elif isinstance(raw_q, dict) and "exprs" in raw_q:
-        q_entries = _expr_entries(raw_q["exprs"], "displacements.exprs", errors, m)
     elif isinstance(raw_q, list):
         q_entries = _expr_entries(raw_q, "displacements", errors, m)
     else:
-        errors.append(("displacements",
-                       "must be a list, {'exprs': []} or {'solve': family}"))
-        q_entries = []
+        errors.append(("displacements", "must be a list or {'solve': family}"))
+        q_entries = None
 
-    eta = _number(raw.get("eta", 1.0), "eta", errors,
-                  lambda v: 0 < v < math.inf, "a finite number > 0")
-
+    eta = _number(raw.get("eta", 1.0), "eta", errors)
     if domain is not None:
-        n, got = domain.N, len(q_entries)
-        if len(scales) != n:
-            errors.append(("scales", f"expected {n} entries, got {len(scales)}"))
-        if isinstance(q_entries, list) and got != n:
-            errors.append(("displacements", f"expected {n} entries, got {got}"
-                           if got > n else f"expected {n} entries (one per map index"
-                           f" 1..{n}), got {got}: map index {got + 1} has no entry"))
+        spec = FifSpec(domain=domain, data=data, s=scales, q=q_entries, eta=eta)
+        errors.extend(_spec_errors(spec))
 
     analysis = raw.get("analysis", {})
     if not isinstance(analysis, dict):
@@ -299,8 +279,6 @@ def load_config(path: str) -> RunConfig:
 
     if errors or domain is None:
         raise ConfigError(errors or [("domain", "missing")])
-
-    spec = FifSpec(domain=domain, data=data, s=scales, q=q_entries, eta=eta)
     return RunConfig(spec=spec, analysis=analysis)
 
 

@@ -375,17 +375,18 @@ def box_count(sample: GraphSample, delta: float) -> int:
     """Count delta-boxes covering the sampled graph.
 
     m = 1 uses the column method over the x-axis with observed per-cell
-    value ranges.  With equal map ratios and the level-tied delta_k =
-    |K| / Lambda^k, exactly the float of ``Domain.delta``, each level-k
-    cell is one column, so the count sums max(ceil(osc / delta), 1) over
-    cells; any other delta takes the cells in the domain's ``x_order``
+    value ranges.  With equal map ratios (``Domain.homogeneous``) and the
+    level-tied delta_k = |K| / Lambda^k, exactly the float of
+    ``Domain.delta``, each level-k cell is one column, so the count sums
+    max(ceil(osc / delta), 1) over cells; any other delta takes the cells
+    in the domain's ``x_order``
     (``_column_extremes``).  Cubes and the gasket sum the per-cell prism
     device ceil(osc / delta) + 1.
     """
     if not 0 < delta < math.inf:  # nan is not
         raise ValueError(f"delta must be a finite number > 0, got {delta}")
     d = sample.domain
-    if d.m == 1 and (not d.equal_ratio or delta != d.delta(sample.level)):
+    if d.m == 1 and (not d.homogeneous or delta != d.delta(sample.level)):
         order, lo, hi = d.x_order(sample.level)
         _, colmin, colmax = _column_extremes(
             float(lo[0]), delta, lo, hi, sample.vmin[order], sample.vmax[order])
@@ -469,7 +470,7 @@ def empirical_dimension(
 ) -> EmpiricalEstimate:
     """Log-log slope of box counts over the level-tied delta sequence.
 
-    Equal-ratio domains, cubes and the gasket use delta_k = |K| / Lambda^k
+    Homogeneous intervals, cubes and the gasket use delta_k = |K| / Lambda^k
     with level-k cells; unequal knots fall back to dyadic delta_k =
     |K| / 2^k on the cells of the deepest level (column method, m = 1).
     The counts are ``box_count``'s of ``graph_sample``'s tables; as sums
@@ -480,7 +481,7 @@ def empirical_dimension(
     depth = k_max + _fit_extra(model, k_max, extra)
     _check_budget(model, depth, f"graph sample depth {depth}")
     d = model.domain
-    tied = d.equal_ratio or d.m > 1
+    tied = d.homogeneous or d.m > 1
     deltas = {k: d.delta(k) if tied else d.diameter / 2.0**k
               for k in range(k_min, k_max + 1)}
     counts = (_tied_counts if tied else _dyadic_counts)(model, deltas, depth)

@@ -258,11 +258,6 @@ class Domain:
     def resolution(self) -> float:  # tolerance of point identity on K
         return 1e-10 * max(self.base.diameter, 1.0)
 
-    @property
-    def equal_ratio(self) -> bool:
-        ratios = [mp.ratio for mp in self.maps]
-        return max(ratios) - min(ratios) <= 1e-12
-
     def delta(self, k: int) -> float:  # level-tied box size |K| / Lambda^k
         return self.diameter / self.lam**k
 

@@ -8,8 +8,9 @@ satisfies
 
     f*(l_i(x)) = s_i(x) * f*(x) + q_i(x).
 
-``build_model`` is the one validator: it matches the data to V once and
-samples each s_i and q_i once, on one grid of the region, for all its
+A spec is checked by one rule set, run by both ``build_model`` and
+``config.load_config`` (``_spec_errors``).  ``build_model`` samples each
+s_i and q_i once, on one grid of the region, for all its
 brackets (``_map_brackets``: sup/inf |s_i| and sup |q_i|, which give
 ||s||_inf and M).
 
@@ -155,27 +156,45 @@ class FifModel:
 # The steps of build_model
 
 
-def _data_on_nodes(d: Domain, data) -> tuple[np.ndarray, np.ndarray]:
-    """V and the value given on each node: exactly one finite value per
-    node on a V fine enough to tell apart, as ``load_config`` rules."""
+def _spec_errors(spec: FifSpec) -> list[tuple[str, str]]:
+    """The (config field path, message) of each rule ``spec`` breaks: V fine
+    enough to tell its nodes apart, one finite value per node of V, one
+    s_i and q_i per map, eta finite and > 0, no variable beyond m.  A field
+    or entry that is None (it did not parse) is skipped."""
+    d = spec.domain
     if why := d.too_fine():
-        raise ModelError(why)
-    nodes = vertex_set(d, 1)
-    values, given = np.empty(len(nodes)), set()
-    for (pt, val), i in zip(data, node_indices(
-            nodes, [pt for pt, _ in data], d.resolution)):
-        at = tuple(np.asarray(pt, float).tolist())
-        if i is None or i in given:
-            raise ModelError(f"data point {at} " + (
-                "is not a node of V" if i is None else "is given twice"))
-        if not math.isfinite(val):
-            raise ModelError(f"data value at {at} is not finite: {val}")
-        values[i] = val
-        given.add(i)
-    if len(given) < len(nodes):
-        raise ModelError("no data value at " + ", ".join(
-            str(tuple(p)) for i, p in enumerate(nodes.tolist()) if i not in given))
-    return nodes, values
+        return [("domain", why)]
+    errors = []
+    if spec.data is not None:
+        nodes, given = vertex_set(d, 1), {}  # given: node -> its entry
+        matched = node_indices(nodes, [pt for pt, _ in spec.data], d.resolution)
+        for j, ((pt, value), i) in enumerate(zip(spec.data, matched)):
+            if len(pt) != d.m:
+                errors.append((f"data[{j}].point", "must have the domain's m = "
+                               f"{d.m} coordinates, got {len(pt)}"))
+            elif i is None or i in given:
+                errors.append((f"data[{j}].point", "not a node of V" if i is None
+                               else f"repeats the point of data[{given[i]}]"))
+            else:
+                given[i] = j
+            if not math.isfinite(value):
+                errors.append((f"data[{j}].value", f"must be finite, got {value}"))
+        if len(given) < len(nodes) and not errors:
+            errors.append(("data", "no value at " + ", ".join(
+                str(tuple(p)) for i, p in enumerate(nodes.tolist()) if i not in given)))
+    for path, entries in (("scales", spec.s), ("displacements", spec.q)):
+        if entries is None or isinstance(entries, str):
+            continue
+        if (got := len(entries)) != d.N:
+            errors.append((path, f"expected {d.N} entries, got {got}" if got > d.N
+                           else f"expected {d.N} entries (one per map index 1..{d.N}),"
+                           f" got {got}: map index {got + 1} has no entry"))
+        errors.extend((f"{path}[{j}].expr", f"x{top} is beyond the domain's m = {d.m}")
+                      for j, entry in enumerate(entries)
+                      if entry is not None and (top := entry[0].max_axis()) > d.m)
+    if spec.eta is not None and not 0 < spec.eta < math.inf:  # nan is not
+        errors.append(("eta", f"must be a finite number > 0, got {spec.eta}"))
+    return errors
 
 
 def _multilinear_holder_constant(
@@ -220,15 +239,6 @@ def _fit(d: Domain, family: str, values: np.ndarray) -> dict[frozenset, float]:
     # here means a broken domain, not bad data.
     assert abs(np.linalg.det(A)) > 1e-12, "singular join-up system"
     return {J: float(c) for J, c in zip(basis, np.linalg.solve(A, values))}
-
-
-def _normalized(label: str, entries, m: int) -> list[tuple[Expr, ShapeFacts]]:
-    """The (expr, facts) entries with their auto-detected facts filled in;
-    ModelError for a variable beyond the domain's m, as ``load_config``."""
-    for i, (e, _) in enumerate(entries):
-        if (top := e.max_axis()) > m:
-            raise ModelError(f"{label}_{i + 1}: x{top} is beyond the domain's m = {m}")
-    return [(e, normalize_facts(e, f, m)) for e, f in entries]
 
 
 def _solve_q(d: Domain, family: str, s_pairs, p0, p_img
@@ -306,8 +316,9 @@ def build_model(spec: FifSpec) -> FifModel:
     """Match the data to V, resolve q, audit, validate and derive constants.
 
     q is a list of (expr, facts), a family of FAMILIES to solve for, or
-    "solve" for the domain's default family.  Errors come in the order
-    data, variables beyond m, q, audit, maps not finite on the bracket
+    "solve" for the domain's default family.  The broken rules of
+    ``_spec_errors`` come in one ModelError; then errors come in the order
+    q, audit (of declared facts only), maps not finite on the bracket
     grid (or without the Hoelder facts of a non-constant one), join-up,
     signatures, ||s||_inf, face match.  The read-off operator T is well
     defined on domains whose cells meet only in points (intervals, the
@@ -315,28 +326,28 @@ def build_model(spec: FifSpec) -> FifModel:
     faces.  A constant declared of an expression with variables takes its
     value at a vertex of V_0 once the audit has passed.
     """
+    if errors := _spec_errors(spec):
+        raise ModelError("; ".join(f"{path}: {msg}" for path, msg in errors))
     d, m = spec.domain, spec.domain.m
-    nodes, values = _data_on_nodes(d, spec.data)
-    if not (math.isfinite(spec.eta) and spec.eta > 0):
-        raise ModelError(f"eta must be a finite number > 0, got {spec.eta}")
-    if len(spec.s) != d.N:
-        raise ModelError(f"expected {d.N} scale entries, got {len(spec.s)}")
+    nodes, (pts, vals) = vertex_set(d, 1), zip(*spec.data)
+    values = np.empty(len(nodes))  # the data rule matched one entry per node
+    values[node_indices(nodes, pts, d.resolution)] = vals
 
     v0 = d.v0_array  # p0 on V_0 and p_img on each l_i(V_0), all nodes of V
     images = np.concatenate([v0] + [mp(v0) for mp in d.maps])
     p0, *p_img = values[node_indices(nodes, images, d.resolution)].reshape(
         d.N + 1, len(v0))
-    s_pairs = _normalized("s", spec.s, m)
+    s_pairs = [(e, normalize_facts(e, f, m)) for e, f in spec.s]
     if isinstance(spec.q, str):
         family = d.default_family if spec.q == "solve" else spec.q
         q_pairs = _solve_q(d, family, s_pairs, p0, p_img)
-    elif len(spec.q) != d.N:
-        raise ModelError(f"expected {d.N} displacement entries, got {len(spec.q)}")
     else:
-        q_pairs = _normalized("q", spec.q, m)
+        q_pairs = [(e, normalize_facts(e, f, m)) for e, f in spec.q]
 
     for label, pairs in (("s", s_pairs), ("q", q_pairs)):
         for i, (e, f) in enumerate(pairs):
+            if e.max_axis() == 0 or label == "q" and isinstance(spec.q, str):
+                continue  # facts made by normalize_facts or _solve_q, not declared
             bad = audit_shape(e, f, d.base, samples=64, tol=AUDIT_TOL)
             if bad:
                 raise ModelError(

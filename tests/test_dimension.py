@@ -977,7 +977,7 @@ def unequal_interval_models(draw):
 def test_nested_dyadic_columns_equal_box_count(slots, model, k_max, extra):
     # the columns of delta_(k_max) reduced pairwise give the count of each
     # coarser dyadic delta, as box_count and the reference count it
-    if model.domain.equal_ratio:  # widths equal to 1e-12
+    if model.domain.homogeneous:  # widths equal within 1e-9
         return
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "BLOCK_SLOTS", slots)
@@ -1013,7 +1013,7 @@ def test_empirical_counts_equal_box_count(name, slots, monkeypatch):
     est = empirical_dimension(model, k_min, k_max)
     monkeypatch.undo()
     d = model.domain
-    if d.equal_ratio or d.m > 1:
+    if d.homogeneous or d.m > 1:
         want = [box_count(s, d.delta(s.level)) for s in graph_samples(
             model, dict.fromkeys(range(k_min, k_max + 1), 2))]
     else:

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 import fifdim
 from conftest import (CONFIG_DIR, CONFIG_NAMES, get_config, get_model,
                       key_dedup, replay_geometry)
-from fifdim.config import ConfigError, load_config
+from fifdim.cli import main
+from fifdim.config import ConfigError, load_config, parse_number
 from fifdim.dimension import CollinearWitness, witness_height_check
 from fifdim.domains import (
     Box,
@@ -184,43 +185,99 @@ def test_well_defined_cube_face_mismatch_detected():
         build_model(FifSpec(spec.domain, spec.data, model.s, q, 1.0))
 
 
-# example5_case2's data; each case below is a defect that load_config
-# rejects at a data path, so build_model must reject it too (the last one
-# adds a point off V and a repeated point, whose value used to win)
-CASE2 = [((0.0,), 0.0), ((1 / 3,), 0.5), ((2 / 3,), 1 / 3), ((1.0,), 0.0)]
+def _data(j, **entry):
+    """An edit of example5_case2's JSON that updates data[j] with ``entry``."""
+    return lambda raw: raw["data"][j].update(entry)
 
 
-@pytest.mark.parametrize("data, error", [
-    pytest.param([CASE2[0], ((0.5,), 0.5), *CASE2[2:]],
-                 "data point (0.5,) is not a node of V", id="point-off-V"),
-    pytest.param([*CASE2[:2], ((1 / 3,), 1 / 3), CASE2[3]],
-                 "data point (0.3333333333333333,) is given twice",
-                 id="point-twice"),
-    pytest.param([CASE2[0], ((1 / 3, 0.0), 0.5), *CASE2[2:]],
-                 "data point (0.3333333333333333, 0.0) is not a node of V",
-                 id="point-wrong-length"),
-    pytest.param([CASE2[0], *CASE2[2:]],
-                 "no data value at (0.3333333333333333,)", id="node-without-value"),
-    pytest.param([CASE2[0], ((1 / 3,), math.nan), *CASE2[2:]],
-                 "data value at (0.3333333333333333,) is not finite: nan",
+X2 = {"expr": "x2/4", "facts": {"eta": 1, "H": "1/4"}}  # a variable beyond m = 1
+
+# one defect per row, as an edit of example5_case2's JSON, and the (path,
+# message) pairs of the rules it breaks; the data rows come first
+SPEC_DEFECTS = [
+    pytest.param(_data(1, point=["1/2"]), [("data[1].point", "not a node of V")],
+                 id="point-off-V"),
+    pytest.param(_data(2, point=["1/3"]),
+                 [("data[2].point", "repeats the point of data[1]")], id="point-twice"),
+    pytest.param(_data(1, point=["1/3", "0"]), [(
+        "data[1].point", "must have the domain's m = 1 coordinates, got 2")],
+        id="point-wrong-length"),
+    pytest.param(lambda raw: raw["data"].pop(1),
+                 [("data", "no value at (0.3333333333333333,)")],
+                 id="node-without-value"),
+    pytest.param(_data(1, value=math.nan), [("data[1].value", "must be finite, got nan")],
                  id="value-NaN"),
-    pytest.param([CASE2[0], ((1 / 3,), math.inf), *CASE2[2:]],
-                 "data value at (0.3333333333333333,) is not finite: inf",
+    pytest.param(_data(1, value=math.inf), [("data[1].value", "must be finite, got inf")],
                  id="value-inf"),
-    pytest.param([*CASE2, ((0.5,), 9.0), ((1 / 3,), 0.5)],
-                 "data point (0.5,) is not a node of V", id="off-V-and-repeat"),
-])
-def test_build_model_keeps_the_config_data_rule(tmp_path, data, error):
+    pytest.param(lambda raw: raw["data"].extend([{"point": ["1/2"], "value": 9},
+                                                 {"point": ["1/3"], "value": "1/2"}]),
+                 [("data[4].point", "not a node of V"),
+                  ("data[5].point", "repeats the point of data[1]")],
+                 id="off-V-and-repeat"),
+    pytest.param(lambda raw: raw["scales"].pop(), [("scales", "expected 3 entries (one "
+                 "per map index 1..3), got 2: map index 3 has no entry")],
+                 id="scale-missing"),
+    pytest.param(lambda raw: raw["scales"].append("1/4"),
+                 [("scales", "expected 3 entries, got 4")], id="scale-extra"),
+    pytest.param(lambda raw: raw["displacements"].pop(0), [(
+        "displacements", "expected 3 entries (one per map index 1..3), got 2: "
+        "map index 3 has no entry")], id="displacement-missing"),
+    *(pytest.param(lambda raw, eta=eta: raw.update(eta=eta),
+                   [("eta", f"must be a finite number > 0, got {float(eta)}")],
+                   id=f"eta-{eta}") for eta in (-3, 0, math.nan, math.inf)),
+    pytest.param(lambda raw: raw["scales"].__setitem__(0, X2),
+                 [("scales[0].expr", "x2 is beyond the domain's m = 1")],
+                 id="scale-beyond-m"),
+    pytest.param(lambda raw: raw.update(scales=[X2, "1/2", "3/4"],
+                                        displacements={"solve": True}),
+                 [("scales[0].expr", "x2 is beyond the domain's m = 1")],
+                 id="scale-beyond-m-solved"),
+    pytest.param(lambda raw: raw["displacements"][1].update(expr="x3"),
+                 [("displacements[1].expr", "x3 is beyond the domain's m = 1")],
+                 id="displacement-beyond-m"),
+]
+
+
+def _spec_of(raw) -> FifSpec:
+    """The FifSpec that a config's JSON spells, read without any rule."""
+    def maps(entries):
+        return "solve" if isinstance(entries, dict) else [
+            (parse_expr(e if isinstance(e, str) else e["expr"]), None) for e in entries]
+    return FifSpec(
+        get_config("example5_case2").spec.domain,
+        [(tuple(map(parse_number, e["point"])), parse_number(e["value"]))
+         for e in raw["data"]],
+        maps(raw["scales"]), maps(raw["displacements"]), parse_number(raw["eta"]))
+
+
+def _fails_alike(tmp_path, capsys, edit, errors):
+    """``edit`` fails with ``errors`` in load_config, in `fif report` (exit
+    1, before any file) and in build_model, with the same paths and text."""
     raw = json.loads((CONFIG_DIR / "example5_case2.json").read_text())
-    raw["data"] = [{"point": list(p), "value": v} for p, v in data]
-    path = tmp_path / "data.json"
+    edit(raw)
+    path, out = tmp_path / "defect.json", tmp_path / "out"
     path.write_text(json.dumps(raw))
     with pytest.raises(ConfigError) as config_error:
         load_config(str(path))
-    assert all(at.startswith("data") for at, _ in config_error.value.errors)
-    spec = get_config("example5_case2").spec
-    with pytest.raises(ModelError, match=re.escape(error)):
-        build_model(FifSpec(spec.domain, data, spec.s, spec.q, spec.eta))
+    assert config_error.value.errors == errors
+    assert main(["report", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "".join(
+        f"config error at {at}: {msg}\n" for at, msg in errors)
+    assert not out.exists()
+    with pytest.raises(ModelError) as model_error:
+        build_model(_spec_of(raw))
+    assert str(model_error.value) == "; ".join(f"{at}: {msg}" for at, msg in errors)
+
+
+@pytest.mark.parametrize("edit, errors", SPEC_DEFECTS[:7])
+def test_build_model_keeps_the_config_data_rule(tmp_path, capsys, edit, errors):
+    _fails_alike(tmp_path, capsys, edit, errors)
+
+
+@pytest.mark.parametrize("edit, errors", SPEC_DEFECTS[7:])
+def test_build_model_keeps_the_config_map_and_eta_rules(tmp_path, capsys, edit,
+                                                        errors):
+    _fails_alike(tmp_path, capsys, edit, errors)
 
 
 @pytest.mark.parametrize("where", ["s", "q"])
@@ -810,20 +867,6 @@ def test_far_interval_matches_its_knots():
         data = [((x,), v) for x, v in zip(pts, values)]
         model = build_model(FifSpec(d, data, [(Const(0.3), None)] * 3, "solve"))
         assert model.p_at(np.array(knots)[:, None]).tolist() == list(values)
-
-
-@pytest.mark.parametrize("s, q, message", [
-    ("x2/4", "solve", "s_1: x2 is beyond the domain's m = 1"),
-    ("1/4", [(parse_expr("x1/4"), None), (parse_expr("x3"), None)],
-     "q_2: x3 is beyond the domain's m = 1"),
-])
-def test_variable_beyond_m_is_a_model_error(s, q, message):
-    # s_1 = x2/4 raised a bare IndexError where the solve evaluated it
-    d = interval_domain((0.0, 0.5, 1.0), (0, 0))
-    data = [((0.0,), 0.0), ((0.5,), 1.0), ((1.0,), 0.0)]
-    spec = FifSpec(d, data, [(parse_expr(s), None), (Const(0.25), None)], q)
-    with pytest.raises(ModelError, match=re.escape(message)):
-        build_model(spec)
 
 
 @pytest.mark.parametrize("x0", [-2e5, -5e4, 1e4])

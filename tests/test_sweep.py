@@ -141,7 +141,7 @@ def _replayed_estimate(model, k_min, k_max, depth):
         return GraphSample(model.domain, k, level - k, vals.min(axis=1),
                            vals.max(axis=1), 0.0)
 
-    if model.domain.equal_ratio or model.domain.m > 1:
+    if model.domain.homogeneous or model.domain.m > 1:
         e = depth - k_max
         return [(k, diam / model.domain.lam**k,
                  box_count(table(k, k + e), diam / model.domain.lam**k))
