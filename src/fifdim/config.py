@@ -4,10 +4,12 @@ Numbers may be given as JSON numbers or as strings; strings are parsed
 as exact fractions ("4/15", "1/3") so knot ratios survive into the log
 formulas without decimal truncation.
 
-Parsing owns the JSON types, numbers, expression syntax, facts fields,
-the domain (and the path that blames a V too fine) and "analysis".  The
-rules of a spec are ``engine._spec_errors``, as ``build_model`` runs
-them; their (path, message) pairs join the parse errors.
+Parsing owns the JSON types, numbers, expression syntax, facts fields
+(eta in (0, 1], as ``ShapeFacts`` requires), the spellings of
+"displacements.solve", the domain (and the path that blames a V too
+fine) and "analysis".  The rules of a spec, the family and the facts
+too, are ``engine._spec_errors``, as ``build_model`` runs them; their
+(path, message) pairs join the parse errors.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from fractions import Fraction
 
 from .domains import (Domain, DomainError, build_interval_maps, cube_domain,
                       gasket_domain, interval_domain, vertex_set)
-from .engine import FAMILIES, FifSpec, _spec_errors
+from .engine import FifSpec, _spec_errors
 from .exprs import SHAPES, ExprError, ShapeFacts, parse_expr
 
 __all__ = ["RunConfig", "ConfigError", "load_config", "parse_number",
@@ -79,10 +81,8 @@ class RunConfig:
     analysis: dict = field(default_factory=dict)
 
 
-def _facts_from(raw, path: str, errors, m: int | None,
-                variable: bool) -> ShapeFacts | None:
-    """The declared facts of an expression; one with variables needs eta
-    and H for its bracket slack, unless it is declared constant."""
+def _facts_from(raw, path: str, errors) -> ShapeFacts | None:
+    """The declared facts of an expression, None if they do not parse."""
     raw = {} if raw is None else raw
     if not isinstance(raw, dict):
         errors.append((path, "facts must be an object"))
@@ -96,16 +96,11 @@ def _facts_from(raw, path: str, errors, m: int | None,
                        f"must be true or false, got {json.dumps(constant)}"))
     for shape, _ in SHAPES:  # 1-based axes of the domain
         axes = raw.get(shape, [])
-        if not isinstance(axes, list) or not all(
-                _json_int(u) and 1 <= u and (m is None or u <= m) for u in axes):
-            errors.append((f"{path}.{shape}", f"must be a list of integers "
-                           f"in 1..{m}, got {json.dumps(axes)}"))
-    eta, H = (_number(raw[k], f"{path}.{k}", errors, ok, need) if k in raw else None
-              for k, ok, need in (("eta", lambda v: 0 < v <= 1, "in (0, 1]"),
-                                  ("H", lambda v: 0 <= v < math.inf, "finite, >= 0")))
-    if variable and constant is not True:
-        errors.extend((f"{path}.{k}", "required for a non-constant expression")
-                      for k in ("eta", "H") if k not in raw)
+        if not isinstance(axes, list) or not all(_json_int(u) for u in axes):
+            errors.append((f"{path}.{shape}", "must be a list of integers, "
+                           f"got {json.dumps(axes)}"))
+    eta, H = (_number(raw[k], f"{path}.{k}", errors, *ok) if k in raw else None
+              for k, ok in (("eta", (lambda v: 0 < v <= 1, "in (0, 1]")), ("H", ())))
     if len(errors) > n_errors:
         return None
     return ShapeFacts(is_constant=constant, holder_exponent=eta, holder_constant=H,
@@ -194,9 +189,9 @@ def _data_from(raw, domain: Domain, errors) -> list | None:
     return data if len(errors) == n_errors else None
 
 
-def _expr_entries(raw, path: str, errors, m: int | None):
-    """(expr, facts) per entry, None for one that does not parse; None if
-    ``raw`` is not a list.  ``m`` is the domain's, None if it failed."""
+def _expr_entries(raw, path: str, errors):
+    """(expr, facts) per entry, None for one whose expr or facts do not
+    parse; None if ``raw`` is not a list."""
     if not isinstance(raw, list):
         errors.append((path, "must be a list"))
         return None
@@ -216,8 +211,9 @@ def _expr_entries(raw, path: str, errors, m: int | None):
         except ExprError as exc:
             errors.append((f"{here}.expr", str(exc)))
             continue
-        out[-1] = (expr, _facts_from(entry.get("facts"), f"{here}.facts", errors,
-                                     m, expr.max_axis() > 0))
+        facts = _facts_from(entry.get("facts"), f"{here}.facts", errors)
+        if facts is not None:
+            out[-1] = (expr, facts)
     return out
 
 
@@ -236,18 +232,18 @@ def load_config(path: str) -> RunConfig:
 
     domain = _domain_from(raw.get("domain"), errors)
     data = None if domain is None else _data_from(raw.get("data"), domain, errors)
-    m = domain.m if domain is not None else None
-    scales = _expr_entries(raw.get("scales", []), "scales", errors, m)
+    scales = _expr_entries(raw.get("scales", []), "scales", errors)
 
     raw_q = raw.get("displacements")
-    if isinstance(raw_q, dict) and "solve" in raw_q:
-        solve = raw_q["solve"]
-        if solve is not True and solve not in FAMILIES:
-            errors.append(("displacements.solve", "must be true or one of "
-                           f"{', '.join(FAMILIES)}, got {json.dumps(solve)}"))
-        q_entries = solve if solve in FAMILIES else "solve"
+    if isinstance(raw_q, dict) and "solve" in raw_q:  # true: "solve", the default
+        solve, q_entries = raw_q["solve"], None
+        if solve is True or isinstance(solve, str) and solve != "solve":
+            q_entries = "solve" if solve is True else solve
+        else:
+            errors.append(("displacements.solve", "must be true or a family "
+                           f"name, got {json.dumps(solve)}"))
     elif isinstance(raw_q, list):
-        q_entries = _expr_entries(raw_q, "displacements", errors, m)
+        q_entries = _expr_entries(raw_q, "displacements", errors)
     else:
         errors.append(("displacements", "must be a list or {'solve': family}"))
         q_entries = None

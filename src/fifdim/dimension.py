@@ -22,12 +22,10 @@ from .engine import (
     _by_group,
     _check_budget,
     _check_int,
-    _child,
     _fit_extra,
     _fold,
-    _Level,
+    _replay,
     _sweep,
-    _word_index,
 )
 from .exprs import SHAPES
 
@@ -165,12 +163,8 @@ def witness_height_check(
     if sign and sign * w.L <= 0:
         raise ModelError(f"flavor {flavor} needs a witness with {need}")
 
-    _word_index(word, model.N)  # a ModelError for a bad symbol
     ys = np.array([w.y1, w.y2, w.y3], float)
-    lev = _Level(ys[None], model.p_at(ys)[None])
-    for i in reversed(word):
-        lev = _child(model, lev, i)
-    v1, v2, v3 = lev.vals[0].tolist()
+    v1, v2, v3 = _replay(model, word, ys, model.p_at(ys)).tolist()
     lhs = abs(v3 - ((1 - w.lam) * v1 + w.lam * v2))
     rhs = abs(w.L)
     for i in word:
@@ -201,12 +195,16 @@ class BoundEntry:
             {"name": n, "pass": ok} for n, ok in self.hypotheses])
 
 
-def _holder_declared(model: FifModel) -> bool:
-    """All s_i, q_i carry Hoelder facts compatible with the model eta."""
-    return all(f.is_constant or (
-        f.holder_exponent is not None and f.holder_constant is not None
-        and f.holder_exponent >= model.eta_prime - 1e-12)
-        for _, f in list(model.s) + list(model.q))
+def _holder_declared(model: FifModel, least: float) -> bool:
+    """Every non-constant s_i and q_i declares a Hoelder exponent >= least
+    (each declares one, ``engine._spec_errors``)."""
+    return all(f.is_constant or f.holder_exponent >= least
+               for _, f in [*model.s, *model.q])
+
+
+def _directions(model: FifModel) -> range | tuple[int]:
+    """The witness directions: axes 1..m of a product domain, 0 on the gasket."""
+    return range(1, len(model.domain.axes) + 1) or (0,)
 
 
 def upper_bound(model: FifModel, gamma_override: float | None = None) -> BoundEntry:
@@ -215,7 +213,6 @@ def upper_bound(model: FifModel, gamma_override: float | None = None) -> BoundEn
     g = gammas(model)
     gamma_hi = gamma_override if gamma_override is not None else g.gamma[1]
     lam, n, etap = model.domain.lam, model.N, g.eta_prime
-    holder_ok = _holder_declared(model)
     if gamma_hi <= n / lam**etap:
         value = 1 - etap + math.log(n) / math.log(lam)
         case = "gamma <= N / Lambda^eta'"
@@ -225,26 +222,21 @@ def upper_bound(model: FifModel, gamma_override: float | None = None) -> BoundEn
     note = f"case fired: {case}; gamma = {gamma_hi:.10g}"
     if gamma_override is not None:
         note += " (pinned)"
-    return BoundEntry(
-        theorem="oscillation_upper",
-        kind="upper",
-        value=value,
-        hypotheses=[("s_i, q_i Hoelder-declared (C^eta)", holder_ok)],
-        vacuous=value > model.domain.m + 1,
-        note=note,
-    )
+    holder_ok = _holder_declared(model, etap - 1e-12)
+    return BoundEntry(theorem="oscillation_upper", kind="upper", value=value,
+                      hypotheses=[("s_i, q_i Hoelder-declared (C^eta)", holder_ok)],
+                      vacuous=value > model.domain.m + 1, note=note)
 
 
 def lower_bound_noncollinear(model: FifModel) -> list[BoundEntry]:
     """Non-collinearity lower bounds 1 + log gamma_{j,r} / log Lambda_0.
 
-    One candidate entry per flavor j and witness direction r: each axis
-    r = 1..m of a product domain, or r = 0 (triples in general position)
-    on the gasket.  Entries not above dim K are kept but flagged vacuous.
+    One candidate entry per flavor j and witness direction r
+    (``_directions``).  Entries not above dim K are kept but flagged vacuous.
     """
     g = gammas(model)
     out = []
-    for r in range(1, len(model.domain.axes) + 1) or (0,):
+    for r in _directions(model):
         for flavor, (_, sign, need) in FLAVORS.items():
             gv = g.flavored[(flavor, r)]
             if gv <= 0:
@@ -275,10 +267,10 @@ def exact_dim(model: FifModel) -> BoundEntry | None:
 
     All s_i constant on a homogeneous domain (an equally spaced interval
     or cube with n pieces per axis, or the gasket), and a route: the first
-    witness direction r (as in ``lower_bound_noncollinear``) and flavor j
-    with gamma_{j,r} >= gamma = sum |s_i| and a witness.  Then dim =
-    1 + log gamma / log Lambda_0 if gamma > N / Lambda_0^eta', and dim K
-    if gamma <= N / Lambda_0 and eta' = 1; between the two, no entry.
+    witness direction r (``_directions``) and flavor j with gamma_{j,r} >=
+    gamma = sum |s_i| and a witness.  Then dim = 1 + log gamma / log
+    Lambda_0 if gamma > N / Lambda_0^eta', and dim K if gamma <= N /
+    Lambda_0 and eta' = 1; between the two, no entry.
     """
     d, etap = model.domain, model.eta_prime
     if not d.homogeneous or not all(f.is_constant for _, f in model.s):
@@ -291,14 +283,14 @@ def exact_dim(model: FifModel) -> BoundEntry | None:
     else:
         return None
     g = gammas(model)
-    route = next(((r, flavor) for r in range(1, len(d.axes) + 1) or (0,)
+    route = next(((r, flavor) for r in _directions(model)
                   for flavor, (_, sign, _) in FLAVORS.items()
                   if g.flavored[(flavor, r)] >= gamma - 1e-9
                   and find_witness(model, r, sign=sign) is not None), None)
     if route is None:
         return None
     r, flavor = route
-    holder_ok = _holder_declared(model)
+    holder_ok = _holder_declared(model, etap - 1e-12)
     if r:  # N = n^m and Lambda_0 = n on the product domain
         shape, sign, need = FLAVORS[flavor]
         theorem = "exact_dim_equally_spaced"
@@ -330,12 +322,8 @@ def lower_bound_interval_variable_s(model: FifModel) -> BoundEntry | None:
         return None
     g = gammas(model)
     n, eta, gamma0 = model.N, model.eta_prime, g.gamma0[0]
-    bv_facts = all(
-        f.is_constant or (f.holder_exponent is not None and f.holder_exponent >= 1.0)
-        for _, f in list(model.s) + list(model.q)
-    )
     corollary = next((flavor for flavor, (_, sign, _) in FLAVORS.items()
-                      if bv_facts and g.flavored[(flavor, 0)] > 1
+                      if _holder_declared(model, 1.0) and g.flavored[(flavor, 0)] > 1
                       and find_witness(model, 1, sign=sign)), None)
     if corollary is not None:  # then gamma_0 >= gamma_{j,0} > 1
         hyps = [("bounded-variation shape facts (eta = 1)", True),
@@ -356,15 +344,10 @@ def lower_bound_interval_variable_s(model: FifModel) -> BoundEntry | None:
         note = (f"gamma_0 = {gamma0:.10g}; probe ratios {ratios[0]:.3g} -> "
                 f"{ratios[-1]:.3g}")
     value = 1 + math.log(gamma0) / math.log(n)
-    return BoundEntry(
-        theorem="variable_scale_lower",
-        kind="lower",
-        value=value,
-        hypotheses=[("equally spaced interval", True), *hyps],
-        vacuous=value <= 1.0 + 1e-12,
-        heuristic=corollary is None,
-        note=note,
-    )
+    return BoundEntry(theorem="variable_scale_lower", kind="lower", value=value,
+                      hypotheses=[("equally spaced interval", True), *hyps],
+                      vacuous=value <= 1.0 + 1e-12, heuristic=corollary is None,
+                      note=note)
 
 
 # --------------------------------------------------------------------------

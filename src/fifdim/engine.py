@@ -9,17 +9,19 @@ satisfies
     f*(l_i(x)) = s_i(x) * f*(x) + q_i(x).
 
 A spec is checked by one rule set, run by both ``build_model`` and
-``config.load_config`` (``_spec_errors``).  ``build_model`` samples each
-s_i and q_i once, on one grid of the region, for all its
-brackets (``_map_brackets``: sup/inf |s_i| and sup |q_i|, which give
-||s||_inf and M).
+``config.load_config`` (``_spec_errors``): data on V, a displacement
+family that fits V_0, one s_i and q_i per map, each with the Hoelder
+facts of its bracket slack and shape axes in 1..m, and eta.
+``build_model`` samples each s_i and q_i once, on one grid of the region,
+for all its brackets (``_map_brackets``: sup/inf |s_i| and sup |q_i|,
+which give ||s||_inf and M).
 
 Evaluation on vertex sets V_k is done by exact forward recursion (no
 iteration error), one level at a time, each pushed by the domain's plan
 (``Domain.plans``), which drops the slots that repeat a vertex by their
 addresses; ``evaluate_at`` replays a decoded address with the same step,
-``_child``.  No code here depends on the domain type: every decision that
-does is a method or property of the domain.
+``_child`` (``_replay``).  No code here depends on the domain type: every
+decision that does is a method or property of the domain.
 Graph samples of all levels come from one sweep (``_sweep``) that goes
 depth-first in blocks of BLOCK_SLOTS vertex slots and folds each block
 into the level-k value ranges, so memory is O(block + N^k_max) and
@@ -55,8 +57,8 @@ from .domains import (
     vertex_set,
 )
 from .exprs import (
+    SHAPES,
     Expr,
-    ExprError,
     ShapeFacts,
     abs_brackets,
     audit_shape,
@@ -158,8 +160,9 @@ class FifModel:
 
 def _spec_errors(spec: FifSpec) -> list[tuple[str, str]]:
     """The (config field path, message) of each rule ``spec`` breaks: V fine
-    enough to tell its nodes apart, one finite value per node of V, one
-    s_i and q_i per map, eta finite and > 0, no variable beyond m.  A field
+    enough to tell its nodes apart, one finite value per node of V, a
+    displacement family of FAMILIES that fits V_0, one s_i and q_i per
+    map, each as ``_entry_errors`` requires, eta finite and > 0.  A field
     or entry that is None (it did not parse) is skipped."""
     d = spec.domain
     if why := d.too_fine():
@@ -182,6 +185,14 @@ def _spec_errors(spec: FifSpec) -> list[tuple[str, str]]:
         if len(given) < len(nodes) and not errors:
             errors.append(("data", "no value at " + ", ".join(
                 str(tuple(p)) for i, p in enumerate(nodes.tolist()) if i not in given)))
+    if isinstance(spec.q, str):
+        family = d.default_family if spec.q == "solve" else spec.q
+        if family not in FAMILIES:
+            errors.append(("displacements.solve", "must name one of the families "
+                           f"{', '.join(FAMILIES)}, got {family!r}"))
+        elif (n := len(_basis(family, d.m))) != len(d.v0):
+            errors.append(("displacements.solve", f"family {family!r} has {n} "
+                           f"unknowns but {len(d.v0)} boundary constraints"))
     for path, entries in (("scales", spec.s), ("displacements", spec.q)):
         if entries is None or isinstance(entries, str):
             continue
@@ -189,11 +200,34 @@ def _spec_errors(spec: FifSpec) -> list[tuple[str, str]]:
             errors.append((path, f"expected {d.N} entries, got {got}" if got > d.N
                            else f"expected {d.N} entries (one per map index 1..{d.N}),"
                            f" got {got}: map index {got + 1} has no entry"))
-        errors.extend((f"{path}[{j}].expr", f"x{top} is beyond the domain's m = {d.m}")
-                      for j, entry in enumerate(entries)
-                      if entry is not None and (top := entry[0].max_axis()) > d.m)
+        for j, entry in enumerate(entries):
+            if entry is not None:
+                errors.extend(_entry_errors(f"{path}[{j}]", *entry, d.m))
     if spec.eta is not None and not 0 < spec.eta < math.inf:  # nan is not
         errors.append(("eta", f"must be a finite number > 0, got {spec.eta}"))
+    return errors
+
+
+def _entry_errors(at: str, e: Expr, f: ShapeFacts | None, m: int
+                  ) -> list[tuple[str, str]]:
+    """The rules of one declared s_i or q_i at config path ``at``: no
+    variable beyond m; with a variable, unless declared constant, the
+    Hoelder facts (eta, H) of its bracket slack; H finite and >= 0; each
+    declared shape axis in 1..m (an affine axis is not blamed again as
+    concave or convex)."""
+    f, top, errors = f or ShapeFacts(), e.max_axis(), []
+    if top > m:
+        errors.append((f"{at}.expr", f"x{top} is beyond the domain's m = {m}"))
+    if top and not f.is_constant:
+        errors += [(f"{at}.facts.{k}", "required for a non-constant expression")
+                   for k, v in (("eta", f.holder_exponent), ("H", f.holder_constant))
+                   if v is None]
+    if not 0 <= (H := f.holder_constant or 0.0) < math.inf:  # nan is not
+        errors.append((f"{at}.facts.H", f"must be finite, >= 0, got {H}"))
+    for shape, _ in SHAPES:  # concave_in and convex_in hold affine_in
+        axes = getattr(f, f"{shape}_in") - (f.affine_in if shape != "affine" else set())
+        if bad := sorted(axes - set(range(1, m + 1))):
+            errors.append((f"{at}.facts.{shape}", f"must lie in 1..{m}, got {bad}"))
     return errors
 
 
@@ -208,33 +242,20 @@ def _multilinear_holder_constant(
     return math.sqrt(sum(lu * lu for lu in lus))
 
 
+def _basis(family: str, m: int) -> list[frozenset]:
+    """The monomials x_J of ``family`` on m axes, in order of (|J|, J):
+    "affine" is every J with |J| <= 1 (m + 1 unknowns), "multilinear"
+    every J (2^m); "sg_affine" is "affine"."""
+    top = m if family == "multilinear" else 1
+    return [frozenset(J) for r in range(top + 1)
+            for J in itertools.combinations(range(1, m + 1), r)]
+
+
 def _fit(d: Domain, family: str, values: np.ndarray) -> dict[frozenset, float]:
     """The coefficients, by monomial x_J, of the polynomial of ``family``
-    that takes ``values`` on V_0.
-
-    "affine" is every monomial x_J with |J| <= 1 (m + 1 unknowns),
-    "multilinear" every J (2^m), each in order of (|J|, J); "sg_affine" is
-    "affine".  A family that does not fit V_0 of the domain has more or
-    fewer unknowns than boundary constraints.
-    """
-    if family not in FAMILIES:
-        raise ModelError(f"unknown displacement family {family!r}")
-    v0, m = d.v0_array, d.m
-    top = m if family == "multilinear" else 1
-    basis = [frozenset(J) for r in range(top + 1)
-             for J in itertools.combinations(range(1, m + 1), r)]
-    cols = []
-    for J in basis:
-        col = np.ones(len(v0))
-        for j in J:
-            col = col * v0[:, j - 1]
-        cols.append(col)
-    A = np.stack(cols, axis=-1)
-    if A.shape[0] != A.shape[1]:
-        raise ModelError(
-            f"family {family!r} has {A.shape[1]} unknowns but "
-            f"{A.shape[0]} boundary constraints"
-        )
+    (which fits V_0, by ``_spec_errors``) that takes ``values`` on V_0."""
+    v0, basis = d.v0_array, _basis(family, d.m)
+    A = np.stack([np.prod(v0[:, [j - 1 for j in J]], axis=1) for J in basis], axis=-1)
     # V_0 in general position is guaranteed per domain; a singular system
     # here means a broken domain, not bad data.
     assert abs(np.linalg.det(A)) > 1e-12, "singular join-up system"
@@ -250,31 +271,22 @@ def _solve_q(d: Domain, family: str, s_pairs, p0, p_img
     for (s_e, _), p_i in zip(s_pairs, p_img):
         coeffs = _fit(d, family, p_i - s_e.ev(v0) * p0)
         out.append((multilinear_expr(coeffs), ShapeFacts(
-            affine_in=frozenset(range(1, m + 1)),
-            holder_exponent=1.0,
-            holder_constant=_multilinear_holder_constant(coeffs, d.base),
-        )))
+            affine_in=range(1, m + 1), holder_exponent=1.0,
+            holder_constant=_multilinear_holder_constant(coeffs, d.base))))
     return out
 
 
 def _map_brackets(d: Domain, s_pairs, q_pairs) -> list[list]:
     """The (sup, inf) brackets of each |s_i| and of each |q_i|, from one
     evaluation of each on one grid of the region; ModelError naming a map
-    that is not finite there or lacks the Hoelder facts of its slack."""
-    grid = d.base.sample_points(SUP_DEPTH)
-    mesh = d.base.mesh_diameter(SUP_DEPTH)
-    out = []
-    for label, pairs in (("s", s_pairs), ("q", q_pairs)):
-        out.append([])
-        for i, (e, f) in enumerate(pairs):
-            try:
-                sup, inf = abs_brackets(e, grid, mesh, f)
-            except ExprError as exc:
-                raise ModelError(f"{label}_{i + 1}: {exc}") from None
+    that is not finite there."""
+    grid, mesh = d.base.sample_points(SUP_DEPTH), d.base.mesh_diameter(SUP_DEPTH)
+    out = [[abs_brackets(e, grid, mesh, f) for e, f in pairs]
+           for pairs in (s_pairs, q_pairs)]
+    for label, both in zip("sq", out):
+        for i, (sup, _) in enumerate(both):
             if not math.isfinite(sup[1]):
-                raise ModelError(
-                    f"{label}_{i + 1} is not finite on its bracket grid")
-            out[-1].append((sup, inf))
+                raise ModelError(f"{label}_{i + 1} is not finite on its bracket grid")
     return out
 
 
@@ -318,10 +330,9 @@ def build_model(spec: FifSpec) -> FifModel:
     q is a list of (expr, facts), a family of FAMILIES to solve for, or
     "solve" for the domain's default family.  The broken rules of
     ``_spec_errors`` come in one ModelError; then errors come in the order
-    q, audit (of declared facts only), maps not finite on the bracket
-    grid (or without the Hoelder facts of a non-constant one), join-up,
-    signatures, ||s||_inf, face match.  The read-off operator T is well
-    defined on domains whose cells meet only in points (intervals, the
+    audit (of declared facts only), maps not finite on the bracket grid,
+    join-up, signatures, ||s||_inf, face match.  The read-off operator T is
+    well defined on domains whose cells meet only in points (intervals, the
     gasket); a cube needs alternating signatures per axis and matching
     faces.  A constant declared of an expression with variables takes its
     value at a vertex of V_0 once the audit has passed.
@@ -585,10 +596,7 @@ def evaluate_at(model: FifModel, x, tol: float = 1e-9) -> float:
     else:
         val = flat.ev(y[None])[0]
     # forward composition of the contractions recovers the orbit stably
-    lev = _Level(y[None, None], np.array([[val]]))
-    for i in reversed(path):
-        lev = _child(model, lev, i)
-    return float(lev.vals[0, 0])
+    return float(_replay(model, path, y[None], [val])[0])
 
 
 # --------------------------------------------------------------------------
@@ -604,6 +612,17 @@ def _word_index(word: tuple[int, ...], n: int) -> int:
             raise ModelError(f"symbol {w} out of range in address {word}")
         idx = idx * n + w
     return idx
+
+
+def _replay(model: FifModel, word, pts: np.ndarray, vals) -> np.ndarray:
+    """f*(l_word(x)) for each point x of ``pts`` (P, m), given f*(x) as
+    ``vals``: the steps of ``_child`` from the last symbol of ``word`` to
+    the first; ModelError for a symbol that is not a map index."""
+    _word_index(word, model.N)
+    lev = _Level(pts[None], np.asarray(vals, float)[None])
+    for i in reversed(word):
+        lev = _child(model, lev, i)
+    return lev.vals[0]
 
 
 @dataclass

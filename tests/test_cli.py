@@ -413,6 +413,17 @@ def test_expression_and_fact_errors_exit_1(config_dir, tmp_path, capsys, edit,
     _assert_config_error_at(path, ["report", p], tmp_path, capsys)
 
 
+@pytest.mark.parametrize("name, family", [("degenerate_cube", "affine"),
+                                          ("sg_exact", "multilinear")])
+def test_a_family_that_does_not_fit_v0_exits_1(config_dir, tmp_path, capsys, name,
+                                               family):
+    # build_model refused it with exit 2 and no field path
+    p = _edited(config_dir, tmp_path, name, _set("displacements", {"solve": family}))
+    assert main(["validate", p]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"config error at displacements.solve: family {family!r} has ")
+
+
 def test_declared_constant_needs_no_holder_facts(config_dir, tmp_path):
     # bounds and report read the constant's value, which a declared
     # constant with variables did not have (a TypeError traceback)

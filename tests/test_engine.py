@@ -43,8 +43,9 @@ from fifdim.engine import (
     graph_sample,
     graph_samples,
 )
-from fifdim.exprs import (Const, Expr, Op, ShapeFacts, multilinear_expr,
+from fifdim.exprs import (SHAPES, Const, Expr, Op, ShapeFacts, multilinear_expr,
                           parse_expr)
+from test_cli import Q0, _set
 from test_dimension import _pinned_models
 
 HASHES = pathlib.Path(__file__).resolve().parent / "output_sha256.json"
@@ -191,69 +192,112 @@ def _data(j, **entry):
 
 
 X2 = {"expr": "x2/4", "facts": {"eta": 1, "H": "1/4"}}  # a variable beyond m = 1
+CASE2 = "example5_case2"
 
-# one defect per row, as an edit of example5_case2's JSON, and the (path,
-# message) pairs of the rules it breaks; the data rows come first
+
+def _needs(at):
+    """The errors of the entry ``at`` with a variable and no Hoelder facts."""
+    return [(f"{at}.facts.{k}", "required for a non-constant expression")
+            for k in ("eta", "H")]
+
+
+# one defect per row, as an edit of a bundled config's JSON, and the (path,
+# message) pairs of the rules it breaks; the data rows come first, then the
+# map count and eta rows, then the family and facts rows
 SPEC_DEFECTS = [
-    pytest.param(_data(1, point=["1/2"]), [("data[1].point", "not a node of V")],
+    pytest.param(CASE2, _data(1, point=["1/2"]), [("data[1].point", "not a node of V")],
                  id="point-off-V"),
-    pytest.param(_data(2, point=["1/3"]),
+    pytest.param(CASE2, _data(2, point=["1/3"]),
                  [("data[2].point", "repeats the point of data[1]")], id="point-twice"),
-    pytest.param(_data(1, point=["1/3", "0"]), [(
+    pytest.param(CASE2, _data(1, point=["1/3", "0"]), [(
         "data[1].point", "must have the domain's m = 1 coordinates, got 2")],
         id="point-wrong-length"),
-    pytest.param(lambda raw: raw["data"].pop(1),
+    pytest.param(CASE2, lambda raw: raw["data"].pop(1),
                  [("data", "no value at (0.3333333333333333,)")],
                  id="node-without-value"),
-    pytest.param(_data(1, value=math.nan), [("data[1].value", "must be finite, got nan")],
-                 id="value-NaN"),
-    pytest.param(_data(1, value=math.inf), [("data[1].value", "must be finite, got inf")],
-                 id="value-inf"),
-    pytest.param(lambda raw: raw["data"].extend([{"point": ["1/2"], "value": 9},
-                                                 {"point": ["1/3"], "value": "1/2"}]),
+    pytest.param(CASE2, _data(1, value=math.nan),
+                 [("data[1].value", "must be finite, got nan")], id="value-NaN"),
+    pytest.param(CASE2, _data(1, value=math.inf),
+                 [("data[1].value", "must be finite, got inf")], id="value-inf"),
+    pytest.param(CASE2, lambda raw: raw["data"].extend(
+        [{"point": ["1/2"], "value": 9}, {"point": ["1/3"], "value": "1/2"}]),
                  [("data[4].point", "not a node of V"),
                   ("data[5].point", "repeats the point of data[1]")],
                  id="off-V-and-repeat"),
-    pytest.param(lambda raw: raw["scales"].pop(), [("scales", "expected 3 entries (one "
-                 "per map index 1..3), got 2: map index 3 has no entry")],
+    pytest.param(CASE2, lambda raw: raw["scales"].pop(), [("scales", "expected 3 "
+                 "entries (one per map index 1..3), got 2: map index 3 has no entry")],
                  id="scale-missing"),
-    pytest.param(lambda raw: raw["scales"].append("1/4"),
+    pytest.param(CASE2, lambda raw: raw["scales"].append("1/4"),
                  [("scales", "expected 3 entries, got 4")], id="scale-extra"),
-    pytest.param(lambda raw: raw["displacements"].pop(0), [(
+    pytest.param(CASE2, lambda raw: raw["displacements"].pop(0), [(
         "displacements", "expected 3 entries (one per map index 1..3), got 2: "
         "map index 3 has no entry")], id="displacement-missing"),
-    *(pytest.param(lambda raw, eta=eta: raw.update(eta=eta),
+    *(pytest.param(CASE2, _set("eta", eta),
                    [("eta", f"must be a finite number > 0, got {float(eta)}")],
                    id=f"eta-{eta}") for eta in (-3, 0, math.nan, math.inf)),
-    pytest.param(lambda raw: raw["scales"].__setitem__(0, X2),
+    pytest.param(CASE2, _set("scales", 0, X2),
                  [("scales[0].expr", "x2 is beyond the domain's m = 1")],
                  id="scale-beyond-m"),
-    pytest.param(lambda raw: raw.update(scales=[X2, "1/2", "3/4"],
-                                        displacements={"solve": True}),
+    pytest.param(CASE2, lambda raw: raw.update(scales=[X2, "1/2", "3/4"],
+                                               displacements={"solve": True}),
                  [("scales[0].expr", "x2 is beyond the domain's m = 1")],
                  id="scale-beyond-m-solved"),
-    pytest.param(lambda raw: raw["displacements"][1].update(expr="x3"),
+    pytest.param(CASE2, _set("displacements", 1, "expr", "x3"),
                  [("displacements[1].expr", "x3 is beyond the domain's m = 1")],
                  id="displacement-beyond-m"),
+    pytest.param(CASE2, _set("displacements", {"solve": "quadratic"}),
+                 [("displacements.solve", "must name one of the families affine, "
+                   "multilinear, sg_affine, got 'quadratic'")], id="family-unknown"),
+    pytest.param("degenerate_cube", _set("displacements", {"solve": "affine"}),
+                 [("displacements.solve", "family 'affine' has 3 unknowns but 4 "
+                   "boundary constraints")], id="family-affine-on-a-cube"),
+    pytest.param("sg_exact", _set("displacements", {"solve": "multilinear"}),
+                 [("displacements.solve", "family 'multilinear' has 4 unknowns but "
+                   "3 boundary constraints")], id="family-multilinear-on-the-gasket"),
+    pytest.param(CASE2, _set("scales", 1, "x1/4"), _needs("scales[1]"),
+                 id="scale-no-facts"),
+    pytest.param(CASE2, _set("displacements", 1, "x1/4"), _needs("displacements[1]"),
+                 id="displacement-no-facts"),
+    pytest.param("example5_case1_sin", _set("scales", 0, "facts", "H", "-1/2"),
+                 [("scales[0].facts.H", "must be finite, >= 0, got -0.5")],
+                 id="scale-H-negative"),
+    pytest.param(CASE2, _set(*Q0, "facts", "H", "-1/2"),
+                 [("displacements[0].facts.H", "must be finite, >= 0, got -0.5")],
+                 id="displacement-H-negative"),
+    *(pytest.param(CASE2, _set(*Q0, "facts", "concave", [r]),
+                   [("displacements[0].facts.concave",
+                     f"must lie in 1..1, got [{r}]")], id=f"concave-axis-{r}")
+      for r in (5, 0)),
 ]
 
 
-def _spec_of(raw) -> FifSpec:
-    """The FifSpec that a config's JSON spells, read without any rule."""
+def _spec_of(base, raw) -> FifSpec:
+    """The FifSpec that the JSON ``raw`` of an edited config ``base``
+    spells, facts and a solved family too, read without any rule."""
+    def facts(raw):
+        return None if raw is None else ShapeFacts(
+            is_constant=raw.get("constant", False),
+            holder_exponent=parse_number(raw["eta"]) if "eta" in raw else None,
+            holder_constant=parse_number(raw["H"]) if "H" in raw else None,
+            **{f"{shape}_in": raw.get(shape, ()) for shape, _ in SHAPES})
+
     def maps(entries):
-        return "solve" if isinstance(entries, dict) else [
-            (parse_expr(e if isinstance(e, str) else e["expr"]), None) for e in entries]
+        if isinstance(entries, dict):
+            return "solve" if entries["solve"] is True else entries["solve"]
+        return [(parse_expr(e), None) if isinstance(e, str)
+                else (parse_expr(e["expr"]), facts(e.get("facts"))) for e in entries]
     return FifSpec(
-        get_config("example5_case2").spec.domain,
+        get_config(base).spec.domain,
         [(tuple(map(parse_number, e["point"])), parse_number(e["value"]))
          for e in raw["data"]],
         maps(raw["scales"]), maps(raw["displacements"]), parse_number(raw["eta"]))
 
 
-def _fails_alike(tmp_path, capsys, edit, errors):
-    """``edit`` fails with ``errors`` in load_config, in `fif report` (exit
-    1, before any file) and in build_model, with the same paths and text."""
-    raw = json.loads((CONFIG_DIR / "example5_case2.json").read_text())
+def _fails_alike(tmp_path, capsys, base, edit, errors):
+    """``edit`` of the bundled config ``base`` fails with ``errors`` in
+    load_config, in `fif report` (exit 1, before any file) and in
+    build_model, with the same paths and text."""
+    raw = json.loads((CONFIG_DIR / f"{base}.json").read_text())
     edit(raw)
     path, out = tmp_path / "defect.json", tmp_path / "out"
     path.write_text(json.dumps(raw))
@@ -265,30 +309,28 @@ def _fails_alike(tmp_path, capsys, edit, errors):
         f"config error at {at}: {msg}\n" for at, msg in errors)
     assert not out.exists()
     with pytest.raises(ModelError) as model_error:
-        build_model(_spec_of(raw))
+        build_model(_spec_of(base, raw))
     assert str(model_error.value) == "; ".join(f"{at}: {msg}" for at, msg in errors)
 
 
-@pytest.mark.parametrize("edit, errors", SPEC_DEFECTS[:7])
-def test_build_model_keeps_the_config_data_rule(tmp_path, capsys, edit, errors):
-    _fails_alike(tmp_path, capsys, edit, errors)
+@pytest.mark.parametrize("base, edit, errors", SPEC_DEFECTS[:7])
+def test_build_model_keeps_the_config_data_rule(tmp_path, capsys, base, edit, errors):
+    _fails_alike(tmp_path, capsys, base, edit, errors)
 
 
-@pytest.mark.parametrize("edit, errors", SPEC_DEFECTS[7:])
-def test_build_model_keeps_the_config_map_and_eta_rules(tmp_path, capsys, edit,
+@pytest.mark.parametrize("base, edit, errors", SPEC_DEFECTS[7:17])
+def test_build_model_keeps_the_config_map_and_eta_rules(tmp_path, capsys, base, edit,
                                                         errors):
-    _fails_alike(tmp_path, capsys, edit, errors)
+    _fails_alike(tmp_path, capsys, base, edit, errors)
 
 
-@pytest.mark.parametrize("where", ["s", "q"])
-def test_holder_facts_missing_is_a_model_error(where):
-    # a non-constant map without (eta, H) has no bracket slack
-    spec = get_config("example5_case2").spec
-    pairs = {"s": list(spec.s), "q": list(spec.q)}
-    pairs[where][1] = (parse_expr("x1/4"), None)
-    with pytest.raises(ModelError, match=f"^{where}_2: holder facts"):
-        build_model(FifSpec(spec.domain, spec.data, pairs["s"], pairs["q"],
-                            spec.eta))
+@pytest.mark.parametrize("base, edit, errors", SPEC_DEFECTS[17:])
+def test_build_model_keeps_the_config_family_and_facts_rules(tmp_path, capsys, base,
+                                                             edit, errors):
+    # a non-constant map without (eta, H) has no bracket slack; a negative H
+    # inverted its brackets, an axis beyond m was an IndexError of the audit
+    # and an axis 0 passed, in build_model
+    _fails_alike(tmp_path, capsys, base, edit, errors)
 
 
 def test_every_export_resolves():
