@@ -19,11 +19,11 @@ from .engine import (
     FifModel,
     GraphSample,
     ModelError,
-    _by_group,
     _check_budget,
     _check_int,
     _fit_extra,
     _fold,
+    _group_extremes,
     _replay,
     _sweep,
 )
@@ -487,20 +487,20 @@ def _tied_counts(model: FifModel, deltas: dict, depth: int) -> dict[int, int]:
     """The count of each k at its delta, level-k cells read off level k + e
     for one e = depth - k_max (a sliding extra would tilt the osc bias
     across the window).  A block of level k + e is reduced to its level-k
-    cells and counted, or if inside one (N^L < N^e, L the last level the
-    sweep pushes whole) folded into the level's table, counted last."""
+    cells (group-major below the whole levels, see ``engine._sweep``) and
+    counted, or if inside one (N^L < N^e, L the last level the sweep
+    pushes whole) folded into the level's table, counted last."""
     e = depth - max(deltas)
     group, prism = model.N**e, model.domain.m > 1
     counts, tables = dict.fromkeys(deltas, 0), {}
-    for level, offset, block in _sweep(model, depth):
+    for level, offset, block in _sweep(model, depth, group):
         if (k := level - e) in counts and len(block.vals) < group:
             if k not in tables:
                 tables[k] = np.full(model.N**k, np.inf), np.full(model.N**k, -np.inf)
             _fold(*tables[k], block.vals, offset, group)
         elif k in counts:
-            part = _by_group(block.vals, group)
-            hi = np.maximum.reduce(part)
-            counts[k] += _cell_boxes(np.minimum.reduce(part), hi, deltas[k], prism, hi)
+            lo, hi = _group_extremes(block.vals, group, len(block.vals) < model.N**level)
+            counts[k] += _cell_boxes(lo, hi, deltas[k], prism, hi)
     for k, (lo, hi) in tables.items():
         counts[k] += _cell_boxes(lo, hi, deltas[k], prism, hi)
     return counts

@@ -17,23 +17,24 @@ for all its brackets (``_map_brackets``: sup/inf |s_i| and sup |q_i|,
 which give ||s||_inf and M).
 
 Evaluation on vertex sets V_k is done by exact forward recursion (no
-iteration error), one level at a time, each pushed by the domain's plan
-(``Domain.plans``), which drops the slots that repeat a vertex by their
-addresses; ``evaluate_at`` replays a decoded address with the same step,
-``_child`` (``_replay``).  No code here depends on the domain type: every
-decision that does is a method or property of the domain.
+iteration error), one level at a time, each pushed straight into the rows
+the domain's plan keeps (``Domain.plans`` drops the slots that repeat a
+vertex by their addresses; ``_push_kept``); ``evaluate_at`` replays a
+decoded address with the same step, ``_child`` (``_replay``).  No code
+here depends on the domain type: every decision that does is a method
+or property of the domain.
 Graph samples of all levels come from one sweep (``_sweep``) that goes
 depth-first in blocks of BLOCK_SLOTS vertex slots and folds each block
 into the level-k value ranges, so memory is O(block + N^k_max) and
 FIF_CELL_BUDGET (N^depth x |V_0| slots) bounds the work; box counts
-reduce the blocks themselves (``dimension.empirical_dimension``).  A fold
-copies its block once, the values of each table row down the leading
-axis, for one min and one max over that axis, and points are mapped one
-axis at a time (``AffineMap``): no numpy call of the sweep or a push
-loops innermost over the m axes or the P slots of a cell.  2^16 slots
-(512 KB of values, as much of points per axis) fit a per-core L2 cache.
-The sweep carries values, and vertex points only where the next push or
-its caller needs them.
+reduce the blocks themselves (``dimension.empirical_dimension``), kept
+group-major by the sweep, with one min and one max down the leading axis
+(``_group_extremes``); a fold copies its block into that order once.
+Points are mapped one axis at a time (``AffineMap``): no numpy call of
+the sweep or a push loops innermost over the m axes or the P slots of a
+cell.  2^16 slots (512 KB of values, as much of points per axis) fit a
+per-core L2 cache.  The sweep carries values, and vertex points only
+where the next push or its caller needs them.
 """
 
 from __future__ import annotations
@@ -48,10 +49,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .domains import (
-    Box,
     BudgetError,
     Domain,
-    Triangle,
     cell_budget,
     node_indices,
     vertex_set,
@@ -151,7 +150,7 @@ class FifModel:
     def _flat(self) -> tuple[np.ndarray, Expr]:
         """The data on V_0 and its interpolant in the default family."""
         p0 = self.p_at(self.domain.v0_array)
-        return p0, multilinear_expr(_fit(self.domain, self.domain.default_family, p0))
+        return p0, _fit(self.domain, self.domain.default_family, p0)[0]
 
 
 # --------------------------------------------------------------------------
@@ -231,17 +230,6 @@ def _entry_errors(at: str, e: Expr, f: ShapeFacts | None, m: int
     return errors
 
 
-def _multilinear_holder_constant(
-    coeffs: dict[frozenset, float], base: Box | Triangle
-) -> float:
-    lo, hi = base.bounding_box()
-    bound = np.maximum(np.abs(lo), np.abs(hi))
-    lus = (sum(abs(c) * math.prod(bound[j - 1] for j in J if j != u)
-               for J, c in coeffs.items() if u in J)
-           for u in range(1, lo.shape[0] + 1))
-    return math.sqrt(sum(lu * lu for lu in lus))
-
-
 def _basis(family: str, m: int) -> list[frozenset]:
     """The monomials x_J of ``family`` on m axes, in order of (|J|, J):
     "affine" is every J with |J| <= 1 (m + 1 unknowns), "multilinear"
@@ -251,15 +239,22 @@ def _basis(family: str, m: int) -> list[frozenset]:
             for J in itertools.combinations(range(1, m + 1), r)]
 
 
-def _fit(d: Domain, family: str, values: np.ndarray) -> dict[frozenset, float]:
-    """The coefficients, by monomial x_J, of the polynomial of ``family``
-    (which fits V_0, by ``_spec_errors``) that takes ``values`` on V_0."""
-    v0, basis = d.v0_array, _basis(family, d.m)
-    A = np.stack([np.prod(v0[:, [j - 1 for j in J]], axis=1) for J in basis], axis=-1)
+def _fit(d: Domain, family: str, values: np.ndarray) -> tuple[Expr, float]:
+    """The polynomial of ``family`` (which fits V_0, by ``_spec_errors``)
+    that takes ``values`` on V_0, and its Lipschitz constant on the region.
+    Fitted in x - o, o the region's lo corner, its terms do not cancel to
+    the corner's round-off far from the origin."""
+    lo, hi = d.base.bounding_box()
+    rel, basis = d.v0_array - lo, _basis(family, d.m)
+    A = np.stack([np.prod(rel[:, [j - 1 for j in J]], axis=1) for J in basis], axis=-1)
     # V_0 in general position is guaranteed per domain; a singular system
     # here means a broken domain, not bad data.
     assert abs(np.linalg.det(A)) > 1e-12, "singular join-up system"
-    return {J: float(c) for J, c in zip(basis, np.linalg.solve(A, values))}
+    coeffs = {J: float(c) for J, c in zip(basis, np.linalg.solve(A, values))}
+    bound = hi - lo  # the largest |x_j - o_j| on the region
+    lus = (sum(abs(c) * math.prod(bound[j - 1] for j in J if j != u)
+               for J, c in coeffs.items() if u in J) for u in range(1, d.m + 1))
+    return multilinear_expr(coeffs, lo), math.sqrt(sum(lu * lu for lu in lus))
 
 
 def _solve_q(d: Domain, family: str, s_pairs, p0, p_img
@@ -267,13 +262,10 @@ def _solve_q(d: Domain, family: str, s_pairs, p0, p_img
     """The q_i of the polynomial ``family`` that meet the join-up
     conditions, given the data p0 on V_0 and p_img on each l_i(V_0)."""
     v0, m = d.v0_array, d.m
-    out = []
-    for (s_e, _), p_i in zip(s_pairs, p_img):
-        coeffs = _fit(d, family, p_i - s_e.ev(v0) * p0)
-        out.append((multilinear_expr(coeffs), ShapeFacts(
-            affine_in=range(1, m + 1), holder_exponent=1.0,
-            holder_constant=_multilinear_holder_constant(coeffs, d.base))))
-    return out
+    return [(q, ShapeFacts(affine_in=range(1, m + 1), holder_exponent=1.0,
+                           holder_constant=H))
+            for (s_e, _), p_i in zip(s_pairs, p_img)
+            for q, H in [_fit(d, family, p_i - s_e.ev(v0) * p0)]]
 
 
 def _map_brackets(d: Domain, s_pairs, q_pairs) -> list[list]:
@@ -449,34 +441,55 @@ def _fit_extra(model: FifModel, k: int, extra: int) -> int:
     return extra
 
 
-def _sweep(model: FifModel, depth: int, lev: _Level | None = None,
-           level: int = 0, offset: int = 0, points: bool = False
+def _sweep(model: FifModel, depth: int, group: int = 1, points: bool = False
            ) -> Iterator[tuple[int, int, _Level]]:
-    """Every cell of levels level + 1..depth under ``lev`` (level 0 by
-    default) as (level, offset, block) triples, depth-first.
+    """Every cell of levels 1..depth as (level, offset, block) triples,
+    depth-first.
 
     While the next level fits BLOCK_SLOTS vertex slots it is pushed whole
     (offset 0).  Below the last such level L, the level-(L + t) cells with
     leading symbols (b_t..b_1) are the block l_{b_t} o .. o l_{b_1} of the
-    level-L table, at offset idx(b_t..b_1) * N^L.  Blocks get the per-map
-    arithmetic of whole levels, so their values are bitwise the same.
-    Blocks above ``depth`` carry vertex points, since the next push needs
-    them; those at ``depth`` carry values only, unless ``points``.
+    level-L table, at offset idx(b_t..b_1) * N^L, with the table first put
+    group-major for the ``group`` size g the caller reduces by (cell j g + r
+    to r C / g + j, if 1 < g < C = N^L), an order the elementwise
+    ``_child`` keeps.  Blocks get the per-map arithmetic of whole levels,
+    so their values are bitwise the same.  Blocks above ``depth`` carry
+    vertex points, since the next push needs them; those at ``depth``
+    values only, unless ``points``.  A level's blocks share one buffer: a
+    consumer must not hold a block past its next step.
     """
-    if lev is None:
-        v0 = model.domain.v0_array
-        lev = _Level(v0[None], model.p_at(v0)[None])
+    v0, n, level = model.domain.v0_array, model.N, 0
+    lev = _Level(v0[None], model.p_at(v0)[None])
+    while level < depth and lev.vals.size * n <= BLOCK_SLOTS:
+        lev, level = _push(model, lev, points or level + 1 < depth), level + 1
+        yield level, 0, lev
     if level == depth:
         return
-    n, pts = model.N, points or level + 1 < depth
-    if len(lev.vals) == n**level and lev.vals.size * n <= BLOCK_SLOTS:
-        kids = [(0, _push(model, lev, pts))]
-    else:
-        kids = ((offset + i * n**level, _child(model, lev, i, pts))
-                for i in range(n))
-    for at, child in kids:
-        yield level + 1, at, child
-        yield from _sweep(model, depth, child, level + 1, at, points)
+    if 1 < group < len(lev.vals):
+        lev = _Level(*(a.reshape(-1, group, *a.shape[1:]).swapaxes(0, 1).reshape(a.shape)
+                       for a in lev))
+    yield from _blocks(model, lev, level, 0, [
+        _Level(np.empty_like(lev.pts) if points or lv < depth else None,
+               np.empty_like(lev.vals)) for lv in range(level + 1, depth + 1)])
+
+
+def _blocks(model: FifModel, lev: _Level, level: int, offset: int, bufs: list):
+    """The blocks under ``lev`` (at ``level``, ``offset``), depth-first,
+    those of level level + 1 + t written into ``bufs[t]``."""
+    for i in range(n := model.N):
+        yield level + 1, offset + i * n**level, _child(model, lev, i, out=bufs[0])
+        if len(bufs) > 1:
+            yield from _blocks(model, bufs[0], level + 1, offset + i * n**level, bufs[1:])
+
+
+def _group_extremes(vals: np.ndarray, group: int, major: bool
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """The min and max of each group of ``vals`` (C, P): cells j g .. j g +
+    g - 1 in push order, or r C / g + j if ``major`` (``_sweep``)."""
+    P = vals.shape[1]
+    part = vals.reshape(group, -1, P) if major else vals.reshape(-1, group, P).swapaxes(0, 1)
+    lo, hi = np.minimum.reduce(part), np.maximum.reduce(part)  # (C / g, P)
+    return functools.reduce(np.minimum, lo.T), functools.reduce(np.maximum, hi.T)
 
 
 def _by_group(values: np.ndarray, group: int) -> np.ndarray:
@@ -494,33 +507,59 @@ def _fold(lo, hi, block, offset: int, group: int) -> None:
     np.maximum(hi[at], np.maximum.reduce(part), out=hi[at])
 
 
+def _push_kept(model: FifModel, lev: _Level, keep: np.ndarray
+               ) -> tuple[_Level, np.ndarray]:
+    """The slots under a plan's ``keep`` of the push of ``lev`` ((n, m)
+    points), and the values of the others in slot order.  Each map's rows
+    go in chunks of BLOCK_SLOTS floats, each straight into the result, or
+    if it drops a slot, into one chunk buffer compressed into it."""
+    n, m = lev.pts.shape
+    size, total = min(n, BLOCK_SLOTS // (m + 1)), np.count_nonzero(keep)
+    out, buf = (_Level(np.empty((rows, m)), np.empty(rows)) for rows in (total, size))
+    dropped, at = [], 0
+    for i, a in itertools.product(range(model.N), range(0, n, size)):
+        part = _Level(lev.pts[a:a + size], lev.vals[a:a + size])
+        mask = keep[i * n + a:i * n + a + len(part.vals)]
+        c, kept = len(mask), np.count_nonzero(mask)
+        dst = (_Level(out.pts[at:at + c], out.vals[at:at + c]) if kept == c
+               else _Level(buf.pts[:c], buf.vals[:c]))
+        _child(model, part, i, out=dst)
+        if kept < c:
+            np.compress(mask, dst.pts, axis=0, out=out.pts[at:at + kept])
+            np.compress(mask, dst.vals, out=out.vals[at:at + kept])
+            dropped.append(dst.vals[~mask])
+        at += kept
+    return out, np.concatenate(dropped) if dropped else np.empty(0)
+
+
 def evaluate_on_vk(model: FifModel, k: int):
     """Exact f* values on V_k: (points, values) arrays in the order of
     ``vertex_set``, each point the first of its N^k |V_0| vertex slots.
 
-    Each level is one push of the level before, kept by the domain's plan
-    (``Domain.plans``).  A point's slots must agree to CONSISTENCY_TOL, or
-    the spec slipped validation: each dropped slot is compared with its
-    partner.  Two addresses first disagree at the level where they meet and
-    each later map scales that by some |s_i| < 1, so checking every level is
-    as strict as checking k alone.
+    Each level is pushed from the one before into the rows the domain's
+    plan keeps (``Domain.plans``), holding only V_(k-1) and V_k.  A point's
+    slots must agree to CONSISTENCY_TOL, or the spec slipped validation:
+    each dropped slot is compared with its partner.  Two addresses first
+    disagree at the level where they meet and each later map scales that
+    by some |s_i| < 1, so checking every level is as strict as checking k
+    alone.
     """
     _check_int(ModelError, k=(k, 1))
     _check_budget(model, k, f"level {k}")
-    pts = model.domain.v0_array
-    vals = model.p_at(pts)
+    lev = _Level(model.domain.v0_array, model.p_at(model.domain.v0_array))
     for level, (keep, drop, partner) in zip(range(1, k + 1), model.domain.plans()):
-        pts, vals = _push(model, _Level(pts, vals))
+        lev, dropped = _push_kept(model, lev, keep)
         if len(drop):
-            first, group = np.unique(partner, return_inverse=True)
-            hi, lo = vals[first], vals[first]
-            np.maximum.at(hi, group, vals[drop])
-            np.minimum.at(lo, group, vals[drop])
+            order = np.argsort(drop)  # dropped holds the slots drop[order]
+            rows = partner - np.searchsorted(drop, partner, sorter=order)
+            first, group = np.unique(rows[order], return_inverse=True)
+            hi, lo = lev.vals[first], lev.vals[first]
+            np.maximum.at(hi, group, dropped)
+            np.minimum.at(lo, group, dropped)
             if (worst := float(np.max(hi - lo))) > CONSISTENCY_TOL:
                 raise ModelError(f"duplicate-vertex inconsistency {worst:.3e} "
                                  f"at level {level}")
-        pts, vals = pts.compress(keep, axis=0), vals[keep]  # pts[keep]: 6x slower
-    return pts, vals
+    return lev.pts, lev.vals
 
 
 def apply_T(model: FifModel, pts: np.ndarray, vals: np.ndarray):
@@ -540,8 +579,7 @@ def apply_T(model: FifModel, pts: np.ndarray, vals: np.ndarray):
             vertex_set(d, k) - pts).max() <= d.resolution:
         raise ModelError(f"the {len(pts)} points are not a vertex set V_k "
                          "in the order of evaluate_on_vk")
-    pts, vals = _push(model, _Level(pts, vals))
-    return pts.compress(keep, axis=0), vals[keep]
+    return tuple(_push_kept(model, _Level(pts, vals), keep)[0])
 
 
 # --------------------------------------------------------------------------

@@ -573,14 +573,16 @@ def holder_seminorm_estimate(
 # Constructors used by the displacement solver
 
 
-def multilinear_expr(coeffs: dict[frozenset, float]) -> Expr:
-    """Build sum_J e_J * prod_{j in J} x_j as an AST."""
+def multilinear_expr(coeffs: dict[frozenset, float], origin=None) -> Expr:
+    """Build sum_J e_J * prod_{j in J} (x_j - o_j) as an AST, with x_j
+    alone where o_j = 0 (``origin`` o, zero by default)."""
     items = sorted(coeffs.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
     e: Expr | None = None
     for axes, c in items:
         t: Expr = Const(float(c))
         for a in sorted(axes):
-            t = Op("*", (t, Var(a)))
+            o = 0.0 if origin is None else float(origin[a - 1])
+            t = Op("*", (t, Op("-", (Var(a), Const(o))) if o else Var(a)))
         e = t if e is None else Op("+", (e, t))
     return e if e is not None else Const(0.0)
 

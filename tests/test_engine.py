@@ -43,8 +43,7 @@ from fifdim.engine import (
     graph_sample,
     graph_samples,
 )
-from fifdim.exprs import (SHAPES, Const, Expr, Op, ShapeFacts, multilinear_expr,
-                          parse_expr)
+from fifdim.exprs import SHAPES, Const, Expr, Op, ShapeFacts, parse_expr
 from test_cli import Q0, _set
 from test_dimension import _pinned_models
 
@@ -69,6 +68,19 @@ def test_join_up_rejects_broken_data():
     bad = FifSpec(spec.domain, bad_data, spec.s, spec.q, spec.eta)
     with pytest.raises(ModelError, match="join-up"):
         build_model(bad)
+
+
+def test_solved_displacements_keep_their_digits_far_from_the_origin():
+    # q_i is fitted in x - lo, so q_i(x) = a (x - lo) + b keeps b of the
+    # data's order; fitted in x, |b| ~ |a| 5e4 lost digits to ulp(|b|) and
+    # the build failed with join-up residual 3.030e-09
+    d = interval_domain([-5e4 + 1e-3 * t for t in (0, 0.3, 0.7, 1)], (0, 0, 0))
+    nodes = vertex_set(d, 1)
+    values = np.random.default_rng(0).normal(size=len(nodes))
+    model = build_model(FifSpec(d, list(zip(map(tuple, nodes), values)),
+                                [(Const(0.5), None)] * 3, "solve"))
+    assert model.joinup_residual <= 1e-12
+    assert all("(x1 - -50000.0)" in str(q) for q, _ in model.q)
 
 
 def test_validate_join_up_residual_zero_on_case2():
@@ -572,7 +584,7 @@ def test_decode_equals_per_domain_reference(case):
             assert np.array_equal(got, y)
     # the flat interpolant is the default family solved on V_0
     p0 = rng.uniform(-1, 1, len(d.v0))
-    flat = multilinear_expr(_fit(d, d.default_family, p0))
+    flat = _fit(d, d.default_family, p0)[0]
     lo, hi = d.base.bounding_box()
     pts = d.v0_array.mean(axis=0) + rng.uniform(-0.5, 0.5, (20, d.m)) * (hi - lo)
     for y in pts:
