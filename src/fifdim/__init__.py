@@ -13,7 +13,6 @@ from .dimension import (
     CollinearWitness,
     EmpiricalEstimate,
     GammaReport,
-    box_count,
     empirical_dimension,
     exact_dim,
     find_witness,
@@ -41,14 +40,11 @@ from .domains import (
 from .engine import (
     FifModel,
     FifSpec,
-    GraphSample,
     ModelError,
     apply_T,
     build_model,
     evaluate_at,
     evaluate_on_vk,
-    graph_sample,
-    graph_samples,
 )
 from .exprs import (
     ExprError,
@@ -61,12 +57,7 @@ from .exprs import (
     multilinear_expr,
     parse_expr,
 )
-from .oscillation import (
-    cell_osc,
-    holder_to_osc_check,
-    seminorm,
-    total_osc,
-)
+from .oscillation import holder_to_osc_check, seminorm
 from .svgplot import loglog_chart, polyline_chart, scatter_chart
 
 __version__ = "1.0.0"

@@ -17,7 +17,6 @@ import numpy as np
 from .domains import BudgetError, cell_budget
 from .engine import (
     FifModel,
-    GraphSample,
     ModelError,
     _check_budget,
     _check_int,
@@ -43,7 +42,6 @@ __all__ = [
     "lower_bound_noncollinear",
     "exact_dim",
     "lower_bound_interval_variable_s",
-    "box_count",
     "empirical_dimension",
     "theoretical_entries",
     "reconcile",
@@ -354,30 +352,6 @@ def lower_bound_interval_variable_s(model: FifModel) -> BoundEntry | None:
 # Box counting
 
 
-def box_count(sample: GraphSample, delta: float) -> int:
-    """Count delta-boxes covering the sampled graph.
-
-    m = 1 uses the column method over the x-axis with observed per-cell
-    value ranges.  With equal map ratios (``Domain.homogeneous``) and the
-    level-tied delta_k = |K| / Lambda^k, exactly the float of
-    ``Domain.delta``, each level-k cell is one column, so the count sums
-    max(ceil(osc / delta), 1) over cells; any other delta takes the cells
-    in the domain's ``x_order``
-    (``_column_extremes``).  Cubes and the gasket sum the per-cell prism
-    device ceil(osc / delta) + 1.
-    """
-    if not 0 < delta < math.inf:  # nan is not
-        raise ValueError(f"delta must be a finite number > 0, got {delta}")
-    d = sample.domain
-    if d.m == 1 and (not d.homogeneous or delta != d.delta(sample.level)):
-        order, lo, hi = d.x_order(sample.level)
-        _, colmin, colmax = _column_extremes(
-            float(lo[0]), delta, lo, hi, sample.vmin[order], sample.vmax[order])
-        met = colmax >= colmin
-        return _cell_boxes(colmin[met], colmax[met], delta, False)
-    return _cell_boxes(sample.vmin, sample.vmax, delta, d.m > 1)
-
-
 def _cell_boxes(vmin, vmax, delta: float, prism: bool, out=None) -> int:
     """The sum over cells (or columns) of max(ceil(osc / delta), 1), or of
     the prism's ceil(osc / delta) + 1, computed in ``out`` if given: a sum
@@ -389,12 +363,12 @@ def _cell_boxes(vmin, vmax, delta: float, prism: bool, out=None) -> int:
     return int(np.sum(np.add(r, 1, out=r) if prism else np.maximum(r, 1, out=r)))
 
 
-def _column_extremes(x0: float, delta: float, lo, hi, vmin, vmax,
-                     ncols: int | None = None) -> tuple[int, np.ndarray, np.ndarray]:
+def _column_extremes(x0: float, delta: float, lo, hi, vmin, vmax, ncols: int
+                     ) -> tuple[int, np.ndarray, np.ndarray]:
     """(c0, colmin, colmax): the value extremes of the columns c0, c0 + 1,
     .. of width delta from x0 that cells in x order (ends lo, hi, value
     ranges vmin, vmax) meet, inf and -inf where none does; a corner past
-    column ncols - 1, or else the last hi corner's, counts in that one.
+    column ncols - 1 counts in that one.
 
     A cell spans columns first .. last = max(first, its hi corner's).  A
     column is t = (x - x0) / delta plus a tie of 1e-9 + 1e-12 |x| / delta
@@ -414,11 +388,9 @@ def _column_extremes(x0: float, delta: float, lo, hi, vmin, vmax,
         tie *= sign * 1e-12
         t += tie
         np.maximum(np.floor(t, out=t), 0, out=t)
-        return (np.minimum(t, ncols - 1, out=t) if ncols else t).astype(int)
+        return np.minimum(t, ncols - 1, out=t).astype(int)
 
     first, last = col(lo), col(hi, -1.0)
-    if ncols is None:
-        np.minimum(first, last[-1], out=first)
     last = np.maximum(first, last)
     if np.max(last - first) > 64:
         raise ModelError("cells too coarse for this delta; refine the sample")
@@ -453,12 +425,15 @@ def empirical_dimension(
 ) -> EmpiricalEstimate:
     """Log-log slope of box counts over the level-tied delta sequence.
 
-    Homogeneous intervals, cubes and the gasket use delta_k = |K| / Lambda^k
-    with level-k cells; unequal knots fall back to dyadic delta_k =
-    |K| / 2^k on the cells of the deepest level (column method, m = 1).
-    The counts are ``box_count``'s of ``graph_sample``'s tables; as sums
-    of integers they come from one reducer over the blocks of one sweep
-    (``engine._sweep``), in O(block + 2^k_max columns) memory.
+    Homogeneous intervals, cubes and the gasket use delta_k = |K| /
+    Lambda^k and the level-k cells, each with the value range of its
+    vertices at level k + e (e = extra, or less near the budget): on an
+    interval a cell is one column of max(ceil(osc / delta), 1) boxes, on
+    a cube or the gasket a prism of ceil(osc / delta) + 1.  Unequal knots
+    fall back to dyadic delta_k = |K| / 2^k and the column method on the
+    cells of the deepest level (m = 1).  As sums of integers, the counts
+    come from reducers over the blocks of one sweep (``engine._sweep``),
+    in O(block + 2^k_max columns) memory.
     """
     _check_int(ModelError, k_min=(k_min, 2), k_max=(k_max, k_min), extra=(extra, 0))
     depth = k_max + _fit_extra(model, k_max, extra)
@@ -510,20 +485,21 @@ def _dyadic_counts(model: FifModel, deltas: dict, depth: int) -> dict[int, int]:
     """The count of each k at its dyadic delta on the level-depth cells of
     an interval, by the column method at the finest delta alone: column c
     of delta_k is columns 2c and 2c + 1 of delta_(k + 1), up to the tie's
-    1e-9, which does not nest (tests gate it against ``box_count``).  A
-    block of the depth level is l_B of the table of a level L: its cells
-    are in L's x order, reversed if l_B flips, and its vertex points are
-    bitwise the ends of ``x_order``, whose first end is x0."""
+    1e-9, which does not nest (tests gate it against a column count of the
+    replayed cells).  A block of the depth level is l_B of the table of a
+    level L: its cells are in L's x order (``Domain.x_order``), reversed
+    if l_B flips.  x0, the lo end of the first cell in x order, comes from
+    the push's arithmetic x * a + b, so it is bitwise that vertex point."""
     d, ks = model.domain, sorted(deltas, reverse=True)
     (a0, b0), (a1, b1) = ((mp.scale[0], mp.offset[0]) for mp in (d.maps[0], d.maps[-1]))
     x0, x1 = d.base.lo[0], d.base.hi[0]
-    for _ in range(depth):  # the ends of x_order(depth), by its arithmetic
+    for _ in range(depth):  # the ends of the level-depth cells in x order
         x0, x1 = (x0 if a0 > 0 else x1) * a0 + b0, (x1 if a1 > 0 else x0) * a1 + b1
     colmin, colmax = np.full(2**ks[0], np.inf), np.full(2**ks[0], -np.inf)
     xs = None  # the level-L x order: a slice if no map flips, so no l_B does
     for block in (b for lv, _, b in _sweep(model, depth, points=True) if lv == depth):
         x, v = block.pts[..., 0], block.vals
-        xs = d.x_order(round(math.log(len(x), model.N)))[0] if xs is None else xs
+        xs = d.x_order(round(math.log(len(x), model.N))) if xs is None else xs
         lo, order = np.minimum(x[:, 0], x[:, 1])[xs], xs
         if lo[0] > lo[-1]:  # l_B flips
             lo, order = lo[::-1], xs[::-1]

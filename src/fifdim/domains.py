@@ -366,24 +366,18 @@ class ProductDomain(Domain):
     def default_kmax(self) -> int:
         return 12 if self.m == 1 else 8
 
-    def x_order(self, k: int) -> tuple[slice | np.ndarray, np.ndarray, np.ndarray]:
-        """The level-k cells of an interval (m = 1) in x order: their push
-        order index (a slice when no map flips) and their lo and hi x.
-        Piece i holds l_i of the level-(k - 1) cells, reversed if l_i flips."""
+    def x_order(self, k: int) -> slice | np.ndarray:
+        """The push-order index of the level-k cells of an interval (m = 1)
+        in x order, a slice when no map flips.  Piece i holds l_i of the
+        level-(k - 1) cells, reversed if l_i flips."""
         flips = [mp.scale[0] < 0 for mp in self.maps]
-        lo, hi = self.base.bounding_box()
-        order = np.zeros(int(any(flips)), dtype=np.intp)  # empty if no flips
+        if not any(flips):
+            return slice(None)
+        order = np.zeros(1, dtype=np.intp)
         for _ in range(k):
-            ends = np.empty((2, self.N, len(lo)))
-            idx = np.empty((self.N, len(order)), dtype=np.intp)
-            for i, (mp, flip) in enumerate(zip(self.maps, flips)):
-                step = -1 if flip else 1
-                for end, x in zip(ends[:, i], (lo, hi)[::step]):
-                    np.multiply(x[::step], mp.scale[0], out=end)
-                    end += mp.offset[0]  # x * a + b, as the push maps x
-                np.add(order[::step], i * len(lo), out=idx[i])
-            (lo, hi), order = ends.reshape(2, -1), idx.ravel()
-        return order if any(flips) else slice(None), lo, hi
+            order = np.concatenate([order[::-1 if flip else 1] + i * len(order)
+                                    for i, flip in enumerate(flips)])
+        return order
 
 
 @dataclass(frozen=True)

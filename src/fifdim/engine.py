@@ -23,13 +23,14 @@ vertex by their addresses; ``_push_kept``); ``evaluate_at`` replays a
 decoded address with the same step, ``_child`` (``_replay``).  No code
 here depends on the domain type: every decision that does is a method
 or property of the domain.
-Graph samples of all levels come from one sweep (``_sweep``) that goes
-depth-first in blocks of BLOCK_SLOTS vertex slots and folds each block
-into the level-k value ranges, so memory is O(block + N^k_max) and
-FIF_CELL_BUDGET (N^depth x |V_0| slots) bounds the work; box counts
-reduce the blocks themselves (``dimension.empirical_dimension``), kept
-group-major by the sweep, with one min and one max down the leading axis
-(``_group_extremes``); a fold copies its block into that order once.
+The cells of levels 1..depth come from one sweep (``_sweep``) that goes
+depth-first in blocks of BLOCK_SLOTS vertex slots, so FIF_CELL_BUDGET
+(N^depth x |V_0| slots) bounds the work and no level is held whole.  Its
+callers reduce each block to level-k value ranges: box counts
+(``dimension.empirical_dimension``) with one min and one max down the
+leading axis of blocks the sweep keeps group-major (``_group_extremes``),
+oscillation sums (``oscillation.seminorm``) by a fold into a table of
+N^k ranges (``_fold``), which copies its block into that order once.
 Points are mapped one axis at a time (``AffineMap``): no numpy call of
 the sweep or a push loops innermost over the m axes or the P slots of a
 cell.  2^16 slots (512 KB of values, as much of points per axis) fit a
@@ -69,14 +70,11 @@ __all__ = [
     "FAMILIES",
     "FifSpec",
     "FifModel",
-    "GraphSample",
     "ModelError",
     "build_model",
     "evaluate_on_vk",
     "evaluate_at",
     "apply_T",
-    "graph_sample",
-    "graph_samples",
 ]
 
 JOINUP_TOL = 1e-9
@@ -291,17 +289,17 @@ def _face_mismatches(d: Domain, s_pairs, q_pairs, m_hi: float) -> list[str]:
     trusted on their own."""
     m, zs = d.m, np.linspace(-m_hi, m_hi, 7)
     counts = [len(ax.knots) - 1 for ax in d.axes]
-    index_of = {combo: i for i, combo in enumerate(
+    map_of = {combo: i for i, combo in enumerate(
         itertools.product(*[range(1, c + 1) for c in counts])
     )}
     lo, hi = d.base.bounding_box()
     out = []
-    for combo, i in index_of.items():
+    for combo, i in map_of.items():
         for j in range(m):
             if combo[j] >= counts[j]:
                 continue
             combo2 = combo[:j] + (combo[j] + 1,) + combo[j + 1:]
-            i2, knot = index_of[combo2], d.axes[j].knots[combo[j]]
+            i2, knot = map_of[combo2], d.axes[j].knots[combo[j]]
             xstar = (knot - d.maps[i].offset[j]) / d.maps[i].scale[j]
             # a 9-point grid per axis on the pre-image face x_j = xstar
             face = np.array(list(itertools.product(*[
@@ -637,103 +635,14 @@ def evaluate_at(model: FifModel, x, tol: float = 1e-9) -> float:
     return float(_replay(model, path, y[None], [val])[0])
 
 
-# --------------------------------------------------------------------------
-# Graph samples
-
-
-def _word_index(word: tuple[int, ...], n: int) -> int:
-    """The push-order index of the cell l_word; ModelError for a symbol
-    that is not a map index 0..n-1."""
-    idx = 0
-    for w in word:
-        if not (isinstance(w, (int, np.integer)) and 0 <= w < n):
-            raise ModelError(f"symbol {w} out of range in address {word}")
-        idx = idx * n + w
-    return idx
-
-
 def _replay(model: FifModel, word, pts: np.ndarray, vals) -> np.ndarray:
     """f*(l_word(x)) for each point x of ``pts`` (P, m), given f*(x) as
     ``vals``: the steps of ``_child`` from the last symbol of ``word`` to
-    the first; ModelError for a symbol that is not a map index."""
-    _word_index(word, model.N)
+    the first; ModelError for a symbol that is not a map index 0..N-1."""
+    for w in word:
+        if not (isinstance(w, (int, np.integer)) and 0 <= w < model.N):
+            raise ModelError(f"symbol {w} out of range in address {word}")
     lev = _Level(pts[None], np.asarray(vals, float)[None])
     for i in reversed(word):
         lev = _child(model, lev, i)
     return lev.vals[0]
-
-
-@dataclass
-class GraphSample:
-    """Level-k value ranges of f* with outer value brackets.
-
-    Per cell: the observed value range over the vertices of its
-    descendants ``extra`` levels deeper, and a uniform contraction slack
-    so [vmin - slack, vmax + slack] encloses f* there.  The cells are in
-    push order (cell i * C + w is l_i o l_w); on an interval, the
-    domain's ``x_order`` gives them in x order with their ends.
-    """
-
-    domain: Domain
-    level: int
-    extra: int
-    vmin: np.ndarray  # (C,)
-    vmax: np.ndarray  # (C,)
-    slack: float
-
-    @property
-    def cells(self) -> int:
-        return len(self.vmin)
-
-    def index_of(self, word: tuple[int, ...]) -> int:
-        if len(word) != self.level:
-            raise ModelError(f"address {word} is not at level {self.level}")
-        return _word_index(word, self.domain.N)
-
-
-def graph_sample(model: FifModel, k: int, extra: int = 4) -> GraphSample:
-    """Sample the graph of f* at level k with ``extra`` refinement levels.
-
-    Observed ranges come from exact vertex values ``extra`` levels deeper;
-    the a-priori slack 2 M ||s||**extra widens them into guaranteed
-    enclosures per the contraction bound.
-    """
-    return graph_samples(model, {k: extra})[0]
-
-
-def graph_samples(
-    model: FifModel, extras: dict[int, int]
-) -> list[GraphSample]:
-    """``graph_sample(model, k, e)`` for every ``k: e`` in ``extras``, in
-    order of k, from one sweep down to the deepest level max(k + e).
-
-    Each level k + e is folded once, into the value ranges of its finest
-    k, and a coarser k with the same k + e reduces that table, bitwise the
-    same as single-level samples (min and max are exact, so the grouping
-    cannot change them).
-    """
-    for k, e in extras.items():
-        _check_int(ModelError, k=(k, 1), extra=(e, 0))
-    depth = max((k + e for k, e in extras.items()), default=0)
-    _check_budget(model, depth, f"graph sample depth {depth}")
-    n = model.N
-    # level k + e -> its finest k
-    finest = {k + e: k for k, e in sorted(extras.items())}
-    vmin = {k: np.full(n**k, np.inf) for k in extras}
-    vmax = {k: np.full(n**k, -np.inf) for k in extras}
-    for level, offset, block in _sweep(model, depth):
-        if level in finest:
-            k = finest[level]
-            _fold(vmin[k], vmax[k], block.vals, offset, n**(level - k))
-    for k, e in extras.items():
-        if (f := finest[k + e]) != k:
-            np.minimum.reduce(_by_group(vmin[f], n**(f - k)), out=vmin[k])
-            np.maximum.reduce(_by_group(vmax[f], n**(f - k)), out=vmax[k])
-    return [GraphSample(
-        domain=model.domain,
-        level=k,
-        extra=extras[k],
-        vmin=vmin[k],
-        vmax=vmax[k],
-        slack=float(2 * model.M[1] * model.s_norm[1] ** extras[k]),
-    ) for k in sorted(extras)]

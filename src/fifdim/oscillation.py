@@ -1,9 +1,11 @@
-"""Per-cell and total oscillations, and the oscillation-space seminorm.
+"""The oscillation-space seminorm and the Hoelder-to-oscillation ceiling.
 
-Everything carries [lo, hi] brackets derived from graph-sample value
-brackets so the inequality checks downstream stay one-sided safe.  The
-level-k samples of a seminorm or ceiling check all come from one forward
-pass of the recursion (``engine.graph_samples``), not one pass per k.
+Both read Osc(k, f*), the sum over level-k cells of the spread of f*,
+from the exact values at the vertices of each cell's descendants a few
+levels deeper.  Those values are points of the graph, so each spread,
+and so each sum, is a true lower bound of the oscillation; no upper end
+is carried.  The sums of every k come from one forward pass of the
+recursion (``engine._sweep``), not one pass per k.
 """
 
 from __future__ import annotations
@@ -12,37 +14,44 @@ import math
 
 import numpy as np
 
-from .engine import FifModel, GraphSample, _check_int, _fit_extra, graph_samples
+from .engine import (
+    FifModel,
+    _by_group,
+    _check_budget,
+    _check_int,
+    _fit_extra,
+    _fold,
+    _sweep,
+)
 
 __all__ = [
-    "cell_osc",
-    "total_osc",
     "seminorm",
     "holder_to_osc_check",
 ]
 
 
-def cell_osc(sample: GraphSample, word: tuple[int, ...]) -> tuple[float, float]:
-    """Oscillation bracket of f* over the cell addressed by ``word``."""
-    i = sample.index_of(word)
-    spread = float(sample.vmax[i] - sample.vmin[i])
-    return spread, spread + 2 * sample.slack
-
-
-def total_osc(sample: GraphSample, k: int | None = None) -> tuple[float, float]:
-    """Bracket of Osc(k, f*) = sum of level-k cell oscillations."""
-    if k is not None and k != sample.level:
-        raise ValueError(f"sample is at level {sample.level}, not {k}")
-    spread = sample.vmax - sample.vmin
-    lo = float(np.sum(spread))
-    hi = lo + 2 * sample.slack * sample.cells
-    return lo, hi
-
-
-def _samples_up_to(model: FifModel, kmax: int, extra: int = 4):
-    # shrink the refinement depth near the budget; lo-ends stay valid
-    return graph_samples(model, {k: _fit_extra(model, k, extra)
-                                 for k in range(1, kmax + 1)})
+def _osc_sums(model: FifModel, kmax: int) -> dict[int, float]:
+    """Osc(k, f*) for k = 1..kmax, each from the vertices of level k + e,
+    e = 4 or less near the budget (a shallower level still gives lower
+    ends).  Each level k + e is folded once into the value ranges of its
+    finest k, and a coarser k with the same k + e reduces that table
+    (min and max are exact, so the grouping cannot change them)."""
+    extras = {k: _fit_extra(model, k, 4) for k in range(1, kmax + 1)}
+    depth = max(k + e for k, e in extras.items())
+    _check_budget(model, depth, f"graph sample depth {depth}")
+    n = model.N
+    finest = {k + e: k for k, e in extras.items()}  # level k + e -> its finest k
+    vmin = {k: np.full(n**k, np.inf) for k in extras}
+    vmax = {k: np.full(n**k, -np.inf) for k in extras}
+    for level, offset, block in _sweep(model, depth):
+        if level in finest:
+            k = finest[level]
+            _fold(vmin[k], vmax[k], block.vals, offset, n**(level - k))
+    for k, e in extras.items():
+        if (f := finest[k + e]) != k:
+            np.minimum.reduce(_by_group(vmin[f], n**(f - k)), out=vmin[k])
+            np.maximum.reduce(_by_group(vmax[f], n**(f - k)), out=vmax[k])
+    return {k: float(np.sum(vmax[k] - vmin[k])) for k in extras}
 
 
 def _check_args(model: FifModel, eta: float, kmax: int | None) -> int:
@@ -66,10 +75,9 @@ def seminorm(model: FifModel, eta: float, kmax: int | None = None) -> float:
     lam = model.domain.lam
     n = model.N
     best = 0.0
-    for sample in _samples_up_to(model, kmax):
-        k = sample.level
+    for k, osc in _osc_sums(model, kmax).items():
         denom = n**k * lam ** (-k * eta)
-        best = max(best, total_osc(sample)[0] / denom)
+        best = max(best, osc / denom)
     return best
 
 
@@ -84,8 +92,7 @@ def holder_to_osc_check(
     n = model.N
     diam = model.domain.diameter
     out = {}
-    for sample in _samples_up_to(model, kmax):
-        k = sample.level
+    for k, osc in _osc_sums(model, kmax).items():
         ceiling = holder_const * diam**eta * n**k * lam ** (-k * eta)
-        out[k] = total_osc(sample)[0] <= ceiling * (1 + 1e-12) + 1e-12
+        out[k] = osc <= ceiling * (1 + 1e-12) + 1e-12
     return out

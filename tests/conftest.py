@@ -88,6 +88,78 @@ def replay_geometry(model, k):
     return lo, hi, diam
 
 
+def column_count_reference(vmin, vmax, delta, cell_lo, cell_hi, ncols=None):
+    """The m = 1 column method on every cell corner (the boxes (C, 1) of
+    the cells in push order, with value ranges vmin, vmax), scattered with
+    ufunc.at: what the column counts of ``dimension`` must equal, bit for
+    bit.  The columns run up to ncols - 1, or else to the one the last hi
+    corner meets; a corner past it counts in that one."""
+    x0 = float(np.min(cell_lo[:, 0]))
+    ends = []
+    for corner, sign in ((cell_lo, 1.0), (cell_hi, -1.0)):
+        t = corner[:, 0] - x0
+        t /= delta
+        tie = np.abs(corner[:, 0]) / delta
+        tie *= sign * 1e-12
+        t += sign * 1e-9
+        t += tie
+        ends.append(np.floor(t, out=t).astype(int))
+    ncols = ncols or max(1, int(np.max(ends[1])) + 1)
+    ia, width = (np.clip(col, 0, ncols - 1, out=col) for col in ends)
+    np.maximum(width, ia, out=width)
+    width -= ia
+    span = int(np.max(width))
+    if span > 64:
+        raise ValueError("cells too coarse for this delta; refine the sample")
+    colmin = np.full(ncols, np.inf)
+    colmax = np.full(ncols, -np.inf)
+    np.minimum.at(colmin, ia, vmin)
+    np.maximum.at(colmax, ia, vmax)
+    for o in range(1, span + 1):
+        sel = np.flatnonzero(width >= o)
+        idx = ia[sel] + o
+        np.minimum.at(colmin, idx, vmin[sel])
+        np.maximum.at(colmax, idx, vmax[sel])
+    filled = colmax >= colmin
+    ranges = colmax[filled] - colmin[filled]
+    counts = np.maximum(1, np.ceil(ranges / delta - 1e-9))
+    return int(np.sum(counts))
+
+
+def replayed_table(model, k, level, levels=None):
+    """(vmin, vmax) of the level-k cells, in push order, over the vertex
+    values of their descendants at ``level`` (of ``levels``, as
+    ``replay_levels`` gives them, or replayed here)."""
+    if levels is None:
+        *_, (_, vals, _, _, _) = replay_levels(model, level, geometry_to=0)
+    else:
+        vals = levels[level][1]
+    vals = vals.reshape(model.N**k, -1)
+    return vals.min(axis=1), vals.max(axis=1)
+
+
+def replayed_estimate(model, k_min, k_max, depth):
+    """empirical_dimension's entries from whole replayed levels: each
+    level-tied count a sum over the level-k cells at level k + depth -
+    k_max, of max(ceil(osc / delta), 1) on an interval and of the prism's
+    ceil(osc / delta) + 1 on a cube or the gasket; on unequal knots each
+    dyadic count ``column_count_reference`` of the level-depth cells."""
+    levels = list(replay_levels(model, depth))
+    d = model.domain
+    if d.homogeneous or d.m > 1:
+        out = []
+        for k in range(k_min, k_max + 1):
+            vmin, vmax = replayed_table(model, k, k + depth - k_max, levels)
+            boxes = np.ceil((vmax - vmin) / d.delta(k) - 1e-9)
+            boxes = boxes + 1 if d.m > 1 else np.maximum(boxes, 1)
+            out.append((k, d.delta(k), int(np.sum(boxes))))
+        return out
+    vmin, vmax = replayed_table(model, depth, depth, levels)
+    lo, hi = levels[depth][2:4]
+    return [(k, d.diameter / 2.0**k, column_count_reference(
+        vmin, vmax, d.diameter / 2.0**k, lo, hi)) for k in range(k_min, k_max + 1)]
+
+
 @pytest.fixture
 def small_blocks(monkeypatch):
     # blocks of 2-4 cells: every level past the first is swept depth-first

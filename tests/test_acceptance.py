@@ -20,13 +20,8 @@ from fifdim.dimension import (
     exact_dim,
     witness_height_check,
 )
-from fifdim.engine import (
-    apply_T,
-    evaluate_at,
-    evaluate_on_vk,
-    graph_sample,
-)
-from fifdim.oscillation import holder_to_osc_check, seminorm, total_osc
+from fifdim.engine import apply_T, evaluate_at, evaluate_on_vk
+from fifdim.oscillation import _osc_sums, holder_to_osc_check, seminorm
 
 ALL_CONFIGS = [
     "example5_case1_one",
@@ -218,9 +213,9 @@ def test_criterion_7_oscillation_suite():
     const_ok = seminorm(const, 1.0, kmax=6) <= 1e-12
 
     ident = _identity_model()
-    osc_dev = max(
-        abs(total_osc(graph_sample(ident, k))[0] - 1.0) for k in range(1, 11)
-    )
+    osc = _osc_sums(ident, 10)
+    assert list(osc) == list(range(1, 11))
+    osc_dev = max(abs(v - 1.0) for v in osc.values())
     semi = seminorm(ident, 1.0, kmax=10)
     ident_ok = osc_dev <= 1e-10 and abs(semi - 1.0) <= 1e-10
 

@@ -1,6 +1,5 @@
 """Gamma constants, witnesses, theorem bounds and box counting."""
 
-import dataclasses
 import itertools
 import math
 
@@ -9,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (CONFIG_NAMES, SMALL_BLOCK_SLOTS, get_config, get_model,
-                      replay_geometry)
+from conftest import (CONFIG_NAMES, SMALL_BLOCK_SLOTS, column_count_reference,
+                      get_config, get_model, replay_geometry, replay_levels,
+                      replayed_estimate, replayed_table)
 from fifdim import dimension, engine
 from fifdim.dimension import (
     CollinearWitness,
     _class_value,
-    box_count,
+    _dyadic_counts,
     empirical_dimension,
     exact_dim,
     find_witness,
@@ -34,14 +34,7 @@ from fifdim.domains import (
     interval_domain,
     vertex_set,
 )
-from fifdim.engine import (
-    FifSpec,
-    GraphSample,
-    ModelError,
-    build_model,
-    graph_sample,
-    graph_samples,
-)
+from fifdim.engine import FifSpec, ModelError, build_model
 from fifdim.exprs import Const, Op, ShapeFacts, parse_expr
 
 LAM0_CASE1 = 15 / 4
@@ -660,18 +653,15 @@ def test_box_count_constant_model_exact():
     model = build_model(
         FifSpec(model_cfg.domain, data, model_cfg.s, "solve", 1.0)
     )
-    for k in (2, 4, 6):
-        sample = graph_sample(model, k, extra=2)
-        assert box_count(sample, 3.0**-k) == 3**k
+    est = empirical_dimension(model, 2, 6, extra=2)
+    assert [c for _, _, c in est.entries] == [3**k for k in range(2, 7)]
 
 
 def test_box_count_identity_band():
     from test_oscillation import _identity_model
 
-    model = _identity_model()
-    for k in (3, 5, 7):
-        sample = graph_sample(model, k, extra=2)
-        count = box_count(sample, 3.0**-k)
+    est = empirical_dimension(_identity_model(), 3, 7, extra=2)
+    for k, _, count in est.entries:
         assert 3**k <= count <= 2 * 3**k
 
 
@@ -679,62 +669,26 @@ def test_box_count_monotone_rise_bound():
     # monotone graph: count <= total rise / delta + number of columns
     from test_oscillation import _identity_model
 
-    model = _identity_model()
-    sample = graph_sample(model, 6, extra=2)
-    delta = 3.0**-6
-    assert box_count(sample, delta) <= 1 / delta + 3**6 + 1
+    k, delta, count = empirical_dimension(_identity_model(), 5, 6, extra=2).entries[-1]
+    assert count <= 1 / delta + 3**k + 1
 
 
-def test_box_count_rejects_bad_delta():
-    # nan raised from int(nan), and inf gave a plausible count
-    sample = graph_sample(get_model("example5_case2"), 2)
-    for delta in (0.0, -1.0, math.nan, math.inf):
-        message = f"^delta must be a finite number > 0, got {delta}$"
-        with pytest.raises(ValueError, match=message):
-            box_count(sample, delta)
-
-
-def _column_count_reference(sample, delta, cell_lo, cell_hi):
-    """The m = 1 column method on every cell corner (the boxes (C, 1) of
-    the cells in push order), scattered with ufunc.at: what box_count
-    must equal, bit for bit.  The columns run up to the one the last hi
-    corner meets."""
-    x0 = float(np.min(cell_lo[:, 0]))
-    ends = []
-    for corner, sign in ((cell_lo, 1.0), (cell_hi, -1.0)):
-        t = corner[:, 0] - x0
-        t /= delta
-        tie = np.abs(corner[:, 0]) / delta
-        tie *= sign * 1e-12
-        t += sign * 1e-9
-        t += tie
-        ends.append(np.floor(t, out=t).astype(int))
-    ncols = max(1, int(np.max(ends[1])) + 1)
-    ia, width = (np.clip(col, 0, ncols - 1, out=col) for col in ends)
-    np.maximum(width, ia, out=width)
-    width -= ia
-    span = int(np.max(width))
-    if span > 64:
-        raise ValueError("cells too coarse for this delta; refine the sample")
-    colmin = np.full(ncols, np.inf)
-    colmax = np.full(ncols, -np.inf)
-    np.minimum.at(colmin, ia, sample.vmin)
-    np.maximum.at(colmax, ia, sample.vmax)
-    for o in range(1, span + 1):
-        sel = np.flatnonzero(width >= o)
-        idx = ia[sel] + o
-        np.minimum.at(colmin, idx, sample.vmin[sel])
-        np.maximum.at(colmax, idx, sample.vmax[sel])
-    filled = colmax >= colmin
-    ranges = colmax[filled] - colmin[filled]
-    counts = np.maximum(1, np.ceil(ranges / delta - 1e-9))
-    return int(np.sum(counts))
-
-
-def _column_reference(model, k):
-    """``_column_count_reference`` on the replayed level-k cell boxes."""
-    lo, hi, _ = replay_geometry(model, k)
-    return lambda sample, delta: _column_count_reference(sample, delta, lo, hi)
+def _column_counts(model, depth, delta):
+    """The column count of the level-depth cells of an interval at
+    ``delta``, by ``_dyadic_counts`` (with 2^j columns, 2^(j - 1) delta >=
+    |K|) and by ``column_count_reference`` on the replayed cells with as
+    many columns: each a count or its error text."""
+    j = max(1, math.ceil(math.log2(model.domain.diameter / delta)) + 1)
+    *_, (_, vals, lo, hi, _) = replay_levels(model, depth)
+    table = vals.min(axis=1), vals.max(axis=1)
+    out = []
+    for count in (lambda: _dyadic_counts(model, {j: delta}, depth)[j],
+                  lambda: column_count_reference(*table, delta, lo, hi, 2**j)):
+        try:
+            out.append(count())
+        except ValueError as exc:
+            out.append(str(exc))
+    return tuple(out)
 
 
 def _deltas(model, k, rng):
@@ -749,28 +703,20 @@ def _deltas(model, k, rng):
             + list(tied * np.exp(rng.uniform(np.log(1 / 60), np.log(200), 12))))
 
 
-def _count_or_error(count, sample, delta):
-    try:
-        return count(sample, delta)
-    except ValueError as exc:
-        return str(exc)
-
-
-def _assert_counts_equal_reference(model, k, extra, rng):
-    sample = graph_sample(model, k, extra)
-    reference = _column_reference(model, k)
-    for delta in _deltas(model, k, rng):
-        assert _count_or_error(box_count, sample, delta) == _count_or_error(
-            reference, sample, delta), (k, delta)
+def _assert_counts_equal_reference(model, depth, rng):
+    for delta in _deltas(model, depth, rng):
+        code, reference = _column_counts(model, depth, delta)
+        assert code == reference, (depth, delta)
 
 
 @pytest.mark.parametrize("name", ["example5_case1_one", "example5_case1_sin",
                                   "example5_case2", "degenerate_interval"])
 def test_box_count_equals_column_reference(name):
+    # the column method at any delta, on the cells of levels 1..8
     model = get_model(name)
     rng = np.random.default_rng(8)
-    for k in range(1, 9):
-        _assert_counts_equal_reference(model, k, 8 - k if k < 8 else 0, rng)
+    for depth in range(1, 9):
+        _assert_counts_equal_reference(model, depth, rng)
 
 
 @st.composite
@@ -796,10 +742,9 @@ def interval_models(draw):
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
-@given(interval_models(), st.integers(1, 5), st.integers(0, 2),
-       st.integers(0, 2**32 - 1))
-def test_box_count_equals_column_reference_property(model, k, extra, seed):
-    _assert_counts_equal_reference(model, k, extra, np.random.default_rng(seed))
+@given(interval_models(), st.integers(1, 7), st.integers(0, 2**32 - 1))
+def test_box_count_equals_column_reference_property(model, depth, seed):
+    _assert_counts_equal_reference(model, depth, np.random.default_rng(seed))
 
 
 def test_box_count_cell_inside_the_tie():
@@ -810,15 +755,13 @@ def test_box_count_cell_inside_the_tie():
     data = [((x,), v) for x, v in zip((0.0, 0.5 - 2.5e-10, 0.5 + 2e-10, 1.0),
                                       (0.0, 5.0, -5.0, 0.0))]
     model = build_model(FifSpec(d, data, [(Const(0.1), None)] * 3, "solve"))
-    sample = graph_sample(model, 1, 2)
-    reference = _column_reference(model, 1)
-    count = reference(sample, 0.5)
-    assert box_count(sample, 0.5) == count
+    count, reference = _column_counts(model, 1, 0.5)
+    assert count == reference == 30
     # the middle cell widens column 1: with the last cell's values it adds
     # nothing there
-    lo, hi = sample.vmin.copy(), sample.vmax.copy()
+    lo, hi = replayed_table(model, 1, 1)
     lo[1], hi[1] = lo[2], hi[2]
-    assert count > reference(GraphSample(d, 1, 2, lo, hi, 0.0), 0.5)
+    assert count > column_count_reference(lo, hi, 0.5, *replay_geometry(model, 1)[:2], 2)
 
 
 def _equal_pieces_model(x0):
@@ -835,9 +778,8 @@ def test_level_tied_count_is_translation_invariant():
     # the per-cell sum does not depend on where the interval lies
     counts = []
     for x0 in (0.0, 1000.0):
-        model = _equal_pieces_model(x0)
-        sample = graph_sample(model, 8, 0)
-        counts.append(box_count(sample, model.domain.diameter / model.domain.lam**8))
+        est = empirical_dimension(_equal_pieces_model(x0), 7, 8, extra=0)
+        counts.append(est.entries[-1][2])
     assert counts == [155429, 155429]
 
 
@@ -847,23 +789,21 @@ def test_column_count_is_translation_invariant():
     # on [1000, 1001] spill into the next column (826240 boxes against
     # 615116 on [0, 1] for the same value ranges)
     models = [_equal_pieces_model(x0) for x0 in (0.0, 1000.0)]
-    base, far = (graph_sample(model, 8, 0) for model in models)
-    far = dataclasses.replace(far, vmin=base.vmin, vmax=base.vmax)
-    delta = base.domain.delta(8) / 2
-    assert box_count(base, delta) == box_count(far, delta) == 615116
-    assert [_column_reference(model, 8)(sample, delta) for model, sample
-            in zip(models, (base, far))] == [615116, 615116]
+    delta = models[0].domain.delta(8) / 2
+    assert [_column_counts(model, 8, delta) for model in models] == [(615116, 615116)] * 2
+    # and so with the same value ranges on both
+    table = replayed_table(models[0], 8, 8)
+    assert [column_count_reference(*table, delta, *replay_geometry(model, 8)[:2])
+            for model in models] == [615116, 615116]
 
 
 @pytest.mark.parametrize("name", ["example5_case2", "example5_case1_one"])
 def test_box_count_rejects_cells_too_coarse(name):
     # the widest cell spans about 100 columns
     model = get_model(name)
-    sample = graph_sample(model, 3, 0)
     delta = model.domain.diameter / model.domain.lam**3 / 100
-    for count in (box_count, _column_reference(model, 3)):
-        with pytest.raises(ValueError, match="too coarse"):
-            count(sample, delta)
+    assert _column_counts(model, 3, delta) == (
+        "cells too coarse for this delta; refine the sample",) * 2
 
 
 def test_level_tied_counts_make_no_geometry(monkeypatch):
@@ -888,33 +828,26 @@ def test_level_tied_counts_make_no_geometry(monkeypatch):
     est = empirical_dimension(model, 3, 6)
     assert lower_bound_interval_variable_s(model).heuristic
     assert [(depth, any(points)) for depth, points in sweeps] == [(8, False), (8, False)]
-    assert [c for _, _, c in est.entries] == [
-        box_count(s, model.domain.delta(s.level))
-        for s in graph_samples(model, dict.fromkeys(range(3, 7), 2))]
+    assert est.entries == replayed_estimate(model, 3, 6, 8)
 
 
 def _far_counts(knots, signature, s, values, depth, k_max):
-    """box_count of the level-depth table of an interval model at the
-    dyadic deltas of k = 2..k_max, asserted equal to the reference's and
-    to empirical_dimension's; values are the data on V_1, in its order."""
+    """empirical_dimension's counts of an interval model on the level-depth
+    cells at the dyadic deltas of k = 2..k_max, asserted equal to the
+    reference's; values are the data on V_1, in its order."""
     d = interval_domain(knots, signature)
     data = [(tuple(p), v) for p, v in zip(vertex_set(d, 1), values)]
     model = build_model(FifSpec(d, data, [(Const(c), None) for c in s], "solve"))
-    sample = graph_sample(model, depth, 0)
-    deltas = [d.diameter / 2.0**k for k in range(2, k_max + 1)]
-    counts = [box_count(sample, delta) for delta in deltas]
-    reference = _column_reference(model, depth)
-    assert [reference(sample, delta) for delta in deltas] == counts
     est = empirical_dimension(model, 2, k_max, extra=depth - k_max)
-    assert est.entries == list(zip(range(2, k_max + 1), deltas, counts))
-    return counts
+    assert est.entries == replayed_estimate(model, 2, k_max, depth)
+    return [c for _, _, c in est.entries]
 
 
 def test_far_unequal_knots_count_every_column():
-    # x_order's ends lie ulps beyond the region's, so delta = |K| / 2^k
+    # the cells' ends lie ulps beyond the region's, so delta = |K| / 2^k
     # gave 2^k + 1 columns for k >= 4, the last met by no cell, whose run
     # started past the last cell: an IndexError of minimum.reduceat in
-    # box_count and in empirical_dimension
+    # empirical_dimension
     # (the last two counts were 1495871 and 3416017 while q_i was fitted in
     # x, not x - 1000, 2.9e-10 off in f*)
     knots = [1000 + t for t in (0, 4e-4, 9e-4, 1e-3)]
@@ -946,15 +879,14 @@ def _dyadic_counts_or_error(model, k_min, k_max, extra):
     return [c for _, _, c in est.entries]
 
 
-def _dyadic_table_counts(model, k_min, k_max, depth, reference=False):
-    """``box_count`` of the level-depth table at each dyadic delta (and
-    ``_column_count_reference``, if ``reference``), or the first error
-    text: what empirical_dimension returns or raises."""
-    sample = graph_sample(model, depth, 0)
-    count = _column_reference(model, depth) if reference else box_count
-    counts = [_count_or_error(count, sample, model.domain.diameter / 2.0**k)
-              for k in range(k_min, k_max + 1)]
-    return next((c for c in counts if isinstance(c, str)), counts)
+def _dyadic_table_counts(model, k_min, k_max, depth):
+    """``column_count_reference`` of the replayed level-depth cells at each
+    dyadic delta, or its error text: what empirical_dimension returns or
+    raises."""
+    try:
+        return [c for _, _, c in replayed_estimate(model, k_min, k_max, depth)]
+    except ValueError as exc:
+        return str(exc)
 
 
 @st.composite
@@ -984,15 +916,13 @@ def unequal_interval_models(draw):
 @given(unequal_interval_models(), st.integers(3, 6), st.integers(0, 2))
 def test_nested_dyadic_columns_equal_box_count(slots, model, k_max, extra):
     # the columns of delta_(k_max) reduced pairwise give the count of each
-    # coarser dyadic delta, as box_count and the reference count it
+    # coarser dyadic delta, as the reference counts it on its own
     if model.domain.homogeneous:  # widths equal within 1e-9
         return
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "BLOCK_SLOTS", slots)
         got = _dyadic_counts_or_error(model, 2, k_max, extra)
-    depth = k_max + extra
-    assert got == _dyadic_table_counts(model, 2, k_max, depth)
-    assert got == _dyadic_table_counts(model, 2, k_max, depth, reference=True)
+    assert got == _dyadic_table_counts(model, 2, k_max, k_max + extra)
 
 
 def test_dyadic_counts_reject_cells_too_coarse():
@@ -1011,7 +941,7 @@ def test_dyadic_counts_reject_cells_too_coarse():
 @pytest.mark.parametrize("name", CONFIG_NAMES)
 @pytest.mark.parametrize("slots", [engine.BLOCK_SLOTS, SMALL_BLOCK_SLOTS])
 def test_empirical_counts_equal_box_count(name, slots, monkeypatch):
-    # the reducer against box_count on the tables of graph_samples: the
+    # the reducers against the counts of the replayed level tables: the
     # level-tied path, and the dyadic one on unequal knots, in blocks of
     # the default size past the last whole level, or of 2-4 cells
     model = get_model(name)
@@ -1020,13 +950,7 @@ def test_empirical_counts_equal_box_count(name, slots, monkeypatch):
     monkeypatch.setattr(engine, "BLOCK_SLOTS", slots)
     est = empirical_dimension(model, k_min, k_max)
     monkeypatch.undo()
-    d = model.domain
-    if d.homogeneous or d.m > 1:
-        want = [box_count(s, d.delta(s.level)) for s in graph_samples(
-            model, dict.fromkeys(range(k_min, k_max + 1), 2))]
-    else:
-        want = _dyadic_table_counts(model, k_min, k_max, k_max + 2)
-    assert [c for _, _, c in est.entries] == want
+    assert est.entries == replayed_estimate(model, k_min, k_max, k_max + 2)
 
 
 def _level_slots(model, depth):
@@ -1045,10 +969,7 @@ def test_sg_prism_voxel_sandwich():
     # N_delta <= N_S(k) <= 3 N_delta; the voxel proxy for N_delta is
     # grid-aligned, so allow the standard 2^3 grid-shift factor on the left
     model = get_model("sg_exact")
-    for k in (3, 4, 5):
-        sample = graph_sample(model, k, extra=4)
-        delta = model.domain.diameter / model.domain.lam**k
-        prism = box_count(sample, delta)
+    for k, delta, prism in empirical_dimension(model, 3, 5, extra=4).entries:
         pts, vals = _level_slots(model, k + 5)
         keys = np.floor(
             np.column_stack([pts / delta, vals[:, None] / delta]) + 1e-9

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import fifdim.domains as dm
 from conftest import CONFIG_NAMES, get_config, get_model
+from fifdim.dimension import empirical_dimension
 from fifdim.domains import (
     AffineMap,
     Axis,
@@ -23,7 +24,6 @@ from fifdim.domains import (
     product_domain,
     vertex_set,
 )
-from fifdim.engine import graph_sample
 
 KNOTS_CASE1 = (0.0, 4 / 15, 3 / 5, 1.0)
 
@@ -154,7 +154,7 @@ def test_cell_budget_env_override(monkeypatch):
     monkeypatch.setenv("FIF_CELL_BUDGET", "10")
     assert dm.cell_budget() == 10
     with pytest.raises(dm.BudgetError):
-        graph_sample(model, 2, extra=1)  # 3^3 x 2 vertex slots
+        empirical_dimension(model, 2, 3, extra=0)  # 3^3 x 2 vertex slots
 
 
 @pytest.mark.parametrize("raw", ["abc", "0", "-5", "1.5"])

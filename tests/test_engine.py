@@ -1,4 +1,4 @@
-"""Model construction, join-up validation, evaluation and graph samples."""
+"""Model construction, join-up validation and evaluation."""
 
 import collections
 import dataclasses
@@ -15,11 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fifdim
-from conftest import (CONFIG_DIR, CONFIG_NAMES, get_config, get_model,
-                      key_dedup, replay_geometry)
+from conftest import CONFIG_DIR, CONFIG_NAMES, get_config, get_model, key_dedup
 from fifdim.cli import main
 from fifdim.config import ConfigError, load_config, parse_number
-from fifdim.dimension import CollinearWitness, witness_height_check
+from fifdim.dimension import CollinearWitness, empirical_dimension, witness_height_check
 from fifdim.domains import (
     Box,
     BudgetError,
@@ -40,10 +39,9 @@ from fifdim.engine import (
     build_model,
     evaluate_at,
     evaluate_on_vk,
-    graph_sample,
-    graph_samples,
 )
 from fifdim.exprs import SHAPES, Const, Expr, Op, ShapeFacts, parse_expr
+from fifdim.oscillation import holder_to_osc_check, seminorm
 from test_cli import Q0, _set
 from test_dimension import _pinned_models
 
@@ -119,15 +117,6 @@ def test_solve_families_that_name_one_basis_agree(name, same):
     for (ea, fa), (eb, fb) in zip(a, b):
         assert str(ea) == str(eb) and fa == fb
         assert ea.ev(pts).tobytes() == eb.ev(pts).tobytes()
-
-
-@pytest.mark.parametrize("name, family", [
-    ("degenerate_cube", "affine"),
-    ("sg_exact", "multilinear"),
-])
-def test_solve_family_that_does_not_fit_the_domain(name, family):
-    with pytest.raises(ModelError, match="unknowns but .* boundary constraints"):
-        _solved(name, family)
 
 
 def test_solve_q_reproduces_data_on_v1(each_model):
@@ -653,9 +642,9 @@ def test_witness_height_check_rejects_bad_symbols(word):
     (lambda m: evaluate_on_vk(m, 2.0), "k must be an integer >= 1, got 2.0"),
     (lambda m: evaluate_on_vk(m, True), "k must be an integer >= 1, got True"),
     (lambda m: evaluate_on_vk(m, 0), "k must be an integer >= 1, got 0"),
-    (lambda m: graph_samples(m, {2: 1.5}), "extra must be an integer >= 0, got 1.5"),
-    (lambda m: graph_samples(m, {math.nan: 1}), "k must be an integer >= 1, got nan"),
-    (lambda m: graph_samples(m, {2: -1}), "extra must be an integer >= 0, got -1"),
+    (lambda m: empirical_dimension(m, 2, 4, 1.5), "extra must be an integer >= 0, got 1.5"),
+    (lambda m: empirical_dimension(m, math.nan, 4), "k_min must be an integer >= 2, got nan"),
+    (lambda m: empirical_dimension(m, 2, 4, -1), "extra must be an integer >= 0, got -1"),
 ], ids=["vk-float", "vk-bool", "vk-0", "extra-float", "k-nan", "extra-negative"])
 def test_level_arguments_must_be_integers(call, message):
     # a float level was a TypeError or, as a key, a BudgetError; True was 1
@@ -667,12 +656,6 @@ def test_a_numpy_integer_level_is_a_level():
     model = get_model("example5_case2")
     got, ref = evaluate_on_vk(model, np.int64(2)), evaluate_on_vk(model, 2)
     assert got[1].tobytes() == ref[1].tobytes()
-
-
-def test_index_of_rejects_a_fractional_symbol():
-    sample = graph_sample(get_model("example5_case2"), 1, 0)
-    with pytest.raises(ModelError, match="out of range in address"):
-        sample.index_of((0.5,))
 
 
 def test_apply_T_fixed_point(each_model):
@@ -739,27 +722,16 @@ def test_sup_norm_of_f_star_bounded_by_M(each_model):
     assert np.max(np.abs(vals)) <= model.M[1] + 1e-9
 
 
-def test_graph_sample_brackets_enclose_descendants():
-    model = get_model("example5_case1_one")
-    sample = graph_sample(model, 3, extra=3)
-    cell_lo, cell_hi, _ = replay_geometry(model, 3)
-    deep_pts, deep_vals = evaluate_on_vk(model, 8)
-    for idx in (0, 5, 13, 26):
-        word = tuple(idx // model.N**j % model.N for j in (2, 1, 0))
-        assert sample.index_of(word) == idx
-        lo, hi = sample.vmin[idx] - sample.slack, sample.vmax[idx] + sample.slack
-        inside = (deep_pts[:, 0] >= cell_lo[idx, 0] - 1e-12) & (
-            deep_pts[:, 0] <= cell_hi[idx, 0] + 1e-12
-        )
-        assert np.all(deep_vals[inside] >= lo - 1e-12)
-        assert np.all(deep_vals[inside] <= hi + 1e-12)
-
-
 def test_graph_sample_budget_guard(monkeypatch):
+    # the sweep of the seminorm and of the Hoelder check shrinks its extra
+    # levels to fit the budget, but not below the default kmax = 12
     model = get_model("example5_case2")
     monkeypatch.setenv("FIF_CELL_BUDGET", "100")
-    with pytest.raises(BudgetError, match="budget"):
-        graph_sample(model, 4)
+    message = "^graph sample depth 12 exceeds the cell budget$"
+    with pytest.raises(BudgetError, match=message):
+        seminorm(model, 0.8)
+    with pytest.raises(BudgetError, match=message):
+        holder_to_osc_check(model, 0.8, 1.0)
 
 
 def test_vk_matches_vertex_set(each_model):

@@ -3,23 +3,11 @@
 import numpy as np
 import pytest
 
-from conftest import get_model, replay_geometry, replay_levels
+from conftest import get_model, replay_geometry, replay_levels, replayed_table
 from fifdim.domains import cell_budget, interval_domain
-from fifdim.engine import (
-    FifSpec,
-    ModelError,
-    build_model,
-    graph_sample,
-    graph_samples,
-)
+from fifdim.engine import FifSpec, build_model, evaluate_on_vk
 from fifdim.exprs import parse_expr
-from fifdim.oscillation import (
-    _samples_up_to,
-    cell_osc,
-    holder_to_osc_check,
-    seminorm,
-    total_osc,
-)
+from fifdim.oscillation import _osc_sums, holder_to_osc_check, seminorm
 
 
 def _constant_model(c=0.7):
@@ -40,17 +28,14 @@ def _identity_model():
 
 def test_constant_model_zero_oscillation():
     model = _constant_model()
-    for k in (1, 3, 6):
-        lo, hi = total_osc(graph_sample(model, k))
-        assert lo == pytest.approx(0.0, abs=1e-12)
+    assert all(osc == pytest.approx(0.0, abs=1e-12) for osc in _osc_sums(model, 6).values())
     assert seminorm(model, 1.0, kmax=6) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_identity_total_osc_is_one():
-    model = _identity_model()
-    for k in range(1, 11):
-        lo, _ = total_osc(graph_sample(model, k))
-        assert lo == pytest.approx(1.0, abs=1e-10)
+    osc = _osc_sums(_identity_model(), 10)
+    assert list(osc) == list(range(1, 11))
+    assert all(v == pytest.approx(1.0, abs=1e-10) for v in osc.values())
 
 
 def test_identity_seminorm_is_one():
@@ -96,30 +81,10 @@ def test_seminorm_and_holder_check_reject_a_kmax_that_is_no_level(kmax):
         holder_to_osc_check(_identity_model(), 0.5, 1.0, kmax)
 
 
-def test_cell_osc_and_table_consistency():
-    model = get_model("example5_case1_one")
-    sample = graph_sample(model, 3)
-    spread = sample.vmax - sample.vmin
-    assert total_osc(sample)[0] == pytest.approx(float(np.sum(spread)),
-                                                 rel=1e-12)
-    word = (0, 1, 2)
-    lo, hi = cell_osc(sample, word)
-    idx = sample.index_of(word)
-    assert lo == spread[idx]
-    assert hi == lo + 2 * sample.slack >= lo
-
-
-def test_total_osc_level_mismatch_rejected():
-    model = _identity_model()
-    sample = graph_sample(model, 2)
-    with pytest.raises(ValueError):
-        total_osc(sample, k=3)
-
-
 def _observed_holder_constant(model, eta, k=10):
-    sample = graph_sample(model, k, extra=2)
+    vmin, vmax = replayed_table(model, k, k + 2)
     diam = np.maximum(replay_geometry(model, k)[2], 1e-300)
-    return float(np.max((sample.vmax - sample.vmin) / diam**eta))
+    return float(np.max((vmax - vmin) / diam**eta))
 
 
 @pytest.mark.parametrize(
@@ -150,46 +115,45 @@ def test_holder_ceiling_fails_for_tiny_constant():
 def test_one_pass_samples_equal_level0_replay(name):
     model = get_model(name)
     kmax = model.domain.default_kmax
-    got = list(_samples_up_to(model, kmax))
-    assert [s.level for s in got] == list(range(1, kmax + 1))
+    got = _osc_sums(model, kmax)
+    assert list(got) == list(range(1, kmax + 1))
     # the budget shrinks the refinement depth of the deepest levels
-    assert got[0].extra == 4 and got[-1].extra < 4
     assert model.N ** (kmax + 4) * len(model.domain.v0) > cell_budget()
+    slots = len(model.domain.v0)
+    depths = {k: max(d for d in range(k, k + 5) if model.N**d * slots <= cell_budget())
+              for k in got}
+    assert depths[1] == 5 and depths[kmax] < kmax + 4
     # one replay level at a time, with no geometry: the deepest levels
     # take hundreds of MB
-    depth = max(s.level + s.extra for s in got)
     for level, (_, vals, _, _, _) in enumerate(
-            replay_levels(model, depth, geometry_to=0)):
-        for sample in got:
-            k, e = sample.level, sample.extra
-            if k + e == level:
+            replay_levels(model, max(depths.values()), geometry_to=0)):
+        for k, osc in got.items():
+            if depths[k] == level:
                 block = vals.reshape(model.N**k, -1)
-                assert np.array_equal(sample.vmin, block.min(axis=1))
-                assert np.array_equal(sample.vmax, block.max(axis=1))
-                assert sample.slack == 2 * model.M[1] * model.s_norm[1] ** e
+                spread = block.max(axis=1) - block.min(axis=1)
+                assert repr(osc) == repr(float(np.sum(spread)))
 
 
-def test_graph_samples_order_and_single_entry():
-    model = _identity_model()
-    samples = graph_samples(model, {3: 0, 1: 2, 2: 1})
-    got = [(s.level, s.extra) for s in samples]
-    assert got == [(1, 2), (2, 1), (3, 0)]
-    # in order of k, also where a coarser k reads a deeper level
-    samples = graph_samples(model, {2: 0, 1: 3})
-    assert isinstance(samples, list)
-    assert [(s.level, s.extra) for s in samples] == [(1, 3), (2, 0)]
-    one = graph_sample(model, 4, extra=1)
-    assert (one.level, one.extra, one.cells) == (4, 1, 3**4)
-    assert list(graph_samples(model, {})) == []
-    for bad in ({0: 1}, {2: -1}):
-        with pytest.raises(ModelError):  # in the call, not on first use
-            graph_samples(model, bad)
+def test_osc_sums_are_lower_bounds():
+    # Osc(3) read off the vertices of level 7 is at most the sum over the
+    # level-3 cells of the spread of f* on the points of V_9 in each
+    model = get_model("example5_case1_one")
+    cell_lo, cell_hi, _ = replay_geometry(model, 3)
+    pts, vals = evaluate_on_vk(model, 9)
+    spread = 0.0
+    for lo, hi in zip(cell_lo[:, 0], cell_hi[:, 0]):
+        inside = vals[(pts[:, 0] >= lo - 1e-12) & (pts[:, 0] <= hi + 1e-12)]
+        spread += inside.max() - inside.min()
+    assert _osc_sums(model, 3)[3] <= spread + 1e-12
 
 
 @pytest.mark.parametrize(
     "name, expected",
     [("example5_case2", "13.37110843608938"),
      ("example5_case1_sin", "1.649602513456378"),
+     ("example5_case1_one", "2.4794996938351463"),
+     ("sg_exact", "270.2587432195848"),
+     ("degenerate_interval", "1.0"),
      ("degenerate_cube", "1.0")],
 )
 def test_seminorm_pinned_values(name, expected):

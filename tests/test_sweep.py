@@ -1,6 +1,7 @@
-"""The depth-first sweep, the level pushes and the interval x order
-against the breadth-first replay (``conftest.replay_levels``), seed pins
-of the box-count estimate and of V_k, and memory bounds."""
+"""The depth-first sweep, the level pushes, the oscillation sums and the
+interval x order against the breadth-first replay
+(``conftest.replay_levels``), seed pins of the box-count estimate and of
+V_k, and memory bounds."""
 
 import dataclasses
 import hashlib
@@ -13,12 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CONFIG_NAMES, get_model, key_dedup, replay_levels
+from conftest import (CONFIG_NAMES, get_model, key_dedup, replay_levels,
+                      replayed_estimate, replayed_table)
 from fifdim import domains, engine, oscillation
-from fifdim.dimension import box_count, empirical_dimension
+from fifdim.dimension import empirical_dimension
 from fifdim.domains import interval_domain, vertex_set
-from fifdim.engine import (FifSpec, GraphSample, ModelError, apply_T,
-                           build_model, evaluate_on_vk, graph_samples)
+from fifdim.engine import (FifSpec, ModelError, apply_T, build_model,
+                           evaluate_on_vk)
 from fifdim.exprs import Const, Op
 from fifdim.oscillation import seminorm
 
@@ -37,32 +39,32 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _assert_samples_equal_replay(model, extras):
-    depth = max(k + e for k, e in extras.items())
-    levels = _replay(model, depth, geometry_to=0)
-    got = list(graph_samples(model, extras))
-    assert [(s.level, s.extra) for s in got] == sorted(extras.items())
-    for sample in got:
-        k, e = sample.level, sample.extra
-        block = levels[k + e][1].reshape(model.N**k, -1)
-        assert _same_bits(sample.vmin, block.min(axis=1))
-        assert _same_bits(sample.vmax, block.max(axis=1))
+def _assert_osc_sums_equal_replay(model, kmax, depths):
+    # Osc(k) of each k, read off level depths[k], is np.sum of the spreads
+    # of the replayed level-k table, bit for bit
+    levels = _replay(model, max(depths.values()), geometry_to=0)
+    got = oscillation._osc_sums(model, kmax)
+    assert list(got) == list(range(1, kmax + 1))
+    for k, osc in got.items():
+        vmin, vmax = replayed_table(model, k, depths[k], levels)
+        assert repr(osc) == repr(float(np.sum(vmax - vmin)))
 
 
 @pytest.mark.parametrize("name", SWEEP_CONFIGS)
 def test_graph_samples_sweep_equals_replay(name, small_blocks):
-    model = get_model(name)
-    extras = {1: 4, 2: 3, 3: 1, 4: 0, 5: 0} if model.N == 4 else \
-        {1: 5, 2: 3, 3: 1, 4: 2, 6: 0}
-    _assert_samples_equal_replay(model, extras)
+    # the level-k value ranges of the oscillation sums, each from level
+    # k + 4, in blocks of 2-4 cells
+    _assert_osc_sums_equal_replay(get_model(name), 3, {1: 5, 2: 6, 3: 7})
 
 
 @pytest.mark.parametrize("name", SWEEP_CONFIGS)
-def test_graph_samples_shared_level_folded_once(name, small_blocks):
-    # k = 2, 3 and 4 all read level 5, as k = 10, 11 and 12 read level 14
-    # in seminorm: it is folded into k = 4 alone, and k = 2, 3 reduce that
-    # table; level 3 is both held (k = 3) and read (k = 1)
-    _assert_samples_equal_replay(get_model(name), {2: 3, 3: 2, 4: 1, 1: 2})
+def test_graph_samples_shared_level_folded_once(name, small_blocks, monkeypatch):
+    # a budget of level 5 shrinks the extra of every k to 5 - k, so all five
+    # read level 5, as k = 10, 11 and 12 read level 14 in the default
+    # seminorm: it is folded into k = 5 alone, and k = 1..4 reduce that table
+    model = get_model(name)
+    monkeypatch.setenv("FIF_CELL_BUDGET", str(model.N**5 * len(model.domain.v0)))
+    _assert_osc_sums_equal_replay(model, 5, dict.fromkeys(range(1, 6), 5))
 
 
 def _dedup(pts, vals, model):
@@ -137,32 +139,12 @@ def test_vk_memory_bounded():
     assert peaks[0] < 15 * 2**20 and peaks[1] < 10.5 * 2**20
 
 
-def _replayed_estimate(model, k_min, k_max, depth):
-    """empirical_dimension's entries from whole replayed levels."""
-    levels = _replay(model, depth)
-    diam = model.domain.diameter
-
-    def table(k, level):
-        vals = levels[level][1].reshape(model.N**k, -1)
-        return GraphSample(model.domain, k, level - k, vals.min(axis=1),
-                           vals.max(axis=1), 0.0)
-
-    if model.domain.homogeneous or model.domain.m > 1:
-        e = depth - k_max
-        return [(k, diam / model.domain.lam**k,
-                 box_count(table(k, k + e), diam / model.domain.lam**k))
-                for k in range(k_min, k_max + 1)]
-    deep = table(depth, depth)
-    return [(k, diam / 2.0**k, box_count(deep, diam / 2.0**k))
-            for k in range(k_min, k_max + 1)]
-
-
 @pytest.mark.parametrize("name", SWEEP_CONFIGS)
 def test_empirical_sweep_equals_replay(name, small_blocks):
     model = get_model(name)
     k_min, k_max = (2, 4) if model.N == 4 else (3, 5)
     est = empirical_dimension(model, k_min, k_max, extra=2)
-    ref = _replayed_estimate(model, k_min, k_max, k_max + 2)
+    ref = replayed_estimate(model, k_min, k_max, k_max + 2)
     assert [(k, repr(d), c) for k, d, c in est.entries] == [
         (k, repr(d), c) for k, d, c in ref]
 
@@ -222,8 +204,8 @@ def test_empirical_memory_is_a_block(name, k_min, k_max, monkeypatch):
 
 
 def test_seminorm_memory_bounded():
-    # 17 MB here, 12 MB of it the value ranges of the twelve samples; it
-    # was 62 MB when the samples also held vertex points, boxes and
+    # 17 MB here, 12 MB of it the value ranges of the twelve levels; it
+    # was 62 MB when those tables also held vertex points, boxes and
     # diameters
     model = get_model("example5_case2")
     tracemalloc.start()
@@ -261,30 +243,34 @@ def interval_models(draw):
 def test_x_order_equals_sorted_replay(model, k):
     # the one recursion in knot order against the breadth-first replay of
     # the level-k boxes, sorted by their lo ends
-    *_, (_, _, lo, hi, _) = _replay(model, k)
-    lo, hi = lo[:, 0], hi[:, 0]
-    by_x = np.argsort(lo, kind="stable")
-    order, got_lo, got_hi = model.domain.x_order(k)
-    assert _same_bits(np.arange(model.N**k)[order], by_x)
-    assert _same_bits(got_lo, lo[by_x]) and _same_bits(got_hi, hi[by_x])
+    *_, (_, _, lo, _, _) = _replay(model, k)
+    order = model.domain.x_order(k)
+    assert _same_bits(np.arange(model.N**k)[order], np.argsort(lo[:, 0], kind="stable"))
     flips = any(mp.scale[0] < 0 for mp in model.domain.maps)
     assert isinstance(order, slice) == (not flips)
 
 
 def test_seminorm_samples_make_no_geometry(monkeypatch):
-    # the seminorm reads value ranges only: no sample builds an x order,
-    # on unequal knots either
+    # the seminorm reads value ranges only: it builds no x order, on
+    # unequal knots either, and its one sweep carries no vertex points at
+    # the depth level
     model = get_model("example5_case1_one")
-    seen, total_osc = [], oscillation.total_osc
-    monkeypatch.setattr(oscillation, "total_osc",
-                        lambda sample: seen.append(sample) or total_osc(sample))
+    sweeps, sweep = [], oscillation._sweep
 
     def fail(self, k):
         raise AssertionError("x order made")
 
+    def spy(model, depth, *args, **kw):
+        sweeps.append((depth, points := []))
+        for level, offset, block in sweep(model, depth, *args, **kw):
+            if level == depth:
+                points.append(block.pts is not None)
+            yield level, offset, block
+
     monkeypatch.setattr(domains.ProductDomain, "x_order", fail)
+    monkeypatch.setattr(oscillation, "_sweep", spy)
     seminorm(model, 1.0, kmax=5)
-    assert [s.level for s in seen] == [1, 2, 3, 4, 5]
+    assert [(depth, any(points)) for depth, points in sweeps] == [(9, False)]
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
