@@ -18,6 +18,7 @@ from .domains import BudgetError, cell_budget
 from .engine import (
     FifModel,
     ModelError,
+    _cells,
     _check_budget,
     _check_int,
     _fit_extra,
@@ -432,8 +433,9 @@ def empirical_dimension(
     a cube or the gasket a prism of ceil(osc / delta) + 1.  Unequal knots
     fall back to dyadic delta_k = |K| / 2^k and the column method on the
     cells of the deepest level (m = 1).  As sums of integers, the counts
-    come from reducers over the blocks of one sweep (``engine._sweep``),
-    in O(block + 2^k_max columns) memory.
+    come from reducers over the blocks of vertex rows of one sweep
+    (``engine._sweep``; on an interval in x order, so those vertices of a
+    cell are a run of rows), in O(block + 2^k_max columns) memory.
     """
     _check_int(ModelError, k_min=(k_min, 2), k_max=(k_max, k_min), extra=(extra, 0))
     depth = k_max + _fit_extra(model, k_max, extra)
@@ -449,27 +451,22 @@ def empirical_dimension(
     logn = np.log([c for _, _, c in entries])
     slope, intercept = np.polyfit(logs, logn, 1)
     resid = float(np.sqrt(np.mean((logn - (slope * logs + intercept)) ** 2)))
-    return EmpiricalEstimate(
-        entries=entries,
-        slope=float(slope),
-        residual=resid,
-        k_min=k_min,
-        k_max=k_max,
-    )
+    return EmpiricalEstimate(entries, float(slope), resid, k_min, k_max)
 
 
 def _tied_counts(model: FifModel, deltas: dict, depth: int) -> dict[int, int]:
     """The count of each k at its delta, level-k cells read off level k + e
     for one e = depth - k_max (a sliding extra would tilt the osc bias
     across the window).  A block of level k + e is reduced to its level-k
-    cells (group-major below the whole levels, see ``engine._sweep``) and
-    counted, or if inside one (N^L < N^e, L the last level the sweep
-    pushes whole) folded into the level's table, counted last."""
+    cells (``engine._group_extremes``: runs of rows on an interval,
+    group-major cells below the whole levels else) and counted, or if
+    inside one (N^L < N^e, L the last level the sweep pushes whole) folded
+    into the level's table, counted last."""
     e = depth - max(deltas)
     group, prism = model.N**e, model.domain.m > 1
     counts, tables = dict.fromkeys(deltas, 0), {}
     for level, offset, block in _sweep(model, depth, group):
-        if (k := level - e) in counts and len(block.vals) < group:
+        if (k := level - e) in counts and _cells(block.vals) < group:
             if k not in tables:
                 tables[k] = np.full(model.N**k, np.inf), np.full(model.N**k, -np.inf)
             _fold(*tables[k], block.vals, offset, group)
@@ -486,26 +483,22 @@ def _dyadic_counts(model: FifModel, deltas: dict, depth: int) -> dict[int, int]:
     an interval, by the column method at the finest delta alone: column c
     of delta_k is columns 2c and 2c + 1 of delta_(k + 1), up to the tie's
     1e-9, which does not nest (tests gate it against a column count of the
-    replayed cells).  A block of the depth level is l_B of the table of a
-    level L: its cells are in L's x order (``Domain.x_order``), reversed
-    if l_B flips.  x0, the lo end of the first cell in x order, comes from
-    the push's arithmetic x * a + b, so it is bitwise that vertex point."""
+    replayed cells).  A block of the depth level is rows in x order
+    (``engine._sweep``; reversed if l_B flips), its cells' ends x[:-1] and
+    x[1:].  x0, the lo end of the first cell in x order, comes from the
+    push's arithmetic x * a + b, so it is bitwise that vertex point."""
     d, ks = model.domain, sorted(deltas, reverse=True)
     (a0, b0), (a1, b1) = ((mp.scale[0], mp.offset[0]) for mp in (d.maps[0], d.maps[-1]))
     x0, x1 = d.base.lo[0], d.base.hi[0]
     for _ in range(depth):  # the ends of the level-depth cells in x order
         x0, x1 = (x0 if a0 > 0 else x1) * a0 + b0, (x1 if a1 > 0 else x0) * a1 + b1
     colmin, colmax = np.full(2**ks[0], np.inf), np.full(2**ks[0], -np.inf)
-    xs = None  # the level-L x order: a slice if no map flips, so no l_B does
     for block in (b for lv, _, b in _sweep(model, depth, points=True) if lv == depth):
-        x, v = block.pts[..., 0], block.vals
-        xs = d.x_order(round(math.log(len(x), model.N))) if xs is None else xs
-        lo, order = np.minimum(x[:, 0], x[:, 1])[xs], xs
-        if lo[0] > lo[-1]:  # l_B flips
-            lo, order = lo[::-1], xs[::-1]
-        c0, bot, top = _column_extremes(x0, deltas[ks[0]], lo, np.maximum(
-            x[:, 0], x[:, 1])[order], np.minimum(v[:, 0], v[:, 1])[order],
-            np.maximum(v[:, 0], v[:, 1])[order], len(colmin))
+        x, v = block.pts[:, 0], block.vals
+        if x[0] > x[-1]:  # l_B flips
+            x, v = x[::-1], v[::-1]
+        c0, bot, top = _column_extremes(x0, deltas[ks[0]], x[:-1], x[1:], np.minimum(
+            v[:-1], v[1:]), np.maximum(v[:-1], v[1:]), len(colmin))
         for acc, ext, op in ((colmin, bot, np.minimum), (colmax, top, np.maximum)):
             op(acc[c0:c0 + len(ext)], ext, out=acc[c0:c0 + len(ext)])
     counts = {}
@@ -579,23 +572,13 @@ def reconcile(
     best_upper = min(uppers) if uppers else None
     exact = any(e.kind == "exact" and e.applies for e in entries)
 
-    empirical = None
-    inconsistent = False
+    empirical, inconsistent = None, False
     if with_empirical:
         dk_min, dk_max = model.domain.default_window
-        empirical = empirical_dimension(
-            model, k_min if k_min is not None else dk_min,
-            k_max if k_max is not None else dk_max,
-        )
+        empirical = empirical_dimension(model, dk_min if k_min is None else k_min,
+                                        dk_max if k_max is None else k_max)
         inconsistent = (
             best_lower is not None and empirical.slope < best_lower - 0.1
             or best_upper is not None and empirical.slope > best_upper + 0.1)
-    return BoundsReport(
-        gamma_report=gammas(model),
-        entries=entries,
-        empirical=empirical,
-        best_lower=best_lower,
-        best_upper=best_upper,
-        exact=exact,
-        inconsistent=inconsistent,
-    )
+    return BoundsReport(gammas(model), entries, empirical, best_lower, best_upper,
+                        exact, inconsistent)

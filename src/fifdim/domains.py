@@ -337,7 +337,9 @@ class ProductDomain(Domain):
         axis u, V_(k-1) has indices 0..G_u = P_u^(k-1), and l_c maps index x
         to c_u G_u + x, or c_u G_u + G_u - x if it flips axis u.  A slot
         repeats one exactly when that is, on some axis, the start of a piece
-        c_u > 0; its partner is the one kept slot of its grid point."""
+        c_u > 0.  Its partner, the one kept slot of its grid point, is l_c'
+        of the row x', c' stepping each such axis down a piece and x' taking
+        there the index that l_c' maps to that piece's end."""
         if self.pcf:
             yield from super().plans()
             return
@@ -347,15 +349,18 @@ class ProductDomain(Domain):
         idx = np.array(list(np.ndindex(*(2,) * m))).T  # axis-major (m, n)
         size = np.ones(m, int)
         while True:
-            dims, shift = P * size + 1, (pieces + flips) * size[:, None]
-            img = (sign * idx[:, None] + shift[..., None]).reshape(m, -1)
-            starts = (idx[:, None] == (flips * size[:, None])[..., None]) & later
-            keep = ~starts.any(axis=0).ravel()
-            grid, drop = np.ravel_multi_index(img, dims), np.flatnonzero(~keep)
-            first = np.empty(np.prod(dims), np.intp)
-            first[grid[keep]] = np.flatnonzero(keep)
-            yield keep, drop, first[grid[drop]]
-            idx, size = img.compress(keep, axis=1), dims - 1
+            n = idx.shape[1]
+            starts = ((idx[:, None] == (flips * size[:, None])[..., None]) & later).reshape(m, -1)
+            keep = ~starts.any(axis=0)
+            drop = np.flatnonzero(~keep)
+            step, (i, r) = starts[:, drop], np.divmod(drop, n)
+            c = np.ravel_multi_index(pieces[:, i] - step, P)
+            x = np.where(step, np.where(flips[:, c], 0, size[:, None]), idx[:, r])
+            row = np.empty(n, np.intp)  # the row of each grid point of V_(k-1)
+            row[np.ravel_multi_index(idx, size + 1)] = np.arange(n)
+            yield keep, drop, c * n + row[np.ravel_multi_index(x, size + 1)]
+            img = sign * idx[:, None] + ((pieces + flips) * size[:, None])[..., None]
+            idx, size = img.reshape(m, -1).compress(keep, axis=1), P * size
 
     # desk-scale defaults: N^k stays around 5e5 cells
     @property
@@ -365,19 +370,6 @@ class ProductDomain(Domain):
     @property
     def default_kmax(self) -> int:
         return 12 if self.m == 1 else 8
-
-    def x_order(self, k: int) -> slice | np.ndarray:
-        """The push-order index of the level-k cells of an interval (m = 1)
-        in x order, a slice when no map flips.  Piece i holds l_i of the
-        level-(k - 1) cells, reversed if l_i flips."""
-        flips = [mp.scale[0] < 0 for mp in self.maps]
-        if not any(flips):
-            return slice(None)
-        order = np.zeros(1, dtype=np.intp)
-        for _ in range(k):
-            order = np.concatenate([order[::-1 if flip else 1] + i * len(order)
-                                    for i, flip in enumerate(flips)])
-        return order
 
 
 @dataclass(frozen=True)

@@ -21,21 +21,25 @@ iteration error), one level at a time, each pushed straight into the rows
 the domain's plan keeps (``Domain.plans`` drops the slots that repeat a
 vertex by their addresses; ``_push_kept``); ``evaluate_at`` replays a
 decoded address with the same step, ``_child`` (``_replay``).  No code
-here depends on the domain type: every decision that does is a method
-or property of the domain.
-The cells of levels 1..depth come from one sweep (``_sweep``) that goes
-depth-first in blocks of BLOCK_SLOTS vertex slots, so FIF_CELL_BUDGET
-(N^depth x |V_0| slots) bounds the work and no level is held whole.  Its
-callers reduce each block to level-k value ranges: box counts
-(``dimension.empirical_dimension``) with one min and one max down the
-leading axis of blocks the sweep keeps group-major (``_group_extremes``),
-oscillation sums (``oscillation.seminorm``) by a fold into a table of
-N^k ranges (``_fold``), which copies its block into that order once.
-Points are mapped one axis at a time (``AffineMap``): no numpy call of
-the sweep or a push loops innermost over the m axes or the P slots of a
-cell.  2^16 slots (512 KB of values, as much of points per axis) fit a
-per-core L2 cache.  The sweep carries values, and vertex points only
-where the next push or its caller needs them.
+here depends on the domain type, only on m: every other decision is a
+method or property of the domain.
+The cells of levels 1..depth come from one sweep (``_sweep``) of vertex
+rows: whole levels pushed as V_k is while they fit a block of about 2^16
+floats (values and points: an L2 cache), then depth-first blocks, each l_B
+of the last whole level's rows, so a vertex is pushed once per block it
+lies in and FIF_CELL_BUDGET (N^depth x |V_0| slots) bounds the work.  An
+interval's (m = 1) rows are put in x order once per sweep: a cell is two
+adjacent rows, a group of g cells a run of g + 1.  A block of a cube or
+the gasket is gathered into cells (C, P) through a cell -> row table made
+from the plans once per sweep.  Callers reduce each block to level-k
+value ranges (``_group_extremes``): box counts
+(``dimension.empirical_dimension``), and oscillation sums
+(``oscillation.seminorm``) by a fold into a table of N^k ranges
+(``_fold``).  A sweep holds one block buffer per level below the last
+whole one: 157 KB of values, and as much of points, on a 3-piece
+interval.  Points are mapped one axis at a time (``AffineMap``): no numpy
+call of the sweep or a push loops innermost over the m axes or the P
+slots of a cell.
 """
 
 from __future__ import annotations
@@ -390,36 +394,27 @@ def build_model(spec: FifSpec) -> FifModel:
 # --------------------------------------------------------------------------
 # Level push (vectorized exact recursion)
 
-# vertex slots pushed at once: whole levels while they fit, then blocks of
-# the last level that did (sized to the L2 cache, see the module docstring)
+# floats (values and points) pushed at once: whole levels while they fit,
+# then blocks of the last level that did (see the module docstring)
 BLOCK_SLOTS = 2**16
 
 
 class _Level(NamedTuple):
-    pts: np.ndarray | None  # (C, P, m) vertex points l_w(V_0)
-    vals: np.ndarray  # (C, P) exact f* values
+    pts: np.ndarray | None  # (..., m) vertex points
+    vals: np.ndarray  # (...) exact f* values
 
 
 def _child(model: FifModel, lev: _Level, i: int, pts: bool = True,
            out: _Level | None = None) -> _Level:
-    """The cells l_i o l_w for every cell w of ``lev``, in the order of w,
-    with values, and vertex points if ``pts`` (or into ``out``, whose points
-    decide); a constant s_i or q_i enters as a float (see ``Expr._ev``)."""
+    """l_i of every vertex of ``lev``, in its order, with values, and points
+    if ``pts`` (or into ``out``, whose points decide); a constant s_i or q_i
+    enters as a float (see ``Expr._ev``)."""
     out = out or _Level(np.empty_like(lev.pts) if pts else None, np.empty_like(lev.vals))
     vals = np.multiply(model.s[i][0]._ev(lev.pts), lev.vals, out=out.vals)
     vals += model.q[i][0]._ev(lev.pts)
     if out.pts is not None:
         model.domain.maps[i](lev.pts, out=out.pts)
     return out
-
-
-def _push(model: FifModel, lev: _Level, pts: bool = True) -> _Level:
-    """The next level, map-major: cell (or point) i * C + w is l_i o l_w."""
-    nxt = _Level(np.empty((model.N, *lev.pts.shape)) if pts else None,
-                 np.empty((model.N, *lev.vals.shape)))
-    for i in range(model.N):
-        _child(model, lev, i, out=_Level(*(a if a is None else a[i] for a in nxt)))
-    return _Level(*(a if a is None else a.reshape(-1, *a.shape[2:]) for a in nxt))
 
 
 def _fits(model: FifModel, depth: int) -> bool:
@@ -442,33 +437,38 @@ def _fit_extra(model: FifModel, k: int, extra: int) -> int:
 def _sweep(model: FifModel, depth: int, group: int = 1, points: bool = False
            ) -> Iterator[tuple[int, int, _Level]]:
     """Every cell of levels 1..depth as (level, offset, block) triples,
-    depth-first.
-
-    While the next level fits BLOCK_SLOTS vertex slots it is pushed whole
-    (offset 0).  Below the last such level L, the level-(L + t) cells with
-    leading symbols (b_t..b_1) are the block l_{b_t} o .. o l_{b_1} of the
-    level-L table, at offset idx(b_t..b_1) * N^L, with the table first put
-    group-major for the ``group`` size g the caller reduces by (cell j g + r
-    to r C / g + j, if 1 < g < C = N^L), an order the elementwise
-    ``_child`` keeps.  Blocks get the per-map arithmetic of whole levels,
-    so their values are bitwise the same.  Blocks above ``depth`` carry
-    vertex points, since the next push needs them; those at ``depth``
-    values only, unless ``points``.  A level's blocks share one buffer: a
-    consumer must not hold a block past its next step.
-    """
-    v0, n, level = model.domain.v0_array, model.N, 0
-    lev = _Level(v0[None], model.p_at(v0)[None])
-    while level < depth and lev.vals.size * n <= BLOCK_SLOTS:
-        lev, level = _push(model, lev, points or level + 1 < depth), level + 1
-        yield level, 0, lev
+    depth-first, a block holding the cells from push index offset on (cell
+    i C + w of a level is l_i o l_w).  Levels are pushed whole, at offset
+    0, while the next one's pushes fit BLOCK_SLOTS floats; the level-(L + t)
+    cells with leading symbols (b_t..b_1), L the last whole level, are the
+    block l_{b_t} o .. o l_{b_1} of V_L's rows at offset idx(b_t..b_1) N^L,
+    each level's blocks in one buffer (hold none past the next step).  On
+    an interval a block is rows in x order (``_rows``; reversed if l_B
+    flips); else cells (C, P), below L group-major for the ``group`` size
+    g the caller reduces by (cell j g + r at r C / g + j, if 1 < g < C).
+    Points come with a block if ``points``, and with an interval's block
+    above ``depth``, which the next push reads."""
+    d, n = model.domain, model.N
+    lev, level, plans = _Level(d.v0_array, model.p_at(d.v0_array)), 0, d.plans()
+    rows = np.arange(len(d.v0)) if d.m == 1 else np.arange(len(d.v0))[None]
+    while level < depth and n * len(lev.vals) * (d.m + 1) <= BLOCK_SLOTS:
+        plan = next(plans)
+        lev, level, rows = _push_kept(model, lev, plan[0])[0], level + 1, _rows(d, rows, *plan)
+        yield level, 0, _take(lev, rows, points)
     if level == depth:
         return
-    if 1 < group < len(lev.vals):
-        lev = _Level(*(a.reshape(-1, group, *a.shape[1:]).swapaxes(0, 1).reshape(a.shape)
-                       for a in lev))
-    yield from _blocks(model, lev, level, 0, [
-        _Level(np.empty_like(lev.pts) if points or lv < depth else None,
-               np.empty_like(lev.vals)) for lv in range(level + 1, depth + 1)])
+    if rows.ndim == 1:  # each block is l_B of V_L's rows in x order
+        lev, cells = _take(lev, rows, True), None
+    else:
+        if 1 < group < len(rows):
+            rows = rows.reshape(-1, group, rows.shape[1]).swapaxes(0, 1).reshape(rows.shape)
+        cells = [_Level(np.empty((*rows.shape, d.m)) if points else None,
+                        np.empty(rows.shape)) for _ in range(level, depth)]
+    bufs = [_Level(np.empty_like(lev.pts) if points or lv < depth else None,
+                   np.empty_like(lev.vals)) for lv in range(level + 1, depth + 1)]
+    for lv, offset, block in _blocks(model, lev, level, 0, bufs):
+        yield lv, offset, block if cells is None else _take(
+            block, rows, points, cells[lv - level - 1])
 
 
 def _blocks(model: FifModel, lev: _Level, level: int, offset: int, bufs: list):
@@ -480,29 +480,63 @@ def _blocks(model: FifModel, lev: _Level, level: int, offset: int, bufs: list):
             yield from _blocks(model, bufs[0], level + 1, offset + i * n**level, bufs[1:])
 
 
-def _group_extremes(vals: np.ndarray, group: int, major: bool
+def _rows(d: Domain, prev: np.ndarray, keep, drop, partner) -> np.ndarray:
+    """How a level's cells read its vertex rows, given ``prev``, the last
+    level's, and the level's plan: on an interval the rows in x order
+    (piece i is l_i of the last level's, reversed if l_i flips, and its
+    first row is piece i - 1's last), else the cell -> row table (C, P),
+    whose cell i C + w is l_i of the rows of cell w."""
+    row = np.cumsum(keep) - 1  # the row of each slot, i |V_(k-1)| + r
+    row[drop] = row[partner]
+    size = len(keep) // d.N
+    if prev.ndim == 1:
+        return row[np.concatenate([i * size + prev[::-1 if mp.scale[0] < 0 else 1][min(i, 1):]
+                                   for i, mp in enumerate(d.maps)])]
+    return row[(np.arange(d.N)[:, None, None] * size + prev).reshape(-1, prev.shape[1])]
+
+
+def _take(lev: _Level, rows: np.ndarray, points: bool, out: _Level | None = None
+          ) -> _Level:
+    """The values of ``lev`` at ``rows`` (into ``out``), and points if ``points``."""
+    return _Level(np.take(lev.pts, rows, 0, out and out.pts, "clip") if points else None,
+                  np.take(lev.vals, rows, None, out and out.vals, "clip"))
+
+
+def _cells(vals: np.ndarray) -> int:
+    """The cells of a block of ``_sweep``: on an interval one fewer than its rows."""
+    return len(vals) - (vals.ndim == 1)
+
+
+def _group_extremes(vals: np.ndarray, group: int, major: bool = False
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """The min and max of each group of ``vals`` (C, P): cells j g .. j g +
-    g - 1 in push order, or r C / g + j if ``major`` (``_sweep``)."""
-    P = vals.shape[1]
-    part = vals.reshape(group, -1, P) if major else vals.reshape(-1, group, P).swapaxes(0, 1)
+    """The min and max of each group of g = ``group`` cells of a block of
+    ``_sweep``: of rows, rows j g .. j g + g (g + 1 strided slices, or for
+    a larger g a ``reduceat`` and the shared ends); of cells (C, P), cells
+    j g .. j g + g - 1, or r C / g + j if ``major``."""
+    if vals.ndim == 1:
+        if group < 16:
+            runs = [vals[s:s + len(vals) - group:group] for s in range(group + 1)]
+            return functools.reduce(np.minimum, runs), functools.reduce(np.maximum, runs)
+        at, ends = np.arange(0, len(vals) - 1, group), vals[group::group]
+        return (np.minimum(np.minimum.reduceat(vals, at), ends),
+                np.maximum(np.maximum.reduceat(vals, at), ends))
+    if not major:  # each group's g P values down axis 0, contiguous
+        part = np.ascontiguousarray(vals.reshape(len(vals) // group, -1).T)
+        return np.minimum.reduce(part), np.maximum.reduce(part)
+    part = vals.reshape(group, -1, vals.shape[1])
     lo, hi = np.minimum.reduce(part), np.maximum.reduce(part)  # (C / g, P)
     return functools.reduce(np.minimum, lo.T), functools.reduce(np.maximum, hi.T)
 
 
-def _by_group(values: np.ndarray, group: int) -> np.ndarray:
-    """``values`` (cells first), each run of ``group`` cells down axis 0, contiguous."""
-    return np.ascontiguousarray(values.reshape(max(1, len(values) // group), -1).T)
-
-
-def _fold(lo, hi, block, offset: int, group: int) -> None:
-    """Fold the min and max of ``block`` (cells from ``offset`` on) into the
-    tables ``lo`` and ``hi``, row j of cells j * group .. (j + 1) * group - 1;
-    a block holds whole rows or lies in one, so block order cannot matter."""
-    part = _by_group(block, group)
-    at = slice(offset // group, offset // group + part.shape[1])
-    np.minimum(lo[at], np.minimum.reduce(part), out=lo[at])
-    np.maximum(hi[at], np.maximum.reduce(part), out=hi[at])
+def _fold(lo, hi, vals, offset: int, group: int) -> None:
+    """Fold the group extremes of a block of ``_sweep`` (cells from
+    ``offset`` on) into the tables ``lo`` and ``hi``, row j of cells j g ..
+    j g + g - 1: a block inside one group into its row, else its groups
+    (``_group_extremes``) into rows offset / g on, in the block's order."""
+    glo, ghi = _group_extremes(vals, min(group, _cells(vals)))
+    at = slice(offset // group, offset // group + len(glo))
+    np.minimum(lo[at], glo, out=lo[at])
+    np.maximum(hi[at], ghi, out=hi[at])
 
 
 def _push_kept(model: FifModel, lev: _Level, keep: np.ndarray

@@ -16,7 +16,6 @@ import numpy as np
 
 from .engine import (
     FifModel,
-    _by_group,
     _check_budget,
     _check_int,
     _fit_extra,
@@ -34,8 +33,10 @@ def _osc_sums(model: FifModel, kmax: int) -> dict[int, float]:
     """Osc(k, f*) for k = 1..kmax, each from the vertices of level k + e,
     e = 4 or less near the budget (a shallower level still gives lower
     ends).  Each level k + e is folded once into the value ranges of its
-    finest k, and a coarser k with the same k + e reduces that table
-    (min and max are exact, so the grouping cannot change them)."""
+    finest k, a block's cells in its order (``engine._sweep``): in push
+    order up to the x order of an interval's block, which only the
+    rounding of the sum sees.  A coarser k with the same k + e reduces that
+    table (min and max are exact, so the grouping cannot change them)."""
     extras = {k: _fit_extra(model, k, 4) for k in range(1, kmax + 1)}
     depth = max(k + e for k, e in extras.items())
     _check_budget(model, depth, f"graph sample depth {depth}")
@@ -48,9 +49,9 @@ def _osc_sums(model: FifModel, kmax: int) -> dict[int, float]:
             k = finest[level]
             _fold(vmin[k], vmax[k], block.vals, offset, n**(level - k))
     for k, e in extras.items():
-        if (f := finest[k + e]) != k:
-            np.minimum.reduce(_by_group(vmin[f], n**(f - k)), out=vmin[k])
-            np.maximum.reduce(_by_group(vmax[f], n**(f - k)), out=vmax[k])
+        if (f := finest[k + e]) != k:  # each group of n^(f - k) down axis 0
+            for table, op in ((vmin, np.minimum), (vmax, np.maximum)):
+                op.reduce(np.ascontiguousarray(table[f].reshape(n**k, -1).T), out=table[k])
     return {k: float(np.sum(vmax[k] - vmin[k])) for k in extras}
 
 
@@ -71,14 +72,9 @@ def seminorm(model: FifModel, eta: float, kmax: int | None = None) -> float:
     Maximizes Osc(k, f)_lo / Lambda^(k (log_Lambda N - eta)) over
     k <= kmax; nondecreasing in kmax.
     """
-    kmax = _check_args(model, eta, kmax)
-    lam = model.domain.lam
-    n = model.N
-    best = 0.0
-    for k, osc in _osc_sums(model, kmax).items():
-        denom = n**k * lam ** (-k * eta)
-        best = max(best, osc / denom)
-    return best
+    kmax, lam, n = _check_args(model, eta, kmax), model.domain.lam, model.N
+    return max([0.0] + [osc / (n**k * lam ** (-k * eta))
+                        for k, osc in _osc_sums(model, kmax).items()])
 
 
 def holder_to_osc_check(
@@ -88,11 +84,6 @@ def holder_to_osc_check(
     kmax = _check_args(model, eta, kmax)
     if not 0 <= holder_const < math.inf:  # nan is not
         raise ValueError(f"holder_const must be finite and >= 0, got {holder_const}")
-    lam = model.domain.lam
-    n = model.N
-    diam = model.domain.diameter
-    out = {}
-    for k, osc in _osc_sums(model, kmax).items():
-        ceiling = holder_const * diam**eta * n**k * lam ** (-k * eta)
-        out[k] = osc <= ceiling * (1 + 1e-12) + 1e-12
-    return out
+    lam, n, scale = model.domain.lam, model.N, holder_const * model.domain.diameter**eta
+    return {k: osc <= scale * n**k * lam ** (-k * eta) * (1 + 1e-12) + 1e-12
+            for k, osc in _osc_sums(model, kmax).items()}

@@ -18,7 +18,7 @@ CONFIG_NAMES = [
     "degenerate_cube",
 ]
 
-# BLOCK_SLOTS of the small_blocks fixture: blocks of 2-4 cells
+# BLOCK_SLOTS of the small_blocks fixture: blocks of 1-3 cells
 SMALL_BLOCK_SLOTS = 16
 
 _cache = {}
@@ -162,8 +162,9 @@ def replayed_estimate(model, k_min, k_max, depth):
 
 @pytest.fixture
 def small_blocks(monkeypatch):
-    # blocks of 2-4 cells: every level past the first is swept depth-first
-    # in many blocks, and a level-k range spans several blocks (extra > 1)
+    # blocks of 1-3 cells: every level (past the first on an interval) is
+    # swept depth-first in many blocks, and a level-k range spans several
+    # blocks (extra > 1)
     monkeypatch.setattr(engine, "BLOCK_SLOTS", SMALL_BLOCK_SLOTS)
 
 

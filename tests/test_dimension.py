@@ -808,13 +808,10 @@ def test_box_count_rejects_cells_too_coarse(name):
 
 def test_level_tied_counts_make_no_geometry(monkeypatch):
     # on an equal-ratio interval the level-tied counts of the empirical
-    # estimate and of the route-(b) probe are sums over cells: no x order,
-    # and one sweep each whose depth level carries no vertex points
+    # estimate and of the route-(b) probe are sums over cells: one sweep
+    # each, whose depth level carries no vertex points
     model = get_model("example5_case2")
     sweeps, sweep = [], dimension._sweep
-
-    def fail(self, k):
-        raise AssertionError("x order made")
 
     def spy(model, depth, *args, **kw):
         sweeps.append((depth, points := []))
@@ -824,7 +821,6 @@ def test_level_tied_counts_make_no_geometry(monkeypatch):
             yield level, offset, block
 
     monkeypatch.setattr(dimension, "_sweep", spy)
-    monkeypatch.setattr(type(model.domain), "x_order", fail)
     est = empirical_dimension(model, 3, 6)
     assert lower_bound_interval_variable_s(model).heuristic
     assert [(depth, any(points)) for depth, points in sweeps] == [(8, False), (8, False)]
@@ -943,7 +939,7 @@ def test_dyadic_counts_reject_cells_too_coarse():
 def test_empirical_counts_equal_box_count(name, slots, monkeypatch):
     # the reducers against the counts of the replayed level tables: the
     # level-tied path, and the dyadic one on unequal knots, in blocks of
-    # the default size past the last whole level, or of 2-4 cells
+    # the default size past the last whole level, or of 1-3 cells
     model = get_model(name)
     small = slots == SMALL_BLOCK_SLOTS
     k_min, k_max = (2, 4) if small else (5, 6) if model.N == 4 else (7, 9)

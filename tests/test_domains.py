@@ -336,3 +336,40 @@ def test_outside_is_the_broadcast_formula(name):
         b += d.base._sides[2]
         ref = -np.minimum(np.minimum(b[..., 0], b[..., 1]), b[..., 2])
     assert d.base.outside(y).tobytes() == ref.tobytes()
+
+
+def _slot_grid_plans(d):
+    """The push plans of a cube from the grid index of every slot: the
+    first slot of each grid point kept, every other dropped with it as
+    partner.  The reference of ``ProductDomain.plans``, which indexes the
+    grid only at the dropped slots."""
+    m, P = d.m, np.array([len(ax.knots) - 1 for ax in d.axes])
+    pieces, flips = np.array(list(np.ndindex(*P))).T, d.map_arrays[0].T < 0
+    sign, later = np.where(flips, -1, 1)[..., None], (pieces > 0)[..., None]
+    idx = np.array(list(np.ndindex(*(2,) * m))).T
+    size = np.ones(m, int)
+    while True:
+        dims, shift = P * size + 1, (pieces + flips) * size[:, None]
+        img = (sign * idx[:, None] + shift[..., None]).reshape(m, -1)
+        starts = (idx[:, None] == (flips * size[:, None])[..., None]) & later
+        keep = ~starts.any(axis=0).ravel()
+        grid, drop = np.ravel_multi_index(img, dims), np.flatnonzero(~keep)
+        first = np.empty(np.prod(dims), np.intp)
+        first[grid[keep]] = np.flatnonzero(keep)
+        yield keep, drop, first[grid[drop]]
+        idx, size = img.compress(keep, axis=1), dims - 1
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(2, 3).flatmap(lambda m: st.lists(
+    st.lists(st.integers(0, 1), min_size=1, max_size=5 - m), min_size=m, max_size=m)))
+def test_cube_plans_equal_the_slot_grid_plans(signatures):
+    # 2-axis cubes of 1-3 pieces an axis and 3-axis ones of 1-2, any
+    # flips, levels 1..5: keep, drop and partner are the reference's, dtype
+    # and all
+    d = cube_domain([(tuple(np.linspace(0, 1, len(sig) + 1)), tuple(sig))
+                     for sig in signatures])
+    for got, ref in zip(itertools.islice(d.plans(), 5),
+                        itertools.islice(_slot_grid_plans(d), 5)):
+        for a, b in zip(got, ref):
+            assert a.dtype == b.dtype and a.shape == b.shape and (a == b).all()

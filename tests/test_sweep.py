@@ -1,7 +1,7 @@
-"""The depth-first sweep, the level pushes, the oscillation sums and the
-interval x order against the breadth-first replay
-(``conftest.replay_levels``), seed pins of the box-count estimate and of
-V_k, and memory bounds."""
+"""The depth-first sweep, the level pushes and the oscillation sums
+against the breadth-first replay (``conftest.replay_levels``), the
+sweep's rows against V_k, seed pins of the box-count estimate and of V_k,
+and memory bounds."""
 
 import dataclasses
 import hashlib
@@ -14,9 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (CONFIG_NAMES, get_model, key_dedup, replay_levels,
-                      replayed_estimate, replayed_table)
-from fifdim import domains, engine, oscillation
+from conftest import (CONFIG_NAMES, SMALL_BLOCK_SLOTS, get_model, key_dedup,
+                      replay_levels, replayed_estimate, replayed_table)
+from fifdim import dimension, engine, oscillation
 from fifdim.dimension import empirical_dimension
 from fifdim.domains import interval_domain, vertex_set
 from fifdim.engine import (FifSpec, ModelError, apply_T, build_model,
@@ -53,7 +53,7 @@ def _assert_osc_sums_equal_replay(model, kmax, depths):
 @pytest.mark.parametrize("name", SWEEP_CONFIGS)
 def test_graph_samples_sweep_equals_replay(name, small_blocks):
     # the level-k value ranges of the oscillation sums, each from level
-    # k + 4, in blocks of 2-4 cells
+    # k + 4, in blocks of 1-3 cells
     _assert_osc_sums_equal_replay(get_model(name), 3, {1: 5, 2: 6, 3: 7})
 
 
@@ -189,9 +189,10 @@ def test_empirical_memory_bounded():
 @pytest.mark.parametrize("name, k_min, k_max", [
     ("example5_case1_one", 5, 11), ("example5_case2", 7, 13)])
 def test_empirical_memory_is_a_block(name, k_min, k_max, monkeypatch):
-    # the counts are reduced block by block: about 5.5 MB here, against
-    # 59.5 and 41.9 MB when the unequal knots kept the depth level's table
-    # and x order, and the level-tied counts one table per level
+    # the counts are reduced block by block: about 2.6 MB here (4.2 and
+    # 5.1 MB for blocks of cell slots), against 59.5 and 41.9 MB when the
+    # unequal knots kept the depth level's table and x order, and the
+    # level-tied counts one table per level
     monkeypatch.setenv("FIF_CELL_BUDGET", "30000000")
     model = get_model(name)
     tracemalloc.start()
@@ -239,26 +240,76 @@ def interval_models(draw):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(interval_models(), st.integers(0, 8))
-def test_x_order_equals_sorted_replay(model, k):
-    # the one recursion in knot order against the breadth-first replay of
-    # the level-k boxes, sorted by their lo ends
-    *_, (_, _, lo, _, _) = _replay(model, k)
-    order = model.domain.x_order(k)
-    assert _same_bits(np.arange(model.N**k)[order], np.argsort(lo[:, 0], kind="stable"))
-    flips = any(mp.scale[0] < 0 for mp in model.domain.maps)
-    assert isinstance(order, slice) == (not flips)
+@given(interval_models(), st.integers(1, 7))
+def test_interval_rows_are_in_x_order(model, k):
+    # level k, pushed whole, reads its cells as adjacent rows: V_k sorted
+    # by x, points and values bit for bit, whatever the flips
+    *_, (level, _, block) = engine._sweep(model, k, points=True)
+    assert level == k and engine._cells(block.vals) == model.N**k
+    pts, vals = evaluate_on_vk(model, k)
+    order = np.argsort(pts[:, 0])
+    assert _same_bits(block.pts, pts[order]) and _same_bits(block.vals, vals[order])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(interval_models(), st.integers(0, 2))
+def test_row_sweep_on_intervals_equals_slot_replay(model, e):
+    # random knots, flips and data in blocks of 3 cells: the level-tied and
+    # the dyadic counts are the slot replay's exactly, and Osc(k) agrees
+    # with it to 1e-12, since a row shared by two slots carries one of
+    # their values, which may differ in the last bit
+    d, k_min, k_max = model.domain, 2, 5
+    deltas = {k: d.delta(k) for k in range(k_min, k_max + 1)}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "BLOCK_SLOTS", SMALL_BLOCK_SLOTS)
+        est = empirical_dimension(model, k_min, k_max, extra=e)
+        tied = dimension._tied_counts(model, deltas, k_max + e)
+        osc = oscillation._osc_sums(model, 3)
+    with pytest.MonkeyPatch.context() as patch:
+        # level 5 whole, at a budget that makes k = 1..4 reduce the table
+        # of k = 5
+        patch.setenv("FIF_CELL_BUDGET", str(model.N**5 * 2))
+        shared = oscillation._osc_sums(model, 5)
+    assert est.entries == replayed_estimate(model, k_min, k_max, k_max + e)
+    levels = _replay(model, 7, geometry_to=0)
+    for k, delta in deltas.items():
+        vmin, vmax = replayed_table(model, k, k + e, levels)
+        assert tied[k] == int(np.sum(np.maximum(np.ceil((vmax - vmin) / delta - 1e-9), 1)))
+    for k, got in osc.items():
+        vmin, vmax = replayed_table(model, k, k + 4, levels)
+        assert got == pytest.approx(float(np.sum(vmax - vmin)), rel=1e-12)
+    for k, got in shared.items():
+        vmin, vmax = replayed_table(model, k, 5, levels)
+        assert got == pytest.approx(float(np.sum(vmax - vmin)), rel=1e-12)
+
+
+@pytest.mark.parametrize("name", CONFIG_NAMES)
+def test_sweep_whole_levels_are_vk(name):
+    # the sweep pushes its whole levels as evaluate_on_vk does: on an
+    # interval each is V_k in x order, points and values bit for bit; else
+    # the slots of each cell are rows of V_k, and every row is some slot
+    model = get_model(name)
+    whole = 0
+    for level, _, block in engine._sweep(model, 30, points=True):
+        if engine._cells(block.vals) < model.N**level:
+            break
+        pts, vals = evaluate_on_vk(model, level)
+        if block.vals.ndim == 1:
+            order = np.argsort(pts[:, 0], kind="stable")
+            assert _same_bits(block.pts, pts[order]) and _same_bits(block.vals, vals[order])
+        else:
+            row = {p.tobytes(): j for j, p in enumerate(pts)}
+            at = [row[p.tobytes()] for p in block.pts.reshape(-1, model.domain.m)]
+            assert _same_bits(block.vals.ravel(), vals[at]) and len(set(at)) == len(vals)
+        whole += 1
+    assert whole == level - 1 >= 7
 
 
 def test_seminorm_samples_make_no_geometry(monkeypatch):
-    # the seminorm reads value ranges only: it builds no x order, on
-    # unequal knots either, and its one sweep carries no vertex points at
-    # the depth level
+    # the seminorm reads value ranges only: on unequal knots too, its one
+    # sweep carries no vertex points at the depth level
     model = get_model("example5_case1_one")
     sweeps, sweep = [], oscillation._sweep
-
-    def fail(self, k):
-        raise AssertionError("x order made")
 
     def spy(model, depth, *args, **kw):
         sweeps.append((depth, points := []))
@@ -267,7 +318,6 @@ def test_seminorm_samples_make_no_geometry(monkeypatch):
                 points.append(block.pts is not None)
             yield level, offset, block
 
-    monkeypatch.setattr(domains.ProductDomain, "x_order", fail)
     monkeypatch.setattr(oscillation, "_sweep", spy)
     seminorm(model, 1.0, kmax=5)
     assert [(depth, any(points)) for depth, points in sweeps] == [(9, False)]
@@ -299,39 +349,56 @@ def test_fold_is_the_reshape_min_max(n, e, b, slots, seed):
 @given(st.sampled_from(["example5_case2", "sg_exact", "degenerate_cube"]),
        st.integers(0, 5), st.sampled_from([16, 256]))
 def test_group_major_blocks_reduce_to_the_push_order_min_max(name, e, slots):
-    # P = 2, 3 and 4 slots a cell; blocks of C = N^L cells (L = 1 for 16
-    # slots, 3 or 4 for 256) and groups of g = N^e cells: a group-major
-    # block is its push-order twin with cell j g + r at r C / g + j, and
-    # one leading-axis reduce of it gives the reshape min and max, when
-    # g < C; else no block is reordered, and one lies inside one group
+    # P = 2, 3 and 4 slots a cell; blocks of C = N^L cells (L = 0 or 1 for
+    # 16 floats, 2 to 4 for 256) and groups of g = N^e cells.  Cells (C, P)
+    # gathered group-major are their push-order twin with cell j g + r at
+    # r C / g + j, when g < C, and one leading-axis reduce of them gives
+    # the reshape min and max; else no block is reordered, and one lies
+    # inside one group.  An interval's block is C + 1 rows in x order
+    # whatever g, and its runs of g + 1 rows are the groups of the replayed
+    # cells in x order, up to the one value a row shared by two slots keeps
     model = get_model(name)
     n, group = model.N, model.N**e
+    levels = _replay(model, 5, geometry_to=0)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "BLOCK_SLOTS", slots)
         for (level, at, major), (level2, at2, push) in zip(
                 engine._sweep(model, 5, group), engine._sweep(model, 5)):
             assert (level, at) == (level2, at2)
-            cells, P = push.vals.shape
+            cells = engine._cells(push.vals)
+            ref = levels[level][1][at:at + cells].reshape(max(1, cells // group), -1)
+            if push.vals.ndim == 1:
+                assert _same_bits(major.vals, push.vals)
+                g = min(group, cells)
+                lo, hi = engine._group_extremes(push.vals, g)
+                runs = [push.vals[j:j + g + 1] for j in range(0, cells, g)]
+                assert _same_bits(lo, [r.min() for r in runs])
+                assert _same_bits(hi, [r.max() for r in runs])
+                # no map flips, so x order is push order; a row shared by
+                # two slots carries one of their values
+                assert np.allclose(lo, ref.min(axis=1), rtol=0, atol=1e-15)
+                assert np.allclose(hi, ref.max(axis=1), rtol=0, atol=1e-15)
+                continue
             if cells == n**level or group >= cells:
                 assert _same_bits(major.vals, push.vals)
                 continue
             assert _same_bits(major.vals, push.vals.reshape(
-                -1, group, P).swapaxes(0, 1).reshape(cells, P))
-            ref = push.vals.reshape(cells // group, -1)
+                -1, group, push.vals.shape[1]).swapaxes(0, 1).reshape(push.vals.shape))
             for vals, is_major in ((major.vals, True), (push.vals, False)):
                 lo, hi = engine._group_extremes(vals, group, is_major)
                 assert _same_bits(lo, ref.min(axis=1)) and _same_bits(hi, ref.max(axis=1))
 
 
 def test_sweep_blocks_of_a_level_share_one_buffer(small_blocks):
-    # below the levels pushed whole, every block of one level is written
-    # into that level's one buffer, values and points
+    # below the levels pushed whole (none here: the 9 slots of level 1 are
+    # 27 floats), every block of one level is gathered into that level's
+    # one buffer, values and points
     model = get_model("sg_exact")
     buffers = {}
     for level, _, block in engine._sweep(model, 5, points=True):
         if len(block.vals) < model.N**level:
             buffers.setdefault(level, set()).add(
                 (block.vals.ctypes.data, block.pts.ctypes.data))
-    assert sorted(buffers) == [2, 3, 4, 5]
+    assert sorted(buffers) == [1, 2, 3, 4, 5]
     assert all(len(seen) == 1 for seen in buffers.values())
-    assert len(set().union(*buffers.values())) == 4
+    assert len(set().union(*buffers.values())) == 5
