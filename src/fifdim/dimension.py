@@ -434,8 +434,9 @@ def empirical_dimension(
     fall back to dyadic delta_k = |K| / 2^k and the column method on the
     cells of the deepest level (m = 1).  As sums of integers, the counts
     come from reducers over the blocks of vertex rows of one sweep
-    (``engine._sweep``; on an interval in x order, so those vertices of a
-    cell are a run of rows), in O(block + 2^k_max columns) memory.
+    (``engine._sweep``), in O(block + 2^k_max columns) memory: group-major
+    below the whole levels for the level-tied counts (an interval's rows
+    residue-major), in x order for the dyadic count.
     """
     _check_int(ModelError, k_min=(k_min, 2), k_max=(k_max, k_min), extra=(extra, 0))
     depth = k_max + _fit_extra(model, k_max, extra)
@@ -458,10 +459,12 @@ def _tied_counts(model: FifModel, deltas: dict, depth: int) -> dict[int, int]:
     """The count of each k at its delta, level-k cells read off level k + e
     for one e = depth - k_max (a sliding extra would tilt the osc bias
     across the window).  A block of level k + e is reduced to its level-k
-    cells (``engine._group_extremes``: runs of rows on an interval,
-    group-major cells below the whole levels else) and counted, or if
-    inside one (N^L < N^e, L the last level the sweep pushes whole) folded
-    into the level's table, counted last."""
+    cells (``engine._group_extremes``: a block of several groups below
+    the whole levels is group-major, residue-major rows on an interval,
+    and reduced by one leading-axis min and max; any other by runs of rows
+    or cells in order) and counted, or if inside one (N^L < N^e, L the
+    last level the sweep pushes whole) folded into the level's table,
+    counted last."""
     e = depth - max(deltas)
     group, prism = model.N**e, model.domain.m > 1
     counts, tables = dict.fromkeys(deltas, 0), {}

@@ -31,9 +31,12 @@ lies in and FIF_CELL_BUDGET (N^depth x |V_0| slots) bounds the work.  An
 interval's (m = 1) rows are put in x order once per sweep: a cell is two
 adjacent rows, a group of g cells a run of g + 1.  A block of a cube or
 the gasket is gathered into cells (C, P) through a cell -> row table made
-from the plans once per sweep.  Callers reduce each block to level-k
-value ranges (``_group_extremes``): box counts
-(``dimension.empirical_dimension``), and oscillation sums
+from the plans once per sweep.  A sweep grouped by 1 < g < C (a block's
+C cells) reorders those rows (residue-major: rows j g, then j g + s for
+s = 1..g-1) or that table group-major once, so a block's groups reduce
+down its leading axis; the dyadic count and the seminorm keep x order.
+Callers reduce each block to level-k value ranges (``_group_extremes``):
+box counts (``dimension.empirical_dimension``), and oscillation sums
 (``oscillation.seminorm``) by a fold into a table of N^k ranges
 (``_fold``).  A sweep holds one block buffer per level below the last
 whole one: 157 KB of values, and as much of points, on a 3-piece
@@ -444,10 +447,11 @@ def _sweep(model: FifModel, depth: int, group: int = 1, points: bool = False
     block l_{b_t} o .. o l_{b_1} of V_L's rows at offset idx(b_t..b_1) N^L,
     each level's blocks in one buffer (hold none past the next step).  On
     an interval a block is rows in x order (``_rows``; reversed if l_B
-    flips); else cells (C, P), below L group-major for the ``group`` size
-    g the caller reduces by (cell j g + r at r C / g + j, if 1 < g < C).
-    Points come with a block if ``points``, and with an interval's block
-    above ``depth``, which the next push reads."""
+    flips); else cells (C, P).  Below L, for the ``group`` size g the
+    caller reduces by, if 1 < g < C, a block is group-major: an interval's
+    rows residue-major (row j g + s at s C / g + j + min(s, 1)), cells j g
+    + r at r C / g + j.  Points come with a block if ``points``, and with
+    an interval's block above ``depth``, which the next push reads."""
     d, n = model.domain, model.N
     lev, level, plans = _Level(d.v0_array, model.p_at(d.v0_array)), 0, d.plans()
     rows = np.arange(len(d.v0)) if d.m == 1 else np.arange(len(d.v0))[None]
@@ -457,11 +461,13 @@ def _sweep(model: FifModel, depth: int, group: int = 1, points: bool = False
         yield level, 0, _take(lev, rows, points)
     if level == depth:
         return
-    if rows.ndim == 1:  # each block is l_B of V_L's rows in x order
+    if 1 < group < _cells(rows):  # the layout _group_extremes reads if major
+        rows = (rows.reshape(-1, group, rows.shape[1]).swapaxes(0, 1).reshape(rows.shape)
+                if rows.ndim > 1 else
+                np.concatenate([rows[::group], rows[1:].reshape(-1, group)[:, :-1].T.ravel()]))
+    if rows.ndim == 1:  # each block is l_B of V_L's rows
         lev, cells = _take(lev, rows, True), None
     else:
-        if 1 < group < len(rows):
-            rows = rows.reshape(-1, group, rows.shape[1]).swapaxes(0, 1).reshape(rows.shape)
         cells = [_Level(np.empty((*rows.shape, d.m)) if points else None,
                         np.empty(rows.shape)) for _ in range(level, depth)]
     bufs = [_Level(np.empty_like(lev.pts) if points or lv < depth else None,
@@ -510,9 +516,18 @@ def _cells(vals: np.ndarray) -> int:
 def _group_extremes(vals: np.ndarray, group: int, major: bool = False
                     ) -> tuple[np.ndarray, np.ndarray]:
     """The min and max of each group of g = ``group`` cells of a block of
-    ``_sweep``: of rows, rows j g .. j g + g (g + 1 strided slices, or for
-    a larger g a ``reduceat`` and the shared ends); of cells (C, P), cells
-    j g .. j g + g - 1, or r C / g + j if ``major``."""
+    ``_sweep``: if ``major`` and 1 < g < C, group-major, by one leading-axis
+    reduce (of rows, of runs 1..g-1, with the shifted ends of run 0); else
+    of rows, rows j g .. j g + g (g + 1 strided slices, or for a larger g
+    a ``reduceat`` and the shared ends), of cells (C, P), j g .. j g + g - 1."""
+    if major and 1 < group < _cells(vals):
+        if vals.ndim == 1:
+            head, rest = np.split(vals, [_cells(vals) // group + 1])
+            return tuple(op(op(op.reduce(rest.reshape(group - 1, -1)), head[:-1]), head[1:])
+                         for op in (np.minimum, np.maximum))
+        part = vals.reshape(group, -1, vals.shape[1])
+        lo, hi = np.minimum.reduce(part), np.maximum.reduce(part)  # (C / g, P)
+        return functools.reduce(np.minimum, lo.T), functools.reduce(np.maximum, hi.T)
     if vals.ndim == 1:
         if group < 16:
             runs = [vals[s:s + len(vals) - group:group] for s in range(group + 1)]
@@ -520,12 +535,8 @@ def _group_extremes(vals: np.ndarray, group: int, major: bool = False
         at, ends = np.arange(0, len(vals) - 1, group), vals[group::group]
         return (np.minimum(np.minimum.reduceat(vals, at), ends),
                 np.maximum(np.maximum.reduceat(vals, at), ends))
-    if not major:  # each group's g P values down axis 0, contiguous
-        part = np.ascontiguousarray(vals.reshape(len(vals) // group, -1).T)
-        return np.minimum.reduce(part), np.maximum.reduce(part)
-    part = vals.reshape(group, -1, vals.shape[1])
-    lo, hi = np.minimum.reduce(part), np.maximum.reduce(part)  # (C / g, P)
-    return functools.reduce(np.minimum, lo.T), functools.reduce(np.maximum, hi.T)
+    part = np.ascontiguousarray(vals.reshape(len(vals) // group, -1).T)  # down axis 0
+    return np.minimum.reduce(part), np.maximum.reduce(part)
 
 
 def _fold(lo, hi, vals, offset: int, group: int) -> None:

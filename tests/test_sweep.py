@@ -219,15 +219,15 @@ def test_seminorm_memory_bounded():
 
 
 @st.composite
-def interval_models(draw):
-    """Intervals of 2-4 pieces with unequal knots from x0 = 0 or 1000,
-    random signature bits and data, constant scales and solved
-    displacements.  Widths within a factor of 4 keep every level-8 cell
-    wider than 1e-9, far above the float spacing at 1000, so no two cells
-    share a lo end."""
+def interval_models(draw, equal=False):
+    """Intervals of 2-4 pieces with unequal knots (or ``equal`` ones) from
+    x0 = 0 or 1000, random signature bits and data, constant scales and
+    solved displacements.  Widths within a factor of 4 keep every level-8
+    cell wider than 1e-9, far above the float spacing at 1000, so no two
+    cells share a lo end."""
     n = draw(st.integers(2, 4))
-    widths = draw(st.lists(st.floats(0.25, 1), min_size=n, max_size=n,
-                           unique=True))
+    widths = (draw(st.lists(st.floats(0.25, 1), min_size=n, max_size=n, unique=True))
+              if not equal else [draw(st.floats(0.25, 1))] * n)
     x0 = draw(st.sampled_from([0.0, 1000.0]))
     knots = [x0 + sum(widths[:i]) for i in range(n + 1)]
     flips = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
@@ -281,6 +281,27 @@ def test_row_sweep_on_intervals_equals_slot_replay(model, e):
     for k, got in shared.items():
         vmin, vmax = replayed_table(model, k, 5, levels)
         assert got == pytest.approx(float(np.sum(vmax - vmin)), rel=1e-12)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(interval_models(equal=True))
+def test_grouped_tied_counts_on_intervals_equal_replay(model):
+    # equal pieces, random flips and data: the level-tied counts of the
+    # sweep grouped by g = N^e are the replay's exactly for e = 0..3, in
+    # blocks of C = N^L cells (L = 1 or 2 for 16 floats, up to 3 to 6 for
+    # 256).  So 1 < g < C (residue-major blocks, flipped or not), g == C
+    # (one group a block) and g > C (a block inside one group, folded) all
+    # occur
+    d, k_min, k_max = model.domain, 2, 4
+    assert d.homogeneous
+    deltas = {k: d.delta(k) for k in range(k_min, k_max + 1)}
+    for e in range(4):
+        ref = replayed_estimate(model, k_min, k_max, k_max + e)
+        for slots in (SMALL_BLOCK_SLOTS, 256):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(engine, "BLOCK_SLOTS", slots)
+                got = dimension._tied_counts(model, deltas, k_max + e)
+            assert [(k, delta, got[k]) for k, delta in deltas.items()] == ref
 
 
 @pytest.mark.parametrize("name", CONFIG_NAMES)
@@ -350,13 +371,15 @@ def test_fold_is_the_reshape_min_max(n, e, b, slots, seed):
        st.integers(0, 5), st.sampled_from([16, 256]))
 def test_group_major_blocks_reduce_to_the_push_order_min_max(name, e, slots):
     # P = 2, 3 and 4 slots a cell; blocks of C = N^L cells (L = 0 or 1 for
-    # 16 floats, 2 to 4 for 256) and groups of g = N^e cells.  Cells (C, P)
-    # gathered group-major are their push-order twin with cell j g + r at
-    # r C / g + j, when g < C, and one leading-axis reduce of them gives
-    # the reshape min and max; else no block is reordered, and one lies
-    # inside one group.  An interval's block is C + 1 rows in x order
-    # whatever g, and its runs of g + 1 rows are the groups of the replayed
-    # cells in x order, up to the one value a row shared by two slots keeps
+    # 16 floats, 2 to 4 for 256) and groups of g = N^e cells.  Below the
+    # whole levels, when 1 < g < C, a block is gathered group-major and one
+    # leading-axis reduce of it gives the min and max of its push-order
+    # twin's groups: cells (C, P) with cell j g + r at r C / g + j, the
+    # C + 1 rows of an interval residue-major (rows j g, then rows j g + s
+    # for s = 1..g-1) against runs of g + 1 rows in x order.  Else no
+    # block is reordered, and one lies inside one group.  The runs of the
+    # x-order rows are the groups of the replayed cells, up to the one
+    # value a row shared by two slots keeps
     model = get_model(name)
     n, group = model.N, model.N**e
     levels = _replay(model, 5, geometry_to=0)
@@ -367,13 +390,19 @@ def test_group_major_blocks_reduce_to_the_push_order_min_max(name, e, slots):
             assert (level, at) == (level2, at2)
             cells = engine._cells(push.vals)
             ref = levels[level][1][at:at + cells].reshape(max(1, cells // group), -1)
+            regrouped = cells < n**level and 1 < group < cells
             if push.vals.ndim == 1:
-                assert _same_bits(major.vals, push.vals)
                 g = min(group, cells)
+                order = (np.concatenate([np.arange(s, cells + 1, g) for s in range(g)])
+                         if regrouped else np.arange(cells + 1))
+                assert _same_bits(major.vals, push.vals[order])
                 lo, hi = engine._group_extremes(push.vals, g)
                 runs = [push.vals[j:j + g + 1] for j in range(0, cells, g)]
                 assert _same_bits(lo, [r.min() for r in runs])
                 assert _same_bits(hi, [r.max() for r in runs])
+                if regrouped:
+                    lo2, hi2 = engine._group_extremes(major.vals, g, True)
+                    assert _same_bits(lo2, lo) and _same_bits(hi2, hi)
                 # no map flips, so x order is push order; a row shared by
                 # two slots carries one of their values
                 assert np.allclose(lo, ref.min(axis=1), rtol=0, atol=1e-15)
