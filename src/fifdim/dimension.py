@@ -18,11 +18,9 @@ from .domains import BudgetError, cell_budget
 from .engine import (
     FifModel,
     ModelError,
-    _cells,
     _check_budget,
     _check_int,
     _fit_extra,
-    _fold,
     _group_extremes,
     _replay,
     _sweep,
@@ -434,9 +432,9 @@ def empirical_dimension(
     fall back to dyadic delta_k = |K| / 2^k and the column method on the
     cells of the deepest level (m = 1).  As sums of integers, the counts
     come from reducers over the blocks of vertex rows of one sweep
-    (``engine._sweep``), in O(block + 2^k_max columns) memory: group-major
-    below the whole levels for the level-tied counts (an interval's rows
-    residue-major), in x order for the dyadic count.
+    (``engine._sweep``), in O(block + 2^k_max columns) memory: whole
+    level-k cells a block, group-major, for the level-tied counts (an
+    interval's rows residue-major), in x order for the dyadic count.
     """
     _check_int(ModelError, k_min=(k_min, 2), k_max=(k_max, k_min), extra=(extra, 0))
     depth = k_max + _fit_extra(model, k_max, extra)
@@ -458,26 +456,16 @@ def empirical_dimension(
 def _tied_counts(model: FifModel, deltas: dict, depth: int) -> dict[int, int]:
     """The count of each k at its delta, level-k cells read off level k + e
     for one e = depth - k_max (a sliding extra would tilt the osc bias
-    across the window).  A block of level k + e is reduced to its level-k
-    cells (``engine._group_extremes``: a block of several groups below
-    the whole levels is group-major, residue-major rows on an interval,
-    and reduced by one leading-axis min and max; any other by runs of rows
-    or cells in order) and counted, or if inside one (N^L < N^e, L the
-    last level the sweep pushes whole) folded into the level's table,
-    counted last."""
+    across the window).  Each block of level k + e holds whole level-k
+    cells, group-major (``engine._sweep``), and is reduced to their value
+    ranges (``engine._group_extremes``) and counted."""
     e = depth - max(deltas)
     group, prism = model.N**e, model.domain.m > 1
-    counts, tables = dict.fromkeys(deltas, 0), {}
-    for level, offset, block in _sweep(model, depth, group):
-        if (k := level - e) in counts and _cells(block.vals) < group:
-            if k not in tables:
-                tables[k] = np.full(model.N**k, np.inf), np.full(model.N**k, -np.inf)
-            _fold(*tables[k], block.vals, offset, group)
-        elif k in counts:
-            lo, hi = _group_extremes(block.vals, group, len(block.vals) < model.N**level)
+    counts = dict.fromkeys(deltas, 0)
+    for level, _, block in _sweep(model, depth, group):
+        if (k := level - e) in counts:
+            lo, hi = _group_extremes(block.vals, group)
             counts[k] += _cell_boxes(lo, hi, deltas[k], prism, hi)
-    for k, (lo, hi) in tables.items():
-        counts[k] += _cell_boxes(lo, hi, deltas[k], prism, hi)
     return counts
 
 

@@ -25,21 +25,22 @@ here depends on the domain type, only on m: every other decision is a
 method or property of the domain.
 The cells of levels 1..depth come from one sweep (``_sweep``) of vertex
 rows: whole levels pushed as V_k is while they fit a block of about 2^16
-floats (values and points: an L2 cache), then depth-first blocks, each l_B
-of the last whole level's rows, so a vertex is pushed once per block it
-lies in and FIF_CELL_BUDGET (N^depth x |V_0| slots) bounds the work.  An
-interval's (m = 1) rows are put in x order once per sweep: a cell is two
-adjacent rows, a group of g cells a run of g + 1.  A block of a cube or
-the gasket is gathered into cells (C, P) through a cell -> row table made
-from the plans once per sweep.  A sweep grouped by 1 < g < C (a block's
-C cells) reorders those rows (residue-major: rows j g, then j g + s for
-s = 1..g-1) or that table group-major once, so a block's groups reduce
-down its leading axis; the dyadic count and the seminorm keep x order.
-Callers reduce each block to level-k value ranges (``_group_extremes``):
-box counts (``dimension.empirical_dimension``), and oscillation sums
-(``oscillation.seminorm``) by a fold into a table of N^k ranges
-(``_fold``).  A sweep holds one block buffer per level below the last
-whole one: 157 KB of values, and as much of points, on a 3-piece
+floats (values and points: an L2 cache) or hold fewer cells than a group,
+then depth-first blocks, each l_B of the last whole level's rows, so a
+vertex is pushed once per block it lies in and FIF_CELL_BUDGET (N^depth x
+|V_0| slots) bounds the work.  A sweep is grouped by the g = N^e cells of
+a level-k cell that its caller reads off level k + e, and every block
+holds whole groups in one layout, group-major (``_group_major``): an
+interval's (m = 1) rows are put in x order (a cell is two adjacent rows,
+a group a run of g + 1), then rows j g first and the rows j g + s for
+each s = 1..g-1 after; a cube's or the gasket's cells (C, P) are gathered
+through a cell -> row table made from the plans, cell j g + r at
+r C / g + j.  Group 1 keeps x order and push order.  Callers reduce each
+block to level-k value ranges by one leading-axis min and max
+(``_group_extremes``): box counts (``dimension.empirical_dimension``),
+and oscillation sums (``oscillation.seminorm``) by a fold into a table of
+ranges (``_fold``).  A sweep holds one block buffer per level below the
+last whole one: 157 KB of values, and as much of points, on a 3-piece
 interval.  Points are mapped one axis at a time (``AffineMap``): no numpy
 call of the sweep or a push loops innermost over the m axes or the P
 slots of a cell.
@@ -442,39 +443,36 @@ def _sweep(model: FifModel, depth: int, group: int = 1, points: bool = False
     """Every cell of levels 1..depth as (level, offset, block) triples,
     depth-first, a block holding the cells from push index offset on (cell
     i C + w of a level is l_i o l_w).  Levels are pushed whole, at offset
-    0, while the next one's pushes fit BLOCK_SLOTS floats; the level-(L + t)
-    cells with leading symbols (b_t..b_1), L the last whole level, are the
-    block l_{b_t} o .. o l_{b_1} of V_L's rows at offset idx(b_t..b_1) N^L,
-    each level's blocks in one buffer (hold none past the next step).  On
-    an interval a block is rows in x order (``_rows``; reversed if l_B
-    flips); else cells (C, P).  Below L, for the ``group`` size g the
-    caller reduces by, if 1 < g < C, a block is group-major: an interval's
-    rows residue-major (row j g + s at s C / g + j + min(s, 1)), cells j g
-    + r at r C / g + j.  Points come with a block if ``points``, and with
-    an interval's block above ``depth``, which the next push reads."""
+    0, while the next one's pushes fit BLOCK_SLOTS floats or the last one
+    has fewer than g = ``group`` cells; the level-(L + t) cells with
+    leading symbols (b_t..b_1), L the last whole level, are the block
+    l_{b_t} o .. o l_{b_1} of V_L's rows at offset idx(b_t..b_1) N^L, each
+    level's blocks in one buffer (hold none past the next step).  So every
+    block of g or more cells holds whole groups.  Every level is laid out
+    group-major (``_group_major``) from its rows in x order on an interval
+    (``_rows``; reversed if l_B flips), else from its cells (C, P) in push
+    order.  Points come with a block if ``points``, and with an interval's
+    block above ``depth``, which the next push reads."""
     d, n = model.domain, model.N
     lev, level, plans = _Level(d.v0_array, model.p_at(d.v0_array)), 0, d.plans()
-    rows = np.arange(len(d.v0)) if d.m == 1 else np.arange(len(d.v0))[None]
-    while level < depth and n * len(lev.vals) * (d.m + 1) <= BLOCK_SLOTS:
+    rows = laid = np.arange(len(d.v0)) if d.m == 1 else np.arange(len(d.v0))[None]
+    while level < depth and (n**level < group or n * len(lev.vals) * (d.m + 1) <= BLOCK_SLOTS):
         plan = next(plans)
         lev, level, rows = _push_kept(model, lev, plan[0])[0], level + 1, _rows(d, rows, *plan)
-        yield level, 0, _take(lev, rows, points)
+        laid = _group_major(rows, group)
+        yield level, 0, _take(lev, laid, points)
     if level == depth:
         return
-    if 1 < group < _cells(rows):  # the layout _group_extremes reads if major
-        rows = (rows.reshape(-1, group, rows.shape[1]).swapaxes(0, 1).reshape(rows.shape)
-                if rows.ndim > 1 else
-                np.concatenate([rows[::group], rows[1:].reshape(-1, group)[:, :-1].T.ravel()]))
-    if rows.ndim == 1:  # each block is l_B of V_L's rows
-        lev, cells = _take(lev, rows, True), None
+    if laid.ndim == 1:  # each block is l_B of V_L's rows
+        lev, cells = _take(lev, laid, True), None
     else:
-        cells = [_Level(np.empty((*rows.shape, d.m)) if points else None,
-                        np.empty(rows.shape)) for _ in range(level, depth)]
+        cells = [_Level(np.empty((*laid.shape, d.m)) if points else None,
+                        np.empty(laid.shape)) for _ in range(level, depth)]
     bufs = [_Level(np.empty_like(lev.pts) if points or lv < depth else None,
                    np.empty_like(lev.vals)) for lv in range(level + 1, depth + 1)]
     for lv, offset, block in _blocks(model, lev, level, 0, bufs):
         yield lv, offset, block if cells is None else _take(
-            block, rows, points, cells[lv - level - 1])
+            block, laid, points, cells[lv - level - 1])
 
 
 def _blocks(model: FifModel, lev: _Level, level: int, offset: int, bufs: list):
@@ -513,38 +511,43 @@ def _cells(vals: np.ndarray) -> int:
     return len(vals) - (vals.ndim == 1)
 
 
-def _group_extremes(vals: np.ndarray, group: int, major: bool = False
-                    ) -> tuple[np.ndarray, np.ndarray]:
+def _group_major(rows: np.ndarray, group: int) -> np.ndarray:
+    """The layout of a level's ``rows`` (``_rows``) in groups of g =
+    ``group`` cells (a level of fewer cells is one group), group-major: on
+    an interval rows j g (C / g + 1 of them), then the run of rows j g + s
+    for each s = 1..g-1; else cell j g + r at r C / g + j.  Group 1 keeps
+    the rows."""
+    g = min(group, _cells(rows))
+    if g == 1:
+        return rows
+    if rows.ndim > 1:
+        return rows.reshape(-1, g, rows.shape[1]).swapaxes(0, 1).reshape(rows.shape)
+    return np.concatenate([rows[::g], rows[1:].reshape(-1, g)[:, :-1].T.ravel()])
+
+
+def _group_extremes(vals: np.ndarray, group: int) -> tuple[np.ndarray, np.ndarray]:
     """The min and max of each group of g = ``group`` cells of a block of
-    ``_sweep``: if ``major`` and 1 < g < C, group-major, by one leading-axis
-    reduce (of rows, of runs 1..g-1, with the shifted ends of run 0); else
-    of rows, rows j g .. j g + g (g + 1 strided slices, or for a larger g
-    a ``reduceat`` and the shared ends), of cells (C, P), j g .. j g + g - 1."""
-    if major and 1 < group < _cells(vals):
-        if vals.ndim == 1:
-            head, rest = np.split(vals, [_cells(vals) // group + 1])
-            return tuple(op(op(op.reduce(rest.reshape(group - 1, -1)), head[:-1]), head[1:])
-                         for op in (np.minimum, np.maximum))
+    ``_sweep`` (whole groups, group-major), by one leading-axis reduce: of
+    an interval's runs 1..g-1, with the shifted ends of run 0 (the group
+    j g .. j g + g - 1 of cells in x order is rows j g .. j g + g); of
+    cells (C, P), then down the P slots."""
+    if vals.ndim > 1:
         part = vals.reshape(group, -1, vals.shape[1])
         lo, hi = np.minimum.reduce(part), np.maximum.reduce(part)  # (C / g, P)
         return functools.reduce(np.minimum, lo.T), functools.reduce(np.maximum, hi.T)
-    if vals.ndim == 1:
-        if group < 16:
-            runs = [vals[s:s + len(vals) - group:group] for s in range(group + 1)]
-            return functools.reduce(np.minimum, runs), functools.reduce(np.maximum, runs)
-        at, ends = np.arange(0, len(vals) - 1, group), vals[group::group]
-        return (np.minimum(np.minimum.reduceat(vals, at), ends),
-                np.maximum(np.maximum.reduceat(vals, at), ends))
-    part = np.ascontiguousarray(vals.reshape(len(vals) // group, -1).T)  # down axis 0
-    return np.minimum.reduce(part), np.maximum.reduce(part)
+    head, rest = np.split(vals, [_cells(vals) // group + 1])
+    lo, hi = np.minimum(head[:-1], head[1:]), np.maximum(head[:-1], head[1:])
+    if group > 1:
+        np.minimum(np.minimum.reduce(rest.reshape(group - 1, -1)), lo, out=lo)
+        np.maximum(np.maximum.reduce(rest.reshape(group - 1, -1)), hi, out=hi)
+    return lo, hi
 
 
 def _fold(lo, hi, vals, offset: int, group: int) -> None:
-    """Fold the group extremes of a block of ``_sweep`` (cells from
-    ``offset`` on) into the tables ``lo`` and ``hi``, row j of cells j g ..
-    j g + g - 1: a block inside one group into its row, else its groups
-    (``_group_extremes``) into rows offset / g on, in the block's order."""
-    glo, ghi = _group_extremes(vals, min(group, _cells(vals)))
+    """Fold the groups of a block of ``_sweep`` (cells from ``offset`` on,
+    ``_group_extremes``) into the rows offset / g on of the tables ``lo``
+    and ``hi``, row j of cells j g .. j g + g - 1."""
+    glo, ghi = _group_extremes(vals, group)
     at = slice(offset // group, offset // group + len(glo))
     np.minimum(lo[at], glo, out=lo[at])
     np.maximum(hi[at], ghi, out=hi[at])

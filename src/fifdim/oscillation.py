@@ -10,6 +10,7 @@ recursion (``engine._sweep``), not one pass per k.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -30,29 +31,29 @@ __all__ = [
 
 
 def _osc_sums(model: FifModel, kmax: int) -> dict[int, float]:
-    """Osc(k, f*) for k = 1..kmax, each from the vertices of level k + e,
-    e = 4 or less near the budget (a shallower level still gives lower
-    ends).  Each level k + e is folded once into the value ranges of its
-    finest k, a block's cells in its order (``engine._sweep``): in push
-    order up to the x order of an interval's block, which only the
-    rounding of the sum sees.  A coarser k with the same k + e reduces that
-    table (min and max are exact, so the grouping cannot change them)."""
+    """Osc(k, f*) for k = 1..kmax, each from the vertices of level k + e_k,
+    e_k = 4 or less near the budget (a shallower level still gives lower
+    ends).  One sweep grouped by n^e0, e0 the least e_k, folds each level
+    k + e_k once into a table of the value ranges of its groups
+    (``engine._fold``), in the order of the cells in a block (push order up
+    to the x order of an interval's block, which only the rounding of the
+    sum sees).  Osc(k) reduces runs of n^(e_k - e0) rows of it (min and max
+    are exact, so the grouping cannot change them)."""
     extras = {k: _fit_extra(model, k, 4) for k in range(1, kmax + 1)}
     depth = max(k + e for k, e in extras.items())
     _check_budget(model, depth, f"graph sample depth {depth}")
-    n = model.N
-    finest = {k + e: k for k, e in extras.items()}  # level k + e -> its finest k
-    vmin = {k: np.full(n**k, np.inf) for k in extras}
-    vmax = {k: np.full(n**k, -np.inf) for k in extras}
-    for level, offset, block in _sweep(model, depth):
-        if level in finest:
-            k = finest[level]
-            _fold(vmin[k], vmax[k], block.vals, offset, n**(level - k))
-    for k, e in extras.items():
-        if (f := finest[k + e]) != k:  # each group of n^(f - k) down axis 0
-            for table, op in ((vmin, np.minimum), (vmax, np.maximum)):
-                op.reduce(np.ascontiguousarray(table[f].reshape(n**k, -1).T), out=table[k])
-    return {k: float(np.sum(vmax[k] - vmin[k])) for k in extras}
+    n, e0 = model.N, min(extras.values())
+    tables = {lv: (np.full(n**(lv - e0), np.inf), np.full(n**(lv - e0), -np.inf))
+              for lv in {k + e for k, e in extras.items()}}  # one pair a level
+    for level, offset, block in _sweep(model, depth, n**e0):
+        if level in tables:
+            _fold(*tables[level], block.vals, offset, n**e0)
+    out = {}
+    for k, e in extras.items():  # run j of r rows is rows j r + s, s = 0..r-1
+        (lo, hi), r = tables[k + e], n**(e - e0)
+        out[k] = float(np.sum(functools.reduce(np.maximum, [hi[s::r] for s in range(r)])
+                              - functools.reduce(np.minimum, [lo[s::r] for s in range(r)])))
+    return out
 
 
 def _check_args(model: FifModel, eta: float, kmax: int | None) -> int:

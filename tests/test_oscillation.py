@@ -1,10 +1,13 @@
 """Oscillation sums, the seminorm and the Hoelder-to-oscillation ceiling."""
 
+import math
+
 import numpy as np
 import pytest
 
 from conftest import get_model, replay_geometry, replay_levels, replayed_table
-from fifdim.domains import cell_budget, interval_domain
+from fifdim.domains import cell_budget, gasket_domain, interval_domain, vertex_set
+from fifdim import engine
 from fifdim.engine import FifSpec, build_model, evaluate_on_vk
 from fifdim.exprs import parse_expr
 from fifdim.oscillation import _osc_sums, holder_to_osc_check, seminorm
@@ -147,6 +150,32 @@ def test_osc_sums_are_lower_bounds():
     assert _osc_sums(model, 3)[3] <= spread + 1e-12
 
 
+def _flipped_model():
+    # the middle map of a 3-piece interval flips (signature [0, 1, 0])
+    knots = (0.0, 1 / 3, 2 / 3, 1.0)
+    d = interval_domain(knots, (0, 1, 0))
+    data = [((x,), v) for x, v in zip(knots, (0.0, 0.6, -0.3, 0.4))]
+    s = [(parse_expr(t), None) for t in ("1/2", "-2/5", "3/10")]
+    return build_model(FifSpec(d, data, s, "solve", 1.0))
+
+
+def _gasket2_model():
+    # the gasket with its IFS refined to level 2: 9 maps, 15 nodes
+    d = gasket_domain([[0, 0], [1, 0], [0.5, math.sqrt(3) / 2]], 2)
+    data = [(tuple(p), round(math.sin(3 * j), 3))
+            for j, p in enumerate(vertex_set(d, 1).tolist())]
+    s = [(parse_expr(t), None) for t in
+         ("3/10", "-1/5", "1/4", "2/5", "-3/10", "1/5", "1/10", "-2/5", "1/4")]
+    return build_model(FifSpec(d, data, s, "solve", 1.0))
+
+
+# built models at a FIF_CELL_BUDGET (and kmax) whose extras e_k = 4, 4, 3,
+# 2, 1, 0 and 4, 3, 2, 1, 0 take several values, 0 among them; pinned
+# before the sweep read every level group-major
+BUDGET_MODELS = {"flipped_interval": (_flipped_model, 3000, 6),
+                 "gasket_level2": (_gasket2_model, 200000, 5)}
+
+
 @pytest.mark.parametrize(
     "name, expected",
     [("example5_case2", "13.37110843608938"),
@@ -154,8 +183,35 @@ def test_osc_sums_are_lower_bounds():
      ("example5_case1_one", "2.4794996938351463"),
      ("sg_exact", "270.2587432195848"),
      ("degenerate_interval", "1.0"),
-     ("degenerate_cube", "1.0")],
+     ("degenerate_cube", "1.0"),
+     ("flipped_interval", "7.778027613168717"),
+     ("gasket_level2", "16.850126332882866")],
 )
-def test_seminorm_pinned_values(name, expected):
-    model = get_model(name)
-    assert repr(seminorm(model, min(1, model.eta))) == expected
+def test_seminorm_pinned_values(name, expected, monkeypatch):
+    if name in BUDGET_MODELS:
+        make, budget, kmax = BUDGET_MODELS[name]
+        monkeypatch.setenv("FIF_CELL_BUDGET", str(budget))
+        model = make()
+    else:
+        model, kmax = get_model(name), None
+    assert repr(seminorm(model, min(1, model.eta), kmax)) == expected
+
+
+@pytest.mark.parametrize("name, holder, osc", [
+    ("flipped_interval", 7.000224851851846,
+     ["2.310913580246914", "3.424751868312758", "4.332153547325103",
+      "5.482408164609054", "6.6935216460905345", "7.7780276131687245"]),
+    ("gasket_level2", 15.16511369959458,
+     ["16.140082078125", "49.9318176171875", "142.88743985625",
+      "382.8836692421876", "971.6631931937503"]),
+])
+def test_holder_check_pinned_values(name, holder, osc, monkeypatch):
+    # holder is 0.9 of the pinned seminorm over |K|, so the check fails at
+    # the k that attains it (the last), and Osc(k) is pinned for every k
+    make, budget, kmax = BUDGET_MODELS[name]
+    monkeypatch.setenv("FIF_CELL_BUDGET", str(budget))
+    model = make()
+    assert [engine._fit_extra(model, k, 4) for k in range(1, kmax + 1)][-3:] == [2, 1, 0]
+    assert holder_to_osc_check(model, 1.0, holder, kmax) == {
+        k: k < kmax for k in range(1, kmax + 1)}
+    assert [repr(v) for v in _osc_sums(model, kmax).values()] == osc

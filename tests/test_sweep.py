@@ -61,7 +61,8 @@ def test_graph_samples_sweep_equals_replay(name, small_blocks):
 def test_graph_samples_shared_level_folded_once(name, small_blocks, monkeypatch):
     # a budget of level 5 shrinks the extra of every k to 5 - k, so all five
     # read level 5, as k = 10, 11 and 12 read level 14 in the default
-    # seminorm: it is folded into k = 5 alone, and k = 1..4 reduce that table
+    # seminorm: it is folded once into a table of its cells (e0 = 0), and
+    # k = 1..4 reduce runs of that table
     model = get_model(name)
     monkeypatch.setenv("FIF_CELL_BUDGET", str(model.N**5 * len(model.domain.v0)))
     _assert_osc_sums_equal_replay(model, 5, dict.fromkeys(range(1, 6), 5))
@@ -165,10 +166,22 @@ SEED_ESTIMATES = {
 }
 
 
+# "<config>:small": extra = 4 in blocks of SMALL_BLOCK_SLOTS floats, pinned
+# when those blocks of 1-3 cells each lay inside one group of N^4 cells
+SEED_ESTIMATES.update({
+    "example5_case2:small": ((3, 5), [151, 684, 3031], "1.365071222659966"),
+    "sg_exact:small": ((2, 4), [45, 204, 918], "2.175248623542068"),
+    "degenerate_cube:small": ((2, 3), [32, 128], "1.9999999999999987"),
+})
+
+
 @pytest.mark.parametrize("name", sorted(SEED_ESTIMATES))
-def test_empirical_matches_seed(name):
+def test_empirical_matches_seed(name, monkeypatch):
     (k_min, k_max), counts, slope = SEED_ESTIMATES[name]
-    est = empirical_dimension(get_model(name), k_min, k_max)
+    config, _, small = name.partition(":")
+    if small:
+        monkeypatch.setattr(engine, "BLOCK_SLOTS", SMALL_BLOCK_SLOTS)
+    est = empirical_dimension(get_model(config), k_min, k_max, extra=4 if small else 2)
     assert [k for k, _, _ in est.entries] == list(range(k_min, k_max + 1))
     assert [c for _, _, c in est.entries] == counts
     assert repr(est.slope) == slope
@@ -205,9 +218,9 @@ def test_empirical_memory_is_a_block(name, k_min, k_max, monkeypatch):
 
 
 def test_seminorm_memory_bounded():
-    # 17 MB here, 12 MB of it the value ranges of the twelve levels; it
-    # was 62 MB when those tables also held vertex points, boxes and
-    # diameters
+    # 16 MB here, 12 MB of it the value ranges of the ten levels 5..14 it
+    # reads; it was 62 MB when those tables also held vertex points, boxes
+    # and diameters
     model = get_model("example5_case2")
     tracemalloc.start()
     try:
@@ -266,8 +279,8 @@ def test_row_sweep_on_intervals_equals_slot_replay(model, e):
         tied = dimension._tied_counts(model, deltas, k_max + e)
         osc = oscillation._osc_sums(model, 3)
     with pytest.MonkeyPatch.context() as patch:
-        # level 5 whole, at a budget that makes k = 1..4 reduce the table
-        # of k = 5
+        # level 5 whole, at a budget that makes k = 1..4 reduce runs of the
+        # table of level 5
         patch.setenv("FIF_CELL_BUDGET", str(model.N**5 * 2))
         shared = oscillation._osc_sums(model, 5)
     assert est.entries == replayed_estimate(model, k_min, k_max, k_max + e)
@@ -289,9 +302,9 @@ def test_grouped_tied_counts_on_intervals_equal_replay(model):
     # equal pieces, random flips and data: the level-tied counts of the
     # sweep grouped by g = N^e are the replay's exactly for e = 0..3, in
     # blocks of C = N^L cells (L = 1 or 2 for 16 floats, up to 3 to 6 for
-    # 256).  So 1 < g < C (residue-major blocks, flipped or not), g == C
-    # (one group a block) and g > C (a block inside one group, folded) all
-    # occur
+    # 256, and at least e).  So 1 < g < C (residue-major blocks, flipped or
+    # not), g == C (one group a block) and levels pushed whole only to hold
+    # a group all occur
     d, k_min, k_max = model.domain, 2, 4
     assert d.homogeneous
     deltas = {k: d.delta(k) for k in range(k_min, k_max + 1)}
@@ -345,77 +358,87 @@ def test_seminorm_samples_make_no_geometry(monkeypatch):
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(st.integers(2, 5), st.integers(0, 3), st.integers(0, 4),
-       st.integers(1, 9), st.integers(0, 2**32 - 1))
+@given(st.integers(2, 5), st.integers(0, 3), st.integers(0, 2),
+       st.integers(0, 9), st.integers(0, 2**32 - 1))
 def test_fold_is_the_reshape_min_max(n, e, b, slots, seed):
-    # blocks of n^b cells at every offset of n^2 blocks into tables of
-    # groups of n^e cells: whole groups when b >= e, else inside one
+    # blocks of n^(e + b) cells, whole groups of n^e laid out group-major
+    # (``_group_major``), at every offset of n^2 blocks into tables of the
+    # groups: cells (C, slots), or for slots = 0 an interval's C + 1 rows,
+    # a group of cells j g .. j g + g - 1 the rows j g .. j g + g
     rng = np.random.default_rng(seed)
-    group, cells = n**e, n**b
-    rows = max(1, n**2 * cells // group)
+    group, cells = n**e, n**(e + b)
+    rows = n**2 * cells // group
     lo = rng.normal(size=rows)
     hi = lo + rng.exponential(size=rows)
     ref_lo, ref_hi = lo.copy(), hi.copy()
     for j in rng.permutation(n**2):
-        block = rng.normal(size=(cells, slots))
-        engine._fold(lo, hi, block, j * cells, group)
-        part = block.reshape(max(1, cells // group), -1)
+        block = rng.normal(size=(cells, slots) if slots else cells + 1)
+        index = np.arange(block.size).reshape(block.shape)
+        engine._fold(lo, hi, block.ravel()[engine._group_major(index, group)],
+                     j * cells, group)
+        part = (block.reshape(cells // group, -1) if slots else
+                np.array([block[s:s + group + 1] for s in range(0, cells, group)]))
         at = slice(j * cells // group, j * cells // group + len(part))
         ref_lo[at] = np.minimum(ref_lo[at], part.min(axis=1))
         ref_hi[at] = np.maximum(ref_hi[at], part.max(axis=1))
     assert _same_bits(lo, ref_lo) and _same_bits(hi, ref_hi)
 
 
+def _sweep_copies(model, depth, group, slots):
+    """(level, offset, values) of each block of ``_sweep`` in blocks of
+    ``slots`` floats, each copied out of its level's buffer."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "BLOCK_SLOTS", slots)
+        return [(level, at, block.vals.copy())
+                for level, at, block in engine._sweep(model, depth, group)]
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.sampled_from(["example5_case2", "sg_exact", "degenerate_cube"]),
        st.integers(0, 5), st.sampled_from([16, 256]))
 def test_group_major_blocks_reduce_to_the_push_order_min_max(name, e, slots):
-    # P = 2, 3 and 4 slots a cell; blocks of C = N^L cells (L = 0 or 1 for
-    # 16 floats, 2 to 4 for 256) and groups of g = N^e cells.  Below the
-    # whole levels, when 1 < g < C, a block is gathered group-major and one
-    # leading-axis reduce of it gives the min and max of its push-order
-    # twin's groups: cells (C, P) with cell j g + r at r C / g + j, the
-    # C + 1 rows of an interval residue-major (rows j g, then rows j g + s
-    # for s = 1..g-1) against runs of g + 1 rows in x order.  Else no
-    # block is reordered, and one lies inside one group.  The runs of the
-    # x-order rows are the groups of the replayed cells, up to the one
-    # value a row shared by two slots keeps
+    # P = 2, 3 and 4 slots a cell, groups of g = N^e cells, blocks of
+    # C = N^L cells (L = 0 or 1 for 16 floats, 2 to 4 for 256, at least e
+    # when grouped).  Every level the grouped sweep yields, whole levels
+    # too, is the block of an ungrouped sweep with the same whole levels
+    # laid out group-major: cells (C, P) with cell j g + r at r C / g + j,
+    # the C + 1 rows of an interval rows j g, then rows j g + s for s =
+    # 1..g-1.  It holds whole groups (a whole level of fewer than g cells
+    # is one), and one leading-axis reduce of it gives the min and max of
+    # its twin's push-order groups, runs of g + 1 rows in x order on an
+    # interval, bit for bit.  Those are the groups of the replayed cells,
+    # up to the one value a row shared by two slots keeps on an interval
     model = get_model(name)
-    n, group = model.N, model.N**e
+    d, n, group = model.domain, model.N, model.N**e
     levels = _replay(model, 5, geometry_to=0)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(engine, "BLOCK_SLOTS", slots)
-        for (level, at, major), (level2, at2, push) in zip(
-                engine._sweep(model, 5, group), engine._sweep(model, 5)):
-            assert (level, at) == (level2, at2)
-            cells = engine._cells(push.vals)
-            ref = levels[level][1][at:at + cells].reshape(max(1, cells // group), -1)
-            regrouped = cells < n**level and 1 < group < cells
-            if push.vals.ndim == 1:
-                g = min(group, cells)
-                order = (np.concatenate([np.arange(s, cells + 1, g) for s in range(g)])
-                         if regrouped else np.arange(cells + 1))
-                assert _same_bits(major.vals, push.vals[order])
-                lo, hi = engine._group_extremes(push.vals, g)
-                runs = [push.vals[j:j + g + 1] for j in range(0, cells, g)]
-                assert _same_bits(lo, [r.min() for r in runs])
-                assert _same_bits(hi, [r.max() for r in runs])
-                if regrouped:
-                    lo2, hi2 = engine._group_extremes(major.vals, g, True)
-                    assert _same_bits(lo2, lo) and _same_bits(hi2, hi)
-                # no map flips, so x order is push order; a row shared by
-                # two slots carries one of their values
-                assert np.allclose(lo, ref.min(axis=1), rtol=0, atol=1e-15)
-                assert np.allclose(hi, ref.max(axis=1), rtol=0, atol=1e-15)
-                continue
-            if cells == n**level or group >= cells:
-                assert _same_bits(major.vals, push.vals)
-                continue
-            assert _same_bits(major.vals, push.vals.reshape(
-                -1, group, push.vals.shape[1]).swapaxes(0, 1).reshape(push.vals.shape))
-            for vals, is_major in ((major.vals, True), (push.vals, False)):
-                lo, hi = engine._group_extremes(vals, group, is_major)
-                assert _same_bits(lo, ref.min(axis=1)) and _same_bits(hi, ref.max(axis=1))
+    grouped = _sweep_copies(model, 5, group, slots)
+    whole = max((lv for lv, _, vals in grouped if engine._cells(vals) == n**lv), default=0)
+    # the block size at which the ungrouped sweep pushes as many levels whole
+    same = max(slots, n * len(vertex_set(d, whole - 1)) * (d.m + 1)) if whole else slots
+    ungrouped = _sweep_copies(model, 5, 1, same)
+    assert [(lv, at) for lv, at, _ in grouped] == [(lv, at) for lv, at, _ in ungrouped]
+    for (level, at, major), (_, _, push) in zip(grouped, ungrouped):
+        cells = engine._cells(push)
+        g = min(group, cells)
+        assert cells % g == 0 and (g == group or cells == n**level)
+        ref = levels[level][1][at:at + cells].reshape(cells // g, -1)
+        lo, hi = engine._group_extremes(major, g)
+        if push.ndim == 1:
+            order = np.concatenate([np.arange(s, cells + 1, g) for s in range(g)])
+            assert _same_bits(major, push[order])
+            runs = [push[j:j + g + 1] for j in range(0, cells, g)]
+            assert _same_bits(lo, [r.min() for r in runs])
+            assert _same_bits(hi, [r.max() for r in runs])
+            # no map flips, so x order is push order; a row shared by
+            # two slots carries one of their values
+            assert np.allclose(lo, ref.min(axis=1), rtol=0, atol=1e-15)
+            assert np.allclose(hi, ref.max(axis=1), rtol=0, atol=1e-15)
+        else:
+            assert _same_bits(major, push.reshape(
+                -1, g, push.shape[1]).swapaxes(0, 1).reshape(push.shape))
+            groups = push.reshape(cells // g, -1)
+            assert _same_bits(lo, groups.min(axis=1)) and _same_bits(hi, groups.max(axis=1))
+            assert _same_bits(lo, ref.min(axis=1)) and _same_bits(hi, ref.max(axis=1))
 
 
 def test_sweep_blocks_of_a_level_share_one_buffer(small_blocks):
