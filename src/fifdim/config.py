@@ -28,9 +28,9 @@ __all__ = ["RunConfig", "ConfigError", "load_config", "parse_number",
            "resolve_analysis"]
 
 # the "analysis" fields: gamma_pin is a number, the others JSON integers
-# with these least values (a box-count window starts at level 2; a sample
-# at depth 0 is the interpolation nodes)
-ANALYSIS_INTS = {"k_min": 2, "k_max": 2, "sample_depth": 0}
+# with these least values (a box-count window starts at level 2 and spans
+# two levels at least; a sample at depth 0 is the interpolation nodes)
+ANALYSIS_INTS = {"k_min": 2, "k_max": 3, "sample_depth": 0}
 
 
 class ConfigError(ValueError):
@@ -286,8 +286,8 @@ def resolve_analysis(analysis: dict, domain: Domain,
     Each comes from ``given`` ({field: (where it was given, value)}, the
     CLI flags), else from ``analysis``, else from the domain's default
     window or depth 6.  Each must reach its ANALYSIS_INTS least
-    value, and k_max must be >= k_min; the ConfigError names where the
-    offending value came from.
+    value, and k_max must be > k_min (a slope fits two counts at least);
+    the ConfigError names where the offending value came from.
     """
     defaults = dict(zip(("k_min", "k_max"), domain.default_window),
                     sample_depth=6)
@@ -299,10 +299,10 @@ def resolve_analysis(analysis: dict, domain: Domain,
     errors = [(source[key][0], f"must be >= {least}, got {value[key]}")
               for key, least in ANALYSIS_INTS.items() if value[key] < least]
     (lo_at, lo), (hi_at, hi) = source["k_min"], source["k_max"]
-    if not errors and hi < lo:  # blame a given value, not a default
-        errors.append((lo_at, f"must be <= {hi_at} = {hi}, got {lo}")
+    if not errors and hi <= lo:  # blame a given value, not a default
+        errors.append((lo_at, f"must be <= {hi_at} - 1 = {hi - 1}, got {lo}")
                       if hi_at.startswith("the default")
-                      else (hi_at, f"must be >= {lo_at} = {lo}, got {hi}"))
+                      else (hi_at, f"must be >= {lo_at} + 1 = {lo + 1}, got {hi}"))
     if errors:
         raise ConfigError(errors)
     return value

@@ -422,7 +422,8 @@ class EmpiricalEstimate:
 def empirical_dimension(
     model: FifModel, k_min: int, k_max: int, extra: int = 2
 ) -> EmpiricalEstimate:
-    """Log-log slope of box counts over the level-tied delta sequence.
+    """Log-log slope of box counts over the level-tied delta sequence, at
+    k = k_min..k_max, k_max > k_min (one count gives no slope).
 
     Homogeneous intervals, cubes and the gasket use delta_k = |K| /
     Lambda^k and the level-k cells, each with the value range of its
@@ -436,7 +437,8 @@ def empirical_dimension(
     level-k cells a block, group-major, for the level-tied counts (an
     interval's rows residue-major), in x order for the dyadic count.
     """
-    _check_int(ModelError, k_min=(k_min, 2), k_max=(k_max, k_min), extra=(extra, 0))
+    _check_int(ModelError, k_min=(k_min, 2), k_max=(k_max, k_min + 1),
+               extra=(extra, 0))
     depth = k_max + _fit_extra(model, k_max, extra)
     _check_budget(model, depth, f"graph sample depth {depth}")
     d = model.domain

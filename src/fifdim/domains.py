@@ -380,9 +380,18 @@ class GasketDomain(Domain):
     kind = "gasket"
     dim = math.log(3) / math.log(2)
     pcf = True
-    default_window = (4, 8)
-    default_kmax = 12
     default_family = "affine"
+
+    # level 1's box sizes (4..8, kmax 12), as a level-n cell is a level-1
+    # cell of depth n; a window spans two levels at least, from level 2
+    @property
+    def default_window(self) -> tuple[int, int]:
+        lo = max(2, -(-4 // self.level))
+        return lo, max(lo + 1, -(-8 // self.level))
+
+    @property
+    def default_kmax(self) -> int:
+        return -(-12 // self.level)
 
 
 def build_interval_maps(

@@ -4,8 +4,8 @@ Expressions are written in a tiny grammar over the domain coordinates
 ``x1 .. xm``::
 
     expr    := factor (binop factor)*
-    binop   := "+" | "-" | "*" | "/"  (the two-operand entries of OPS, by
-               their precedence, "+ -" below "*"; "/" binds like "*")
+    binop   := "+" | "-" | "*" | "/"  (the two-operand entries of OPS but
+               "^", by their precedence, "+ -" below "*"; "/" binds like "*")
     factor  := "-" factor | power
     power   := atom ("^" number)?
     atom    := number | var | func "(" expr ")" | "(" expr ")"
@@ -15,17 +15,18 @@ Expressions are written in a tiny grammar over the domain coordinates
                (("e" | "E") ("+" | "-")? digits)?
 
 Digits and the letters of names are ASCII; whitespace may stand between
-any two tokens.  The tree has four node types, ``Const``, ``Var``, ``Pow``
-and ``Op``; ``OPS`` is the one list of operators (``+ - * neg sin cos``):
+any two tokens.  The tree has three node types, ``Const``, ``Var`` and
+``Op``; ``OPS`` is the one list of operators (``+ - * neg sin cos ^``):
 ``Op`` evaluates and prints by it, and the parser takes its binary
-operators and functions from it.  Powers use a strictly positive literal
-exponent and evaluate as ``|base|**a`` so every expression is continuous
-on the domain.  Division is only allowed by a constant sub-expression
-with a finite value and reciprocal, and is folded into a multiplication
-at parse time.  Brackets and trees nest at most ``MAX_DEPTH`` deep, well
-inside Python's recursion limit.  Shape facts (constancy, per-axis
-affinity/concavity/convexity, Hoelder data) are user declarations that
-get audited numerically, not proven symbolically.
+operators and functions from it.  A power ``Op("^", (base, Const(a)))``
+has a strictly positive literal exponent and evaluates as ``|base|**a``,
+so every expression is continuous on the domain.  Division is only
+allowed by a constant sub-expression with a finite value and reciprocal,
+and is folded into a multiplication at parse time.  Brackets and trees
+nest at most ``MAX_DEPTH`` deep, well inside Python's recursion limit.
+Shape facts (constancy, per-axis affinity/concavity/convexity, Hoelder
+data) are user declarations that get audited numerically, not proven
+symbolically.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ __all__ = [
     "Expr",
     "Const",
     "Var",
-    "Pow",
     "Op",
     "OPS",
     "MAX_DEPTH",
@@ -95,7 +95,7 @@ class Expr:
         raise NotImplementedError
 
     def _str(self) -> tuple[str, int]:
-        """Return (text, precedence); precedence: 0 sum, 1 product, 2 atom."""
+        """Return (text, precedence): 0 sum, 1 product, 2 power, 3 atom."""
         raise NotImplementedError
 
     def max_axis(self) -> int:
@@ -106,8 +106,9 @@ class Expr:
 
 
 def _full(value: np.ndarray | float, x: np.ndarray) -> np.ndarray:
-    """A node's value as an array of shape x.shape[:-1]; ``sin``, ``cos``
-    and ``^`` use it, as numpy's scalar and SIMD paths round differently."""
+    """A node's value as an array of shape x.shape[:-1]; the ``full``
+    entries of OPS take their first operand so, as numpy's scalar and SIMD
+    paths round differently."""
     return np.full(x.shape[:-1], value) if isinstance(value, float) else value
 
 
@@ -121,18 +122,22 @@ class OpSpec(NamedTuple):
     template: str  # one "{}" per operand; an operator takes one or two
     prec: int
     operand_prec: tuple[int, ...]  # an operand below this is parenthesised
+    full: bool = False  # the first operand is an array (``_full``)
 
 
-# The one list of operators; its two-operand entries are the parser's binary
-# operators, its "name({})" templates its functions.  Arithmetic uses Python's operators, not the ufuncs, so numpy
-# can write the result into a temporary operand instead of a new array.
+# The one list of operators; its two-operand entries but "^" are the parser's
+# binary operators, its "name({})" templates its functions.  Arithmetic uses
+# Python's operators and abs, not the ufuncs, so numpy can write the result
+# into a temporary operand instead of a new array.  A power's base below
+# an atom, a power too, is parenthesised: '^' does not chain in the grammar.
 OPS = {
     "+": OpSpec(operator.add, "{} + {}", 0, (0, 1)),
     "-": OpSpec(operator.sub, "{} - {}", 0, (0, 1)),
     "*": OpSpec(operator.mul, "{}*{}", 1, (1, 2)),
     "neg": OpSpec(operator.neg, "-{}", 1, (2,)),
-    "sin": OpSpec(np.sin, "sin({})", 2, (0,)),
-    "cos": OpSpec(np.cos, "cos({})", 2, (0,)),
+    "sin": OpSpec(np.sin, "sin({})", 3, (0,), True),
+    "cos": OpSpec(np.cos, "cos({})", 3, (0,), True),
+    "^": OpSpec(lambda b, p: abs(b) ** p, "{}^{}", 2, (3, 0), True),
 }
 _FUNCTIONS = {op for op, spec in OPS.items() if spec.template == op + "({})"}
 
@@ -149,7 +154,7 @@ class Const(Expr):
         v = float(self.value)
         if v < 0:
             return f"-{abs(v)!r}", 1
-        return repr(v), 2
+        return repr(v), 3
 
 
 @dataclass(frozen=True)
@@ -164,7 +169,7 @@ class Var(Expr):
         return x[..., self.axis - 1]  # a view of x
 
     def _str(self):
-        return f"x{self.axis}", 2
+        return f"x{self.axis}", 3
 
     def max_axis(self):
         return self.axis
@@ -172,7 +177,8 @@ class Var(Expr):
 
 @dataclass(frozen=True)
 class Op(Expr):
-    """An operator of ``OPS`` applied to its operand nodes."""
+    """An operator of ``OPS`` applied to its operand nodes; the exponent of
+    a ``^`` is a ``Const`` > 0, and stays a scalar in ``ev``."""
 
     op: str
     args: tuple[Expr, ...]
@@ -180,49 +186,25 @@ class Op(Expr):
     def __post_init__(self):
         if self.op not in OPS or len(self.args) != len(OPS[self.op].operand_prec):
             raise ExprError(f"no operator {self.op!r} of {len(self.args)} operands")
+        if self.op == "^" and not (isinstance(p := self.args[1], Const) and p.value > 0):
+            raise ExprError(f"power exponent must be > 0, got {p}")
         object.__setattr__(self, "depth", 1 + max(a.depth for a in self.args))
 
     def _ev(self, x):
-        # by arity: a list of the operand values would cost a frame per node
-        apply, args = OPS[self.op].apply, self.args
+        # by arity: a list of the operand values would cost a frame per node,
+        # and a bound operand value is never a temporary numpy writes into
+        spec, args = OPS[self.op], self.args
         if len(args) == 2:
-            return apply(args[0]._ev(x), args[1]._ev(x))
+            if spec.full:
+                return spec.apply(_full(args[0]._ev(x), x), args[1]._ev(x))
+            return spec.apply(args[0]._ev(x), args[1]._ev(x))
         a = args[0]._ev(x)
-        return apply(_full(a, x) if self.op in _FUNCTIONS else a)
+        return spec.apply(_full(a, x) if spec.full else a)
 
     def _str(self):
         spec = OPS[self.op]
         text = spec.template.format(*map(_paren, self.args, spec.operand_prec))
         return text, spec.prec
-
-
-@dataclass(frozen=True)
-class Pow(Expr):
-    """|base|^exponent with a strictly positive literal exponent; the
-    exponent is a float, not a node, and stays a scalar in ``ev``."""
-
-    base: Expr
-    exponent: float
-
-    def __post_init__(self):
-        if not self.exponent > 0:
-            raise ExprError(f"power exponent must be > 0, got {self.exponent}")
-        object.__setattr__(self, "depth", 1 + self.base.depth)
-
-    @property
-    def args(self):
-        return (self.base,)
-
-    def _ev(self, x):
-        # builtin abs, not np.abs: numpy writes into a temporary operand
-        return abs(_full(self.base._ev(x), x)) ** self.exponent
-
-    def _str(self):
-        text, prec = self.base._str()
-        # '^' does not chain in the grammar, so a Pow base needs parens too
-        if prec < 2 or isinstance(self.base, Pow):
-            text = f"({text})"
-        return f"{text}^{self.exponent!r}", 2
 
 
 # --------------------------------------------------------------------------
@@ -235,8 +217,9 @@ class Pow(Expr):
 _TOKEN = re.compile(r"(?P<num>[0-9.]+(?:[eE][+-]?[0-9]+)?)"
                     r"|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*/^()])|(?P<bad>\S)")
 _NUMBER = re.compile(r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
-# the two-operand entries of OPS by precedence; "/" binds like "*"
-_BINARY = {op: spec.prec for op, spec in OPS.items() if len(spec.operand_prec) == 2}
+# the two-operand entries of OPS but "^" by precedence; "/" binds like "*"
+_BINARY = {op: spec.prec for op, spec in OPS.items()
+           if len(spec.operand_prec) == 2 and op != "^"}
 _BINARY["/"] = _BINARY["*"]
 # the most brackets open at once, and the most nodes on a path of a tree
 MAX_DEPTH = 100
@@ -327,7 +310,7 @@ class _Parser:
             exp = float(v2)
             if exp <= 0:
                 raise ExprSyntaxError("exponent must be > 0", off2)
-            return Pow(base, exp)
+            return Op("^", (base, Const(exp)))
         return base
 
     def atom(self) -> Expr:

@@ -8,6 +8,7 @@ import json
 import pytest
 
 from fifdim.cli import main
+from fifdim.domains import gasket_domain, vertex_set
 
 
 def _cfg(config_dir, name):
@@ -133,6 +134,23 @@ def test_report_gasket_scatter(config_dir, tmp_path, capsys):
     assert "<circle" in (tmp_path / "graph.svg").read_text()
 
 
+def test_report_gasket_level_2_at_the_defaults(config_dir, tmp_path, capsys):
+    # the defaults were level 1's (window 4..8, kmax 12) at every level:
+    # with N = 9 the graph sample at depth 8 passed the cell budget (exit 3)
+    raw = json.loads((config_dir / "sg_exact.json").read_text())
+    d = gasket_domain(raw["domain"]["vertices"], 2)
+    raw["domain"]["level"] = 2
+    raw["data"] = [{"point": p.tolist(), "value": float(not p.any())}
+                   for p in vertex_set(d, 1)]
+    raw["scales"] = ["1/2"] * d.N
+    del raw["analysis"]
+    p = tmp_path / "level2.json"
+    p.write_text(json.dumps(raw))
+    assert main(["report", str(p), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert [e["k"] for e in report["empirical"]["entries"]] == [2, 3, 4]
+
+
 def test_report_inconsistent_exit_4(config_dir, tmp_path, capsys):
     raw = json.loads((config_dir / "example5_case2.json").read_text())
     raw["analysis"] = {"gamma_pin": "1/5", "k_min": 4, "k_max": 7}
@@ -255,9 +273,16 @@ def test_analysis_out_of_range_exit_1_before_any_file(config_dir, tmp_path,
     pytest.param({}, ["--kmin", "1"], "--kmin: must be >= 2, got 1",
                  id="kmin-1"),
     pytest.param({}, ["--kmin", "6", "--kmax", "5"],
-                 "--kmax: must be >= --kmin = 6, got 5", id="kmax-below-kmin"),
+                 "--kmax: must be >= --kmin + 1 = 7, got 5", id="kmax-below-kmin"),
+    # a window of one level fitted one point, a made-up slope (exit 4 on
+    # sg_exact at 4..4)
+    pytest.param({}, ["--kmin", "4", "--kmax", "4"],
+                 "--kmax: must be >= --kmin + 1 = 5, got 4", id="kmax-equal-kmin"),
+    pytest.param({"k_min": 10}, [],
+                 "analysis.k_min: must be <= the default k_max - 1 = 9, got 10",
+                 id="k_min-at-default-k_max"),
     pytest.param({"k_min": 12}, [],
-                 "analysis.k_min: must be <= the default k_max = 10, got 12",
+                 "analysis.k_min: must be <= the default k_max - 1 = 9, got 12",
                  id="k_min-above-default-k_max"),
 ])
 def test_effective_window_checked_before_any_file(config_dir, tmp_path, capsys,
@@ -316,7 +341,7 @@ def test_domain_integers_checked_before_any_file(config_dir, tmp_path, capsys,
 def test_analysis_least_values_accepted(config_dir, tmp_path, capsys):
     # sample_depth 0 writes the interpolation nodes
     raw = json.loads((config_dir / "example5_case2.json").read_text())
-    raw["analysis"] = {"k_min": 2, "k_max": 2, "sample_depth": 0}
+    raw["analysis"] = {"k_min": 2, "k_max": 3, "sample_depth": 0}
     p = tmp_path / "edge.json"
     p.write_text(json.dumps(raw))
     assert main(["sample", str(p), "--out", str(tmp_path)]) == 0

@@ -176,12 +176,13 @@ def test_effective_window_resolved_flag_config_default(tmp_path):
         "k_min": 5, "k_max": 7, "sample_depth": 6}
     with pytest.raises(ConfigError) as ei:
         resolve_analysis(cfg.analysis, d, {"k_min": ("--kmin", 8)})
-    assert ei.value.errors == [("analysis.k_max", "must be >= --kmin = 8, got 7")]
+    assert ei.value.errors == [
+        ("analysis.k_max", "must be >= --kmin + 1 = 9, got 7")]
     # the config alone is checked against the defaults at load time
     with pytest.raises(ConfigError) as ei:
         load_config(_write(tmp_path, dict(BASE, analysis={"k_min": 12})))
     assert ei.value.errors == [
-        ("analysis.k_min", "must be <= the default k_max = 10, got 12")]
+        ("analysis.k_min", "must be <= the default k_max - 1 = 9, got 12")]
 
 
 def test_parse_number_overflow_is_a_config_error():

@@ -980,6 +980,9 @@ def test_empirical_guards():
         empirical_dimension(model, 1, 5)
     with pytest.raises(ModelError):
         empirical_dimension(model, 5, 4)
+    # one level was a polyfit through one point (a RankWarning), a made-up slope
+    with pytest.raises(ModelError, match="^k_max must be an integer >= 5, got 4$"):
+        empirical_dimension(model, 4, 4)
     with pytest.raises(ModelError):
         empirical_dimension(model, 4, 6, extra=-1)
     # a fractional level was a TypeError, a fractional extra one in the sweep

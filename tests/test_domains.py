@@ -104,14 +104,18 @@ def test_interval_is_the_one_axis_product_domain(sig):
 
 def test_domain_defaults():
     square = cube_domain([((0.0, 0.5, 1.0), (0, 1))] * 2)
-    gasket = gasket_domain([[0, 0], [1, 0], [0.5, math.sqrt(3) / 2]], 1)
+    gasket, gasket2, gasket4 = (
+        gasket_domain([[0, 0], [1, 0], [0.5, math.sqrt(3) / 2]], n)
+        for n in (1, 2, 4))
     interval = interval_domain(KNOTS_CASE1, (0, 0, 0))
     assert (square.kind, square.pcf, square.dim) == ("cube", False, 2.0)
     assert (gasket.kind, gasket.pcf, gasket.axes) == ("gasket", True, ())
+    # a level-n gasket covers level 1's box sizes: window ceil(4/n)..ceil(8/n)
+    # (two levels at least, from 2) and kmax ceil(12/n)
     assert [(d.default_window, d.default_kmax, d.default_family)
-            for d in (interval, square, gasket)] == [
+            for d in (interval, square, gasket, gasket2, gasket4)] == [
         ((4, 10), 12, "multilinear"), ((3, 7), 8, "multilinear"),
-        ((4, 8), 12, "affine")]
+        ((4, 8), 12, "affine"), ((2, 4), 6, "affine"), ((2, 3), 3, "affine")]
 
 
 def test_cube_domain_maps_and_v0():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import get_model
 from fifdim.domains import Box, Triangle, gasket_domain, vertex_set
 from fifdim.exprs import (
     MAX_DEPTH,
@@ -17,7 +18,6 @@ from fifdim.exprs import (
     ExprError,
     ExprSyntaxError,
     Op,
-    Pow,
     ShapeFacts,
     Var,
     abs_brackets,
@@ -121,6 +121,112 @@ def test_nonpositive_exponent_rejected():
         parse_expr("x1^0")
 
 
+def test_power_exponent_is_a_positive_const():
+    for exponent in (Const(0.0), Const(-1.0), Var(1)):
+        with pytest.raises(ExprError) as ei:
+            Op("^", (Var(1), exponent))
+        assert str(ei.value) == f"power exponent must be > 0, got {exponent}"
+    assert Op("^", (Var(1), Const(0.5))) == parse_expr("x1^0.5")
+
+
+def test_power_does_not_chain():
+    with pytest.raises(ExprSyntaxError) as ei:
+        parse_expr("x1^2^3")
+    assert str(ei.value) == "trailing input '^' (at offset 4)"
+    assert ei.value.offset == 4
+
+
+# (text, printed, depth): a power's base is parenthesised below an atom and
+# when it is a power itself; the printed text parses to the same tree
+PRINTED = [
+    ("x1^0.8/2", "x1^0.8*0.5", 3),
+    ("1/2 - x1^2/6", "1.0*0.5 - x1^2.0*0.16666666666666666", 4),
+    ("-x1^2", "-x1^2.0", 3),
+    ("(x1^2)^3", "(x1^2.0)^3.0", 3),
+    ("sin(x1)^2", "sin(x1)^2.0", 3),
+    ("(-x1)^0.5", "(-x1)^0.5", 3),
+    ("(x1*x2)^2", "(x1*x2)^2.0", 3),
+    ("(x1+1)^2", "(x1 + 1.0)^2.0", 3),
+    ("2^0.5*x1", "2.0^0.5*x1", 3),
+    ("-(2.5)^2", "-2.5^2.0", 3),
+    ("(-2.5)^2", "(-2.5)^2.0", 3),
+]
+
+
+@pytest.mark.parametrize("text, printed, depth", PRINTED,
+                         ids=[t for t, _, _ in PRINTED])
+def test_printed_text_and_depth(text, printed, depth):
+    e = parse_expr(text)
+    assert (str(e), e.depth) == (printed, depth)
+    assert parse_expr(printed) == e
+
+
+# every s_i, then every q_i, of each bundled config's model as printed,
+# with its depth (the declared ones parsed, the solved ones built); the
+# text parses to a tree that prints the same
+MODEL_EXPRS = {
+    "example5_case1_one": [
+        ("1.0*0.25", 2),
+        ("1.0*0.5", 2),
+        ("3.0*0.25", 2),
+        ("x1^0.8*0.5", 3),
+        ("1.0*0.5 - x1^2.0*0.16666666666666666", 4),
+        ("1.0*0.3333333333333333 - x1*0.3333333333333333", 3),
+    ],
+    "example5_case1_sin": [
+        ("sin(x1)*0.25", 3),
+        ("1.0*0.5", 2),
+        ("3.0*0.25", 2),
+        ("x1^0.8*0.5", 3),
+        ("1.0*0.5 - x1^2.0*0.16666666666666666", 4),
+        ("1.0*0.3333333333333333 - x1*0.3333333333333333", 3),
+    ],
+    "example5_case2": [
+        ("1.0*0.25", 2),
+        ("1.0*0.5", 2),
+        ("3.0*0.25", 2),
+        ("x1^0.8*0.5", 3),
+        ("1.0*0.5 - x1^2.0*0.16666666666666666", 4),
+        ("1.0*0.3333333333333333 - x1*0.3333333333333333", 3),
+    ],
+    "sg_exact": [
+        ("4.0*0.2", 2),
+        ("4.0*0.2", 2),
+        ("4.0*0.2", 2),
+        ("0.19999999999999996 + -0.19999999999999996*x1"
+         " + -0.11547005383792514*x2", 4),
+        ("-0.8 + 0.8*x1 + 0.46188021535170065*x2", 4),
+        ("-0.8 + 0.8*x1 + 0.46188021535170065*x2", 4),
+    ],
+    "degenerate_interval": [
+        ("0.0", 1),
+        ("0.0", 1),
+        ("0.0", 1),
+        ("0.0 + 0.5*x1", 3),
+        ("0.5 + 0.0*x1", 3),
+        ("0.5 + -0.5*x1", 3),
+    ],
+    "degenerate_cube": [
+        ("0.0", 1),
+        ("0.0", 1),
+        ("0.0", 1),
+        ("0.0", 1),
+        ("0.0 + 0.5*x1 + 0.0*x2 + -0.25*x1*x2", 5),
+        ("0.0 + 0.5*x1 + 0.0*x2 + -0.25*x1*x2", 5),
+        ("0.0 + 0.5*x1 + 0.0*x2 + -0.25*x1*x2", 5),
+        ("0.0 + 0.5*x1 + 0.0*x2 + -0.25*x1*x2", 5),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", list(MODEL_EXPRS))
+def test_model_expressions_print_and_parse_back(name):
+    model = get_model(name)
+    maps = [e for e, _ in model.s + model.q]
+    assert [(str(e), e.depth) for e in maps] == MODEL_EXPRS[name]
+    assert [str(parse_expr(str(e))) for e in maps] == [str(e) for e in maps]
+
+
 def test_syntax_error_offset():
     with pytest.raises(ExprSyntaxError) as ei:
         parse_expr("x1 + @")
@@ -183,6 +289,10 @@ def test_str_round_trip_simple():
         assert np.allclose(e.ev(pts), again.ev(pts), atol=1e-14)
 
 
+# the operators of OPS with node operands; a power is drawn on its own
+_NOT_POWER = sorted(set(OPS) - {"^"})
+
+
 @st.composite
 def exprs(draw, depth=0):
     if depth > 3:
@@ -194,20 +304,22 @@ def exprs(draw, depth=0):
     if choice == 1:
         return Var(draw(st.integers(1, 2)))
     if choice in (2, 3, 4):
-        op = draw(st.sampled_from(sorted(OPS)))
+        op = draw(st.sampled_from(_NOT_POWER))
         arity = len(OPS[op].operand_prec)
         return Op(op, tuple(draw(exprs(depth=depth + 1)) for _ in range(arity)))
-    return Pow(draw(exprs(depth=depth + 1)), draw(st.sampled_from([0.5, 1.0, 2.0])))
+    return Op("^", (draw(exprs(depth=depth + 1)),
+                    Const(draw(st.sampled_from([0.5, 1.0, 2.0])))))
 
 
 @pytest.mark.parametrize("op", sorted(OPS))
 def test_every_operator_prints_parses_and_evaluates_as_its_table_entry(op):
     spec = OPS[op]
-    e = Op(op, tuple(Var(r) for r in range(1, len(spec.operand_prec) + 1)))
+    e = Op(op, tuple(Var(r) for r in range(1, len(spec.operand_prec) + 1))
+           if op != "^" else (Var(1), Const(0.8)))  # a literal exponent
     again = parse_expr(str(e))
     assert again == e
     pts = np.random.default_rng(2).uniform(-3, 3, size=(64, 2))
-    want = spec.apply(*pts.T[: len(e.args)])
+    want = spec.apply(*(a._ev(pts) for a in e.args))
     assert again.ev(pts).tobytes() == want.tobytes()
 
 
@@ -237,22 +349,23 @@ def constant_heavy_exprs(draw, depth=0):
     if choice == 2:
         return Var(draw(st.integers(1, 2)))
     if choice in (3, 4):
-        op = draw(st.sampled_from(sorted(OPS)))
+        op = draw(st.sampled_from(_NOT_POWER))
         arity = len(OPS[op].operand_prec)
         return Op(op, tuple(draw(constant_heavy_exprs(depth=depth + 1))
                             for _ in range(arity)))
-    return Pow(draw(constant_heavy_exprs(depth=depth + 1)),
-               draw(st.sampled_from([0.8, 1.0, 2.0])))
+    return Op("^", (draw(constant_heavy_exprs(depth=depth + 1)),
+                    Const(draw(st.sampled_from([0.8, 1.0, 2.0])))))
 
 
 def _filled_ev(e, x):
-    """Reference evaluation in which every Const is an np.full array."""
+    """Reference evaluation in which every Const is an np.full array, but
+    a power's exponent."""
     if isinstance(e, Const):
         return np.full(x.shape[:-1], float(e.value))
     if isinstance(e, Var):
         return x[..., e.axis - 1].copy()
-    if isinstance(e, Pow):
-        return np.abs(_filled_ev(e.base, x)) ** e.exponent
+    if e.op == "^":
+        return np.abs(_filled_ev(e.args[0], x)) ** e.args[1].value
     return OPS[e.op].apply(*(_filled_ev(a, x) for a in e.args))
 
 
@@ -263,8 +376,9 @@ def _filled_ev(e, x):
 @example(Op("sin", (Op("*", (Const(0.3), Const(2.5))),)), (33, 2))
 @example(Op("cos", (Op("neg", (Const(1.1),)),)), (3, 5, 2))
 # |0.5 - 1.2|^0.8 and |-1.1|^0.8 round differently as Python floats
-@example(Pow(Op("-", (Const(0.5), Const(1.2))), 0.8), (33, 2))
-@example(Op("*", (Var(1), Pow(Op("neg", (Const(1.1),)), 0.8))), (3, 5, 2))
+@example(Op("^", (Op("-", (Const(0.5), Const(1.2))), Const(0.8))), (33, 2))
+@example(Op("*", (Var(1), Op("^", (Op("neg", (Const(1.1),)), Const(0.8))))),
+         (3, 5, 2))
 @example(Op("+", (Op("*", (Const(0.25), Var(1))), Const(1 / 3))), (33, 2))
 def test_ev_is_a_fresh_array_bitwise_equal_to_filled_constants(e, shape):
     x = np.random.default_rng(3).uniform(-2, 2, size=shape)
