@@ -177,13 +177,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config)
         cfg.analysis.update(resolve_analysis(cfg.analysis, cfg.spec.domain, flags))
+        return COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         for path, msg in exc.errors:
             print(f"config error at {path or '<root>'}: {msg}", file=sys.stderr)
         return EXIT_CONFIG
-
-    try:
-        return COMMANDS[args.command](cfg, args)
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -19,8 +19,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .domains import (Domain, DomainError, build_interval_maps, cube_domain,
-                      gasket_domain, interval_domain, vertex_set)
+from .domains import (DEFAULT_CELL_BUDGET, BudgetError, Domain, DomainError,
+                      build_interval_maps, cube_domain, gasket_domain,
+                      interval_domain, vertex_set)
 from .engine import FifSpec, _spec_errors
 from .exprs import SHAPES, ExprError, ShapeFacts, parse_expr
 
@@ -272,6 +273,8 @@ def load_config(path: str) -> RunConfig:
             resolve_analysis(analysis, domain)
         except ConfigError as exc:
             errors.extend(exc.errors)
+        except BudgetError:  # the default k_max, which a --kmax flag replaces
+            pass
 
     if errors or domain is None:
         raise ConfigError(errors or [("domain", "missing")])
@@ -284,17 +287,17 @@ def resolve_analysis(analysis: dict, domain: Domain,
     """The effective k_min, k_max and sample_depth of a run.
 
     Each comes from ``given`` ({field: (where it was given, value)}, the
-    CLI flags), else from ``analysis``, else from the domain's default
-    window or depth 6.  Each must reach its ANALYSIS_INTS least
+    CLI flags), else from ``analysis``, else from the domain's
+    ``analysis_defaults``.  Each must reach its ANALYSIS_INTS least
     value, and k_max must be > k_min (a slope fits two counts at least);
-    the ConfigError names where the offending value came from.
+    the ConfigError names where the offending value came from.  A default
+    k_max over DEFAULT_CELL_BUDGET raises BudgetError (no window fits).
     """
-    defaults = dict(zip(("k_min", "k_max"), domain.default_window),
-                    sample_depth=6)
+    defaults = domain.analysis_defaults()
     source = {key: (given or {}).get(key) or (
         (f"analysis.{key}", analysis[key]) if key in analysis
-        else (f"the default {key}", default))
-        for key, default in defaults.items()}
+        else (f"the default {key}", defaults[key]))
+        for key in ANALYSIS_INTS}
     value = {key: v for key, (_, v) in source.items()}
     errors = [(source[key][0], f"must be >= {least}, got {value[key]}")
               for key, least in ANALYSIS_INTS.items() if value[key] < least]
@@ -305,4 +308,7 @@ def resolve_analysis(analysis: dict, domain: Domain,
                       else (hi_at, f"must be >= {lo_at} + 1 = {lo + 1}, got {hi}"))
     if errors:
         raise ConfigError(errors)
+    if hi_at.startswith("the default") and (need := domain.slots(hi)) > DEFAULT_CELL_BUDGET:
+        raise BudgetError(f"{hi_at}: window {lo}..{hi} needs {domain.N}^{hi} x {len(domain.v0)}"
+                          f" = {need:,} vertex slots, over the budget {DEFAULT_CELL_BUDGET:,}")
     return value

@@ -567,9 +567,9 @@ def reconcile(
 
     empirical, inconsistent = None, False
     if with_empirical:
-        dk_min, dk_max = model.domain.default_window
-        empirical = empirical_dimension(model, dk_min if k_min is None else k_min,
-                                        dk_max if k_max is None else k_max)
+        dk = model.domain.analysis_defaults()
+        empirical = empirical_dimension(model, dk["k_min"] if k_min is None else k_min,
+                                        dk["k_max"] if k_max is None else k_max)
         inconsistent = (
             best_lower is not None and empirical.slope < best_lower - 0.1
             or best_upper is not None and empirical.slope > best_upper + 0.1)

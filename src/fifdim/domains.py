@@ -11,7 +11,7 @@ Two domain types, and every per-domain decision of the library:
 Both provide the same operations: address decoding (``Domain.decode``,
 by the region's ``outside``), the push plans that build V_k level by
 level (``plans``), dim K (``dim``), whether cells meet only in points
-(``pcf``), the default box-count window and seminorm kmax, the
+(``pcf``), the analysis defaults (one rule in N and |V_0|), the
 default displacement family, the sampling region ``base`` whose samples
 are points of K, and the IFS constants Lambda, Lambda_0, |K| and delta_k
 that every bound is stated in.  ``kind`` is a read-only label.
@@ -261,6 +261,23 @@ class Domain:
     def delta(self, k: int) -> float:  # level-tied box size |K| / Lambda^k
         return self.diameter / self.lam**k
 
+    def slots(self, k: int) -> int:  # N^k |V_0|, the vertex slots of level k
+        return self.N**k * len(self.v0)
+
+    def analysis_defaults(self) -> dict[str, int]:
+        """k_min, k_max, sample_depth and seminorm_kmax by slots(k) and B =
+        DEFAULT_CELL_BUDGET, not FIF_CELL_BUDGET, so a config runs alike
+        everywhere: k_min the least k >= 2 of 2^7 slots or more, k_max the
+        last k of B / 64 at most (k_min + 1 at least), sample_depth the last
+        of 2^12 at most, seminorm_kmax the last k >= 1 with slots(k + 2) <= B."""
+        def last(lo: int, cap: int) -> int:  # slots(63) > cap, as N >= 2
+            return max(itertools.takewhile(lambda k: self.slots(k) <= cap,
+                                           range(lo + 1, 64)), default=lo)
+        k_min = next(k for k in range(2, 64) if self.slots(k) >= 2**7)
+        return {"k_min": k_min, "k_max": last(k_min + 1, DEFAULT_CELL_BUDGET // 64),
+                "sample_depth": last(0, 2**12),
+                "seminorm_kmax": last(3, DEFAULT_CELL_BUDGET) - 2}
+
     def too_fine(self) -> str:
         """Why two vertices of V_1 may lie within ``resolution``, or "":
         their least axis spacing, V_0's / Lambda_0, is <= resolution plus
@@ -362,15 +379,6 @@ class ProductDomain(Domain):
             img = sign * idx[:, None] + ((pieces + flips) * size[:, None])[..., None]
             idx, size = img.reshape(m, -1).compress(keep, axis=1), P * size
 
-    # desk-scale defaults: N^k stays around 5e5 cells
-    @property
-    def default_window(self) -> tuple[int, int]:
-        return (4, 10) if self.m == 1 else (3, 7)
-
-    @property
-    def default_kmax(self) -> int:
-        return 12 if self.m == 1 else 8
-
 
 @dataclass(frozen=True)
 class GasketDomain(Domain):
@@ -381,17 +389,6 @@ class GasketDomain(Domain):
     dim = math.log(3) / math.log(2)
     pcf = True
     default_family = "affine"
-
-    # level 1's box sizes (4..8, kmax 12), as a level-n cell is a level-1
-    # cell of depth n; a window spans two levels at least, from level 2
-    @property
-    def default_window(self) -> tuple[int, int]:
-        lo = max(2, -(-4 // self.level))
-        return lo, max(lo + 1, -(-8 // self.level))
-
-    @property
-    def default_kmax(self) -> int:
-        return -(-12 // self.level)
 
 
 def build_interval_maps(

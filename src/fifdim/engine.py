@@ -423,7 +423,7 @@ def _child(model: FifModel, lev: _Level, i: int, pts: bool = True,
 
 def _fits(model: FifModel, depth: int) -> bool:
     """Whether level ``depth`` (N^depth x |V_0| vertex slots) fits the budget."""
-    return model.N**depth * len(model.domain.v0) <= cell_budget()
+    return model.domain.slots(depth) <= cell_budget()
 
 
 def _check_budget(model: FifModel, depth: int, what: str) -> None:

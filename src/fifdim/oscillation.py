@@ -57,12 +57,11 @@ def _osc_sums(model: FifModel, kmax: int) -> dict[int, float]:
 
 
 def _check_args(model: FifModel, eta: float, kmax: int | None) -> int:
-    """kmax (the domain's default for None) once eta and kmax are valid."""
+    """kmax (the domain's seminorm_kmax for None) once eta and kmax are valid."""
     top = math.log(model.N) / math.log(model.domain.lam)
     if not 0 <= eta <= top + 1e-12:
         raise ValueError(f"eta must lie in [0, log_Lambda N], got {eta}")
-    if kmax is None:
-        kmax = model.domain.default_kmax
+    kmax = model.domain.analysis_defaults()["seminorm_kmax"] if kmax is None else kmax
     _check_int(ValueError, kmax=(kmax, 1))
     return kmax
 

@@ -8,7 +8,7 @@ import json
 import pytest
 
 from fifdim.cli import main
-from fifdim.domains import gasket_domain, vertex_set
+from fifdim.domains import gasket_domain, product_domain, vertex_set
 
 
 def _cfg(config_dir, name):
@@ -134,21 +134,83 @@ def test_report_gasket_scatter(config_dir, tmp_path, capsys):
     assert "<circle" in (tmp_path / "graph.svg").read_text()
 
 
-def test_report_gasket_level_2_at_the_defaults(config_dir, tmp_path, capsys):
-    # the defaults were level 1's (window 4..8, kmax 12) at every level:
-    # with N = 9 the graph sample at depth 8 passed the cell budget (exit 3)
-    raw = json.loads((config_dir / "sg_exact.json").read_text())
-    d = gasket_domain(raw["domain"]["vertices"], 2)
-    raw["domain"]["level"] = 2
+def _at_the_defaults(config_dir, tmp_path, n, m=0):
+    """A config with no analysis block on a gasket of level n (m = 0), or
+    on m axes of n equal pieces of alternating signature, and its domain.
+    Its data is 1 at the origin and 0 elsewhere on V_1, its scales 1/2 (0
+    on a cube, whose faces join up only so)."""
+    if m == 0:
+        raw = json.loads((config_dir / "sg_exact.json").read_text())
+        d = gasket_domain(raw["domain"]["vertices"], n)
+        raw["domain"]["level"] = n
+        del raw["analysis"]
+    else:
+        axis = {"knots": [f"{i}/{n}" for i in range(n + 1)],
+                "signature": [j % 2 for j in range(n)]}
+        d = product_domain([([i / n for i in range(n + 1)], axis["signature"])] * m)
+        raw = {"domain": {"kind": "interval", **axis} if m == 1
+               else {"kind": "cube", "axes": [axis] * m},
+               "displacements": {"solve": "multilinear"}, "eta": 1}
     raw["data"] = [{"point": p.tolist(), "value": float(not p.any())}
                    for p in vertex_set(d, 1)]
-    raw["scales"] = ["1/2"] * d.N
-    del raw["analysis"]
-    p = tmp_path / "level2.json"
+    raw["scales"] = ["0" if m > 1 else "1/2"] * d.N
+    p = tmp_path / "generated.json"
     p.write_text(json.dumps(raw))
-    assert main(["report", str(p), "--out", str(tmp_path)]) == 0
+    return str(p), d
+
+
+def test_report_gasket_level_2_at_the_defaults(config_dir, tmp_path, capsys):
+    # the defaults were level 1's (window 4..8, kmax 12) at every level:
+    # with N = 9 the graph sample at depth 8 passed the cell budget (exit 3);
+    # then the constant sample_depth 6 wrote 9^6 x 3 slots to graph.svg
+    p, d = _at_the_defaults(config_dir, tmp_path, 2)
+    assert main(["report", p, "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert [e["k"] for e in report["empirical"]["entries"]] == [2, 3, 4]
+    assert main(["sample", p, "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "sample.csv").read_text().strip().splitlines()[1:]
+    assert len(rows) == len(vertex_set(d, 3))  # sample_depth 3
+
+
+@pytest.mark.parametrize("n, m, window", [
+    pytest.param(2, 1, (6, 16), id="interval-2"),
+    pytest.param(3, 1, (4, 10), id="interval-3"),
+    pytest.param(4, 1, (3, 8), id="interval-4"),
+    pytest.param(5, 1, (3, 7), id="interval-5"),
+    pytest.param(2, 2, (3, 7), id="cube-2x2"),
+    pytest.param(3, 2, (2, 4), id="cube-3x3"),
+    pytest.param(4, 2, (2, 3), id="cube-4x4"),
+    pytest.param(2, 3, (2, 4), id="cube-2x2x2"),
+    pytest.param(1, 0, (4, 9), id="gasket-1"),
+    pytest.param(3, 0, (2, 3), id="gasket-3"),
+    pytest.param(4, 0, (2, 3), id="gasket-4"),
+])
+def test_report_at_the_defaults(config_dir, tmp_path, capsys, n, m, window):
+    # the fixed defaults, window (4, 10) or (3, 7) with sample_depth 6 on
+    # every interval or cube, exited 3 on the 5-piece interval and on the
+    # 3 x 3, 4 x 4 and 2 x 2 x 2 cubes, and sample_depth 6 on gaskets of
+    # level 3 and 4; the defaults now follow N and |V_0|
+    p, d = _at_the_defaults(config_dir, tmp_path, n, m)
+    assert main(["report", p, "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert [e["k"] for e in report["empirical"]["entries"]] == list(
+        range(window[0], window[1] + 1))
+
+
+def test_report_gasket_level_5_no_window_fits(config_dir, tmp_path, capsys):
+    # the least window 2..3 needs 243^3 x 3 slots: exit 3 at config time
+    # (it was exit 3 from the witness search, with no field path)
+    p, _ = _at_the_defaults(config_dir, tmp_path, 5)
+    out = tmp_path / "out"
+    for flags in ([], ["--kmin", "2"]):
+        assert main(["report", p, "--out", str(out), *flags]) == 3
+        assert capsys.readouterr().err == (
+            "error: the default k_max: window 2..3 needs 243^3 x 3 = 43,046,721 "
+            "vertex slots, over the budget 10,000,000\n")
+        assert not out.exists()
+    # a given k_max meets the run-time budget, which FIF_CELL_BUDGET sets
+    assert main(["report", p, "--out", str(out), "--kmax", "3"]) == 3
+    assert "the default k_max" not in capsys.readouterr().err
 
 
 def test_report_inconsistent_exit_4(config_dir, tmp_path, capsys):

@@ -167,22 +167,23 @@ def test_analysis_fields(tmp_path):
 
 
 def test_effective_window_resolved_flag_config_default(tmp_path):
-    # the flag, else the config, else the domain default (interval: 4..10)
+    # the flag, else the config, else the domain default (N = 2, |V_0| = 2:
+    # window 6..16, sample_depth 11)
     cfg = load_config(_write(tmp_path, dict(BASE, analysis={"k_max": 7})))
     d = cfg.spec.domain
     assert resolve_analysis(cfg.analysis, d) == {
-        "k_min": 4, "k_max": 7, "sample_depth": 6}
+        "k_min": 6, "k_max": 7, "sample_depth": 11}
     assert resolve_analysis(cfg.analysis, d, {"k_min": ("--kmin", 5)}) == {
-        "k_min": 5, "k_max": 7, "sample_depth": 6}
+        "k_min": 5, "k_max": 7, "sample_depth": 11}
     with pytest.raises(ConfigError) as ei:
         resolve_analysis(cfg.analysis, d, {"k_min": ("--kmin", 8)})
     assert ei.value.errors == [
         ("analysis.k_max", "must be >= --kmin + 1 = 9, got 7")]
     # the config alone is checked against the defaults at load time
     with pytest.raises(ConfigError) as ei:
-        load_config(_write(tmp_path, dict(BASE, analysis={"k_min": 12})))
+        load_config(_write(tmp_path, dict(BASE, analysis={"k_min": 16})))
     assert ei.value.errors == [
-        ("analysis.k_min", "must be <= the default k_max - 1 = 9, got 12")]
+        ("analysis.k_min", "must be <= the default k_max - 1 = 15, got 16")]
 
 
 def test_parse_number_overflow_is_a_config_error():

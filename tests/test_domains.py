@@ -102,20 +102,41 @@ def test_interval_is_the_one_axis_product_domain(sig):
     assert (d.kind, d.m, d.dim, d.pcf) == ("interval", 1, 1.0, True)
 
 
-def test_domain_defaults():
+def _equal_pieces(pieces: int, m: int):
+    knots = tuple(i / pieces for i in range(pieces + 1))
+    return product_domain([(knots, (0,) * pieces)] * m)
+
+
+def test_domain_defaults(monkeypatch):
+    monkeypatch.setenv("FIF_CELL_BUDGET", "100")  # the defaults never read it
     square = cube_domain([((0.0, 0.5, 1.0), (0, 1))] * 2)
-    gasket, gasket2, gasket4 = (
-        gasket_domain([[0, 0], [1, 0], [0.5, math.sqrt(3) / 2]], n)
-        for n in (1, 2, 4))
-    interval = interval_domain(KNOTS_CASE1, (0, 0, 0))
+    gasket = gasket_domain([[0, 0], [1, 0], [0.5, math.sqrt(3) / 2]])
     assert (square.kind, square.pcf, square.dim) == ("cube", False, 2.0)
     assert (gasket.kind, gasket.pcf, gasket.axes) == ("gasket", True, ())
-    # a level-n gasket covers level 1's box sizes: window ceil(4/n)..ceil(8/n)
-    # (two levels at least, from 2) and kmax ceil(12/n)
-    assert [(d.default_window, d.default_kmax, d.default_family)
-            for d in (interval, square, gasket, gasket2, gasket4)] == [
-        ((4, 10), 12, "multilinear"), ((3, 7), 8, "multilinear"),
-        ((4, 8), 12, "affine"), ((2, 4), 6, "affine"), ((2, 3), 3, "affine")]
+    assert [d.default_family for d in (square, _equal_pieces(3, 1), gasket)] == [
+        "multilinear", "multilinear", "affine"]
+    # one rule in slots(k) = N^k |V_0| and the default budget B = 1e7:
+    # (k_min, k_max) the least k >= 2 of 2^7 slots .. the last of B / 64,
+    # sample_depth the last of 2^12, seminorm_kmax the last k, slots(k + 2) <= B
+    rows = [  # domain, N, |V_0|, (k_min, k_max), sample_depth, seminorm_kmax
+        (interval_domain(KNOTS_CASE1, (0, 0, 0)), 3, 2, (4, 10), 6, 12),  # bundled
+        (square, 4, 4, (3, 7), 5, 8),  # degenerate_cube reads (3, 7) and 8
+        (_equal_pieces(2, 1), 2, 2, (6, 16), 11, 20),
+        (_equal_pieces(4, 1), 4, 2, (3, 8), 5, 9),
+        (_equal_pieces(5, 1), 5, 2, (3, 7), 4, 7),
+        (_equal_pieces(3, 2), 9, 4, (2, 4), 3, 4),
+        (_equal_pieces(4, 2), 16, 4, (2, 3), 2, 3),
+        (_equal_pieces(2, 3), 8, 8, (2, 4), 3, 4),
+        *((gasket_domain(gasket.v0, n), 3**n, 3, window, depth, kmax)
+          for n, window, depth, kmax in [
+              (1, (4, 9), 6, 11), (2, (2, 4), 3, 4), (3, (2, 3), 2, 2),
+              (4, (2, 3), 1, 1), (5, (2, 3), 1, 1)]),  # 243^3 x 3 > B
+    ]
+    for d, n, v0, window, depth, kmax in rows:
+        assert (d.N, len(d.v0), d.slots(2)) == (n, v0, n**2 * v0)
+        assert d.analysis_defaults() == {
+            "k_min": window[0], "k_max": window[1], "sample_depth": depth,
+            "seminorm_kmax": kmax}
 
 
 def test_cube_domain_maps_and_v0():
