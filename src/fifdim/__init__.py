@@ -14,14 +14,10 @@ from .dimension import (
     EmpiricalEstimate,
     GammaReport,
     empirical_dimension,
-    exact_dim,
     find_witness,
     gammas,
-    lower_bound_interval_variable_s,
-    lower_bound_noncollinear,
     reconcile,
     theoretical_entries,
-    upper_bound,
     witness_height_check,
 )
 from .domains import (

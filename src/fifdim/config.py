@@ -219,7 +219,10 @@ def _expr_entries(raw, path: str, errors):
 
 
 def load_config(path: str) -> RunConfig:
-    """Load and validate a run configuration; raises ConfigError."""
+    """Load and validate a run configuration; raises ConfigError.
+
+    Each analysis integer is checked alone here; the window they make with
+    the CLI flags and the domain defaults is ``resolve_analysis``'s."""
     errors: list[tuple[str, str]] = []
     try:
         with open(path) as fh:
@@ -258,7 +261,6 @@ def load_config(path: str) -> RunConfig:
     if not isinstance(analysis, dict):
         errors.append(("analysis", "must be an object"))
         analysis = {}
-    analysis, n_errors = dict(analysis), len(errors)
     for key, value in analysis.items():
         at = f"analysis.{key}"
         if key == "gamma_pin":
@@ -268,13 +270,6 @@ def load_config(path: str) -> RunConfig:
             errors.append((at, "unknown analysis field"))
         elif not _json_int(value):
             errors.append((at, f"must be an integer, got {json.dumps(value)}"))
-    if domain is not None and len(errors) == n_errors:  # all integers
-        try:
-            resolve_analysis(analysis, domain)
-        except ConfigError as exc:
-            errors.extend(exc.errors)
-        except BudgetError:  # the default k_max, which a --kmax flag replaces
-            pass
 
     if errors or domain is None:
         raise ConfigError(errors or [("domain", "missing")])

@@ -1,5 +1,6 @@
-"""Box-dimension machinery: gamma constants, covering witnesses,
-theoretical lower/upper/exact bounds with hypothesis checklists, and the
+"""Box-dimension machinery: gamma constants, covering witnesses, a table
+of the theorems that give lower/upper/exact bounds with hypothesis
+checklists (``THEOREMS``, run by ``theoretical_entries``), and the
 empirical box-counting estimator.
 
 Bracket discipline: every emitted inequality uses the bracket end that
@@ -9,6 +10,7 @@ ends), so numerical sup/inf estimation cannot flip a verdict.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,10 +39,6 @@ __all__ = [
     "gammas",
     "find_witness",
     "witness_height_check",
-    "upper_bound",
-    "lower_bound_noncollinear",
-    "exact_dim",
-    "lower_bound_interval_variable_s",
     "empirical_dimension",
     "theoretical_entries",
     "reconcile",
@@ -204,62 +202,47 @@ def _directions(model: FifModel) -> range | tuple[int]:
     return range(1, len(model.domain.axes) + 1) or (0,)
 
 
-def upper_bound(model: FifModel, gamma_override: float | None = None) -> BoundEntry:
-    """Oscillation-space upper bound with its two-case split on gamma; a
-    value above m + 1 (cubes with unequal pieces per axis) is vacuous."""
-    g = gammas(model)
-    gamma_hi = gamma_override if gamma_override is not None else g.gamma[1]
+def _upper(model: FifModel, g: GammaReport, witness, pin: float | None):
+    """Oscillation-space upper bound with its two-case split on gamma, at
+    gamma's hi end and again at the pinned gamma if one is given; a value
+    above m + 1 (cubes with unequal pieces per axis) is vacuous."""
     lam, n, etap = model.domain.lam, model.N, g.eta_prime
-    if gamma_hi <= n / lam**etap:
-        value = 1 - etap + math.log(n) / math.log(lam)
-        case = "gamma <= N / Lambda^eta'"
-    else:
-        value = 1 + math.log(gamma_hi) / math.log(lam)
-        case = "gamma > N / Lambda^eta'"
-    note = f"case fired: {case}; gamma = {gamma_hi:.10g}"
-    if gamma_override is not None:
-        note += " (pinned)"
     holder_ok = _holder_declared(model, etap - 1e-12)
-    return BoundEntry(theorem="oscillation_upper", kind="upper", value=value,
-                      hypotheses=[("s_i, q_i Hoelder-declared (C^eta)", holder_ok)],
-                      vacuous=value > model.domain.m + 1, note=note)
+    pinned = [] if pin is None else [(pin, " (pinned)")]
+    for gamma, tag in [(g.gamma[1], ""), *pinned]:
+        if small := gamma <= n / lam**etap:
+            value = 1 - etap + math.log(n) / math.log(lam)
+        else:
+            value = 1 + math.log(gamma) / math.log(lam)
+        case = f"gamma {'<=' if small else '>'} N / Lambda^eta'"
+        yield BoundEntry("oscillation_upper", "upper", value,
+                         [("s_i, q_i Hoelder-declared (C^eta)", holder_ok)],
+                         vacuous=value > model.domain.m + 1,
+                         note=f"case fired: {case}; gamma = {gamma:.10g}{tag}")
 
 
-def lower_bound_noncollinear(model: FifModel) -> list[BoundEntry]:
-    """Non-collinearity lower bounds 1 + log gamma_{j,r} / log Lambda_0.
-
-    One candidate entry per flavor j and witness direction r
-    (``_directions``).  Entries not above dim K are kept but flagged vacuous.
-    """
-    g = gammas(model)
-    out = []
+def _noncollinear(model: FifModel, g: GammaReport, witness, pin: float | None):
+    """Non-collinearity lower bounds 1 + log gamma_{j,r} / log Lambda_0, one
+    per flavor j and witness direction r (``_directions``) with gamma_{j,r}
+    > 0; entries not above dim K are kept but flagged vacuous."""
     for r in _directions(model):
         for flavor, (_, sign, need) in FLAVORS.items():
             gv = g.flavored[(flavor, r)]
-            if gv <= 0:
+            if not (positive := gv > 0):
                 continue
-            w = find_witness(model, r, sign=sign)
+            w = witness(r, sign)
             value = 1 + math.log(gv) / math.log(model.domain.lam0)
-            out.append(
-                BoundEntry(
-                    theorem=f"noncollinear_lower_flavor{flavor}_axis{r}" if r
-                    else f"gasket_lower_flavor{flavor}",
-                    kind="lower",
-                    value=value,
-                    hypotheses=[
-                        (f"witness with {need}" + (f" on axis {r}" if r else ""),
-                         w is not None),
-                        (f"gamma_{flavor},{r} > 0", True),
-                    ],
-                    vacuous=value <= model.domain.dim + 1e-12,
-                    note=f"gamma_{flavor},{r} = {gv:.10g}"
-                    + (f"; witness |L| = {abs(w.L):.10g}" if w else ""),
-                )
-            )
-    return out
+            yield BoundEntry(
+                f"noncollinear_lower_flavor{flavor}_axis{r}" if r
+                else f"gasket_lower_flavor{flavor}", "lower", value,
+                [(f"witness with {need}" + (f" on axis {r}" if r else ""),
+                  w is not None), (f"gamma_{flavor},{r} > 0", positive)],
+                vacuous=value <= model.domain.dim + 1e-12,
+                note=f"gamma_{flavor},{r} = {gv:.10g}"
+                + (f"; witness |L| = {abs(w.L):.10g}" if w else ""))
 
 
-def exact_dim(model: FifModel) -> BoundEntry | None:
+def _exact(model: FifModel, g: GammaReport, witness, pin: float | None):
     """Exact box dimension where the upper and the lower bound meet.
 
     All s_i constant on a homogeneous domain (an equally spaced interval
@@ -270,43 +253,47 @@ def exact_dim(model: FifModel) -> BoundEntry | None:
     Lambda_0 and eta' = 1; between the two, no entry.
     """
     d, etap = model.domain, model.eta_prime
-    if not d.homogeneous or not all(f.is_constant for _, f in model.s):
-        return None
+    const = all(f.is_constant for _, f in model.s)
+    if not d.homogeneous or not const:
+        return
     gamma = sum(abs(f.constant_value) for _, f in model.s)
     if gamma > model.N / d.lam0**etap + 1e-12:
         value, large = 1 + math.log(gamma) / math.log(d.lam0), True
     elif gamma <= model.N / d.lam0 + 1e-12 and abs(etap - 1.0) <= 1e-12:
         value, large = d.dim, False
     else:
-        return None
-    g = gammas(model)
+        return
+
+    def saturates(r, flavor):
+        return g.flavored[(flavor, r)] >= gamma - 1e-9
+
     route = next(((r, flavor) for r in _directions(model)
                   for flavor, (_, sign, _) in FLAVORS.items()
-                  if g.flavored[(flavor, r)] >= gamma - 1e-9
-                  and find_witness(model, r, sign=sign) is not None), None)
+                  if saturates(r, flavor) and witness(r, sign) is not None), None)
     if route is None:
-        return None
+        return
     r, flavor = route
     holder_ok = _holder_declared(model, etap - 1e-12)
     if r:  # N = n^m and Lambda_0 = n on the product domain
         shape, sign, need = FLAVORS[flavor]
         theorem = "exact_dim_equally_spaced"
         case = "> n^(m - eta')" if large else "<= n^(m-1), eta' = 1"
-        hyps = [("equally spaced, equal n per axis", True),
-                ("all s_i constant", True),
+        hyps = [("equally spaced, equal n per axis", d.homogeneous),
+                ("all s_i constant", const),
                 ("q_i Hoelder-declared (C^eta)", holder_ok),
                 (f"witness with q {shape}{f', {need}' if sign else ''} on axis {r}",
-                 True)]
+                 witness(r, sign) is not None)]
     else:  # N = 3^n and Lambda_0 = 2^n on the level-n gasket
         theorem = "gasket_exact"
         case = "> (3/2^eta')^n" if large else "<= (3/2)^n, eta' = 1"
         hyps = [("s_i, q_i Hoelder-declared (C^eta)", holder_ok),
-                (f"flavor-{flavor} classification saturates gamma", True)]
-    return BoundEntry(theorem=theorem, kind="exact", value=value,
-                      hypotheses=hyps, note=f"gamma = {gamma:.10g} {case}")
+                (f"flavor-{flavor} classification saturates gamma",
+                 saturates(r, flavor))]
+    yield BoundEntry(theorem, "exact", value, hyps,
+                     note=f"gamma = {gamma:.10g} {case}")
 
 
-def lower_bound_interval_variable_s(model: FifModel) -> BoundEntry | None:
+def _variable_scale(model: FifModel, g: GammaReport, witness, pin: float | None):
     """Variable-scale lower bound on homogeneous (equally spaced) intervals.
 
     Route (a): bounded-variation shape facts (eta = 1 declared) plus a
@@ -315,36 +302,56 @@ def lower_bound_interval_variable_s(model: FifModel) -> BoundEntry | None:
     with a heuristic flag.
     """
     d = model.domain
-    if d.m != 1 or not d.homogeneous:
-        return None
-    g = gammas(model)
+    if not (spaced := d.m == 1 and d.homogeneous):
+        return
     n, eta, gamma0 = model.N, model.eta_prime, g.gamma0[0]
-    corollary = next((flavor for flavor, (_, sign, _) in FLAVORS.items()
-                      if _holder_declared(model, 1.0) and g.flavored[(flavor, 0)] > 1
-                      and find_witness(model, 1, sign=sign)), None)
+    bv = _holder_declared(model, 1.0)
+
+    def witnessed(flavor):  # flavored gamma > 1 and a witness of its sign
+        return (g.flavored[(flavor, 0)] > 1
+                and witness(1, FLAVORS[flavor][1]) is not None)
+
+    corollary = next((flavor for flavor in FLAVORS if bv and witnessed(flavor)), None)
     if corollary is not None:  # then gamma_0 >= gamma_{j,0} > 1
-        hyps = [("bounded-variation shape facts (eta = 1)", True),
-                (f"flavor-{corollary} witness with flavored gamma > 1", True)]
+        hyps = [("bounded-variation shape facts (eta = 1)", bv),
+                (f"flavor-{corollary} witness with flavored gamma > 1",
+                 witnessed(corollary))]
         note = f"gamma_0 = {gamma0:.10g} (corollary route)"
     else:
         # route (b): empirical divergence probe of N(r) / (N^(2-eta))^r
-        if gamma0 <= n ** (1 - eta) + 1e-12:
-            return None
+        if not (above := gamma0 > n ** (1 - eta) + 1e-12):
+            return
         ratios = [c / (n ** (2 - eta)) ** k
                   for k, _, c in empirical_dimension(model, 2, 6).entries]
-        growing = ratios[-1] >= 2 * ratios[0] and all(
-            b >= a * 0.99 for a, b in zip(ratios, ratios[1:]))
-        if not growing:
-            return None
-        hyps = [("gamma_0 > N^(1-eta)", True),
-                ("divergence probe (finite-level heuristic)", True)]
+        if not (growing := ratios[-1] >= 2 * ratios[0] and all(
+                b >= a * 0.99 for a, b in zip(ratios, ratios[1:]))):
+            return
+        hyps = [("gamma_0 > N^(1-eta)", above),
+                ("divergence probe (finite-level heuristic)", growing)]
         note = (f"gamma_0 = {gamma0:.10g}; probe ratios {ratios[0]:.3g} -> "
                 f"{ratios[-1]:.3g}")
     value = 1 + math.log(gamma0) / math.log(n)
-    return BoundEntry(theorem="variable_scale_lower", kind="lower", value=value,
-                      hypotheses=[("equally spaced interval", True), *hyps],
-                      vacuous=value <= 1.0 + 1e-12, heuristic=corollary is None,
-                      note=note)
+    yield BoundEntry("variable_scale_lower", "lower", value,
+                     [("equally spaced interval", spaced), *hyps],
+                     vacuous=value <= 1.0 + 1e-12, heuristic=corollary is None,
+                     note=note)
+
+
+# The bound theorems in entry order: each row yields the entries of one
+# theorem from the model, its gamma report, the shared witness lookup
+# witness(r, sign) and the pinned gamma, and yields none where a gate fails.
+THEOREMS = (_upper, _noncollinear, _exact, _variable_scale)
+
+
+def theoretical_entries(
+    model: FifModel, gamma_pin: float | None = None
+) -> list[BoundEntry]:
+    """Every bound entry for the model's domain: the entries of each
+    ``THEOREMS`` row in order, over one gamma report and one witness search
+    per (r, sign); ``gamma_pin`` adds a second, pinned upper entry."""
+    g = gammas(model)
+    witness = functools.cache(lambda r, sign: find_witness(model, r, sign=sign))
+    return [e for row in THEOREMS for e in row(model, g, witness, gamma_pin)]
 
 
 # --------------------------------------------------------------------------
@@ -532,20 +539,6 @@ class BoundsReport:
             "exact": self.exact,
             "inconsistent": self.inconsistent,
         }
-
-
-def theoretical_entries(
-    model: FifModel, gamma_pin: float | None = None
-) -> list[BoundEntry]:
-    """Every bound entry for the model's domain; ``exact_dim`` and the
-    variable-scale bound give None off the models they cover."""
-    entries = [upper_bound(model)]
-    if gamma_pin is not None:
-        entries.append(upper_bound(model, gamma_override=gamma_pin))
-    entries.extend(lower_bound_noncollinear(model))
-    entries.extend(e for e in (exact_dim(model),
-                               lower_bound_interval_variable_s(model)) if e)
-    return entries
 
 
 def reconcile(

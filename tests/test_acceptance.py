@@ -17,7 +17,7 @@ from fifdim.cli import main
 from fifdim.dimension import (
     CollinearWitness,
     empirical_dimension,
-    exact_dim,
+    theoretical_entries,
     witness_height_check,
 )
 from fifdim.engine import apply_T, evaluate_at, evaluate_on_vk
@@ -85,10 +85,15 @@ def test_criterion_2_case1_sin_bounds(tmp_path):
     )
 
 
+def _exact_entry(model):
+    """The model's exact entry among its theoretical entries, or None."""
+    return next((e for e in theoretical_entries(model) if e.kind == "exact"), None)
+
+
 def test_criterion_3_case2_exact_and_slope():
     t0 = time.time()
     model = get_model("example5_case2")
-    exact = exact_dim(model)
+    exact = _exact_entry(model)
     target = 1 + math.log(1.5) / math.log(3)
     est = empirical_dimension(model, 6, 12)
     elapsed = time.time() - t0
@@ -109,7 +114,7 @@ def test_criterion_3_case2_exact_and_slope():
 def test_criterion_4_gasket_exact_and_slope():
     t0 = time.time()
     model = get_model("sg_exact")
-    exact = exact_dim(model)
+    exact = _exact_entry(model)
     est = empirical_dimension(model, 5, 9)
     elapsed = time.time() - t0
     target = 1 + math.log2(2.4)
@@ -264,8 +269,6 @@ def test_criterion_8_degenerate_safety():
 
 
 def _bounds_entries(model):
-    from fifdim.dimension import theoretical_entries
-
     entries = theoretical_entries(model)
     uppers = [e.value for e in entries if e.kind == "upper" and e.applies]
     lowers = [e for e in entries if e.kind == "lower" and e.applies]

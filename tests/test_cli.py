@@ -362,6 +362,20 @@ def test_effective_window_checked_before_any_file(config_dir, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [["--kmax", "13"], ["--kmin", "4"]],
+                         ids=["kmax-13", "kmin-4"])
+def test_a_flag_makes_the_config_window_valid(config_dir, tmp_path, capsys,
+                                              flags):
+    # k_min 11 is over the default k_max 10, but either flag gives a valid
+    # window: the config is checked with the flags, not alone at load time
+    raw = json.loads((config_dir / "degenerate_interval.json").read_text())
+    raw["analysis"] = {"k_min": 11, "sample_depth": 4}
+    p = tmp_path / "window.json"
+    p.write_text(json.dumps(raw))
+    assert main(["boxdim", str(p), "--out", str(tmp_path), *flags]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("command, name, domain, error", [
     pytest.param("validate", "sg_exact", {"level": 1.5},
                  "domain.level: must be an integer >= 1, got 1.5",

@@ -179,9 +179,11 @@ def test_effective_window_resolved_flag_config_default(tmp_path):
         resolve_analysis(cfg.analysis, d, {"k_min": ("--kmin", 8)})
     assert ei.value.errors == [
         ("analysis.k_max", "must be >= --kmin + 1 = 9, got 7")]
-    # the config alone is checked against the defaults at load time
+    # the config alone is checked against the defaults when it is resolved,
+    # not at load time, where a flag may still make the window valid
+    cfg = load_config(_write(tmp_path, dict(BASE, analysis={"k_min": 16})))
     with pytest.raises(ConfigError) as ei:
-        load_config(_write(tmp_path, dict(BASE, analysis={"k_min": 16})))
+        resolve_analysis(cfg.analysis, d)
     assert ei.value.errors == [
         ("analysis.k_min", "must be <= the default k_max - 1 = 15, got 16")]
 

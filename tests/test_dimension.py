@@ -8,23 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (CONFIG_NAMES, SMALL_BLOCK_SLOTS, column_count_reference,
-                      get_config, get_model, replay_geometry, replay_levels,
-                      replayed_estimate, replayed_table)
+from conftest import (CONFIG_DIR, CONFIG_NAMES, SMALL_BLOCK_SLOTS,
+                      column_count_reference, get_config, get_model,
+                      replay_geometry, replay_levels, replayed_estimate,
+                      replayed_table)
 from fifdim import dimension, engine
+from fifdim.cli import main
 from fifdim.dimension import (
     CollinearWitness,
     _class_value,
     _dyadic_counts,
     empirical_dimension,
-    exact_dim,
     find_witness,
     gammas,
-    lower_bound_interval_variable_s,
-    lower_bound_noncollinear,
     reconcile,
     theoretical_entries,
-    upper_bound,
     witness_height_check,
 )
 from fifdim.domains import (
@@ -205,9 +203,16 @@ def test_find_witness_budget(monkeypatch):
     assert find_witness(model, 1) is not None
 
 
+def _entry_of(model, theorem):
+    """The model's entry of one theorem (any exact entry for "exact"), or
+    None where the theorem gives none."""
+    return next((e for e in theoretical_entries(model)
+                 if theorem in (e.theorem, e.kind)), None)
+
+
 def test_upper_bound_case1_one():
     # [PAPER] 1 + log(1.5)/log(2.5) = 1.44251 (gamma above the threshold)
-    e = upper_bound(get_model("example5_case1_one"))
+    e = _entry_of(get_model("example5_case1_one"), "oscillation_upper")
     assert e.value == pytest.approx(1 + math.log(1.5) / math.log(2.5), abs=1e-12)
     assert e.applies
     assert "gamma > N / Lambda^eta'" in e.note
@@ -215,9 +220,11 @@ def test_upper_bound_case1_one():
 
 def test_upper_bound_sin_audited_and_pinned():
     model = get_model("example5_case1_sin")
-    audited = upper_bound(model)
+    # the pin is the upper row's second case, after the audited gamma
+    audited, pinned = (e for e in theoretical_entries(model, gamma_pin=1.5)
+                       if e.theorem == "oscillation_upper")
     assert audited.value == pytest.approx(1.41328, abs=1e-3)
-    pinned = upper_bound(model, gamma_override=1.5)
+    assert "(pinned)" not in audited.note
     assert pinned.value == pytest.approx(1.44251, abs=1e-5)
     assert "(pinned)" in pinned.note
 
@@ -229,7 +236,7 @@ def test_upper_bound_above_m_plus_1_is_vacuous():
     data = [(tuple(p), float(np.sin(3 * p[0] + 5 * p[1])))
             for p in vertex_set(d, 1)]
     model = build_model(FifSpec(d, data, [(Const(0.75), None)] * 6, "solve"))
-    e = upper_bound(model)
+    e = _entry_of(model, "oscillation_upper")
     assert e.value == pytest.approx(1 + math.log(4.5) / math.log(2), abs=1e-12)
     assert e.applies and e.vacuous
     assert reconcile(model, with_empirical=False).best_upper is None
@@ -237,14 +244,14 @@ def test_upper_bound_above_m_plus_1_is_vacuous():
 
 def test_upper_bound_small_gamma_case():
     # gamma below N/Lambda^eta' gives 1 - eta' + log N / log Lambda
-    e = upper_bound(get_model("degenerate_interval"))
+    e = _entry_of(get_model("degenerate_interval"), "oscillation_upper")
     assert e.value == pytest.approx(1.0, abs=1e-12)
     assert "gamma <= N / Lambda^eta'" in e.note
 
 
 def test_lower_bound_case1_values():
     # [PAPER] 1 + log_{15/4}(3/2) = 1.30676 for f = 1
-    entries = lower_bound_noncollinear(get_model("example5_case1_one"))
+    entries = theoretical_entries(get_model("example5_case1_one"))
     by_name = {e.theorem: e for e in entries}
     e = by_name["noncollinear_lower_flavor2_axis1"]
     assert e.value == pytest.approx(
@@ -257,27 +264,27 @@ def test_lower_bound_case1_values():
 
 def test_lower_bound_sin_value():
     # [PAPER] 1 + log_{15/4}(5/4) = 1.16882
-    entries = lower_bound_noncollinear(get_model("example5_case1_sin"))
-    e = {x.theorem: x for x in entries}["noncollinear_lower_flavor2_axis1"]
+    e = _entry_of(get_model("example5_case1_sin"),
+                  "noncollinear_lower_flavor2_axis1")
     assert e.value == pytest.approx(1.16882, abs=1e-5)
     assert e.applies
 
 
 def test_exact_dim_case2():
     # [PAPER] 1 + log 1.5 / log 3 = 1.36907
-    e = exact_dim(get_model("example5_case2"))
+    e = _entry_of(get_model("example5_case2"), "exact")
     assert e is not None and e.applies
     assert e.value == pytest.approx(1 + math.log(1.5) / math.log(3), abs=1e-9)
     assert e.value == pytest.approx(1.36907, abs=1e-5)
 
 
 def test_exact_dim_none_for_unequal_knots():
-    assert exact_dim(get_model("example5_case1_one")) is None
+    assert _entry_of(get_model("example5_case1_one"), "exact") is None
 
 
 def test_exact_dim_cube_degenerate_returns_m():
     # [DERIVED] gamma = 0 <= n^(m-1), eta' = 1 -> dim = m
-    e = exact_dim(get_model("degenerate_cube"))
+    e = _entry_of(get_model("degenerate_cube"), "exact")
     assert e is not None and e.value == 2.0
     assert "n^(m-1)" in e.note
 
@@ -285,11 +292,13 @@ def test_exact_dim_cube_degenerate_returns_m():
 def test_bounds_gasket_exact():
     # [DERIVED] n=1, s = 0.8: 1 + log2(2.4) = 2.26303
     model = get_model("sg_exact")
-    exact = exact_dim(model)
+    entries = theoretical_entries(model)
+    exact = next(e for e in entries if e.theorem == "gasket_exact")
     assert exact.kind == "exact" and exact.applies
     assert exact.value == pytest.approx(1 + math.log2(2.4), abs=1e-9)
     assert exact.value == pytest.approx(2.26303, abs=1e-5)
-    lowers = [e for e in lower_bound_noncollinear(model) if e.applies]
+    lowers = [e for e in entries
+              if e.theorem.startswith("gasket_lower") and e.applies]
     assert lowers and all(
         e.value == pytest.approx(1 + math.log2(2.4)) for e in lowers
     )
@@ -300,7 +309,7 @@ def test_bounds_gasket_small_gamma_branch():
     base = get_config("sg_exact").spec
     s = [(parse_expr("2/5"), None)] * 3
     model = build_model(FifSpec(base.domain, base.data, s, "solve", 1.0))
-    exact = exact_dim(model)
+    exact = _entry_of(model, "exact")
     assert exact is not None and exact.applies
     assert exact.value == pytest.approx(math.log(3) / math.log(2), abs=1e-12)
 
@@ -317,7 +326,7 @@ def test_exact_dim_reads_no_shape_of_q_where_s_i_is_zero():
         concave_in={1}, holder_exponent=1.0,
         holder_constant=f1.holder_constant + 0.25))
     model = build_model(FifSpec(d, data, s, [bumped, *rest], 1.0))
-    e = exact_dim(model)
+    e = _entry_of(model, "exact")
     assert e.theorem == "exact_dim_equally_spaced" and e.applies
     assert e.value == 1.0867550643547534
     report = reconcile(model, with_empirical=False)
@@ -330,7 +339,8 @@ def test_gasket_exact_at_gamma_zero():
     # as the degenerate interval and cube get dim K at gamma = 0
     base = get_config("sg_exact").spec
     s = [(parse_expr("0"), None)] * base.domain.N
-    e = exact_dim(build_model(FifSpec(base.domain, base.data, s, "solve", 1.0)))
+    e = _entry_of(build_model(FifSpec(base.domain, base.data, s, "solve", 1.0)),
+                  "exact")
     assert e.theorem == "gasket_exact" and e.applies
     assert e.value == math.log(3) / math.log(2)
 
@@ -375,7 +385,7 @@ def test_exact_dim_is_where_the_bounds_meet(model):
     upper, dim = entries[0], model.domain.dim
     lowers = [e.value for e in entries
               if e.kind == "lower" and e.applies and not e.vacuous]
-    e = exact_dim(model)
+    e = next((e for e in entries if e.kind == "exact"), None)
     if e is not None and e.applies:
         assert upper.applies
         assert e.value == pytest.approx(upper.value, rel=1e-12, abs=0)
@@ -406,18 +416,18 @@ def test_variable_scale_lower_corollary_route():
         (parse_expr("3/4"), None),
     ]
     model = build_model(FifSpec(d, data, s, "solve", 1.0))
-    e = lower_bound_interval_variable_s(model)
+    e = _entry_of(model, "variable_scale_lower")
     assert e is not None and e.applies and not e.heuristic
     assert e.value == pytest.approx(1 + math.log(1.25) / math.log(3), abs=1e-6)
     assert e.value == pytest.approx(1.20311, abs=1e-5)
 
 
 def test_variable_scale_none_on_unequal_knots():
-    assert lower_bound_interval_variable_s(get_model("example5_case1_sin")) is None
+    assert _entry_of(get_model("example5_case1_sin"), "variable_scale_lower") is None
 
 
 def test_variable_scale_heuristic_route_flagged():
-    e = lower_bound_interval_variable_s(get_model("example5_case2"))
+    e = _entry_of(get_model("example5_case2"), "variable_scale_lower")
     # eta = 0.8 declared on q_1 blocks the bounded-variation corollary;
     # the divergence probe may or may not fire, but can only emit flagged
     if e is not None:
@@ -429,7 +439,7 @@ def test_variable_scale_probe_shrinks_extra_to_the_cell_budget(monkeypatch):
     # it refines fewer extra levels, as every count does (a BudgetError before)
     model = get_model("example5_case2")
     monkeypatch.setenv("FIF_CELL_BUDGET", str(3**8 * 2 - 1))
-    e = lower_bound_interval_variable_s(model)
+    e = _entry_of(model, "variable_scale_lower")
     assert e is None or e.heuristic
 
 
@@ -450,7 +460,9 @@ def test_witness_height_check_level3_exhaustive():
 
 # --------------------------------------------------------------------------
 # Bound entries the bundled configs do not reach, pinned to the values of
-# the per-domain builders that the flavor-table builder replaced
+# the per-domain builders that the flavor-table builder replaced, and of
+# the four theorem builders that the theorem table replaced on models
+# where each gate that drops a theorem fails
 
 
 TRIANGLE = [[0, 0], [1, 0], [0.5, math.sqrt(3) / 2]]
@@ -488,7 +500,26 @@ def _pinned_models():
         "gasket_small_gamma": build_model(FifSpec(  # 3 s <= 2
             gasket1, _on_nodes(gasket1, 2, 5, 2, 2),
             [(Const(0.4), None)] * 3, "solve")),
+        # one model for each theorem a gate drops without an entry
+        "interval_unequal_knots": _interval(  # exact, variable scale: knots
+            (0.0, 0.4, 1.0), (0, 0.5, 0), (0.5, 0.25)),
+        "interval_middle_gamma": _interval(  # exact: 1 < gamma <= 3^(1/2)
+            third, (0, 0.5, 1 / 3, 0), (0.5, 0.5, 0.5), eta=0.5),
+        "interval_collinear": _interval(  # exact: no route; probe: flat
+            third, (0, 0.25, 0.5, 0.75), (0.6, 0.6, 0.6)),
+        "interval_negative_scales": _interval(  # signed flavors: gamma 0
+            third, (0, 0.5, 1 / 3, 0), (-0.5, -0.5, -0.5)),
+        "interval_small_gamma": _interval(  # variable scale: gamma_0 <= 1
+            third, (0, 0.5, 1 / 3, 0), (0.2, 0.2, 0.2)),
     }
+
+
+def _interval(knots, values, scales, eta=1.0):
+    """The interval model with the data values on the knots and constant
+    scales, q solved."""
+    d = interval_domain(knots, (0,) * len(scales))
+    return build_model(FifSpec(d, [((x,), v) for x, v in zip(knots, values)],
+                               [(Const(c), None) for c in scales], "solve", eta))
 
 
 def _entry(theorem, kind, value, hypotheses, note, vacuous=False,
@@ -632,6 +663,105 @@ PINNED_ENTRIES = {
                 ("flavor-1 classification saturates gamma", True)],
                "gamma = 1.2 <= (3/2)^n, eta' = 1"),
     ],
+    "interval_unequal_knots": [
+        _entry("oscillation_upper", "upper", 1.3569154488567239,
+               [("s_i, q_i Hoelder-declared (C^eta)", True)],
+               "case fired: gamma <= N / Lambda^eta'; gamma = 0.75"),
+        _entry("noncollinear_lower_flavor1_axis1", "lower", 0.68603625198373,
+               [("witness with L != 0 on axis 1", True),
+                ("gamma_1,1 > 0", True)],
+               "gamma_1,1 = 0.75; witness |L| = 0.5", vacuous=True),
+        _entry("noncollinear_lower_flavor2_axis1", "lower", 0.68603625198373,
+               [("witness with L > 0 on axis 1", True),
+                ("gamma_2,1 > 0", True)],
+               "gamma_2,1 = 0.75; witness |L| = 0.5", vacuous=True),
+        _entry("noncollinear_lower_flavor3_axis1", "lower", 0.68603625198373,
+               [("witness with L < 0 on axis 1", False),
+                ("gamma_3,1 > 0", True)],
+               "gamma_3,1 = 0.75", vacuous=True),
+    ],
+    "interval_middle_gamma": [
+        _entry("oscillation_upper", "upper", 1.5000000000000002,
+               [("s_i, q_i Hoelder-declared (C^eta)", True)],
+               "case fired: gamma <= N / Lambda^eta'; gamma = 1.5"),
+        _entry("noncollinear_lower_flavor1_axis1", "lower", 1.3690702464285425,
+               [("witness with L != 0 on axis 1", True),
+                ("gamma_1,1 > 0", True)],
+               "gamma_1,1 = 1.5; witness |L| = 0.5"),
+        _entry("noncollinear_lower_flavor2_axis1", "lower", 1.3690702464285425,
+               [("witness with L > 0 on axis 1", True),
+                ("gamma_2,1 > 0", True)],
+               "gamma_2,1 = 1.5; witness |L| = 0.5"),
+        _entry("noncollinear_lower_flavor3_axis1", "lower", 1.3690702464285425,
+               [("witness with L < 0 on axis 1", False),
+                ("gamma_3,1 > 0", True)],
+               "gamma_3,1 = 1.5"),
+        _entry("variable_scale_lower", "lower", 1.3690702464285425,
+               [("equally spaced interval", True),
+                ("bounded-variation shape facts (eta = 1)", True),
+                ("flavor-1 witness with flavored gamma > 1", True)],
+               "gamma_0 = 1.5 (corollary route)"),
+    ],
+    "interval_collinear": [
+        _entry("oscillation_upper", "upper", 1.535026479282073,
+               [("s_i, q_i Hoelder-declared (C^eta)", True)],
+               "case fired: gamma > N / Lambda^eta'; gamma = 1.8"),
+        _entry("noncollinear_lower_flavor1_axis1", "lower", 1.5350264792820727,
+               [("witness with L != 0 on axis 1", False),
+                ("gamma_1,1 > 0", True)],
+               "gamma_1,1 = 1.8"),
+        _entry("noncollinear_lower_flavor2_axis1", "lower", 1.5350264792820727,
+               [("witness with L > 0 on axis 1", False),
+                ("gamma_2,1 > 0", True)],
+               "gamma_2,1 = 1.8"),
+        _entry("noncollinear_lower_flavor3_axis1", "lower", 1.5350264792820727,
+               [("witness with L < 0 on axis 1", False),
+                ("gamma_3,1 > 0", True)],
+               "gamma_3,1 = 1.8"),
+    ],
+    "interval_negative_scales": [
+        _entry("oscillation_upper", "upper", 1.3690702464285427,
+               [("s_i, q_i Hoelder-declared (C^eta)", True)],
+               "case fired: gamma > N / Lambda^eta'; gamma = 1.5"),
+        _entry("noncollinear_lower_flavor1_axis1", "lower", 1.3690702464285425,
+               [("witness with L != 0 on axis 1", True),
+                ("gamma_1,1 > 0", True)],
+               "gamma_1,1 = 1.5; witness |L| = 0.5"),
+        _entry("exact_dim_equally_spaced", "exact", 1.3690702464285425,
+               [("equally spaced, equal n per axis", True),
+                ("all s_i constant", True),
+                ("q_i Hoelder-declared (C^eta)", True),
+                ("witness with q affine on axis 1", True)],
+               "gamma = 1.5 > n^(m - eta')"),
+        _entry("variable_scale_lower", "lower", 1.3690702464285425,
+               [("equally spaced interval", True),
+                ("bounded-variation shape facts (eta = 1)", True),
+                ("flavor-1 witness with flavored gamma > 1", True)],
+               "gamma_0 = 1.5 (corollary route)"),
+    ],
+    "interval_small_gamma": [
+        _entry("oscillation_upper", "upper", 1.0000000000000002,
+               [("s_i, q_i Hoelder-declared (C^eta)", True)],
+               "case fired: gamma <= N / Lambda^eta'; gamma = 0.6"),
+        _entry("noncollinear_lower_flavor1_axis1", "lower", 0.535026479282073,
+               [("witness with L != 0 on axis 1", True),
+                ("gamma_1,1 > 0", True)],
+               "gamma_1,1 = 0.6; witness |L| = 0.5", vacuous=True),
+        _entry("noncollinear_lower_flavor2_axis1", "lower", 0.535026479282073,
+               [("witness with L > 0 on axis 1", True),
+                ("gamma_2,1 > 0", True)],
+               "gamma_2,1 = 0.6; witness |L| = 0.5", vacuous=True),
+        _entry("noncollinear_lower_flavor3_axis1", "lower", 0.535026479282073,
+               [("witness with L < 0 on axis 1", False),
+                ("gamma_3,1 > 0", True)],
+               "gamma_3,1 = 0.6", vacuous=True),
+        _entry("exact_dim_equally_spaced", "exact", 1.0,
+               [("equally spaced, equal n per axis", True),
+                ("all s_i constant", True),
+                ("q_i Hoelder-declared (C^eta)", True),
+                ("witness with q affine on axis 1", True)],
+               "gamma = 0.6 <= n^(m-1), eta' = 1"),
+    ],
 }
 
 
@@ -641,6 +771,39 @@ def test_theoretical_entries_pinned():
     for name, model in models.items():
         got = [e.to_dict() for e in theoretical_entries(model)]
         assert got == PINNED_ENTRIES[name], name
+
+
+def test_theorem_rows_share_the_witness_searches(monkeypatch, tmp_path):
+    # one theoretical_entries call searches each (r, sign) once for all its
+    # rows, and runs the route-(b) probe only where that route is reached
+    searches, probes = [], []
+    find, estimate = dimension.find_witness, dimension.empirical_dimension
+
+    def counted_find(model, r, sign=0):
+        searches.append((r, sign))
+        return find(model, r, sign)
+
+    def counted_estimate(model, *args, **kw):
+        probes.append(model)
+        return estimate(model, *args, **kw)
+
+    monkeypatch.setattr(dimension, "find_witness", counted_find)
+    monkeypatch.setattr(dimension, "empirical_dimension", counted_estimate)
+    probed, total = [], 0
+    for name in CONFIG_NAMES:
+        searches.clear(), probes.clear()
+        theoretical_entries(get_model(name))
+        assert len(searches) == len(set(searches)), name
+        total += len(searches)
+        probed += [name] * len(probes)
+    assert total == 14
+    assert probed == ["example5_case2"]
+    # so a report pass estimates once per config, plus that one probe
+    probes.clear()
+    for name in CONFIG_NAMES:
+        assert main(["report", str(CONFIG_DIR / f"{name}.json"),
+                     "--out", str(tmp_path / name)]) == 0
+    assert len(probes) == 7
 
 
 # --------------------------------------------------------------------------
@@ -822,7 +985,7 @@ def test_level_tied_counts_make_no_geometry(monkeypatch):
 
     monkeypatch.setattr(dimension, "_sweep", spy)
     est = empirical_dimension(model, 3, 6)
-    assert lower_bound_interval_variable_s(model).heuristic
+    assert _entry_of(model, "variable_scale_lower").heuristic
     assert [(depth, any(points)) for depth, points in sweeps] == [(8, False), (8, False)]
     assert est.entries == replayed_estimate(model, 3, 6, 8)
 
