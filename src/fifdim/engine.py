@@ -33,17 +33,19 @@ a level-k cell that its caller reads off level k + e, and every block
 holds whole groups in one layout, group-major (``_group_major``): an
 interval's (m = 1) rows are put in x order (a cell is two adjacent rows,
 a group a run of g + 1), then rows j g first and the rows j g + s for
-each s = 1..g-1 after; a cube's or the gasket's cells (C, P) are gathered
-through a cell -> row table made from the plans, cell j g + r at
-r C / g + j.  Group 1 keeps x order and push order.  Callers reduce each
-block to level-k value ranges by one leading-axis min and max
-(``_group_extremes``): box counts (``dimension.empirical_dimension``),
-and oscillation sums (``oscillation.seminorm``) by a fold into a table of
-ranges (``_fold``).  A sweep holds one block buffer per level below the
-last whole one: 157 KB of values, and as much of points, on a 3-piece
-interval.  Points are mapped one axis at a time (``AffineMap``): no numpy
-call of the sweep or a push loops innermost over the m axes or the P
-slots of a cell.
+each s = 1..g-1 after; on a cube or the gasket, column j of a table
+(R, C / g) holds the R = |V_e| distinct rows of group j, sorted once per
+whole level out of the plans' cell -> row table (C, P), so a group reads
+each vertex once (25 rows, not 64 slots, for 16 cells of a 2 x 2 cube).
+Group 1 keeps x order.  Callers reduce each block to level-k value
+ranges by one leading-axis min and max (``_group_extremes``): box counts
+(``dimension.empirical_dimension``), and oscillation sums
+(``oscillation.seminorm``) written straight into the block's rows of a
+table of ranges (``_fold``).  A sweep holds one block buffer per level
+below the last whole one: 157 KB of values, and as much of points, on a
+3-piece interval.  Points are mapped one axis at a time (``AffineMap``):
+no numpy call of the sweep or a push loops innermost over the m axes or
+the slots of a cell.
 """
 
 from __future__ import annotations
@@ -451,11 +453,14 @@ def _sweep(model: FifModel, depth: int, group: int = 1, points: bool = False
     block of g or more cells holds whole groups.  Every level is laid out
     group-major (``_group_major``) from its rows in x order on an interval
     (``_rows``; reversed if l_B flips), else from its cells (C, P) in push
-    order.  Points come with a block if ``points``, and with an interval's
-    block above ``depth``, which the next push reads."""
+    order, as the (R, C / g) table of each group's R distinct rows, made at
+    each whole level (at level 0, of V_0, if none is) and gathered for
+    every block below.  Points come with a block if ``points``, and with an
+    interval's block above ``depth``, which the next push reads."""
     d, n = model.domain, model.N
     lev, level, plans = _Level(d.v0_array, model.p_at(d.v0_array)), 0, d.plans()
-    rows = laid = np.arange(len(d.v0)) if d.m == 1 else np.arange(len(d.v0))[None]
+    rows = np.arange(len(d.v0)) if d.m == 1 else np.arange(len(d.v0))[None]
+    laid = _group_major(rows, group)
     while level < depth and (n**level < group or n * len(lev.vals) * (d.m + 1) <= BLOCK_SLOTS):
         plan = next(plans)
         lev, level, rows = _push_kept(model, lev, plan[0])[0], level + 1, _rows(d, rows, *plan)
@@ -506,37 +511,43 @@ def _take(lev: _Level, rows: np.ndarray, points: bool, out: _Level | None = None
                   np.take(lev.vals, rows, None, out and out.vals, "clip"))
 
 
-def _cells(vals: np.ndarray) -> int:
-    """The cells of a block of ``_sweep``: on an interval one fewer than its rows."""
-    return len(vals) - (vals.ndim == 1)
+def _groups(vals: np.ndarray, group: int) -> int:
+    """The groups of g = ``group`` cells in a block of ``_sweep``: its
+    columns, or on an interval its rows but one over g."""
+    return vals.shape[1] if vals.ndim > 1 else (len(vals) - 1) // group
 
 
 def _group_major(rows: np.ndarray, group: int) -> np.ndarray:
     """The layout of a level's ``rows`` (``_rows``) in groups of g =
     ``group`` cells (a level of fewer cells is one group), group-major: on
     an interval rows j g (C / g + 1 of them), then the run of rows j g + s
-    for each s = 1..g-1; else cell j g + r at r C / g + j.  Group 1 keeps
-    the rows."""
-    g = min(group, _cells(rows))
-    if g == 1:
-        return rows
+    for each s = 1..g-1 (group 1 keeps the rows); else column j holds the
+    distinct rows of cells j g .. j g + g - 1, ascending, R = |V_e| of them
+    for g = N^e, by one sort of the (C / g, g P) table."""
     if rows.ndim > 1:
-        return rows.reshape(-1, g, rows.shape[1]).swapaxes(0, 1).reshape(rows.shape)
+        part = np.sort(rows.reshape(-1, min(group, len(rows)) * rows.shape[1]), axis=1)
+        new = np.ones(part.shape, bool)
+        np.not_equal(part[:, 1:], part[:, :-1], out=new[:, 1:])
+        return np.ascontiguousarray(part[new].reshape(len(part), -1).T)
+    if (g := min(group, len(rows) - 1)) == 1:
+        return rows
     return np.concatenate([rows[::g], rows[1:].reshape(-1, g)[:, :-1].T.ravel()])
 
 
-def _group_extremes(vals: np.ndarray, group: int) -> tuple[np.ndarray, np.ndarray]:
+def _group_extremes(vals: np.ndarray, group: int, out=(None, None)
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """The min and max of each group of g = ``group`` cells of a block of
-    ``_sweep`` (whole groups, group-major), by one leading-axis reduce: of
-    an interval's runs 1..g-1, with the shifted ends of run 0 (the group
-    j g .. j g + g - 1 of cells in x order is rows j g .. j g + g); of
-    cells (C, P), then down the P slots."""
+    ``_sweep`` (whole groups, group-major), by one leading-axis reduce (into
+    ``out``, a pair of arrays): of a cube's or the gasket's (R, C / g)
+    table; of an interval's runs 1..g-1, with the shifted ends of run 0
+    (the group j g .. j g + g - 1 of cells in x order is rows j g .. j g +
+    g)."""
     if vals.ndim > 1:
-        part = vals.reshape(group, -1, vals.shape[1])
-        lo, hi = np.minimum.reduce(part), np.maximum.reduce(part)  # (C / g, P)
-        return functools.reduce(np.minimum, lo.T), functools.reduce(np.maximum, hi.T)
-    head, rest = np.split(vals, [_cells(vals) // group + 1])
-    lo, hi = np.minimum(head[:-1], head[1:]), np.maximum(head[:-1], head[1:])
+        return np.minimum.reduce(vals, out=out[0]), np.maximum.reduce(vals, out=out[1])
+    c = _groups(vals, group)
+    head, rest = vals[:c + 1], vals[c + 1:]
+    lo = np.minimum(head[:-1], head[1:], out=out[0])
+    hi = np.maximum(head[:-1], head[1:], out=out[1])
     if group > 1:
         np.minimum(np.minimum.reduce(rest.reshape(group - 1, -1)), lo, out=lo)
         np.maximum(np.maximum.reduce(rest.reshape(group - 1, -1)), hi, out=hi)
@@ -544,13 +555,12 @@ def _group_extremes(vals: np.ndarray, group: int) -> tuple[np.ndarray, np.ndarra
 
 
 def _fold(lo, hi, vals, offset: int, group: int) -> None:
-    """Fold the groups of a block of ``_sweep`` (cells from ``offset`` on,
-    ``_group_extremes``) into the rows offset / g on of the tables ``lo``
-    and ``hi``, row j of cells j g .. j g + g - 1."""
-    glo, ghi = _group_extremes(vals, group)
-    at = slice(offset // group, offset // group + len(glo))
-    np.minimum(lo[at], glo, out=lo[at])
-    np.maximum(hi[at], ghi, out=hi[at])
+    """Write the group extremes of a block of ``_sweep`` (cells from
+    ``offset`` on, ``_group_extremes``) into the rows offset / g on of the
+    tables ``lo`` and ``hi``, row j of cells j g .. j g + g - 1: the blocks
+    of a level write each row once."""
+    at = slice(offset // group, offset // group + _groups(vals, group))
+    _group_extremes(vals, group, (lo[at], hi[at]))
 
 
 def _push_kept(model: FifModel, lev: _Level, keep: np.ndarray

@@ -5,7 +5,8 @@ from the exact values at the vertices of each cell's descendants a few
 levels deeper.  Those values are points of the graph, so each spread,
 and so each sum, is a true lower bound of the oscillation; no upper end
 is carried.  The sums of every k come from one forward pass of the
-recursion (``engine._sweep``), not one pass per k.
+recursion (``engine._sweep``), not one pass per k, which writes each level
+read once into a table of group ranges.
 """
 
 from __future__ import annotations
@@ -33,27 +34,31 @@ __all__ = [
 def _osc_sums(model: FifModel, kmax: int) -> dict[int, float]:
     """Osc(k, f*) for k = 1..kmax, each from the vertices of level k + e_k,
     e_k = 4 or less near the budget (a shallower level still gives lower
-    ends).  One sweep grouped by n^e0, e0 the least e_k, folds each level
+    ends).  One sweep grouped by n^e0, e0 the least e_k, writes each level
     k + e_k once into a table of the value ranges of its groups
     (``engine._fold``), in the order of the cells in a block (push order up
     to the x order of an interval's block, which only the rounding of the
-    sum sees).  Osc(k) reduces runs of n^(e_k - e0) rows of it (min and max
-    are exact, so the grouping cannot change them)."""
+    sum sees).  Osc(k) reduces runs of n^(e_k - e0) rows of it, the k that
+    share a level finest run first, each coarser run from the last (min
+    and max are exact, so the grouping cannot change them)."""
     extras = {k: _fit_extra(model, k, 4) for k in range(1, kmax + 1)}
     depth = max(k + e for k, e in extras.items())
     _check_budget(model, depth, f"graph sample depth {depth}")
     n, e0 = model.N, min(extras.values())
-    tables = {lv: (np.full(n**(lv - e0), np.inf), np.full(n**(lv - e0), -np.inf))
-              for lv in {k + e for k, e in extras.items()}}  # one pair a level
+    tables = {lv: (1, np.empty(n**(lv - e0)), np.empty(n**(lv - e0)))
+              for lv in {k + e for k, e in extras.items()}}  # (run, lo, hi) a level
     for level, offset, block in _sweep(model, depth, n**e0):
         if level in tables:
-            _fold(*tables[level], block.vals, offset, n**e0)
+            _fold(*tables[level][1:], block.vals, offset, n**e0)
     out = {}
-    for k, e in extras.items():  # run j of r rows is rows j r + s, s = 0..r-1
-        (lo, hi), r = tables[k + e], n**(e - e0)
-        out[k] = float(np.sum(functools.reduce(np.maximum, [hi[s::r] for s in range(r)])
-                              - functools.reduce(np.minimum, [lo[s::r] for s in range(r)])))
-    return out
+    for k, e in reversed(extras.items()):  # a level's finest runs (largest k) first
+        run, lo, hi = tables[k + e]
+        r = n**(e - e0) // run  # run j of r rows is rows j r + s, s = 0..r-1
+        lo, hi = (functools.reduce(op, [t[s::r] for s in range(r)])
+                  for op, t in ((np.minimum, lo), (np.maximum, hi)))
+        tables[k + e] = n**(e - e0), lo, hi
+        out[k] = float(np.sum(hi - lo))
+    return dict(reversed(out.items()))
 
 
 def _check_args(model: FifModel, eta: float, kmax: int | None) -> int:

@@ -86,8 +86,8 @@ class _Canvas:
             )
 
     def polyline(self, xs, ys, color="steelblue", width=1.2):
-        pts = " ".join(map("{:.2f},{:.2f}".format, self.tx(xs).tolist(),
-                           self.ty(ys).tolist()))
+        xy = np.column_stack([self.tx(xs), self.ty(ys)]).ravel().tolist()
+        pts = " ".join(["%.2f,%.2f"] * len(xs)) % tuple(xy)
         self.parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="{width}"/>'
@@ -102,9 +102,9 @@ class _Canvas:
         )
 
     def dots(self, xs, ys, colors=None, radius=2.0, color="crimson"):
-        circle = f'<circle cx="{{:.2f}}" cy="{{:.2f}}" r="{radius}" fill="{{}}"/>'
-        self.parts += map(circle.format, self.tx(xs).tolist(),
-                          self.ty(ys).tolist(), colors or [color] * len(xs))
+        circle = f'<circle cx="%.2f" cy="%.2f" r="{radius}" fill="%s"/>'
+        dots = zip(self.tx(xs).tolist(), self.ty(ys).tolist(), colors or [color] * len(xs))
+        self.parts.append("\n".join([circle] * len(xs)) % tuple(v for dot in dots for v in dot))
 
     def legend(self, label, color, dash=None):
         y = self._legend_y

@@ -3,8 +3,11 @@ against the breadth-first replay (``conftest.replay_levels``), the
 sweep's rows against V_k, seed pins of the box-count estimate and of V_k,
 and memory bounds."""
 
+import collections
 import dataclasses
+import functools
 import hashlib
+import itertools
 import json
 import pathlib
 import tracemalloc
@@ -18,13 +21,14 @@ from conftest import (CONFIG_NAMES, SMALL_BLOCK_SLOTS, get_model, key_dedup,
                       replay_levels, replayed_estimate, replayed_table)
 from fifdim import dimension, engine, oscillation
 from fifdim.dimension import empirical_dimension
-from fifdim.domains import interval_domain, vertex_set
+from fifdim.domains import cube_domain, gasket_domain, interval_domain, vertex_set
 from fifdim.engine import (FifSpec, ModelError, apply_T, build_model,
                            evaluate_on_vk)
 from fifdim.exprs import Const, Op
 from fifdim.oscillation import seminorm
 
 HASHES = pathlib.Path(__file__).resolve().parent / "output_sha256.json"
+TRIANGLE = [[0, 0], [1, 0], [0.5, 3**0.5 / 2]]
 
 SWEEP_CONFIGS = ["example5_case2", "example5_case1_sin", "example5_case1_one",
                  "degenerate_cube", "sg_exact"]
@@ -37,6 +41,29 @@ def _replay(model, depth, geometry_to=None):
 def _same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _keys(pts, d):
+    """The integer grid key round(x / resolution) of each point of ``pts``
+    (..., m), as a tuple, in the order of the points."""
+    keys = np.round(np.asarray(pts).reshape(-1, d.m) / d.resolution).astype(np.int64)
+    return [tuple(k) for k in keys.tolist()]
+
+
+def _assert_extremes(got, part):
+    """``got``, a (lo, hi) pair, is the min and max of each row of ``part``
+    bit for bit, the sign of a zero too.  Only where a row's extreme is a
+    zero that the row holds with both signs is either sign right: numpy's
+    min and max return the later of two equal operands (np.minimum(0.0,
+    -0.0) is -0.0, np.minimum(-0.0, 0.0) is 0.0), so there the sign follows
+    the order of the reduce, in any layout."""
+    part = np.asarray(part)
+    zero, neg = part == 0, np.signbit(part)
+    both = (zero & neg).any(axis=1) & (zero & ~neg).any(axis=1)
+    for ext, ref in zip(got, (part.min(axis=1), part.max(axis=1))):
+        free = both & (ref == 0)
+        assert (ext[free] == 0).all()
+        assert _same_bits(np.where(free, 0.0, ext), np.where(free, 0.0, ref))
 
 
 def _assert_osc_sums_equal_replay(model, kmax, depths):
@@ -258,7 +285,7 @@ def test_interval_rows_are_in_x_order(model, k):
     # level k, pushed whole, reads its cells as adjacent rows: V_k sorted
     # by x, points and values bit for bit, whatever the flips
     *_, (level, _, block) = engine._sweep(model, k, points=True)
-    assert level == k and engine._cells(block.vals) == model.N**k
+    assert level == k and engine._groups(block.vals, 1) == model.N**k
     pts, vals = evaluate_on_vk(model, k)
     order = np.argsort(pts[:, 0])
     assert _same_bits(block.pts, pts[order]) and _same_bits(block.vals, vals[order])
@@ -321,11 +348,15 @@ def test_grouped_tied_counts_on_intervals_equal_replay(model):
 def test_sweep_whole_levels_are_vk(name):
     # the sweep pushes its whole levels as evaluate_on_vk does: on an
     # interval each is V_k in x order, points and values bit for bit; else
-    # the slots of each cell are rows of V_k, and every row is some slot
+    # a table (P, C) of rows of V_k, points and values bit for bit, whose
+    # column j holds the rows of the replayed cell j's vertices, ascending,
+    # and every row is in some column
     model = get_model(name)
-    whole = 0
+    d, whole = model.domain, 0
+    replayed = replay_levels(model, 30, geometry_to=0)
+    next(replayed)  # level 0
     for level, _, block in engine._sweep(model, 30, points=True):
-        if engine._cells(block.vals) < model.N**level:
+        if engine._groups(block.vals, 1) < model.N**level:
             break
         pts, vals = evaluate_on_vk(model, level)
         if block.vals.ndim == 1:
@@ -333,8 +364,13 @@ def test_sweep_whole_levels_are_vk(name):
             assert _same_bits(block.pts, pts[order]) and _same_bits(block.vals, vals[order])
         else:
             row = {p.tobytes(): j for j, p in enumerate(pts)}
-            at = [row[p.tobytes()] for p in block.pts.reshape(-1, model.domain.m)]
-            assert _same_bits(block.vals.ravel(), vals[at]) and len(set(at)) == len(vals)
+            at = np.reshape([row[p.tobytes()] for p in block.pts.reshape(-1, d.m)],
+                            block.vals.shape)
+            key = dict(zip(_keys(pts, d), range(len(pts))))
+            cells = next(replayed)[0]  # (C, P, m)
+            of_cells = np.reshape([key[k] for k in _keys(cells, d)], cells.shape[:2])
+            assert _same_bits(block.vals, vals[at]) and len(np.unique(at)) == len(vals)
+            assert _same_bits(at, np.sort(of_cells, axis=1).T)
         whole += 1
     assert whole == level - 1 >= 7
 
@@ -361,36 +397,53 @@ def test_seminorm_samples_make_no_geometry(monkeypatch):
 @given(st.integers(2, 5), st.integers(0, 3), st.integers(0, 2),
        st.integers(0, 9), st.integers(0, 2**32 - 1))
 def test_fold_is_the_reshape_min_max(n, e, b, slots, seed):
-    # blocks of n^(e + b) cells, whole groups of n^e laid out group-major
-    # (``_group_major``), at every offset of n^2 blocks into tables of the
-    # groups: cells (C, slots), or for slots = 0 an interval's C + 1 rows,
-    # a group of cells j g .. j g + g - 1 the rows j g .. j g + g
+    # blocks of n^(e + b) cells, whole groups of g = n^e laid out
+    # group-major (``_group_major``), folded at every offset of n^2 blocks,
+    # in random order, into tables of the groups filled with NaN: every row
+    # is written once, with the min and max of its group's cells, bit for
+    # bit (``_assert_extremes``).  Cells (C, slots) read rows of the
+    # block's values, which hold zeros of both signs, each group R
+    # distinct rows (some read twice); for slots = 0 the block is an
+    # interval's C + 1 rows, a group of cells j g .. j g + g - 1 the rows
+    # j g .. j g + g
     rng = np.random.default_rng(seed)
     group, cells = n**e, n**(e + b)
-    rows = n**2 * cells // group
-    lo = rng.normal(size=rows)
-    hi = lo + rng.exponential(size=rows)
-    ref_lo, ref_hi = lo.copy(), hi.copy()
+    lo, hi = np.full(n**2 * cells // group, np.nan), np.full(n**2 * cells // group, np.nan)
+    parts = np.full((len(lo), group * slots if slots else group + 1), np.nan)
+    distinct = int(rng.integers(1, group * slots + 1)) if slots else 0
     for j in rng.permutation(n**2):
-        block = rng.normal(size=(cells, slots) if slots else cells + 1)
-        index = np.arange(block.size).reshape(block.shape)
-        engine._fold(lo, hi, block.ravel()[engine._group_major(index, group)],
-                     j * cells, group)
-        part = (block.reshape(cells // group, -1) if slots else
-                np.array([block[s:s + group + 1] for s in range(0, cells, group)]))
-        at = slice(j * cells // group, j * cells // group + len(part))
-        ref_lo[at] = np.minimum(ref_lo[at], part.min(axis=1))
-        ref_hi[at] = np.maximum(ref_hi[at], part.max(axis=1))
-    assert _same_bits(lo, ref_lo) and _same_bits(hi, ref_hi)
+        if slots:
+            size = int(rng.integers(distinct, distinct * cells // group + 1))
+            index = np.concatenate([rng.permutation(np.concatenate([
+                rows, rng.choice(rows, group * slots - distinct)]))
+                for rows in (rng.permutation(size)[:distinct]
+                             for _ in range(cells // group))]).reshape(cells, slots)
+        else:
+            size, index = cells + 1, np.arange(cells + 1)
+        values = rng.normal(size=size)
+        values[rng.random(size) < 0.3] = 0.0
+        values[rng.random(size) < 0.3] = -0.0
+        engine._fold(lo, hi, values[engine._group_major(index, group)], j * cells, group)
+        part = (values[index].reshape(cells // group, -1) if slots else
+                np.array([values[s:s + group + 1] for s in range(0, cells, group)]))
+        parts[j * cells // group:j * cells // group + len(part)] = part
+    assert not np.isnan(lo).any() and not np.isnan(hi).any()
+    _assert_extremes((lo, hi), parts)
 
 
 def _sweep_copies(model, depth, group, slots):
-    """(level, offset, values) of each block of ``_sweep`` in blocks of
-    ``slots`` floats, each copied out of its level's buffer."""
+    """(level, offset, values, points) of each block of ``_sweep`` in
+    blocks of ``slots`` floats, each copied out of its level's buffer."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "BLOCK_SLOTS", slots)
-        return [(level, at, block.vals.copy())
-                for level, at, block in engine._sweep(model, depth, group)]
+        return [(level, at, block.vals.copy(), block.pts.copy())
+                for level, at, block in engine._sweep(model, depth, group, points=True)]
+
+
+def _whole_levels(blocks):
+    """The last level a sweep pushed whole: the deepest that is one block."""
+    counts = collections.Counter(level for level, *_ in blocks)
+    return max((level for level, c in counts.items() if c == 1), default=0)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -400,27 +453,31 @@ def test_group_major_blocks_reduce_to_the_push_order_min_max(name, e, slots):
     # P = 2, 3 and 4 slots a cell, groups of g = N^e cells, blocks of
     # C = N^L cells (L = 0 or 1 for 16 floats, 2 to 4 for 256, at least e
     # when grouped).  Every level the grouped sweep yields, whole levels
-    # too, is the block of an ungrouped sweep with the same whole levels
-    # laid out group-major: cells (C, P) with cell j g + r at r C / g + j,
-    # the C + 1 rows of an interval rows j g, then rows j g + s for s =
-    # 1..g-1.  It holds whole groups (a whole level of fewer than g cells
-    # is one), and one leading-axis reduce of it gives the min and max of
-    # its twin's push-order groups, runs of g + 1 rows in x order on an
-    # interval, bit for bit.  Those are the groups of the replayed cells,
-    # up to the one value a row shared by two slots keeps on an interval
+    # too, is laid out group-major from the block of an ungrouped sweep
+    # with the same whole levels: on an interval its C + 1 rows, rows j g
+    # first, then rows j g + s for s = 1..g-1; on a cube or the gasket a
+    # table (R, C / g) whose column j holds the R distinct rows of cells
+    # j g .. j g + g - 1, columns of the twin's (P, C) table.  It holds
+    # whole groups (a whole level of fewer than g cells is one), and one
+    # leading-axis reduce of it gives the min and max of its twin's
+    # push-order groups, runs of g + 1 rows in x order on an interval, the
+    # cells (C, P) else, bit for bit.  Those are the groups of the
+    # replayed cells, up to the one value a row shared by two slots keeps
+    # on an interval
     model = get_model(name)
     d, n, group = model.domain, model.N, model.N**e
     levels = _replay(model, 5, geometry_to=0)
     grouped = _sweep_copies(model, 5, group, slots)
-    whole = max((lv for lv, _, vals in grouped if engine._cells(vals) == n**lv), default=0)
+    whole = _whole_levels(grouped)
     # the block size at which the ungrouped sweep pushes as many levels whole
     same = max(slots, n * len(vertex_set(d, whole - 1)) * (d.m + 1)) if whole else slots
     ungrouped = _sweep_copies(model, 5, 1, same)
-    assert [(lv, at) for lv, at, _ in grouped] == [(lv, at) for lv, at, _ in ungrouped]
-    for (level, at, major), (_, _, push) in zip(grouped, ungrouped):
-        cells = engine._cells(push)
+    assert [(lv, at) for lv, at, *_ in grouped] == [(lv, at) for lv, at, *_ in ungrouped]
+    for (level, at, major, pts), (_, _, push, push_pts) in zip(grouped, ungrouped):
+        cells = n**min(level, whole)
         g = min(group, cells)
         assert cells % g == 0 and (g == group or cells == n**level)
+        assert engine._groups(major, g) == cells // g and engine._groups(push, 1) == cells
         ref = levels[level][1][at:at + cells].reshape(cells // g, -1)
         lo, hi = engine._group_extremes(major, g)
         if push.ndim == 1:
@@ -434,11 +491,106 @@ def test_group_major_blocks_reduce_to_the_push_order_min_max(name, e, slots):
             assert np.allclose(lo, ref.min(axis=1), rtol=0, atol=1e-15)
             assert np.allclose(hi, ref.max(axis=1), rtol=0, atol=1e-15)
         else:
-            assert _same_bits(major, push.reshape(
-                -1, g, push.shape[1]).swapaxes(0, 1).reshape(push.shape))
-            groups = push.reshape(cells // g, -1)
+            # both sweeps push the same rows: a point's bits name its row
+            for j in range(cells // g):
+                rows = {p.tobytes(): v for p, v in zip(pts[:, j], major[:, j])}
+                twin = {p.tobytes(): v for p, v in zip(
+                    push_pts[:, j * g:j * g + g].reshape(-1, d.m),
+                    push[:, j * g:j * g + g].ravel())}
+                assert len(rows) == len(major) and rows == twin
+            groups = push.T.reshape(cells // g, -1)
             assert _same_bits(lo, groups.min(axis=1)) and _same_bits(hi, groups.max(axis=1))
             assert _same_bits(lo, ref.min(axis=1)) and _same_bits(hi, ref.max(axis=1))
+
+
+@st.composite
+def grid_models(draw):
+    """2- and 3-axis cubes of 2 or 3 unequal pieces an axis (2 on 3 axes),
+    each axis's first piece flipped or not (signatures alternate), and
+    gaskets of level 1 and 2.  Dyadic data on V_1 with scale 1/2 and
+    solved displacements, or zero data of both signs with scales of both
+    signs and q_i = -0, whose values are zeros of both signs."""
+    if draw(st.booleans()):
+        m = draw(st.integers(2, 3))
+        axes = []
+        for n in [draw(st.integers(2, 5 - m)) for _ in range(m)]:
+            widths = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+            flip = draw(st.integers(0, 1))
+            axes.append(([sum(widths[:i]) / sum(widths) for i in range(n + 1)],
+                         [(j + flip) % 2 for j in range(n)]))
+        d = cube_domain(axes)
+    else:
+        d = gasket_domain(TRIANGLE, draw(st.integers(1, 2)))
+    nodes = vertex_set(d, 1)
+    if draw(st.booleans()):
+        values = [v / 4 for v in draw(st.lists(st.integers(-8, 8), min_size=len(nodes),
+                                               max_size=len(nodes)))]
+        s, q = [(Const(0.5), None)] * d.N, "solve"
+    else:
+        values = draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=len(nodes),
+                               max_size=len(nodes)))
+        s = [(Const(c), None) for c in draw(st.lists(
+            st.sampled_from([0.5, -0.5, 0.25]), min_size=d.N, max_size=d.N))]
+        q = [(Const(-0.0), None)] * d.N
+    return build_model(FifSpec(d, [(tuple(p), v) for p, v in zip(nodes, values)], s, q))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(grid_models())
+def test_group_tables_hold_the_distinct_rows_of_their_cells(model):
+    # groups of g = N^e cells for e = 0..3, levels 1..e + 1, in blocks of
+    # 1-3 cells or of the default size: column j of a block's (R, C / g)
+    # table holds R distinct vertices, those of the replayed cells j g ..
+    # j g + g - 1, and its extremes are those of the cells' slots, each
+    # read off the column's row of its vertex, bit for bit
+    # (``_assert_extremes``)
+    d, n = model.domain, model.N
+    levels = list(itertools.islice(replay_levels(model, 5, geometry_to=0), 5))
+    for e, slots in itertools.product(range(4), (SMALL_BLOCK_SLOTS, engine.BLOCK_SLOTS)):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "BLOCK_SLOTS", slots)
+            for level, at, block in engine._sweep(model, e + 1, n**e, points=True):
+                g = min(n**e, n**level)
+                cells = levels[level][0][at:at + block.vals.shape[1] * g]
+                keys, size, part = _keys(cells, d), g * cells.shape[1], []
+                for j in range(block.vals.shape[1]):
+                    rows = dict(zip(_keys(block.pts[:, j], d), block.vals[:, j]))
+                    keys_j = keys[j * size:j * size + size]
+                    assert len(rows) == len(block.vals) and set(rows) == set(keys_j)
+                    part.append([rows[k] for k in keys_j])
+                _assert_extremes(engine._group_extremes(block.vals, g), part)
+
+
+@pytest.mark.parametrize("name, kmax", [*((name, 6) for name in SWEEP_CONFIGS),
+                                        ("example5_case2", None)])
+def test_osc_sums_reduce_shared_levels_finest_first(name, kmax, monkeypatch):
+    # at a budget of level 6, k = 2..6 read level 6 (e_k = 6 - k or 4,
+    # e0 = 0); in the default seminorm of example5_case2, k = 10, 11 and 12
+    # read level 14 (e0 = 2).  Osc(k), each reduced from the runs of the
+    # next finer k of its level, is repr-equal to one strided reduce of
+    # runs of N^(e_k - e0) rows of the whole table, which the folds of the
+    # sweep write, every row
+    model = get_model(name)
+    if kmax:
+        monkeypatch.setenv("FIF_CELL_BUDGET", str(model.domain.slots(6)))
+    kmax = kmax or model.domain.analysis_defaults()["seminorm_kmax"]
+    extras = {k: engine._fit_extra(model, k, 4) for k in range(1, kmax + 1)}
+    n, e0 = model.N, min(extras.values())
+    assert max(collections.Counter(k + e for k, e in extras.items()).values()) >= 3
+    tables = {k + e: (np.full(n**(k + e - e0), np.nan), np.full(n**(k + e - e0), np.nan))
+              for k, e in extras.items()}
+    for level, offset, block in engine._sweep(model, max(tables), n**e0):
+        if level in tables:
+            engine._fold(*tables[level], block.vals, offset, n**e0)
+    direct = {}
+    for k, e in extras.items():
+        (lo, hi), r = tables[k + e], n**(e - e0)
+        assert not np.isnan(lo).any() and not np.isnan(hi).any()
+        direct[k] = repr(float(np.sum(
+            functools.reduce(np.maximum, [hi[s::r] for s in range(r)])
+            - functools.reduce(np.minimum, [lo[s::r] for s in range(r)]))))
+    got = oscillation._osc_sums(model, kmax)
+    assert list(got) == list(direct) and [repr(v) for v in got.values()] == list(direct.values())
 
 
 def test_sweep_blocks_of_a_level_share_one_buffer(small_blocks):
@@ -448,7 +600,7 @@ def test_sweep_blocks_of_a_level_share_one_buffer(small_blocks):
     model = get_model("sg_exact")
     buffers = {}
     for level, _, block in engine._sweep(model, 5, points=True):
-        if len(block.vals) < model.N**level:
+        if engine._groups(block.vals, 1) < model.N**level:
             buffers.setdefault(level, set()).add(
                 (block.vals.ctypes.data, block.pts.ctypes.data))
     assert sorted(buffers) == [1, 2, 3, 4, 5]
