@@ -128,8 +128,8 @@ class OpSpec(NamedTuple):
 # The one list of operators; its two-operand entries but "^" are the parser's
 # binary operators, its "name({})" templates its functions.  Arithmetic uses
 # Python's operators and abs, not the ufuncs, so numpy can write the result
-# into a temporary operand instead of a new array.  A power's base below
-# an atom, a power too, is parenthesised: '^' does not chain in the grammar.
+# into a temporary operand, not a new array (a power raises |base| in place).
+# A power's base below an atom or a power is parenthesised: '^' does not chain.
 OPS = {
     "+": OpSpec(operator.add, "{} + {}", 0, (0, 1)),
     "-": OpSpec(operator.sub, "{} - {}", 0, (0, 1)),
@@ -137,7 +137,7 @@ OPS = {
     "neg": OpSpec(operator.neg, "-{}", 1, (2,)),
     "sin": OpSpec(np.sin, "sin({})", 3, (0,), True),
     "cos": OpSpec(np.cos, "cos({})", 3, (0,), True),
-    "^": OpSpec(lambda b, p: abs(b) ** p, "{}^{}", 2, (3, 0), True),
+    "^": OpSpec(lambda b, p: operator.ipow(abs(b), p), "{}^{}", 2, (3, 0), True),
 }
 _FUNCTIONS = {op for op, spec in OPS.items() if spec.template == op + "({})"}
 

@@ -108,10 +108,11 @@ def test_find_witness_none_for_collinear_data():
     assert find_witness(model, 1) is None
 
 
-def _reference_witness(model, r, sign=0):
+def _reference_witnesses(model, r):
     """The two-branch search ``find_witness`` replaced: ordered axis pairs
     for r >= 1, unordered general-position pairs for r = 0, and one
-    ``p_at`` lookup per candidate triple; (y1, y2, y3, lam, L) or None."""
+    ``p_at`` lookup per candidate triple; for each sign 0, 1 and -1
+    (y1, y2, y3, lam, L) or None."""
     nodes = model.nodes
     n, tol = len(nodes), model.domain.resolution
     triples = []
@@ -145,14 +146,19 @@ def _reference_witness(model, r, sign=0):
                 if (1e-12 < lam < 1 - 1e-12
                         and np.linalg.norm(y3 - (y1 + lam * seg)) <= tol):
                     triples.append((y1, y2, y3, lam))
-    best = None
+    scored = []
     for y1, y2, y3, lam in triples:
         p = model.p_at(np.array([y1, y2, y3]))
-        L = float(p[2] - ((1 - lam) * p[0] + lam * p[1]))
-        if abs(L) > 1e-12 and sign * L >= 0 and (
-                best is None or abs(L) > abs(best[4])):
-            best = (y1, y2, y3, lam, L)
-    return best
+        scored.append((y1, y2, y3, lam, float(p[2] - ((1 - lam) * p[0] + lam * p[1]))))
+    out = {}
+    for sign in (0, 1, -1):
+        best = None
+        for y1, y2, y3, lam, L in scored:
+            if abs(L) > 1e-12 and sign * L >= 0 and (
+                    best is None or abs(L) > abs(best[4])):
+                best = (y1, y2, y3, lam, L)
+        out[sign] = best
+    return out
 
 
 @st.composite
@@ -180,17 +186,36 @@ def witness_models(draw):
     return build_model(FifSpec(d, data, [(Const(0.5), None)] * d.N, "solve"))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(witness_models())
-def test_find_witness_equals_two_branch_reference(model):
+def _assert_witnesses_equal_reference(model):
     for r in range(1, model.domain.m + 1) if model.domain.axes else (0,):
-        for sign in (0, 1, -1):
-            w, ref = find_witness(model, r, sign), _reference_witness(model, r, sign)
+        refs = _reference_witnesses(model, r)
+        for sign, ref in refs.items():
+            w = find_witness(model, r, sign)
             assert (w is None) == (ref is None)
             if w is not None:
                 assert np.sign(w.L) == np.sign(ref[4])
                 assert abs(abs(w.L) - abs(ref[4])) <= 1e-12
                 assert w.r == r and 0 < w.lam < 1
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(witness_models())
+def test_find_witness_equals_two_branch_reference(model):
+    _assert_witnesses_equal_reference(model)
+
+
+@pytest.mark.parametrize("level, slots", [(3, SMALL_BLOCK_SLOTS), (4, 2**12)])
+def test_find_witness_on_deep_gaskets_equals_reference(level, slots, monkeypatch):
+    # 861 and 7,503 node pairs of 42 and 123 nodes, scored in one chunk
+    # and in 15, then one pair a chunk and 33: the same witness, the first
+    # of equal |L|
+    d = gasket_domain(TRIANGLE, level)
+    data = [(tuple(pt), math.sin(3 * j)) for j, pt in enumerate(vertex_set(d, 1))]
+    model = build_model(FifSpec(d, data, [(Const(0.5), None)] * d.N, "solve"))
+    _assert_witnesses_equal_reference(model)
+    found = [find_witness(model, 0, sign) for sign in (0, 1, -1)]
+    monkeypatch.setattr(engine, "BLOCK_SLOTS", slots)
+    assert [find_witness(model, 0, sign) for sign in (0, 1, -1)] == found
 
 
 def test_find_witness_budget(monkeypatch):
@@ -1049,16 +1074,17 @@ def _dyadic_table_counts(model, k_min, k_max, depth):
 
 
 @st.composite
-def unequal_interval_models(draw):
+def unequal_interval_models(draw, offsets=(0.0, -3.0, 1000.0, -5e4),
+                            spans=(1.0, 1e-3)):
     """Intervals of 2-4 unequal pieces with random widths and flips at
-    offsets 0, -3, 1000 and -5e4, spans 1 and 1e-3, random data within
+    ``offsets`` (0, -3, 1000 and -5e4), ``spans`` (1 and 1e-3), random data within
     the span (which keeps the join-up residual of the solved
     displacements below its bound) and random constant scales."""
     n = draw(st.integers(2, 4))
     widths = draw(st.lists(st.floats(0.2, 1), min_size=n, max_size=n,
                            unique=True))
-    x0 = draw(st.sampled_from([0.0, -3.0, 1000.0, -5e4]))
-    span = draw(st.sampled_from([1.0, 1e-3]))
+    x0 = draw(st.sampled_from(offsets))
+    span = draw(st.sampled_from(spans))
     knots = [x0 + span * sum(widths[:i]) / sum(widths) for i in range(n + 1)]
     d = interval_domain(knots, draw(st.lists(st.integers(0, 1), min_size=n,
                                              max_size=n)))
@@ -1095,6 +1121,127 @@ def test_dyadic_counts_reject_cells_too_coarse():
         assert got == _dyadic_table_counts(model, 4, k_max, k_max + 2)
         assert (got == "cells too coarse for this delta; refine the sample"
                 ) == (k_max >= 7)
+
+
+def _per_cell_column_extremes(x0, delta, lo, hi, vmin, vmax, ncols):
+    """The kernel ``dimension._column_extremes`` replaced, as its oracle:
+    the column of both corners of every cell (ends lo, hi, value ranges
+    vmin, vmax, in x order), each column's run of cells by ``searchsorted``
+    on them; (c0, colmin, colmax) from first[0] to last[-1]."""
+    def col(x, sign=1.0):
+        t = np.subtract(x, x0)
+        t /= delta
+        t += sign * 1e-9
+        tie = np.abs(x)
+        tie /= delta
+        tie *= sign * 1e-12
+        t += tie
+        np.maximum(np.floor(t, out=t), 0, out=t)
+        return np.minimum(t, ncols - 1, out=t).astype(int)
+
+    first, last = col(lo), col(hi, -1.0)
+    last = np.maximum(first, last)
+    if np.max(last - first) > 64:
+        raise ModelError("cells too coarse for this delta; refine the sample")
+    cols = np.arange(first[0], last[-1] + 1)
+    starts, ends = np.searchsorted(last, cols), np.searchsorted(first, cols, "right")
+    runs = np.minimum(np.column_stack([starts, ends]).ravel(), len(lo) - 1)
+    tail, unmet = ends == len(lo), starts >= ends
+    out = [int(first[0])]
+    for v, op, none in ((vmin, np.minimum, np.inf), (vmax, np.maximum, -np.inf)):
+        out.append(op.reduceat(v, runs)[0::2])
+        out[-1][tail] = op(out[-1][tail], v[-1])
+        out[-1][unmet] = none
+    return tuple(out)
+
+
+def _depth_blocks(model, depth):
+    """The rows x and values v of each block of level ``depth`` of the
+    sweep, in x order, as ``_dyadic_counts`` reads them."""
+    for level, _, block in engine._sweep(model, depth, points=True):
+        if level == depth:
+            x, v = block.pts[:, 0], block.vals
+            yield (x[::-1], v[::-1]) if x[0] > x[-1] else (x, v)
+
+
+def _kernel_or_error(kernel, *args):
+    try:
+        return kernel(*args)
+    except ModelError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("slots", [engine.BLOCK_SLOTS, SMALL_BLOCK_SLOTS])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(unequal_interval_models(offsets=(1000.0, -5e4), spans=(1e-3,)),
+       st.data())
+def test_column_extremes_equal_per_cell_kernel(slots, model, data):
+    # the edge search against the per-cell kernel it replaced, bit for bit,
+    # on far narrow intervals, some of whose cells are narrower than the
+    # tie (1e-12 |x| of up to 5e-8), at a dyadic delta and at 63.5, 64 and
+    # 64.5 columns per widest cell, about the guard's limit
+    small = slots == SMALL_BLOCK_SLOTS
+    depth = data.draw(st.integers(2, 5) if small else st.integers(4, 8), "depth")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "BLOCK_SLOTS", slots)
+        blocks = list(_depth_blocks(model, depth))
+    x0, diam = min(x[0] for x, _ in blocks), model.domain.diameter
+    widest = max(np.max(np.diff(x)) for x, _ in blocks)
+    k = data.draw(st.integers(2, math.ceil(math.log2(diam / widest)) + 8), "k")
+    cases = [(diam / 2.0**k, 2**k)] + [
+        (widest / per, math.ceil(diam / widest * per) + 1) for per in (63.5, 64, 64.5)]
+    for delta, ncols in cases:
+        for x, v in blocks:
+            got = _kernel_or_error(dimension._column_extremes, x0, delta, x, v, ncols)
+            ref = _kernel_or_error(_per_cell_column_extremes, x0, delta, x[:-1], x[1:],
+                                   np.minimum(v[:-1], v[1:]), np.maximum(v[:-1], v[1:]),
+                                   ncols)
+            if isinstance(ref, str):
+                assert got == ref
+                continue
+            # the same c0; columns past the oracle's last are met by no cell
+            assert got[0] == ref[0]
+            for new, old, none in zip(got[1:], ref[1:], (np.inf, -np.inf)):
+                assert new[:len(old)].tobytes() == old.tobytes()
+                assert (new[len(old):] == none).all()
+
+
+def test_column_rule_reads_the_column_edges(monkeypatch):
+    # the column rule runs on the rows near each column edge of a block,
+    # not on every cell: 81 blocks of 19,683 cells and 2^11 columns at
+    # k_max = 11 read 3.2M corners in the per-cell kernel
+    model = get_model("example5_case1_one")
+    rows, floor = [], np.floor
+
+    class Numpy:  # numpy, with the rows of each floor counted
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def floor(t, **kw):
+            rows.append(t.size)
+            return floor(t, **kw)
+
+    blocks = sum(level == 13 for level, _, _ in engine._sweep(model, 13))
+    monkeypatch.setenv("FIF_CELL_BUDGET", str(3**13 * 2))
+    monkeypatch.setattr(dimension, "np", Numpy())
+    est = empirical_dimension(model, 5, 11, extra=2)
+    monkeypatch.undo()
+    assert blocks == 81
+    assert est.entries == replayed_estimate(model, 5, 11, 13)
+    assert 0 < sum(rows) <= 16 * (2**11 + 2 * blocks)
+
+
+@pytest.mark.parametrize("name", ["example5_case1_one", "example5_case1_sin"])
+def test_dyadic_count_of_one_block(name):
+    # at or below the last whole level one block holds every cell, so it
+    # spans all 2^k_max columns, and the guard reads its run starts
+    model = get_model(name)
+    assert not model.domain.homogeneous
+    assert [len(block.vals) for level, _, block in engine._sweep(model, 8, points=True)
+            if level == 8] == [3**8 + 1]
+    assert empirical_dimension(model, 4, 8, extra=0).entries == replayed_estimate(
+        model, 4, 8, 8)
 
 
 @pytest.mark.parametrize("name", CONFIG_NAMES)
